@@ -1,14 +1,9 @@
 // Host-side performance of the cycle engine: simulated flits/sec and
-// kcycles/sec across mesh sizes and traffic classes for the optimized and
-// soa engines (DESIGN.md §7), plus the speedup of the optimized engine
-// over the naïve reference path on the 4x4 mixed GT/BE workload. The
-// 16x16 tier (and 32x32 under --full) additionally runs the threaded soa
-// engine (threads=4), and a paired 8x8 mixed measurement records the
-// threads=4 vs threads=1 speedup together with the host core count — on
-// a 1-core container the honest ~1x lands in the JSON and CI's >= 2x
-// gate skips itself (scripts/ci.sh gates only when >= 4 cores). Writes
-// BENCH_speed.json (path overridable on the command line) so the perf
-// trajectory of every future change can be compared against this baseline.
+// kcycles/sec across mesh sizes and traffic classes for the soa engine
+// (DESIGN.md §7), plus the speedup of the soa engine over the naïve
+// reference path on the 4x4 mixed GT/BE workload. Writes BENCH_speed.json
+// (path overridable on the command line) as a recorded trajectory; CI
+// gates only the in-process paired ratios, never the absolute numbers.
 //
 //   bench_speed [--full] [--profile] [json_path]
 //
@@ -20,14 +15,12 @@
 // The JSON also carries an `obs_overhead` block: a paired 8x8 mixed
 // measurement with the observability taps armed vs off (the taps must not
 // perturb the simulation, and CI gates their cost).
-#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -54,7 +47,6 @@ const char* TrafficName(Traffic t) {
   return "?";
 }
 
-using sim::EngineConfig;
 using soc::EngineKind;
 
 struct RunResult {
@@ -84,7 +76,7 @@ constexpr int kBurstWords = 6;
 constexpr Cycle kBurstPeriod = 48;
 
 SpeedWorkload MakeWorkload(int rows, int cols, Traffic traffic,
-                           EngineConfig engine,
+                           EngineKind engine,
                            const obs::ObsSpec* obs = nullptr) {
   SpeedWorkload w;
   auto mesh = topology::BuildMesh(rows, cols, /*nis_per_router=*/1);
@@ -148,7 +140,7 @@ std::int64_t TotalFlits(SpeedWorkload& w) {
   return flits;
 }
 
-RunResult MeasureOnce(int rows, int cols, Traffic traffic, EngineConfig engine,
+RunResult MeasureOnce(int rows, int cols, Traffic traffic, EngineKind engine,
                       Cycle cycles, const obs::ObsSpec* obs = nullptr) {
   SpeedWorkload w = MakeWorkload(rows, cols, traffic, engine, obs);
   w.soc->RunCycles(200);  // warm up: fill pipelines, settle credits
@@ -163,7 +155,7 @@ RunResult MeasureOnce(int rows, int cols, Traffic traffic, EngineConfig engine,
   RunResult result;
   result.mesh = std::to_string(rows) + "x" + std::to_string(cols);
   result.traffic = TrafficName(traffic);
-  result.engine = sim::EngineConfigName(engine);
+  result.engine = sim::EngineKindName(engine);
   result.cycles = cycles;
   result.wall_ms =
       std::chrono::duration<double, std::milli>(stop - start).count();
@@ -181,7 +173,7 @@ RunResult MeasureOnce(int rows, int cols, Traffic traffic, EngineConfig engine,
 
 /// Best-of-N wall clock (the simulation is deterministic, so the fastest
 /// repetition is the least noise-distorted estimate on a shared host).
-RunResult Measure(int rows, int cols, Traffic traffic, EngineConfig engine,
+RunResult Measure(int rows, int cols, Traffic traffic, EngineKind engine,
                   Cycle cycles, int reps = 5) {
   RunResult best = MeasureOnce(rows, cols, traffic, engine, cycles);
   for (int i = 1; i < reps; ++i) {
@@ -210,15 +202,13 @@ struct ObsOverhead {
 /// Host wall time per engine stage: `--profile` runs each engine once per
 /// traffic class on the 8x8 workload with kernel profiling armed and
 /// prints where the host cycles go. "other" is wall time outside the
-/// instrumented stages (run-list bookkeeping, clock advance, the loop
-/// itself).
+/// instrumented stages (edge scheduling, the loop itself).
 void ProfileEngines(Traffic traffic, Cycle cycles) {
   std::cout << "\nengine profile (8x8 " << TrafficName(traffic) << ", "
             << cycles << " cycles):\n";
   Table table({"engine", "steps", "wall ms", "evaluate ms", "commit ms",
                "park/wake ms", "other ms"});
-  for (EngineKind engine :
-       {EngineKind::kOptimized, EngineKind::kSoa, EngineKind::kNaive}) {
+  for (EngineKind engine : {EngineKind::kSoa, EngineKind::kNaive}) {
     SpeedWorkload w = MakeWorkload(8, 8, traffic, engine);
     w.soc->RunCycles(200);  // same warm-up as the throughput runs
     w.soc->sim().EnableProfiling();
@@ -240,19 +230,9 @@ void ProfileEngines(Traffic traffic, Cycle cycles) {
   table.Print(std::cout);
 }
 
-/// The soa threads=4 vs threads=1 pairing on 8x8 mixed, plus the host
-/// core count CI uses to decide whether the >= 2x bar applies.
-struct ThreadedSpeedup {
-  RunResult soa1;
-  RunResult soa4;
-  double ratio = 0;
-  int cores = 0;
-};
-
 void WriteJson(const std::string& path, const std::vector<RunResult>& results,
-               const RunResult& opt4x4, const RunResult& naive4x4,
-               double speedup, const ObsOverhead& obs,
-               const ThreadedSpeedup& threaded) {
+               const RunResult& soa4x4, const RunResult& naive4x4,
+               double speedup, const ObsOverhead& obs) {
   std::ofstream out(path);
   AETHEREAL_CHECK_MSG(out.good(), "cannot open " << path);
   out << "{\n"
@@ -287,24 +267,13 @@ void WriteJson(const std::string& path, const std::vector<RunResult>& results,
       << "    \"note\": \"armed = counters + windowed sampling; the taps "
          "must not change the simulated workload\"\n"
       << "  },\n"
-      << "  \"threaded_speedup_8x8_mixed\": {\n"
-      << "    \"soa_threads1_kcycles_per_sec\": "
-      << FmtNum(threaded.soa1.kcycles_per_sec) << ",\n"
-      << "    \"soa_threads4_kcycles_per_sec\": "
-      << FmtNum(threaded.soa4.kcycles_per_sec) << ",\n"
-      << "    \"ratio\": " << FmtNum(threaded.ratio) << ",\n"
-      << "    \"cores\": " << threaded.cores << ",\n"
-      << "    \"target\": 2.0,\n"
-      << "    \"note\": \"target applies on hosts with >= 4 cores; smaller "
-         "containers record their honest ratio and CI skips the gate\"\n"
-      << "  },\n"
       << "  \"speedup_4x4_mixed\": {\n"
-      << "    \"optimized_flits_per_sec\": " << FmtNum(opt4x4.flits_per_sec)
+      << "    \"soa_flits_per_sec\": " << FmtNum(soa4x4.flits_per_sec)
       << ",\n"
       << "    \"naive_flits_per_sec\": " << FmtNum(naive4x4.flits_per_sec)
       << ",\n"
-      << "    \"optimized_kcycles_per_sec\": "
-      << FmtNum(opt4x4.kcycles_per_sec) << ",\n"
+      << "    \"soa_kcycles_per_sec\": "
+      << FmtNum(soa4x4.kcycles_per_sec) << ",\n"
       << "    \"naive_kcycles_per_sec\": " << FmtNum(naive4x4.kcycles_per_sec)
       << ",\n"
       << "    \"ratio\": " << FmtNum(speedup) << ",\n"
@@ -332,7 +301,7 @@ int main(int argc, char** argv) {
   bench::PrintHeader(
       "Engine speed (flits/sec, kcycles/sec)",
       "Host-side throughput of the zero-allocation cycle engine across mesh "
-      "sizes and traffic classes; optimized vs soa vs naive.");
+      "sizes and traffic classes; soa vs naive.");
 
   struct MeshSize {
     int rows, cols;
@@ -351,39 +320,27 @@ int main(int argc, char** argv) {
                "Mflits/s", "kcycles/s"});
   for (const MeshSize& size : sizes) {
     for (Traffic traffic : classes) {
-      std::vector<EngineConfig> engines = {EngineKind::kOptimized,
-                                           EngineKind::kSoa};
-      // The threaded tier: large meshes are what the region-parallel
-      // engine exists for. Recorded on every host (a 1-core container
-      // reports an honest ~1x); CI core-gates the speedup assertion.
-      if (size.rows >= 16) {
-        engines.push_back(EngineConfig(EngineKind::kSoa, 4));
-      }
-      for (const EngineConfig& engine : engines) {
-        RunResult r =
-            Measure(size.rows, size.cols, traffic, engine, size.cycles);
-        table.AddRow({r.mesh, r.traffic, r.engine, Table::Fmt(r.cycles),
-                      Table::Fmt(r.wall_ms), Table::Fmt(r.flits),
-                      Table::Fmt(r.flits_per_sec / 1e6, 3),
-                      Table::Fmt(r.kcycles_per_sec)});
-        results.push_back(r);
-      }
+      RunResult r = Measure(size.rows, size.cols, traffic, EngineKind::kSoa,
+                            size.cycles);
+      table.AddRow({r.mesh, r.traffic, r.engine, Table::Fmt(r.cycles),
+                    Table::Fmt(r.wall_ms), Table::Fmt(r.flits),
+                    Table::Fmt(r.flits_per_sec / 1e6, 3),
+                    Table::Fmt(r.kcycles_per_sec)});
+      results.push_back(r);
     }
   }
 
-  // Optimized vs naïve on the acceptance workload: 4x4 mixed GT/BE.
+  // Soa vs naïve on the acceptance workload: 4x4 mixed GT/BE.
   // Repetitions interleave the two engines so both sample the same host
   // conditions (frequency scaling, noisy neighbours); best-of wall clock is
   // the least distorted estimate of each.
-  RunResult opt =
-      MeasureOnce(4, 4, Traffic::kMixed, EngineKind::kOptimized, 30000);
+  RunResult soa = MeasureOnce(4, 4, Traffic::kMixed, EngineKind::kSoa, 30000);
   RunResult naive =
       MeasureOnce(4, 4, Traffic::kMixed, EngineKind::kNaive, 30000);
   for (int rep = 1; rep < 3; ++rep) {
-    RunResult o =
-        MeasureOnce(4, 4, Traffic::kMixed, EngineKind::kOptimized, 30000);
+    RunResult s = MeasureOnce(4, 4, Traffic::kMixed, EngineKind::kSoa, 30000);
     RunResult n = MeasureOnce(4, 4, Traffic::kMixed, EngineKind::kNaive, 30000);
-    if (o.wall_ms < opt.wall_ms) opt = o;
+    if (s.wall_ms < soa.wall_ms) soa = s;
     if (n.wall_ms < naive.wall_ms) naive = n;
   }
   results.push_back(naive);
@@ -395,42 +352,13 @@ int main(int argc, char** argv) {
   table.Print(std::cout);
 
   // The two engines must have simulated the identical workload.
-  AETHEREAL_CHECK_MSG(opt.flits == naive.flits,
-                      "optimized and naive engines disagree on flit count: "
-                          << opt.flits << " vs " << naive.flits);
+  AETHEREAL_CHECK_MSG(soa.flits == naive.flits,
+                      "soa and naive engines disagree on flit count: "
+                          << soa.flits << " vs " << naive.flits);
   const double speedup =
-      naive.flits_per_sec > 0 ? opt.flits_per_sec / naive.flits_per_sec : 0;
-  std::cout << "\n4x4 mixed speedup (optimized vs naive): "
+      naive.flits_per_sec > 0 ? soa.flits_per_sec / naive.flits_per_sec : 0;
+  std::cout << "\n4x4 mixed speedup (soa vs naive): "
             << Table::Fmt(speedup, 2) << "x (target >= 3x)\n";
-
-  // Threaded speedup on the acceptance workload: soa threads=4 vs
-  // threads=1 on 8x8 mixed, interleaved like the optimized/naive pairing.
-  // The simulated workloads are bit-identical (the determinism tests and
-  // noc_verify prove it), so the flit counts must agree exactly.
-  const int cores = static_cast<int>(
-      std::max(1u, std::thread::hardware_concurrency()));
-  RunResult soa1 =
-      MeasureOnce(8, 8, Traffic::kMixed, EngineKind::kSoa, 10000);
-  RunResult soa4 = MeasureOnce(8, 8, Traffic::kMixed,
-                               EngineConfig(EngineKind::kSoa, 4), 10000);
-  for (int rep = 1; rep < 3; ++rep) {
-    RunResult s1 =
-        MeasureOnce(8, 8, Traffic::kMixed, EngineKind::kSoa, 10000);
-    RunResult s4 = MeasureOnce(8, 8, Traffic::kMixed,
-                               EngineConfig(EngineKind::kSoa, 4), 10000);
-    if (s1.wall_ms < soa1.wall_ms) soa1 = s1;
-    if (s4.wall_ms < soa4.wall_ms) soa4 = s4;
-  }
-  AETHEREAL_CHECK_MSG(soa4.flits == soa1.flits,
-                      "threaded engine disagrees on flit count: "
-                          << soa4.flits << " vs " << soa1.flits);
-  const double threaded_speedup = soa1.kcycles_per_sec > 0
-                                      ? soa4.kcycles_per_sec /
-                                            soa1.kcycles_per_sec
-                                      : 0;
-  std::cout << "8x8 mixed threaded speedup (soa threads=4 vs 1): "
-            << Table::Fmt(threaded_speedup, 2) << "x on " << cores
-            << " core(s) (target >= 2x when >= 4 cores)\n";
 
   // Observability overhead: the same 8x8 mixed workload with the taps
   // armed (counters + windowed sampling) vs off, interleaved like the
@@ -439,14 +367,14 @@ int main(int argc, char** argv) {
   obs::ObsSpec obs_spec;
   obs_spec.sample_every = 300;
   ObsOverhead obs;
-  obs.off = MeasureOnce(8, 8, Traffic::kMixed, EngineKind::kOptimized, 10000);
-  obs.armed = MeasureOnce(8, 8, Traffic::kMixed, EngineKind::kOptimized,
-                          10000, &obs_spec);
+  obs.off = MeasureOnce(8, 8, Traffic::kMixed, EngineKind::kSoa, 10000);
+  obs.armed = MeasureOnce(8, 8, Traffic::kMixed, EngineKind::kSoa, 10000,
+                          &obs_spec);
   for (int rep = 1; rep < 3; ++rep) {
     RunResult off =
-        MeasureOnce(8, 8, Traffic::kMixed, EngineKind::kOptimized, 10000);
-    RunResult armed = MeasureOnce(8, 8, Traffic::kMixed,
-                                  EngineKind::kOptimized, 10000, &obs_spec);
+        MeasureOnce(8, 8, Traffic::kMixed, EngineKind::kSoa, 10000);
+    RunResult armed = MeasureOnce(8, 8, Traffic::kMixed, EngineKind::kSoa,
+                                  10000, &obs_spec);
     if (off.wall_ms < obs.off.wall_ms) obs.off = off;
     if (armed.wall_ms < obs.armed.wall_ms) obs.armed = armed;
   }
@@ -465,9 +393,7 @@ int main(int argc, char** argv) {
     for (Traffic traffic : classes) ProfileEngines(traffic, 10000);
   }
 
-  ThreadedSpeedup threaded{soa1, soa4, threaded_speedup, cores};
-  results.push_back(soa4);
-  WriteJson(json_path, results, opt, naive, speedup, obs, threaded);
+  WriteJson(json_path, results, soa, naive, speedup, obs);
   std::cout << "wrote " << json_path << "\n";
   return 0;
 }

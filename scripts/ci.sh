@@ -15,10 +15,6 @@
 #   CI_BENCH_FULL  1 = bench_speed runs its --full tier set (adds the
 #                  32x32 mesh; the nightly bench job sets this — too slow
 #                  for the per-PR matrix)
-#   CI_TSAN        1 = ThreadSanitizer job for the threaded soa engine:
-#                  configure with -DTSAN=ON, run the engine determinism
-#                  test (threads 1/2/4/8) and a threaded scenario smoke,
-#                  then exit — the full matrix jobs cover everything else
 #   CI_NIGHTLY     1 = deep-soak extras after the verify section: the full
 #                  sweep curve set (every sweep x every axis), a
 #                  phased-scenario seed soak (fresh seeds, verified,
@@ -56,7 +52,6 @@ verify_only="${CI_VERIFY_ONLY:-0}"
 coverage="${CI_COVERAGE:-0}"
 nightly="${CI_NIGHTLY:-0}"
 bench_full="${CI_BENCH_FULL:-0}"
-tsan="${CI_TSAN:-0}"
 build_dir="build-ci"
 if [[ "$coverage" == "1" ]]; then
   compiler=gcc  # gcov data needs the gcc toolchain
@@ -77,30 +72,6 @@ fi
 
 mkdir -p "$out_dir"
 out_abs="$(realpath "$out_dir")"
-
-if [[ "$tsan" == "1" ]]; then
-  echo "=== TSan: threaded soa engine (data-race gate) ==="
-  build_dir="build-tsan"
-  cmake -B "$build_dir" -S . \
-    -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DNOC_WERROR=ON \
-    -DTSAN=ON \
-    "${launcher_args[@]}"
-  cmake --build "$build_dir" -j"$(nproc)" \
-    --target engine_determinism_test noc_sim
-  # The determinism test drives the worker pool through every edge class
-  # (8x8/16x16 meshes, phased reconfiguration, armed faults) at threads
-  # 1/2/4/8 — under TSan every cross-thread access is checked.
-  ./"$build_dir"/engine_determinism_test
-  # And a threaded end-to-end smoke over canonical scenarios, fault and
-  # phased ones included.
-  ./"$build_dir"/noc_sim --quiet --engine soa --threads 4 \
-    -o "$out_dir/tsan_scenarios.json" \
-    scenarios/mixed_star.scn scenarios/video_mesh.scn \
-    scenarios/fault_retry_churn.scn scenarios/open_close_churn.scn
-  echo "CI OK (tsan: threaded engine clean)"
-  exit 0
-fi
 
 coverage_args=()
 if [[ "$coverage" == "1" ]]; then
@@ -163,29 +134,16 @@ if ! diff -r "$goldens_tmp" tests/golden >/dev/null 2>&1; then
 fi
 echo "goldens are regen-clean"
 
-echo "=== threaded engine: threads=4 reproduces every committed golden ==="
-# The region-parallel engine's determinism contract, enforced on the real
-# binary against the real goldens: soa with 4 worker threads must emit the
-# same bytes as the sequential engines for every canonical scenario —
-# fault and phased scenarios included.
-for scn in scenarios/*.scn; do
-  name="$(basename "$scn" .scn)"
-  ./"$build_dir"/noc_sim --quiet --engine soa --threads 4 \
-    -o "$out_dir/threaded_${name}.json" "$scn"
-  cmp "$out_dir/threaded_${name}.json" "tests/golden/${name}.json"
-done
-echo "soa threads=4 byte-identical to the goldens on every scenario"
-
 echo "=== fault resilience: canonical fault goldens + kill switch ==="
 # The two canonical fault scenarios (network faults; config faults +
 # retry) must reproduce their committed goldens byte-for-byte on BOTH
 # engines — seeded fault injection is part of the determinism contract.
 for name in fault_stream_star fault_retry_churn; do
-  ./"$build_dir"/noc_sim --quiet -o "$out_dir/${name}_opt.json" \
+  ./"$build_dir"/noc_sim --quiet -o "$out_dir/${name}_soa.json" \
     "scenarios/${name}.scn"
   ./"$build_dir"/noc_sim --quiet --engine naive \
     -o "$out_dir/${name}_naive.json" "scenarios/${name}.scn"
-  cmp "$out_dir/${name}_opt.json" "tests/golden/${name}.json"
+  cmp "$out_dir/${name}_soa.json" "tests/golden/${name}.json"
   cmp "$out_dir/${name}_naive.json" "tests/golden/${name}.json"
   echo "  ${name}: both engines match the golden"
 done
@@ -254,9 +212,9 @@ fi  # verify_only
 
 echo "=== verify: guarantee checkers over canonical scenarios + sweeps ==="
 # Every canonical scenario runs with the runtime invariant monitor and the
-# analytical GT bound checks armed, on every engine config (naive,
-# optimized, soa, and soa threads=4), with cross-config byte-identity of
-# the result JSON enforced by noc_verify itself.
+# analytical GT bound checks armed, on both engines (naive and soa), with
+# cross-engine byte-identity of the result JSON enforced by noc_verify
+# itself.
 ./"$build_dir"/noc_verify --quiet scenarios/*.scn
 # Every canonical sweep point (and saturation probe) runs checked too,
 # once per engine; both engines' verified JSON must equal the committed
@@ -325,8 +283,8 @@ if [[ "$nightly" == "1" ]]; then
 
   echo "=== nightly: phased-scenario seed soak (verified, both engines) ==="
   # Fresh seeds leave the golden-locked path on purpose: every seed must
-  # still pass the full verification layer, and the optimized and naive
-  # engines must stay byte-identical on each.
+  # still pass the full verification layer, and the soa and naive engines
+  # must stay byte-identical on each.
   for scn in $(grep -l '^phase ' scenarios/*.scn); do
     name="$(basename "$scn" .scn)"
     for seed in 1001 1002 1003 1004 1005; do
@@ -388,8 +346,9 @@ EOF
 fi
 
 # Perf smoke only where the numbers mean something (optimizer on, no
-# sanitizer overhead). The committed BENCH_speed.json stays the curated
-# baseline; CI gates on a conservative floor for noisy shared runners.
+# sanitizer overhead). The committed BENCH_speed.json is recorded
+# trajectory only: absolute rates depend on the host, so CI gates only
+# ratios bench_speed measures by interleaving both sides in one process.
 if [[ "$build_type" == "Release" && "$sanitize" == "OFF" ]]; then
   echo "=== bench_speed smoke ==="
   bench_args=()
@@ -397,74 +356,24 @@ if [[ "$build_type" == "Release" && "$sanitize" == "OFF" ]]; then
     bench_args+=(--full)  # adds the 32x32 tier (nightly bench job)
   fi
   ./"$build_dir"/bench_speed "${bench_args[@]}" "$out_dir/BENCH_speed_ci.json"
-  python3 - "$out_dir/BENCH_speed_ci.json" BENCH_speed.json <<'EOF'
+  python3 - "$out_dir/BENCH_speed_ci.json" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     data = json.load(f)
-with open(sys.argv[2]) as f:
-    baseline = json.load(f)
+
+# The gated engine against the naive reference on 4x4 mixed, reps
+# interleaved in one process.
 ratio = data["speedup_4x4_mixed"]["ratio"]
-print(f"bench_speed smoke: 4x4 mixed speedup = {ratio:.2f}x")
-assert ratio >= 1.5, f"optimized engine speedup collapsed: {ratio:.2f}x"
+print(f"bench_speed gate: 4x4 mixed soa/naive flit rate = {ratio:.2f}x")
+assert ratio >= 1.5, f"soa engine speedup over naive collapsed: {ratio:.2f}x"
 
-# Perf regression gate: the 8x8 mixed tier (the ISSUE-7 acceptance
-# workload) must stay within 20% of the committed BENCH_speed.json
-# baseline on every engine it records. bench_speed already takes the
-# best of five repetitions per cell, which absorbs most runner noise.
-def kcps(doc, engine):
-    for row in doc["results"]:
-        if (row["mesh"], row["traffic"], row["engine"]) ==            ("8x8", "mixed", engine):
-            return row["kcycles_per_sec"]
-    return None
-
-for engine in ("optimized", "soa"):
-    base = kcps(baseline, engine)
-    got = kcps(data, engine)
-    assert base is not None, f"baseline lacks 8x8 mixed {engine} row"
-    assert got is not None, f"CI run lacks 8x8 mixed {engine} row"
-    floor = 0.8 * base
-    print(f"bench_speed gate: 8x8 mixed {engine} = {got:.1f} kcyc/s "
-          f"(baseline {base:.1f}, floor {floor:.1f})")
-    assert got >= floor, (
-        f"8x8 mixed {engine} regressed >20%: {got:.1f} kcyc/s vs "
-        f"baseline {base:.1f}")
-
-# Observability gate (ISSUE-8): with taps off the subsystem must cost
-# nothing — the obs-off 8x8 mixed rate must stay within 2% of the
-# committed baseline. Unlike the 20% catch-all above, this one targets
-# death-by-a-thousand-branches on the hot path specifically; override
-# CI_BENCH_OBS_MIN (e.g. 0.90) on runners too noisy for a 2% bar.
-import os
-obs_min = float(os.environ.get("CI_BENCH_OBS_MIN", "0.98"))
-base = kcps(baseline, "optimized")
-got = kcps(data, "optimized")
-print(f"bench_speed obs gate: 8x8 mixed optimized = {got:.1f} kcyc/s "
-      f"(baseline {base:.1f}, floor {obs_min:.2f}x)")
-assert got >= obs_min * base, (
-    f"obs-off overhead exceeds {(1 - obs_min) * 100:.0f}%: {got:.1f} "
-    f"kcyc/s vs baseline {base:.1f}")
-
-# And when taps ARE armed, the in-process interleaved pairing (same
-# binary, same cells, alternating reps) bounds the armed slowdown.
+# Armed observability taps against taps off on 8x8 mixed, reps
+# interleaved in one process.
 obs = data["obs_overhead_8x8_mixed"]
-print(f"bench_speed obs gate: armed/off flit rate ratio = "
+print(f"bench_speed gate: 8x8 mixed armed/off obs flit rate = "
       f"{obs['ratio']:.3f}")
 assert obs["ratio"] >= 0.50, (
     f"armed observability taps halved the cycle rate: {obs['ratio']:.3f}")
-
-# Threaded engine gate (ISSUE-10): soa threads=4 must reach >= 2x the
-# single-thread soa rate on 8x8 mixed — but only where the hardware can
-# express it. Runners with fewer than 4 cores record their honest number
-# without failing (a 1-core container cannot speed anything up).
-thr = data["threaded_speedup_8x8_mixed"]
-print(f"bench_speed threaded gate: soa threads=4 vs 1 = "
-      f"{thr['ratio']:.2f}x on {thr['cores']} core(s)")
-if thr["cores"] >= 4:
-    assert thr["ratio"] >= 2.0, (
-        f"threaded speedup {thr['ratio']:.2f}x below 2x on "
-        f"{thr['cores']} cores")
-else:
-    print("  (< 4 cores: recording honest ratio, gate not applied)")
 EOF
 
   echo "=== bench_sweep smoke ==="

@@ -36,11 +36,10 @@ bool FaultInjector::Decide(Stream stream, std::uint64_t site,
   return static_cast<double>(h >> 11) * 0x1.0p-53 < rate;
 }
 
-void FaultInjector::FlushStagedLocked() const {
-  // Canonical order within a cycle: (kind, site). Worker arrival order is
-  // thread-schedule noise; what happened in a cycle is not. Identical
-  // (kind, site) duplicates are interchangeable, so stable vs unstable
-  // makes no observable difference — stable_sort keeps the intent obvious.
+void FaultInjector::FlushStaged() const {
+  // Canonical order within a cycle: (kind, site). Identical (kind, site)
+  // duplicates are interchangeable, so stable vs unstable makes no
+  // observable difference — stable_sort keeps the intent obvious.
   std::stable_sort(staged_.begin(), staged_.end(),
                    [](const Event& a, const Event& b) {
                      if (a.kind != b.kind) return a.kind < b.kind;
@@ -53,12 +52,10 @@ void FaultInjector::FlushStagedLocked() const {
   staged_.clear();
 }
 
-void FaultInjector::Record(Cycle cycle, const char* kind,
-                           std::string site) const {
-  events_total_.fetch_add(1, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(ledger_mu_);
+void FaultInjector::Record(Cycle cycle, const char* kind, std::string site) {
+  ++events_total_;
   if (cycle != staged_cycle_) {
-    FlushStagedLocked();
+    FlushStaged();
     staged_cycle_ = cycle;
   }
   if (static_cast<int>(events_.size() + staged_.size()) < kMaxRecordedEvents) {
@@ -67,8 +64,7 @@ void FaultInjector::Record(Cycle cycle, const char* kind,
 }
 
 const std::vector<FaultInjector::Event>& FaultInjector::events() const {
-  std::lock_guard<std::mutex> lock(ledger_mu_);
-  FlushStagedLocked();
+  FlushStaged();
   return events_;
 }
 
@@ -87,16 +83,14 @@ bool FaultInjector::OnDrive(int site_id, Cycle now, link::Flit* flit) {
       if (Decide(kStreamDrop, static_cast<std::uint64_t>(site_id), ordinal,
                  spec_.link_drop_rate)) {
         site.dropping_gt = !flit->eop;
-        link_packets_dropped_.fetch_add(1, std::memory_order_relaxed);
+        ++link_packets_dropped_;
         // words[0] of a header flit is the packet header, not payload.
-        link_words_dropped_.fetch_add(flit->valid_words - 1,
-                                      std::memory_order_relaxed);
+        link_words_dropped_ += flit->valid_words - 1;
         Record(now, "link-drop", site.name);
         return false;
       }
     } else if (site.dropping_gt) {
-      link_words_dropped_.fetch_add(flit->valid_words,
-                                    std::memory_order_relaxed);
+      link_words_dropped_ += flit->valid_words;
       if (flit->eop) site.dropping_gt = false;
       return false;
     }
@@ -121,7 +115,7 @@ bool FaultInjector::OnDrive(int site_id, Cycle now, link::Flit* flit) {
                                                    payload_words));
       flit->words[static_cast<std::size_t>(index)] ^=
           Word{1} << ((h >> 8) % 8);
-      flits_corrupted_.fetch_add(1, std::memory_order_relaxed);
+      ++flits_corrupted_;
       Record(now, "link-corrupt", site.name);
     }
   }
@@ -130,39 +124,29 @@ bool FaultInjector::OnDrive(int site_id, Cycle now, link::Flit* flit) {
 
 void FaultInjector::NoteRouterStallDrop(RouterId router, Cycle now, bool gt,
                                         bool is_header, int payload_words) {
-  router_stall_words_dropped_.fetch_add(payload_words,
-                                        std::memory_order_relaxed);
+  router_stall_words_dropped_ += payload_words;
   if (is_header) {
-    router_stall_packets_dropped_.fetch_add(1, std::memory_order_relaxed);
+    ++router_stall_packets_dropped_;
     Record(now, "router-stall-drop",
            "router" + std::to_string(router) + (gt ? " (gt)" : " (be)"));
   }
 }
 
-void FaultInjector::SetConfigNiCount(int num_nis) {
-  if (num_nis > static_cast<int>(config_ordinals_.size())) {
-    config_ordinals_.resize(static_cast<std::size_t>(num_nis), 0);
-  }
-}
-
 FaultInjector::ConfigVerdict FaultInjector::JudgeConfigRequest(
     NiId ni, Cycle now, Cycle* delay_cycles) {
-  // Lazy growth only happens in sequential hand-built testbenches; the Soc
-  // presizes via SetConfigNiCount so threaded judges never touch the
-  // table's shape.
   if (static_cast<std::size_t>(ni) >= config_ordinals_.size()) {
     config_ordinals_.resize(static_cast<std::size_t>(ni) + 1, 0);
   }
   const std::uint64_t ordinal = config_ordinals_[static_cast<std::size_t>(ni)]++;
   if (Decide(kStreamConfig, static_cast<std::uint64_t>(ni), ordinal,
              spec_.config_drop_rate)) {
-    config_requests_dropped_.fetch_add(1, std::memory_order_relaxed);
+    ++config_requests_dropped_;
     Record(now, "config-drop", "ni" + std::to_string(ni));
     return ConfigVerdict::kDrop;
   }
   if (Decide(kStreamDelay, static_cast<std::uint64_t>(ni), ordinal,
              spec_.config_delay_rate)) {
-    config_requests_delayed_.fetch_add(1, std::memory_order_relaxed);
+    ++config_requests_delayed_;
     Record(now, "config-delay", "ni" + std::to_string(ni));
     *delay_cycles = spec_.config_delay_cycles;
     return ConfigVerdict::kDelay;

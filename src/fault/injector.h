@@ -6,7 +6,7 @@
 // advance only at engine-invariant points:
 //
 //  * wire taps    — once per Drive() on a tapped link (Drive happens at
-//    identical cycles in identical order on both engines; the optimized
+//    identical cycles in identical order on both engines; the gated
 //    engine never skips a producer that drives);
 //  * CNIP judge   — once per popped configuration request (pop timing is
 //    fully determined by simulation state, which is engine-identical).
@@ -18,24 +18,13 @@
 //
 // The injector doubles as the run's fault ledger: per-kind counters plus a
 // capped per-event record list that the scenario runner surfaces in the
-// result JSON.
-//
-// Thread safety (the threaded SoA engine evaluates mesh regions
-// concurrently, sim/parallel.h): per-site ordinal state is single-writer —
-// each tapped wire has one driver, each NI one CNIP agent, so decisions
-// stay deterministic without locks. The shared ledger is the only
-// cross-region state: counters are relaxed atomics (sums, order-free), and
-// recorded events are staged per cycle under a mutex, then flushed in
+// result JSON. Recorded events are staged per cycle, then flushed in
 // canonical (kind, site) order — a pure function of WHAT happened in the
-// cycle, not of which worker reported it first. The sequential engines go
-// through the same staging, so every engine and thread count emits the
-// same event list.
+// cycle, not of which module reported it first.
 #ifndef AETHEREAL_FAULT_INJECTOR_H
 #define AETHEREAL_FAULT_INJECTOR_H
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -73,17 +62,10 @@ class FaultInjector : public link::FlitTap {
   /// CNIP fault verdict for one configuration request. Must be called
   /// exactly once per request (the agent memoizes the verdict until the
   /// request is consumed). On kDelay, *delay_cycles is the hold time.
-  /// Ordinals advance per NI (one agent per NI → single-writer), so the
-  /// verdict stream of one NI is independent of every other NI's request
-  /// timing — and of the engine's thread count.
+  /// Ordinals advance per NI, so the verdict stream of one NI is
+  /// independent of every other NI's request timing.
   enum class ConfigVerdict { kPass, kDrop, kDelay };
   ConfigVerdict JudgeConfigRequest(NiId ni, Cycle now, Cycle* delay_cycles);
-
-  /// Presizes the per-NI config ordinal table. The Soc calls this at
-  /// construction; under threaded stepping concurrent judges must never
-  /// grow the table (JudgeConfigRequest still grows it lazily for
-  /// hand-built sequential testbenches).
-  void SetConfigNiCount(int num_nis);
 
   const FaultSpec& spec() const { return spec_; }
 
@@ -98,30 +80,22 @@ class FaultInjector : public link::FlitTap {
   /// first, so call it only between steps (end of run), never from inside
   /// an evaluate phase.
   const std::vector<Event>& events() const;
-  std::int64_t events_total() const {
-    return events_total_.load(std::memory_order_relaxed);
-  }
+  std::int64_t events_total() const { return events_total_; }
 
-  std::int64_t flits_corrupted() const {
-    return flits_corrupted_.load(std::memory_order_relaxed);
-  }
-  std::int64_t link_packets_dropped() const {
-    return link_packets_dropped_.load(std::memory_order_relaxed);
-  }
-  std::int64_t link_words_dropped() const {
-    return link_words_dropped_.load(std::memory_order_relaxed);
-  }
+  std::int64_t flits_corrupted() const { return flits_corrupted_; }
+  std::int64_t link_packets_dropped() const { return link_packets_dropped_; }
+  std::int64_t link_words_dropped() const { return link_words_dropped_; }
   std::int64_t router_stall_packets_dropped() const {
-    return router_stall_packets_dropped_.load(std::memory_order_relaxed);
+    return router_stall_packets_dropped_;
   }
   std::int64_t router_stall_words_dropped() const {
-    return router_stall_words_dropped_.load(std::memory_order_relaxed);
+    return router_stall_words_dropped_;
   }
   std::int64_t config_requests_dropped() const {
-    return config_requests_dropped_.load(std::memory_order_relaxed);
+    return config_requests_dropped_;
   }
   std::int64_t config_requests_delayed() const {
-    return config_requests_delayed_.load(std::memory_order_relaxed);
+    return config_requests_delayed_;
   }
 
  private:
@@ -146,10 +120,9 @@ class FaultInjector : public link::FlitTap {
               double rate) const;
   std::uint64_t Draw(Stream stream, std::uint64_t site,
                      std::uint64_t ordinal) const;
-  void Record(Cycle cycle, const char* kind, std::string site) const;
-  /// Appends the staged cycle's events in (kind, site) order. Caller holds
-  /// ledger_mu_.
-  void FlushStagedLocked() const;
+  void Record(Cycle cycle, const char* kind, std::string site);
+  /// Appends the staged cycle's events in (kind, site) order.
+  void FlushStaged() const;
 
   struct SiteState {
     std::string name;
@@ -162,20 +135,19 @@ class FaultInjector : public link::FlitTap {
   std::vector<SiteState> sites_;
   std::vector<std::uint64_t> config_ordinals_;  // per NI
 
-  // The shared ledger (see the thread-safety note above). mutable: the
-  // canonical-order flush happens from the const events() accessor too.
-  mutable std::mutex ledger_mu_;
-  mutable Cycle staged_cycle_ = -1;
+  // The ledger. mutable: the canonical-order flush happens from the const
+  // events() accessor too.
+  Cycle staged_cycle_ = -1;
   mutable std::vector<Event> staged_;
   mutable std::vector<Event> events_;
-  mutable std::atomic<std::int64_t> events_total_{0};
-  std::atomic<std::int64_t> flits_corrupted_{0};
-  std::atomic<std::int64_t> link_packets_dropped_{0};
-  std::atomic<std::int64_t> link_words_dropped_{0};
-  std::atomic<std::int64_t> router_stall_packets_dropped_{0};
-  std::atomic<std::int64_t> router_stall_words_dropped_{0};
-  std::atomic<std::int64_t> config_requests_dropped_{0};
-  std::atomic<std::int64_t> config_requests_delayed_{0};
+  std::int64_t events_total_ = 0;
+  std::int64_t flits_corrupted_ = 0;
+  std::int64_t link_packets_dropped_ = 0;
+  std::int64_t link_words_dropped_ = 0;
+  std::int64_t router_stall_packets_dropped_ = 0;
+  std::int64_t router_stall_words_dropped_ = 0;
+  std::int64_t config_requests_dropped_ = 0;
+  std::int64_t config_requests_delayed_ = 0;
 };
 
 }  // namespace aethereal::fault

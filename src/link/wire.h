@@ -157,7 +157,7 @@ struct LinkWires {
 /// A directed link as a simulation module: owns and commits its wires on
 /// the network clock. Producers call data.Drive(); consumers call
 /// credit_return.Drive(). A link is pure commit machinery: it is never
-/// evaluated on the optimized path, and once both wires have disarmed its
+/// evaluated on the gated path, and once both wires have disarmed its
 /// per-edge cost is two flag checks.
 class DirectedLink : public sim::Module {
  public:

@@ -42,8 +42,8 @@ void ObsTap::CloseWindow(Cycle nominal_start) {
 
 void ObsTap::Evaluate() {
   // The naive engine calls every module every cycle; the stride applies
-  // only on the gated engines. The explicit boundary check keeps the
-  // observation schedule identical on all three.
+  // only on the gated engine. The explicit boundary check keeps the
+  // observation schedule identical on both.
   if (!attached_ || !IsSlotBoundary()) return;
   const Cycle now = CycleCount();
   const bool sampling = hub_->spec().SamplingEnabled();

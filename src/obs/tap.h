@@ -5,9 +5,8 @@
 // only committed state (link wires via Sample(), CDC queue fills via
 // their committed reader sizes), registers no TwoPhase state, and never
 // stages anything — so arming it cannot perturb the simulation, and the
-// counts it accumulates are identical on the naive, optimized, and soa
-// engines (the committed-state trajectory is the engines' byte-identity
-// invariant).
+// counts it accumulates are identical on the naive and soa engines (the
+// committed-state trajectory is the engines' byte-identity invariant).
 //
 // Per slot the tap classifies every link (GT flit / BE flit / idle /
 // credit return) into the hub's LinkCounters, records flit trace events

@@ -5,7 +5,7 @@
 //
 // The result JSON contains only simulation-semantic quantities (no wall
 // clock, no engine identifier), so the same spec and seed produce the
-// byte-identical document on the optimized and the naive engine, on every
+// byte-identical document on the soa and the naive engine, on every
 // compiler and build type — the property the golden-results regression
 // test (tests/scenario_golden_test.cpp) locks down.
 #ifndef AETHEREAL_SCENARIO_RUNNER_H

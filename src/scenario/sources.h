@@ -8,7 +8,7 @@
 // timestamps so the chain's latency is measured end to end.
 //
 // Both modules follow the park/wake discipline of ip/stream.h, so runs are
-// bit-identical on the optimized and naive engines.
+// bit-identical on the soa and naive engines.
 #ifndef AETHEREAL_SCENARIO_SOURCES_H
 #define AETHEREAL_SCENARIO_SOURCES_H
 

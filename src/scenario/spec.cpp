@@ -567,29 +567,14 @@ Result<ScenarioSpec> ParseScenario(const std::string& text) {
       spec.drain_cycles = *v;
       have_drain = true;
     } else if (kind == "engine") {
-      // engine <naive|optimized|soa> [threads N] — the bare form (`engine
-      // optimized`) is the pre-EngineConfig grammar and still parses.
       const std::optional<sim::EngineKind> parsed =
-          (line.tokens.size() == 2 || line.tokens.size() == 4)
-              ? sim::ParseEngineKind(line.tokens[1])
-              : std::nullopt;
-      if (!parsed.has_value() ||
-          (line.tokens.size() == 4 && line.tokens[2] != "threads")) {
-        return ParseError(line.number,
-                          std::string("engine <") + sim::kEngineKindChoices +
-                              "> [threads N]");
+          line.tokens.size() == 2 ? sim::ParseEngineKind(line.tokens[1])
+                                  : std::nullopt;
+      if (!parsed.has_value()) {
+        return ParseError(line.number, std::string("engine <") +
+                                           sim::kEngineKindChoices + ">");
       }
-      sim::EngineConfig config(*parsed);
-      if (line.tokens.size() == 4) {
-        auto t = ParseIntIn(line, line.tokens[3], 1, sim::kMaxEngineThreads);
-        if (!t.ok()) return t.status();
-        config.threads = static_cast<unsigned>(*t);
-      }
-      if (const std::string error = sim::ValidateEngineConfig(config);
-          !error.empty()) {
-        return ParseError(line.number, error);
-      }
-      spec.engine = config;
+      spec.engine = *parsed;
     } else if (kind == "verify") {
       if (line.tokens.size() != 2 ||
           (line.tokens[1] != "on" && line.tokens[1] != "off")) {

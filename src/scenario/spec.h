@@ -1,7 +1,7 @@
 // Declarative scenario specification — one small text file describes a
 // complete workload: topology, clocking, per-connection QoS, traffic
 // pattern, and duration. The scenario layer turns it into a fully wired
-// SoC on the optimized engine (scenario/runner.h) so the same NI design
+// SoC on the default engine (scenario/runner.h) so the same NI design
 // can be exercised under the paper's wildly different use cases (GT video
 // chains, BE shared-memory traffic, synthetic permutation suites) without
 // writing wiring code.
@@ -17,7 +17,7 @@
 //   seed 1                        # RNG seed               (default 1)
 //   warmup 500                    # settle cycles          (default 500)
 //   duration 20000                # measured cycles        (default 20000)
-//   engine optimized              # naive | optimized | soa (default optimized)
+//   engine soa                    # naive | soa            (default soa)
 //   verify on                     # on | off               (default off)
 //                                 # arm the guarantee-verification layer:
 //                                 # runtime invariant checkers plus
@@ -226,11 +226,10 @@ struct ScenarioSpec {
   std::uint64_t seed = 1;
   Cycle warmup = 500;
   Cycle duration = 20000;
-  /// Engine selection (sim/engine.h): kind and thread count; grammar
-  /// `engine naive|optimized|soa [threads N]` (threads > 1 requires soa).
-  /// Every engine and every thread count produces byte-identical result
-  /// JSON, so the directive is a speed knob that never forks goldens.
-  sim::EngineConfig engine;
+  /// Engine selection (sim/engine.h); grammar `engine naive|soa`. Both
+  /// engines produce byte-identical result JSON, so the directive is a
+  /// speed knob that never forks goldens.
+  sim::EngineKind engine = sim::EngineKind::kSoa;
   /// Arm the verification layer (verify/). Never affects the result JSON:
   /// a clean run is byte-identical, a violating run fails with an error.
   bool verify = false;

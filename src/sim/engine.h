@@ -1,42 +1,30 @@
 // Engine selection for the simulation kernel.
 //
-// The kernel ships three engine kinds that produce bit-identical results
+// The kernel ships two engine kinds that produce bit-identical results
 // (proven by tests/engine_determinism_test.cpp) at different simulation
 // speeds:
 //
-//  * kNaive     — the reference semantics: every module evaluates and every
-//                 state element commits on every edge. Slow, obviously
-//                 correct; the baseline the other engines are checked
-//                 against.
-//  * kOptimized — idle-module gating + dirty-list commits (DESIGN.md §7):
-//                 parked modules are skipped via run lists rebuilt whenever
-//                 a module parks or wakes.
-//  * kSoa       — the optimized engine's gating expressed over flat
-//                 structure-of-arrays scheduling state: per-clock activity
-//                 bitmaps scanned eight modules at a time replace the run
-//                 list rebuilds, so per-edge cost tracks *activity*, not
-//                 instantiated hardware (DESIGN.md §7). The only kind that
-//                 also runs multi-threaded: with threads > 1 the evaluate
-//                 phase is partitioned into mesh regions swept by a
-//                 persistent worker pool (sim/parallel.h), still
-//                 bit-identical at any thread count.
+//  * kNaive — the reference semantics: every module evaluates and every
+//             state element commits on every edge. Slow, obviously
+//             correct; the baseline the fast engine is checked against.
+//  * kSoa   — idle-module gating + dirty-list commits (DESIGN.md §7) over
+//             flat structure-of-arrays scheduling state: per-clock
+//             activity bitmaps are scanned 64 modules per word, so
+//             per-edge cost tracks *activity*, not instantiated hardware.
 //
-// EngineConfig {kind, threads} is the single engine-selection currency
-// across the stack: SocOptions, scenario specs
-// (`engine naive|optimized|soa [threads N]`), sweep axes (engine/threads)
-// and the CLI tools (--engine / --threads) all speak EngineConfig.
+// EngineKind is the single engine-selection currency across the stack:
+// SocOptions, scenario specs (`engine naive|soa`), sweep axes and the CLI
+// tools (--engine) all speak it.
 #ifndef AETHEREAL_SIM_ENGINE_H
 #define AETHEREAL_SIM_ENGINE_H
 
 #include <optional>
-#include <string>
 #include <string_view>
 
 namespace aethereal::sim {
 
 enum class EngineKind {
   kNaive,
-  kOptimized,
   kSoa,
 };
 
@@ -45,8 +33,6 @@ constexpr const char* EngineKindName(EngineKind kind) {
   switch (kind) {
     case EngineKind::kNaive:
       return "naive";
-    case EngineKind::kOptimized:
-      return "optimized";
     case EngineKind::kSoa:
       return "soa";
   }
@@ -56,74 +42,12 @@ constexpr const char* EngineKindName(EngineKind kind) {
 /// Inverse of EngineKindName; nullopt for anything else.
 inline std::optional<EngineKind> ParseEngineKind(std::string_view text) {
   if (text == "naive") return EngineKind::kNaive;
-  if (text == "optimized") return EngineKind::kOptimized;
   if (text == "soa") return EngineKind::kSoa;
   return std::nullopt;
 }
 
 /// The --engine / spec-grammar value set, for help text and error messages.
-inline constexpr const char* kEngineKindChoices = "naive|optimized|soa";
-
-/// Upper bound on EngineConfig::threads — far above any sane host, it only
-/// exists so a typo'd thread count fails validation instead of spawning a
-/// thousand workers.
-inline constexpr unsigned kMaxEngineThreads = 64;
-
-/// The full engine selection: which kind, and how many threads step it.
-///
-/// threads == 1 (the default) is the sequential engine exactly as before.
-/// threads > 1 is only meaningful for kSoa — the region-parallel evaluate
-/// (sim/parallel.h) is built on the SoA activity bitmaps — and is validated
-/// by ValidateEngineConfig(); results are bit-identical at any thread
-/// count, so the thread count is a speed knob, never a semantics knob.
-struct EngineConfig {
-  EngineConfig() = default;
-  // Implicit on purpose: EngineKind remains usable anywhere an EngineConfig
-  // is expected (`set_engine(EngineKind::kSoa)`, `options.engine = kind`).
-  EngineConfig(EngineKind k, unsigned t = 1) : kind(k), threads(t) {}
-
-  EngineKind kind = EngineKind::kOptimized;
-  unsigned threads = 1;
-
-  friend bool operator==(const EngineConfig&, const EngineConfig&) = default;
-};
-
-/// Human-readable form for summaries and error messages: "soa" or
-/// "soa threads 4".
-inline std::string EngineConfigName(const EngineConfig& config) {
-  std::string name = EngineKindName(config.kind);
-  if (config.threads != 1) {
-    name += " threads ";
-    name += std::to_string(config.threads);
-  }
-  return name;
-}
-
-/// Empty string when valid; otherwise the reason the combination is
-/// rejected. Shared by SocOptions::Validate, the spec parser and the CLIs
-/// so every layer reports the same rule.
-inline std::string ValidateEngineConfig(const EngineConfig& config) {
-  switch (config.kind) {
-    case EngineKind::kNaive:
-    case EngineKind::kOptimized:
-    case EngineKind::kSoa:
-      break;
-    default:
-      return "unknown engine kind";
-  }
-  if (config.threads < 1) {
-    return "engine threads must be >= 1";
-  }
-  if (config.threads > kMaxEngineThreads) {
-    return "engine threads must be <= " + std::to_string(kMaxEngineThreads);
-  }
-  if (config.threads > 1 && config.kind != EngineKind::kSoa) {
-    return std::string("engine '") + EngineKindName(config.kind) +
-           "' is single-threaded; threads > 1 requires the soa engine "
-           "(use `engine soa threads N`)";
-  }
-  return {};
-}
+inline constexpr const char* kEngineKindChoices = "naive|soa";
 
 }  // namespace aethereal::sim
 

@@ -4,11 +4,7 @@
 #include <chrono>
 #include <cmath>
 
-#include "sim/parallel.h"
-
 namespace aethereal::sim {
-
-thread_local constinit ParallelSink* tls_parallel_sink = nullptr;
 
 namespace {
 
@@ -74,51 +70,18 @@ void Module::Park() {
   if (commit_due_ <= clock_->cycles_) return;
   if (clock_->cycles_ <= wake_until_) return;  // recent wake holds us awake
   parked_ = true;
-  // A module only parks itself (Park is protected), so under threaded
-  // stepping the caller is exactly this module's region worker; only the
-  // shared bitmap words need atomic updates.
-  clock_->NoteEvalStatus(this, tls_parallel_sink != nullptr);
+  clock_->NoteEvalStatus(this);
 }
 
 void Module::ParkUntil(Cycle cycle) {
   Park();
   if (!parked_) return;
-  // The timer heap is clock-global: always buffer it during the parallel
-  // sweep. A park granted here that the sequential interleaving would have
-  // denied (a cross-region wake still sitting in another worker's sink)
-  // leaves a spurious timer behind; that timer only re-issues an idempotent
-  // Wake at `cycle`, so results are unaffected.
-  if (ParallelSink* sink = tls_parallel_sink; sink != nullptr) {
-    sink->timers.push_back(ParallelSink::TimerOp{this, cycle});
-    return;
-  }
   clock_->AddTimer(cycle, this);
 }
 
 // ---------------------------------------------------------------------------
 // Clock phases
 // ---------------------------------------------------------------------------
-
-void Clock::RefreshRunList() {
-  if (!run_list_dirty_.load(std::memory_order_relaxed)) return;
-  run_every_.clear();
-  run_strided_.clear();
-  uniform_stride_ = 0;
-  for (Module* m : modules_) {
-    if (m->parked_ || m->evaluate_noop_) continue;
-    if (m->evaluate_stride_ == 1) {
-      run_every_.push_back(m);
-    } else {
-      run_strided_.push_back(m);
-      if (uniform_stride_ == 0) {
-        uniform_stride_ = m->evaluate_stride_;
-      } else if (uniform_stride_ != m->evaluate_stride_) {
-        uniform_stride_ = -1;  // mixed strides: check per module
-      }
-    }
-  }
-  run_list_dirty_.store(false, std::memory_order_relaxed);
-}
 
 void Clock::PopDueTimers() {
   // Wake modules whose scheduled time has come, before the schedule is
@@ -131,55 +94,19 @@ void Clock::PopDueTimers() {
   }
 }
 
-void Clock::EvaluatePhase() {
-  if (profile_ != nullptr) {
-    const auto t0 = std::chrono::steady_clock::now();
-    PopDueTimers();
-    RefreshRunList();
-    const auto t1 = std::chrono::steady_clock::now();
-    profile_->park_wake_sec +=
-        std::chrono::duration<double>(t1 - t0).count();
-    RunEvalLists();
-    profile_->evaluate_sec += SecondsSince(t1);
-    return;
-  }
-  PopDueTimers();
-  RefreshRunList();
-  RunEvalLists();
-}
-
-void Clock::RunEvalLists() {
-  for (Module* m : run_every_) m->Evaluate();
-  if (!run_strided_.empty()) {
-    if (uniform_stride_ > 0) {
-      // All strided modules share one stride (the common case: the slot
-      // length): one check covers the whole list.
-      if (cycles_ % uniform_stride_ == 0) {
-        for (Module* m : run_strided_) m->Evaluate();
-      }
-    } else {
-      for (Module* m : run_strided_) {
-        if (cycles_ % m->evaluate_stride_ == 0) m->Evaluate();
-      }
-    }
-  }
-}
-
-// The SoA evaluate sweep: instead of rebuilding run lists whenever a module
-// parks or wakes (an O(modules) walk that large meshes trigger every few
-// edges), scan the per-clock activity bytes maintained incrementally by
-// NoteEvalStatus. Fully parked 8-module blocks cost one 64-bit load, so the
-// per-edge cost tracks how much of the mesh is awake, not how much exists.
+// The SoA evaluate sweep: scan the per-clock activity bitmaps maintained
+// incrementally by NoteEvalStatus instead of walking every module. Fully
+// parked 64-module blocks cost one 64-bit load, so the per-edge cost tracks
+// how much of the mesh is awake, not how much exists.
 //
 // The sweep walks a phase-start snapshot of the live bitmap, never the live
 // words themselves. A module woken mid-sweep by an earlier module's
-// Evaluate (a wire drive, a queue push) therefore runs at the NEXT edge,
-// exactly like the run-list engine — its Evaluate this edge would be a
-// proven no-op anyway (the inputs that woke it are staged, not committed),
-// but under contention those no-op arbitration scans are real host work:
-// on a saturated best-effort mesh every router wake-chains its downstream
-// neighbours, and sweeping the live words re-evaluated about half of them
-// a second time per slot edge.
+// Evaluate (a wire drive, a queue push) therefore runs at the NEXT edge —
+// its Evaluate this edge would be a proven no-op anyway (the inputs that
+// woke it are staged, not committed), but under contention those no-op
+// arbitration scans are real host work: on a saturated best-effort mesh
+// every router wake-chains its downstream neighbours, and sweeping the live
+// words re-evaluated about half of them a second time per slot edge.
 void Clock::RunFlagged(const std::vector<std::uint64_t>& bits,
                        bool per_module_stride) {
   const std::size_t words = bits.size();
@@ -195,15 +122,20 @@ void Clock::RunFlagged(const std::vector<std::uint64_t>& bits,
   }
 }
 
-void Clock::EvaluatePhaseSoa() {
+void Clock::EvaluatePhase(bool gated) {
   std::chrono::steady_clock::time_point t0;
-  std::chrono::steady_clock::time_point t1;
   if (profile_ != nullptr) t0 = std::chrono::steady_clock::now();
+  if (!gated) {
+    for (Module* m : modules_) m->Evaluate();
+    if (profile_ != nullptr) profile_->evaluate_sec += SecondsSince(t0);
+    return;
+  }
   PopDueTimers();
   if (profile_ != nullptr) {
-    t1 = std::chrono::steady_clock::now();
+    const auto t1 = std::chrono::steady_clock::now();
     profile_->park_wake_sec +=
         std::chrono::duration<double>(t1 - t0).count();
+    t0 = t1;
   }
   // Snapshot the activity words before running anything: wakes issued by
   // modules evaluated this phase land in the live bitmap for the next
@@ -222,22 +154,26 @@ void Clock::EvaluatePhaseSoa() {
     RunFlagged(eval_scratch_strided_,
                /*per_module_stride=*/strided_uniform_ < 0);
   }
-  if (profile_ != nullptr) profile_->evaluate_sec += SecondsSince(t1);
+  if (profile_ != nullptr) profile_->evaluate_sec += SecondsSince(t0);
 }
 
-// Commit dispatch over the contiguous pending bitmap: the scan touches a
-// few cache lines instead of every module's dirty list (zero bytes are
-// skipped eight modules at a time), and the virtual Commit() call happens
-// only for modules with staged state (or a declared Commit override), on
-// their declared stride phase.
-void Clock::CommitPhase() {
-  if (profile_ != nullptr) {
-    const auto t0 = std::chrono::steady_clock::now();
+// Every module reaches the commit phase — parked ones too — so staged state
+// always lands at the same edge as on the naïve path. The gated commit
+// dispatches over the contiguous pending bitmap: the scan touches a few
+// cache lines instead of every module's dirty list, and the virtual
+// Commit() call happens only for modules with staged state (or a declared
+// Commit override), on their declared stride phase.
+void Clock::CommitPhase(bool gated) {
+  std::chrono::steady_clock::time_point t0;
+  if (profile_ != nullptr) t0 = std::chrono::steady_clock::now();
+  if (gated) {
     CommitSweep();
-    profile_->commit_sec += SecondsSince(t0);
-    return;
+  } else {
+    for (Module* m : modules_) m->Commit();
   }
-  CommitSweep();
+  if (profile_ != nullptr) profile_->commit_sec += SecondsSince(t0);
+  cycles_ += 1;
+  next_edge_ps_ += period_ps_;
 }
 
 void Clock::CommitSweep() {
@@ -273,9 +209,6 @@ void Clock::CommitSweep() {
 // Kernel
 // ---------------------------------------------------------------------------
 
-Kernel::Kernel() = default;
-Kernel::~Kernel() = default;
-
 Clock* Kernel::AddClock(std::string name, Picoseconds period_ps) {
   clocks_.push_back(std::make_unique<Clock>(
       static_cast<int>(clocks_.size()), std::move(name), period_ps));
@@ -300,12 +233,10 @@ void Kernel::EnableProfiling() {
   for (const auto& c : clocks_) c->profile_ = &profile_data_;
 }
 
-void Kernel::set_engine(EngineConfig config) {
+void Kernel::set_engine(EngineKind kind) {
   AETHEREAL_CHECK_MSG(!stepped_,
                       "set_engine must be called before the first Step()");
-  const std::string error = ValidateEngineConfig(config);
-  AETHEREAL_CHECK_MSG(error.empty(), "invalid engine config: " << error);
-  engine_ = config;
+  engine_ = kind;
 }
 
 void Kernel::RebuildHeap() const {
@@ -324,49 +255,16 @@ Picoseconds Kernel::NextEdgeTime() const {
 
 Picoseconds Kernel::Step() {
   AETHEREAL_CHECK_MSG(!clocks_.empty(), "no clocks in kernel");
-  if (!stepped_) {
-    stepped_ = true;
-    // Spawn the worker pool on the first step, not at set_engine: a config
-    // that never runs never starts a thread.
-    if (engine_.kind == EngineKind::kSoa && engine_.threads > 1) {
-      parallel_ = std::make_unique<ParallelEngine>(engine_.threads);
-    }
-  }
+  stepped_ = true;
   if (profiling_) profile_data_.steps += 1;
+  const bool gated = gating();
 
-  // Single-clock fast path: no scan, no heap, no scratch.
+  // Single-clock fast path: no heap, no scratch.
   if (clocks_.size() == 1) {
     Clock* c = clocks_.front().get();
     const Picoseconds t = c->next_edge_ps_;
-    if (engine_.kind == EngineKind::kSoa) {
-      if (parallel_ != nullptr) {
-        parallel_->EvaluateClock(c);
-      } else {
-        c->EvaluatePhaseSoa();
-      }
-      c->CommitPhase();
-    } else if (engine_.kind == EngineKind::kOptimized) {
-      // Parked / no-op / off-stride modules skip Evaluate only. Every
-      // module still reaches the commit phase so state staged into it
-      // (register writes, synchronizer traffic) lands at exactly the same
-      // edge as on the naïve path; the virtual Commit() call is elided for
-      // modules with nothing staged.
-      c->EvaluatePhase();
-      c->CommitPhase();
-    } else if (profiling_) {
-      const auto t0 = std::chrono::steady_clock::now();
-      for (Module* m : c->modules_) m->Evaluate();
-      const auto t1 = std::chrono::steady_clock::now();
-      profile_data_.evaluate_sec +=
-          std::chrono::duration<double>(t1 - t0).count();
-      for (Module* m : c->modules_) m->Commit();
-      profile_data_.commit_sec += SecondsSince(t1);
-    } else {
-      for (Module* m : c->modules_) m->Evaluate();
-      for (Module* m : c->modules_) m->Commit();
-    }
-    c->cycles_ += 1;
-    c->next_edge_ps_ += c->period_ps_;
+    c->EvaluatePhase(gated);
+    c->CommitPhase(gated);
     now_ps_ = t;
     return t;
   }
@@ -383,46 +281,9 @@ Picoseconds Kernel::Step() {
     edge_heap_.pop_back();
   }
 
-  // Phase 1: evaluate everything before committing anything. On the
-  // gated paths, parked / no-op / off-stride modules are skipped (their
-  // Evaluate is a proven no-op).
-  if (engine_.kind == EngineKind::kSoa) {
-    for (Clock* c : firing_) {
-      if (parallel_ != nullptr) {
-        parallel_->EvaluateClock(c);
-      } else {
-        c->EvaluatePhaseSoa();
-      }
-    }
-  } else if (engine_.kind == EngineKind::kOptimized) {
-    for (Clock* c : firing_) c->EvaluatePhase();
-  } else if (profiling_) {
-    const auto t0 = std::chrono::steady_clock::now();
-    for (Clock* c : firing_) {
-      for (Module* m : c->modules_) m->Evaluate();
-    }
-    profile_data_.evaluate_sec += SecondsSince(t0);
-  } else {
-    for (Clock* c : firing_) {
-      for (Module* m : c->modules_) m->Evaluate();
-    }
-  }
-  // Phase 2: commit. Every module reaches the commit phase — parked ones
-  // too — so staged state always lands at the same edge as on the naïve
-  // path; on the gated paths the virtual call is elided when clean.
-  const bool time_naive_commit = profiling_ && !gating();
-  std::chrono::steady_clock::time_point commit_t0;
-  if (time_naive_commit) commit_t0 = std::chrono::steady_clock::now();
-  for (Clock* c : firing_) {
-    if (gating()) {
-      c->CommitPhase();
-    } else {
-      for (Module* m : c->modules_) m->Commit();
-    }
-    c->cycles_ += 1;
-    c->next_edge_ps_ += c->period_ps_;
-  }
-  if (time_naive_commit) profile_data_.commit_sec += SecondsSince(commit_t0);
+  // Evaluate everything before committing anything.
+  for (Clock* c : firing_) c->EvaluatePhase(gated);
+  for (Clock* c : firing_) c->CommitPhase(gated);
   for (Clock* c : firing_) {
     edge_heap_.push_back(c);
     std::push_heap(edge_heap_.begin(), edge_heap_.end(), EdgeAfter);

@@ -32,23 +32,14 @@
 //    clean) so staged state always lands at the exact naïve-path edge.
 //  * Engine selection (sim/engine.h): kNaive disables gating and dirty
 //    commits (every module runs every edge, every element commits every
-//    edge) so the fast engines can be cross-checked for identical results;
-//    kOptimized gates with run lists rebuilt on park/wake; kSoa gates with
-//    flat per-clock activity bitmaps scanned eight modules at a time, so
-//    idle stretches of a large mesh cost a few cache lines per edge instead
-//    of a rebuild-and-walk over every module.
-//  * Threaded stepping (sim/parallel.h): EngineConfig{kSoa, threads > 1}
-//    splits the SoA evaluate sweep across mesh regions on a persistent
-//    worker pool. Evaluate() only reads committed state, so regions can
-//    run concurrently; cross-region effects (wire dirty arming, consumer
-//    wakes, timers) are buffered per worker and merged deterministically
-//    before the — still sequential, still registration-order — commit
-//    phase. Results stay bit-identical at any thread count.
+//    edge) so the gated engine can be cross-checked for identical results;
+//    kSoa gates with flat per-clock activity bitmaps scanned 64 modules per
+//    word, so idle stretches of a large mesh cost a few cache lines per
+//    edge instead of a walk over every module.
 #ifndef AETHEREAL_SIM_KERNEL_H
 #define AETHEREAL_SIM_KERNEL_H
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <cstring>
@@ -66,51 +57,7 @@ namespace aethereal::sim {
 class Clock;
 class Kernel;
 class Module;
-class ParallelEngine;
 class TwoPhase;
-
-/// Per-worker sink for operations that would touch another region's (or a
-/// clock's shared) scheduling state while the threaded SoA engine sweeps
-/// regions concurrently (sim/parallel.h). The hot-path hooks below consult
-/// `tls_parallel_sink`: null — the permanent state on the main thread
-/// outside the parallel evaluate phase, and always for sequential engines —
-/// means "apply directly"; non-null means the calling thread is sweeping
-/// region `region`, and any effect crossing that region boundary is
-/// buffered here instead. The main thread drains the sinks in worker order
-/// after the join barrier, so the merged order is a pure function of the
-/// partition, never of thread scheduling.
-struct ParallelSink {
-  int region = -1;
-
-  struct DirtyAtOp {
-    TwoPhase* element;
-    Cycle due;
-  };
-  struct WakeOp {
-    Module* module;
-    Cycle hold_edges;
-  };
-  struct TimerOp {
-    Module* module;
-    Cycle due;
-  };
-
-  std::vector<TwoPhase*> dirty_now;  // deferred MarkDirty()
-  std::vector<DirtyAtOp> dirty_at;   // deferred MarkDirtyAt()
-  std::vector<WakeOp> wakes;         // deferred cross-region Wake()
-  std::vector<TimerOp> timers;       // deferred ParkUntil() timer arming
-
-  void Clear() {
-    dirty_now.clear();
-    dirty_at.clear();
-    wakes.clear();
-    timers.clear();
-  }
-};
-
-/// See ParallelSink. constinit guarantees trivial TLS initialization, so
-/// the hot-path load compiles to a plain thread-pointer-relative read.
-extern thread_local constinit ParallelSink* tls_parallel_sink;
 
 /// Host-side wall-time attribution per engine stage, filled while
 /// Kernel::EnableProfiling() is armed (bench_speed --profile). Off by
@@ -121,7 +68,7 @@ struct EngineProfile {
   std::int64_t steps = 0;      // kernel Step() calls
   double evaluate_sec = 0.0;   // module Evaluate() sweeps
   double commit_sec = 0.0;     // commit dispatch sweeps
-  double park_wake_sec = 0.0;  // timer pops + run-list/bitmap upkeep
+  double park_wake_sec = 0.0;  // timer pops + activity-bitmap upkeep
 };
 
 /// A state element with staged updates applied at the clock edge.
@@ -156,7 +103,6 @@ class TwoPhase {
 
  private:
   friend class Module;
-  friend class ParallelEngine;  // sink drains replay MarkDirty/MarkDirtyAt
   Module* owner_ = nullptr;
   bool dirty_ = false;
 };
@@ -196,26 +142,15 @@ class Module {
   /// Number of edges this module's clock has seen since simulation start.
   Cycle CycleCount() const;  // inline below (hot path)
 
-  /// True while the module is gated off the kernel's run list.
+  /// True while the module is gated off the kernel's evaluate sweep.
   bool parked() const { return parked_; }
 
   /// Ensures the module runs from the next edge of its clock onward, and
   /// suppresses Park() for `hold_edges` further edges. Callable by anyone
   /// (producers wake consumers); idempotent and order-independent within an
   /// edge: a wake issued during edge t always defeats a Park() in edge t,
-  /// regardless of module iteration order. Wakes max-merge (commutative),
-  /// so the threaded engine may buffer and replay them in any order.
+  /// regardless of module iteration order.
   void Wake(Cycle hold_edges = 1);  // inline below (hot path)
-
-  /// The mesh region this module belongs to for threaded stepping
-  /// (sim/parallel.h): modules of one region are swept by one worker per
-  /// edge. -1 (the default) marks shared infrastructure — wire pools,
-  /// observation taps — evaluated sequentially before the fan-out; every
-  /// effect staged into a shared or foreign-region module from a worker is
-  /// buffered and merged deterministically. A pure partition label: it
-  /// never changes what is simulated, only which thread simulates it.
-  int region() const { return region_; }
-  void set_region(int region) { region_ = region; }
 
  protected:
   void RegisterState(TwoPhase* element);
@@ -225,7 +160,7 @@ class Module {
   /// element is walked (the naïve reference behaviour).
   void CommitState();
 
-  /// Requests gating off the run list. Granted only when optimizations are
+  /// Requests gating off the evaluate sweep. Granted only when gating is
   /// on, no state element is dirty, and no Wake() hold is active. A parked
   /// module skips Evaluate() until the next Wake(); its Commit() still runs
   /// every edge (constant time while nothing is staged).
@@ -237,25 +172,25 @@ class Module {
   /// work time, e.g. periodic traffic sources.
   void ParkUntil(Cycle cycle);
 
-  /// Declares that Evaluate() is an unconditional no-op, so the optimized
-  /// engine drops this module from the evaluate run list entirely (links
-  /// and NI ports: pure commit machinery). The naïve path still calls it.
+  /// Declares that Evaluate() is an unconditional no-op, so the gated
+  /// engine drops this module from the evaluate sweep entirely (links and
+  /// NI ports: pure commit machinery). The naïve path still calls it.
   void SetEvaluateIsNoop();  // inline below (needs the complete Clock type)
 
   /// Declares that Evaluate() does nothing except on cycles where
   /// CycleCount() % stride == 0 (slot-granular modules: routers, NI
-  /// kernels). The optimized engine then calls it only on those cycles.
+  /// kernels). The gated engine then calls it only on those cycles.
   void SetEvaluateStride(int stride);  // inline below
 
   /// Declares that Commit() is exactly the default (commit registered
-  /// state, nothing else), allowing the optimized engine to skip the call
+  /// state, nothing else), allowing the gated engine to skip the call
   /// entirely on edges where no state element is dirty. Modules that
   /// override Commit() with extra work must not set this.
   void SetDefaultCommitOnly() { always_commit_ = false; }
 
   /// Declares that every registered state element's Commit() is a no-op
   /// except on edges where CycleCount() % stride == phase, so the
-  /// optimized engine only dispatches commits on those edges (links: wires
+  /// gated engine only dispatches commits on those edges (links: wires
   /// transfer at the end-of-slot edge only). Expert flag — the claim is
   /// not checked.
   void SetCommitStride(int stride, int phase) {
@@ -267,21 +202,16 @@ class Module {
  private:
   friend class Clock;
   friend class Kernel;
-  friend class ParallelEngine;
   friend class TwoPhase;
-  void AddDirty(TwoPhase* element, bool parallel);    // inline below
-  void AddDirtyAt(TwoPhase* element, Cycle due, bool parallel);
-  /// Wake() after the cross-region check: the target is known to be owned
-  /// by the calling thread (`parallel` says whether shared clock bitmap
-  /// words still need atomic updates because other workers are running).
-  void WakeLocal(Cycle hold_edges, bool parallel);    // inline below
+  void AddDirty(TwoPhase* element);                // inline below
+  void AddDirtyAt(TwoPhase* element, Cycle due);   // inline below
 
   /// commit_due_ value meaning "no dirty element has a known due edge".
   static constexpr Cycle kNeverDue = std::numeric_limits<Cycle>::max();
 
   /// The commit sweep's fast path for SetDefaultCommitOnly() modules: by
   /// declaration their Commit() is exactly CommitState(), and on the
-  /// optimized engines CommitState() is exactly this dirty walk — so the
+  /// gated engine CommitState() is exactly this dirty walk — so the
   /// sweep can call it directly, skipping two virtual hops per module per
   /// edge. Resets commit_due_ first: elements that still have future work
   /// re-arm with their next due during the walk.
@@ -314,7 +244,6 @@ class Module {
   // The commit sweep skips default-commit modules until this edge.
   Cycle commit_due_ = 0;
   Cycle wake_until_ = -1;  // Park() suppressed while cycles() <= this
-  int region_ = -1;        // see region(); -1 = shared infrastructure
 };
 
 /// A clock domain: a period in picoseconds and the modules driven by it.
@@ -340,8 +269,6 @@ class Clock {
     // Pending until first commit recomputes it (safe for pre-registration
     // staged state).
     SetBit(commit_bits_, i, true);
-    run_every_.reserve(modules_.size());
-    run_strided_.reserve(modules_.size());
     NoteEvalStatus(module);
   }
 
@@ -360,41 +287,24 @@ class Clock {
  private:
   friend class Kernel;
   friend class Module;
-  friend class ParallelEngine;
 
-  /// Rebuilds the evaluate run lists (unparked modules, registration order;
-  /// stride-1 and strided modules separately) if any module parked or woke
-  /// since the last edge. Modules whose Evaluate is a declared no-op are
-  /// never listed. Used by the kOptimized engine; kSoa scans the activity
-  /// bitmaps instead and never rebuilds anything.
-  void RefreshRunList();
-
-  /// Keeps the SoA activity bytes (and the run-list dirty flag) in sync
-  /// with a module's parked / no-op / stride status. Called on every
-  /// park-wake transition: the per-clock arrays ARE the schedule, so there
-  /// is nothing to rebuild at the next edge. `parallel` = the caller is a
-  /// worker inside the threaded evaluate phase: the bitmap words are shared
-  /// across regions (64 modules per word), so the read-modify-write must be
-  /// atomic. Bit updates are commutative, hence order-free; relaxed order
-  /// suffices because the join barrier publishes them before anyone reads.
-  void NoteEvalStatus(Module* m, bool parallel = false) {
-    run_list_dirty_.store(true, std::memory_order_relaxed);
+  /// Keeps the activity bitmaps in sync with a module's parked / no-op /
+  /// stride status. Called on every park-wake transition: the per-clock
+  /// bitmaps ARE the schedule, so there is nothing to rebuild at the next
+  /// edge.
+  void NoteEvalStatus(Module* m) {
     const auto i = static_cast<std::size_t>(m->clock_index_);
     if (m->parked_ || m->evaluate_noop_) {
-      SetBit(eval_every_bits_, i, false, parallel);
-      SetBit(eval_strided_bits_, i, false, parallel);
+      SetBit(eval_every_bits_, i, false);
+      SetBit(eval_strided_bits_, i, false);
       return;
     }
     if (m->evaluate_stride_ == 1) {
-      SetBit(eval_every_bits_, i, true, parallel);
-      SetBit(eval_strided_bits_, i, false, parallel);
+      SetBit(eval_every_bits_, i, true);
+      SetBit(eval_strided_bits_, i, false);
     } else {
-      SetBit(eval_every_bits_, i, false, parallel);
-      SetBit(eval_strided_bits_, i, true, parallel);
-      // No data race under threads > 1: every strided module ran through
-      // here at registration time, so by the first edge strided_uniform_
-      // has converged and a wake can only re-derive the stored value —
-      // neither branch below writes.
+      SetBit(eval_every_bits_, i, false);
+      SetBit(eval_strided_bits_, i, true);
       if (strided_uniform_ == 0) {
         strided_uniform_ = m->evaluate_stride_;
       } else if (strided_uniform_ != m->evaluate_stride_) {
@@ -404,17 +314,8 @@ class Clock {
   }
 
   static void SetBit(std::vector<std::uint64_t>& bits, std::size_t i,
-                     bool on, bool parallel = false) {
+                     bool on) {
     const std::uint64_t mask = std::uint64_t{1} << (i & 63);
-    if (parallel) {
-      std::atomic_ref<std::uint64_t> word(bits[i >> 6]);
-      if (on) {
-        word.fetch_or(mask, std::memory_order_relaxed);
-      } else {
-        word.fetch_and(~mask, std::memory_order_relaxed);
-      }
-      return;
-    }
     if (on) {
       bits[i >> 6] |= mask;
     } else {
@@ -422,13 +323,15 @@ class Clock {
     }
   }
 
-  void EvaluatePhase();      // kOptimized: run lists
-  void EvaluatePhaseSoa();   // kSoa: activity-bitmap sweep
-  void RunEvalLists();       // the run-list module sweep of EvaluatePhase
+  /// One edge of this clock, split at the two-phase barrier: the kernel
+  /// evaluates every firing clock before it commits any. `gated` selects
+  /// the activity-bitmap sweeps (kSoa) over the naïve every-module walks.
+  /// CommitPhase also advances the clock to its next edge.
+  void EvaluatePhase(bool gated);
+  void CommitPhase(bool gated);
   void RunFlagged(const std::vector<std::uint64_t>& bits,
                   bool per_module_stride);
   void PopDueTimers();
-  void CommitPhase();
   void CommitSweep();        // the bitmap dispatch of CommitPhase
 
   struct Timer {
@@ -450,8 +353,6 @@ class Clock {
   Cycle cycles_ = 0;
   Kernel* kernel_ = nullptr;
   std::vector<Module*> modules_;
-  std::vector<Module*> run_every_;    // unparked stride-1 modules
-  std::vector<Module*> run_strided_;  // unparked modules with stride > 1
   std::vector<Timer> timers_;         // scheduled wakes (min-heap by due)
   // SoA schedule (kSoa engine) and commit dispatch: one bit per module (bit
   // i of word i/64 covers modules_[i]). The evaluate and commit sweeps walk
@@ -462,31 +363,11 @@ class Clock {
   std::vector<std::uint64_t> commit_bits_;
   std::vector<std::uint64_t> eval_every_bits_;   // unparked, stride 1
   std::vector<std::uint64_t> eval_strided_bits_; // unparked, stride > 1
-  // Phase-start snapshots the SoA sweep iterates (EvaluatePhaseSoa):
-  // mid-sweep wakes mutate the live words above, not the working set.
+  // Phase-start snapshots the SoA sweep iterates (EvaluatePhase): mid-sweep
+  // wakes mutate the live words above, not the working set.
   std::vector<std::uint64_t> eval_scratch_;
   std::vector<std::uint64_t> eval_scratch_strided_;
-  int uniform_stride_ = 0;   // shared stride of run_strided_ (-1 if mixed)
   int strided_uniform_ = 0;  // shared stride over ALL strided modules ever
-  // atomic<bool>: workers of the threaded SoA engine set it concurrently on
-  // park/wake; relaxed everywhere (it is a rebuild hint, and kOptimized —
-  // the only reader — never runs threaded). Same codegen as a plain bool
-  // on the sequential paths.
-  std::atomic<bool> run_list_dirty_{true};
-
-  /// Region partition of this clock's modules for threaded stepping,
-  /// derived lazily from the modules' region labels (sim/parallel.cpp) and
-  /// rebuilt whenever the module count changes. region_masks[r] selects the
-  /// modules worker r sweeps (same word layout as the activity bitmaps);
-  /// shared_mask selects region -1 modules, evaluated on the main thread
-  /// before the fan-out, in registration order like every sweep.
-  struct RegionSchedule {
-    std::size_t built_modules = 0;
-    int num_regions = 0;
-    std::vector<std::vector<std::uint64_t>> region_masks;
-    std::vector<std::uint64_t> shared_mask;
-  };
-  std::unique_ptr<RegionSchedule> region_sched_;
 
   EngineProfile* profile_ = nullptr;  // set while the kernel profiles
 };
@@ -494,9 +375,6 @@ class Clock {
 /// Owns the clocks and advances simulated time.
 class Kernel {
  public:
-  Kernel();   // out of line: ParallelEngine is incomplete here
-  ~Kernel();  // ditto
-
   /// Creates a clock with the given period; the kernel keeps ownership.
   Clock* AddClock(std::string name, Picoseconds period_ps);
 
@@ -519,17 +397,12 @@ class Kernel {
 
   Picoseconds now_ps() const { return now_ps_; }
 
-  /// Selects the engine (sim/engine.h): kind AND thread count, the single
-  /// selection currency. Must be set before the first Step(); the config
-  /// must pass ValidateEngineConfig (checked). EngineKind converts
-  /// implicitly, so `set_engine(EngineKind::kSoa)` selects a sequential
-  /// SoA engine. The edge schedule itself is always on (it is exactly
-  /// equivalent scheduling, not an approximation). Every engine and every
-  /// thread count produces bit-identical results.
-  void set_engine(EngineConfig config);
-  const EngineConfig& engine() const { return engine_; }
-  EngineKind kind() const { return engine_.kind; }
-  unsigned threads() const { return engine_.threads; }
+  /// Selects the engine (sim/engine.h). Must be set before the first
+  /// Step(). The edge schedule itself is always on (it is exactly
+  /// equivalent scheduling, not an approximation). Both engines produce
+  /// bit-identical results.
+  void set_engine(EngineKind kind);
+  EngineKind engine() const { return engine_; }
 
   /// Arms per-stage wall-time attribution (resets any prior counts).
   /// Callable at any point; existing and future clocks both report.
@@ -539,12 +412,11 @@ class Kernel {
 
  private:
   friend class Module;
-  friend class ParallelEngine;
   void RebuildHeap() const;
 
-  /// Gating engines (kOptimized / kSoa) arm the Park()/dirty-commit
-  /// machinery; the naïve reference disables both.
-  bool gating() const { return engine_.kind != EngineKind::kNaive; }
+  /// The gated engine (kSoa) arms the Park()/dirty-commit machinery; the
+  /// naïve reference disables both.
+  bool gating() const { return engine_ == EngineKind::kSoa; }
 
   std::vector<std::unique_ptr<Clock>> clocks_;
   // Next-edge min-heap over (next_edge_ps, clock id) and the scratch list of
@@ -553,10 +425,7 @@ class Kernel {
   mutable std::vector<Clock*> edge_heap_;
   mutable bool heap_dirty_ = false;
   std::vector<Clock*> firing_;
-  EngineConfig engine_;
-  // The worker pool of the threaded SoA engine, spawned lazily at the
-  // first Step() so configs that never run never start a thread.
-  std::unique_ptr<ParallelEngine> parallel_;
+  EngineKind engine_ = EngineKind::kSoa;
   bool stepped_ = false;
   Picoseconds now_ps_ = 0;
   bool profiling_ = false;
@@ -571,18 +440,6 @@ inline Cycle Module::CycleCount() const {
 }
 
 inline void Module::Wake(Cycle hold_edges) {
-  ParallelSink* sink = tls_parallel_sink;
-  if (sink != nullptr && region_ != sink->region) {
-    // Crossing a region boundary mid-parallel-phase: the target module may
-    // be evaluating on another thread right now. Wakes max-merge, so
-    // buffering and replaying after the join barrier is equivalent.
-    sink->wakes.push_back(ParallelSink::WakeOp{this, hold_edges});
-    return;
-  }
-  WakeLocal(hold_edges, sink != nullptr);
-}
-
-inline void Module::WakeLocal(Cycle hold_edges, bool parallel) {
   if (clock_ == nullptr) {
     parked_ = false;
     return;
@@ -591,7 +448,7 @@ inline void Module::WakeLocal(Cycle hold_edges, bool parallel) {
   if (until > wake_until_) wake_until_ = until;
   if (parked_) {
     parked_ = false;
-    clock_->NoteEvalStatus(this, parallel);
+    clock_->NoteEvalStatus(this);
   }
 }
 
@@ -601,33 +458,29 @@ inline void Module::SetEvaluateIsNoop() {
 }
 
 inline void Module::SetEvaluateStride(int stride) {
-  // The SoA schedule stores strides in one byte per module.
-  AETHEREAL_CHECK(stride >= 1 && stride <= 255);
+  AETHEREAL_CHECK(stride >= 1);
   evaluate_stride_ = stride;
   if (clock_ != nullptr) clock_->NoteEvalStatus(this);
 }
 
-inline void Module::AddDirty(TwoPhase* element, bool parallel) {
+inline void Module::AddDirty(TwoPhase* element) {
   dirty_.push_back(element);
   commit_due_ = 0;
   if (clock_ != nullptr) {
-    // The commit-bitmap word is shared with up to 63 neighbouring modules
-    // of other regions, hence the atomic OR while workers are running.
     Clock::SetBit(clock_->commit_bits_,
-                  static_cast<std::size_t>(clock_index_), true, parallel);
+                  static_cast<std::size_t>(clock_index_), true);
   }
   // Staged state must be committed even if this module was parked or is
-  // about to park. The caller already resolved the region check (AddDirty
-  // only runs for same-region or sequential staging), so wake directly.
-  WakeLocal(1, parallel);
+  // about to park.
+  Wake();
 }
 
-inline void Module::AddDirtyAt(TwoPhase* element, Cycle due, bool parallel) {
+inline void Module::AddDirtyAt(TwoPhase* element, Cycle due) {
   dirty_.push_back(element);
   if (due < commit_due_) commit_due_ = due;
   if (clock_ != nullptr) {
     Clock::SetBit(clock_->commit_bits_,
-                  static_cast<std::size_t>(clock_index_), true, parallel);
+                  static_cast<std::size_t>(clock_index_), true);
   }
   // Deliberately no Wake(): a future-due element is synchronizer traffic in
   // flight, not state the module could evaluate against yet. Whoever makes
@@ -637,19 +490,9 @@ inline void Module::AddDirtyAt(TwoPhase* element, Cycle due, bool parallel) {
 
 inline void TwoPhase::MarkDirty() {
   if (owner_ == nullptr) return;
-  ParallelSink* sink = tls_parallel_sink;
-  if (sink != nullptr && owner_->region_ != sink->region) {
-    // Arming a shared or foreign-region module (wire pools, mostly) during
-    // the parallel sweep: its dirty list and flags belong to another
-    // worker's — or no worker's — territory. Defer; the drain replays this
-    // call on the main thread. Unconditionally: the dirty_ flag itself may
-    // not be read here either, and replaying MarkDirty is idempotent.
-    sink->dirty_now.push_back(this);
-    return;
-  }
   if (!dirty_) {
     dirty_ = true;
-    owner_->AddDirty(this, sink != nullptr);
+    owner_->AddDirty(this);
   } else if (owner_->commit_due_ != 0) {
     // Already listed, but possibly only for a future edge: pull the
     // owner's next commit forward to the coming edge.
@@ -659,14 +502,9 @@ inline void TwoPhase::MarkDirty() {
 
 inline void TwoPhase::MarkDirtyAt(Cycle due) {
   if (owner_ == nullptr) return;
-  ParallelSink* sink = tls_parallel_sink;
-  if (sink != nullptr && owner_->region_ != sink->region) {
-    sink->dirty_at.push_back(ParallelSink::DirtyAtOp{this, due});
-    return;
-  }
   if (!dirty_) {
     dirty_ = true;
-    owner_->AddDirtyAt(this, due, sink != nullptr);
+    owner_->AddDirtyAt(this, due);
   } else if (due < owner_->commit_due_) {
     owner_->commit_due_ = due;
   }

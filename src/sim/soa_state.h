@@ -1,6 +1,6 @@
 // Flat storage for hot simulation state (the SoA engine's data layout).
 //
-// The optimized engine's remaining cost at large meshes is pointer chasing:
+// The gated engine's remaining cost at large meshes is pointer chasing:
 // routers, NI kernels, link wires and channel queues each lived in their own
 // heap allocation, so every evaluate/commit sweep hopped between cache lines
 // scattered across the heap. The SoA layout packs those objects into

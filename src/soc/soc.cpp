@@ -27,10 +27,6 @@ Status SocOptions::Validate() const {
         "stu_slots must be in [1, " + std::to_string(regs::kMaxStuSlots) +
         "] (the SLOTS register is a 32-bit mask)");
   }
-  if (const std::string error = sim::ValidateEngineConfig(engine);
-      !error.empty()) {
-    return InvalidArgumentError(error);
-  }
   for (const auto& [port, mhz] : port_mhz) {
     if (!(mhz > 0.0)) {
       return InvalidArgumentError(
@@ -56,34 +52,11 @@ Soc::Soc(topology::Topology topology,
   net_clock_ = sim_.AddClockMhz("net", options_.net_mhz);
   clock_by_period_[net_clock_->period_ps()] = net_clock_;
 
-  // Mesh partition for threaded stepping (sim/parallel.h): contiguous
-  // router blocks, each router bundled with its NIs, their ports, and
-  // (via RegisterOnPort) every shell or IP stacked on those ports. The
-  // labels are a pure work assignment — results are identical at any
-  // thread count — so the slicing only needs to be balanced, not clever.
-  const int num_routers = topology_.NumRouters();
-  const int num_regions =
-      (options_.engine.threads > 1 && num_routers > 0)
-          ? std::min(static_cast<int>(options_.engine.threads), num_routers)
-          : 1;
-  auto region_of_router = [num_regions, num_routers](RouterId r) {
-    return num_regions > 1 ? static_cast<int>(static_cast<std::int64_t>(r) *
-                                              num_regions / num_routers)
-                           : -1;
-  };
-  if (num_regions > 1) {
-    ni_region_.reserve(static_cast<std::size_t>(topology_.NumNis()));
-    for (NiId n = 0; n < topology_.NumNis(); ++n) {
-      ni_region_.push_back(region_of_router(topology_.NiRouter(n)));
-    }
-  }
-
   // Fault injection (DESIGN.md §12): built before the network so the taps
   // and stall gates can be installed during construction. The spec is
   // copied into the injector; options_.fault is not kept.
   if (options_.fault != nullptr) {
     fault_injector_ = std::make_unique<fault::FaultInjector>(*options_.fault);
-    fault_injector_->SetConfigNiCount(topology_.NumNis());
   }
 
   // The verification monitor must be the FIRST module on the network
@@ -130,7 +103,6 @@ Soc::Soc(topology::Topology topology,
     if (fault_injector_ != nullptr) {
       router->SetFaultInjector(fault_injector_.get());
     }
-    router->set_region(region_of_router(r));
     net_clock_->Register(router);
   }
 
@@ -146,10 +118,6 @@ Soc::Soc(topology::Topology topology,
     if (fault_injector_ != nullptr) {
       kernel->SetFaultInjector(fault_injector_.get());
     }
-    const int ni_region = ni_region_.empty()
-                              ? -1
-                              : ni_region_[static_cast<std::size_t>(n)];
-    kernel->set_region(ni_region);
     net_clock_->Register(kernel);
 
     link::LinkWires* inj = links_->AddLink();
@@ -188,14 +156,11 @@ Soc::Soc(topology::Topology topology,
     routers_[static_cast<std::size_t>(r)].ConnectOutput(
         rp, del, options_.router_be_buffer_flits);
 
-    // Port clocks. Ports inherit the NI's region: the NI↔port channel
-    // queues are the clock-domain crossing, and keeping both sides in one
-    // region keeps their staging single-writer under threaded stepping.
+    // Port clocks.
     for (int p = 0; p < kernel->NumPorts(); ++p) {
       auto it = options_.port_mhz.find({n, p});
       sim::Clock* clock =
           (it == options_.port_mhz.end()) ? net_clock_ : ClockForMhz(it->second);
-      kernel->port(p)->set_region(ni_region);
       clock->Register(kernel->port(p));
     }
   }
@@ -315,11 +280,6 @@ sim::Clock* Soc::port_clock(NiId id, int port_index) {
 }
 
 void Soc::RegisterOnPort(sim::Module* module, NiId id, int port_index) {
-  // Application modules ride in their NI's region (no-op when the engine
-  // is not threaded — ni_region_ stays empty).
-  if (!ni_region_.empty()) {
-    module->set_region(ni_region_[static_cast<std::size_t>(id)]);
-  }
   port_clock(id, port_index)->Register(module);
 }
 

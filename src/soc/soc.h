@@ -46,22 +46,17 @@ class ObsTap;
 
 namespace aethereal::soc {
 
-/// EngineKind / EngineConfig are the soc-level currency too; see
-/// sim/engine.h.
-using sim::EngineConfig;
+/// EngineKind is the soc-level currency too; see sim/engine.h.
 using sim::EngineKind;
 
 struct SocOptions {
   double net_mhz = 500.0;  // network clock (paper prototype: 500 MHz)
   int router_be_buffer_flits = 8;
   int stu_slots = 8;
-  /// Selects the simulation engine (sim/engine.h): kind AND thread count.
-  /// EngineKind converts implicitly, so `options.engine = EngineKind::kSoa`
-  /// still reads naturally. threads > 1 (kSoa only) partitions the mesh
-  /// into contiguous router regions swept by a worker pool
-  /// (sim/parallel.h). The simulation results are bit-identical for every
-  /// engine and every thread count (tests/engine_determinism_test.cpp).
-  EngineConfig engine;
+  /// Selects the simulation engine (sim/engine.h). The simulation results
+  /// are bit-identical for both engines
+  /// (tests/engine_determinism_test.cpp).
+  EngineKind engine = EngineKind::kSoa;
   /// Per-(NI, port) clock override in MHz; unlisted ports run on the
   /// network clock. The channel queues implement the crossing.
   std::map<std::pair<NiId, int>, double> port_mhz;
@@ -209,11 +204,6 @@ class Soc {
   // one heap allocation per router/NI/link.
   sim::Slab<router::Router> routers_;
   sim::Slab<core::NiKernel> nis_;
-  // Mesh region per NI for threaded stepping (empty when threads == 1):
-  // each NI inherits its router's region, and RegisterOnPort labels
-  // application modules with their NI's region so a port's whole stack is
-  // swept by one worker.
-  std::vector<int> ni_region_;
   std::unique_ptr<link::WirePool> links_;
   std::vector<const link::LinkWires*> injection_wires_;  // per NI
   std::vector<const link::LinkWires*> delivery_wires_;   // per NI

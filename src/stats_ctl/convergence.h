@@ -7,7 +7,7 @@
 // from committed simulation state at deterministic cycle boundaries using
 // integer cycle counts and closed-form approximations — no wall clock, no
 // host randomness — so a converged run stops at the byte-identical cycle
-// on all three engines.
+// on both engines.
 //
 // Estimators:
 //  * BatchMeansCi — splits a sample stream into B equal batches, takes the

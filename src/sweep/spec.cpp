@@ -44,7 +44,6 @@ const char* KeyName(ParamRef::Key key) {
     case ParamRef::Key::kNetMhz: return "netmhz";
     case ParamRef::Key::kNoc: return "noc";
     case ParamRef::Key::kEngine: return "engine";
-    case ParamRef::Key::kThreads: return "threads";
     case ParamRef::Key::kRate: return "rate";
     case ParamRef::Key::kPeriod: return "period";
     case ParamRef::Key::kBurst: return "burst";
@@ -63,9 +62,9 @@ constexpr ParamRef::Key kAllKeys[] = {
     ParamRef::Key::kSeed,    ParamRef::Key::kWarmup,
     ParamRef::Key::kDuration, ParamRef::Key::kNetMhz,
     ParamRef::Key::kNoc,     ParamRef::Key::kEngine,
-    ParamRef::Key::kThreads, ParamRef::Key::kRate,
-    ParamRef::Key::kPeriod,  ParamRef::Key::kBurst,
-    ParamRef::Key::kGtSlots, ParamRef::Key::kQos,
+    ParamRef::Key::kRate,    ParamRef::Key::kPeriod,
+    ParamRef::Key::kBurst,   ParamRef::Key::kGtSlots,
+    ParamRef::Key::kQos,
     ParamRef::Key::kFaultSeed, ParamRef::Key::kFaultCorrupt,
     ParamRef::Key::kFaultDrop, ParamRef::Key::kFaultCfgDrop,
 };
@@ -329,17 +328,7 @@ Status ApplyParam(const ParamRef& param, const std::string& value,
                                     sim::kEngineKindChoices + ", got '" +
                                     value + "'");
       }
-      spec->engine.kind = *kind;
-      // threads > 1 only pairs with soa, but an engine axis and a threads
-      // axis may apply in either order — the combined config is validated
-      // once per grid point (MaterializePoint / ValidateAxisValue), not
-      // per value.
-      return OkStatus();
-    }
-    case ParamRef::Key::kThreads: {
-      auto v = ParseIntIn(value, 1, sim::kMaxEngineThreads);
-      if (!v.ok()) return v.status();
-      spec->engine.threads = static_cast<unsigned>(*v);
+      spec->engine = *kind;
       return OkStatus();
     }
     case ParamRef::Key::kRate: {
@@ -493,11 +482,6 @@ Result<scenario::ScenarioSpec> MaterializePoint(const SweepSpec& spec,
                                   axis.param.Name() + ": " + s.message());
     }
   }
-  if (const std::string error = sim::ValidateEngineConfig(materialized.engine);
-      !error.empty()) {
-    return InvalidArgumentError("point " + std::to_string(point.index) + ": " +
-                                error);
-  }
   return materialized;
 }
 
@@ -551,10 +535,6 @@ Status ValidateAxisValue(const ParamRef& param, const std::string& value,
                          const scenario::ScenarioSpec& base) {
   scenario::ScenarioSpec probe = base;
   if (Status s = ApplyParam(param, value, &probe); !s.ok()) return s;
-  if (const std::string error = sim::ValidateEngineConfig(probe.engine);
-      !error.empty()) {
-    return InvalidArgumentError(error);
-  }
   return CheckPatterns(probe);
 }
 

@@ -25,10 +25,8 @@
 // of the matching injection/QoS kind and fail if none matches):
 //
 //   scenario level:  stu queues seed warmup duration netmhz noc engine
-//                    threads
 //       noc values name the topology inline: star7, mesh4x4x1, ring6x1
-//       engine values are naive|optimized|soa; threads values are thread
-//       counts >= 1 (> 1 requires the soa engine, checked per grid point)
+//       engine values are naive|soa
 //   traffic level:   rate     (bernoulli directives; value in (0, 1])
 //                    period   (periodic directives; cycles >= 1)
 //                    burst    (bursty directives; value WORDS/GAP)
@@ -78,7 +76,6 @@ struct ParamRef {
     kNetMhz,
     kNoc,
     kEngine,
-    kThreads,
     // Traffic level (scoped by `group`, or all matching directives).
     kRate,
     kPeriod,

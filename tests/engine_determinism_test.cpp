@@ -1,17 +1,14 @@
 // Determinism cross-check of the cycle engines (DESIGN.md §7).
 //
-// Runs the same seeded mixed GT/BE workload on every engine — the naïve
-// reference path, the optimized gated engine, and the structure-of-arrays
-// engine — and asserts the simulations are bit-identical: full
-// word-arrival traces at every consumer, every NI / channel / router
-// counter, credit state, and the final configuration-register file. A
-// 16x16-mesh scenario repeats the cross-check at the scale the SoA engine
-// exists for, and the threaded soa engine is held to the same contract at
-// every thread count (1, 2, 4, 8) on 8x8 and 16x16 meshes — including a
-// phased, fault-armed workload.
+// Runs the same seeded mixed GT/BE workload on both engines — the naïve
+// reference path and the gated structure-of-arrays engine — and asserts the
+// simulations are bit-identical: full word-arrival traces at every
+// consumer, every NI / channel / router counter, credit state, and the
+// final configuration-register file. A 16x16-mesh scenario repeats the
+// cross-check at the scale the SoA engine exists for.
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <new>
@@ -27,10 +24,9 @@
 #include "topology/builders.h"
 #include "util/rng.h"
 
-// Binary-wide allocation counter for the zero-allocation steady-state
-// tests. Atomic: the threaded engine's workers share it.
+// Binary-wide allocation counter for the zero-allocation steady-state test.
 namespace {
-std::atomic<std::int64_t> g_heap_allocations{0};
+std::int64_t g_heap_allocations = 0;
 }  // namespace
 
 // GCC pairs an inlined `new` with these free()-based replacements at -O2
@@ -39,12 +35,12 @@ std::atomic<std::int64_t> g_heap_allocations{0};
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 void* operator new(std::size_t size) {
-  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
+  ++g_heap_allocations;
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) {
-  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
+  ++g_heap_allocations;
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
@@ -289,34 +285,29 @@ void ExpectChannelStatsEq(const core::ChannelStats& a,
 
 #undef EXPECT_FIELD_EQ
 
-TEST(EngineDeterminism, AllThreeEnginesMatchBitExactly) {
+TEST(EngineDeterminism, SoaMatchesNaiveBitExactly) {
   Workload naive = MakeWorkload(sim::EngineKind::kNaive);
   DriveWorkload(naive);
   const Snapshot b = Capture(naive);
 
-  for (const sim::EngineKind engine :
-       {sim::EngineKind::kOptimized, sim::EngineKind::kSoa}) {
-    SCOPED_TRACE(sim::EngineKindName(engine));
-    Workload w = MakeWorkload(engine);
-    DriveWorkload(w);
-    const Snapshot a = Capture(w);
+  Workload soa = MakeWorkload(sim::EngineKind::kSoa);
+  DriveWorkload(soa);
+  const Snapshot a = Capture(soa);
 
-    for (int i = 0; i < 3; ++i) {
-      EXPECT_FALSE(a.traces[i].empty())
-          << "stream " << i << " delivered nothing";
-      EXPECT_EQ(a.traces[i], b.traces[i]) << "delivery trace of stream " << i;
-    }
-    for (NiId n = 0; n < kNis; ++n) {
-      SCOPED_TRACE("ni" + std::to_string(n));
-      ExpectNiStatsEq(a.ni_stats[n], b.ni_stats[n]);
-      ExpectRouterStatsEq(a.router_stats[n], b.router_stats[n]);
-      EXPECT_EQ(a.registers[n], b.registers[n]);
-      for (ChannelId c = 0; c < kChannelsPerNi; ++c) {
-        SCOPED_TRACE("channel " + std::to_string(c));
-        ExpectChannelStatsEq(a.ch_stats[n][c], b.ch_stats[n][c]);
-        EXPECT_EQ(a.space[n][c], b.space[n][c]);
-        EXPECT_EQ(a.credits_owed[n][c], b.credits_owed[n][c]);
-      }
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_FALSE(a.traces[i].empty()) << "stream " << i << " delivered nothing";
+    EXPECT_EQ(a.traces[i], b.traces[i]) << "delivery trace of stream " << i;
+  }
+  for (NiId n = 0; n < kNis; ++n) {
+    SCOPED_TRACE("ni" + std::to_string(n));
+    ExpectNiStatsEq(a.ni_stats[n], b.ni_stats[n]);
+    ExpectRouterStatsEq(a.router_stats[n], b.router_stats[n]);
+    EXPECT_EQ(a.registers[n], b.registers[n]);
+    for (ChannelId c = 0; c < kChannelsPerNi; ++c) {
+      SCOPED_TRACE("channel " + std::to_string(c));
+      ExpectChannelStatsEq(a.ch_stats[n][c], b.ch_stats[n][c]);
+      EXPECT_EQ(a.space[n][c], b.space[n][c]);
+      EXPECT_EQ(a.credits_owed[n][c], b.credits_owed[n][c]);
     }
   }
 }
@@ -325,8 +316,8 @@ TEST(EngineDeterminism, AllThreeEnginesMatchBitExactly) {
 // must also run at a scale where its flattened scheduling state (activity
 // bitmaps spanning many words, the wire-pool slab, router pending masks)
 // is actually exercised: a 16x16 mesh, 256 NIs, mixed uniform BE traffic
-// plus a multi-hop GT flow, compared byte-for-byte across all three
-// engines via the scenario result JSON (which folds in every flow trace
+// plus a multi-hop GT flow, compared byte-for-byte across both engines
+// via the scenario result JSON (which folds in every flow trace
 // summary, latency percentile, and SoC counter).
 TEST(EngineDeterminism, SixteenBySixteenMeshMatchesAcrossEngines) {
   // Flows stay within the kMaxPathHops source-route budget (the header
@@ -346,8 +337,7 @@ TEST(EngineDeterminism, SixteenBySixteenMeshMatchesAcrossEngines) {
 
   std::string reference;
   for (const sim::EngineKind engine :
-       {sim::EngineKind::kNaive, sim::EngineKind::kOptimized,
-        sim::EngineKind::kSoa}) {
+       {sim::EngineKind::kNaive, sim::EngineKind::kSoa}) {
     SCOPED_TRACE(sim::EngineKindName(engine));
     spec->engine = engine;
     scenario::ScenarioRunner runner(*spec);
@@ -363,111 +353,17 @@ TEST(EngineDeterminism, SixteenBySixteenMeshMatchesAcrossEngines) {
   }
 }
 
-// Runs one scenario on the soa engine at threads 1, 2, 4, and 8 and
-// asserts the result JSON (flow traces, latency percentiles, counters,
-// fault ledger) is byte-identical at every thread count. The thread count
-// must be a speed knob, never a semantics knob (DESIGN.md §7).
-void ExpectThreadCountInvariance(const char* text) {
-  auto spec = scenario::ParseScenario(text);
-  ASSERT_TRUE(spec.ok()) << spec.status();
-  std::string reference;
-  for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-    SCOPED_TRACE("threads " + std::to_string(threads));
-    spec->engine = sim::EngineConfig(sim::EngineKind::kSoa, threads);
-    scenario::ScenarioRunner runner(*spec);
-    auto result = runner.Run();
-    ASSERT_TRUE(result.ok()) << result.status();
-    EXPECT_GT(result->words_in_window, 0);
-    if (reference.empty()) {
-      reference = result->ToJson();
-    } else {
-      EXPECT_EQ(result->ToJson(), reference) << "diverged from threads=1";
-    }
-  }
-}
-
-// 8x8 mesh, mixed BE pairs plus two GT flows: 64 routers split into up to
-// 8 contiguous regions, so every cross-region edge class (router->router
-// links, NI->router handoff, credit returns) crosses a worker boundary
-// somewhere in the partition.
-TEST(EngineDeterminism, ThreadCountsMatchBitExactlyOnEightByEightMesh) {
-  ExpectThreadCountInvariance(
-      "scenario par8\n"
-      "noc mesh 8 8 1\n"
-      "warmup 300\n"
-      "duration 1500\n"
-      "traffic pairs 0 1 9 8 18 26 37 36 54 53 63 62 28 36 5 13"
-      " inject bernoulli 0.1\n"
-      "traffic pairs 0 27 qos gt 2 inject periodic 6\n"
-      "traffic pairs 63 36 qos gt 1 inject periodic 9\n");
-}
-
-// The 16x16 mesh from the three-engine cross-check, now swept across
-// thread counts: 256 routers, multi-word activity bitmaps, and region
-// boundaries that cut straight through the bitmap words.
-TEST(EngineDeterminism, ThreadCountsMatchBitExactlyOnSixteenBySixteenMesh) {
-  ExpectThreadCountInvariance(
-      "scenario par16\n"
-      "noc mesh 16 16 1\n"
-      "warmup 300\n"
-      "duration 1200\n"
-      "traffic pairs 0 1 17 16 35 34 120 121 250 249 67 83 140 156"
-      " inject bernoulli 0.1\n"
-      "traffic pairs 0 51 qos gt 2 inject periodic 6\n"
-      "traffic pairs 255 204 qos gt 1 inject periodic 9\n");
-}
-
-// Phased reconfiguration with link and config faults armed: the fault
-// injector's per-site streams, the canonical event ledger, the CNIP
-// retry/backoff machinery, and the phase transitions must all be
-// oblivious to the thread count. A 4x4 mesh — the config NI opens one
-// CNIP channel per peer, which caps phased meshes well below 8x8 — still
-// splits into up to 8 regions, so configuration messages cross worker
-// boundaries.
-TEST(EngineDeterminism, ThreadCountsMatchBitExactlyPhasedWithFaults) {
-  ExpectThreadCountInvariance(
-      "scenario par_fault\n"
-      "noc mesh 4 4 1\n"
-      "stu 8\n"
-      "queues 16\n"
-      "seed 9\n"
-      "warmup 200\n"
-      "drain 20000\n"
-      "\n"
-      "phase a duration 1500\n"
-      "traffic pairs 1 2 inject periodic 8 qos gt 1\n"
-      "traffic pairs 9 10 5 6 inject bernoulli 0.05\n"
-      "\n"
-      "phase b duration 1500\n"
-      "traffic pairs 2 3 inject periodic 8 qos gt 1\n"
-      "traffic pairs 14 13 11 7 inject bernoulli 0.05\n"
-      "\n"
-      "fault\n"
-      "seed 11\n"
-      "link corrupt 0.002\n"
-      "link drop 0.001\n"
-      "config drop 0.2\n"
-      "config delay 0.1 40\n"
-      "retry timeout 200 max 6 backoff 2\n"
-      "end\n");
-}
-
 // The gated engine must actually park modules — otherwise the cross-check
 // above proves nothing about gating. After the producers stop and the
 // network drains, every NI kernel and router must be asleep.
 TEST(EngineDeterminism, GatingActuallyParksIdleModules) {
-  for (const sim::EngineKind engine :
-       {sim::EngineKind::kOptimized, sim::EngineKind::kSoa}) {
-    SCOPED_TRACE(sim::EngineKindName(engine));
-    Workload w = MakeWorkload(engine);
-    w.soc->RunCycles(3000);
-    for (auto& producer : w.producers) producer->Stop();
-    w.soc->RunCycles(1000);  // drain in-flight packets and credit returns
-    for (NiId n = 0; n < kNis; ++n) {
-      EXPECT_TRUE(w.soc->ni(n)->parked()) << "ni" << n << " still awake";
-      EXPECT_TRUE(w.soc->router(n)->parked())
-          << "router" << n << " still awake";
-    }
+  Workload w = MakeWorkload(sim::EngineKind::kSoa);
+  w.soc->RunCycles(3000);
+  for (auto& producer : w.producers) producer->Stop();
+  w.soc->RunCycles(1000);  // drain in-flight packets and credit returns
+  for (NiId n = 0; n < kNis; ++n) {
+    EXPECT_TRUE(w.soc->ni(n)->parked()) << "ni" << n << " still awake";
+    EXPECT_TRUE(w.soc->router(n)->parked()) << "router" << n << " still awake";
   }
 }
 
@@ -536,54 +432,11 @@ TEST(EngineZeroAlloc, SteadyStateMakesNoHeapAllocations) {
   }
 
   soc.RunCycles(2000);  // warm up: settle every vector capacity
-  const std::int64_t before = g_heap_allocations.load();
+  const std::int64_t before = g_heap_allocations;
   soc.RunCycles(3000);
-  const std::int64_t after = g_heap_allocations.load();
+  const std::int64_t after = g_heap_allocations;
   EXPECT_EQ(after - before, 0)
       << "engine steady state allocated " << (after - before) << " times";
-}
-
-// The threaded path too: once the worker pool is spawned and the
-// per-worker cross-region sinks have settled their capacities (both happen
-// in the warm-up), a steady-state slot makes zero heap allocations — the
-// fork/join protocol is epochs and condition variables, the sinks are
-// reused buffers, and the region schedule is built once.
-TEST(EngineZeroAlloc, ThreadedSteadyStateMakesNoHeapAllocations) {
-  constexpr int kMeshNis = 16;
-  auto mesh = topology::BuildMesh(4, 4, 1);
-  std::vector<core::NiKernelParams> params(kMeshNis, NiWithChannels(1, 32));
-  SocOptions options;
-  options.engine = sim::EngineConfig(sim::EngineKind::kSoa, 4);
-  Soc soc(std::move(mesh.topology), std::move(params), options);
-
-  config::ChannelQos be;
-  be.credit_threshold = 10;
-  std::vector<std::unique_ptr<ip::StreamProducer>> producers;
-  std::vector<std::unique_ptr<SilentConsumer>> consumers;
-  // Eight neighbor flows spread over the whole mesh so every region stays
-  // busy (and the fan-out heuristic actually forks) every slot.
-  const std::pair<NiId, NiId> flows[] = {{0, 1},   {5, 4},   {2, 6},
-                                         {10, 14}, {9, 8},   {15, 11},
-                                         {7, 3},   {12, 13}};
-  for (const auto& [src, dst] : flows) {
-    ASSERT_TRUE(soc.OpenConnection(tdm::GlobalChannel{src, 0},
-                                   tdm::GlobalChannel{dst, 0}, be, be)
-                    .ok());
-    producers.push_back(std::make_unique<ip::StreamProducer>(
-        "p", soc.port(src, 0), 0, /*period=*/24, /*words=*/6,
-        /*timestamp=*/false, /*total=*/-1));
-    soc.RegisterOnPort(producers.back().get(), src, 0);
-    consumers.push_back(
-        std::make_unique<SilentConsumer>("c", soc.port(dst, 0), 0));
-    soc.RegisterOnPort(consumers.back().get(), dst, 0);
-  }
-
-  soc.RunCycles(2000);  // warm up: spawn the pool, settle every capacity
-  const std::int64_t before = g_heap_allocations.load();
-  soc.RunCycles(3000);
-  const std::int64_t after = g_heap_allocations.load();
-  EXPECT_EQ(after - before, 0)
-      << "threaded steady state allocated " << (after - before) << " times";
 }
 
 }  // namespace

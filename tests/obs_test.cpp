@@ -2,7 +2,7 @@
 //
 // The contract under test has two halves. Off: a run with no `stats` /
 // `trace` directive constructs no hub and no tap, so every canonical
-// golden stays byte-identical on all three engines. On: the taps observe
+// golden stays byte-identical on both engines. On: the taps observe
 // committed state only, so enabling them changes NOTHING about the
 // simulation (same flit counts, same latencies, same result fields) while
 // the stats section itself is deterministic and engine-invariant, the
@@ -60,7 +60,7 @@ ScenarioResult MustRun(ScenarioSpec spec) {
 // --- the kill switch ------------------------------------------------------
 
 // With observability off (the default), every canonical scenario must
-// reproduce its committed golden byte for byte on all three engines — the
+// reproduce its committed golden byte for byte on both engines — the
 // obs subsystem's cost when disabled is one null-pointer check, and its
 // behavioural footprint is zero.
 TEST(ObsOffTest, EveryEngineMatchesEveryGolden) {
@@ -71,8 +71,7 @@ TEST(ObsOffTest, EveryEngineMatchesEveryGolden) {
     ASSERT_TRUE(fs::exists(golden_path)) << "missing golden " << golden_path;
     const std::string golden = ReadFile(golden_path);
     for (sim::EngineKind engine :
-         {sim::EngineKind::kNaive, sim::EngineKind::kOptimized,
-          sim::EngineKind::kSoa}) {
+         {sim::EngineKind::kNaive, sim::EngineKind::kSoa}) {
       SCOPED_TRACE(sim::EngineKindName(engine));
       auto spec = LoadScenarioFile(path.string());
       ASSERT_TRUE(spec.ok()) << spec.status();
@@ -116,8 +115,8 @@ TEST(ObsOnTest, ArmedRunDoesNotPerturbTheSimulation) {
 }
 
 // The stats section derives from committed state only, so the armed
-// result JSON — stats included — is byte-identical across all three
-// engines, and across repeated runs of the same engine.
+// result JSON — stats included — is byte-identical across both engines,
+// and across repeated runs of the same engine.
 TEST(ObsOnTest, StatsJsonIsEngineInvariantAndDeterministic) {
   auto spec = LoadScenarioFile(std::string(AETHEREAL_SCENARIO_DIR) +
                                "/mixed_star.scn");
@@ -126,14 +125,12 @@ TEST(ObsOnTest, StatsJsonIsEngineInvariantAndDeterministic) {
 
   std::vector<std::string> jsons;
   for (sim::EngineKind engine :
-       {sim::EngineKind::kNaive, sim::EngineKind::kOptimized,
-        sim::EngineKind::kSoa}) {
+       {sim::EngineKind::kNaive, sim::EngineKind::kSoa}) {
     ScenarioSpec armed = *spec;
     armed.engine = engine;
     jsons.push_back(MustRun(armed).ToJson());
   }
-  EXPECT_EQ(jsons[0], jsons[1]) << "naive vs optimized stats diverged";
-  EXPECT_EQ(jsons[1], jsons[2]) << "optimized vs soa stats diverged";
+  EXPECT_EQ(jsons[0], jsons[1]) << "naive vs soa stats diverged";
   EXPECT_NE(jsons[0].find("\"stats\""), std::string::npos);
   EXPECT_EQ(MustRun(*spec).ToJson(), jsons[1]) << "rerun not deterministic";
 }

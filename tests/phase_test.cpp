@@ -204,11 +204,10 @@ TEST(PhasedRunTest, VerifiedRunIsByteIdenticalAcrossEnginesAndVerify) {
     EXPECT_TRUE(result.ok()) << result.status();
     return result.ok() ? result->ToJson() : std::string();
   };
-  const std::string baseline = run(sim::EngineKind::kOptimized, false);
+  const std::string baseline = run(sim::EngineKind::kSoa, false);
   ASSERT_FALSE(baseline.empty());
-  for (sim::EngineKind engine : {sim::EngineKind::kNaive,
-                                 sim::EngineKind::kOptimized,
-                                 sim::EngineKind::kSoa}) {
+  for (sim::EngineKind engine :
+       {sim::EngineKind::kNaive, sim::EngineKind::kSoa}) {
     SCOPED_TRACE(sim::EngineKindName(engine));
     EXPECT_EQ(run(engine, false), baseline) << "engine diverged";
     EXPECT_EQ(run(engine, true), baseline)

@@ -81,31 +81,5 @@ TEST(ScenarioGoldenTest, EveryCanonicalScenarioMatchesItsGolden) {
   }
 }
 
-// The SoA engine must reproduce the SAME goldens byte for byte — the
-// canonical set (phased reconfiguration and fault-injection scenarios
-// included) is exactly the behaviour surface the engines must agree on,
-// so the golden files double as the cross-engine contract (DESIGN.md §7).
-TEST(ScenarioGoldenTest, SoaEngineMatchesEveryGolden) {
-  for (const fs::path& path : CanonicalSpecs()) {
-    SCOPED_TRACE(path.filename().string());
-    auto spec = LoadScenarioFile(path.string());
-    ASSERT_TRUE(spec.ok()) << spec.status();
-    spec->engine = sim::EngineKind::kSoa;
-
-    ScenarioRunner runner(*spec);
-    auto result = runner.Run();
-    ASSERT_TRUE(result.ok()) << result.status();
-
-    const fs::path golden_path = fs::path(AETHEREAL_GOLDEN_DIR) /
-                                 path.stem().replace_extension(".json");
-    ASSERT_TRUE(fs::exists(golden_path))
-        << "missing golden " << golden_path
-        << " — run ./scripts/regen_goldens.sh";
-    EXPECT_EQ(result->ToJson(), ReadFile(golden_path))
-        << "soa engine diverged from " << golden_path
-        << " — the engines must agree byte for byte";
-  }
-}
-
 }  // namespace
 }  // namespace aethereal::scenario

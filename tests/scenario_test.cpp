@@ -52,7 +52,7 @@ TEST(ScenarioSpecTest, ParsesDefaultsAndDirectives) {
   EXPECT_EQ(spec.seed, 42u);
   EXPECT_EQ(spec.warmup, 100);
   EXPECT_EQ(spec.duration, 5000);
-  EXPECT_EQ(spec.engine, sim::EngineConfig(sim::EngineKind::kNaive));
+  EXPECT_EQ(spec.engine, sim::EngineKind::kNaive);
   ASSERT_EQ(spec.traffic.size(), 4u);
 
   EXPECT_EQ(spec.traffic[0].pattern, PatternKind::kUniform);
@@ -319,7 +319,7 @@ TEST(ScenarioRunnerTest, BuildFailsOnChannelOversubscription) {
 // Determinism
 // ---------------------------------------------------------------------------
 
-std::string RunToJson(ScenarioSpec spec, sim::EngineConfig engine) {
+std::string RunToJson(ScenarioSpec spec, sim::EngineKind engine) {
   spec.engine = engine;
   ScenarioRunner runner(std::move(spec));
   auto result = runner.Run();
@@ -337,8 +337,8 @@ TEST(ScenarioDeterminismTest, SameSpecAndSeedGiveIdenticalJson) {
     traffic uniform inject bernoulli 0.05 qos be
     traffic pairs 0 3 inject bursty 5 30 qos gt 2
   )");
-  EXPECT_EQ(RunToJson(spec, sim::EngineKind::kOptimized),
-            RunToJson(spec, sim::EngineKind::kOptimized));
+  EXPECT_EQ(RunToJson(spec, sim::EngineKind::kSoa),
+            RunToJson(spec, sim::EngineKind::kSoa));
 }
 
 TEST(ScenarioDeterminismTest, SeedChangesTheResult) {
@@ -349,16 +349,16 @@ TEST(ScenarioDeterminismTest, SeedChangesTheResult) {
     traffic uniform inject bernoulli 0.05 qos be
   )");
   spec.seed = 1;
-  const std::string a = RunToJson(spec, sim::EngineKind::kOptimized);
+  const std::string a = RunToJson(spec, sim::EngineKind::kSoa);
   spec.seed = 2;
-  const std::string b = RunToJson(spec, sim::EngineKind::kOptimized);
+  const std::string b = RunToJson(spec, sim::EngineKind::kSoa);
   EXPECT_NE(a, b);
 }
 
 // The canonical specs must produce the byte-identical result JSON on the
-// optimized and the naive engine — the scenario-level restatement of the
-// PR-1 bit-exactness contract (ISSUE 2 satellite).
-TEST(ScenarioDeterminismTest, OptimizedAndNaiveEnginesAgreeOnCanonicalSpecs) {
+// soa and the naive engine — the scenario-level restatement of the
+// engine bit-exactness contract.
+TEST(ScenarioDeterminismTest, SoaAndNaiveEnginesAgreeOnCanonicalSpecs) {
   const std::vector<std::string> names = {
       "uniform_star", "bursty_ring", "video_mesh", "memory_star"};
   for (const std::string& name : names) {
@@ -368,7 +368,7 @@ TEST(ScenarioDeterminismTest, OptimizedAndNaiveEnginesAgreeOnCanonicalSpecs) {
     ASSERT_TRUE(spec.ok()) << spec.status();
     // Shorten: the full duration is the golden test's job.
     spec->duration = 2000;
-    EXPECT_EQ(RunToJson(*spec, sim::EngineKind::kOptimized),
+    EXPECT_EQ(RunToJson(*spec, sim::EngineKind::kSoa),
               RunToJson(*spec, sim::EngineKind::kNaive))
         << name;
   }

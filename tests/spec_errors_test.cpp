@@ -256,36 +256,31 @@ TEST(SpecErrorsTest, StatsAndTraceParse) {
 }
 
 TEST(SpecErrorsTest, EngineDirectiveParses) {
-  // The bare pre-EngineConfig form still parses (back-compat).
-  auto bare = ParseScenario("noc star 4\nengine optimized\ntraffic uniform\n");
-  ASSERT_TRUE(bare.ok()) << bare.status();
-  EXPECT_EQ(bare->engine, sim::EngineConfig(sim::EngineKind::kOptimized));
+  auto naive = ParseScenario("noc star 4\nengine naive\ntraffic uniform\n");
+  ASSERT_TRUE(naive.ok()) << naive.status();
+  EXPECT_EQ(naive->engine, sim::EngineKind::kNaive);
 
-  auto threaded =
-      ParseScenario("noc star 4\nengine soa threads 4\ntraffic uniform\n");
-  ASSERT_TRUE(threaded.ok()) << threaded.status();
-  EXPECT_EQ(threaded->engine, sim::EngineConfig(sim::EngineKind::kSoa, 4));
+  auto soa = ParseScenario("noc star 4\nengine soa\ntraffic uniform\n");
+  ASSERT_TRUE(soa.ok()) << soa.status();
+  EXPECT_EQ(soa->engine, sim::EngineKind::kSoa);
 
-  // threads 1 is the sequential engine, any kind.
-  auto one = ParseScenario(
-      "noc star 4\nengine naive threads 1\ntraffic uniform\n");
-  ASSERT_TRUE(one.ok()) << one.status();
-  EXPECT_EQ(one->engine, sim::EngineConfig(sim::EngineKind::kNaive));
+  auto absent = ParseScenario("noc star 4\ntraffic uniform\n");
+  ASSERT_TRUE(absent.ok()) << absent.status();
+  EXPECT_EQ(absent->engine, sim::EngineKind::kSoa) << "soa is the default";
 }
 
 TEST(SpecErrorsTest, EngineDirectiveErrors) {
   ExpectError("noc star 4\nengine warp\ntraffic uniform\n",
-              "engine <naive|optimized|soa> [threads N]", 2);
+              "engine <naive|soa>", 2);
   ExpectError("noc star 4\nengine soa 4\ntraffic uniform\n",
-              "engine <naive|optimized|soa> [threads N]", 2);
-  ExpectError("noc star 4\nengine soa threads 0\ntraffic uniform\n",
-              "out of range", 2);
-  ExpectError("noc star 4\nengine soa threads 65\ntraffic uniform\n",
-              "out of range", 2);
-  // The migration error: threads > 1 on a single-threaded engine points
-  // at the new form.
-  ExpectError("noc star 4\nengine optimized threads 4\ntraffic uniform\n",
-              "use `engine soa threads N`", 2);
+              "engine <naive|soa>", 2);
+  // The removed engine and the removed thread-count argument.
+  ExpectError("noc star 4\nengine optimized\ntraffic uniform\n",
+              "engine <naive|soa>", 2);
+  ExpectError("noc star 4\nengine soa threads 4\ntraffic uniform\n",
+              "engine <naive|soa>", 2);
+  ExpectError("noc star 4\nengine naive threads 1\ntraffic uniform\n",
+              "engine <naive|soa>", 2);
 }
 
 }  // namespace

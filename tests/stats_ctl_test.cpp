@@ -1,7 +1,7 @@
 // Stop-on-convergence statistics (DESIGN.md §14): the t-quantile and
 // batch-means estimators, MSER-5 / online warmup detection, the `converge`
 // spec grammar, and the runner integration — a converged run stops at the
-// byte-identical cycle on all three engines, earlier than the fixed run,
+// byte-identical cycle on both engines, earlier than the fixed run,
 // with a CI that covers the fixed run's mean.
 #include <gtest/gtest.h>
 
@@ -312,14 +312,13 @@ TEST(ConvergeRun, DeterministicAcrossEngines) {
   std::string first_json;
   Cycle first_stop = 0;
   for (sim::EngineKind engine :
-       {sim::EngineKind::kNaive, sim::EngineKind::kOptimized,
-        sim::EngineKind::kSoa}) {
+       {sim::EngineKind::kNaive, sim::EngineKind::kSoa}) {
     ScenarioSpec spec = *parsed;
     spec.engine = engine;
     const ScenarioResult result = MustRun(std::move(spec));
     ASSERT_TRUE(result.convergence.has_value());
     ScenarioResult canonical = result;
-    canonical.spec.engine = sim::EngineKind::kOptimized;
+    canonical.spec.engine = sim::EngineKind::kSoa;
     if (first_json.empty()) {
       first_json = canonical.ToJson();
       first_stop = result.convergence->measured_cycles;

@@ -82,33 +82,19 @@ TEST(ApplyParamTest, ScenarioLevelKeys) {
   EXPECT_FALSE(ApplyParam(*ParseParamRef("noc"), "ring2x1", &spec).ok());
 }
 
-TEST(ApplyParamTest, EngineAndThreadsKeys) {
+TEST(ApplyParamTest, EngineKey) {
   auto spec = BaseSpec();
+  ASSERT_TRUE(ApplyParam(*ParseParamRef("engine"), "naive", &spec).ok());
+  EXPECT_EQ(spec.engine, sim::EngineKind::kNaive);
   ASSERT_TRUE(ApplyParam(*ParseParamRef("engine"), "soa", &spec).ok());
-  EXPECT_EQ(spec.engine.kind, sim::EngineKind::kSoa);
-  ASSERT_TRUE(ApplyParam(*ParseParamRef("threads"), "4", &spec).ok());
-  EXPECT_EQ(spec.engine, sim::EngineConfig(sim::EngineKind::kSoa, 4));
-  // Order-independent: threads may land before the engine axis; the
-  // combined config is validated per grid point, not per value.
-  auto other = BaseSpec();
-  ASSERT_TRUE(ApplyParam(*ParseParamRef("threads"), "2", &other).ok());
-  ASSERT_TRUE(ApplyParam(*ParseParamRef("engine"), "soa", &other).ok());
-  EXPECT_EQ(other.engine, sim::EngineConfig(sim::EngineKind::kSoa, 2));
+  EXPECT_EQ(spec.engine, sim::EngineKind::kSoa);
 
   EXPECT_FALSE(ApplyParam(*ParseParamRef("engine"), "warp", &spec).ok());
-  EXPECT_FALSE(ApplyParam(*ParseParamRef("threads"), "0", &spec).ok());
-  EXPECT_FALSE(ApplyParam(*ParseParamRef("threads"), "65", &spec).ok());
+  EXPECT_FALSE(ApplyParam(*ParseParamRef("engine"), "optimized", &spec).ok());
   // Scenario-level keys reject a traffic scope.
   EXPECT_FALSE(ParseParamRef("g0.engine").ok());
-  EXPECT_FALSE(ParseParamRef("g0.threads").ok());
-
-  // ValidateAxisValue enforces the combined rule against the base: a
-  // threads value > 1 on a single-threaded base engine fails up front.
-  auto base = BaseSpec();
-  base.engine = sim::EngineKind::kOptimized;
-  EXPECT_FALSE(ValidateAxisValue(*ParseParamRef("threads"), "4", base).ok());
-  base.engine = sim::EngineKind::kSoa;
-  EXPECT_TRUE(ValidateAxisValue(*ParseParamRef("threads"), "4", base).ok());
+  // The thread-count axis is gone.
+  EXPECT_FALSE(ParseParamRef("threads").ok());
 }
 
 TEST(ApplyParamTest, TrafficKeysTargetMatchingDirectives) {
@@ -177,6 +163,19 @@ TEST(SweepParseTest, Diagnostics) {
   EXPECT_NE(dup_set.status().message().find("duplicate 'set duration'"),
             std::string::npos);
   EXPECT_NE(dup_set.status().message().find("line 3"), std::string::npos);
+
+  // The removed engine grammar: a threads axis and the optimized engine.
+  auto threads_axis = Parse("base b\naxis threads 1 4\n");
+  ASSERT_FALSE(threads_axis.ok());
+  EXPECT_NE(threads_axis.status().message().find("line 2"), std::string::npos);
+  EXPECT_NE(threads_axis.status().message().find("unknown sweep parameter"),
+            std::string::npos);
+
+  auto optimized = Parse("base b\naxis engine naive optimized\n");
+  ASSERT_FALSE(optimized.ok());
+  EXPECT_NE(optimized.status().message().find("line 2"), std::string::npos);
+  EXPECT_NE(optimized.status().message().find("engine value must be"),
+            std::string::npos);
 }
 
 TEST(SweepParseTest, ValidateAxisValueDryRunsPatterns) {

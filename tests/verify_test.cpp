@@ -1,6 +1,6 @@
 // The guarantee-verification layer: analytical bound model unit tests,
 // non-invasiveness of the runtime monitor (verified runs are byte-identical
-// to unverified ones), a clean verified run on a canonical scenario on all
+// to unverified ones), a clean verified run on a canonical scenario on both
 // engines, the analytical latency/throughput checks on a GT flow, and the
 // negative test: a deliberately corrupted slot table is caught.
 #include <gtest/gtest.h>
@@ -98,9 +98,8 @@ TEST(VerifiedRun, MonitorIsNonInvasive) {
   auto expected = baseline.Run();
   ASSERT_TRUE(expected.ok()) << expected.status();
 
-  for (sim::EngineKind engine : {sim::EngineKind::kNaive,
-                                 sim::EngineKind::kOptimized,
-                                 sim::EngineKind::kSoa}) {
+  for (sim::EngineKind engine :
+       {sim::EngineKind::kNaive, sim::EngineKind::kSoa}) {
     SCOPED_TRACE(sim::EngineKindName(engine));
     scenario::ScenarioSpec spec = GtPairSpec();
     spec.verify = true;

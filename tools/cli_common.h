@@ -116,7 +116,6 @@ class ArgReader {
 struct CommonOptions {
   std::optional<sim::EngineKind> engine;  // --engine (one specific engine)
   bool engine_all = false;                // --engine all (cross-check mode)
-  std::optional<unsigned> threads;        // --threads N (soa only)
   bool verify = false;                    // --verify
   std::string fault_path;                 // --fault FILE ("" = none)
   std::optional<std::uint64_t> seed;      // --seed N
@@ -138,26 +137,9 @@ enum class Match {
   kError,  // consumed but malformed; diagnostics already printed
 };
 
-/// Applies the --engine / --threads overrides to a loaded spec. Each flag
-/// overrides only its own half of the EngineConfig, so `--threads 4` on a
-/// spec that says `engine soa` works without repeating the kind. Returns
-/// false (with diagnostics) when the combination is invalid.
-inline bool ApplyEngineOverrides(const char* prog,
-                                 const CommonOptions& options,
-                                 scenario::ScenarioSpec* spec) {
-  if (options.engine.has_value()) spec->engine.kind = *options.engine;
-  if (options.threads.has_value()) spec->engine.threads = *options.threads;
-  if (const std::string error = sim::ValidateEngineConfig(spec->engine);
-      !error.empty()) {
-    std::cerr << prog << ": " << error << "\n";
-    return false;
-  }
-  return true;
-}
-
 /// Matches the current argument of `args` against the common option set.
 /// `allow_engine_all` admits `--engine all` (noc_verify's cross-check
-/// mode, with `both` kept as a deprecated alias for one release).
+/// mode).
 inline Match MatchCommonArg(ArgReader& args, CommonOptions* out,
                             bool allow_engine_all = false) {
   const std::string& arg = args.Arg();
@@ -171,7 +153,7 @@ inline Match MatchCommonArg(ArgReader& args, CommonOptions* out,
     const char* v = args.Value();
     if (v == nullptr) return Match::kError;
     const std::string engine = v;
-    if (allow_engine_all && (engine == "all" || engine == "both")) {
+    if (allow_engine_all && engine == "all") {
       out->engine_all = true;
       out->engine.reset();
       return Match::kYes;
@@ -186,13 +168,6 @@ inline Match MatchCommonArg(ArgReader& args, CommonOptions* out,
     }
     out->engine = *parsed;
     out->engine_all = false;
-    return Match::kYes;
-  }
-  if (arg == "--threads") {
-    const auto parsed = args.U64Value("a thread count in [1, 64]", 1,
-                                      sim::kMaxEngineThreads);
-    if (!parsed.has_value()) return Match::kError;
-    out->threads = static_cast<unsigned>(*parsed);
     return Match::kYes;
   }
   if (arg == "--verify") {

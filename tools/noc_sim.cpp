@@ -10,11 +10,7 @@
 //     -o FILE             write result JSON to FILE (single spec: the
 //                         scenario object; several specs: an array).
 //                         '-' writes JSON to stdout.
-//     --engine E          override the spec's engine (naive | optimized |
-//                         soa)
-//     --threads N         override the spec's engine thread count (N > 1
-//                         needs the soa engine; results are bit-identical
-//                         at any thread count)
+//     --engine E          override the spec's engine (naive | soa)
 //     --seed N            override the spec's RNG seed
 //     --duration N        override the spec's measured-cycle count
 //     --verify            arm the guarantee-verification layer (runtime
@@ -81,7 +77,7 @@ void PrintUsage(std::ostream& os) {
   cli::PrintUsage(os, "noc_sim",
                   {"[-o FILE]",
                    std::string("[--engine ") + sim::kEngineKindChoices + "]",
-                   "[--threads N]", "[--seed N]", "[--duration N]",
+                   "[--seed N]", "[--duration N]",
                    "[--verify]",
                    "[--fault FILE]", "[--trace FILE]", "[--sample-every N]",
                    "[--stats-csv FILE]", "[--converge E]",
@@ -159,11 +155,11 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
 }
 
 void PrintSummary(const scenario::ScenarioResult& result,
-                  const sim::EngineConfig& engine) {
+                  sim::EngineKind engine) {
   std::cout << "=== scenario " << result.spec.name << " ("
             << scenario::TopologyKindName(result.spec.topology) << ", "
             << result.spec.NumNis() << " NIs, "
-            << sim::EngineConfigName(engine) << " engine";
+            << sim::EngineKindName(engine) << " engine";
   if (result.spec.Phased()) {
     std::cout << ", " << result.spec.phases.size() << " phases";
   }
@@ -293,9 +289,7 @@ int main(int argc, char** argv) {
       }
       spec->fault = fault_override;
     }
-    if (!cli::ApplyEngineOverrides("noc_sim", options.common, &*spec)) {
-      return 1;
-    }
+    if (options.common.engine) spec->engine = *options.common.engine;
     if (options.common.seed) spec->seed = *options.common.seed;
     if (options.duration) {
       if (spec->Phased()) {

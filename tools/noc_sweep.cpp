@@ -22,9 +22,7 @@
 //                         grid point and saturation probe; any violation
 //                         fails the sweep
 //     --engine E          override the base scenario's engine (naive |
-//                         optimized | soa) for every point
-//     --threads N         override the base's engine thread count for
-//                         every point (N > 1 needs the soa engine)
+//                         soa) for every point
 //     --seed N            override the base scenario's RNG seed
 //     --fault FILE        arm the fault models from a fault file in every
 //                         grid point (replaces the base's fault block)
@@ -78,7 +76,7 @@ void PrintUsage(std::ostream& os) {
                    "[--curve PARAM]", "[--axis PARAM=V1,V2,...]",
                    "[--verify]",
                    std::string("[--engine ") + sim::kEngineKindChoices + "]",
-                   "[--threads N]", "[--seed N]", "[--fault FILE]",
+                   "[--seed N]", "[--fault FILE]",
                    "[--converge E]",
                    "[--converge-conf C]", "[--converge-max-duration D]",
                    "[--converge-interval I]", "[--converge-batches B]",
@@ -304,12 +302,7 @@ int main(int argc, char** argv) {
     // Materialized points copy the base spec, so these overrides reach
     // every grid point and saturation probe.
     if (options.common.verify) spec->base.verify = true;
-    if (!cli::ApplyEngineOverrides("noc_sweep", options.common,
-                                   &spec->base)) {
-      if (!options.validate) return 1;
-      ++validate_failures;
-      continue;
-    }
+    if (options.common.engine) spec->base.engine = *options.common.engine;
     if (options.common.seed) spec->base.seed = *options.common.seed;
     if (!cli::ApplyConvergeOverrides("noc_sweep", options.common,
                                      &spec->base)) {

@@ -4,20 +4,13 @@
 // verification layer armed: the runtime invariant monitor (slot-table
 // conformance, GT timing, flit integrity/ordering, credit conservation)
 // plus the analytical GT throughput/latency bound checks. By default every
-// workload runs on ALL THREE engines (naive, optimized, soa) AND the
-// threaded soa engine (threads=4, or --threads N), and the result JSON is
-// compared byte-for-byte across all of them — including --fault and
-// --verify runs, so the thread-count cross-compare covers the fault ledger
-// and the monitor too.
+// workload runs on both engines (naive and soa), and the result JSON is
+// compared byte-for-byte across them — including --fault runs, so the
+// cross-compare covers the fault ledger too.
 //
 // Usage:
 //   noc_verify [options] [SPEC_FILE...]
-//     --engine E          naive | optimized | soa | all  (default all;
-//                         'both' is a deprecated alias for all)
-//     --threads N         thread count of the threaded-soa leg of the
-//                         cross-check (default 4; 1 disables the leg).
-//                         With --engine E, runs that single engine at N
-//                         threads instead (N > 1 needs soa)
+//     --engine E          naive | soa | all  (default all)
 //     -o FILE             write the verified result JSON to FILE (single
 //                         workload: the scenario object; several: an
 //                         array). '-' writes JSON to stdout.
@@ -62,22 +55,12 @@ struct CliOptions {
   bool bounds = false;
   bool quiet = false;
 
-  /// The engine configs every workload runs on: one with --engine E, or
-  /// the full cross-check set — naive, optimized, soa, and the threaded
-  /// soa engine — by default or with --engine all. Every config's result
-  /// JSON must agree byte-for-byte.
-  std::vector<sim::EngineConfig> Engines() const {
-    if (common.engine.has_value()) {
-      return {sim::EngineConfig(*common.engine, common.threads.value_or(1))};
-    }
-    std::vector<sim::EngineConfig> engines = {sim::EngineKind::kNaive,
-                                              sim::EngineKind::kOptimized,
-                                              sim::EngineKind::kSoa};
-    const unsigned threads = common.threads.value_or(4);
-    if (threads > 1) {
-      engines.push_back(sim::EngineConfig(sim::EngineKind::kSoa, threads));
-    }
-    return engines;
+  /// The engines every workload runs on: one with --engine E, or both by
+  /// default or with --engine all. Their result JSON must agree
+  /// byte-for-byte.
+  std::vector<sim::EngineKind> Engines() const {
+    if (common.engine.has_value()) return {*common.engine};
+    return {sim::EngineKind::kNaive, sim::EngineKind::kSoa};
   }
 };
 
@@ -85,7 +68,7 @@ void PrintUsage(std::ostream& os) {
   cli::PrintUsage(os, "noc_verify",
                   {std::string("[--engine ") + sim::kEngineKindChoices +
                        "|all]",
-                   "[--threads N]", "[-o FILE]", "[--fuzz N]",
+                   "[-o FILE]", "[--fuzz N]",
                    "[--fault FILE]",
                    "[--fault-fuzz N]", "[--seed S]", "[--bounds]",
                    "[--quiet]", "[SPEC_FILE...]"});
@@ -136,16 +119,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
     return false;
   }
   if (options->common.output_path == "-") options->quiet = true;
-  // A single-engine run must be a valid config up front (e.g. --engine
-  // naive --threads 4 is a contradiction, not a cross-check).
-  if (options->common.engine.has_value()) {
-    const std::string error =
-        sim::ValidateEngineConfig(options->Engines().front());
-    if (!error.empty()) {
-      std::cerr << "noc_verify: " << error << "\n";
-      return false;
-    }
-  }
   return true;
 }
 
@@ -189,7 +162,7 @@ int RunWorkload(const CliOptions& options, scenario::ScenarioSpec spec,
   }
 
   std::vector<std::string> engine_jsons;
-  for (const sim::EngineConfig& engine : options.Engines()) {
+  for (const sim::EngineKind engine : options.Engines()) {
     spec.engine = engine;
     scenario::ScenarioRunner runner(spec);
     auto result = runner.Run();
@@ -200,14 +173,14 @@ int RunWorkload(const CliOptions& options, scenario::ScenarioSpec spec,
               : result.status().code() == StatusCode::kRetriesExhausted
                     ? " [retry budget exhausted]"
                     : "";
-      std::cerr << "FAIL " << label << " (" << sim::EngineConfigName(engine)
+      std::cerr << "FAIL " << label << " (" << sim::EngineKindName(engine)
                 << "): " << result.status() << detail << "\n";
       return cli::ExitCodeOf(result.status());
     }
     engine_jsons.push_back(result->ToJson());
     if (!options.quiet) {
       const verify::Monitor* monitor = runner.soc()->monitor();
-      std::cout << "PASS " << label << " (" << sim::EngineConfigName(engine)
+      std::cout << "PASS " << label << " (" << sim::EngineKindName(engine)
                 << "): "
                 << (monitor != nullptr ? monitor->Describe()
                                        : std::string("no monitor"));
@@ -224,8 +197,8 @@ int RunWorkload(const CliOptions& options, scenario::ScenarioSpec spec,
   for (std::size_t i = 1; i < engine_jsons.size(); ++i) {
     if (engine_jsons[i] != engine_jsons[0]) {
       std::cerr << "FAIL " << label << ": "
-                << sim::EngineConfigName(options.Engines()[0]) << " and "
-                << sim::EngineConfigName(options.Engines()[i])
+                << sim::EngineKindName(options.Engines()[0]) << " and "
+                << sim::EngineKindName(options.Engines()[i])
                 << " engines disagree bit-for-bit\n";
       return 1;
     }
