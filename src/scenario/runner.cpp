@@ -91,6 +91,29 @@ void WriteHistogram(JsonWriter& w, std::vector<double> samples) {
   w.EndObject();
 }
 
+/// Fills the latency fields PhaseResult and PhaseFlowStats share from
+/// one window's samples (sorted) and their sum.
+template <typename Window>
+void SummarizeWindowLatency(const std::vector<double>& sorted, double sum,
+                            Window* window) {
+  window->latency_count = static_cast<std::int64_t>(sorted.size());
+  if (sorted.empty()) return;
+  window->latency_mean = sum / static_cast<double>(sorted.size());
+  window->latency_p50 = SortedPercentile(sorted, 50);
+  window->latency_p95 = SortedPercentile(sorted, 95);
+  window->latency_p99 = SortedPercentile(sorted, 99);
+}
+
+template <typename Window>
+void WriteWindowLatency(JsonWriter& w, const Window& window) {
+  w.Key("latency_count").Int(window.latency_count);
+  if (window.latency_count == 0) return;
+  w.Key("latency_mean").Double(window.latency_mean);
+  w.Key("latency_p50").Double(window.latency_p50);
+  w.Key("latency_p95").Double(window.latency_p95);
+  w.Key("latency_p99").Double(window.latency_p99);
+}
+
 /// Memory traffic uses the general transaction generator; translate the
 /// scenario injection clauses into its pattern.
 ip::TrafficPattern MemoryPattern(const TrafficSpec& traffic) {
@@ -115,10 +138,10 @@ ip::TrafficPattern MemoryPattern(const TrafficSpec& traffic) {
   return pattern;
 }
 
-/// Collects the monitor's recorded violations, plus the beyond-cap notes
-/// (shared by the static and the phased verify epilogues). Violations the
-/// monitor classified as fault-induced land in `degradations` when it is
-/// non-null (network faults armed), in `problems` otherwise.
+/// Collects the monitor's recorded violations, plus the beyond-cap notes.
+/// Violations the monitor classified as fault-induced land in
+/// `degradations` when it is non-null (network faults armed), in
+/// `problems` otherwise.
 void AppendMonitorProblems(verify::Monitor* monitor,
                            std::vector<std::string>* problems,
                            std::vector<std::string>* degradations) {
@@ -155,33 +178,9 @@ void AppendMonitorProblems(verify::Monitor* monitor,
   }
 }
 
-/// The GT throughput floor of one flow over one measurement window: the
-/// flow must deliver whatever it admitted, or at least the slot tables'
-/// guaranteed rate, minus a bounded in-flight allowance. `where` names
-/// the window ("in the window" / "in phase '...'"). One formula for the
-/// static and the phased paths.
-void CheckGtThroughputFloor(const char* what, std::size_t group,
-                            const std::string& where, NiId src, NiId dst,
-                            std::int64_t admitted, std::int64_t delivered,
-                            double guaranteed_wpc, std::int64_t slack,
-                            Cycle duration,
-                            std::vector<std::string>* problems) {
-  const auto guaranteed_words = static_cast<std::int64_t>(
-      guaranteed_wpc * static_cast<double>(duration));
-  const std::int64_t floor = std::min(admitted, guaranteed_words) - slack;
-  if (delivered >= floor) return;
-  std::ostringstream oss;
-  oss << "gt-throughput: " << what << " g" << group << " " << src << "->"
-      << dst << " delivered " << delivered << " words " << where
-      << "; floor is min(admitted " << admitted << ", guaranteed "
-      << guaranteed_words << ") - slack " << slack;
-  problems->push_back(oss.str());
-}
-
-/// Whole-run NI-level aggregates and slot utilization, identical for the
-/// static and the phased paths. The NI kernel accounts a slot at every
-/// cycle divisible by kFlitWords starting at cycle 0, hence the ceiling
-/// division.
+/// Whole-run NI-level aggregates and slot utilization. The NI kernel
+/// accounts a slot at every cycle divisible by kFlitWords starting at
+/// cycle 0, hence the ceiling division.
 void AggregateNiStats(soc::Soc* soc, int num_nis, ScenarioResult* result) {
   for (NiId ni = 0; ni < static_cast<NiId>(num_nis); ++ni) {
     const core::NiKernelStats& stats = soc->ni(ni)->stats();
@@ -203,8 +202,17 @@ void AggregateNiStats(soc::Soc* soc, int num_nis, ScenarioResult* result) {
           : 0.0;
 }
 
-/// Formats the verify-mode problem list into the run error (shared by the
-/// static and the phased paths).
+/// In-flight allowance for the throughput floor of one GT hop: words
+/// legitimately parked in the source and destination queues, the network
+/// pipeline, and the current (partial) table rotation at either window
+/// boundary.
+std::int64_t HopSlackWords(const verify::GtBound& bound, int queue_words) {
+  return 2 * static_cast<std::int64_t>(queue_words) +
+         static_cast<std::int64_t>(bound.hops + 2) * kFlitWords +
+         2 * bound.words_per_rotation + 2 * kFlitWords;
+}
+
+/// Formats the verify-mode problem list into the run error.
 Status VerificationError(const std::string& name,
                          const std::vector<std::string>& problems) {
   std::ostringstream oss;
@@ -293,12 +301,11 @@ Status ScenarioRunner::BuildTopologyAndSoc(
   return OkStatus();
 }
 
-config::ConnectionSpec ScenarioRunner::ConnSpecOfFlow(
-    const TrafficSpec& traffic, const Flow& flow, int src_connid,
-    int dst_connid) const {
+config::ConnectionSpec ScenarioRunner::ConnSpecOf(const TrafficSpec& traffic,
+                                                  const Hop& hop) const {
   config::ConnectionSpec conn;
-  conn.master = tdm::GlobalChannel{flow.src, src_connid};
-  conn.slave = tdm::GlobalChannel{flow.dst, dst_connid};
+  conn.master = tdm::GlobalChannel{hop.flow.src, hop.src_connid};
+  conn.slave = tdm::GlobalChannel{hop.flow.dst, hop.dst_connid};
   conn.request.gt = traffic.gt;
   conn.request.gt_slots = traffic.gt_slots;
   conn.request.data_threshold = traffic.data_threshold;
@@ -310,23 +317,6 @@ config::ConnectionSpec ScenarioRunner::ConnSpecOfFlow(
     conn.response = conn.request;
   }
   return conn;
-}
-
-Status ScenarioRunner::OpenFlowConnection(const TrafficSpec& traffic,
-                                          const Flow& flow, int src_connid,
-                                          int dst_connid) {
-  const config::ConnectionSpec conn =
-      ConnSpecOfFlow(traffic, flow, src_connid, dst_connid);
-  auto handle = soc_->OpenConnection(conn.master, conn.slave, conn.request,
-                                     conn.response);
-  if (!handle.ok()) {
-    return Status(handle.status().code(),
-                  std::string(PatternKindName(traffic.pattern)) + " flow " +
-                      std::to_string(flow.src) + "->" +
-                      std::to_string(flow.dst) + ": " +
-                      handle.status().message());
-  }
-  return OkStatus();
 }
 
 Status ScenarioRunner::Build() {
@@ -369,315 +359,418 @@ Status ScenarioRunner::Build() {
   for (std::size_t n = 0; n < next_connid.size(); ++n) {
     next_connid[n] = spec_.ConfigChannelsOf(static_cast<NiId>(n));
   }
-  struct Wired {
-    Flow flow;
-    int src_connid;
-    int dst_connid;
-  };
-  std::vector<std::vector<Wired>> wired_by_group;
+  conns_by_group_.resize(flows_by_group.size());
+  open_refs_by_group_.resize(flows_by_group.size());
   for (std::size_t g = 0; g < flows_by_group.size(); ++g) {
-    std::vector<Wired> wired;
-    std::vector<config::ConnectionSpec> conns;
+    const TrafficSpec& traffic = spec_.traffic[g];
+    std::vector<Hop> wired;
     for (const Flow& flow : flows_by_group[g]) {
-      Wired w{flow, next_connid[static_cast<std::size_t>(flow.src)]++,
-              next_connid[static_cast<std::size_t>(flow.dst)]++};
+      Hop w{flow, next_connid[static_cast<std::size_t>(flow.src)]++,
+            next_connid[static_cast<std::size_t>(flow.dst)]++};
+      wired.push_back(w);
+      const config::ConnectionSpec conn = ConnSpecOf(traffic, w);
       if (phased) {
         // Connections of a phased run are opened at runtime, over the NoC,
         // when their phase begins.
-        conns.push_back(ConnSpecOfFlow(spec_.traffic[g], flow, w.src_connid,
-                                       w.dst_connid));
-      } else if (Status s = OpenFlowConnection(spec_.traffic[g], flow,
-                                               w.src_connid, w.dst_connid);
-                 !s.ok()) {
-        return s;
+        conns_by_group_[g].push_back(conn);
+        continue;
       }
-      wired.push_back(w);
+      auto handle = soc_->OpenConnection(conn.master, conn.slave,
+                                         conn.request, conn.response);
+      if (!handle.ok()) {
+        return Status(handle.status().code(),
+                      std::string(PatternKindName(traffic.pattern)) +
+                          " flow " + std::to_string(flow.src) + "->" +
+                          std::to_string(flow.dst) + ": " +
+                          handle.status().message());
+      }
     }
-    wired_by_group.push_back(std::move(wired));
-    conns_by_group_.push_back(std::move(conns));
-  }
-  open_refs_by_group_.resize(conns_by_group_.size());
 
-  // Instantiate the workload IPs. Per-flow RNG seeds are drawn from the
-  // master stream in directive order, after all pattern expansions.
-  for (std::size_t g = 0; g < wired_by_group.size(); ++g) {
-    const TrafficSpec& traffic = spec_.traffic[g];
-    const std::vector<Wired>& wired = wired_by_group[g];
+    // The group's workload IPs. Per-flow RNG seeds are drawn from the
+    // master stream in directive order, after all pattern expansions.
+    // One result flow per connection, except that a video chain is one
+    // flow across all its hops, with relays at the intermediate NIs.
     const std::string tag = "g" + std::to_string(g);
-    if (traffic.pattern == PatternKind::kVideo) {
-      VideoChain chain;
-      chain.group = g;
-      chain.chain = traffic.nis;
-      for (const Wired& w : wired) {
-        chain.hop_flows.push_back(w.flow);
-        chain.hop_src_connids.push_back(w.src_connid);
+    const bool video = traffic.pattern == PatternKind::kVideo;
+    const std::size_t span = video ? wired.size() : 1;
+    for (std::size_t first = 0; first < wired.size(); first += span) {
+      const Hop& in = wired[first];
+      const Hop& out = wired[first + span - 1];
+      FlowIps f;
+      f.group = g;
+      f.hops.assign(wired.begin() + static_cast<std::ptrdiff_t>(first),
+                    wired.begin() + static_cast<std::ptrdiff_t>(first + span));
+      if (traffic.pattern == PatternKind::kMemory) {
+        f.burst_words = traffic.mem_burst_words;
+        f.master_shell = std::make_unique<shells::MasterShell>(
+            tag + "_master_shell", soc_->port(in.flow.src, 0), in.src_connid);
+        f.master = std::make_unique<ip::TrafficGenMaster>(
+            tag + "_master", f.master_shell.get(), MemoryPattern(traffic),
+            rng.Next());
+        f.slave_shell = std::make_unique<shells::SlaveShell>(
+            tag + "_slave_shell", soc_->port(in.flow.dst, 0), in.dst_connid);
+        f.memory = std::make_unique<ip::MemorySlave>(
+            tag + "_memory", f.slave_shell.get(), /*base=*/0,
+            /*size_words=*/1024);
+        soc_->RegisterOnPort(f.master_shell.get(), in.flow.src, 0);
+        soc_->RegisterOnPort(f.master.get(), in.flow.src, 0);
+        soc_->RegisterOnPort(f.slave_shell.get(), in.flow.dst, 0);
+        soc_->RegisterOnPort(f.memory.get(), in.flow.dst, 0);
+      } else {
+        const std::string label =
+            tag + (video ? "_video" : "f" + std::to_string(first));
+        f.source = std::make_unique<PatternSource>(
+            label + "_src", soc_->port(in.flow.src, 0), in.src_connid,
+            traffic, rng.Next());
+        soc_->RegisterOnPort(f.source.get(), in.flow.src, 0);
+        for (std::size_t h = first; h + 1 < first + span; ++h) {
+          const NiId at = wired[h].flow.dst;
+          auto relay = std::make_unique<Relay>(
+              tag + "_relay" + std::to_string(h), soc_->port(at, 0),
+              wired[h].dst_connid, wired[h + 1].src_connid);
+          soc_->RegisterOnPort(relay.get(), at, 0);
+          f.relays.push_back(std::move(relay));
+        }
+        f.consumer = std::make_unique<ip::StreamConsumer>(
+            label + "_sink", soc_->port(out.flow.dst, 0), out.dst_connid,
+            /*drain_per_cycle=*/video ? 1 : kFlitWords,
+            /*timestamp_mode=*/true);
+        soc_->RegisterOnPort(f.consumer.get(), out.flow.dst, 0);
       }
-      const Wired& first = wired.front();
-      const Wired& last = wired.back();
-      chain.source = std::make_unique<PatternSource>(
-          tag + "_video_src", soc_->port(first.flow.src, 0), first.src_connid,
-          traffic, rng.Next(), /*start_active=*/!phased);
-      soc_->RegisterOnPort(chain.source.get(), first.flow.src, 0);
-      for (std::size_t hop = 0; hop + 1 < wired.size(); ++hop) {
-        const NiId at = wired[hop].flow.dst;
-        auto relay = std::make_unique<Relay>(
-            tag + "_relay" + std::to_string(hop), soc_->port(at, 0),
-            wired[hop].dst_connid, wired[hop + 1].src_connid);
-        soc_->RegisterOnPort(relay.get(), at, 0);
-        chain.relays.push_back(std::move(relay));
-      }
-      chain.consumer = std::make_unique<ip::StreamConsumer>(
-          tag + "_video_sink", soc_->port(last.flow.dst, 0), last.dst_connid,
-          /*drain_per_cycle=*/1, /*timestamp_mode=*/true);
-      soc_->RegisterOnPort(chain.consumer.get(), last.flow.dst, 0);
-      video_chains_.push_back(std::move(chain));
-    } else if (traffic.pattern == PatternKind::kMemory) {
-      const Wired& w = wired.front();
-      MemoryFlow mem;
-      mem.group = g;
-      mem.flow = w.flow;
-      mem.src_connid = w.src_connid;
-      mem.master_shell = std::make_unique<shells::MasterShell>(
-          tag + "_master_shell", soc_->port(w.flow.src, 0), w.src_connid);
-      mem.master = std::make_unique<ip::TrafficGenMaster>(
-          tag + "_master", mem.master_shell.get(), MemoryPattern(traffic),
-          rng.Next());
-      if (phased) mem.master->Deactivate();
-      mem.slave_shell = std::make_unique<shells::SlaveShell>(
-          tag + "_slave_shell", soc_->port(w.flow.dst, 0), w.dst_connid);
-      mem.memory = std::make_unique<ip::MemorySlave>(
-          tag + "_memory", mem.slave_shell.get(), /*base=*/0,
-          /*size_words=*/1024);
-      soc_->RegisterOnPort(mem.master_shell.get(), w.flow.src, 0);
-      soc_->RegisterOnPort(mem.master.get(), w.flow.src, 0);
-      soc_->RegisterOnPort(mem.slave_shell.get(), w.flow.dst, 0);
-      soc_->RegisterOnPort(mem.memory.get(), w.flow.dst, 0);
-      memory_flows_.push_back(std::move(mem));
-    } else {
-      for (std::size_t f = 0; f < wired.size(); ++f) {
-        const Wired& w = wired[f];
-        StreamFlow stream;
-        stream.group = g;
-        stream.flow = w.flow;
-        stream.src_connid = w.src_connid;
-        const std::string label = tag + "f" + std::to_string(f);
-        stream.source = std::make_unique<PatternSource>(
-            label + "_src", soc_->port(w.flow.src, 0), w.src_connid, traffic,
-            rng.Next(), /*start_active=*/!phased);
-        stream.consumer = std::make_unique<ip::StreamConsumer>(
-            label + "_sink", soc_->port(w.flow.dst, 0), w.dst_connid,
-            /*drain_per_cycle=*/kFlitWords, /*timestamp_mode=*/true);
-        soc_->RegisterOnPort(stream.source.get(), w.flow.src, 0);
-        soc_->RegisterOnPort(stream.consumer.get(), w.flow.dst, 0);
-        stream_flows_.push_back(std::move(stream));
-      }
+      // A phased flow stays silent until its phase begins.
+      if (phased) f.SetActive(false, 0);
+      flows_.push_back(std::move(f));
     }
   }
+  // Measurement order: streams, then video chains, then memory flows,
+  // each in directive order.
+  auto rank = [&](const FlowIps& f) {
+    const PatternKind pattern = spec_.traffic[f.group].pattern;
+    return pattern == PatternKind::kMemory ? 2
+           : pattern == PatternKind::kVideo ? 1
+                                            : 0;
+  };
+  std::vector<FlowIps> measurement_order;
+  for (int r = 0; r < 3; ++r) {
+    for (FlowIps& f : flows_) {
+      if (rank(f) == r) measurement_order.push_back(std::move(f));
+    }
+  }
+  flows_ = std::move(measurement_order);
 
   built_ = true;
   return OkStatus();
+}
+
+std::int64_t ScenarioRunner::FlowIps::Delivered() const {
+  return master != nullptr ? master->completed() * burst_words
+                           : consumer->words_read();
+}
+
+std::int64_t ScenarioRunner::FlowIps::Admitted() const {
+  return master != nullptr ? master->issued() : source->words_written();
+}
+
+const Stats& ScenarioRunner::FlowIps::Latency() const {
+  return master != nullptr ? master->latency() : consumer->latency();
+}
+
+void ScenarioRunner::FlowIps::SetActive(bool active, Cycle now) {
+  if (master != nullptr && active) {
+    master->Activate(now);
+  } else if (master != nullptr) {
+    master->Deactivate();
+  } else if (active) {
+    source->Activate(now);
+  } else {
+    source->Deactivate();
+  }
+}
+
+bool ScenarioRunner::FlowIps::Drained() const {
+  return master != nullptr
+             ? master->outstanding() == 0
+             : consumer->words_read() == source->words_written();
 }
 
 Result<ScenarioResult> ScenarioRunner::Run() {
   AETHEREAL_CHECK_MSG(!ran_, "ScenarioRunner::Run is single-shot");
   if (Status s = Build(); !s.ok()) return s;
   ran_ = true;
-  if (spec_.Phased()) return RunPhased();
-
-  soc_->RunCycles(spec_.warmup);
-
-  // Every latency stream the run owns, in directive order (streams, then
-  // chains, then memory masters) — the single iteration order shared by
-  // the convergence sampling below so the CI population is deterministic.
-  auto each_latency = [&](auto&& fn) {
-    for (const StreamFlow& f : stream_flows_) fn(f.consumer->latency());
-    for (const VideoChain& c : video_chains_) fn(c.consumer->latency());
-    for (const MemoryFlow& m : memory_flows_) fn(m.master->latency());
-  };
-
+  auto now = [&] { return soc_->net_clock()->cycles(); };
+  const bool phased = spec_.Phased();
+  const std::vector<PhaseSpec> windows = spec_.Windows();
   const stats_ctl::ConvergeSpec& cv = spec_.converge;
-  stats_ctl::ConvergenceOutcome conv;
-  conv.warmup_cycles = spec_.warmup;
-  if (cv.enabled && cv.auto_warmup) {
-    // Welch-style warmup extension: keep settling in short steps until
-    // the trailing per-step latency means AND delivered-word counts stop
-    // drifting (WarmupDetector's half-vs-half test), or the extension
-    // budget (the measured-cycle cap) is spent. The settle step is a
-    // quarter of the measurement interval: the detector needs
-    // 2 * warmup_windows observations before it can fire at all, and at
-    // full-interval steps that alone would exceed the declared duration.
-    // All inputs are committed simulation state, so the extension stops
-    // at the same cycle on every engine.
-    const Cycle interval =
-        std::max<Cycle>(cv.IntervalFor(spec_.duration) / 4, 1);
-    const Cycle extend_cap = cv.MaxDurationFor(spec_.duration);
-    stats_ctl::WarmupDetector det(cv.warmup_windows, cv.warmup_tol);
-    auto totals = [&]() {
-      std::int64_t count = 0;
-      double sum = 0;
-      each_latency([&](const Stats& s) {
-        count += s.count();
-        sum += s.Sum();
-      });
-      std::int64_t words = 0;
-      for (const StreamFlow& f : stream_flows_) {
-        words += f.consumer->words_read();
-      }
-      for (const VideoChain& c : video_chains_) {
-        words += c.consumer->words_read();
-      }
-      for (const MemoryFlow& m : memory_flows_) {
-        words += m.master->completed() *
-                 spec_.traffic[m.group].mem_burst_words;
-      }
-      return std::tuple<std::int64_t, double, std::int64_t>(count, sum,
-                                                            words);
-    };
-    auto [pc, ps, pw] = totals();
-    Cycle extended = 0;
-    while (!det.warm() && extended < extend_cap) {
-      soc_->RunCycles(interval);
-      extended += interval;
-      auto [cc, cs, w] = totals();
-      const std::int64_t dn = cc - pc;
-      det.Observe(dn > 0 ? (cs - ps) / static_cast<double>(dn) : 0.0,
-                  static_cast<double>(w - pw));
-      pc = cc;
-      ps = cs;
-      pw = w;
-    }
-    conv.warmup_detected = det.warm();
-    conv.warmup_cycles += extended;
-  }
-
-  // Measurement-window baselines (latency stats stay cumulative — they
-  // are summaries of exact integer samples either way). The admitted-word
-  // baselines feed the verify-mode guarantee checks.
-  std::vector<std::int64_t> stream0, video0, mem0, stream_adm0, video_adm0;
-  for (const StreamFlow& f : stream_flows_) {
-    stream0.push_back(f.consumer->words_read());
-    stream_adm0.push_back(f.source->words_written());
-  }
-  for (const VideoChain& c : video_chains_) {
-    video0.push_back(c.consumer->words_read());
-    video_adm0.push_back(c.source->words_written());
-  }
-  for (const MemoryFlow& m : memory_flows_) {
-    mem0.push_back(m.master->completed());
-  }
-  std::vector<std::size_t> lat0;
-  each_latency(
-      [&](const Stats& s) { lat0.push_back(static_cast<std::size_t>(s.count())); });
-
-  if (obs::ObsHub* hub = soc_->obs_hub()) {
-    hub->NotePhase(obs::kPhaseBegin, soc_->net_clock()->cycles(), 0);
-  }
-  Cycle measured = spec_.duration;
-  if (!cv.enabled) {
-    soc_->RunCycles(spec_.duration);
-  } else {
-    // Stop-on-convergence window: run in check-interval steps; after each,
-    // form the batch-means CI over every latency sample recorded since the
-    // measurement baseline (flows concatenated in directive order). Stop
-    // once the interval is trustworthy (valid batches, batch means not
-    // strongly lag-1 correlated) AND tight enough, or at the cycle cap.
-    const Cycle interval = cv.IntervalFor(spec_.duration);
-    const Cycle cap = cv.MaxDurationFor(spec_.duration);
-    Cycle run = 0;
-    std::vector<double> window;
-    while (true) {
-      const Cycle step = std::min(interval, cap - run);
-      soc_->RunCycles(step);
-      run += step;
-      window.clear();
-      std::size_t at = 0;
-      each_latency([&](const Stats& s) {
-        window.insert(window.end(),
-                      s.samples().begin() +
-                          static_cast<std::ptrdiff_t>(lat0[at]),
-                      s.samples().end());
-        ++at;
-      });
-      conv.ci = stats_ctl::BatchMeansCi(window, 0, window.size(),
-                                        cv.batches, cv.conf);
-      if (conv.ci.valid && conv.ci.rel_err <= cv.rel_err &&
-          std::fabs(conv.ci.lag1) <= cv.lag1_limit) {
-        conv.converged = true;
-        break;
-      }
-      if (run >= cap) break;
-    }
-    measured = run;
-    conv.measured_cycles = run;
-  }
-  if (obs::ObsHub* hub = soc_->obs_hub()) {
-    hub->NotePhase(obs::kPhaseEnd, soc_->net_clock()->cycles(), 0);
-  }
+  obs::ObsHub* obs_hub = soc_->obs_hub();
+  const std::size_t n = flows_.size();
 
   ScenarioResult result;
   result.spec = spec_;
-  result.cycles_run = soc_->net_clock()->cycles();
+  std::vector<PhaseResult> window_results;
+  // Per flow: delivered words summed over the windows it is active in,
+  // and (phased only) its per-window slices.
+  std::vector<std::int64_t> window_words(n, 0);
+  std::vector<std::vector<PhaseFlowStats>> phase_stats(n);
 
-  // Flow results, grouped back into directive order.
-  std::size_t si = 0, vi = 0, mi = 0;
-  for (std::size_t g = 0; g < spec_.traffic.size(); ++g) {
-    const TrafficSpec& traffic = spec_.traffic[g];
-    auto base = [&](const TrafficSpec& t) {
-      FlowResult r;
-      r.pattern = PatternKindName(t.pattern);
-      r.group = static_cast<int>(g);
-      r.gt = t.gt;
-      r.gt_slots = t.gt_slots;
-      return r;
+  // Verify mode: the GT throughput floor of every active GT stream and
+  // chain in every window, evaluated at the end. The guaranteed rate is
+  // taken at window start, from the slot tables in force in the window.
+  struct WindowCheck {
+    std::size_t flow = 0;
+    std::size_t window = 0;
+    double guaranteed_wpc = 0;
+    std::int64_t slack = 0;
+    std::int64_t admitted = 0;
+    std::int64_t delivered = 0;
+    Cycle duration = 0;
+  };
+  std::vector<WindowCheck> window_checks;
+
+  for (std::size_t k = 0; k < windows.size(); ++k) {
+    const PhaseSpec& phase = windows[k];
+    auto active = [&](const FlowIps& f) {
+      return spec_.traffic[f.group].ActiveIn(static_cast<int>(k));
     };
-    if (traffic.pattern == PatternKind::kVideo) {
-      const VideoChain& c = video_chains_[vi];
-      FlowResult r = base(traffic);
-      r.src = c.chain.front();
-      r.dst = c.chain.back();
-      r.words_total = c.consumer->words_read();
-      r.words_in_window = r.words_total - video0[vi];
-      r.latency = Summarize(c.consumer->latency());
-      r.latency_samples = c.consumer->latency().samples();
-      result.flows.push_back(std::move(r));
-      ++vi;
-    } else if (traffic.pattern == PatternKind::kMemory) {
-      const MemoryFlow& m = memory_flows_[mi];
-      FlowResult r = base(traffic);
-      r.src = m.flow.src;
-      r.dst = m.flow.dst;
-      r.transactions_issued = m.master->issued();
-      r.transactions_completed = m.master->completed();
-      r.words_total = r.transactions_completed * traffic.mem_burst_words;
-      r.words_in_window =
-          (r.transactions_completed - mem0[mi]) * traffic.mem_burst_words;
-      r.latency = Summarize(m.master->latency());
-      r.latency_samples = m.master->latency().samples();
-      result.flows.push_back(std::move(r));
-      ++mi;
-    } else {
-      while (si < stream_flows_.size() && stream_flows_[si].group == g) {
-        const StreamFlow& f = stream_flows_[si];
-        FlowResult r = base(traffic);
-        r.src = f.flow.src;
-        r.dst = f.flow.dst;
-        r.words_total = f.consumer->words_read();
-        r.words_in_window = r.words_total - stream0[si];
-        r.latency = Summarize(f.consumer->latency());
-        r.latency_samples = f.consumer->latency().samples();
-        result.flows.push_back(std::move(r));
-        ++si;
+    if (phased) {
+      TransitionResult tr;
+      if (Status s = EnterPhase(k, &tr); !s.ok()) return s;
+      result.transitions.push_back(std::move(tr));
+    }
+
+    // Settle: the scenario-level warmup comes before the first window,
+    // each declared phase's own warmup before its window.
+    stats_ctl::ConvergenceOutcome conv;
+    conv.warmup_cycles = (k == 0 ? spec_.warmup : Cycle{0}) + phase.warmup;
+    soc_->RunCycles(conv.warmup_cycles);
+    if (cv.enabled && cv.auto_warmup && !phased) {
+      // Welch-style warmup extension of the implicit phase (declared
+      // phases keep their declared warmups — reconfiguration transients
+      // are what those are for): keep settling in short steps until the
+      // trailing per-step latency means AND delivered-word counts stop
+      // drifting (WarmupDetector's half-vs-half test), or the extension
+      // budget (the measured-cycle cap) is spent. The settle step is a
+      // quarter of the measurement interval: the detector needs
+      // 2 * warmup_windows observations before it can fire at all, and at
+      // full-interval steps that alone would exceed the declared duration.
+      // All inputs are committed simulation state, so the extension stops
+      // at the same cycle on every engine.
+      const Cycle interval =
+          std::max<Cycle>(cv.IntervalFor(phase.duration) / 4, 1);
+      const Cycle extend_cap = cv.MaxDurationFor(phase.duration);
+      stats_ctl::WarmupDetector det(cv.warmup_windows, cv.warmup_tol);
+      auto totals = [&]() {
+        std::int64_t count = 0;
+        double sum = 0;
+        std::int64_t words = 0;
+        for (const FlowIps& f : flows_) {
+          count += f.Latency().count();
+          sum += f.Latency().Sum();
+          words += f.Delivered();
+        }
+        return std::tuple<std::int64_t, double, std::int64_t>(count, sum,
+                                                              words);
+      };
+      auto [pc, ps, pw] = totals();
+      Cycle extended = 0;
+      while (!det.warm() && extended < extend_cap) {
+        soc_->RunCycles(interval);
+        extended += interval;
+        auto [cc, cs, w] = totals();
+        const std::int64_t dn = cc - pc;
+        det.Observe(dn > 0 ? (cs - ps) / static_cast<double>(dn) : 0.0,
+                    static_cast<double>(w - pw));
+        pc = cc;
+        ps = cs;
+        pw = w;
+      }
+      conv.warmup_detected = det.warm();
+      conv.warmup_cycles += extended;
+    }
+
+    // Window baselines. The flows' Stats keep their samples in insertion
+    // order, so [lat_count, count) is exactly this window's population.
+    PhaseResult pr;
+    pr.name = phase.name;
+    pr.duration = phase.duration;
+    pr.window_start = now();
+    struct Snap {
+      std::int64_t delivered = 0, admitted = 0, lat_count = 0;
+      double lat_sum = 0;
+    };
+    std::vector<Snap> snap(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const FlowIps& f = flows_[i];
+      snap[i] = Snap{f.Delivered(), f.Admitted(), f.Latency().count(),
+                     f.Latency().Sum()};
+    }
+    const std::size_t first_check = window_checks.size();
+    if (spec_.verify) {
+      for (std::size_t i = 0; i < n; ++i) {
+        const FlowIps& f = flows_[i];
+        if (!spec_.traffic[f.group].gt || f.master != nullptr || !active(f)) {
+          continue;
+        }
+        // A chain is as fast as its slowest hop and parks words in all.
+        WindowCheck check;
+        check.flow = i;
+        check.window = k;
+        for (std::size_t h = 0; h < f.hops.size(); ++h) {
+          const verify::GtBound bound = BoundOfHop(f.group, f.hops[h]).bound;
+          check.guaranteed_wpc =
+              h == 0 ? bound.min_throughput_wpc
+                     : std::min(check.guaranteed_wpc, bound.min_throughput_wpc);
+          check.slack += HopSlackWords(bound, spec_.queue_words);
+        }
+        window_checks.push_back(check);
       }
     }
+
+    if (obs_hub != nullptr) {
+      obs_hub->NotePhase(obs::kPhaseBegin, now(), static_cast<int>(k));
+    }
+    if (!cv.enabled) {
+      soc_->RunCycles(phase.duration);
+    } else {
+      // Stop-on-convergence window: run in check-interval steps; after
+      // each, form the batch-means CI over the window's samples (every
+      // active flow since its baseline, concatenated in measurement
+      // order). Stop once the interval is trustworthy (valid batches,
+      // batch means not strongly lag-1 correlated) AND tight enough, or
+      // at the cycle cap. Phases converge independently: their traffic
+      // mixes differ, so pooling samples across windows is meaningless.
+      const Cycle interval = cv.IntervalFor(phase.duration);
+      const Cycle cap = cv.MaxDurationFor(phase.duration);
+      Cycle run = 0;
+      std::vector<double> samples;
+      while (true) {
+        const Cycle step = std::min(interval, cap - run);
+        soc_->RunCycles(step);
+        run += step;
+        samples.clear();
+        for (std::size_t i = 0; i < n; ++i) {
+          if (!active(flows_[i])) continue;
+          const std::vector<double>& all = flows_[i].Latency().samples();
+          samples.insert(samples.end(),
+                         all.begin() +
+                             static_cast<std::ptrdiff_t>(snap[i].lat_count),
+                         all.end());
+        }
+        conv.ci = stats_ctl::BatchMeansCi(samples, 0, samples.size(),
+                                          cv.batches, cv.conf);
+        if (conv.ci.valid && conv.ci.rel_err <= cv.rel_err &&
+            std::fabs(conv.ci.lag1) <= cv.lag1_limit) {
+          conv.converged = true;
+          break;
+        }
+        if (run >= cap) break;
+      }
+      conv.measured_cycles = run;
+      pr.duration = run;
+      pr.convergence = conv;
+    }
+    if (obs_hub != nullptr) {
+      obs_hub->NotePhase(obs::kPhaseEnd, now(), static_cast<int>(k));
+    }
+
+    // Window accounting. The per-window latency summaries are reported for
+    // declared phases only (the implicit phase's are the flows' own), so a
+    // static run skips their sorting.
+    std::vector<double> phase_samples;
+    double phase_lat_sum = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const FlowIps& f = flows_[i];
+      if (!active(f)) continue;
+      const std::int64_t words = f.Delivered() - snap[i].delivered;
+      window_words[i] += words;
+      pr.words_in_window += words;
+      if (!phased) continue;
+      const Stats& lat = f.Latency();
+      PhaseFlowStats ps;
+      ps.phase = static_cast<int>(k);
+      ps.words = words;
+      ps.throughput_wpc =
+          static_cast<double>(words) / static_cast<double>(pr.duration);
+      if (lat.count() > snap[i].lat_count) {
+        const auto first = static_cast<std::size_t>(snap[i].lat_count);
+        const double sum = lat.Sum() - snap[i].lat_sum;
+        SummarizeWindowLatency(lat.SortedRange(first, lat.samples().size()),
+                               sum, &ps);
+        phase_samples.insert(phase_samples.end(),
+                             lat.samples().begin() + first,
+                             lat.samples().end());
+        phase_lat_sum += sum;
+      }
+      phase_stats[i].push_back(ps);
+    }
+    for (std::size_t c = first_check; c < window_checks.size(); ++c) {
+      WindowCheck& check = window_checks[c];
+      const FlowIps& f = flows_[check.flow];
+      check.admitted = f.Admitted() - snap[check.flow].admitted;
+      check.delivered = f.Delivered() - snap[check.flow].delivered;
+      check.duration = pr.duration;
+    }
+    pr.throughput_wpc = static_cast<double>(pr.words_in_window) /
+                        static_cast<double>(pr.duration);
+    std::sort(phase_samples.begin(), phase_samples.end());
+    SummarizeWindowLatency(phase_samples, phase_lat_sum, &pr);
+    window_results.push_back(std::move(pr));
   }
-  for (FlowResult& r : result.flows) {
-    r.throughput_wpc =
-        static_cast<double>(r.words_in_window) / static_cast<double>(measured);
-    result.words_in_window += r.words_in_window;
+
+  // --- whole-run assembly ---------------------------------------------------
+  result.cycles_run = now();
+  // Cycles actually measured: the sum of the windows run, which is the
+  // spec's TotalDuration() exactly in fixed-duration mode.
+  Cycle measured = 0;
+  for (const PhaseResult& w : window_results) measured += w.duration;
+  if (cv.enabled && !phased) {
+    result.convergence = window_results.front().convergence;
+  } else if (cv.enabled) {
+    // Roll-up: the run converged iff every window did; the per-window CIs
+    // stay on their PhaseResults (phase 0's warmup_cycles already carries
+    // the scenario-level warmup, so the sum is the total settle time).
+    stats_ctl::ConvergenceOutcome conv;
+    conv.converged = true;
+    conv.measured_cycles = measured;
+    for (const PhaseResult& p : window_results) {
+      conv.converged = conv.converged && p.convergence->converged;
+      conv.warmup_cycles += p.convergence->warmup_cycles;
+    }
+    result.convergence = conv;
+  }
+  if (phased) result.phases = std::move(window_results);
+
+  // Flow results in directive order (flows_ is in measurement order).
+  for (std::size_t g = 0; g < spec_.traffic.size(); ++g) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (flows_[i].group != g) continue;
+      const FlowIps& f = flows_[i];
+      const TrafficSpec& traffic = spec_.traffic[f.group];
+      FlowResult r;
+      r.pattern = PatternKindName(traffic.pattern);
+      r.group = static_cast<int>(f.group);
+      r.src = f.src();
+      r.dst = f.dst();
+      r.gt = traffic.gt;
+      r.gt_slots = traffic.gt_slots;
+      r.phase = traffic.phase;
+      r.persist = traffic.persist;
+      if (f.master != nullptr) {
+        r.transactions_issued = f.master->issued();
+        r.transactions_completed = f.master->completed();
+      }
+      r.words_total = f.Delivered();
+      r.words_in_window = window_words[i];
+      r.throughput_wpc = static_cast<double>(r.words_in_window) /
+                         static_cast<double>(measured);
+      r.latency = Summarize(f.Latency());
+      r.latency_samples = f.Latency().samples();
+      r.phase_stats = std::move(phase_stats[i]);
+      result.words_in_window += r.words_in_window;
+      result.flows.push_back(std::move(r));
+    }
   }
   result.throughput_wpc = static_cast<double>(result.words_in_window) /
                           static_cast<double>(measured);
-  if (cv.enabled) result.convergence = conv;
 
   AggregateNiStats(soc_.get(), spec_.NumNis(), &result);
 
@@ -686,8 +779,62 @@ Result<ScenarioResult> ScenarioRunner::Run() {
     const bool fault_aware =
         spec_.fault.has_value() && spec_.fault->AnyNetworkFaults();
     std::vector<std::string> problems;
-    CheckGuarantees(stream_adm0, video_adm0, stream0, video0, measured,
-                    &problems, fault_aware ? &degradations : nullptr);
+    verify::Monitor* monitor = soc_->monitor();
+    AETHEREAL_CHECK(monitor != nullptr);
+    AppendMonitorProblems(monitor, &problems,
+                          fault_aware ? &degradations : nullptr);
+    // Armed network faults legitimately eat into the GT floors (and NI
+    // stalls stretch word latency), so those shortfalls degrade instead of
+    // fail.
+    std::vector<std::string>* gt_sink =
+        fault_aware ? &degradations : &problems;
+    for (const WindowCheck& check : window_checks) {
+      // The flow must deliver whatever it admitted, or at least the slot
+      // tables' guaranteed rate, minus the in-flight allowance.
+      const FlowIps& f = flows_[check.flow];
+      const bool video = spec_.traffic[f.group].pattern == PatternKind::kVideo;
+      const auto guaranteed_words = static_cast<std::int64_t>(
+          check.guaranteed_wpc * static_cast<double>(check.duration));
+      const std::int64_t floor =
+          std::min(check.admitted, guaranteed_words) - check.slack;
+      if (check.delivered < floor) {
+        std::ostringstream oss;
+        oss << "gt-throughput: " << (video ? "video" : "stream") << " g"
+            << f.group << " " << f.src() << "->" << f.dst()
+            << " delivered " << check.delivered
+            << " words "
+            << (phased ? "in phase '" + windows[check.window].name + "'"
+                       : std::string("in the window"))
+            << "; floor is min(admitted " << check.admitted
+            << ", guaranteed " << guaranteed_words << ") - slack "
+            << check.slack;
+        gt_sink->push_back(oss.str());
+      }
+      if (!phased && !video) CheckGtLatency(f, gt_sink);
+    }
+    // Sanity: a memory master never completes more than it issued, and a
+    // consumer never reads more than its producer wrote (whole-run
+    // totals; flit integrity is the monitor's job).
+    for (const FlowIps& f : flows_) {
+      std::ostringstream oss;
+      if (f.master != nullptr && f.master->completed() > f.master->issued()) {
+        oss << "transaction-ordering: memory g" << f.group << " completed "
+            << f.master->completed() << " transactions but only issued "
+            << f.master->issued();
+      } else if (f.source != nullptr &&
+                 f.consumer->words_read() > f.source->words_written()) {
+        const bool video =
+            spec_.traffic[f.group].pattern == PatternKind::kVideo;
+        oss << "flit-integrity: " << (video ? "video" : "stream") << " g"
+            << f.group << " " << f.src() << "->" << f.dst() << " read "
+            << f.consumer->words_read()
+            << " words but the source only wrote "
+            << f.source->words_written();
+      } else {
+        continue;
+      }
+      problems.push_back(oss.str());
+    }
     if (!problems.empty()) return VerificationError(spec_.name, problems);
   }
   FillFaultResult(std::move(degradations), &result);
@@ -695,14 +842,14 @@ Result<ScenarioResult> ScenarioRunner::Run() {
   return result;
 }
 
-GtFlowBound ScenarioRunner::BoundOfHop(std::size_t group, const Flow& flow,
-                                       int src_connid) {
+GtFlowBound ScenarioRunner::BoundOfHop(std::size_t group, const Hop& hop) {
+  const Flow& flow = hop.flow;
   GtFlowBound report;
   report.group = static_cast<int>(group);
   report.src = flow.src;
   report.dst = flow.dst;
   const ChannelId flat =
-      soc_->port(flow.src, 0)->GlobalChannelOf(src_connid);
+      soc_->port(flow.src, 0)->GlobalChannelOf(hop.src_connid);
   const tdm::GlobalChannel channel{flow.src, flat};
   auto route = soc_->topology().Route(flow.src, flow.dst);
   AETHEREAL_CHECK(route.ok());  // the connection was opened over it
@@ -724,97 +871,31 @@ Result<std::vector<GtFlowBound>> ScenarioRunner::ComputeGtBounds() {
   }
   if (Status s = Build(); !s.ok()) return s;
   std::vector<GtFlowBound> bounds;
-  for (const StreamFlow& f : stream_flows_) {
+  for (const FlowIps& f : flows_) {
     if (!spec_.traffic[f.group].gt) continue;
-    bounds.push_back(BoundOfHop(f.group, f.flow, f.src_connid));
-  }
-  for (const VideoChain& c : video_chains_) {
-    if (!spec_.traffic[c.group].gt) continue;
-    for (std::size_t h = 0; h < c.hop_flows.size(); ++h) {
-      bounds.push_back(
-          BoundOfHop(c.group, c.hop_flows[h], c.hop_src_connids[h]));
-    }
-  }
-  for (const MemoryFlow& m : memory_flows_) {
-    if (!spec_.traffic[m.group].gt) continue;
-    bounds.push_back(BoundOfHop(m.group, m.flow, m.src_connid));
+    for (const Hop& hop : f.hops) bounds.push_back(BoundOfHop(f.group, hop));
   }
   return bounds;
 }
 
-namespace {
-
-/// In-flight allowance for the throughput floor of one GT hop: words
-/// legitimately parked in the source and destination queues, the network
-/// pipeline, and the current (partial) table rotation at either window
-/// boundary.
-std::int64_t HopSlackWords(const verify::GtBound& bound, int queue_words) {
-  return 2 * static_cast<std::int64_t>(queue_words) +
-         static_cast<std::int64_t>(bound.hops + 2) * kFlitWords +
-         2 * bound.words_per_rotation + 2 * kFlitWords;
-}
-
-}  // namespace
-
-std::vector<std::size_t> ScenarioRunner::ClosingGroupsOf(int phase) const {
-  std::vector<std::size_t> groups;
-  for (std::size_t g = 0; g < spec_.traffic.size(); ++g) {
-    if (spec_.traffic[g].phase == phase && !spec_.traffic[g].persist) {
-      groups.push_back(g);
-    }
-  }
-  return groups;
-}
-
 void ScenarioRunner::SetGroupActive(std::size_t group, bool active,
                                     Cycle now) {
-  for (StreamFlow& f : stream_flows_) {
-    if (f.group != group) continue;
-    if (active) {
-      f.source->Activate(now);
-    } else {
-      f.source->Deactivate();
-    }
-  }
-  for (VideoChain& c : video_chains_) {
-    if (c.group != group) continue;
-    if (active) {
-      c.source->Activate(now);
-    } else {
-      c.source->Deactivate();
-    }
-  }
-  for (MemoryFlow& m : memory_flows_) {
-    if (m.group != group) continue;
-    if (active) {
-      m.master->Activate(now);
-    } else {
-      m.master->Deactivate();
-    }
+  for (FlowIps& f : flows_) {
+    if (f.group == group) f.SetActive(active, now);
   }
 }
 
 bool ScenarioRunner::GroupDrained(std::size_t group) const {
   // Every word the (now silent) sources ever wrote must have reached its
   // consumer...
-  for (const StreamFlow& f : stream_flows_) {
-    if (f.group != group) continue;
-    if (f.consumer->words_read() != f.source->words_written()) return false;
-  }
-  for (const VideoChain& c : video_chains_) {
-    if (c.group != group) continue;
-    if (c.consumer->words_read() != c.source->words_written()) return false;
-  }
-  for (const MemoryFlow& m : memory_flows_) {
-    if (m.group != group) continue;
-    if (m.master->outstanding() != 0) return false;
+  for (const FlowIps& f : flows_) {
+    if (f.group == group && !f.Drained()) return false;
   }
   // ... and every credit must have returned: each channel's Space counter
   // reads full again (phased directives pin credit_threshold to 1, so no
   // credit can linger below a reporting threshold). Only then can the
   // close disable the channels with nothing of this connection in flight.
-  for (const config::ConnectionSpec& conn :
-       conns_by_group_[group]) {
+  for (const config::ConnectionSpec& conn : conns_by_group_[group]) {
     if (soc_->ni(conn.master.ni)->SpaceOf(conn.master.channel) !=
         soc_->DestQueueWordsOf(conn.slave)) {
       return false;
@@ -827,537 +908,128 @@ bool ScenarioRunner::GroupDrained(std::size_t group) const {
   return true;
 }
 
-Result<ScenarioResult> ScenarioRunner::RunPhased() {
-  verify::Monitor* monitor = soc_->monitor();
+Status ScenarioRunner::EnterPhase(std::size_t k, TransitionResult* tr) {
   obs::ObsHub* obs_hub = soc_->obs_hub();
   shells::ConfigShell* shell = soc_->config_shell();
   AETHEREAL_CHECK(shell != nullptr && driver_ != nullptr);
   auto now = [&] { return soc_->net_clock()->cycles(); };
-
-  ScenarioResult result;
-  result.spec = spec_;
-
-  // Whole-run accumulators: delivered words inside measured windows.
-  std::vector<std::int64_t> stream_window(stream_flows_.size(), 0);
-  std::vector<std::int64_t> video_window(video_chains_.size(), 0);
-  std::vector<std::int64_t> mem_window(memory_flows_.size(), 0);
-  std::vector<std::vector<PhaseFlowStats>> stream_ps(stream_flows_.size());
-  std::vector<std::vector<PhaseFlowStats>> video_ps(video_chains_.size());
-  std::vector<std::vector<PhaseFlowStats>> mem_ps(memory_flows_.size());
-
-  // Verify mode: per-window GT throughput-floor checks, evaluated at the
-  // end (the bound is computed at window start, from the slot tables in
-  // force during that phase).
-  struct WindowCheck {
-    const char* what;
-    std::size_t group;
-    std::size_t phase;
-    NiId src, dst;
-    std::int64_t admitted = 0, delivered = 0;
-    double guaranteed_wpc = 0;
-    std::int64_t slack = 0;
-    Cycle duration = 0;
-  };
-  std::vector<WindowCheck> window_checks;
-
-  auto active_in = [&](std::size_t g, std::size_t k) {
-    return spec_.traffic[g].ActiveIn(static_cast<int>(k));
-  };
-
-  for (std::size_t k = 0; k < spec_.phases.size(); ++k) {
-    const PhaseSpec& phase = spec_.phases[k];
-    TransitionResult tr;
-    tr.phase = static_cast<int>(k);
-    tr.phase_name = phase.name;
-    tr.start_cycle = now();
-
-    // 1. Silence the outgoing phase's non-persistent sources and wait for
-    // their traffic (words AND credits) to drain off the NoC.
-    const std::vector<std::size_t> closing =
-        k > 0 ? ClosingGroupsOf(static_cast<int>(k) - 1)
-              : std::vector<std::size_t>{};
-    if (!closing.empty()) {
-      for (std::size_t g : closing) SetGroupActive(g, false, now());
-      const Cycle drain_start = now();
-      if (obs_hub != nullptr) {
-        obs_hub->NoteConfig(obs::kConfigDrainBegin, drain_start,
-                            static_cast<std::int64_t>(k));
-      }
-      const Cycle deadline = drain_start + spec_.drain_cycles;
-      auto drained = [&] {
-        for (std::size_t g : closing) {
-          if (!GroupDrained(g)) return false;
-        }
-        return true;
-      };
-      while (!drained() && now() < deadline) soc_->RunCycles(1);
-      if (!drained()) {
-        return TimeoutError(
-            "phase transition into '" + phase.name +
-            "': outgoing traffic failed to drain within " +
-            std::to_string(spec_.drain_cycles) +
-            " cycles (raise 'drain' or lower the offered load)");
-      }
-      tr.drain_cycles = now() - drain_start;
-      if (obs_hub != nullptr) {
-        obs_hub->NoteConfig(obs::kConfigDrainEnd, now(),
-                            static_cast<std::int64_t>(k));
-      }
-    }
-
-    // 2. Reconfigure over the NoC itself: the outgoing phase's closes
-    // first, then the incoming phase's opens — the manager serializes the
-    // Fig. 9 sequences, so slots freed by the closes are reusable by the
-    // opens of the same transition.
-    if (monitor != nullptr) monitor->NotePhaseBoundary();
-    const Cycle config_start = now();
-    const std::int64_t writes0 =
-        shell->local_writes() + shell->remote_writes();
-    std::vector<std::size_t> batch;
-    for (std::size_t g : closing) {
-      for (int ref : open_refs_by_group_[g]) {
-        batch.push_back(static_cast<std::size_t>(driver_->PushClose(ref)));
-        ++tr.closes;
-        if (obs_hub != nullptr) {
-          obs_hub->NoteConfig(obs::kConfigClose, now(),
-                              static_cast<std::int64_t>(g));
-        }
-      }
-    }
-    for (std::size_t g = 0; g < spec_.traffic.size(); ++g) {
-      if (spec_.traffic[g].phase != static_cast<int>(k)) continue;
-      for (const config::ConnectionSpec& conn : conns_by_group_[g]) {
-        const int ref = driver_->PushOpen(conn);
-        open_refs_by_group_[g].push_back(ref);
-        batch.push_back(static_cast<std::size_t>(ref));
-        ++tr.opens;
-        if (obs_hub != nullptr) {
-          obs_hub->NoteConfig(obs::kConfigOpen, now(),
-                              static_cast<std::int64_t>(g));
-        }
-      }
-    }
-    const Cycle config_deadline = now() + spec_.drain_cycles;
-    while (!driver_->Done() && now() < config_deadline) soc_->RunCycles(1);
-    if (!driver_->Done()) {
-      return TimeoutError(
-          "phase '" + phase.name +
-          "': runtime configuration did not complete within " +
-          std::to_string(spec_.drain_cycles) +
-          " cycles (the 'drain' directive bounds each transition stage; "
-          "raise it" +
-          (spec_.fault.has_value() && spec_.fault->AnyConfigFaults() &&
-                   !spec_.fault->retry.enabled
-               ? ", or enable the fault block's retry policy — config "
-                 "faults are armed without recovery"
-               : "") +
-          ")");
-    }
-    for (std::size_t i : batch) {
-      const config::ScriptedOp& op = driver_->op(i);
-      if (!op.error.ok()) {
-        return Status(
-            op.error.code(),
-            "phase '" + phase.name + "': " +
-                (op.kind == config::ScriptedOp::Kind::kOpen ? "open"
-                                                            : "close") +
-                " failed: " + op.error.message());
-      }
-      if (op.kind == config::ScriptedOp::Kind::kOpen) {
-        tr.setup_latency_max = std::max(tr.setup_latency_max, op.Latency());
-        tr.slots_allocated += op.slots_delta;
-      } else {
-        tr.teardown_latency_max =
-            std::max(tr.teardown_latency_max, op.Latency());
-        tr.slots_reclaimed += op.slots_delta;
-      }
-    }
-    tr.config_cycles = now() - config_start;
-    tr.config_messages =
-        shell->local_writes() + shell->remote_writes() - writes0;
-    result.transitions.push_back(std::move(tr));
-
-    // 3. Switch the incoming phase's sources on and let the new use case
-    // settle before measuring.
-    for (std::size_t g = 0; g < spec_.traffic.size(); ++g) {
-      if (spec_.traffic[g].phase == static_cast<int>(k)) {
-        SetGroupActive(g, true, now());
-      }
-    }
-    soc_->RunCycles(k == 0 ? spec_.warmup + phase.warmup : phase.warmup);
-
-    // 4. The measured window.
-    PhaseResult pr;
-    pr.name = phase.name;
-    pr.duration = phase.duration;
-    pr.window_start = now();
-
-    struct Snap {
-      std::int64_t delivered = 0, admitted = 0, lat_count = 0;
-      double lat_sum = 0;
-    };
-    std::vector<Snap> s0(stream_flows_.size());
-    std::vector<Snap> v0(video_chains_.size());
-    std::vector<Snap> m0(memory_flows_.size());
-    for (std::size_t i = 0; i < stream_flows_.size(); ++i) {
-      const StreamFlow& f = stream_flows_[i];
-      s0[i] = Snap{f.consumer->words_read(), f.source->words_written(),
-                   f.consumer->latency().count(),
-                   f.consumer->latency().Sum()};
-    }
-    for (std::size_t i = 0; i < video_chains_.size(); ++i) {
-      const VideoChain& c = video_chains_[i];
-      v0[i] = Snap{c.consumer->words_read(), c.source->words_written(),
-                   c.consumer->latency().count(),
-                   c.consumer->latency().Sum()};
-    }
-    for (std::size_t i = 0; i < memory_flows_.size(); ++i) {
-      const MemoryFlow& m = memory_flows_[i];
-      m0[i] = Snap{m.master->completed(), m.master->issued(),
-                   m.master->latency().count(), m.master->latency().Sum()};
-    }
-
-    // Verify mode: the guaranteed rate of each active GT flow under the
-    // slot tables in force during THIS phase.
-    struct WindowBound {
-      double guaranteed_wpc = 0;
-      std::int64_t slack = 0;
-    };
-    std::vector<WindowBound> s_bound(stream_flows_.size());
-    std::vector<WindowBound> v_bound(video_chains_.size());
-    if (spec_.verify) {
-      for (std::size_t i = 0; i < stream_flows_.size(); ++i) {
-        const StreamFlow& f = stream_flows_[i];
-        if (!spec_.traffic[f.group].gt || !active_in(f.group, k)) continue;
-        const GtFlowBound hop = BoundOfHop(f.group, f.flow, f.src_connid);
-        s_bound[i] = WindowBound{
-            hop.bound.min_throughput_wpc,
-            HopSlackWords(hop.bound, spec_.queue_words)};
-      }
-      for (std::size_t i = 0; i < video_chains_.size(); ++i) {
-        const VideoChain& c = video_chains_[i];
-        if (!spec_.traffic[c.group].gt || !active_in(c.group, k)) continue;
-        WindowBound bound;
-        bound.guaranteed_wpc = -1;
-        for (std::size_t h = 0; h < c.hop_flows.size(); ++h) {
-          const GtFlowBound hop =
-              BoundOfHop(c.group, c.hop_flows[h], c.hop_src_connids[h]);
-          if (bound.guaranteed_wpc < 0 ||
-              hop.bound.min_throughput_wpc < bound.guaranteed_wpc) {
-            bound.guaranteed_wpc = hop.bound.min_throughput_wpc;
-          }
-          bound.slack += HopSlackWords(hop.bound, spec_.queue_words);
-        }
-        v_bound[i] = bound;
-      }
-    }
-
+  auto note_config = [&](std::uint16_t code, std::size_t arg) {
     if (obs_hub != nullptr) {
-      obs_hub->NotePhase(obs::kPhaseBegin, now(), static_cast<int>(k));
+      obs_hub->NoteConfig(code, now(), static_cast<std::int64_t>(arg));
     }
-    if (!spec_.converge.enabled) {
-      soc_->RunCycles(phase.duration);
-    } else {
-      // Stop-on-convergence window, per phase: extend in check-interval
-      // steps until the batch-means CI over the window's merged samples
-      // (every active flow, since its snapshot) is trustworthy and tight,
-      // or the per-window cycle cap is reached. Phases keep their declared
-      // warmups — reconfiguration transients are what the declared warmup
-      // is for — and converge independently: their traffic mixes differ,
-      // so pooling samples across windows would be meaningless.
-      const stats_ctl::ConvergeSpec& cv = spec_.converge;
-      const Cycle interval = cv.IntervalFor(phase.duration);
-      const Cycle cap = cv.MaxDurationFor(phase.duration);
-      stats_ctl::ConvergenceOutcome conv;
-      conv.warmup_cycles =
-          (k == 0 ? spec_.warmup : Cycle{0}) + phase.warmup;
-      Cycle run = 0;
-      std::vector<double> window;
-      while (true) {
-        const Cycle step = std::min(interval, cap - run);
-        soc_->RunCycles(step);
-        run += step;
-        window.clear();
-        auto append_since = [&](const Stats& s, std::int64_t count0) {
-          window.insert(window.end(),
-                        s.samples().begin() +
-                            static_cast<std::ptrdiff_t>(count0),
-                        s.samples().end());
-        };
-        for (std::size_t i = 0; i < stream_flows_.size(); ++i) {
-          if (!active_in(stream_flows_[i].group, k)) continue;
-          append_since(stream_flows_[i].consumer->latency(),
-                       s0[i].lat_count);
-        }
-        for (std::size_t i = 0; i < video_chains_.size(); ++i) {
-          if (!active_in(video_chains_[i].group, k)) continue;
-          append_since(video_chains_[i].consumer->latency(),
-                       v0[i].lat_count);
-        }
-        for (std::size_t i = 0; i < memory_flows_.size(); ++i) {
-          if (!active_in(memory_flows_[i].group, k)) continue;
-          append_since(memory_flows_[i].master->latency(),
-                       m0[i].lat_count);
-        }
-        conv.ci = stats_ctl::BatchMeansCi(window, 0, window.size(),
-                                          cv.batches, cv.conf);
-        if (conv.ci.valid && conv.ci.rel_err <= cv.rel_err &&
-            std::fabs(conv.ci.lag1) <= cv.lag1_limit) {
-          conv.converged = true;
-          break;
-        }
-        if (run >= cap) break;
-      }
-      conv.measured_cycles = run;
-      pr.duration = run;
-      pr.convergence = conv;
-    }
-    if (obs_hub != nullptr) {
-      obs_hub->NotePhase(obs::kPhaseEnd, now(), static_cast<int>(k));
-    }
+  };
+  const PhaseSpec& phase = spec_.phases[k];
+  tr->phase = static_cast<int>(k);
+  tr->phase_name = phase.name;
+  tr->start_cycle = now();
 
-    // Samples of every flow active in this window, merged, for the
-    // phase-level latency summary (exact: the Stats objects keep their
-    // samples in insertion order, so [snap.lat_count, count) is exactly
-    // this window's population).
-    std::vector<double> phase_samples;
-    double phase_lat_sum = 0;
-    auto push_stats = [&](std::vector<PhaseFlowStats>* stats,
-                          std::int64_t words, const Snap& snap,
-                          const Stats& lat) {
-      PhaseFlowStats ps;
-      ps.phase = static_cast<int>(k);
-      ps.words = words;
-      // pr.duration = cycles actually measured (the declared duration, or
-      // the convergence-mode window).
-      ps.throughput_wpc =
-          static_cast<double>(words) / static_cast<double>(pr.duration);
-      ps.latency_count = lat.count() - snap.lat_count;
-      if (ps.latency_count > 0) {
-        const auto first = static_cast<std::size_t>(snap.lat_count);
-        const auto last = static_cast<std::size_t>(lat.count());
-        ps.latency_mean = (lat.Sum() - snap.lat_sum) /
-                          static_cast<double>(ps.latency_count);
-        // One sort serves all three percentiles of this window (many
-        // flows x phases each used to pay a fresh O(n log n) per query).
-        const std::vector<double> sorted = lat.SortedRange(first, last);
-        ps.latency_p50 = SortedPercentile(sorted, 50);
-        ps.latency_p95 = SortedPercentile(sorted, 95);
-        ps.latency_p99 = SortedPercentile(sorted, 99);
-        phase_samples.insert(phase_samples.end(),
-                             lat.samples().begin() + first,
-                             lat.samples().begin() + last);
-        phase_lat_sum += lat.Sum() - snap.lat_sum;
-      }
-      stats->push_back(ps);
-      pr.words_in_window += words;
-    };
-    for (std::size_t i = 0; i < stream_flows_.size(); ++i) {
-      const StreamFlow& f = stream_flows_[i];
-      if (!active_in(f.group, k)) continue;
-      const std::int64_t words = f.consumer->words_read() - s0[i].delivered;
-      push_stats(&stream_ps[i], words, s0[i], f.consumer->latency());
-      stream_window[i] += words;
-      if (spec_.verify && spec_.traffic[f.group].gt) {
-        window_checks.push_back(WindowCheck{
-            "stream", f.group, k, f.flow.src, f.flow.dst,
-            f.source->words_written() - s0[i].admitted, words,
-            s_bound[i].guaranteed_wpc, s_bound[i].slack, pr.duration});
-      }
-    }
-    for (std::size_t i = 0; i < video_chains_.size(); ++i) {
-      const VideoChain& c = video_chains_[i];
-      if (!active_in(c.group, k)) continue;
-      const std::int64_t words = c.consumer->words_read() - v0[i].delivered;
-      push_stats(&video_ps[i], words, v0[i], c.consumer->latency());
-      video_window[i] += words;
-      if (spec_.verify && spec_.traffic[c.group].gt) {
-        window_checks.push_back(WindowCheck{
-            "video", c.group, k, c.chain.front(), c.chain.back(),
-            c.source->words_written() - v0[i].admitted, words,
-            v_bound[i].guaranteed_wpc, v_bound[i].slack, pr.duration});
-      }
-    }
-    for (std::size_t i = 0; i < memory_flows_.size(); ++i) {
-      const MemoryFlow& m = memory_flows_[i];
-      if (!active_in(m.group, k)) continue;
-      const std::int64_t transactions = m.master->completed() - m0[i].delivered;
-      const std::int64_t words =
-          transactions * spec_.traffic[m.group].mem_burst_words;
-      push_stats(&mem_ps[i], words, m0[i], m.master->latency());
-      mem_window[i] += words;
-    }
-    pr.throughput_wpc = static_cast<double>(pr.words_in_window) /
-                        static_cast<double>(pr.duration);
-    pr.latency_count = static_cast<std::int64_t>(phase_samples.size());
-    if (!phase_samples.empty()) {
-      std::sort(phase_samples.begin(), phase_samples.end());
-      pr.latency_mean =
-          phase_lat_sum / static_cast<double>(phase_samples.size());
-      pr.latency_p50 = SortedPercentile(phase_samples, 50);
-      pr.latency_p95 = SortedPercentile(phase_samples, 95);
-      pr.latency_p99 = SortedPercentile(phase_samples, 99);
-    }
-    result.phases.push_back(std::move(pr));
-  }
-
-  // --- whole-run assembly (mirrors the static path) -------------------------
-  result.cycles_run = soc_->net_clock()->cycles();
-  // Cycles actually measured: the sum of the windows run, which is the
-  // spec's TotalDuration() exactly in fixed-duration mode.
-  Cycle measured = 0;
-  for (const PhaseResult& p : result.phases) measured += p.duration;
-  if (spec_.converge.enabled) {
-    // Roll-up: the run converged iff every window did; the per-window CIs
-    // stay on their PhaseResults (phase 0's warmup_cycles already carries
-    // the scenario-level warmup, so the sum is the total settle time).
-    stats_ctl::ConvergenceOutcome conv;
-    conv.converged = true;
-    conv.measured_cycles = measured;
-    for (const PhaseResult& p : result.phases) {
-      conv.converged = conv.converged && p.convergence->converged;
-      conv.warmup_cycles += p.convergence->warmup_cycles;
-    }
-    result.convergence = conv;
-  }
-  std::size_t si = 0, vi = 0, mi = 0;
+  // 1. Silence the outgoing phase's non-persistent sources and wait for
+  // their traffic (words AND credits) to drain off the NoC.
+  std::vector<std::size_t> closing;
   for (std::size_t g = 0; g < spec_.traffic.size(); ++g) {
-    const TrafficSpec& traffic = spec_.traffic[g];
-    auto base = [&](const TrafficSpec& t) {
-      FlowResult r;
-      r.pattern = PatternKindName(t.pattern);
-      r.group = static_cast<int>(g);
-      r.gt = t.gt;
-      r.gt_slots = t.gt_slots;
-      r.phase = t.phase;
-      r.persist = t.persist;
-      return r;
+    if (spec_.traffic[g].phase == static_cast<int>(k) - 1 &&
+        !spec_.traffic[g].persist) {
+      closing.push_back(g);
+    }
+  }
+  if (!closing.empty()) {
+    for (std::size_t g : closing) SetGroupActive(g, false, now());
+    const Cycle drain_start = now();
+    note_config(obs::kConfigDrainBegin, k);
+    const Cycle deadline = drain_start + spec_.drain_cycles;
+    auto drained = [&] {
+      for (std::size_t g : closing) {
+        if (!GroupDrained(g)) return false;
+      }
+      return true;
     };
-    if (traffic.pattern == PatternKind::kVideo) {
-      const VideoChain& c = video_chains_[vi];
-      FlowResult r = base(traffic);
-      r.src = c.chain.front();
-      r.dst = c.chain.back();
-      r.words_total = c.consumer->words_read();
-      r.words_in_window = video_window[vi];
-      r.latency = Summarize(c.consumer->latency());
-      r.latency_samples = c.consumer->latency().samples();
-      r.phase_stats = std::move(video_ps[vi]);
-      result.flows.push_back(std::move(r));
-      ++vi;
-    } else if (traffic.pattern == PatternKind::kMemory) {
-      const MemoryFlow& m = memory_flows_[mi];
-      FlowResult r = base(traffic);
-      r.src = m.flow.src;
-      r.dst = m.flow.dst;
-      r.transactions_issued = m.master->issued();
-      r.transactions_completed = m.master->completed();
-      r.words_total = r.transactions_completed * traffic.mem_burst_words;
-      r.words_in_window = mem_window[mi];
-      r.latency = Summarize(m.master->latency());
-      r.latency_samples = m.master->latency().samples();
-      r.phase_stats = std::move(mem_ps[mi]);
-      result.flows.push_back(std::move(r));
-      ++mi;
+    while (!drained() && now() < deadline) soc_->RunCycles(1);
+    if (!drained()) {
+      return TimeoutError(
+          "phase transition into '" + phase.name +
+          "': outgoing traffic failed to drain within " +
+          std::to_string(spec_.drain_cycles) +
+          " cycles (raise 'drain' or lower the offered load)");
+    }
+    tr->drain_cycles = now() - drain_start;
+    note_config(obs::kConfigDrainEnd, k);
+  }
+
+  // 2. Reconfigure over the NoC itself: the outgoing phase's closes first,
+  // then the incoming phase's opens — the manager serializes the Fig. 9
+  // sequences, so slots freed by the closes are reusable by the opens of
+  // the same transition.
+  if (verify::Monitor* monitor = soc_->monitor()) monitor->NotePhaseBoundary();
+  const Cycle config_start = now();
+  const std::int64_t writes0 = shell->local_writes() + shell->remote_writes();
+  std::vector<std::size_t> batch;
+  for (std::size_t g : closing) {
+    for (int ref : open_refs_by_group_[g]) {
+      batch.push_back(static_cast<std::size_t>(driver_->PushClose(ref)));
+      ++tr->closes;
+      note_config(obs::kConfigClose, g);
+    }
+  }
+  for (std::size_t g = 0; g < spec_.traffic.size(); ++g) {
+    if (spec_.traffic[g].phase != static_cast<int>(k)) continue;
+    for (const config::ConnectionSpec& conn : conns_by_group_[g]) {
+      const int ref = driver_->PushOpen(conn);
+      open_refs_by_group_[g].push_back(ref);
+      batch.push_back(static_cast<std::size_t>(ref));
+      ++tr->opens;
+      note_config(obs::kConfigOpen, g);
+    }
+  }
+  const Cycle config_deadline = now() + spec_.drain_cycles;
+  while (!driver_->Done() && now() < config_deadline) soc_->RunCycles(1);
+  if (!driver_->Done()) {
+    return TimeoutError(
+        "phase '" + phase.name +
+        "': runtime configuration did not complete within " +
+        std::to_string(spec_.drain_cycles) +
+        " cycles (the 'drain' directive bounds each transition stage; "
+        "raise it" +
+        (spec_.fault.has_value() && spec_.fault->AnyConfigFaults() &&
+                 !spec_.fault->retry.enabled
+             ? ", or enable the fault block's retry policy — config "
+               "faults are armed without recovery"
+             : "") +
+        ")");
+  }
+  for (std::size_t i : batch) {
+    const config::ScriptedOp& op = driver_->op(i);
+    if (!op.error.ok()) {
+      return Status(op.error.code(),
+                    "phase '" + phase.name + "': " +
+                        (op.kind == config::ScriptedOp::Kind::kOpen ? "open"
+                                                                    : "close") +
+                        " failed: " + op.error.message());
+    }
+    if (op.kind == config::ScriptedOp::Kind::kOpen) {
+      tr->setup_latency_max = std::max(tr->setup_latency_max, op.Latency());
+      tr->slots_allocated += op.slots_delta;
     } else {
-      while (si < stream_flows_.size() && stream_flows_[si].group == g) {
-        const StreamFlow& f = stream_flows_[si];
-        FlowResult r = base(traffic);
-        r.src = f.flow.src;
-        r.dst = f.flow.dst;
-        r.words_total = f.consumer->words_read();
-        r.words_in_window = stream_window[si];
-        r.latency = Summarize(f.consumer->latency());
-        r.latency_samples = f.consumer->latency().samples();
-        r.phase_stats = std::move(stream_ps[si]);
-        result.flows.push_back(std::move(r));
-        ++si;
-      }
+      tr->teardown_latency_max =
+          std::max(tr->teardown_latency_max, op.Latency());
+      tr->slots_reclaimed += op.slots_delta;
     }
   }
-  for (FlowResult& r : result.flows) {
-    r.throughput_wpc = static_cast<double>(r.words_in_window) /
-                       static_cast<double>(measured);
-    result.words_in_window += r.words_in_window;
-  }
-  result.throughput_wpc = static_cast<double>(result.words_in_window) /
-                          static_cast<double>(measured);
+  tr->config_cycles = now() - config_start;
+  tr->config_messages =
+      shell->local_writes() + shell->remote_writes() - writes0;
 
-  AggregateNiStats(soc_.get(), spec_.NumNis(), &result);
-
-  std::vector<std::string> degradations;
-  if (spec_.verify) {
-    const bool fault_aware =
-        spec_.fault.has_value() && spec_.fault->AnyNetworkFaults();
-    std::vector<std::string> problems;
-    AETHEREAL_CHECK(monitor != nullptr);
-    AppendMonitorProblems(monitor, &problems,
-                          fault_aware ? &degradations : nullptr);
-    // Per-window GT throughput floors, against the slot tables that were
-    // in force during each phase window. Network faults legitimately eat
-    // into the floor, so shortfalls degrade instead of fail there.
-    std::vector<std::string>* gt_sink =
-        fault_aware ? &degradations : &problems;
-    for (const WindowCheck& check : window_checks) {
-      CheckGtThroughputFloor(
-          check.what, check.group,
-          "in phase '" + spec_.phases[check.phase].name + "'", check.src,
-          check.dst, check.admitted, check.delivered, check.guaranteed_wpc,
-          check.slack, check.duration, gt_sink);
+  // 3. Switch the incoming phase's sources on; the run loop settles the
+  // new use case before measuring.
+  for (std::size_t g = 0; g < spec_.traffic.size(); ++g) {
+    if (spec_.traffic[g].phase == static_cast<int>(k)) {
+      SetGroupActive(g, true, now());
     }
-    for (const MemoryFlow& m : memory_flows_) {
-      if (m.master->completed() > m.master->issued()) {
-        std::ostringstream oss;
-        oss << "transaction-ordering: memory g" << m.group << " completed "
-            << m.master->completed() << " transactions but only issued "
-            << m.master->issued();
-        problems.push_back(oss.str());
-      }
-    }
-    for (const StreamFlow& f : stream_flows_) {
-      if (f.consumer->words_read() > f.source->words_written()) {
-        std::ostringstream oss;
-        oss << "flit-integrity: stream g" << f.group << " " << f.flow.src
-            << "->" << f.flow.dst << " read " << f.consumer->words_read()
-            << " words but the source only wrote "
-            << f.source->words_written();
-        problems.push_back(oss.str());
-      }
-    }
-    if (!problems.empty()) return VerificationError(spec_.name, problems);
   }
-  FillFaultResult(std::move(degradations), &result);
-  if (Status s = FinalizeObsIntoResult(&result); !s.ok()) return s;
-  return result;
+  return OkStatus();
 }
 
-void ScenarioRunner::CheckGuarantees(
-    const std::vector<std::int64_t>& stream_admitted0,
-    const std::vector<std::int64_t>& video_admitted0,
-    const std::vector<std::int64_t>& stream_delivered0,
-    const std::vector<std::int64_t>& video_delivered0, Cycle duration,
-    std::vector<std::string>* problems,
-    std::vector<std::string>* degradations) {
-  verify::Monitor* monitor = soc_->monitor();
-  AETHEREAL_CHECK(monitor != nullptr);
-  AppendMonitorProblems(monitor, problems, degradations);
-
-  // Analytical GT guarantees: the throughput floor, per measurement
-  // window (`duration` = measured cycles actually run — the fixed spec
-  // duration, or the stop-on-convergence window). Armed network faults
-  // legitimately eat into the floor (and NI stalls stretch word latency),
-  // so with `degradations` set those shortfalls degrade instead of fail.
-  std::vector<std::string>* gt_sink =
-      degradations != nullptr ? degradations : problems;
-  auto check_throughput = [&](const char* what, std::size_t group, NiId src,
-                              NiId dst, std::int64_t admitted,
-                              std::int64_t delivered, double guaranteed_wpc,
-                              std::int64_t slack) {
-    CheckGtThroughputFloor(what, group, "in the window", src, dst, admitted,
-                           delivered, guaranteed_wpc, slack, duration,
-                           gt_sink);
-  };
-
+void ScenarioRunner::CheckGtLatency(const FlowIps& f,
+                                    std::vector<std::string>* sink) {
   // The end-to-end (Write-to-Read) latency bound is table-derivable only
   // when the credit loop provably cannot bind: stream credits return as
   // best-effort packets, so any BE directive in the scenario can delay
@@ -1365,94 +1037,36 @@ void ScenarioRunner::CheckGuarantees(
   // GT guarantee (the per-flit network timing is checked unconditionally
   // by the monitor). With only GT directives, every reverse path carries
   // at most a trickle of credit-only flits, bounded by one table rotation
-  // of jitter.
+  // of jitter. The bound also needs one slot table for the whole run: the
+  // samples are whole-run, and declared phases reconfigure between windows.
   const bool all_gt =
       std::all_of(spec_.traffic.begin(), spec_.traffic.end(),
                   [](const TrafficSpec& t) { return t.gt; });
-
-  for (std::size_t i = 0; i < stream_flows_.size(); ++i) {
-    const StreamFlow& f = stream_flows_[i];
-    const TrafficSpec& traffic = spec_.traffic[f.group];
-    if (!traffic.gt) continue;
-    const GtFlowBound hop = BoundOfHop(f.group, f.flow, f.src_connid);
-    const std::int64_t admitted =
-        f.source->words_written() - stream_admitted0[i];
-    const std::int64_t delivered =
-        f.consumer->words_read() - stream_delivered0[i];
-    check_throughput("stream", f.group, f.flow.src, f.flow.dst, admitted,
-                     delivered, hop.bound.min_throughput_wpc,
-                     HopSlackWords(hop.bound, spec_.queue_words));
-    // The per-word latency bound applies when each word provably finds an
-    // empty source queue and full credit: periodic injection at most once
-    // per table rotation, unmodified thresholds, a queue deep enough to
-    // ride out the credit round trip, and no BE directive that could
-    // starve the credit return (see above).
-    if (all_gt && traffic.inject == InjectKind::kPeriodic &&
-        traffic.period >=
-            static_cast<std::int64_t>(spec_.stu_slots) * kFlitWords &&
-        traffic.data_threshold == 1 && traffic.credit_threshold == 1 &&
-        spec_.queue_words >= 4 && f.consumer->latency().count() > 0) {
-      // One rotation of margin absorbs credit-return and BE-arbitration
-      // jitter among the (all-GT) companion flows.
-      const Cycle bound =
-          hop.bound.worst_case_latency +
-          static_cast<Cycle>(spec_.stu_slots) * kFlitWords;
-      const double measured = f.consumer->latency().Max();
-      if (measured > static_cast<double>(bound)) {
-        std::ostringstream oss;
-        oss << "gt-latency: stream g" << f.group << " " << f.flow.src << "->"
-            << f.flow.dst << " saw a word latency of " << measured
-            << " cycles; the slot tables bound it by " << bound
-            << " (max gap " << hop.bound.max_gap_slots << " slots, "
-            << hop.bound.hops << " hops, one rotation of credit jitter)";
-        gt_sink->push_back(oss.str());
-      }
-    }
+  // Beyond that, each word must provably find an empty source queue and
+  // full credit: periodic injection at most once per table rotation,
+  // unmodified thresholds, and a queue deep enough to ride out the credit
+  // round trip.
+  const TrafficSpec& traffic = spec_.traffic[f.group];
+  const Cycle rotation_words = static_cast<Cycle>(spec_.stu_slots) * kFlitWords;
+  if (!all_gt || traffic.inject != InjectKind::kPeriodic ||
+      traffic.period < rotation_words || traffic.data_threshold != 1 ||
+      traffic.credit_threshold != 1 || spec_.queue_words < 4 ||
+      f.Latency().count() == 0) {
+    return;
   }
-
-  for (std::size_t i = 0; i < video_chains_.size(); ++i) {
-    const VideoChain& c = video_chains_[i];
-    const TrafficSpec& traffic = spec_.traffic[c.group];
-    if (!traffic.gt) continue;
-    double guaranteed_wpc = -1;
-    std::int64_t slack = 0;
-    for (std::size_t h = 0; h < c.hop_flows.size(); ++h) {
-      const GtFlowBound hop =
-          BoundOfHop(c.group, c.hop_flows[h], c.hop_src_connids[h]);
-      if (guaranteed_wpc < 0 ||
-          hop.bound.min_throughput_wpc < guaranteed_wpc) {
-        guaranteed_wpc = hop.bound.min_throughput_wpc;
-      }
-      slack += HopSlackWords(hop.bound, spec_.queue_words);
-    }
-    const std::int64_t admitted =
-        c.source->words_written() - video_admitted0[i];
-    const std::int64_t delivered =
-        c.consumer->words_read() - video_delivered0[i];
-    check_throughput("video", c.group, c.chain.front(), c.chain.back(),
-                     admitted, delivered, guaranteed_wpc, slack);
-  }
-
-  for (const MemoryFlow& m : memory_flows_) {
-    if (m.master->completed() > m.master->issued()) {
-      std::ostringstream oss;
-      oss << "transaction-ordering: memory g" << m.group << " completed "
-          << m.master->completed() << " transactions but only issued "
-          << m.master->issued();
-      problems->push_back(oss.str());
-    }
-  }
-
-  // Best-effort sanity: a consumer can never read more than its producer
-  // wrote (whole-run totals; flit integrity is the monitor's job).
-  for (const StreamFlow& f : stream_flows_) {
-    if (f.consumer->words_read() > f.source->words_written()) {
-      std::ostringstream oss;
-      oss << "flit-integrity: stream g" << f.group << " " << f.flow.src
-          << "->" << f.flow.dst << " read " << f.consumer->words_read()
-          << " words but the source only wrote " << f.source->words_written();
-      problems->push_back(oss.str());
-    }
+  // One rotation of margin absorbs credit-return and BE-arbitration jitter
+  // among the (all-GT) companion flows.
+  const GtFlowBound hop = BoundOfHop(f.group, f.hops.front());
+  const Cycle bound = hop.bound.worst_case_latency + rotation_words;
+  const double measured = f.Latency().Max();
+  if (measured > static_cast<double>(bound)) {
+    std::ostringstream oss;
+    oss << "gt-latency: stream g" << f.group << " " << f.src() << "->"
+        << f.dst() << " saw a word latency of " << measured
+        << " cycles; the slot tables bound it by " << bound << " (max gap "
+        << hop.bound.max_gap_slots << " slots, " << hop.bound.hops
+        << " hops, one rotation of credit jitter)";
+    sink->push_back(oss.str());
   }
 }
 
@@ -1570,13 +1184,7 @@ std::string ScenarioResult::ToJson() const {
       w.Key("duration").Int(phase.duration);
       w.Key("words_in_window").Int(phase.words_in_window);
       w.Key("throughput_wpc").Double(phase.throughput_wpc);
-      w.Key("latency_count").Int(phase.latency_count);
-      if (phase.latency_count > 0) {
-        w.Key("latency_mean").Double(phase.latency_mean);
-        w.Key("latency_p50").Double(phase.latency_p50);
-        w.Key("latency_p95").Double(phase.latency_p95);
-        w.Key("latency_p99").Double(phase.latency_p99);
-      }
+      WriteWindowLatency(w, phase);
       if (phase.convergence.has_value()) {
         w.Key("convergence");
         stats_ctl::WriteConvergenceJson(w, *phase.convergence);
@@ -1630,13 +1238,7 @@ std::string ScenarioResult::ToJson() const {
         w.Key("phase").Int(ps.phase);
         w.Key("words").Int(ps.words);
         w.Key("throughput_wpc").Double(ps.throughput_wpc);
-        w.Key("latency_count").Int(ps.latency_count);
-        if (ps.latency_count > 0) {
-          w.Key("latency_mean").Double(ps.latency_mean);
-          w.Key("latency_p50").Double(ps.latency_p50);
-          w.Key("latency_p95").Double(ps.latency_p95);
-          w.Key("latency_p99").Double(ps.latency_p99);
-        }
+        WriteWindowLatency(w, ps);
         w.EndObject();
       }
       w.EndArray();

@@ -253,10 +253,12 @@ class ScenarioRunner {
   /// constraint violation, slot exhaustion, ...).
   Status Build();
 
-  /// Build() + warmup + measured window; collects the result. Callable
-  /// once per runner. With spec().verify set, a run that violates any
-  /// runtime invariant or analytical GT bound fails with
-  /// kVerificationFailed.
+  /// Build(), then one loop over spec().Windows() — a static spec is a
+  /// single implicit phase with no reconfiguration. Per window: enter the
+  /// phase (declared phases only), settle, measure (the fixed duration, or
+  /// until convergence); then collects the result. Callable once per
+  /// runner. With spec().verify set, a run that violates any runtime
+  /// invariant or analytical GT bound fails with kVerificationFailed.
   Result<ScenarioResult> Run();
 
   /// Build() + the analytical bounds of every GT flow hop, derived from
@@ -269,60 +271,66 @@ class ScenarioRunner {
   const ScenarioSpec& spec() const { return spec_; }
 
  private:
-  struct StreamFlow {
-    std::size_t group;
+  /// One NoC connection of a flow, with the connids at both ends.
+  struct Hop {
     Flow flow;
     int src_connid = 0;
-    std::unique_ptr<PatternSource> source;
-    std::unique_ptr<ip::StreamConsumer> consumer;
+    int dst_connid = 0;
   };
-  struct VideoChain {
-    std::size_t group;
-    std::vector<NiId> chain;
-    std::vector<Flow> hop_flows;      // consecutive chain hops
-    std::vector<int> hop_src_connids;  // source connid of each hop
+
+  /// The workload IPs behind one result flow — a stream, a whole video
+  /// chain, or a memory master/slave pair — and the one view the run loop
+  /// measures every kind through.
+  struct FlowIps {
+    std::size_t group = 0;
+    /// The NoC connections the flow's words cross: one for streams and
+    /// memory flows, one per chain hop for video.
+    std::vector<Hop> hops;
+
+    NiId src() const { return hops.front().flow.src; }
+    NiId dst() const { return hops.back().flow.dst; }
+
+    // Streams and video chains.
     std::unique_ptr<PatternSource> source;
     std::vector<std::unique_ptr<Relay>> relays;
     std::unique_ptr<ip::StreamConsumer> consumer;
-  };
-  struct MemoryFlow {
-    std::size_t group;
-    Flow flow;
-    int src_connid = 0;
+    // Memory flows.
+    int burst_words = 0;
     std::unique_ptr<shells::MasterShell> master_shell;
     std::unique_ptr<ip::TrafficGenMaster> master;
     std::unique_ptr<shells::SlaveShell> slave_shell;
     std::unique_ptr<ip::MemorySlave> memory;
+
+    /// Words delivered so far (memory: completed transactions x burst).
+    std::int64_t Delivered() const;
+    /// Words admitted by the source so far (memory: transactions issued).
+    std::int64_t Admitted() const;
+    /// Per-word latency (memory: per-transaction round trip), samples in
+    /// insertion order.
+    const Stats& Latency() const;
+    void SetActive(bool active, Cycle now);
+    /// True once every word the silenced source wrote has been consumed
+    /// (memory: no transaction outstanding).
+    bool Drained() const;
   };
 
   Status BuildTopologyAndSoc(
       const std::vector<std::vector<Flow>>& flows_by_group);
-  Status OpenFlowConnection(const TrafficSpec& traffic, const Flow& flow,
-                            int src_connid, int dst_connid);
-  config::ConnectionSpec ConnSpecOfFlow(const TrafficSpec& traffic,
-                                        const Flow& flow, int src_connid,
-                                        int dst_connid) const;
-  GtFlowBound BoundOfHop(std::size_t group, const Flow& flow,
-                         int src_connid);
+  config::ConnectionSpec ConnSpecOf(const TrafficSpec& traffic,
+                                    const Hop& hop) const;
+  GtFlowBound BoundOfHop(std::size_t group, const Hop& hop);
 
-  // --- phased execution (spec().Phased()) ----------------------------------
-  Result<ScenarioResult> RunPhased();
+  /// Reconfigures the NoC into declared phase `k` (phased specs only; the
+  /// implicit phase of a static spec opens its connections at build time):
+  /// silences and drains the outgoing phase's non-persistent flows, closes
+  /// their connections and opens phase k's through the configuration
+  /// protocol over the NoC, then switches phase k's sources on.
+  Status EnterPhase(std::size_t k, TransitionResult* transition);
   void SetGroupActive(std::size_t group, bool active, Cycle now);
   bool GroupDrained(std::size_t group) const;
-  /// Groups whose connections are torn down when leaving `phase` (its own
-  /// non-persistent directives).
-  std::vector<std::size_t> ClosingGroupsOf(int phase) const;
-  /// The verify-mode epilogue: monitor violations plus the analytical
-  /// throughput/latency checks, formatted into `problems`. With
-  /// `degradations` non-null (network faults armed), fault-induced
-  /// violations and GT-floor shortfalls land there instead — degraded, not
-  /// failed.
-  void CheckGuarantees(const std::vector<std::int64_t>& stream_admitted0,
-                       const std::vector<std::int64_t>& video_admitted0,
-                       const std::vector<std::int64_t>& stream_delivered0,
-                       const std::vector<std::int64_t>& video_delivered0,
-                       Cycle duration, std::vector<std::string>* problems,
-                       std::vector<std::string>* degradations);
+  /// The static-only per-word GT latency check of one stream flow (see
+  /// the definition for when the table bound applies).
+  void CheckGtLatency(const FlowIps& flow, std::vector<std::string>* sink);
   /// Fills result->fault from the injector / manager / monitor ledgers
   /// (no-op unless the spec's fault block is Enabled()).
   void FillFaultResult(std::vector<std::string> degradations,
@@ -337,9 +345,9 @@ class ScenarioRunner {
   bool built_ = false;
   bool ran_ = false;
   std::unique_ptr<soc::Soc> soc_;
-  std::vector<StreamFlow> stream_flows_;
-  std::vector<VideoChain> video_chains_;
-  std::vector<MemoryFlow> memory_flows_;
+  /// Streams, then video chains, then memory flows, each in directive
+  /// order: the order convergence samples are concatenated in.
+  std::vector<FlowIps> flows_;
 
   // Phased scenarios: the runtime-configuration machinery. Connections are
   // NOT opened at build time; each phase's are opened (and the outgoing

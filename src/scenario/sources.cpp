@@ -7,8 +7,7 @@
 namespace aethereal::scenario {
 
 PatternSource::PatternSource(std::string name, core::NiPort* port, int connid,
-                             const TrafficSpec& traffic, std::uint64_t seed,
-                             bool start_active)
+                             const TrafficSpec& traffic, std::uint64_t seed)
     : sim::Module(std::move(name)),
       port_(port),
       connid_(connid),
@@ -17,8 +16,7 @@ PatternSource::PatternSource(std::string name, core::NiPort* port, int connid,
       rate_(traffic.rate),
       burst_words_(traffic.burst_words),
       gap_cycles_(traffic.gap_cycles),
-      rng_(seed),
-      active_(start_active) {
+      rng_(seed) {
   AETHEREAL_CHECK(port != nullptr);
   AETHEREAL_CHECK(inject_ != InjectKind::kClosedLoop);
   SetDefaultCommitOnly();  // no registered state, no Commit override

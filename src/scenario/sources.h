@@ -27,12 +27,11 @@ class PatternSource : public sim::Module {
   /// Emits timestamped words on `connid` following the injection process
   /// of `traffic` (kPeriodic / kBernoulli / kBursty). The seeded RNG
   /// provides the Bernoulli gaps and a per-flow phase offset so flows of
-  /// one pattern do not inject in lockstep. With `start_active` false the
-  /// source sits silent until Activate() — phased scenarios create every
-  /// phase's sources up front and switch them on as their phase begins.
+  /// one pattern do not inject in lockstep. Phased scenarios create every
+  /// phase's sources up front, Deactivate() them, and switch them on as
+  /// their phase begins.
   PatternSource(std::string name, core::NiPort* port, int connid,
-                const TrafficSpec& traffic, std::uint64_t seed,
-                bool start_active = true);
+                const TrafficSpec& traffic, std::uint64_t seed);
 
   /// Starts injecting: the first emission happens at `now` plus the
   /// constructor-drawn phase offset. Callable between cycles only.

@@ -59,10 +59,16 @@ int ScenarioSpec::ConfigChannelsOf(NiId ni) const {
   return ni == cfg_ni ? NumNis() - 1 : 1;
 }
 
+std::vector<PhaseSpec> ScenarioSpec::Windows() const {
+  if (Phased()) return phases;
+  PhaseSpec implicit;
+  implicit.duration = duration;
+  return {implicit};
+}
+
 Cycle ScenarioSpec::TotalDuration() const {
-  if (!Phased()) return duration;
   Cycle total = 0;
-  for (const PhaseSpec& phase : phases) total += phase.duration;
+  for (const PhaseSpec& window : Windows()) total += window.duration;
   return total;
 }
 
@@ -351,9 +357,8 @@ Result<ScenarioSpec> ParseScenario(const std::string& text) {
   ScenarioSpec spec;
   bool have_noc = false;
   bool have_duration = false;
-  bool have_cfgni = false;
-  bool have_drain = false;
-  int cfgni_line = 0;
+  int cfgni_line = 0;  // 0: directive absent
+  int drain_line = 0;
   int current_phase = -1;
   bool in_fault = false;
   int fault_line = 0;
@@ -556,7 +561,6 @@ Result<ScenarioSpec> ParseScenario(const std::string& text) {
         return ParseError(line.number, "cfgni must be a valid NI id");
       }
       spec.cfg_ni = static_cast<NiId>(*v);
-      have_cfgni = true;
       cfgni_line = line.number;
     } else if (kind == "drain") {
       auto v = int_arg();
@@ -565,7 +569,7 @@ Result<ScenarioSpec> ParseScenario(const std::string& text) {
         return ParseError(line.number, "drain must be in [1, 2^40]");
       }
       spec.drain_cycles = *v;
-      have_drain = true;
+      drain_line = line.number;
     } else if (kind == "engine") {
       const std::optional<sim::EngineKind> parsed =
           line.tokens.size() == 2 ? sim::ParseEngineKind(line.tokens[1])
@@ -717,9 +721,10 @@ Result<ScenarioSpec> ParseScenario(const std::string& text) {
       }
     }
   } else {
-    if (have_cfgni || have_drain) {
-      return InvalidArgumentError(
-          "'cfgni'/'drain' apply to phased scenarios only");
+    if (cfgni_line != 0 || drain_line != 0) {
+      return ParseError(cfgni_line != 0 ? cfgni_line : drain_line,
+                        std::string(cfgni_line != 0 ? "'cfgni'" : "'drain'") +
+                            " applies to phased scenarios only");
     }
     if (spec.fault.has_value() &&
         (spec.fault->AnyConfigFaults() || spec.fault->retry.enabled)) {

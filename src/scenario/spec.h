@@ -182,20 +182,22 @@ struct TrafficSpec {
   double read_fraction = 0.5;   // kMemory
   int mem_burst_words = 4;      // kMemory: words per transaction
 
-  /// Phased scenarios: index of the owning phase (-1 = no phase blocks),
-  /// and whether the directive survives every later phase transition.
+  /// Phased scenarios: index of the owning phase (-1 = no phase blocks:
+  /// the directive belongs to a static spec's one implicit phase), and
+  /// whether the directive survives every later phase transition.
   int phase = -1;
   bool persist = false;
 
   /// Source line of the directive (diagnostics only; 0 when synthesized).
   int line = 0;
 
-  /// True when the directive's flows inject during phase `k`: its own
-  /// phase, or any later one if persistent. The single source of the
-  /// activity predicate shared by parse-time validation, the phased
-  /// runner's windows, and the sweep's offered-load weighting.
+  /// True when the directive's flows inject during window `k` of
+  /// ScenarioSpec::Windows(): its own phase, any later one if persistent,
+  /// or the implicit phase of a static spec. The single source of the
+  /// activity predicate shared by parse-time validation, the runner's
+  /// windows, and the sweep's offered-load weighting.
   bool ActiveIn(int k) const {
-    return phase == k || (persist && phase >= 0 && phase < k);
+    return phase < 0 || phase == k || (persist && phase < k);
   }
 };
 
@@ -262,6 +264,12 @@ struct ScenarioSpec {
 
   bool Phased() const { return !phases.empty(); }
 
+  /// The measured windows of the run: the declared phases, or — for a
+  /// static spec — one implicit phase of `duration` cycles with no warmup
+  /// of its own and no reconfiguration (its connections open at build
+  /// time). The runner drives both shapes through this one list.
+  std::vector<PhaseSpec> Windows() const;
+
   int NumNis() const;
 
   /// Configuration channels provisioned at NI `ni` BEFORE any flow
@@ -272,7 +280,7 @@ struct ScenarioSpec {
   /// agree bit-for-bit or connids lose their deterministic identity.
   int ConfigChannelsOf(NiId ni) const;
 
-  /// Total measured cycles: the sum of phase durations, or `duration`.
+  /// Total measured cycles: the sum of the Windows() durations.
   Cycle TotalDuration() const;
 };
 

@@ -19,18 +19,15 @@ using scenario::ScenarioSpec;
 using scenario::TrafficSpec;
 
 /// Fraction of the measured cycles a directive's flows are actually
-/// injecting: 1 for static scenarios; for phased ones, the directive's
-/// active windows (its own phase, plus every later phase if persistent)
-/// over the total measured duration. Offered load must be weighted by
-/// this, or a flow active in one of N phases looks like it lost
-/// (N-1)/N of its traffic.
+/// injecting: its active windows (its own phase, plus every later phase if
+/// persistent; a static spec's one implicit phase) over the total measured
+/// duration. Offered load must be weighted by this, or a flow active in
+/// one of N phases looks like it lost (N-1)/N of its traffic.
 double ActiveFraction(const ScenarioSpec& spec, const TrafficSpec& traffic) {
-  if (!spec.Phased()) return 1.0;
+  const std::vector<scenario::PhaseSpec> windows = spec.Windows();
   Cycle active = 0;
-  for (std::size_t k = 0; k < spec.phases.size(); ++k) {
-    if (traffic.ActiveIn(static_cast<int>(k))) {
-      active += spec.phases[k].duration;
-    }
+  for (std::size_t k = 0; k < windows.size(); ++k) {
+    if (traffic.ActiveIn(static_cast<int>(k))) active += windows[k].duration;
   }
   return static_cast<double>(active) /
          static_cast<double>(spec.TotalDuration());

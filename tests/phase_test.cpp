@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "core/ni_kernel.h"
 #include "core/registers.h"
@@ -74,48 +75,120 @@ TEST(PhaseSpecTest, ParsesPhaseBlocks) {
 }
 
 TEST(PhaseSpecTest, RejectsMalformedPhasedSpecs) {
-  auto expect_error = [](const std::string& text, const std::string& what) {
+  // Every error names the offending line ("noc" is line 1).
+  auto expect_error = [](const std::string& text, const std::string& what,
+                         int line) {
     auto spec = ParseScenario(text);
     ASSERT_FALSE(spec.ok()) << "accepted: " << text;
     EXPECT_NE(spec.status().message().find(what), std::string::npos)
         << spec.status() << "\nexpected: " << what;
+    EXPECT_NE(spec.status().message().find("line " + std::to_string(line)),
+              std::string::npos)
+        << spec.status() << "\nexpected line " << line;
   };
   const std::string head = "noc star 4\n";
   // Traffic outside any phase while phases exist.
   expect_error(head +
                    "traffic neighbor\n"
                    "phase p duration 100\ntraffic neighbor\n",
-               "before the first 'phase'");
+               "before the first 'phase'", 2);
   // Scenario-level duration conflicts with phases, in either order.
   expect_error(head + "duration 500\nphase p duration 100\ntraffic neighbor\n",
-               "per-phase durations");
+               "per-phase durations", 3);
   expect_error(head + "phase p duration 100\ntraffic neighbor\nduration 500\n",
-               "per-phase durations");
+               "per-phase durations", 4);
   // persist outside a phase.
-  expect_error(head + "traffic neighbor persist\n", "needs a phase block");
+  expect_error(head + "traffic neighbor persist\n", "needs a phase block", 2);
   // Thresholds must stay 1 inside phases (drainability).
   expect_error(head +
                    "phase p duration 100\n"
                    "traffic neighbor data_threshold 4\n",
-               "data_threshold 1");
+               "data_threshold 1", 3);
   // Duplicate phase names.
   expect_error(head +
                    "phase p duration 100\ntraffic neighbor\n"
                    "phase p duration 100\ntraffic neighbor\n",
-               "duplicate phase name");
+               "duplicate phase name", 4);
   // A phase with nothing active.
   expect_error(head +
                    "phase a duration 100\ntraffic pairs 1 2\n"
                    "phase b duration 100\n",
-               "no active traffic directive");
-  // cfgni off the topology / without phases.
+               "no active traffic directive", 4);
+  // cfgni off the topology / cfgni or drain without phases.
   expect_error(head + "cfgni 9\nphase p duration 100\ntraffic neighbor\n",
-               "off the topology");
-  expect_error(head + "cfgni 1\ntraffic neighbor\n", "phased scenarios only");
-  expect_error(head + "drain 100\ntraffic neighbor\n",
-               "phased scenarios only");
-  // Malformed phase line.
-  expect_error(head + "phase p 100\ntraffic neighbor\n", "phase <name>");
+               "off the topology", 2);
+  expect_error(head + "cfgni 1\ntraffic neighbor\n",
+               "'cfgni' applies to phased scenarios only", 2);
+  expect_error(head + "traffic neighbor\ndrain 100\n",
+               "'drain' applies to phased scenarios only", 3);
+  // Malformed phase lines.
+  expect_error(head + "phase p 100\ntraffic neighbor\n", "phase <name>", 2);
+  expect_error(head + "phase p duration 0\ntraffic neighbor\n",
+               "out of range", 2);
+  expect_error(head + "phase p duration 100 settle 5\ntraffic neighbor\n",
+               "expected 'warmup <cycles>'", 2);
+}
+
+// ---------------------------------------------------------------------------
+// The implicit phase: a static spec runs the same loop, as one window
+// ---------------------------------------------------------------------------
+
+// The memory directive comes first, so directive order (the result's)
+// differs from the runner's measurement order (streams first).
+constexpr char kStaticSpec[] = R"(
+scenario static_test
+noc star 4
+stu 8
+queues 16
+seed 3
+warmup 200
+duration 2000
+traffic memory 3 0 inject closed
+traffic pairs 1 2 inject periodic 8 qos gt 2
+)";
+
+TEST(PhaseSpecTest, StaticSpecIsOneImplicitPhase) {
+  auto spec = ParseScenario(kStaticSpec);
+  ASSERT_TRUE(spec.ok()) << spec.status();
+  EXPECT_FALSE(spec->Phased());
+  const std::vector<PhaseSpec> windows = spec->Windows();
+  ASSERT_EQ(windows.size(), 1u);
+  EXPECT_EQ(windows[0].duration, 2000);
+  EXPECT_EQ(windows[0].warmup, 0);  // the scenario-level warmup precedes it
+  EXPECT_EQ(spec->TotalDuration(), 2000);
+  for (const TrafficSpec& traffic : spec->traffic) {
+    EXPECT_EQ(traffic.phase, -1);
+    EXPECT_TRUE(traffic.ActiveIn(0));
+  }
+  // A phased spec's windows are exactly its declared phases.
+  auto phased = ParseScenario(kSwitchSpec);
+  ASSERT_TRUE(phased.ok()) << phased.status();
+  ASSERT_EQ(phased->Windows().size(), 2u);
+  EXPECT_EQ(phased->Windows()[1].warmup, 100);
+  EXPECT_FALSE(phased->traffic[0].ActiveIn(1));
+}
+
+TEST(PhasedRunTest, StaticRunReportsNoPhaseSections) {
+  auto spec = ParseScenario(kStaticSpec);
+  ASSERT_TRUE(spec.ok()) << spec.status();
+  ScenarioRunner runner(*spec);
+  auto result = runner.Run();
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->cycles_run, 2200);
+  EXPECT_TRUE(result->phases.empty());
+  EXPECT_TRUE(result->transitions.empty());
+  ASSERT_EQ(result->flows.size(), 2u);
+  EXPECT_EQ(result->flows[0].pattern, "memory");
+  EXPECT_EQ(result->flows[1].pattern, "pairs");
+  for (const FlowResult& flow : result->flows) {
+    EXPECT_EQ(flow.phase, -1);
+    EXPECT_TRUE(flow.phase_stats.empty());
+    EXPECT_GT(flow.words_in_window, 0) << flow.pattern;
+    EXPECT_LT(flow.words_in_window, flow.words_total) << flow.pattern;
+  }
+  const std::string json = result->ToJson();
+  EXPECT_EQ(json.find("\"phases\":"), std::string::npos);
+  EXPECT_EQ(json.find("\"phase_stats\":"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
