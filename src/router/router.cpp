@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <utility>
 
 #include "fault/injector.h"
 #include "link/header.h"
@@ -60,6 +61,13 @@ int Router::OutputCredits(int port) const {
 
 void Router::Evaluate() {
   if (!IsSlotBoundary()) return;
+
+  // BE flits buffered in an earlier slot are committed now and may have
+  // become their input's head: refresh those inputs' requests.
+  for (std::uint32_t m = std::exchange(be_pushed_inputs_, 0); m != 0;
+       m &= m - 1) {
+    RefreshBeRequest(std::countr_zero(m));
+  }
 
   // Collect returned BE credits from downstream (only the ports whose
   // credit wire latched a return this slot are flagged).
@@ -211,6 +219,7 @@ void Router::BufferBe(int input, const Flit& flit, int target) {
                       name() << ": BE buffer overflow at input " << input
                              << " — link credit protocol violated");
   in.be_queue.Push(BufferedBeFlit{flit, target});
+  be_pushed_inputs_ |= std::uint32_t{1} << input;
   ++be_flits_buffered_;
   stats_.be_max_occupancy =
       std::max(stats_.be_max_occupancy,
@@ -242,64 +251,69 @@ void Router::ArbitrateBestEffort(const std::vector<Flit>& gt_out,
       continue;
     }
 
-    // Wormhole: continue the packet owning this output, if any.
-    if (out.be_owner_input != kInvalidId) {
-      auto& in = inputs_[static_cast<std::size_t>(out.be_owner_input)];
+    int i = out.be_owner_input;
+    if (i != kInvalidId) {
+      // Wormhole: continue the packet owning this output.
+      const auto& in = inputs_[static_cast<std::size_t>(i)];
       if (!in.be_queue.CanPop()) continue;  // bubble inside the packet
       const BufferedBeFlit& head = in.be_queue.Peek();
       AETHEREAL_CHECK_MSG(head.flit.kind == FlitKind::kPayload &&
                               head.target == o,
-                          name() << ": BE packet interleaving on input "
-                                 << out.be_owner_input);
-      if (out.be_credits <= 0) {
-        ++stats_.be_blocked_credit;
-        continue;
-      }
-      const BufferedBeFlit entry = in.be_queue.Pop();
-      --be_flits_buffered_;
-      in.credits_freed_this_slot += 1;
-      out.be_credits -= 1;
-      out.wires->data.Drive(entry.flit);
-      ++stats_.be_flits;
-      if (entry.flit.eop) {
-        out.be_owner_input = kInvalidId;
-        in.be_drain_target = kInvalidId;
-        --open_wormholes_;
-      }
+                          name() << ": BE packet interleaving on input " << i);
+    } else {
+      // Free output: round-robin among the requesting inputs, starting at
+      // rr_pointer. A stalled router grants no new wormholes (the arbiter
+      // is frozen); buffered headers wait out the window.
+      if (frozen || out.be_requests == 0) continue;
+      const std::uint32_t from_pointer =
+          out.be_requests & (~std::uint32_t{0} << out.rr_pointer);
+      i = std::countr_zero(from_pointer != 0 ? from_pointer : out.be_requests);
+    }
+    if (out.be_credits <= 0) {
+      ++stats_.be_blocked_credit;  // head-of-line blocked; nobody may jump
       continue;
     }
-
-    // Free output: round-robin among inputs whose head is a header flit
-    // routed to this output. A stalled router grants no new wormholes (the
-    // arbiter is frozen); buffered headers wait out the window.
-    if (frozen) continue;
-    for (int k = 0; k < config_.num_ports; ++k) {
-      const int i = (out.rr_pointer + k) % config_.num_ports;
-      auto& in = inputs_[static_cast<std::size_t>(i)];
-      if (in.be_drain_target != kInvalidId) continue;  // busy with a packet
-      if (!in.be_queue.CanPop()) continue;
-      const BufferedBeFlit& head = in.be_queue.Peek();
-      if (head.flit.kind != FlitKind::kHeader || head.target != o) continue;
-      if (out.be_credits <= 0) {
-        ++stats_.be_blocked_credit;
-        break;  // head-of-line blocked on credits; no other packet may jump
-      }
-      const BufferedBeFlit entry = in.be_queue.Pop();
-      --be_flits_buffered_;
-      in.credits_freed_this_slot += 1;
-      out.be_credits -= 1;
-      out.wires->data.Drive(entry.flit);
-      ++stats_.be_flits;
+    auto& in = inputs_[static_cast<std::size_t>(i)];
+    const BufferedBeFlit entry = in.be_queue.Pop();
+    --be_flits_buffered_;
+    in.credits_freed_this_slot += 1;
+    out.be_credits -= 1;
+    out.wires->data.Drive(entry.flit);
+    ++stats_.be_flits;
+    if (entry.flit.kind == FlitKind::kHeader) {
       ++stats_.be_packets;
+      out.rr_pointer = (i + 1) % config_.num_ports;
       if (!entry.flit.eop) {
         out.be_owner_input = i;
         in.be_drain_target = o;
         ++open_wormholes_;
       }
-      out.rr_pointer = (i + 1) % config_.num_ports;
-      break;
+    } else if (entry.flit.eop) {
+      out.be_owner_input = kInvalidId;
+      in.be_drain_target = kInvalidId;
+      --open_wormholes_;
     }
+    // The pop may expose a header that a later output grants this slot.
+    RefreshBeRequest(i);
   }
+}
+
+void Router::RefreshBeRequest(int input) {
+  auto& in = inputs_[static_cast<std::size_t>(input)];
+  int target = kInvalidId;
+  if (in.be_drain_target == kInvalidId && in.be_queue.CanPop()) {
+    const BufferedBeFlit& head = in.be_queue.Peek();
+    if (head.flit.kind == FlitKind::kHeader) target = head.target;
+  }
+  if (target == in.be_request) return;
+  const std::uint32_t bit = std::uint32_t{1} << input;
+  if (in.be_request != kInvalidId) {
+    outputs_[static_cast<std::size_t>(in.be_request)].be_requests &= ~bit;
+  }
+  if (target != kInvalidId) {
+    outputs_[static_cast<std::size_t>(target)].be_requests |= bit;
+  }
+  in.be_request = target;
 }
 
 }  // namespace aethereal::router

@@ -14,7 +14,8 @@
 //
 //  * BE flits are buffered per input and switched wormhole-style: a header
 //    flit arbitrates (round-robin) for its output; the winning packet owns
-//    the output until its end-of-packet flit. GT always preempts BE at slot
+//    the output until its end-of-packet flit (DESIGN.md §4.1 details the
+//    switch and its per-output request masks). GT always preempts BE at slot
 //    boundaries. Link-level credit flow control bounds the BE input buffers
 //    ("this scheme has smaller packet buffers, and, hence, lower
 //    implementation cost", paper §2).
@@ -100,6 +101,9 @@ class Router : public sim::Module {
   void BufferBe(int input, const link::Flit& flit, int target);
   void ArbitrateBestEffort(const std::vector<link::Flit>& gt_out,
                            bool frozen);
+  /// Recomputes which output `input` requests: its committed head if that
+  /// is a header and the input is not draining a packet, else none.
+  void RefreshBeRequest(int input);
 
   RouterId id_;
   RouterConfig config_;
@@ -110,6 +114,7 @@ class Router : public sim::Module {
     int gt_target = kInvalidId;         // output of the in-progress GT packet
     int be_accept_target = kInvalidId;  // target of the BE packet being received
     int be_drain_target = kInvalidId;   // output of the BE packet being sent
+    int be_request = kInvalidId;        // output whose be_requests has our bit
     int credits_freed_this_slot = 0;
     bool gt_discard = false;  // dropping a GT packet begun during a stall
     bool be_discard = false;  // dropping a BE packet begun during a stall
@@ -120,6 +125,7 @@ class Router : public sim::Module {
     int be_credits = 0;
     int be_owner_input = kInvalidId;  // wormhole ownership
     int rr_pointer = 0;               // round-robin arbitration state
+    std::uint32_t be_requests = 0;    // bit i: input i's be_request is here
   };
 
   std::vector<InputState> inputs_;
@@ -137,6 +143,9 @@ class Router : public sim::Module {
   // credit returns, buffered-work check — is provably a no-op this slot.
   int be_flits_buffered_ = 0;
   int open_wormholes_ = 0;
+  // Inputs that buffered a BE flit this slot. The push commits at the end
+  // of the slot, so their requests are refreshed at the next slot.
+  std::uint32_t be_pushed_inputs_ = 0;
   // Wire pending masks (bit = port), set by SlotWire when it latches a
   // driven value (link/wire.h SetConsumerBit): the slot sweep polls two
   // words instead of sampling every connected port's wires.
