@@ -277,7 +277,7 @@ void WriteJson(const std::string& path, const std::vector<RunResult>& results,
       << "    \"naive_kcycles_per_sec\": " << FmtNum(naive4x4.kcycles_per_sec)
       << ",\n"
       << "    \"ratio\": " << FmtNum(speedup) << ",\n"
-      << "    \"target\": 3.0\n"
+      << "    \"target\": 1.5\n"  // the floor scripts/ci.sh gates
       << "  }\n"
       << "}\n";
 }
@@ -358,7 +358,7 @@ int main(int argc, char** argv) {
   const double speedup =
       naive.flits_per_sec > 0 ? soa.flits_per_sec / naive.flits_per_sec : 0;
   std::cout << "\n4x4 mixed speedup (soa vs naive): "
-            << Table::Fmt(speedup, 2) << "x (target >= 3x)\n";
+            << Table::Fmt(speedup, 2) << "x (CI gate >= 1.5x)\n";
 
   // Observability overhead: the same 8x8 mixed workload with the taps
   // armed (counters + windowed sampling) vs off, interleaved like the

@@ -28,7 +28,8 @@
 # layer (noc_verify over every canonical scenario and sweep on both
 # engines, plus a fixed-seed conformance-fuzz batch — under ASan in the
 # sanitize configuration), and — on plain Release — a bench_speed smoke so
-# perf regressions surface.
+# perf regressions surface, plus the repository benchmark's self-test
+# (benchmark/run.sh --smoke).
 #
 # Coverage baseline-bump procedure: scripts/coverage_baseline.txt records
 # the minimum acceptable src/ line coverage (whole percents). When a PR
@@ -398,6 +399,13 @@ else:
 assert ratio >= floor, \
     f"parallel sweep speedup {ratio:.2f}x below floor {floor}x ({cores} cores)"
 EOF
+
+  # The repository benchmark builds its own noc_bench against the library,
+  # so this is what notices a library API change that breaks it. The
+  # self-test also checks the workload digests, the naive-engine
+  # cross-check and sweep jobs=1 vs N (about 10 s).
+  echo "=== repository benchmark smoke ==="
+  bash benchmark/run.sh --smoke
 fi
 
 if [[ "$coverage" == "1" ]]; then

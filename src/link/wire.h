@@ -4,32 +4,36 @@
 // The Æthereal link transports one 32-bit word per cycle; a 3-word flit
 // therefore occupies one TDM slot (3 word-clock cycles at 500 MHz). This
 // model transfers values atomically at slot granularity: a producer drives
-// at most one value per slot (during the slot-boundary cycle's Evaluate
-// phase); the value becomes visible to the consumer at the next slot
-// boundary and is held for that whole slot. Per-hop latency is thus exactly
-// one slot, as in the pipelined TDM circuits of the paper.
+// at most one value per slot (during an Evaluate phase of that slot); the
+// value is visible to the consumer for exactly the next slot and the wire
+// is idle again after it. Per-hop latency is thus exactly one slot, as in
+// the pipelined TDM circuits of the paper.
 //
 // Two instantiations are used:
 //  * FlitWire  — the forward data signal (idle flit when undriven);
 //  * CreditWire — the backward link-level credit-return pulse used by the
 //    best-effort input buffers (0 when undriven).
 //
-// Gating integration (DESIGN.md §7): a wire arms itself on Drive() and
-// stays armed until one slot boundary after it has gone idle, so an
-// undriven wire costs nothing per edge. Drive() also wakes the consumer
-// module registered with SetConsumer(), guaranteeing a parked consumer is
-// running again by the slot boundary at which the value becomes visible.
+// A wire is a stamped two-entry register (DESIGN.md §6), not a two-phase
+// state element: Drive() in slot s writes the entry of parity s & 1 and
+// stamps it s; Sample() in slot t returns the entry of parity (t-1) & 1 if
+// its stamp is t-1, else the idle value. Latch, hold and revert all follow
+// from the stamps, so a wire has no Commit(), is never on a dirty list,
+// and an undriven wire costs nothing per edge. The two parity entries keep
+// a Drive() and a Sample() in the same edge independent of their order,
+// which is the two-phase contract by construction. Drive() also wakes the
+// consumer module registered with SetConsumer() for the next slot, so a
+// parked consumer is running when the value becomes visible.
 #ifndef AETHEREAL_LINK_WIRE_H
 #define AETHEREAL_LINK_WIRE_H
 
+#include <array>
 #include <cstdint>
-#include <string>
+#include <limits>
 #include <type_traits>
-#include <utility>
 
 #include "link/flit.h"
 #include "sim/kernel.h"
-#include "sim/soa_state.h"
 #include "util/check.h"
 
 namespace aethereal::link {
@@ -45,21 +49,28 @@ class FlitTap {
 };
 
 template <typename T>
-class SlotWire : public sim::TwoPhase {
+class SlotWire {
  public:
-  SlotWire() = default;
-  explicit SlotWire(T idle) : idle_(idle), current_(idle), next_(idle) {}
+  /// A wire on `clock`'s slot grid (slot = clock->cycles() / kFlitWords),
+  /// reading T{} (the idle flit, zero credits) when undriven.
+  explicit SlotWire(const sim::Clock* clock) : clock_(clock) {
+    AETHEREAL_CHECK(clock != nullptr);
+  }
 
-  /// Declares the module that samples this wire; every Drive() wakes it so
-  /// a parked consumer never misses a slot transfer.
+  SlotWire(const SlotWire&) = delete;
+  SlotWire& operator=(const SlotWire&) = delete;
+
+  /// Declares the module that samples this wire; every Drive() wakes it for
+  /// the next slot so a parked consumer never misses a slot transfer.
   void SetConsumer(sim::Module* consumer) { consumer_ = consumer; }
 
-  /// Optional pending mask: when the wire latches a driven (non-idle) value
-  /// at a slot boundary, `*mask |= 1 << bit`. Lets a consumer with many
-  /// input wires poll one word instead of sampling every port; the consumer
-  /// owns the mask and clears bits as it drains them.
-  void SetConsumerBit(std::uint32_t* mask, int bit) {
-    consumer_mask_ = mask;
+  /// Optional pending masks: a Drive() in slot s sets `1 << bit` in
+  /// `(*masks)[s & 1]`. Lets a consumer with many input wires poll one word
+  /// per slot instead of sampling every port: in slot t it drains the word
+  /// of parity (t-1) & 1. Sound only because the drive also wakes the
+  /// consumer for slot s+1, so no word outlives the slot that drains it.
+  void SetConsumerBit(std::array<std::uint32_t, 2>* masks, int bit) {
+    consumer_masks_ = masks;
     consumer_mask_bit_ = std::uint32_t{1} << bit;
   }
 
@@ -72,75 +83,57 @@ class SlotWire : public sim::TwoPhase {
     tap_site_ = site;
   }
 
-  /// Producer: drive the wire for the current slot (call during Evaluate of
-  /// a slot-boundary cycle, at most once per slot).
+  /// Producer: drive the wire for the current slot (call during Evaluate,
+  /// at most once per slot).
   void Drive(const T& value) {
-    AETHEREAL_CHECK_MSG(!driven_, "wire driven twice in one slot");
+    const Cycle now = clock_->cycles();
+    const Cycle slot = now / kFlitWords;
+    const auto p = static_cast<std::size_t>(slot & 1);
+    Entry& entry = entries_[p];
+    AETHEREAL_CHECK_MSG(entry.stamp != slot, "wire driven twice in one slot");
+    entry.value = value;
     if constexpr (std::is_same_v<T, Flit>) {
-      if (tap_ != nullptr) {
-        T tapped = value;
-        const sim::Module* m = owner();
-        const Cycle now =
-            (m != nullptr && m->clock() != nullptr) ? m->CycleCount() : phase_;
-        if (!tap_->OnDrive(tap_site_, now, &tapped)) return;  // dropped
-        next_ = tapped;
-        driven_ = true;
-        MarkDirty();
-        if (consumer_ != nullptr) consumer_->Wake(kFlitWords);
-        return;
+      if (tap_ != nullptr && !tap_->OnDrive(tap_site_, now, &entry.value)) {
+        return;  // dropped: the slot stays idle
       }
     }
-    next_ = value;
-    driven_ = true;
-    MarkDirty();
+    entry.stamp = slot;
+    if (consumer_masks_ != nullptr) (*consumer_masks_)[p] |= consumer_mask_bit_;
     if (consumer_ != nullptr) consumer_->Wake(kFlitWords);
   }
 
-  /// Consumer: the value latched at the last slot boundary.
-  const T& Sample() const { return current_; }
+  /// Consumer: the value driven in the previous slot, else idle.
+  const T& Sample() const {
+    return SampleDrivenIn(clock_->cycles() / kFlitWords - 1);
+  }
 
-  /// Commits once per word-clock edge while armed; the latch transfers at
-  /// slot boundaries (every kFlitWords edges).
-  void Commit() override {
-    const bool boundary = AtSlotEnd();
-    ++phase_;
-    if (boundary) {
-      current_ = driven_ ? next_ : idle_;
-      holding_ = driven_;
-      if (driven_ && consumer_mask_ != nullptr) {
-        *consumer_mask_ |= consumer_mask_bit_;
-      }
-      driven_ = false;
-    }
-    // Stay armed until the boundary at which the wire reverts to idle: a
-    // pending drive needs its transfer, a held value needs its revert.
-    if (driven_ || holding_ || !boundary) MarkDirty();
+  /// Sample() for a caller that reads many wires of one clock and computes
+  /// `prev`, the previous slot, once per slot: the value driven in `prev`,
+  /// else idle. Only the previous slot is committed state; passing the
+  /// current slot would observe same-slot drives.
+  const T& SampleDrivenIn(Cycle prev) const {
+    const Entry& entry = entries_[static_cast<std::size_t>(prev & 1)];
+    return entry.stamp == prev ? entry.value : kIdle;
   }
 
  private:
-  bool AtSlotEnd() const {
-    // The slot grid is defined by the owning module's clock so that skipped
-    // commits (while the wire is idle and disarmed) cannot drift the phase.
-    // A standalone wire (unit tests) falls back to counting its own
-    // commits, which in that setting happen every edge.
-    const sim::Module* m = owner();
-    const Cycle edge = (m != nullptr && m->clock() != nullptr)
-                           ? m->CycleCount()
-                           : phase_;
-    return edge % kFlitWords == kFlitWords - 1;
-  }
+  // Stamp of an entry never driven: no slot number, not even the -1 that
+  // slot 0 samples.
+  static constexpr Cycle kNever = std::numeric_limits<Cycle>::min();
+  static inline const T kIdle{};
 
-  T idle_{};
-  T current_{};
-  T next_{};
-  bool driven_ = false;
-  bool holding_ = false;  // current_ carries a driven value to revert
+  struct Entry {
+    Cycle stamp = kNever;  // the slot that drove `value`
+    T value{};
+  };
+
+  const sim::Clock* clock_;
+  std::array<Entry, 2> entries_{};  // indexed by slot parity
   sim::Module* consumer_ = nullptr;
-  std::uint32_t* consumer_mask_ = nullptr;  // see SetConsumerBit
+  std::array<std::uint32_t, 2>* consumer_masks_ = nullptr;  // SetConsumerBit
   std::uint32_t consumer_mask_bit_ = 0;
   FlitTap* tap_ = nullptr;
   int tap_site_ = -1;
-  Cycle phase_ = 0;
 };
 
 using FlitWire = SlotWire<Flit>;
@@ -149,76 +142,13 @@ using CreditWire = SlotWire<int>;
 /// The wire bundle of one directed link: forward flits, backward link-level
 /// credits (used only by best-effort buffering; guaranteed-throughput flits
 /// are contention-free by construction and never buffered in routers).
+/// Both wires run on the slot grid of `clock`, the network clock.
 struct LinkWires {
+  explicit LinkWires(const sim::Clock* clock)
+      : data(clock), credit_return(clock) {}
+
   FlitWire data;
   CreditWire credit_return;
-};
-
-/// A directed link as a simulation module: owns and commits its wires on
-/// the network clock. Producers call data.Drive(); consumers call
-/// credit_return.Drive(). A link is pure commit machinery: it is never
-/// evaluated on the gated path, and once both wires have disarmed its
-/// per-edge cost is two flag checks.
-class DirectedLink : public sim::Module {
- public:
-  explicit DirectedLink(std::string name) : sim::Module(std::move(name)) {
-    RegisterState(&wires_.data);
-    RegisterState(&wires_.credit_return);
-    SetEvaluateIsNoop();
-    SetDefaultCommitOnly();
-    // Wires latch only at the end-of-slot edge; commits on the two other
-    // word-clock edges of a slot are no-ops and are skipped.
-    SetCommitStride(kFlitWords, kFlitWords - 1);
-  }
-
-  void Evaluate() override {}
-
-  LinkWires& wires() { return wires_; }
-
- private:
-  LinkWires wires_;
-};
-
-/// Flattened link storage (DESIGN.md §7): ONE module owning the wire
-/// bundles of every link of a NoC in a contiguous slab, replacing the
-/// per-link DirectedLink modules. Behaviour per wire is identical — the
-/// wires are the same SlotWire objects, committed by the same dirty-list
-/// protocol — but the commit sweep now walks consecutive memory, the
-/// kernel dispatches ONE virtual Commit() per slot for all driven links
-/// instead of one per link, and the per-clock module count (which every
-/// evaluate/commit scan is proportional to) drops by the link count.
-///
-/// The slab has a fixed capacity so LinkWires addresses stay stable: the
-/// wires register themselves as TwoPhase state and producers/consumers keep
-/// raw pointers to them.
-class WirePool : public sim::Module {
- public:
-  WirePool(std::string name, int capacity)
-      : sim::Module(std::move(name)),
-        links_(static_cast<std::size_t>(capacity)) {
-    SetEvaluateIsNoop();      // pure commit machinery, like DirectedLink
-    SetDefaultCommitOnly();
-    // Wires latch only at the end-of-slot edge; commits on the two other
-    // word-clock edges of a slot are no-ops and are skipped.
-    SetCommitStride(kFlitWords, kFlitWords - 1);
-  }
-
-  /// Constructs the next link's wire bundle in the slab and registers its
-  /// wires for commit. The returned address is stable for the pool's
-  /// lifetime.
-  LinkWires* AddLink() {
-    LinkWires* wires = links_.Emplace();
-    RegisterState(&wires->data);
-    RegisterState(&wires->credit_return);
-    return wires;
-  }
-
-  int NumLinks() const { return static_cast<int>(links_.size()); }
-
-  void Evaluate() override {}
-
- private:
-  sim::Slab<LinkWires> links_;
 };
 
 }  // namespace aethereal::link

@@ -62,10 +62,13 @@ void ObsTap::Evaluate() {
   }
 
   // --- links: one committed flit (or idle) + one credit pulse per slot.
+  // Every link runs on this clock, so the previous slot is computed once
+  // here rather than by each of the two Sample() calls per link.
   std::vector<LinkCounters>& counters = hub_->link_counters();
+  const Cycle prev_slot = now / kFlitWords - 1;
   for (std::size_t i = 0; i < hookup_.links.size(); ++i) {
     const link::LinkWires* wires = hookup_.links[i];
-    const link::Flit& flit = wires->data.Sample();
+    const link::Flit& flit = wires->data.SampleDrivenIn(prev_slot);
     LinkCounters& c = counters[i];
     const LinkKind kind = hub_->link_kind(static_cast<int>(i));
     if (flit.IsIdle()) {
@@ -98,7 +101,7 @@ void ObsTap::Evaluate() {
         }
       }
     }
-    const int credits = wires->credit_return.Sample();
+    const int credits = wires->credit_return.SampleDrivenIn(prev_slot);
     if (credits > 0) {
       ++c.credit_slots;
       c.credits_returned += credits;

@@ -2,7 +2,8 @@
 //
 // The tap follows the verify monitor's observation contract exactly: it
 // is registered on the network clock BEFORE any NoC hardware, samples
-// only committed state (link wires via Sample(), CDC queue fills via
+// only committed state (link wires via Sample(), which in slot t returns
+// what was driven in slot t-1 whatever slot t drives; CDC queue fills via
 // their committed reader sizes), registers no TwoPhase state, and never
 // stages anything — so arming it cannot perturb the simulation, and the
 // counts it accumulates are identical on the naive and soa engines (the

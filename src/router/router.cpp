@@ -35,7 +35,7 @@ void Router::ConnectInput(int port, link::LinkWires* wires) {
   AETHEREAL_CHECK(wires != nullptr);
   inputs_[static_cast<std::size_t>(port)].wires = wires;
   // Flits arriving on this link must find us running, and flag their port
-  // so the slot sweep samples only ports that latched something.
+  // so the slot sweep samples only ports driven in the previous slot.
   wires->data.SetConsumer(this);
   wires->data.SetConsumerBit(&inputs_pending_, port);
 }
@@ -49,7 +49,7 @@ void Router::ConnectOutput(int port, link::LinkWires* wires,
   out.wires = wires;
   out.be_credits = downstream_be_capacity;
   // Credits returned by the downstream peer must find us running, and flag
-  // their port so the slot sweep samples only ports with returns latched.
+  // their port so the slot sweep samples only ports with returns driven.
   wires->credit_return.SetConsumer(this);
   wires->credit_return.SetConsumerBit(&credits_pending_, port);
 }
@@ -69,14 +69,22 @@ void Router::Evaluate() {
     RefreshBeRequest(std::countr_zero(m));
   }
 
-  // Collect returned BE credits from downstream (only the ports whose
-  // credit wire latched a return this slot are flagged).
-  const bool credits_arrived = credits_pending_ != 0;
-  while (credits_pending_ != 0) {
-    const int p = std::countr_zero(credits_pending_);
-    credits_pending_ &= credits_pending_ - 1;
-    auto& out = outputs_[static_cast<std::size_t>(p)];
-    out.be_credits += out.wires->credit_return.Sample();
+  // The ports driven last slot are flagged in that slot's parity words.
+  // The drive woke us for this slot, so the words are drained on time and
+  // never outlive it.
+  const auto last =
+      static_cast<std::size_t>((CycleCount() / kFlitWords - 1) & 1);
+  const std::uint32_t credit_ports = std::exchange(credits_pending_[last], 0);
+  const std::uint32_t input_ports = std::exchange(inputs_pending_[last], 0);
+
+  // Collect returned BE credits from downstream.
+  const bool credits_arrived = credit_ports != 0;
+  for (std::uint32_t m = credit_ports; m != 0; m &= m - 1) {
+    auto& out = outputs_[static_cast<std::size_t>(std::countr_zero(m))];
+    const int returned = out.wires->credit_return.Sample();
+    AETHEREAL_CHECK_MSG(returned != 0,
+                        name() << ": flagged credit port sampled no credit");
+    out.be_credits += returned;
   }
 
   // Phase A: accept arriving flits. GT flits are switched through
@@ -90,7 +98,8 @@ void Router::Evaluate() {
     gt_out_scratch_[static_cast<std::size_t>(p)] = Flit::Idle();
   }
   gt_out_ports_.clear();
-  const bool flits_arrived = AcceptInputs(gt_out_scratch_, frozen);
+  const bool flits_arrived =
+      AcceptInputs(input_ports, gt_out_scratch_, frozen);
 
   // Slot fast path: nothing arrived and the BE pipeline is empty, so there
   // is nothing to switch, arbitrate, drain or acknowledge — the remaining
@@ -125,14 +134,14 @@ void Router::Evaluate() {
   }
 }
 
-bool Router::AcceptInputs(std::vector<Flit>& gt_out, bool frozen) {
-  const bool any = inputs_pending_ != 0;
-  while (inputs_pending_ != 0) {
-    const auto i =
-        static_cast<std::size_t>(std::countr_zero(inputs_pending_));
-    inputs_pending_ &= inputs_pending_ - 1;
+bool Router::AcceptInputs(std::uint32_t pending, std::vector<Flit>& gt_out,
+                          bool frozen) {
+  for (std::uint32_t m = pending; m != 0; m &= m - 1) {
+    const auto i = static_cast<std::size_t>(std::countr_zero(m));
     auto& in = inputs_[i];
     const Flit& flit = in.wires->data.Sample();
+    AETHEREAL_CHECK_MSG(!flit.IsIdle(),
+                        name() << ": flagged input " << i << " sampled idle");
 
     // Continuations of a packet whose header was dropped during a stall
     // window are discarded until (and including) its EOP, so downstream
@@ -197,7 +206,7 @@ bool Router::AcceptInputs(std::vector<Flit>& gt_out, bool frozen) {
       }
     }
   }
-  return any;
+  return pending != 0;
 }
 
 void Router::ForwardGt(int input, const Flit& flit, int target,

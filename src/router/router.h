@@ -22,6 +22,7 @@
 #ifndef AETHEREAL_ROUTER_ROUTER_H
 #define AETHEREAL_ROUTER_ROUTER_H
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -94,8 +95,10 @@ class Router : public sim::Module {
   };
 
   bool IsSlotBoundary() const { return CycleCount() % kFlitWords == 0; }
-  /// Returns true if any input carried a flit this slot.
-  bool AcceptInputs(std::vector<link::Flit>& gt_out, bool frozen);
+  /// Accepts the flits flagged in `pending` (the inputs driven last slot);
+  /// returns true if there were any.
+  bool AcceptInputs(std::uint32_t pending, std::vector<link::Flit>& gt_out,
+                    bool frozen);
   void ForwardGt(int input, const link::Flit& flit, int target,
                  std::vector<link::Flit>& gt_out);
   void BufferBe(int input, const link::Flit& flit, int target);
@@ -146,11 +149,12 @@ class Router : public sim::Module {
   // Inputs that buffered a BE flit this slot. The push commits at the end
   // of the slot, so their requests are refreshed at the next slot.
   std::uint32_t be_pushed_inputs_ = 0;
-  // Wire pending masks (bit = port), set by SlotWire when it latches a
-  // driven value (link/wire.h SetConsumerBit): the slot sweep polls two
-  // words instead of sampling every connected port's wires.
-  std::uint32_t inputs_pending_ = 0;   // data arrived on input port
-  std::uint32_t credits_pending_ = 0;  // credits returned on output port
+  // Wire pending masks (bit = port), one word per slot parity, set by
+  // SlotWire::Drive in the word of the drive slot's parity (link/wire.h
+  // SetConsumerBit). The sweep of slot t drains the words of parity
+  // (t-1) & 1 instead of sampling every connected port's wires.
+  std::array<std::uint32_t, 2> inputs_pending_{};   // data driven to input
+  std::array<std::uint32_t, 2> credits_pending_{};  // credits to output
   RouterStats stats_;
   fault::FaultInjector* fault_ = nullptr;
 };

@@ -162,7 +162,7 @@ void Clock::EvaluatePhase(bool gated) {
 // dispatches over the contiguous pending bitmap: the scan touches a few
 // cache lines instead of every module's dirty list, and the virtual
 // Commit() call happens only for modules with staged state (or a declared
-// Commit override), on their declared stride phase.
+// Commit override).
 void Clock::CommitPhase(bool gated) {
   std::chrono::steady_clock::time_point t0;
   if (profile_ != nullptr) t0 = std::chrono::steady_clock::now();
@@ -191,10 +191,6 @@ void Clock::CommitSweep() {
       }
       if (m->commit_due_ > cycles_) {
         continue;  // every dirty element matures at a known future edge
-      }
-      if (m->commit_stride_ != 1 &&
-          cycles_ % m->commit_stride_ != m->commit_phase_) {
-        continue;  // still pending; commits on its phase edge
       }
       // Clear before committing: any element re-armed from inside the
       // commit (self re-arm or a cross-module ArmAt) goes through

@@ -173,8 +173,8 @@ class Module {
   void ParkUntil(Cycle cycle);
 
   /// Declares that Evaluate() is an unconditional no-op, so the gated
-  /// engine drops this module from the evaluate sweep entirely (links and
-  /// NI ports: pure commit machinery). The naïve path still calls it.
+  /// engine drops this module from the evaluate sweep entirely (NI ports:
+  /// pure commit machinery). The naïve path still calls it.
   void SetEvaluateIsNoop();  // inline below (needs the complete Clock type)
 
   /// Declares that Evaluate() does nothing except on cycles where
@@ -187,17 +187,6 @@ class Module {
   /// entirely on edges where no state element is dirty. Modules that
   /// override Commit() with extra work must not set this.
   void SetDefaultCommitOnly() { always_commit_ = false; }
-
-  /// Declares that every registered state element's Commit() is a no-op
-  /// except on edges where CycleCount() % stride == phase, so the
-  /// gated engine only dispatches commits on those edges (links: wires
-  /// transfer at the end-of-slot edge only). Expert flag — the claim is
-  /// not checked.
-  void SetCommitStride(int stride, int phase) {
-    AETHEREAL_CHECK(stride >= 1 && phase >= 0 && phase < stride);
-    commit_stride_ = stride;
-    commit_phase_ = phase;
-  }
 
  private:
   friend class Clock;
@@ -236,8 +225,6 @@ class Module {
   bool evaluate_noop_ = false;
   bool always_commit_ = true;
   int evaluate_stride_ = 1;
-  int commit_stride_ = 1;
-  int commit_phase_ = 0;
   // Earliest edge at which a dirty element needs its Commit(). 0 ("due
   // now") whenever anything was staged via MarkDirty(); a future edge when
   // every dirty element re-armed via MarkDirtyAt(); kNeverDue when clean.

@@ -80,17 +80,17 @@ Soc::Soc(topology::Topology topology,
   }
   std::vector<const link::LinkWires*> obs_links;
 
-  // All link wires live in one contiguous pool (one module instead of one
-  // per link); size it exactly: two NI links per NI plus every directed
-  // router-to-router link.
+  // All link wires live in one contiguous slab, bound to the network clock;
+  // size it exactly: two NI links per NI plus every directed
+  // router-to-router link. Wires are stamped registers, not clocked
+  // modules, so nothing here is registered on the clock.
   int num_links = 2 * topology_.NumNis();
   for (RouterId r = 0; r < topology_.NumRouters(); ++r) {
     for (int p = 0; p < topology_.RouterPorts(r); ++p) {
       if (topology_.PortPeer(r, p).kind == EndpointKind::kRouter) ++num_links;
     }
   }
-  links_ = std::make_unique<link::WirePool>("links", num_links);
-  net_clock_->Register(links_.get());
+  links_.Reset(static_cast<std::size_t>(num_links));
 
   // Routers.
   routers_.Reset(static_cast<std::size_t>(topology_.NumRouters()));
@@ -120,8 +120,8 @@ Soc::Soc(topology::Topology topology,
     }
     net_clock_->Register(kernel);
 
-    link::LinkWires* inj = links_->AddLink();
-    link::LinkWires* del = links_->AddLink();
+    link::LinkWires* inj = links_.Emplace(net_clock_);
+    link::LinkWires* del = links_.Emplace(net_clock_);
     // Fault taps go on delivery and router-to-router links only: injection
     // links (ni -> router) are where the verification monitor observes the
     // traffic it checks, so a fault there would be invisible by
@@ -170,7 +170,7 @@ Soc::Soc(topology::Topology topology,
     for (int p = 0; p < topology_.RouterPorts(r); ++p) {
       const topology::Endpoint& peer = topology_.PortPeer(r, p);
       if (peer.kind != EndpointKind::kRouter) continue;
-      link::LinkWires* l = links_->AddLink();
+      link::LinkWires* l = links_.Emplace(net_clock_);
       if (fault_injector_ != nullptr) {
         l->data.SetFaultTap(
             fault_injector_.get(),

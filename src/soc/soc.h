@@ -204,7 +204,7 @@ class Soc {
   // one heap allocation per router/NI/link.
   sim::Slab<router::Router> routers_;
   sim::Slab<core::NiKernel> nis_;
-  std::unique_ptr<link::WirePool> links_;
+  sim::Slab<link::LinkWires> links_;
   std::vector<const link::LinkWires*> injection_wires_;  // per NI
   std::vector<const link::LinkWires*> delivery_wires_;   // per NI
   std::unique_ptr<tdm::CentralizedAllocator> allocator_;

@@ -539,13 +539,15 @@ void Monitor::Evaluate() {
   const Cycle now = CycleCount();
   RefreshPairs();
 
-  // Validate the flits committed at the last end-of-slot edge (driven one
-  // slot ago) against the tables snapshotted one slot ago.
+  // Validate the flits driven one slot ago (what the wires carry in this
+  // slot) against the tables snapshotted one slot ago. All wires run on
+  // this clock, so that slot is computed once rather than per Sample().
   if (now >= kFlitWords) {
+    const Cycle prev_slot = now / kFlitWords - 1;
     for (std::size_t n = 0; n < hookup_.nis.size(); ++n) {
-      const Flit& inj = hookup_.injection[n]->data.Sample();
+      const Flit& inj = hookup_.injection[n]->data.SampleDrivenIn(prev_slot);
       if (!inj.IsIdle()) ObserveInjection(static_cast<NiId>(n), inj);
-      const Flit& del = hookup_.delivery[n]->data.Sample();
+      const Flit& del = hookup_.delivery[n]->data.SampleDrivenIn(prev_slot);
       if (!del.IsIdle()) ObserveDelivery(static_cast<NiId>(n), del);
     }
   }

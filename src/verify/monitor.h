@@ -6,10 +6,11 @@
 // SocOptions::verify is set). Because modules of one clock evaluate in
 // registration order and all NI/router-internal mutations happen in the
 // Evaluate phase, the monitor's Evaluate at slot boundary t observes a
-// consistent "end of slot t-1" snapshot: link wires as committed at the
-// end-of-slot edge, NI register/credit state as left by the previous slot.
-// It samples committed state only (Wire::Sample, const NiKernel accessors)
-// and never stages anything, so arming it cannot change simulation results
+// consistent "end of slot t-1" snapshot: link wires carrying what was
+// driven in slot t-1, NI register/credit state as left by the previous
+// slot. It samples committed state only (SlotWire::SampleDrivenIn(t-1),
+// which reads only slot t-1's stamped entry whatever is driven in slot t;
+// const NiKernel accessors) and never stages anything, so arming it cannot change simulation results
 // — the golden tests run byte-identical with the monitor on
 // (tests/verify_test.cpp).
 //

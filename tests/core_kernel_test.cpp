@@ -39,19 +39,18 @@ class TwoNiFixture {
         "router", 0, router::RouterConfig{2, 8});
     ni0 = std::make_unique<NiKernel>("ni0", 0, p0);
     ni1 = std::make_unique<NiKernel>("ni1", 1, p1);
-    for (auto& l : links_) l = std::make_unique<link::DirectedLink>("link");
+    for (auto& l : links_) l = std::make_unique<link::LinkWires>(net_);
 
-    ni0->ConnectToRouter(&links_[0]->wires(), &links_[1]->wires(), 8);
-    router->ConnectInput(0, &links_[0]->wires());
-    router->ConnectOutput(0, &links_[1]->wires(), 8);
-    ni1->ConnectToRouter(&links_[2]->wires(), &links_[3]->wires(), 8);
-    router->ConnectInput(1, &links_[2]->wires());
-    router->ConnectOutput(1, &links_[3]->wires(), 8);
+    ni0->ConnectToRouter(links_[0].get(), links_[1].get(), 8);
+    router->ConnectInput(0, links_[0].get());
+    router->ConnectOutput(0, links_[1].get(), 8);
+    ni1->ConnectToRouter(links_[2].get(), links_[3].get(), 8);
+    router->ConnectInput(1, links_[2].get());
+    router->ConnectOutput(1, links_[3].get(), 8);
 
     net_->Register(router.get());
     net_->Register(ni0.get());
     net_->Register(ni1.get());
-    for (auto& l : links_) net_->Register(l.get());
     port_clk_->Register(ni0->port(0));
     port_clk_->Register(ni1->port(0));
   }
@@ -113,7 +112,7 @@ class TwoNiFixture {
  private:
   sim::Clock* net_ = nullptr;
   sim::Clock* port_clk_ = nullptr;
-  std::array<std::unique_ptr<link::DirectedLink>, 4> links_;
+  std::array<std::unique_ptr<link::LinkWires>, 4> links_;
 };
 
 TEST(NiKernelRegisters, InfoRegistersReadOnly) {

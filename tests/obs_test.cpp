@@ -2,7 +2,8 @@
 //
 // The contract under test has two halves. Off: a run with no `stats` /
 // `trace` directive constructs no hub and no tap, so every canonical
-// golden stays byte-identical on both engines. On: the taps observe
+// golden stays byte-identical on both engines (scenario_golden_test pins
+// each canonical spec, observability off, on both). On: the taps observe
 // committed state only, so enabling them changes NOTHING about the
 // simulation (same flit counts, same latencies, same result fields) while
 // the stats section itself is deterministic and engine-invariant, the
@@ -11,7 +12,6 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -38,14 +38,6 @@ std::string ReadFile(const fs::path& path) {
   return text.str();
 }
 
-std::set<fs::path> CanonicalSpecs() {
-  std::set<fs::path> specs;  // sorted for stable test order
-  for (const auto& entry : fs::directory_iterator(AETHEREAL_SCENARIO_DIR)) {
-    if (entry.path().extension() == ".scn") specs.insert(entry.path());
-  }
-  return specs;
-}
-
 std::string TempPath(const std::string& name) {
   return (fs::path(::testing::TempDir()) / name).string();
 }
@@ -55,32 +47,6 @@ ScenarioResult MustRun(ScenarioSpec spec) {
   auto result = runner.Run();
   EXPECT_TRUE(result.ok()) << result.status();
   return result.ok() ? std::move(*result) : ScenarioResult{};
-}
-
-// --- the kill switch ------------------------------------------------------
-
-// With observability off (the default), every canonical scenario must
-// reproduce its committed golden byte for byte on both engines — the
-// obs subsystem's cost when disabled is one null-pointer check, and its
-// behavioural footprint is zero.
-TEST(ObsOffTest, EveryEngineMatchesEveryGolden) {
-  for (const fs::path& path : CanonicalSpecs()) {
-    SCOPED_TRACE(path.filename().string());
-    const fs::path golden_path = fs::path(AETHEREAL_GOLDEN_DIR) /
-                                 path.stem().replace_extension(".json");
-    ASSERT_TRUE(fs::exists(golden_path)) << "missing golden " << golden_path;
-    const std::string golden = ReadFile(golden_path);
-    for (sim::EngineKind engine :
-         {sim::EngineKind::kNaive, sim::EngineKind::kSoa}) {
-      SCOPED_TRACE(sim::EngineKindName(engine));
-      auto spec = LoadScenarioFile(path.string());
-      ASSERT_TRUE(spec.ok()) << spec.status();
-      ASSERT_FALSE(spec->obs.Enabled())
-          << "canonical specs must keep observability off";
-      spec->engine = engine;
-      EXPECT_EQ(MustRun(*spec).ToJson(), golden);
-    }
-  }
 }
 
 // --- non-perturbation and engine invariance when on ------------------------

@@ -122,16 +122,14 @@ class RouterRig {
     clock_ = sim_.AddClockMhz("net", 500.0);
     router_ = std::make_unique<Router>("router", 0, RouterConfig{ports, 4});
     for (int p = 0; p < ports; ++p) {
-      in_links_.push_back(std::make_unique<link::DirectedLink>("in"));
-      out_links_.push_back(std::make_unique<link::DirectedLink>("out"));
-      router_->ConnectInput(p, &in_links_.back()->wires());
-      router_->ConnectOutput(p, &out_links_.back()->wires(), 4);
+      in_links_.push_back(std::make_unique<link::LinkWires>(clock_));
+      out_links_.push_back(std::make_unique<link::LinkWires>(clock_));
+      router_->ConnectInput(p, in_links_.back().get());
+      router_->ConnectOutput(p, out_links_.back().get(), 4);
       sources_.push_back(std::make_unique<ScriptedSource>(
-          "src" + std::to_string(p), &in_links_.back()->wires()));
+          "src" + std::to_string(p), in_links_.back().get()));
       sinks_.push_back(std::make_unique<RecordingSink>(
-          "sink" + std::to_string(p), &out_links_.back()->wires()));
-      clock_->Register(in_links_.back().get());
-      clock_->Register(out_links_.back().get());
+          "sink" + std::to_string(p), out_links_.back().get()));
       clock_->Register(sources_.back().get());
       clock_->Register(sinks_.back().get());
     }
@@ -141,7 +139,7 @@ class RouterRig {
   void RunSlots(int slots) { sim_.RunCycles(clock_, slots * kFlitWords); }
 
   sim::Clock& clock() { return *clock_; }
-  link::LinkWires& input_wires(int p) { return in_links_[p]->wires(); }
+  link::LinkWires& input_wires(int p) { return *in_links_[p]; }
   ScriptedSource& source(int p) { return *sources_[p]; }
   RecordingSink& sink(int p) { return *sinks_[p]; }
   Router& router() { return *router_; }
@@ -150,8 +148,8 @@ class RouterRig {
   sim::Kernel sim_;
   sim::Clock* clock_;
   std::unique_ptr<Router> router_;
-  std::vector<std::unique_ptr<link::DirectedLink>> in_links_;
-  std::vector<std::unique_ptr<link::DirectedLink>> out_links_;
+  std::vector<std::unique_ptr<link::LinkWires>> in_links_;
+  std::vector<std::unique_ptr<link::LinkWires>> out_links_;
   std::vector<std::unique_ptr<ScriptedSource>> sources_;
   std::vector<std::unique_ptr<RecordingSink>> sinks_;
 };

@@ -2,8 +2,9 @@
 // must reproduce its committed result JSON byte for byte. This locks the
 // *content* of the simulation — delivered word counts, latency summaries,
 // slot utilization — so an engine change that alters behaviour is caught
-// even if it stays self-consistent (the PR-1 bit-exactness test only
-// compares the two engines against each other).
+// even if it stays self-consistent (the bit-exactness test only compares
+// the two engines against each other). Every scenario runs on both
+// engines, each pinned to the same golden.
 //
 // To regenerate after an intentional behaviour change:
 //   ./scripts/regen_goldens.sh <build-dir>
@@ -17,6 +18,7 @@
 
 #include "scenario/runner.h"
 #include "scenario/spec.h"
+#include "sim/engine.h"
 
 namespace aethereal::scenario {
 namespace {
@@ -58,11 +60,21 @@ TEST(ScenarioGoldenTest, CanonicalSuiteIsComplete) {
   EXPECT_GE(phased, 3u) << "canonical suite misses phased scenarios";
 }
 
-TEST(ScenarioGoldenTest, EveryCanonicalScenarioMatchesItsGolden) {
+// Both engines are pinned to the same committed bytes, so a change that
+// keeps them agreeing with each other but drifts both is caught too.
+class ScenarioGoldenEngineTest
+    : public ::testing::TestWithParam<sim::EngineKind> {};
+
+TEST_P(ScenarioGoldenEngineTest, EveryCanonicalScenarioMatchesItsGolden) {
   for (const fs::path& path : CanonicalSpecs()) {
     SCOPED_TRACE(path.filename().string());
     auto spec = LoadScenarioFile(path.string());
     ASSERT_TRUE(spec.ok()) << spec.status();
+    // Observability off is the canonical setting: its cost when disabled
+    // is one null-pointer check and its behavioural footprint is zero.
+    ASSERT_FALSE(spec->obs.Enabled())
+        << "canonical specs must keep observability off";
+    spec->engine = GetParam();
 
     ScenarioRunner runner(*spec);
     auto result = runner.Run();
@@ -80,6 +92,13 @@ TEST(ScenarioGoldenTest, EveryCanonicalScenarioMatchesItsGolden) {
         << " — if the change is intentional, run ./scripts/regen_goldens.sh";
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, ScenarioGoldenEngineTest,
+    ::testing::Values(sim::EngineKind::kNaive, sim::EngineKind::kSoa),
+    [](const ::testing::TestParamInfo<sim::EngineKind>& info) {
+      return std::string(sim::EngineKindName(info.param));
+    });
 
 }  // namespace
 }  // namespace aethereal::scenario
