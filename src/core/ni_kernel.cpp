@@ -62,15 +62,16 @@ void NiPort::FlushData(int connid) {
   AETHEREAL_CHECK(connid >= 0 && connid < NumChannels());
   auto& ch = kernel_->ChannelAt(channels_[static_cast<std::size_t>(connid)]);
   ch.data_flush_reqs.Set(ch.data_flush_reqs.Get() + 1);
-  // The request register wakes the kernel when it commits on the port
-  // clock (see FlushRequestRegister) — exactly when the value becomes
-  // harvestable, regardless of how slow the port clock is.
+  // The request lands at the kernel's first edge after this instant; the
+  // hold keeps the kernel running through the slot boundary that sees it.
+  kernel_->Wake(kFlitWords + 1);
 }
 
 void NiPort::FlushCredits(int connid) {
   AETHEREAL_CHECK(connid >= 0 && connid < NumChannels());
   auto& ch = kernel_->ChannelAt(channels_[static_cast<std::size_t>(connid)]);
   ch.credit_flush_reqs.Set(ch.credit_flush_reqs.Get() + 1);
+  kernel_->Wake(kFlitWords + 1);
 }
 
 ChannelId NiPort::GlobalChannelOf(int connid) const {
@@ -120,23 +121,18 @@ NiKernel::NiKernel(std::string name, NiId id, const NiKernelParams& params)
       ch->port = static_cast<int>(p);
       ch->connid = static_cast<int>(port->channels_.size());
       ch->params = cp;
-      ch->data_flush_reqs.kernel = this;
-      ch->credit_flush_reqs.kernel = this;
       // Network-domain state commits with the kernel; port-domain state
-      // (including the flush-request signals) with the port.
+      // with the port. The flush-request signals are written by the port.
       RegisterState(&ch->source_net_side);
       RegisterState(&ch->dest_net_side);
       port->RegisterState(&ch->source_port_side);
       port->RegisterState(&ch->dest_port_side);
-      port->RegisterState(&ch->data_flush_reqs);
-      port->RegisterState(&ch->credit_flush_reqs);
+      ch->data_flush_reqs.Bind(port.get());
+      ch->credit_flush_reqs.Bind(port.get());
       port->channels_.push_back(flat);
     }
     ports_.push_back(std::move(port));
   }
-  // Registered last so the naïve full-walk commit applies register writes
-  // after all state elements, exactly like the pre-optimization engine.
-  RegisterState(&reg_apply_);
   SetEvaluateStride(kFlitWords);  // all work happens at slot boundaries
   SetDefaultCommitOnly();
 }
@@ -189,16 +185,58 @@ Status NiKernel::WriteRegister(Word address, Word value) {
   if (reg > static_cast<Word>(regs::ChannelReg::kSlots)) {
     return NotFoundError("unknown channel register");
   }
-  pending_register_writes_.emplace_back(address, value);
-  // The write applies at the next commit phase even while parked (the
-  // RegApply element is armed); wake so the *scheduling* consequences
+  if (reg == static_cast<Word>(regs::ChannelReg::kSlots)) {
+    // Slot ownership changes only through register writes, so a conflict
+    // is known, and fatal, as soon as the claim is staged.
+    for (SlotIndex s = 0; s < params_.stu_slots; ++s) {
+      if ((value & (1u << s)) == 0) continue;
+      const ChannelId owner = StagedSlotOwner(s);
+      AETHEREAL_CHECK_MSG(owner == kInvalidId || owner == ch,
+                          name() << ": STU slot " << s
+                                 << " already owned by channel " << owner);
+    }
+  }
+  const Cycle edge = clock() != nullptr ? CycleCount() : 0;
+  pending_register_writes_.push_back(PendingWrite{edge, address, value});
+  // The write lands after this edge; wake so the *scheduling* consequences
   // (enable, slots, thresholds) are acted on from the next slot boundary.
-  reg_apply_.Arm();
   Wake(kFlitWords + 1);
   return OkStatus();
 }
 
-Result<Word> NiKernel::ReadRegister(Word address) const {
+ChannelId NiKernel::StagedSlotOwner(SlotIndex slot) const {
+  ChannelId owner = stu_[static_cast<std::size_t>(slot)];
+  for (const PendingWrite& w : pending_register_writes_) {
+    const Word rel = w.address - regs::kChannelBase;
+    if (rel % regs::kRegsPerChannel !=
+        static_cast<Word>(regs::ChannelReg::kSlots)) {
+      continue;
+    }
+    const auto chid = static_cast<ChannelId>(rel / regs::kRegsPerChannel);
+    if ((w.value & (1u << slot)) != 0) {
+      owner = chid;
+    } else if (owner == chid) {
+      owner = kInvalidId;
+    }
+  }
+  return owner;
+}
+
+void NiKernel::ApplyRegisterWrites() {
+  if (pending_register_writes_.empty() || clock() == nullptr) return;
+  const Cycle now = CycleCount();
+  auto due = pending_register_writes_.begin();
+  for (; due != pending_register_writes_.end() && due->edge < now; ++due) {
+    // Settle the idle-accounting replay for any parked window *before* the
+    // write changes enable/slot-table state: the naïve engine walked those
+    // slots with the pre-write configuration.
+    AccountIdleThrough(due->edge / kFlitWords);
+    ApplyRegisterWrite(due->address, due->value);
+  }
+  pending_register_writes_.erase(pending_register_writes_.begin(), due);
+}
+
+Result<Word> NiKernel::ReadRegister(Word address) {
   switch (address) {
     case regs::kStuSize:
       return static_cast<Word>(params_.stu_slots);
@@ -216,6 +254,7 @@ Result<Word> NiKernel::ReadRegister(Word address) const {
   if (chid >= static_cast<ChannelId>(channels_.size())) {
     return NotFoundError("channel register address out of range");
   }
+  ApplyRegisterWrites();
   const Channel& ch = ChannelAt(chid);
   switch (static_cast<regs::ChannelReg>(reg)) {
     case regs::ChannelReg::kCtrl:
@@ -290,9 +329,7 @@ void NiKernel::ApplyRegisterWrite(Word address, Word value) {
         const bool want = (value & (1u << s)) != 0;
         ChannelId& owner = stu_[static_cast<std::size_t>(s)];
         if (want) {
-          AETHEREAL_CHECK_MSG(owner == kInvalidId || owner == chid,
-                              name() << ": STU slot " << s
-                                     << " already owned by channel " << owner);
+          // Conflicting claims were rejected when staged (WriteRegister).
           AETHEREAL_CHECK_MSG(!(ch.enabled && !ch.gt),
                               name() << ": STU slot " << s
                                      << " owned by best-effort channel "
@@ -316,19 +353,25 @@ void NiKernel::ApplyRegisterWrite(Word address, Word value) {
 const ChannelStats& NiKernel::channel_stats(ChannelId ch) const {
   return ChannelAt(ch).stats;
 }
-int NiKernel::SpaceOf(ChannelId ch) const { return ChannelAt(ch).space; }
-int NiKernel::CreditsOwedOf(ChannelId ch) const {
+int NiKernel::SpaceOf(ChannelId ch) {
+  ApplyRegisterWrites();
+  return ChannelAt(ch).space;
+}
+int NiKernel::CreditsOwedOf(ChannelId ch) {
+  ApplyRegisterWrites();
   return ChannelAt(ch).credits_owed;
 }
-ChannelId NiKernel::SlotOwner(SlotIndex slot) const {
+ChannelId NiKernel::SlotOwner(SlotIndex slot) {
   AETHEREAL_CHECK(slot >= 0 && slot < params_.stu_slots);
+  ApplyRegisterWrites();
   return stu_[static_cast<std::size_t>(slot)];
 }
 SlotIndex NiKernel::CurrentSlot() const {
   return static_cast<SlotIndex>((CycleCount() / kFlitWords) %
                                 params_.stu_slots);
 }
-bool NiKernel::ChannelEnabled(ChannelId ch) const {
+bool NiKernel::ChannelEnabled(ChannelId ch) {
+  ApplyRegisterWrites();
   return ChannelAt(ch).enabled;
 }
 
@@ -338,6 +381,7 @@ bool NiKernel::ChannelEnabled(ChannelId ch) const {
 
 void NiKernel::Evaluate() {
   if (!IsSlotBoundary()) return;
+  ApplyRegisterWrites();
   const Cycle slot_number = CycleCount() / kFlitWords;
   AccountIdleThrough(slot_number - 1);  // slots skipped while parked
   last_accounted_slot_ = slot_number;   // this slot is processed below
@@ -435,24 +479,11 @@ void NiKernel::AccountIdleThrough(Cycle last_slot) {
 const NiKernelStats& NiKernel::stats() {
   // Settle the idle accounting for any trailing parked window so counters
   // read mid- or post-run match the naïve engine exactly.
+  ApplyRegisterWrites();
   if (clock() != nullptr && CycleCount() > 0) {
     AccountIdleThrough((CycleCount() - 1) / kFlitWords);
   }
   return stats_;
-}
-
-void NiKernel::RegApply::Commit() {
-  if (kernel_->pending_register_writes_.empty()) return;
-  // Settle the idle-accounting replay for any parked window *before* the
-  // writes change enable/slot-table state: the naïve engine walked those
-  // slots with the pre-write configuration.
-  if (kernel_->clock() != nullptr) {
-    kernel_->AccountIdleThrough(kernel_->CycleCount() / kFlitWords);
-  }
-  for (const auto& [address, value] : kernel_->pending_register_writes_) {
-    kernel_->ApplyRegisterWrite(address, value);
-  }
-  kernel_->pending_register_writes_.clear();
 }
 
 bool NiKernel::ReceiveFlit() {

@@ -138,12 +138,14 @@ class NiKernel : public sim::Module {
   // --- memory-mapped configuration (CNIP) ---------------------------------
 
   /// Stages a register write; it takes effect at the next network-clock
-  /// edge (reads in later cycles observe it). Address validity is checked
-  /// now; value validity is checked at apply time.
+  /// edge (reads in later cycles observe it). Address validity and STU
+  /// slot ownership are checked now; other value checks at apply time.
   Status WriteRegister(Word address, Word value);
 
-  /// Reads a committed register value.
-  Result<Word> ReadRegister(Word address) const;
+  /// Reads a committed register value. Non-const, like every reader of
+  /// configuration state below: it first applies register writes staged
+  /// at earlier edges (ApplyRegisterWrites).
+  Result<Word> ReadRegister(Word address);
 
   // --- introspection for tests / benches ----------------------------------
 
@@ -160,11 +162,11 @@ class NiKernel : public sim::Module {
   int DestQueueWords(ChannelId ch) const {
     return ChannelAt(ch).dest.ReaderSize();
   }
-  int SpaceOf(ChannelId ch) const;
-  int CreditsOwedOf(ChannelId ch) const;
-  ChannelId SlotOwner(SlotIndex slot) const;
+  int SpaceOf(ChannelId ch);
+  int CreditsOwedOf(ChannelId ch);
+  ChannelId SlotOwner(SlotIndex slot);
   SlotIndex CurrentSlot() const;
-  bool ChannelEnabled(ChannelId ch) const;
+  bool ChannelEnabled(ChannelId ch);
 
   /// Arms fault injection (DESIGN.md §12). During a stall window the STU
   /// scheduler grants nothing — a transient scheduling fault. Receive,
@@ -179,17 +181,12 @@ class NiKernel : public sim::Module {
  private:
   friend class NiPort;
 
-  /// Applies pending configuration-register writes at the clock edge. A
-  /// TwoPhase element (instead of a Commit() override) so the kernel's
-  /// commit call can be elided on edges with nothing staged.
-  class RegApply : public sim::TwoPhase {
-   public:
-    explicit RegApply(NiKernel* kernel) : kernel_(kernel) {}
-    void Commit() override;
-    void Arm() { MarkDirty(); }
-
-   private:
-    NiKernel* kernel_;
+  /// A configuration-register write and the network-clock edge that
+  /// staged it; it lands once that edge has passed.
+  struct PendingWrite {
+    Cycle edge;
+    Word address;
+    Word value;
   };
 
   struct Channel {
@@ -229,22 +226,11 @@ class NiKernel : public sim::Module {
     int flush_words_left = 0;    // flush snapshot still to send
     bool credit_flush = false;
     // Flush request signals crossing from the port domain: monotonic
-    // counters committed on the port clock (registered as port state); the
-    // kernel compares them against its "seen" counters. This keeps the
-    // two-phase order-independence guarantee across domains. The register
-    // wakes the kernel when it commits — the staging-time wake alone is
-    // not enough, because on a slow port clock the commit can land after
-    // the wake hold has expired and the kernel has re-parked.
-    struct FlushRequestRegister : sim::Register<std::int64_t> {
-      FlushRequestRegister() : sim::Register<std::int64_t>(0) {}
-      NiKernel* kernel = nullptr;
-      void Commit() override {
-        sim::Register<std::int64_t>::Commit();
-        if (kernel != nullptr) kernel->Wake(kFlitWords + 1);
-      }
-    };
-    FlushRequestRegister data_flush_reqs;
-    FlushRequestRegister credit_flush_reqs;
+    // counters stamped with the port clock (bound to the port); the kernel
+    // compares them against its "seen" counters. This keeps the
+    // order-independence guarantee across domains.
+    sim::Register<std::int64_t> data_flush_reqs{0};
+    sim::Register<std::int64_t> credit_flush_reqs{0};
     std::int64_t data_flush_seen = 0;
     std::int64_t credit_flush_seen = 0;
     ChannelStats stats;
@@ -266,6 +252,12 @@ class NiKernel : public sim::Module {
   ChannelId ArbitrateBe();
   int GtRunWords(ChannelId ch, SlotIndex slot) const;
   void ApplyRegisterWrite(Word address, Word value);
+  /// Applies, in order, the staged register writes whose edge has passed.
+  /// Runs when the kernel next evaluates or its configuration is read, so
+  /// a write costs nothing at the edge that lands it.
+  void ApplyRegisterWrites();
+  /// The owner slot `slot` will have once every staged write has landed.
+  ChannelId StagedSlotOwner(SlotIndex slot) const;
   /// True when no channel has pending or schedulable work, so Evaluate()
   /// would remain a no-op until an external event (which always Wake()s us).
   bool CanSleep() const;
@@ -306,8 +298,7 @@ class NiKernel : public sim::Module {
   // slot whose idle stats were accounted).
   Cycle last_accounted_slot_ = -1;
 
-  std::vector<std::pair<Word, Word>> pending_register_writes_;
-  RegApply reg_apply_{this};
+  std::vector<PendingWrite> pending_register_writes_;
   NiKernelStats stats_;
   fault::FaultInjector* fault_ = nullptr;
 };

@@ -26,7 +26,7 @@ Router::Router(std::string name, RouterId id, const RouterConfig& config)
                          Flit::Idle());
   for (int p = 0; p < config.num_ports; ++p) {
     inputs_.emplace_back(config.be_buffer_flits);
-    RegisterState(&inputs_.back().be_queue);
+    inputs_.back().be_queue.Bind(this);
   }
 }
 
@@ -232,7 +232,7 @@ void Router::BufferBe(int input, const Flit& flit, int target) {
   ++be_flits_buffered_;
   stats_.be_max_occupancy =
       std::max(stats_.be_max_occupancy,
-               static_cast<std::int64_t>(in.be_queue.SizeAfterCommit()));
+               static_cast<std::int64_t>(in.be_queue.Occupancy()));
 }
 
 void Router::ArbitrateBestEffort(const std::vector<Flit>& gt_out,

@@ -141,7 +141,7 @@ TEST(NiKernelRegisters, UnknownAddressesRejected) {
             StatusCode::kNotFound);
 }
 
-TEST(NiKernelRegisters, WritesApplyAtCommit) {
+TEST(NiKernelRegisters, WritesApplyAtNextEdge) {
   sim::Kernel sim;
   sim::Clock* clk = sim.AddClockMhz("net", 500.0);
   NiKernel ni("ni", 0, OneChannelNi());
