@@ -9,7 +9,7 @@
 //
 // --full adds the 32x32 tier (nightly CI); the default set tops out at
 // 16x16 so the pre-merge perf smoke stays fast. --profile additionally
-// attributes host wall time to the engine stages (evaluate / commit /
+// attributes host wall time to the engine stages (evaluate /
 // park-wake) per engine on the 8x8 mixed workload.
 //
 // The JSON also carries an `obs_overhead` block: a paired 8x8 mixed
@@ -206,8 +206,8 @@ struct ObsOverhead {
 void ProfileEngines(Traffic traffic, Cycle cycles) {
   std::cout << "\nengine profile (8x8 " << TrafficName(traffic) << ", "
             << cycles << " cycles):\n";
-  Table table({"engine", "steps", "wall ms", "evaluate ms", "commit ms",
-               "park/wake ms", "other ms"});
+  Table table({"engine", "steps", "wall ms", "evaluate ms", "park/wake ms",
+               "other ms"});
   for (EngineKind engine : {EngineKind::kSoa, EngineKind::kNaive}) {
     SpeedWorkload w = MakeWorkload(8, 8, traffic, engine);
     w.soc->RunCycles(200);  // same warm-up as the throughput runs
@@ -219,13 +219,11 @@ void ProfileEngines(Traffic traffic, Cycle cycles) {
         std::chrono::duration<double, std::milli>(stop - start).count();
     const sim::EngineProfile& p = w.soc->sim().profile();
     const double evaluate_ms = p.evaluate_sec * 1e3;
-    const double commit_ms = p.commit_sec * 1e3;
     const double park_wake_ms = p.park_wake_sec * 1e3;
     table.AddRow({sim::EngineKindName(engine), Table::Fmt(p.steps),
                   Table::Fmt(wall_ms), Table::Fmt(evaluate_ms),
-                  Table::Fmt(commit_ms), Table::Fmt(park_wake_ms),
-                  Table::Fmt(wall_ms - evaluate_ms - commit_ms -
-                             park_wake_ms)});
+                  Table::Fmt(park_wake_ms),
+                  Table::Fmt(wall_ms - evaluate_ms - park_wake_ms)});
   }
   table.Print(std::cout);
 }

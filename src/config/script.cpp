@@ -8,7 +8,6 @@ ScriptedConfigDriver::ScriptedConfigDriver(std::string name,
                                            ConnectionManager* manager)
     : sim::Module(std::move(name)), manager_(manager) {
   AETHEREAL_CHECK(manager != nullptr);
-  SetDefaultCommitOnly();  // no registered state, no Commit override
 }
 
 int ScriptedConfigDriver::Push(ScriptedOp op) {

@@ -18,8 +18,7 @@ using link::PacketHeader;
 
 NiPort::NiPort(std::string name, NiKernel* kernel)
     : sim::Module(std::move(name)), kernel_(kernel) {
-  SetEvaluateIsNoop();      // ports are pure commit machinery
-  SetDefaultCommitOnly();
+  SetEvaluateIsNoop();  // ports only stand for the port side of the queues
 }
 
 bool NiPort::CanWrite(int connid, int words) const {
@@ -62,16 +61,21 @@ void NiPort::FlushData(int connid) {
   AETHEREAL_CHECK(connid >= 0 && connid < NumChannels());
   auto& ch = kernel_->ChannelAt(channels_[static_cast<std::size_t>(connid)]);
   ch.data_flush_reqs.Set(ch.data_flush_reqs.Get() + 1);
-  // The request lands at the kernel's first edge after this instant; the
-  // hold keeps the kernel running through the slot boundary that sees it.
-  kernel_->Wake(kFlitWords + 1);
+  WakeKernelForFlush();
 }
 
 void NiPort::FlushCredits(int connid) {
   AETHEREAL_CHECK(connid >= 0 && connid < NumChannels());
   auto& ch = kernel_->ChannelAt(channels_[static_cast<std::size_t>(connid)]);
   ch.credit_flush_reqs.Set(ch.credit_flush_reqs.Get() + 1);
-  kernel_->Wake(kFlitWords + 1);
+  WakeKernelForFlush();
+}
+
+void NiPort::WakeKernelForFlush() {
+  // The request lands once this port's current edge (its next edge, when
+  // raised between steps) has passed: the kernel must evaluate at its
+  // first slot boundary after that instant, however slow the port clock.
+  kernel_->WakeAt(kernel_->clock()->FirstEdgeFrom(clock()->next_edge_ps() + 1));
 }
 
 ChannelId NiPort::GlobalChannelOf(int connid) const {
@@ -121,12 +125,10 @@ NiKernel::NiKernel(std::string name, NiId id, const NiKernelParams& params)
       ch->port = static_cast<int>(p);
       ch->connid = static_cast<int>(port->channels_.size());
       ch->params = cp;
-      // Network-domain state commits with the kernel; port-domain state
-      // with the port. The flush-request signals are written by the port.
-      RegisterState(&ch->source_net_side);
-      RegisterState(&ch->dest_net_side);
-      port->RegisterState(&ch->source_port_side);
-      port->RegisterState(&ch->dest_port_side);
+      // The port (its own clock domain) writes the source queue and the
+      // flush-request signals and reads the destination queue.
+      ch->source.Bind(/*writer=*/port.get(), /*reader=*/this);
+      ch->dest.Bind(/*writer=*/this, /*reader=*/port.get());
       ch->data_flush_reqs.Bind(port.get());
       ch->credit_flush_reqs.Bind(port.get());
       port->channels_.push_back(flat);
@@ -134,7 +136,6 @@ NiKernel::NiKernel(std::string name, NiId id, const NiKernelParams& params)
     ports_.push_back(std::move(port));
   }
   SetEvaluateStride(kFlitWords);  // all work happens at slot boundaries
-  SetDefaultCommitOnly();
 }
 
 NiKernel::~NiKernel() = default;

@@ -86,6 +86,8 @@ class NiPort : public sim::Module {
  private:
   friend class NiKernel;
   NiPort(std::string name, NiKernel* kernel);
+  /// Makes the kernel see a flush request raised now (FlushData/Credits).
+  void WakeKernelForFlush();
   NiKernel* kernel_;
   std::vector<ChannelId> channels_;  // flat channel ids, by connid
 };
@@ -191,12 +193,7 @@ class NiKernel : public sim::Module {
 
   struct Channel {
     Channel(int source_queue_words, int dest_queue_words)
-        : source(source_queue_words),
-          dest(dest_queue_words),
-          source_net_side(&source),
-          dest_net_side(&dest),
-          source_port_side(&source),
-          dest_port_side(&dest) {}
+        : source(source_queue_words), dest(dest_queue_words) {}
 
     // Design-time.
     int port = 0;
@@ -204,13 +201,10 @@ class NiKernel : public sim::Module {
     ChannelParams params;
     // Queues (the CDC boundary), stored inline so the per-slot channel walk
     // (harvest, schedule, eligibility) stays within the channel slab
-    // instead of chasing one heap allocation per queue and adapter.
+    // instead of chasing one heap allocation per queue. The port writes the
+    // source queue and reads the destination queue; the kernel the reverse.
     sim::CdcFifo<Word> source;
     sim::CdcFifo<Word> dest;
-    sim::CdcReadSide<Word> source_net_side;
-    sim::CdcWriteSide<Word> dest_net_side;
-    sim::CdcWriteSide<Word> source_port_side;
-    sim::CdcReadSide<Word> dest_port_side;
     // Run-time configuration registers.
     bool enabled = false;
     bool gt = false;
@@ -271,9 +265,8 @@ class NiKernel : public sim::Module {
 
   NiId id_;
   NiKernelParams params_;
-  // Channels live in a contiguous fixed-capacity slab: their queues and
-  // flush registers are registered as state by address, so they must never
-  // move (sim/soa_state.h).
+  // Channels live in a contiguous fixed-capacity slab, so the per-slot
+  // channel walk touches consecutive memory (sim/soa_state.h).
   sim::Slab<Channel> channels_;
   std::vector<std::unique_ptr<NiPort>> ports_;
   std::vector<ChannelId> stu_;  // slot -> owning channel (or kInvalidId)

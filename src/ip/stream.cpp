@@ -20,7 +20,6 @@ StreamProducer::StreamProducer(std::string name, core::NiPort* port,
   AETHEREAL_CHECK(port != nullptr);
   AETHEREAL_CHECK(period >= 1);
   AETHEREAL_CHECK(words_per_period >= 1);
-  SetDefaultCommitOnly();  // no registered state, no Commit override
 }
 
 void StreamProducer::Evaluate() {
@@ -71,7 +70,6 @@ StreamConsumer::StreamConsumer(std::string name, core::NiPort* port,
       timestamp_mode_(timestamp_mode) {
   AETHEREAL_CHECK(port != nullptr);
   AETHEREAL_CHECK(drain_per_cycle >= 1);
-  SetDefaultCommitOnly();  // no registered state, no Commit override
   // Park on an empty destination queue; deliveries wake us in time for the
   // first readable cycle.
   port->WakeOnDelivery(connid, this);

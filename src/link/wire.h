@@ -14,14 +14,13 @@
 //  * CreditWire — the backward link-level credit-return pulse used by the
 //    best-effort input buffers (0 when undriven).
 //
-// A wire is a stamped two-entry register (DESIGN.md §6), not a two-phase
-// state element: Drive() in slot s writes the entry of parity s & 1 and
-// stamps it s; Sample() in slot t returns the entry of parity (t-1) & 1 if
-// its stamp is t-1, else the idle value. Latch, hold and revert all follow
-// from the stamps, so a wire has no Commit(), is never on a dirty list,
-// and an undriven wire costs nothing per edge. The two parity entries keep
-// a Drive() and a Sample() in the same edge independent of their order,
-// which is the two-phase contract by construction. Drive() also wakes the
+// A wire is a stamped two-entry register (DESIGN.md §6): Drive() in slot s
+// writes the entry of parity s & 1 and stamps it s; Sample() in slot t
+// returns the entry of parity (t-1) & 1 if its stamp is t-1, else the idle
+// value. Latch, hold and revert all follow from the stamps, so an undriven
+// wire costs nothing per edge. The two parity entries keep a Drive() and a
+// Sample() in the same edge independent of their order, which is the
+// one-phase contract by construction. Drive() also wakes the
 // consumer module registered with SetConsumer() for the next slot, so a
 // parked consumer is running when the value becomes visible.
 #ifndef AETHEREAL_LINK_WIRE_H

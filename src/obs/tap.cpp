@@ -10,10 +10,9 @@ namespace aethereal::obs {
 
 ObsTap::ObsTap(ObsHub* hub) : sim::Module("obs_tap"), hub_(hub) {
   AETHEREAL_CHECK(hub_ != nullptr);
-  // Pure observer, like the verify monitor: no registered state, nothing
-  // to commit, all work at slot boundaries.
+  // Pure observer, like the verify monitor: stages nothing, all work at
+  // slot boundaries.
   SetEvaluateStride(kFlitWords);
-  SetDefaultCommitOnly();
 }
 
 void ObsTap::Attach(ObsHookup hookup) {

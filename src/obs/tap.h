@@ -4,8 +4,7 @@
 // is registered on the network clock BEFORE any NoC hardware, samples
 // only committed state (link wires via Sample(), which in slot t returns
 // what was driven in slot t-1 whatever slot t drives; CDC queue fills via
-// their committed reader sizes), registers no TwoPhase state, and never
-// stages anything — so arming it cannot perturb the simulation, and the
+// their edge-start reader sizes), and never stages anything — so arming it cannot perturb the simulation, and the
 // counts it accumulates are identical on the naive and soa engines (the
 // committed-state trajectory is the engines' byte-identity invariant).
 //

@@ -19,7 +19,6 @@ Router::Router(std::string name, RouterId id, const RouterConfig& config)
   AETHEREAL_CHECK(config.num_ports > 0 && config.num_ports <= 32);
   AETHEREAL_CHECK(config.be_buffer_flits > 0);
   SetEvaluateStride(kFlitWords);  // all work happens at slot boundaries
-  SetDefaultCommitOnly();
   inputs_.reserve(static_cast<std::size_t>(config.num_ports));
   outputs_.resize(static_cast<std::size_t>(config.num_ports));
   gt_out_scratch_.resize(static_cast<std::size_t>(config.num_ports),

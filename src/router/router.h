@@ -146,8 +146,8 @@ class Router : public sim::Module {
   // credit returns, buffered-work check — is provably a no-op this slot.
   int be_flits_buffered_ = 0;
   int open_wormholes_ = 0;
-  // Inputs that buffered a BE flit this slot. The push commits at the end
-  // of the slot, so their requests are refreshed at the next slot.
+  // Inputs that buffered a BE flit this slot. The push is visible from the
+  // next edge, so their requests are refreshed at the next slot.
   std::uint32_t be_pushed_inputs_ = 0;
   // Wire pending masks (bit = port), one word per slot parity, set by
   // SlotWire::Drive in the word of the drive slot's parity (link/wire.h

@@ -19,7 +19,6 @@ PatternSource::PatternSource(std::string name, core::NiPort* port, int connid,
       rng_(seed) {
   AETHEREAL_CHECK(port != nullptr);
   AETHEREAL_CHECK(inject_ != InjectKind::kClosedLoop);
-  SetDefaultCommitOnly();  // no registered state, no Commit override
   // Seeded phase offset: flows of one pattern must not inject in lockstep,
   // or the arbiter would see an artificial synchronized burst every period.
   switch (inject_) {
@@ -106,7 +105,6 @@ Relay::Relay(std::string name, core::NiPort* port, int in_connid,
       out_connid_(out_connid) {
   AETHEREAL_CHECK(port != nullptr);
   AETHEREAL_CHECK(in_connid != out_connid);
-  SetDefaultCommitOnly();  // no registered state, no Commit override
   // Park on an empty input queue; deliveries wake us in time.
   port->WakeOnDelivery(in_connid, this);
 }

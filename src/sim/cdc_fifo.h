@@ -3,32 +3,36 @@
 // The Æthereal NI uses its hardware FIFOs to implement the clock-domain
 // boundary so every NI port can run at its own frequency (paper §4.1, §5).
 // The paper budgets 2 clock cycles for the crossing; this model implements
-// that as a 2-reader-edge synchronizer on the write pointer (data becomes
-// visible to the reader two of *its* edges after the writer committed it)
-// and symmetrically a 2-writer-edge synchronizer on the read pointer (freed
-// space becomes visible to the writer two of *its* edges after the pop).
+// that as a 2-reader-edge synchronizer on the write pointer and
+// symmetrically a 2-writer-edge synchronizer on the read pointer (freed
+// space reaches the writer two of *its* edges after the pop).
 //
-// Dirty-list protocol (DESIGN.md §7): each side's adapter arms itself when
-// the fifo is staged on that side, and arms the side a synchronizer entry
-// is travelling toward *for the exact edge the entry matures* (MarkDirtyAt),
-// so neither side commits — and neither owner is kept awake — on the edges
-// in between.
+// Stamp-latched (DESIGN.md §7.2): there is no commit step. Push() stamps
+// the word with the first reader edge that may read it, and Pop() stamps
+// the freed space with the first writer edge that sees it. Each side
+// compares the stamps with its own clock when it reads, so visibility is
+// decided at read time and a queue with nothing in flight costs nothing
+// per edge.
 //
-// Maturity edges are computed in absolute clock cycles. The subtlety is
-// that the reference (naïve) engine commits every module every edge in
-// registration order, which makes the observed synchronizer delay depend
-// on whether the destination side's module commits before or after the
-// source side's module within one edge: an entry handed off at edge N is
-// picked up the same edge by a destination that commits later in the sweep
-// (delay kCdcSyncEdges - 1 strictly-future edges), but only next edge by
-// one that commits earlier (delay kCdcSyncEdges). Across different clocks
-// the per-clock cycle counters are incremented in firing order, which
-// encodes the same information automatically. Both cases reduce to a
-// per-fifo constant delta resolved once from the registration order, so
-// the absolute stamps reproduce the reference behaviour bit-exactly.
+// A hand-off belongs to the instant of the handing-off side's current edge,
+// or of its next edge when made between steps. Its stamp is the opposite
+// clock's first edge at or after that instant plus kCdcSyncEdges, plus one
+// edge when the opposite side synchronizes first within the instant:
+//  * on a shared clock, when the opposite side's module was registered
+//    before the handing-off side's (a per-fifo constant);
+//  * across clocks, when the opposite clock fires at the same instant and
+//    has the lower id (coincident clocks are ordered by id).
+// That extra edge is the synchronizer sampling the pointer before the
+// hand-off within the instant; it keeps the timing of the earlier
+// commit-ordered model bit for bit.
+//
+// A reader or writer that is parked when a hand-off is made gets one timer
+// wake at its stamp; a running one gets a park hold up to it
+// (Module::WakeAt). Words pushed within one edge are one hand-off.
 #ifndef AETHEREAL_SIM_CDC_FIFO_H
 #define AETHEREAL_SIM_CDC_FIFO_H
 
+#include <limits>
 #include <utility>
 
 #include "sim/kernel.h"
@@ -42,313 +46,190 @@ namespace aethereal::sim {
 inline constexpr int kCdcSyncEdges = 2;
 
 template <typename T>
-class CdcFifo;
-
-/// Adapters so a CdcFifo side can be registered as Module state.
-template <typename T>
-class CdcWriteSide : public TwoPhase {
- public:
-  explicit CdcWriteSide(CdcFifo<T>* fifo);
-  void Commit() override;
-
- private:
-  friend class CdcFifo<T>;
-  void Arm() { MarkDirty(); }
-  void ArmAt(Cycle due) { MarkDirtyAt(due); }
-  Module* Owner() const { return owner(); }
-  CdcFifo<T>* fifo_;
-};
-
-template <typename T>
-class CdcReadSide : public TwoPhase {
- public:
-  explicit CdcReadSide(CdcFifo<T>* fifo);
-  void Commit() override;
-
- private:
-  friend class CdcFifo<T>;
-  void Arm() { MarkDirty(); }
-  void ArmAt(Cycle due) { MarkDirtyAt(due); }
-  Module* Owner() const { return owner(); }
-  CdcFifo<T>* fifo_;
-};
-
-template <typename T>
 class CdcFifo {
  public:
-  explicit CdcFifo(int capacity)
-      : capacity_(capacity),
-        staged_pushes_(capacity),
-        pending_space_(capacity),
-        in_flight_(capacity),
-        visible_(capacity) {
-    AETHEREAL_CHECK(capacity > 0);
+  explicit CdcFifo(int capacity) : words_(capacity), returns_(capacity) {}
+
+  CdcFifo(const CdcFifo&) = delete;
+  CdcFifo& operator=(const CdcFifo&) = delete;
+
+  int capacity() const { return words_.capacity(); }
+
+  /// Binds the modules that push (`writer`) and pop (`reader`). Their
+  /// clocks stamp the hand-offs and they are woken when one matures. Both
+  /// must be registered on clocks before the first Push().
+  void Bind(Module* writer, Module* reader) {
+    writer_ = writer;
+    reader_ = reader;
   }
 
-  int capacity() const { return capacity_; }
+  /// Declares a module to wake whenever newly synchronized words become
+  /// readable — lets a consumer park on an empty queue and still start
+  /// reading at exactly the first cycle data is readable. It must run on
+  /// the reader's clock.
+  void SetReadListener(Module* listener) { listener_ = listener; }
 
   // ---- writer-side interface (call only from the writer's clock domain) --
 
   /// Space as the writer currently sees it (pessimistic by up to the
   /// synchronizer delay, as in real gray-code FIFOs).
   int WriterSpace() const {
-    return capacity_ - writer_occupancy_ - staged_pushes_.size();
+    if (!returns_.empty()) MatureReturns();
+    return capacity() - words_.size() - unreturned_;
   }
 
   bool CanPush() const { return WriterSpace() > 0; }
 
   void Push(T value) {
     AETHEREAL_CHECK_MSG(CanPush(), "CdcFifo overflow");
-    staged_pushes_.push_back(std::move(value));
-    if (write_side_ != nullptr) write_side_->Arm();
+    if (rclock_ == nullptr) Resolve();
+    const Cycle readable = HandOffEdge(rclock_, wclock_, reader_first_);
+    // Words pushed within one edge share a stamp: one hand-off, one wake.
+    const bool handoff = words_.empty() || words_.back().readable != readable;
+    words_.push_back(Entry{std::move(value), readable});
+    if (handoff) {
+      reader_->WakeAt(readable);
+      if (listener_ != nullptr) listener_->WakeAt(readable);
+    }
   }
 
   /// Words freed by the reader that the writer has now synchronized but not
   /// yet acknowledged via TakeFreedForWriter(). The NI kernel uses this to
   /// turn destination-queue consumption into end-to-end credits.
   int TakeFreedForWriter() {
-    const int freed = freed_for_writer_;
-    freed_for_writer_ = 0;
+    if (!returns_.empty()) MatureReturns();
+    const int freed = freed_;
+    freed_ = 0;
     return freed;
-  }
-
-  /// Writer-domain clock edge: commits staged pushes and advances the
-  /// read-pointer synchronizer.
-  void CommitWriteSide() {
-    if (mode_ == Mode::kUnresolved) Resolve();
-    if (mode_ == Mode::kAbsolute) {
-      const Cycle wnow = wclock_->cycles();
-      int freed = 0;
-      while (!pending_space_.empty() &&
-             pending_space_.front().visible_edge <= wnow) {
-        writer_occupancy_ -= pending_space_.front().count;
-        freed += pending_space_.front().count;
-        pending_space_.pop_front();
-      }
-      if (freed > 0) {
-        freed_for_writer_ += freed;
-        // Freed space (and harvestable credits) just became visible on the
-        // writer side: the owner may have parked through the synchronizer
-        // wait and must evaluate against the new state next edge.
-        write_side_->Owner()->Wake();
-      }
-      if (!staged_pushes_.empty()) {
-        const Cycle stamp = rclock_->cycles() + in_flight_delta_;
-        do {
-          writer_occupancy_ += 1;
-          in_flight_.push_back(Entry{staged_pushes_.pop_front(), stamp});
-        } while (!staged_pushes_.empty());
-        if (read_side_ != nullptr) {
-          read_side_->ArmAt(in_flight_.front().visible_edge);
-        }
-      }
-      if (!pending_space_.empty()) {
-        write_side_->ArmAt(pending_space_.front().visible_edge);
-      }
-      return;
-    }
-    // Unclocked fallback (manually driven fifos, e.g. unit tests): per-side
-    // edge counters that advance once per commit call. Pops become visible
-    // to the writer kCdcSyncEdges writer edges after they were reported by
-    // the reader commit.
-    ++writer_edges_;
-    while (!pending_space_.empty() &&
-           pending_space_.front().visible_edge <= writer_edges_) {
-      writer_occupancy_ -= pending_space_.front().count;
-      freed_for_writer_ += pending_space_.front().count;
-      pending_space_.pop_front();
-    }
-    const bool handed_off = !staged_pushes_.empty();
-    while (!staged_pushes_.empty()) {
-      writer_occupancy_ += 1;
-      // The value becomes visible to the reader kCdcSyncEdges reader edges
-      // from the *next* reader edge.
-      in_flight_.push_back(
-          Entry{staged_pushes_.pop_front(), reader_edges_ + kCdcSyncEdges});
-    }
-    // The reader synchronizer now has work; the writer synchronizer may
-    // still have space returns in flight toward us.
-    if (handed_off && read_side_ != nullptr) read_side_->Arm();
-    if (!pending_space_.empty() && write_side_ != nullptr) write_side_->Arm();
   }
 
   // ---- reader-side interface (call only from the reader's clock domain) --
 
-  /// Committed words visible to the reader this cycle.
-  int ReaderSize() const { return visible_.size(); }
+  /// Words readable at the start of this edge: this edge's pops are still
+  /// counted, so every module sees the same size whatever the order.
+  int ReaderSize() const {
+    const int readable = Readable();
+    if (pops_ == 0) return readable;
+    return pop_edge_ == rclock_->cycles() ? readable + pops_ : readable;
+  }
 
-  /// Words still poppable this cycle (visible minus pops already staged).
-  int ReaderAvailable() const { return ReaderSize() - staged_pops_; }
+  /// Words still poppable this cycle (readable minus this edge's pops).
+  int ReaderAvailable() const { return Readable(); }
 
-  bool CanPop() const { return staged_pops_ < ReaderSize(); }
+  bool CanPop() const { return Readable() > 0; }
 
   const T& Peek(int offset = 0) const {
-    const int index = staged_pops_ + offset;
-    AETHEREAL_CHECK(index < ReaderSize());
-    return visible_[index];
+    AETHEREAL_CHECK(offset < Readable());
+    return words_[offset].value;
   }
 
   T Pop() {
     AETHEREAL_CHECK_MSG(CanPop(), "CdcFifo underflow");
-    T value = visible_[staged_pops_];
-    ++staged_pops_;
-    if (read_side_ != nullptr) read_side_->Arm();
-    return value;
-  }
-
-  /// Declares a module to Wake() whenever newly synchronized words become
-  /// visible to the reader — lets a consumer park on an empty queue and
-  /// still start reading at exactly the first cycle data is readable.
-  void SetReadListener(Module* listener) { read_listener_ = listener; }
-
-  /// Reader-domain clock edge: applies pops and advances the write-pointer
-  /// synchronizer (newly synchronized words become visible).
-  void CommitReadSide() {
-    if (mode_ == Mode::kUnresolved) Resolve();
-    if (mode_ == Mode::kAbsolute) {
-      const Cycle rnow = rclock_->cycles();
-      if (staged_pops_ > 0) {
-        for (int i = 0; i < staged_pops_; ++i) visible_.pop_front();
-        pending_space_.push_back(
-            SpaceReturn{staged_pops_, wclock_->cycles() + space_delta_});
-        staged_pops_ = 0;
-        // The writer synchronizer now has a space return to deliver.
-        if (write_side_ != nullptr) {
-          write_side_->ArmAt(pending_space_.front().visible_edge);
-        }
-      }
-      bool delivered = false;
-      while (!in_flight_.empty() &&
-             in_flight_.front().visible_edge <= rnow) {
-        visible_.push_back(std::move(in_flight_.front().value));
-        in_flight_.pop_front();
-        delivered = true;
-      }
-      if (!in_flight_.empty()) {
-        read_side_->ArmAt(in_flight_.front().visible_edge);
-      }
-      if (delivered) {
-        // Wake takes effect next edge — exactly the first edge at which the
-        // words committed here are readable. The owner wake covers modules
-        // that read their own fifo without a listener registration.
-        if (read_listener_ != nullptr) read_listener_->Wake();
-        read_side_->Owner()->Wake();
-      }
-      return;
+    const Cycle now = rclock_->cycles();
+    if (pop_edge_ != now) {
+      pop_edge_ = now;
+      pops_ = 0;
     }
-    ++reader_edges_;
-    if (staged_pops_ > 0) {
-      for (int i = 0; i < staged_pops_; ++i) visible_.pop_front();
-      pending_space_.push_back(
-          SpaceReturn{staged_pops_, writer_edges_ + kCdcSyncEdges});
-      staged_pops_ = 0;
-      // The writer synchronizer now has a space return to deliver.
-      if (write_side_ != nullptr) write_side_->Arm();
+    ++pops_;
+    --readable_;
+    ++unreturned_;
+    const Cycle seen = HandOffEdge(wclock_, rclock_, writer_first_);
+    if (!returns_.empty() && returns_.back().seen == seen) {
+      returns_.back().count += 1;  // same hand-off as an earlier pop
+    } else {
+      returns_.push_back(SpaceReturn{1, seen});
+      writer_->WakeAt(seen);
     }
-    bool delivered = false;
-    while (!in_flight_.empty() &&
-           in_flight_.front().visible_edge <= reader_edges_) {
-      visible_.push_back(std::move(in_flight_.front().value));
-      in_flight_.pop_front();
-      delivered = true;
-    }
-    if (!in_flight_.empty() && read_side_ != nullptr) read_side_->Arm();
-    // Wake takes effect next edge — exactly the first edge at which the
-    // words committed here are readable.
-    if (delivered && read_listener_ != nullptr) read_listener_->Wake();
+    return words_.pop_front().value;
   }
 
  private:
-  template <typename U>
-  friend class CdcWriteSide;
-  template <typename U>
-  friend class CdcReadSide;
-
   struct Entry {
     T value{};
-    Cycle visible_edge = 0;  // reader edge count at which this becomes visible
+    Cycle readable = 0;  // first reader edge at which the word is readable
   };
   struct SpaceReturn {
     int count = 0;
-    Cycle visible_edge = 0;  // writer edge count at which space is returned
+    Cycle seen = 0;  // first writer edge at which the space is back
   };
 
-  /// Resolves the stamping mode once both sides are (or are known never to
-  /// be) registered to clocked modules. Absolute mode stamps maturity in
-  /// clock cycles with the per-fifo delta encoding the commit-sweep order
-  /// (see the file comment); the fallback keeps per-call edge counters for
-  /// manually driven fifos.
+  /// The first edge of `to` that sees a hand-off made now by the side on
+  /// `from`. The hand-off belongs to `from`'s current edge, or to its next
+  /// edge when made between steps; call its instant t. The stamp is `to`'s
+  /// first edge at or after t, plus kCdcSyncEdges, plus one when `to`'s
+  /// side synchronizes first at t. `to_first` is the per-fifo side order:
+  /// registration order on a shared clock, clock-id order across clocks.
+  /// It only counts when `to` fires at t too, which a shared clock does.
+  static Cycle HandOffEdge(const Clock* to, const Clock* from,
+                           bool to_first) {
+    const Picoseconds t = from->next_edge_ps();
+    const Cycle first = to->FirstEdgeFrom(t);
+    const bool late =
+        to_first && to->next_edge_ps() +
+                            (first - to->cycles()) * to->period_ps() == t;
+    return first + kCdcSyncEdges + (late ? 1 : 0);
+  }
+
+  /// Resolves the clocks and side order once both modules are registered.
   void Resolve() {
-    Module* wm = write_side_ != nullptr ? write_side_->Owner() : nullptr;
-    Module* rm = read_side_ != nullptr ? read_side_->Owner() : nullptr;
-    if (wm != nullptr && rm != nullptr && wm->clock() != nullptr &&
-        rm->clock() != nullptr) {
-      wclock_ = wm->clock();
-      rclock_ = rm->clock();
-      const bool same = wclock_ == rclock_;
-      in_flight_delta_ =
-          kCdcSyncEdges - 1 +
-          ((same && rm->clock_index() < wm->clock_index()) ? 1 : 0);
-      space_delta_ =
-          kCdcSyncEdges - 1 +
-          ((same && wm->clock_index() < rm->clock_index()) ? 1 : 0);
-      mode_ = Mode::kAbsolute;
+    AETHEREAL_CHECK_MSG(writer_ != nullptr && reader_ != nullptr,
+                        "CdcFifo used before Bind()");
+    wclock_ = writer_->clock();
+    rclock_ = reader_->clock();
+    AETHEREAL_CHECK_MSG(wclock_ != nullptr && rclock_ != nullptr,
+                        "CdcFifo sides must be registered on clocks");
+    AETHEREAL_CHECK_MSG(listener_ == nullptr || listener_->clock() == rclock_,
+                        listener_->name() << " listens on another clock");
+    if (wclock_ == rclock_) {
+      reader_first_ = reader_->clock_index() < writer_->clock_index();
+      writer_first_ = writer_->clock_index() < reader_->clock_index();
     } else {
-      mode_ = Mode::kRelative;
+      reader_first_ = rclock_->id() < wclock_->id();
+      writer_first_ = wclock_->id() < rclock_->id();
     }
   }
 
-  enum class Mode : unsigned char { kUnresolved, kAbsolute, kRelative };
+  /// Words readable now. Stamps never decrease along the queue, so the
+  /// count only grows between pops; it is cached and extended lazily.
+  int Readable() const {
+    if (readable_ < words_.size()) {
+      const Cycle now = rclock_->cycles();
+      while (readable_ < words_.size() && words_[readable_].readable <= now) {
+        ++readable_;
+      }
+    }
+    return readable_;
+  }
 
-  int capacity_;
-  Mode mode_ = Mode::kUnresolved;
-  Clock* wclock_ = nullptr;
-  Clock* rclock_ = nullptr;
-  Cycle in_flight_delta_ = 0;
-  Cycle space_delta_ = 0;
-  // Writer side.
-  int writer_occupancy_ = 0;  // occupancy as the writer believes it
-  int freed_for_writer_ = 0;  // synchronized frees not yet harvested
-  Ring<T> staged_pushes_;
-  Cycle writer_edges_ = 0;
-  Ring<SpaceReturn> pending_space_;
-  // Crossing.
-  Ring<Entry> in_flight_;
-  // Reader side.
-  Ring<T> visible_;
-  int staged_pops_ = 0;
-  Cycle reader_edges_ = 0;
-  // Registered adapters (set by the adapter constructors).
-  CdcWriteSide<T>* write_side_ = nullptr;
-  CdcReadSide<T>* read_side_ = nullptr;
-  Module* read_listener_ = nullptr;
+  /// Hands the writer the space returns whose stamp has passed. Callers
+  /// test for an empty returns_ first, so the idle path stays inline.
+  void MatureReturns() const {
+    const Cycle now = wclock_->cycles();
+    while (!returns_.empty() && returns_.front().seen <= now) {
+      unreturned_ -= returns_.front().count;
+      freed_ += returns_.front().count;
+      returns_.pop_front();
+    }
+  }
+
+  Ring<Entry> words_;  // pushed and not popped, readable or still in flight
+  Module* writer_ = nullptr;
+  Module* reader_ = nullptr;
+  Module* listener_ = nullptr;
+  const Clock* wclock_ = nullptr;
+  const Clock* rclock_ = nullptr;
+  bool reader_first_ = false;  // reader side synchronizes first
+  bool writer_first_ = false;  // writer side synchronizes first
+  // Reader side: the leading words known readable, and this edge's pops.
+  mutable int readable_ = 0;
+  Cycle pop_edge_ = std::numeric_limits<Cycle>::min();
+  int pops_ = 0;
+  // Writer side: popped words whose space is still in flight, and space
+  // synchronized but not yet taken as credits.
+  mutable Ring<SpaceReturn> returns_;
+  mutable int unreturned_ = 0;
+  mutable int freed_ = 0;
 };
-
-template <typename T>
-CdcWriteSide<T>::CdcWriteSide(CdcFifo<T>* fifo) : fifo_(fifo) {
-  AETHEREAL_CHECK(fifo != nullptr);
-  AETHEREAL_CHECK_MSG(fifo->write_side_ == nullptr,
-                      "CdcFifo already has a write-side adapter");
-  fifo->write_side_ = this;
-}
-
-template <typename T>
-void CdcWriteSide<T>::Commit() {
-  fifo_->CommitWriteSide();
-}
-
-template <typename T>
-CdcReadSide<T>::CdcReadSide(CdcFifo<T>* fifo) : fifo_(fifo) {
-  AETHEREAL_CHECK(fifo != nullptr);
-  AETHEREAL_CHECK_MSG(fifo->read_side_ == nullptr,
-                      "CdcFifo already has a read-side adapter");
-  fifo->read_side_ = this;
-}
-
-template <typename T>
-void CdcReadSide<T>::Commit() {
-  fifo_->CommitReadSide();
-}
 
 }  // namespace aethereal::sim
 

@@ -4,11 +4,11 @@
 // (proven by tests/engine_determinism_test.cpp) at different simulation
 // speeds:
 //
-//  * kNaive — the reference semantics: every module evaluates and every
-//             state element commits on every edge. Slow, obviously
-//             correct; the baseline the fast engine is checked against.
-//  * kSoa   — idle-module gating + dirty-list commits (DESIGN.md §7) over
-//             flat structure-of-arrays scheduling state: per-clock
+//  * kNaive — gating off: every module evaluates on every edge. Slow,
+//             obviously correct; the baseline the fast engine is checked
+//             against.
+//  * kSoa   — idle-module gating (DESIGN.md §7) over flat
+//             structure-of-arrays scheduling state: per-clock
 //             activity bitmaps are scanned 64 modules per word, so
 //             per-edge cost tracks *activity*, not instantiated hardware.
 //

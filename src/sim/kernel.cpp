@@ -29,45 +29,12 @@ bool EdgeAfter(const Clock* a, const Clock* b) {
 // Module
 // ---------------------------------------------------------------------------
 
-void Module::RegisterState(TwoPhase* element) {
-  AETHEREAL_CHECK_MSG(element->owner_ == nullptr,
-                      name() << ": state element already registered");
-  element->owner_ = this;
-  state_.push_back(element);
-  // Keep the dirty lists allocation-free at commit time.
-  dirty_.reserve(state_.size());
-  dirty_scratch_.reserve(state_.size());
-}
-
-void Module::CommitState() {
-  if (clock_ == nullptr || clock_->kernel_ == nullptr ||
-      clock_->kernel_->gating()) {
-    // Dirty-list commit. Elements may re-arm (MarkDirty / MarkDirtyAt)
-    // from inside Commit(); they then land on the fresh dirty_ list for a
-    // coming edge, so iterate a swapped-out snapshot.
-    CommitDirty();
-  } else {
-    // Naïve reference path: commit everything, every edge. Reset the dirty
-    // bookkeeping first so re-arms inside Commit() cannot grow it without
-    // bound (the flags are meaningless on this path).
-    for (TwoPhase* s : dirty_) s->dirty_ = false;
-    dirty_.clear();
-    for (TwoPhase* s : state_) s->Commit();
-  }
-}
-
 void Module::Park() {
   if (parked_) return;
   if (clock_ == nullptr || clock_->kernel_ == nullptr ||
       !clock_->kernel_->gating()) {
     return;
   }
-  // State staged for the coming edge must commit before the module sleeps
-  // (the imminent commit may expose work). Elements armed only for FUTURE
-  // edges (synchronizer traffic in flight) do not block parking: the commit
-  // sweep visits parked modules too, and the maturing element wakes every
-  // party that can act on the delivery.
-  if (commit_due_ <= clock_->cycles_) return;
   if (clock_->cycles_ <= wake_until_) return;  // recent wake holds us awake
   parked_ = true;
   clock_->NoteEvalStatus(this);
@@ -103,10 +70,11 @@ void Clock::PopDueTimers() {
 // words themselves. A module woken mid-sweep by an earlier module's
 // Evaluate (a wire drive, a queue push) therefore runs at the NEXT edge —
 // its Evaluate this edge would be a proven no-op anyway (the inputs that
-// woke it are staged, not committed), but under contention those no-op
-// arbitration scans are real host work: on a saturated best-effort mesh
-// every router wake-chains its downstream neighbours, and sweeping the live
-// words re-evaluated about half of them a second time per slot edge.
+// woke it carry this edge's stamp, so are not yet visible), but under
+// contention those no-op arbitration scans are real host work: on a
+// saturated best-effort mesh every router wake-chains its downstream
+// neighbours, and sweeping the live words re-evaluated about half of them
+// a second time per slot edge.
 void Clock::RunFlagged(const std::vector<std::uint64_t>& bits,
                        bool per_module_stride) {
   const std::size_t words = bits.size();
@@ -155,50 +123,6 @@ void Clock::EvaluatePhase(bool gated) {
                /*per_module_stride=*/strided_uniform_ < 0);
   }
   if (profile_ != nullptr) profile_->evaluate_sec += SecondsSince(t0);
-}
-
-// Every module reaches the commit phase — parked ones too — so staged state
-// always lands at the same edge as on the naïve path. The gated commit
-// dispatches over the contiguous pending bitmap: the scan touches a few
-// cache lines instead of every module's dirty list, and the virtual
-// Commit() call happens only for modules with staged state (or a declared
-// Commit override).
-void Clock::CommitPhase(bool gated) {
-  std::chrono::steady_clock::time_point t0;
-  if (profile_ != nullptr) t0 = std::chrono::steady_clock::now();
-  if (gated) {
-    CommitSweep();
-  } else {
-    for (Module* m : modules_) m->Commit();
-  }
-  if (profile_ != nullptr) profile_->commit_sec += SecondsSince(t0);
-  cycles_ += 1;
-  next_edge_ps_ += period_ps_;
-}
-
-void Clock::CommitSweep() {
-  const std::size_t words = commit_bits_.size();
-  for (std::size_t w = 0; w < words; ++w) {
-    std::uint64_t chunk = commit_bits_[w];
-    while (chunk != 0) {
-      const int b = std::countr_zero(chunk);
-      const std::uint64_t bit = chunk & (~chunk + 1);
-      chunk &= chunk - 1;
-      Module* m = modules_[(w << 6) + static_cast<std::size_t>(b)];
-      if (m->always_commit_) {
-        m->Commit();  // overridden Commit(): must stay a virtual call
-        continue;     // bit stays set: commits every edge
-      }
-      if (m->commit_due_ > cycles_) {
-        continue;  // every dirty element matures at a known future edge
-      }
-      // Clear before committing: any element re-armed from inside the
-      // commit (self re-arm or a cross-module ArmAt) goes through
-      // AddDirty/AddDirtyAt, which sets the live bit again.
-      commit_bits_[w] &= ~bit;
-      m->CommitDirty();
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -260,7 +184,7 @@ Picoseconds Kernel::Step() {
     Clock* c = clocks_.front().get();
     const Picoseconds t = c->next_edge_ps_;
     c->EvaluatePhase(gated);
-    c->CommitPhase(gated);
+    c->Advance();
     now_ps_ = t;
     return t;
   }
@@ -277,10 +201,10 @@ Picoseconds Kernel::Step() {
     edge_heap_.pop_back();
   }
 
-  // Evaluate everything before committing anything.
+  // Evaluate every firing clock before advancing any.
   for (Clock* c : firing_) c->EvaluatePhase(gated);
-  for (Clock* c : firing_) c->CommitPhase(gated);
   for (Clock* c : firing_) {
+    c->Advance();
     edge_heap_.push_back(c);
     std::push_heap(edge_heap_.begin(), edge_heap_.end(), EdgeAfter);
   }

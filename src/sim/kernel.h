@@ -1,4 +1,5 @@
-// Multi-clock, cycle-accurate simulation kernel with two-phase update.
+// Multi-clock, cycle-accurate simulation kernel with one-phase, stamp-latched
+// update.
 //
 // The Æthereal NI explicitly supports a different clock frequency per NI
 // port (the hardware FIFOs implement the clock-domain boundary), so the
@@ -7,14 +8,15 @@
 //
 // Semantics (see DESIGN.md §6):
 //  * At every instant where one or more clocks have a rising edge, the
-//    kernel first calls Evaluate() on ALL modules of ALL firing clocks,
-//    then Commit() on all of them. Evaluate() may only read *committed*
-//    state (registers, FIFO contents) and stage updates; Commit() applies
-//    staged updates. Results are therefore independent of module iteration
-//    order, exactly like synchronous RTL.
-//  * Clocks firing at the same instant are processed together (one
-//    evaluate phase, one commit phase) so cross-domain state elements see a
-//    consistent picture.
+//    kernel calls Evaluate() on the modules of ALL firing clocks, then
+//    advances those clocks. There is no commit phase. Evaluate() reads
+//    state from earlier edges and stages updates only through stamp-latched
+//    elements (sim::Fifo, sim::Register, sim::CdcFifo, link::SlotWire):
+//    each stamps what it stages with its clock's edge and tells it apart
+//    from earlier edges' state when read. Results are therefore independent
+//    of module iteration order, exactly like synchronous RTL.
+//  * Clocks firing at the same instant evaluate together and advance
+//    together, so cross-domain elements see a consistent picture.
 //
 // Performance machinery (see DESIGN.md §7): the steady-state hot path makes
 // zero heap allocations per edge.
@@ -22,20 +24,14 @@
 //    multi-clock SoC keeps its clocks in a preallocated next-edge min-heap,
 //    so Step() never scans all clocks and RunUntil() never rescans what
 //    Step() is about to compute.
-//  * Dirty-list commit: state elements report staging via MarkDirty(); the
-//    default Commit() applies only the elements actually written this edge
-//    instead of walking every registered TwoPhase.
-//  * Idle-module gating: a module with no staged state and no pending work
-//    may Park() itself; parked modules are skipped in the evaluate phase
-//    until a wire drive, queue push, credit return, or register write
-//    Wake()s them. Commit still runs for parked modules (constant time when
-//    clean) so staged state always lands at the exact naïve-path edge.
-//  * Engine selection (sim/engine.h): kNaive disables gating and dirty
-//    commits (every module runs every edge, every element commits every
-//    edge) so the gated engine can be cross-checked for identical results;
-//    kSoa gates with flat per-clock activity bitmaps scanned 64 modules per
-//    word, so idle stretches of a large mesh cost a few cache lines per
-//    edge instead of a walk over every module.
+//  * Idle-module gating: a module with no pending work may Park() itself;
+//    parked modules are skipped in the evaluate phase until a wire drive,
+//    queue hand-off, credit return, register write or timer Wake()s them.
+//  * Engine selection (sim/engine.h): kNaive turns gating off (every module
+//    runs every edge) so the gated engine can be cross-checked for
+//    identical results; kSoa gates with flat per-clock activity bitmaps
+//    scanned 64 modules per word, so idle stretches of a large mesh cost a
+//    few cache lines per edge instead of a walk over every module.
 #ifndef AETHEREAL_SIM_KERNEL_H
 #define AETHEREAL_SIM_KERNEL_H
 
@@ -43,7 +39,6 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
-#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -57,7 +52,6 @@ namespace aethereal::sim {
 class Clock;
 class Kernel;
 class Module;
-class TwoPhase;
 
 /// Host-side wall-time attribution per engine stage, filled while
 /// Kernel::EnableProfiling() is armed (bench_speed --profile). Off by
@@ -67,52 +61,14 @@ class TwoPhase;
 struct EngineProfile {
   std::int64_t steps = 0;      // kernel Step() calls
   double evaluate_sec = 0.0;   // module Evaluate() sweeps
-  double commit_sec = 0.0;     // commit dispatch sweeps
+  double commit_sec = 0.0;     // always 0: there is no commit phase
   double park_wake_sec = 0.0;  // timer pops + activity-bitmap upkeep
-};
-
-/// A state element with staged updates applied at the clock edge.
-///
-/// Elements participating in dirty-list commits must call MarkDirty() every
-/// time state is staged. An element whose Commit() leaves work pending for
-/// future edges (e.g. a synchronizer with words still in flight) must
-/// re-arm from inside Commit(): with MarkDirty() if the pending work needs
-/// the very next edge, or with MarkDirtyAt(due) if the edge at which the
-/// work matures is known in advance (the commit sweep then skips the module
-/// entirely until that edge).
-class TwoPhase {
- public:
-  virtual ~TwoPhase() = default;
-  virtual void Commit() = 0;
-
- protected:
-  /// Schedules this element for commit on its owner's next edge (and wakes
-  /// the owner if it is parked). No-op when not registered to a module.
-  void MarkDirty();
-
-  /// Schedules this element for commit at edge `due` of the owner's clock.
-  /// Unlike MarkDirty() this does NOT wake the owner: a future-due element
-  /// is bookkeeping in flight, not work the owner could react to yet.
-  /// Commit() runs at the first edge >= the earliest due over the owner's
-  /// dirty elements, so an element re-armed this way must tolerate being
-  /// committed earlier than `due` (and simply find nothing mature).
-  void MarkDirtyAt(Cycle due);
-
-  /// The module this element is registered to (null before RegisterState).
-  Module* owner() const { return owner_; }
-
- private:
-  friend class Module;
-  Module* owner_ = nullptr;
-  bool dirty_ = false;
 };
 
 /// Base class for all clocked hardware models.
 ///
-/// Subclasses implement Evaluate() (combinational + staging of next state)
-/// and register their state elements with RegisterState() so the default
-/// Commit() applies them. Commit() can be overridden for extra work but must
-/// call Module::Commit().
+/// Subclasses implement Evaluate(): read state from earlier edges, and stage
+/// the next state through stamp-latched elements bound to the module.
 class Module {
  public:
   explicit Module(std::string name) : name_(std::move(name)) {}
@@ -121,22 +77,18 @@ class Module {
   Module(const Module&) = delete;
   Module& operator=(const Module&) = delete;
 
-  /// Phase 1: read committed state, stage updates. Called once per edge.
+  /// Reads state from earlier edges and stages updates. Called once per
+  /// edge (per stride edge, see SetEvaluateStride) while not parked.
   virtual void Evaluate() = 0;
-
-  /// Phase 2: apply staged updates. Default commits registered state (the
-  /// dirty subset, or all of it when optimizations are off).
-  virtual void Commit() { CommitState(); }
 
   const std::string& name() const { return name_; }
 
   /// The clock this module is registered on (null until registered).
   Clock* clock() const { return clock_; }
 
-  /// This module's slot in its clock's registration order — which is also
-  /// the order of the commit sweep. Cross-module latches that are sensitive
-  /// to commit order (the CDC synchronizers) key their edge arithmetic off
-  /// this. -1 until registered.
+  /// This module's slot in its clock's registration order. The CDC
+  /// synchronizers on a shared clock key their edge arithmetic off it
+  /// (sim/cdc_fifo.h). -1 until registered.
   int clock_index() const { return clock_index_; }
 
   /// Number of edges this module's clock has seen since simulation start.
@@ -152,18 +104,17 @@ class Module {
   /// regardless of module iteration order.
   void Wake(Cycle hold_edges = 1);  // inline below (hot path)
 
+  /// Ensures the module evaluates at edge `edge` of its clock, or at its
+  /// first stride edge from there: a parked module gets a timer wake at
+  /// `edge`, a running one a Park() hold through the edge before. For
+  /// producers whose hand-off becomes visible at a known future edge (the
+  /// CDC synchronizers), so the module may sleep until then.
+  void WakeAt(Cycle edge);  // inline below (hot path)
+
  protected:
-  void RegisterState(TwoPhase* element);
-
-  /// Commits staged state. With optimizations on, only elements marked
-  /// dirty since their last commit are applied; otherwise every registered
-  /// element is walked (the naïve reference behaviour).
-  void CommitState();
-
   /// Requests gating off the evaluate sweep. Granted only when gating is
-  /// on, no state element is dirty, and no Wake() hold is active. A parked
-  /// module skips Evaluate() until the next Wake(); its Commit() still runs
-  /// every edge (constant time while nothing is staged).
+  /// on and no Wake() or WakeAt() hold is active. A parked module skips
+  /// Evaluate() until the next Wake().
   void Park();
 
   /// Park() plus a scheduled wake: if parking is granted, the clock's timer
@@ -174,7 +125,8 @@ class Module {
 
   /// Declares that Evaluate() is an unconditional no-op, so the gated
   /// engine drops this module from the evaluate sweep entirely (NI ports:
-  /// pure commit machinery). The naïve path still calls it.
+  /// they only bind the port side of the CDC queues). The naïve path still
+  /// calls it.
   void SetEvaluateIsNoop();  // inline below (needs the complete Clock type)
 
   /// Declares that Evaluate() does nothing except on cycles where
@@ -182,54 +134,16 @@ class Module {
   /// kernels). The gated engine then calls it only on those cycles.
   void SetEvaluateStride(int stride);  // inline below
 
-  /// Declares that Commit() is exactly the default (commit registered
-  /// state, nothing else), allowing the gated engine to skip the call
-  /// entirely on edges where no state element is dirty. Modules that
-  /// override Commit() with extra work must not set this.
-  void SetDefaultCommitOnly() { always_commit_ = false; }
-
  private:
   friend class Clock;
   friend class Kernel;
-  friend class TwoPhase;
-  void AddDirty(TwoPhase* element);                // inline below
-  void AddDirtyAt(TwoPhase* element, Cycle due);   // inline below
-
-  /// commit_due_ value meaning "no dirty element has a known due edge".
-  static constexpr Cycle kNeverDue = std::numeric_limits<Cycle>::max();
-
-  /// The commit sweep's fast path for SetDefaultCommitOnly() modules: by
-  /// declaration their Commit() is exactly CommitState(), and on the
-  /// gated engine CommitState() is exactly this dirty walk — so the
-  /// sweep can call it directly, skipping two virtual hops per module per
-  /// edge. Resets commit_due_ first: elements that still have future work
-  /// re-arm with their next due during the walk.
-  void CommitDirty() {
-    commit_due_ = kNeverDue;
-    if (dirty_.empty()) return;
-    dirty_scratch_.swap(dirty_);
-    for (TwoPhase* s : dirty_scratch_) {
-      s->dirty_ = false;
-      s->Commit();
-    }
-    dirty_scratch_.clear();
-  }
 
   std::string name_;
-  std::vector<TwoPhase*> state_;
-  std::vector<TwoPhase*> dirty_;
-  std::vector<TwoPhase*> dirty_scratch_;
   Clock* clock_ = nullptr;
-  int clock_index_ = -1;  // slot in the clock's module / pending arrays
+  int clock_index_ = -1;  // slot in the clock's module array and bitmaps
   bool parked_ = false;
   bool evaluate_noop_ = false;
-  bool always_commit_ = true;
   int evaluate_stride_ = 1;
-  // Earliest edge at which a dirty element needs its Commit(). 0 ("due
-  // now") whenever anything was staged via MarkDirty(); a future edge when
-  // every dirty element re-armed via MarkDirtyAt(); kNeverDue when clean.
-  // The commit sweep skips default-commit modules until this edge.
-  Cycle commit_due_ = 0;
   Cycle wake_until_ = -1;  // Park() suppressed while cycles() <= this
 };
 
@@ -248,14 +162,10 @@ class Clock {
     module->clock_index_ = static_cast<int>(modules_.size());
     modules_.push_back(module);
     const std::size_t i = modules_.size() - 1;
-    if ((i >> 6) >= commit_bits_.size()) {
-      commit_bits_.push_back(0);
+    if ((i >> 6) >= eval_every_bits_.size()) {
       eval_every_bits_.push_back(0);
       eval_strided_bits_.push_back(0);
     }
-    // Pending until first commit recomputes it (safe for pre-registration
-    // staged state).
-    SetBit(commit_bits_, i, true);
     NoteEvalStatus(module);
   }
 
@@ -268,6 +178,13 @@ class Clock {
 
   /// Time of the next rising edge.
   Picoseconds next_edge_ps() const { return next_edge_ps_; }
+
+  /// Index of the first edge at or after time `t`, for a `t` no earlier
+  /// than the current instant.
+  Cycle FirstEdgeFrom(Picoseconds t) const {
+    if (t <= next_edge_ps_) return cycles_;
+    return cycles_ + (t - next_edge_ps_ + period_ps_ - 1) / period_ps_;
+  }
 
   double frequency_ghz() const { return 1000.0 / static_cast<double>(period_ps_); }
 
@@ -310,16 +227,18 @@ class Clock {
     }
   }
 
-  /// One edge of this clock, split at the two-phase barrier: the kernel
-  /// evaluates every firing clock before it commits any. `gated` selects
-  /// the activity-bitmap sweeps (kSoa) over the naïve every-module walks.
-  /// CommitPhase also advances the clock to its next edge.
+  /// One edge of this clock. The kernel evaluates every firing clock
+  /// before it advances any, so stamps taken during the evaluate phase
+  /// see every firing clock at its current edge. `gated` selects the
+  /// activity-bitmap sweeps (kSoa) over the naïve every-module walk.
   void EvaluatePhase(bool gated);
-  void CommitPhase(bool gated);
+  void Advance() {
+    cycles_ += 1;
+    next_edge_ps_ += period_ps_;
+  }
   void RunFlagged(const std::vector<std::uint64_t>& bits,
                   bool per_module_stride);
   void PopDueTimers();
-  void CommitSweep();        // the bitmap dispatch of CommitPhase
 
   struct Timer {
     Cycle due;
@@ -341,13 +260,12 @@ class Clock {
   Kernel* kernel_ = nullptr;
   std::vector<Module*> modules_;
   std::vector<Timer> timers_;         // scheduled wakes (min-heap by due)
-  // SoA schedule (kSoa engine) and commit dispatch: one bit per module (bit
-  // i of word i/64 covers modules_[i]). The evaluate and commit sweeps walk
-  // set bits with countr_zero, so a whole mesh costs a handful of word
-  // loads per edge plus work proportional to the number of *active*
-  // modules. Maintained incrementally by NoteEvalStatus / AddDirty; bit
-  // order equals registration order, so sweep order is unchanged.
-  std::vector<std::uint64_t> commit_bits_;
+  // SoA schedule (kSoa engine): one bit per module (bit i of word i/64
+  // covers modules_[i]). The evaluate sweep walks set bits with
+  // countr_zero, so a whole mesh costs a handful of word loads per edge
+  // plus work proportional to the number of *active* modules. Maintained
+  // incrementally by NoteEvalStatus; bit order equals registration order,
+  // so sweep order is unchanged.
   std::vector<std::uint64_t> eval_every_bits_;   // unparked, stride 1
   std::vector<std::uint64_t> eval_strided_bits_; // unparked, stride > 1
   // Phase-start snapshots the SoA sweep iterates (EvaluatePhase): mid-sweep
@@ -401,8 +319,7 @@ class Kernel {
   friend class Module;
   void RebuildHeap() const;
 
-  /// The gated engine (kSoa) arms the Park()/dirty-commit machinery; the
-  /// naïve reference disables both.
+  /// The gated engine (kSoa) arms Park(); the naïve reference never parks.
   bool gating() const { return engine_ == EngineKind::kSoa; }
 
   std::vector<std::unique_ptr<Clock>> clocks_;
@@ -439,6 +356,14 @@ inline void Module::Wake(Cycle hold_edges) {
   }
 }
 
+inline void Module::WakeAt(Cycle edge) {
+  if (parked_) {
+    clock_->AddTimer(edge, this);
+  } else if (edge - 1 > wake_until_) {
+    wake_until_ = edge - 1;
+  }
+}
+
 inline void Module::SetEvaluateIsNoop() {
   evaluate_noop_ = true;
   if (clock_ != nullptr) clock_->NoteEvalStatus(this);
@@ -448,53 +373,6 @@ inline void Module::SetEvaluateStride(int stride) {
   AETHEREAL_CHECK(stride >= 1);
   evaluate_stride_ = stride;
   if (clock_ != nullptr) clock_->NoteEvalStatus(this);
-}
-
-inline void Module::AddDirty(TwoPhase* element) {
-  dirty_.push_back(element);
-  commit_due_ = 0;
-  if (clock_ != nullptr) {
-    Clock::SetBit(clock_->commit_bits_,
-                  static_cast<std::size_t>(clock_index_), true);
-  }
-  // Staged state must be committed even if this module was parked or is
-  // about to park.
-  Wake();
-}
-
-inline void Module::AddDirtyAt(TwoPhase* element, Cycle due) {
-  dirty_.push_back(element);
-  if (due < commit_due_) commit_due_ = due;
-  if (clock_ != nullptr) {
-    Clock::SetBit(clock_->commit_bits_,
-                  static_cast<std::size_t>(clock_index_), true);
-  }
-  // Deliberately no Wake(): a future-due element is synchronizer traffic in
-  // flight, not state the module could evaluate against yet. Whoever makes
-  // the traffic visible (the element's own Commit at the due edge) is
-  // responsible for waking the parties that can then act on it.
-}
-
-inline void TwoPhase::MarkDirty() {
-  if (owner_ == nullptr) return;
-  if (!dirty_) {
-    dirty_ = true;
-    owner_->AddDirty(this);
-  } else if (owner_->commit_due_ != 0) {
-    // Already listed, but possibly only for a future edge: pull the
-    // owner's next commit forward to the coming edge.
-    owner_->commit_due_ = 0;
-  }
-}
-
-inline void TwoPhase::MarkDirtyAt(Cycle due) {
-  if (owner_ == nullptr) return;
-  if (!dirty_) {
-    dirty_ = true;
-    owner_->AddDirtyAt(this, due);
-  } else if (due < owner_->commit_due_) {
-    owner_->commit_due_ = due;
-  }
 }
 
 }  // namespace aethereal::sim

@@ -38,6 +38,12 @@ class Ring {
     return buffer_[Slot(0)];
   }
 
+  /// The newest element.
+  T& back() {
+    AETHEREAL_CHECK(count_ > 0);
+    return buffer_[Slot(count_ - 1)];
+  }
+
   void push_back(T value) {
     AETHEREAL_CHECK_MSG(count_ < capacity_, "Ring overflow");
     buffer_[Slot(count_)] = std::move(value);

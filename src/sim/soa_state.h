@@ -2,16 +2,16 @@
 //
 // The gated engine's remaining cost at large meshes is pointer chasing:
 // routers, NI kernels, link wires and channel queues each lived in their own
-// heap allocation, so every evaluate/commit sweep hopped between cache lines
+// heap allocation, so every evaluate sweep hopped between cache lines
 // scattered across the heap. The SoA layout packs those objects into
-// contiguous slabs so sweeps over the dirty/active sets touch consecutive
-// memory (DESIGN.md §7).
+// contiguous slabs so sweeps over the active sets touch consecutive memory
+// (DESIGN.md §7).
 //
 // Slab<T> is the building block: a fixed-capacity placement-new arena whose
-// elements never move. That address stability is load-bearing — modules
-// register TwoPhase state elements (and wires register consumers) by
-// pointer at construction time, so the container must never relocate them
-// the way std::vector does on growth.
+// elements never move. That address stability is load-bearing — routers
+// and NI kernels keep raw pointers to their link wires, taken at
+// construction time, so the container must never relocate them the way
+// std::vector does on growth.
 #ifndef AETHEREAL_SIM_SOA_STATE_H
 #define AETHEREAL_SIM_SOA_STATE_H
 

@@ -200,7 +200,7 @@ class Soc {
   std::map<std::int64_t, sim::Clock*> clock_by_period_;
 
   // Hot hardware state lives in contiguous slabs (sim/soa_state.h): the
-  // kernel's evaluate/commit sweeps then walk consecutive memory instead of
+  // kernel's evaluate sweep then walks consecutive memory instead of
   // one heap allocation per router/NI/link.
   sim::Slab<router::Router> routers_;
   sim::Slab<core::NiKernel> nis_;

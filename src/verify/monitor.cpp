@@ -34,10 +34,9 @@ constexpr std::size_t kMaxResyncScan = 64;
 }  // namespace
 
 Monitor::Monitor(std::string name) : sim::Module(std::move(name)) {
-  // The monitor is a pure observer: no registered state, nothing to
-  // commit, and all work happens at slot boundaries.
+  // The monitor is a pure observer: it stages nothing, and all work
+  // happens at slot boundaries.
   SetEvaluateStride(kFlitWords);
-  SetDefaultCommitOnly();
 }
 
 Monitor::~Monitor() = default;

@@ -1,5 +1,5 @@
-// Unit tests for the simulation kernel: clocks, two-phase update, FIFOs,
-// clock-domain-crossing FIFOs.
+// Unit tests for the simulation kernel: clocks, stamp-latched FIFOs and
+// registers, clock-domain-crossing FIFOs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -115,8 +115,6 @@ class Probe : public Module {
   void Evaluate() override {
     if (body) body(CycleCount());
   }
-  void Owns(TwoPhase* element) { RegisterState(element); }
-
   std::function<void(Cycle)> body;
 };
 
@@ -312,11 +310,8 @@ CdcTiming RunOneWord(EngineKind engine, Kernel& kernel, Clock* wclk,
   kernel.set_engine(engine);
   constexpr Cycle kPushEdge = 2;
   CdcFifo<int> fifo(1);
-  CdcWriteSide<int> write_side(&fifo);
-  CdcReadSide<int> read_side(&fifo);
   Probe writer("w"), reader("r");
-  writer.Owns(&write_side);
-  reader.Owns(&read_side);
+  fifo.Bind(&writer, &reader);
   CdcTiming timing;
   bool popped = false;
   writer.body = [&](Cycle t) {
@@ -400,11 +395,8 @@ TEST(CdcContract, ReaderSizeSameEdgeAsPopIndependentOfOrder) {
       kernel.set_engine(engine);
       Clock* clk = kernel.AddClock("clk", 1000);
       CdcFifo<int> fifo(4);
-      CdcWriteSide<int> write_side(&fifo);
-      CdcReadSide<int> read_side(&fifo);
       Probe writer("w"), reader("r"), observer("obs");
-      writer.Owns(&write_side);
-      reader.Owns(&read_side);
+      fifo.Bind(&writer, &reader);
       writer.body = [&](Cycle t) {
         if (t < 3) fifo.Push(static_cast<int>(t));
       };
@@ -423,6 +415,41 @@ TEST(CdcContract, ReaderSizeSameEdgeAsPopIndependentOfOrder) {
       kernel.RunCycles(clk, 9);
       EXPECT_EQ(sizes, (std::vector<int>{0, 0, 1, 2, 3, 3, 3, 2, 1}))
           << observer_first;
+    }
+  }
+}
+
+// A push made between steps, outside any Evaluate(), belongs to the
+// writer's next edge, even when the reader's clock fires in between.
+TEST(CdcContract, PushBetweenStepsBelongsToWritersNextEdge) {
+  for (EngineKind engine : kEngines) {
+    for (bool reader_clock_first : {false, true}) {
+      Kernel kernel;
+      kernel.set_engine(engine);
+      Clock* wclk = nullptr;
+      Clock* rclk = nullptr;
+      if (reader_clock_first) {
+        rclk = kernel.AddClock("r", 1000);
+        wclk = kernel.AddClock("w", 3000);
+      } else {
+        wclk = kernel.AddClock("w", 3000);
+        rclk = kernel.AddClock("r", 1000);
+      }
+      CdcFifo<int> fifo(4);
+      Probe writer("w"), reader("r");
+      fifo.Bind(&writer, &reader);
+      Cycle readable = -1;
+      reader.body = [&](Cycle t) {
+        if (readable < 0 && fifo.ReaderSize() > 0) readable = t;
+      };
+      wclk->Register(&writer);
+      rclk->Register(&reader);
+      kernel.Step();  // t=0; next edges: writer 3000, reader 1000
+      fifo.Push(42);
+      kernel.RunUntil(20000);
+      // Reader edge 3 (t=3000) is the writer's next edge; two reader edges
+      // on, plus one when the reader clock has the lower id.
+      EXPECT_EQ(readable, reader_clock_first ? 6 : 5) << reader_clock_first;
     }
   }
 }
@@ -482,11 +509,8 @@ TEST(CdcFifo, OrderPreserved) {
     Clock* wclk = kernel.AddClock("w", 2000);
     Clock* rclk = kernel.AddClock("r", 3000);
     CdcFifo<int> fifo(16);
-    CdcWriteSide<int> write_side(&fifo);
-    CdcReadSide<int> read_side(&fifo);
     Probe writer("w"), reader("r");
-    writer.Owns(&write_side);
-    reader.Owns(&read_side);
+    fifo.Bind(&writer, &reader);
     writer.body = [&](Cycle t) {
       if (t < 5) fifo.Push(static_cast<int>(t));
     };
