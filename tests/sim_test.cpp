@@ -232,6 +232,28 @@ TEST(FifoContract, PeekCountsStagedPops) {
   }
 }
 
+TEST(FifoContract, CapacityOrdering) {
+  Kernel kernel;
+  Clock* clk = kernel.AddClock("clk", 1000);
+  Fifo<int> fifo(8);
+  Probe owner("o");
+  fifo.Bind(&owner);
+  // Fill at even edges, drain at odd ones: the ring wraps every round.
+  owner.body = [&](Cycle t) {
+    const int round = static_cast<int>(t / 2);
+    if (t % 2 == 0) {
+      for (int i = 0; i < 8; ++i) fifo.Push(round * 8 + i);
+      EXPECT_FALSE(fifo.CanPush());
+    } else {
+      for (int i = 0; i < 8; ++i) EXPECT_EQ(fifo.Pop(), round * 8 + i);
+      EXPECT_FALSE(fifo.CanPop());
+    }
+  };
+  clk->Register(&owner);
+  kernel.RunCycles(clk, 6);
+  EXPECT_EQ(fifo.Occupancy(), 0);
+}
+
 TEST(FifoContract, ObserverSizeIndependentOfOrder) {
   std::vector<std::vector<int>> runs;
   for (EngineKind engine : kEngines) {
