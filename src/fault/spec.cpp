@@ -1,46 +1,22 @@
 #include "fault/spec.h"
 
-#include <cctype>
 #include <fstream>
 #include <sstream>
+
+#include "util/parse.h"
 
 namespace aethereal::fault {
 
 namespace {
 
-bool ParseDoubleToken(const std::string& token, double* out) {
-  try {
-    std::size_t pos = 0;
-    const double value = std::stod(token, &pos);
-    if (pos != token.size()) return false;
-    *out = value;
-    return true;
-  } catch (const std::exception&) {
-    return false;
-  }
-}
-
-bool ParseI64Token(const std::string& token, std::int64_t* out) {
-  try {
-    std::size_t pos = 0;
-    if (token.empty()) return false;
-    const std::int64_t value = std::stoll(token, &pos);
-    if (pos != token.size()) return false;
-    *out = value;
-    return true;
-  } catch (const std::exception&) {
-    return false;
-  }
-}
-
 Status ParseRate(const std::string& token, const char* what, double* out) {
-  double rate = 0.0;
-  if (!ParseDoubleToken(token, &rate) || rate < 0.0 || rate > 1.0) {
+  const auto rate = ParseDouble(token);
+  if (!rate.ok() || *rate < 0.0 || *rate > 1.0) {
     return InvalidArgumentError(std::string(what) +
                                 " rate must be a number in [0, 1], got '" +
                                 token + "'");
   }
-  *out = rate;
+  *out = *rate;
   return OkStatus();
 }
 
@@ -51,23 +27,23 @@ Status ParseStall(const std::vector<std::string>& tokens, const char* what,
     return InvalidArgumentError(std::string("expected '") + what +
                                 " ID stall START LENGTH'");
   }
-  std::int64_t id = 0;
-  std::int64_t start = 0;
-  std::int64_t length = 0;
-  if (!ParseI64Token(tokens[1], &id) || id < 0) {
+  const auto id = ParseInt64(tokens[1]);
+  const auto start = ParseInt64(tokens[3]);
+  const auto length = ParseInt64(tokens[4]);
+  if (!id.ok() || *id < 0) {
     return InvalidArgumentError(std::string(what) +
                                 " id must be a non-negative integer, got '" +
                                 tokens[1] + "'");
   }
-  if (!ParseI64Token(tokens[3], &start) || start < 0) {
+  if (!start.ok() || *start < 0) {
     return InvalidArgumentError("stall start must be a non-negative cycle, "
                                 "got '" + tokens[3] + "'");
   }
-  if (!ParseI64Token(tokens[4], &length) || length < 1) {
+  if (!length.ok() || *length < 1) {
     return InvalidArgumentError("stall length must be a positive cycle "
                                 "count, got '" + tokens[4] + "'");
   }
-  out->push_back(StallWindow{static_cast<std::int32_t>(id), start, length});
+  out->push_back(StallWindow{static_cast<std::int32_t>(*id), *start, *length});
   return OkStatus();
 }
 
@@ -78,12 +54,12 @@ Status ApplyFaultDirective(const std::vector<std::string>& tokens,
   if (tokens.empty()) return OkStatus();
   const std::string& kind = tokens[0];
   if (kind == "seed") {
-    std::int64_t seed = 0;
-    if (tokens.size() != 2 || !ParseI64Token(tokens[1], &seed) || seed < 0) {
+    const auto seed = ParseInt64(tokens.size() == 2 ? tokens[1] : "");
+    if (tokens.size() != 2 || !seed.ok() || *seed < 0) {
       return InvalidArgumentError(
           "expected 'seed N' with a non-negative integer");
     }
-    spec->seed = static_cast<std::uint64_t>(seed);
+    spec->seed = static_cast<std::uint64_t>(*seed);
     return OkStatus();
   }
   if (kind == "link") {
@@ -111,12 +87,12 @@ Status ApplyFaultDirective(const std::vector<std::string>& tokens,
       Status status =
           ParseRate(tokens[2], "config delay", &spec->config_delay_rate);
       if (!status.ok()) return status;
-      std::int64_t cycles = 0;
-      if (!ParseI64Token(tokens[3], &cycles) || cycles < 1) {
+      const auto cycles = ParseInt64(tokens[3]);
+      if (!cycles.ok() || *cycles < 1) {
         return InvalidArgumentError("config delay cycles must be a positive "
                                     "integer, got '" + tokens[3] + "'");
       }
-      spec->config_delay_cycles = cycles;
+      spec->config_delay_cycles = *cycles;
       return OkStatus();
     }
     return InvalidArgumentError(
@@ -129,26 +105,25 @@ Status ApplyFaultDirective(const std::vector<std::string>& tokens,
       return InvalidArgumentError(
           "expected 'retry timeout T max R backoff B'");
     }
-    std::int64_t timeout = 0;
-    std::int64_t max_retries = 0;
-    std::int64_t backoff = 0;
-    if (!ParseI64Token(tokens[2], &timeout) || timeout < 1) {
+    const auto timeout = ParseInt64(tokens[2]);
+    const auto max_retries = ParseInt64(tokens[4]);
+    const auto backoff = ParseInt64(tokens[6]);
+    if (!timeout.ok() || *timeout < 1) {
       return InvalidArgumentError("retry timeout must be a positive cycle "
                                   "count, got '" + tokens[2] + "'");
     }
-    if (!ParseI64Token(tokens[4], &max_retries) || max_retries < 0 ||
-        max_retries > 64) {
+    if (!max_retries.ok() || *max_retries < 0 || *max_retries > 64) {
       return InvalidArgumentError("retry max must be in [0, 64], got '" +
                                   tokens[4] + "'");
     }
-    if (!ParseI64Token(tokens[6], &backoff) || backoff < 1 || backoff > 8) {
+    if (!backoff.ok() || *backoff < 1 || *backoff > 8) {
       return InvalidArgumentError("retry backoff must be in [1, 8], got '" +
                                   tokens[6] + "'");
     }
     spec->retry.enabled = true;
-    spec->retry.timeout = timeout;
-    spec->retry.max_retries = static_cast<int>(max_retries);
-    spec->retry.backoff = static_cast<int>(backoff);
+    spec->retry.timeout = *timeout;
+    spec->retry.max_retries = static_cast<int>(*max_retries);
+    spec->retry.backoff = static_cast<int>(*backoff);
     return OkStatus();
   }
   return InvalidArgumentError("unknown fault directive '" + kind + "'");
@@ -156,22 +131,9 @@ Status ApplyFaultDirective(const std::vector<std::string>& tokens,
 
 Result<FaultSpec> ParseFaultText(const std::string& text) {
   FaultSpec spec;
-  std::istringstream in(text);
-  std::string line;
-  int line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    std::istringstream ls(line);
-    std::vector<std::string> tokens;
-    std::string token;
-    while (ls >> token) tokens.push_back(token);
-    if (tokens.empty()) continue;
-    Status status = ApplyFaultDirective(tokens, &spec);
-    if (!status.ok()) {
-      return InvalidArgumentError("line " + std::to_string(line_no) + ": " +
-                                  status.message());
+  for (const SpecLine& line : TokenizeSpec(text)) {
+    if (Status s = ApplyFaultDirective(line.tokens, &spec); !s.ok()) {
+      return line.Error(s.message());
     }
   }
   return spec;

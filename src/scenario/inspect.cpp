@@ -62,7 +62,11 @@ std::string Inspection::Describe() const {
   os << ") — " << num_nis << " NIs, stu " << spec.stu_slots << ", queues "
      << spec.queue_words << ", seed " << spec.seed << ", warmup "
      << spec.warmup << ", duration " << spec.TotalDuration() << ", engine "
-     << sim::EngineKindName(spec.engine) << "\n";
+     << sim::EngineKindName(spec.engine);
+  if (spec.IpMhz() != spec.net_mhz) {
+    os << ", ipmhz " << spec.IpMhz() << " (netmhz " << spec.net_mhz << ")";
+  }
+  os << "\n";
   if (spec.Phased()) {
     os << "  phased: " << spec.phases.size() << " phases, cfg ni "
        << spec.cfg_ni << " (config channels occupy the lowest connids), "

@@ -289,6 +289,14 @@ Status ScenarioRunner::BuildTopologyAndSoc(
 
   soc::SocOptions options;
   options.net_mhz = spec_.net_mhz;
+  // One clock for every IP port, so a flow's source and sink count the
+  // same edges and word latencies stay in one unit (IP cycles).
+  for (std::size_t n = 0; n < ni_params.size(); ++n) {
+    for (std::size_t p = 0; p < ni_params[n].ports.size(); ++p) {
+      options.port_mhz[{static_cast<NiId>(n), static_cast<int>(p)}] =
+          spec_.IpMhz();
+    }
+  }
   options.stu_slots = spec_.stu_slots;
   options.engine = spec_.engine;
   options.verify = spec_.verify;
@@ -878,8 +886,10 @@ Result<std::vector<GtFlowBound>> ScenarioRunner::ComputeGtBounds() {
   return bounds;
 }
 
-void ScenarioRunner::SetGroupActive(std::size_t group, bool active,
-                                    Cycle now) {
+void ScenarioRunner::SetGroupActive(std::size_t group, bool active) {
+  // The sources schedule in IP cycles, so activate them at the IP clock's
+  // count (every IP port shares one clock).
+  const Cycle now = soc_->port_clock(0, 0)->cycles();
   for (FlowIps& f : flows_) {
     if (f.group == group) f.SetActive(active, now);
   }
@@ -933,7 +943,7 @@ Status ScenarioRunner::EnterPhase(std::size_t k, TransitionResult* tr) {
     }
   }
   if (!closing.empty()) {
-    for (std::size_t g : closing) SetGroupActive(g, false, now());
+    for (std::size_t g : closing) SetGroupActive(g, false);
     const Cycle drain_start = now();
     note_config(obs::kConfigDrainBegin, k);
     const Cycle deadline = drain_start + spec_.drain_cycles;
@@ -1022,7 +1032,7 @@ Status ScenarioRunner::EnterPhase(std::size_t k, TransitionResult* tr) {
   // new use case before measuring.
   for (std::size_t g = 0; g < spec_.traffic.size(); ++g) {
     if (spec_.traffic[g].phase == static_cast<int>(k)) {
-      SetGroupActive(g, true, now());
+      SetGroupActive(g, true);
     }
   }
   return OkStatus();
@@ -1030,6 +1040,9 @@ Status ScenarioRunner::EnterPhase(std::size_t k, TransitionResult* tr) {
 
 void ScenarioRunner::CheckGtLatency(const FlowIps& f,
                                     std::vector<std::string>* sink) {
+  // The word latency counts IP cycles and the table bound network cycles,
+  // so the comparison only holds when the two clocks are one.
+  if (spec_.IpMhz() != spec_.net_mhz) return;
   // The end-to-end (Write-to-Read) latency bound is table-derivable only
   // when the credit loop provably cannot bind: stream credits return as
   // best-effort packets, so any BE directive in the scenario can delay
@@ -1167,6 +1180,7 @@ std::string ScenarioResult::ToJson() const {
   w.EndObject();
   w.Key("stu_slots").Int(spec.stu_slots);
   w.Key("net_mhz").Double(spec.net_mhz);
+  if (spec.IpMhz() != spec.net_mhz) w.Key("ip_mhz").Double(spec.IpMhz());
   w.Key("queue_words").Int(spec.queue_words);
   w.Key("seed").Int(static_cast<std::int64_t>(spec.seed));
   w.Key("warmup").Int(spec.warmup);

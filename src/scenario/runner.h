@@ -326,7 +326,7 @@ class ScenarioRunner {
   /// their connections and opens phase k's through the configuration
   /// protocol over the NoC, then switches phase k's sources on.
   Status EnterPhase(std::size_t k, TransitionResult* transition);
-  void SetGroupActive(std::size_t group, bool active, Cycle now);
+  void SetGroupActive(std::size_t group, bool active);
   bool GroupDrained(std::size_t group) const;
   /// The static-only per-word GT latency check of one stream flow (see
   /// the definition for when the table bound applies).

@@ -4,10 +4,10 @@
 #include <fstream>
 #include <set>
 #include <sstream>
-#include <stdexcept>
 #include <vector>
 
 #include "core/registers.h"
+#include "util/parse.h"
 
 namespace aethereal::scenario {
 
@@ -74,85 +74,15 @@ Cycle ScenarioSpec::TotalDuration() const {
 
 namespace {
 
-struct Line {
-  int number;
-  std::vector<std::string> tokens;
-};
-
-std::vector<Line> Tokenize(const std::string& text) {
-  std::vector<Line> lines;
-  std::istringstream stream(text);
-  std::string raw;
-  int number = 0;
-  while (std::getline(stream, raw)) {
-    ++number;
-    const auto hash = raw.find('#');
-    if (hash != std::string::npos) raw.erase(hash);
-    std::istringstream ls(raw);
-    Line line{number, {}};
-    std::string token;
-    while (ls >> token) line.tokens.push_back(token);
-    if (!line.tokens.empty()) lines.push_back(std::move(line));
-  }
-  return lines;
-}
-
-Status ParseError(int line, const std::string& message) {
-  return InvalidArgumentError("line " + std::to_string(line) + ": " + message);
-}
-
-/// Largest NI population a scenario may instantiate. Keeps design-time
-/// arithmetic far from integer overflow and rejects obviously
-/// un-simulatable specs at parse time instead of hanging in allocation.
-constexpr std::int64_t kMaxScenarioNis = 4096;
-
-Result<std::int64_t> ParseInt(const Line& line, const std::string& token) {
-  try {
-    std::size_t pos = 0;
-    const std::int64_t value = std::stoll(token, &pos);
-    if (pos != token.size()) throw std::invalid_argument(token);
-    return value;
-  } catch (const std::exception&) {
-    return ParseError(line.number, "expected a number, got '" + token + "'");
-  }
-}
-
-/// ParseInt with an inclusive range check — every value that is later
-/// narrowed below int64 goes through this, so a typo'd huge literal fails
-/// loudly instead of silently wrapping.
-Result<std::int64_t> ParseIntIn(const Line& line, const std::string& token,
-                                std::int64_t lo, std::int64_t hi) {
-  auto value = ParseInt(line, token);
-  if (!value.ok()) return value;
-  if (*value < lo || *value > hi) {
-    return ParseError(line.number, "'" + token + "' out of range [" +
-                                       std::to_string(lo) + ", " +
-                                       std::to_string(hi) + "]");
-  }
-  return value;
-}
-
-Result<double> ParseDouble(const Line& line, const std::string& token) {
-  try {
-    std::size_t pos = 0;
-    const double value = std::stod(token, &pos);
-    if (pos != token.size()) throw std::invalid_argument(token);
-    return value;
-  } catch (const std::exception&) {
-    return ParseError(line.number, "expected a number, got '" + token + "'");
-  }
-}
-
 /// Parses the clause tail of a traffic directive, starting at token `at`.
-Status ParseTrafficClauses(const Line& line, std::size_t at,
+Status ParseTrafficClauses(const SpecLine& line, std::size_t at,
                            TrafficSpec* traffic) {
   const auto& t = line.tokens;
   while (at < t.size()) {
     const std::string& clause = t[at];
     auto need = [&](std::size_t extra) -> Status {
       if (at + extra >= t.size()) {
-        return ParseError(line.number,
-                          "clause '" + clause + "' is missing arguments");
+        return line.Error("clause '" + clause + "' is missing arguments");
       }
       return OkStatus();
     };
@@ -161,30 +91,36 @@ Status ParseTrafficClauses(const Line& line, std::size_t at,
       const std::string& kind = t[at + 1];
       if (kind == "periodic") {
         if (Status s = need(2); !s.ok()) return s;
-        auto v = ParseInt(line, t[at + 2]);
+        auto v = line.Int(t[at + 2]);
         if (!v.ok()) return v.status();
-        if (*v < 1) return ParseError(line.number, "period must be >= 1");
+        if (*v < 1) return line.Error("period must be >= 1");
+        if (*v > limits::kMaxPeriod) {
+          return line.Error("period must be <= 2^30");
+        }
         traffic->inject = InjectKind::kPeriodic;
         traffic->period = *v;
         at += 3;
       } else if (kind == "bernoulli") {
         if (Status s = need(2); !s.ok()) return s;
-        auto v = ParseDouble(line, t[at + 2]);
+        auto v = line.Double(t[at + 2]);
         if (!v.ok()) return v.status();
         if (*v <= 0.0 || *v > 1.0) {
-          return ParseError(line.number, "rate must be in (0, 1]");
+          return line.Error("rate must be in (0, 1]");
         }
         traffic->inject = InjectKind::kBernoulli;
         traffic->rate = *v;
         at += 3;
       } else if (kind == "bursty") {
         if (Status s = need(3); !s.ok()) return s;
-        auto words = ParseInt(line, t[at + 2]);
-        auto gap = ParseInt(line, t[at + 3]);
+        auto words = line.Int(t[at + 2]);
+        auto gap = line.Int(t[at + 3]);
         if (!words.ok()) return words.status();
         if (!gap.ok()) return gap.status();
         if (*words < 1 || *gap < 0) {
-          return ParseError(line.number, "bursty needs WORDS >= 1, GAP >= 0");
+          return line.Error("bursty needs WORDS >= 1, GAP >= 0");
+        }
+        if (*words > limits::kMaxBurstWords || *gap > limits::kMaxGapCycles) {
+          return line.Error("bursty needs WORDS <= 2^20, GAP <= 2^30");
         }
         traffic->inject = InjectKind::kBursty;
         traffic->burst_words = *words;
@@ -192,13 +128,12 @@ Status ParseTrafficClauses(const Line& line, std::size_t at,
         at += 4;
       } else if (kind == "closed") {
         if (traffic->pattern != PatternKind::kMemory) {
-          return ParseError(line.number,
-                            "'inject closed' is memory-pattern only");
+          return line.Error("'inject closed' is memory-pattern only");
         }
         traffic->inject = InjectKind::kClosedLoop;
         at += 2;
       } else {
-        return ParseError(line.number, "unknown inject kind '" + kind + "'");
+        return line.Error("unknown inject kind '" + kind + "'");
       }
     } else if (clause == "qos") {
       if (Status s = need(1); !s.ok()) return s;
@@ -208,17 +143,17 @@ Status ParseTrafficClauses(const Line& line, std::size_t at,
         at += 2;
       } else if (t[at + 1] == "gt") {
         if (Status s = need(2); !s.ok()) return s;
-        auto v = ParseIntIn(line, t[at + 2], 1, 1024);
+        auto v = line.IntIn(t[at + 2], 1, limits::kMaxGtSlots);
         if (!v.ok()) return v.status();
         traffic->gt = true;
         traffic->gt_slots = static_cast<int>(*v);
         at += 3;
       } else {
-        return ParseError(line.number, "qos must be 'be' or 'gt SLOTS'");
+        return line.Error("qos must be 'be' or 'gt SLOTS'");
       }
     } else if (clause == "data_threshold" || clause == "credit_threshold") {
       if (Status s = need(1); !s.ok()) return s;
-      auto v = ParseIntIn(line, t[at + 1], 1, 1 << 20);
+      auto v = line.IntIn(t[at + 1], 1, 1 << 20);
       if (!v.ok()) return v.status();
       (clause[0] == 'd' ? traffic->data_threshold
                         : traffic->credit_threshold) = static_cast<int>(*v);
@@ -228,30 +163,30 @@ Status ParseTrafficClauses(const Line& line, std::size_t at,
       at += 1;
     } else if (clause == "read_fraction") {
       if (traffic->pattern != PatternKind::kMemory) {
-        return ParseError(line.number, "'read_fraction' is memory-only");
+        return line.Error("'read_fraction' is memory-only");
       }
       if (Status s = need(1); !s.ok()) return s;
-      auto v = ParseDouble(line, t[at + 1]);
+      auto v = line.Double(t[at + 1]);
       if (!v.ok()) return v.status();
       if (*v < 0.0 || *v > 1.0) {
-        return ParseError(line.number, "read_fraction must be in [0, 1]");
+        return line.Error("read_fraction must be in [0, 1]");
       }
       traffic->read_fraction = *v;
       at += 2;
     } else if (clause == "burst") {
       if (traffic->pattern != PatternKind::kMemory) {
-        return ParseError(line.number, "'burst' is memory-only");
+        return line.Error("'burst' is memory-only");
       }
       if (Status s = need(1); !s.ok()) return s;
       // Transport ceiling: a write request is 2 header words + payload and
       // must fit the master shell's 64-word sequentializer staging, so
       // bursts above 62 words could never be issued (silent zero traffic).
-      auto v = ParseIntIn(line, t[at + 1], 1, 62);
+      auto v = line.IntIn(t[at + 1], 1, 62);
       if (!v.ok()) return v.status();
       traffic->mem_burst_words = static_cast<int>(*v);
       at += 2;
     } else {
-      return ParseError(line.number, "unknown clause '" + clause + "'");
+      return line.Error("unknown clause '" + clause + "'");
     }
   }
   return OkStatus();
@@ -259,13 +194,13 @@ Status ParseTrafficClauses(const Line& line, std::size_t at,
 
 /// Consumes leading NI-id tokens (for hotspot/pairs/video/memory) until a
 /// clause keyword appears.
-Result<std::size_t> ParseNiList(const Line& line, std::size_t at,
+Result<std::size_t> ParseNiList(const SpecLine& line, std::size_t at,
                                 std::vector<NiId>* out) {
   const auto& t = line.tokens;
   while (at < t.size() &&
          (std::isdigit(static_cast<unsigned char>(t[at][0])) != 0 ||
           t[at][0] == '-')) {
-    auto v = ParseIntIn(line, t[at], 0, kMaxScenarioNis);
+    auto v = line.IntIn(t[at], 0, limits::kMaxNis);
     if (!v.ok()) return v.status();
     out->push_back(static_cast<NiId>(*v));
     ++at;
@@ -273,9 +208,10 @@ Result<std::size_t> ParseNiList(const Line& line, std::size_t at,
   return at;
 }
 
-Status ParseTraffic(const Line& line, ScenarioSpec* spec, int current_phase) {
+Status ParseTraffic(const SpecLine& line, ScenarioSpec* spec,
+                    int current_phase) {
   if (line.tokens.size() < 2) {
-    return ParseError(line.number, "traffic <pattern> [args] [clauses]");
+    return line.Error("traffic <pattern> [args] [clauses]");
   }
   TrafficSpec traffic;
   traffic.phase = current_phase;
@@ -298,7 +234,7 @@ Status ParseTraffic(const Line& line, ScenarioSpec* spec, int current_phase) {
     auto next = ParseNiList(line, at, &ids);
     if (!next.ok()) return next.status();
     if (ids.size() != 1) {
-      return ParseError(line.number, "hotspot needs exactly one target NI");
+      return line.Error("hotspot needs exactly one target NI");
     }
     traffic.hotspot = ids[0];
     at = *next;
@@ -307,7 +243,7 @@ Status ParseTraffic(const Line& line, ScenarioSpec* spec, int current_phase) {
     auto next = ParseNiList(line, at, &traffic.nis);
     if (!next.ok()) return next.status();
     if (traffic.nis.empty() || traffic.nis.size() % 2 != 0) {
-      return ParseError(line.number, "pairs needs an even NI-id list");
+      return line.Error("pairs needs an even NI-id list");
     }
     at = *next;
   } else if (pattern == "video") {
@@ -315,7 +251,7 @@ Status ParseTraffic(const Line& line, ScenarioSpec* spec, int current_phase) {
     auto next = ParseNiList(line, at, &traffic.nis);
     if (!next.ok()) return next.status();
     if (traffic.nis.size() < 2) {
-      return ParseError(line.number, "video needs a chain of >= 2 NIs");
+      return line.Error("video needs a chain of >= 2 NIs");
     }
     at = *next;
   } else if (pattern == "memory") {
@@ -323,29 +259,28 @@ Status ParseTraffic(const Line& line, ScenarioSpec* spec, int current_phase) {
     auto next = ParseNiList(line, at, &traffic.nis);
     if (!next.ok()) return next.status();
     if (traffic.nis.size() != 2) {
-      return ParseError(line.number, "memory needs <master_ni> <slave_ni>");
+      return line.Error("memory needs <master_ni> <slave_ni>");
     }
     at = *next;
   } else {
-    return ParseError(line.number, "unknown pattern '" + pattern + "'");
+    return line.Error("unknown pattern '" + pattern + "'");
   }
   // ('inject closed' outside memory is already rejected clause-side, where
   // the pattern is known.)
   if (Status s = ParseTrafficClauses(line, at, &traffic); !s.ok()) return s;
   if (traffic.pattern == PatternKind::kMemory &&
       traffic.inject == InjectKind::kBursty) {
-    return ParseError(line.number,
-                      "memory traffic supports periodic/bernoulli/closed");
+    return line.Error("memory traffic supports periodic/bernoulli/closed");
   }
   if (traffic.persist && current_phase < 0) {
-    return ParseError(line.number, "'persist' needs a phase block");
+    return line.Error("'persist' needs a phase block");
   }
   if (current_phase >= 0 &&
       (traffic.data_threshold != 1 || traffic.credit_threshold != 1)) {
-    return ParseError(line.number,
-                      "phased directives require data_threshold 1 and "
-                      "credit_threshold 1 (a closing channel must be able "
-                      "to drain completely)");
+    return line.Error(
+        "phased directives require data_threshold 1 and "
+        "credit_threshold 1 (a closing channel must be able "
+        "to drain completely)");
   }
   spec->traffic.push_back(std::move(traffic));
   return OkStatus();
@@ -366,7 +301,7 @@ Result<ScenarioSpec> ParseScenario(const std::string& text) {
   // always means a copy-paste error, and silently keeping the later value
   // would make the earlier line a lie.
   std::set<std::string> seen;
-  for (const Line& line : Tokenize(text)) {
+  for (const SpecLine& line : TokenizeSpec(text)) {
     const std::string& kind = line.tokens[0];
     // Inside a `fault` block every line belongs to the fault grammar, so
     // its directive names (seed, link, ...) never collide with the
@@ -374,65 +309,63 @@ Result<ScenarioSpec> ParseScenario(const std::string& text) {
     if (in_fault) {
       if (kind == "end") {
         if (line.tokens.size() != 1) {
-          return ParseError(line.number, "'end' takes no arguments");
+          return line.Error("'end' takes no arguments");
         }
         in_fault = false;
         continue;
       }
       if (Status s = fault::ApplyFaultDirective(line.tokens, &*spec.fault);
           !s.ok()) {
-        return ParseError(line.number, s.message());
+        return line.Error(s.message());
       }
       continue;
     }
     if (kind != "traffic" && kind != "noc" && kind != "phase" &&
         !seen.insert(kind).second) {
-      return ParseError(line.number, "duplicate '" + kind + "' directive");
+      return line.Error("duplicate '" + kind + "' directive");
     }
     auto int_arg = [&]() -> Result<std::int64_t> {
       if (line.tokens.size() != 2) {
-        return ParseError(line.number, "'" + kind + "' takes one argument");
+        return line.Error("'" + kind + "' takes one argument");
       }
-      return ParseInt(line, line.tokens[1]);
+      return line.Int(line.tokens[1]);
     };
     if (kind == "scenario") {
       if (line.tokens.size() != 2) {
-        return ParseError(line.number, "scenario <name>");
+        return line.Error("scenario <name>");
       }
       spec.name = line.tokens[1];
     } else if (kind == "noc") {
-      if (have_noc) return ParseError(line.number, "duplicate 'noc'");
+      if (have_noc) return line.Error("duplicate 'noc'");
       if (line.tokens.size() < 3) {
-        return ParseError(line.number, "noc <star|mesh|ring> <dims...>");
+        return line.Error("noc <star|mesh|ring> <dims...>");
       }
       if (line.tokens[1] == "star") {
         if (line.tokens.size() != 3) {
-          return ParseError(line.number, "noc star NIS");
+          return line.Error("noc star NIS");
         }
-        auto n = ParseInt(line, line.tokens[2]);
+        auto n = line.Int(line.tokens[2]);
         if (!n.ok()) return n.status();
-        if (*n < 1 || *n > kMaxScenarioNis) {
-          return ParseError(line.number,
-                            "star needs 1.." +
-                                std::to_string(kMaxScenarioNis) + " NIs");
+        if (*n < 1 || *n > limits::kMaxNis) {
+          return line.Error(
+              "star needs 1.." + std::to_string(limits::kMaxNis) + " NIs");
         }
         spec.topology = TopologyKind::kStar;
         spec.dim_a = static_cast<int>(*n);
       } else if (line.tokens[1] == "mesh") {
         if (line.tokens.size() != 5) {
-          return ParseError(line.number, "noc mesh ROWS COLS NIS_PER_ROUTER");
+          return line.Error("noc mesh ROWS COLS NIS_PER_ROUTER");
         }
         // Per-dimension bounds first, so the product below cannot overflow.
-        auto rows = ParseIntIn(line, line.tokens[2], 1, kMaxScenarioNis);
-        auto cols = ParseIntIn(line, line.tokens[3], 1, kMaxScenarioNis);
-        auto nis = ParseIntIn(line, line.tokens[4], 1, kMaxScenarioNis);
+        auto rows = line.IntIn(line.tokens[2], 1, limits::kMaxNis);
+        auto cols = line.IntIn(line.tokens[3], 1, limits::kMaxNis);
+        auto nis = line.IntIn(line.tokens[4], 1, limits::kMaxNis);
         if (!rows.ok()) return rows.status();
         if (!cols.ok()) return cols.status();
         if (!nis.ok()) return nis.status();
-        if (*rows * *cols * *nis > kMaxScenarioNis) {
-          return ParseError(line.number,
-                            "mesh gives at most " +
-                                std::to_string(kMaxScenarioNis) + " NIs");
+        if (*rows * *cols * *nis > limits::kMaxNis) {
+          return line.Error(
+              "mesh gives at most " + std::to_string(limits::kMaxNis) + " NIs");
         }
         spec.topology = TopologyKind::kMesh;
         spec.dim_a = static_cast<int>(*rows);
@@ -440,24 +373,22 @@ Result<ScenarioSpec> ParseScenario(const std::string& text) {
         spec.nis_per_router = static_cast<int>(*nis);
       } else if (line.tokens[1] == "ring") {
         if (line.tokens.size() != 4) {
-          return ParseError(line.number, "noc ring ROUTERS NIS_PER_ROUTER");
+          return line.Error("noc ring ROUTERS NIS_PER_ROUTER");
         }
         // Per-dimension bounds first, so the product below cannot overflow.
-        auto routers = ParseIntIn(line, line.tokens[2], 3, kMaxScenarioNis);
-        auto nis = ParseIntIn(line, line.tokens[3], 1, kMaxScenarioNis);
+        auto routers = line.IntIn(line.tokens[2], 3, limits::kMaxNis);
+        auto nis = line.IntIn(line.tokens[3], 1, limits::kMaxNis);
         if (!routers.ok()) return routers.status();
         if (!nis.ok()) return nis.status();
-        if (*routers * *nis > kMaxScenarioNis) {
-          return ParseError(line.number,
-                            "ring gives at most " +
-                                std::to_string(kMaxScenarioNis) + " NIs");
+        if (*routers * *nis > limits::kMaxNis) {
+          return line.Error(
+              "ring gives at most " + std::to_string(limits::kMaxNis) + " NIs");
         }
         spec.topology = TopologyKind::kRing;
         spec.dim_a = static_cast<int>(*routers);
         spec.nis_per_router = static_cast<int>(*nis);
       } else {
-        return ParseError(line.number,
-                          "unknown topology '" + line.tokens[1] + "'");
+        return line.Error("unknown topology '" + line.tokens[1] + "'");
       }
       have_noc = true;
     } else if (kind == "stu") {
@@ -467,23 +398,29 @@ Result<ScenarioSpec> ParseScenario(const std::string& text) {
       // hard hardware limit; values beyond it previously aborted deep in
       // the NI kernel instead of failing here.
       if (*v < 1 || *v > core::regs::kMaxStuSlots) {
-        return ParseError(line.number,
-                          "stu must be in [1, " +
-                              std::to_string(core::regs::kMaxStuSlots) + "]");
+        return line.Error(
+            "stu must be in [1, " +
+            std::to_string(core::regs::kMaxStuSlots) + "]");
       }
       spec.stu_slots = static_cast<int>(*v);
-    } else if (kind == "netmhz") {
+    } else if (kind == "netmhz" || kind == "ipmhz") {
       auto v = int_arg();
       if (!v.ok()) return v.status();
-      if (*v < 1 || *v > 1000000) {
-        return ParseError(line.number, "netmhz must be in [1, 1000000]");
+      if (*v < 1 || *v > limits::kMaxMhz) {
+        return line.Error(kind + " must be in [1, " +
+                          std::to_string(limits::kMaxMhz) + "]");
       }
-      spec.net_mhz = static_cast<double>(*v);
+      const double mhz = static_cast<double>(*v);
+      if (kind == "netmhz") {
+        spec.net_mhz = mhz;
+      } else {
+        spec.ip_mhz = mhz;
+      }
     } else if (kind == "queues") {
       auto v = int_arg();
       if (!v.ok()) return v.status();
-      if (*v < 1 || *v > (1 << 20)) {
-        return ParseError(line.number, "queues must be in [1, 1048576]");
+      if (*v < 1 || *v > limits::kMaxQueueWords) {
+        return line.Error("queues must be in [1, 1048576]");
       }
       spec.queue_words = static_cast<int>(*v);
     } else if (kind == "seed") {
@@ -491,64 +428,61 @@ Result<ScenarioSpec> ParseScenario(const std::string& text) {
       if (!v.ok()) return v.status();
       // Reproducibility-critical: a negative seed must fail loudly, not
       // silently wrap (mirrors the noc_sim --seed check).
-      if (*v < 0) return ParseError(line.number, "seed must be >= 0");
+      if (*v < 0) return line.Error("seed must be >= 0");
       spec.seed = static_cast<std::uint64_t>(*v);
     } else if (kind == "warmup") {
       auto v = int_arg();
       if (!v.ok()) return v.status();
       // ~12 days of 1 GHz simulation — anything beyond this is a typo,
       // and the bound keeps warmup + duration far from Cycle overflow.
-      if (*v < 0 || *v > (std::int64_t{1} << 40)) {
-        return ParseError(line.number, "warmup must be in [0, 2^40]");
+      if (*v < 0 || *v > limits::kMaxCycles) {
+        return line.Error("warmup must be in [0, 2^40]");
       }
       spec.warmup = *v;
     } else if (kind == "duration") {
       if (!spec.phases.empty()) {
-        return ParseError(line.number,
-                          "phased scenarios take per-phase durations; drop "
-                          "the scenario-level 'duration'");
+        return line.Error(
+            "phased scenarios take per-phase durations; drop "
+            "the scenario-level 'duration'");
       }
       auto v = int_arg();
       if (!v.ok()) return v.status();
-      if (*v < 1 || *v > (std::int64_t{1} << 40)) {
-        return ParseError(line.number, "duration must be in [1, 2^40]");
+      if (*v < 1 || *v > limits::kMaxCycles) {
+        return line.Error("duration must be in [1, 2^40]");
       }
       spec.duration = *v;
       have_duration = true;
     } else if (kind == "phase") {
       if (line.tokens.size() != 4 && line.tokens.size() != 6) {
-        return ParseError(line.number,
-                          "phase <name> duration <cycles> [warmup <cycles>]");
+        return line.Error("phase <name> duration <cycles> [warmup <cycles>]");
       }
       if (have_duration) {
-        return ParseError(line.number,
-                          "phased scenarios take per-phase durations; drop "
-                          "the scenario-level 'duration'");
+        return line.Error(
+            "phased scenarios take per-phase durations; drop "
+            "the scenario-level 'duration'");
       }
       if (spec.phases.size() >= 64) {
-        return ParseError(line.number, "at most 64 phases");
+        return line.Error("at most 64 phases");
       }
       PhaseSpec phase;
       phase.name = line.tokens[1];
       phase.line = line.number;
       for (const PhaseSpec& earlier : spec.phases) {
         if (earlier.name == phase.name) {
-          return ParseError(line.number,
-                            "duplicate phase name '" + phase.name + "'");
+          return line.Error("duplicate phase name '" + phase.name + "'");
         }
       }
       if (line.tokens[2] != "duration") {
-        return ParseError(line.number,
-                          "phase <name> duration <cycles> [warmup <cycles>]");
+        return line.Error("phase <name> duration <cycles> [warmup <cycles>]");
       }
-      auto d = ParseIntIn(line, line.tokens[3], 1, std::int64_t{1} << 40);
+      auto d = line.IntIn(line.tokens[3], 1, limits::kMaxCycles);
       if (!d.ok()) return d.status();
       phase.duration = *d;
       if (line.tokens.size() == 6) {
         if (line.tokens[4] != "warmup") {
-          return ParseError(line.number, "expected 'warmup <cycles>'");
+          return line.Error("expected 'warmup <cycles>'");
         }
-        auto w = ParseIntIn(line, line.tokens[5], 0, std::int64_t{1} << 40);
+        auto w = line.IntIn(line.tokens[5], 0, limits::kMaxCycles);
         if (!w.ok()) return w.status();
         phase.warmup = *w;
       }
@@ -557,16 +491,16 @@ Result<ScenarioSpec> ParseScenario(const std::string& text) {
     } else if (kind == "cfgni") {
       auto v = int_arg();
       if (!v.ok()) return v.status();
-      if (*v < 0 || *v > kMaxScenarioNis) {
-        return ParseError(line.number, "cfgni must be a valid NI id");
+      if (*v < 0 || *v > limits::kMaxNis) {
+        return line.Error("cfgni must be a valid NI id");
       }
       spec.cfg_ni = static_cast<NiId>(*v);
       cfgni_line = line.number;
     } else if (kind == "drain") {
       auto v = int_arg();
       if (!v.ok()) return v.status();
-      if (*v < 1 || *v > (std::int64_t{1} << 40)) {
-        return ParseError(line.number, "drain must be in [1, 2^40]");
+      if (*v < 1 || *v > limits::kMaxCycles) {
+        return line.Error("drain must be in [1, 2^40]");
       }
       spec.drain_cycles = *v;
       drain_line = line.number;
@@ -575,14 +509,14 @@ Result<ScenarioSpec> ParseScenario(const std::string& text) {
           line.tokens.size() == 2 ? sim::ParseEngineKind(line.tokens[1])
                                   : std::nullopt;
       if (!parsed.has_value()) {
-        return ParseError(line.number, std::string("engine <") +
-                                           sim::kEngineKindChoices + ">");
+        return line.Error(std::string("engine <") +
+                          sim::kEngineKindChoices + ">");
       }
       spec.engine = *parsed;
     } else if (kind == "verify") {
       if (line.tokens.size() != 2 ||
           (line.tokens[1] != "on" && line.tokens[1] != "off")) {
-        return ParseError(line.number, "verify <on|off>");
+        return line.Error("verify <on|off>");
       }
       spec.verify = line.tokens[1] == "on";
     } else if (kind == "converge") {
@@ -590,101 +524,99 @@ Result<ScenarioSpec> ParseScenario(const std::string& text) {
       //          [batches B] — key-value clauses in any order; rel_err is
       // mandatory (a stopping rule without a target is meaningless).
       if (line.tokens.size() < 3 || line.tokens.size() % 2 == 0) {
-        return ParseError(line.number,
-                          "converge rel_err <frac> [conf <frac>] "
-                          "[max_duration <cycles>] [interval <cycles>] "
-                          "[batches <n>]");
+        return line.Error(
+            "converge rel_err <frac> [conf <frac>] "
+            "[max_duration <cycles>] [interval <cycles>] "
+            "[batches <n>]");
       }
       bool have_rel_err = false;
       for (std::size_t at = 1; at + 1 < line.tokens.size(); at += 2) {
         const std::string& key = line.tokens[at];
         const std::string& val = line.tokens[at + 1];
         if (key == "rel_err") {
-          auto v = ParseDouble(line, val);
+          auto v = line.Double(val);
           if (!v.ok()) return v.status();
           if (*v <= 0.0 || *v >= 1.0) {
-            return ParseError(line.number, "rel_err must be in (0, 1)");
+            return line.Error("rel_err must be in (0, 1)");
           }
           spec.converge.rel_err = *v;
           have_rel_err = true;
         } else if (key == "conf") {
-          auto v = ParseDouble(line, val);
+          auto v = line.Double(val);
           if (!v.ok()) return v.status();
           if (*v <= 0.5 || *v >= 1.0) {
-            return ParseError(line.number, "conf must be in (0.5, 1)");
+            return line.Error("conf must be in (0.5, 1)");
           }
           spec.converge.conf = *v;
         } else if (key == "max_duration") {
-          auto v = ParseIntIn(line, val, 1, std::int64_t{1} << 40);
+          auto v = line.IntIn(val, 1, limits::kMaxCycles);
           if (!v.ok()) return v.status();
           spec.converge.max_duration = *v;
         } else if (key == "interval") {
           // A check interval shorter than one slot could never close a
           // new sample window.
-          auto v = ParseIntIn(line, val, kFlitWords, std::int64_t{1} << 40);
+          auto v = line.IntIn(val, kFlitWords, limits::kMaxCycles);
           if (!v.ok()) return v.status();
           spec.converge.interval = *v;
         } else if (key == "batches") {
-          auto v = ParseIntIn(line, val, 2, 4096);
+          auto v = line.IntIn(val, 2, 4096);
           if (!v.ok()) return v.status();
           spec.converge.batches = static_cast<int>(*v);
         } else {
-          return ParseError(line.number,
-                            "unknown converge clause '" + key + "'");
+          return line.Error("unknown converge clause '" + key + "'");
         }
       }
       if (!have_rel_err) {
-        return ParseError(line.number, "converge requires 'rel_err <frac>'");
+        return line.Error("converge requires 'rel_err <frac>'");
       }
       spec.converge.enabled = true;
     } else if (kind == "stats") {
       if (line.tokens.size() != 3 || line.tokens[1] != "sample_every") {
-        return ParseError(line.number, "stats sample_every <cycles>");
+        return line.Error("stats sample_every <cycles>");
       }
       // Windows close at slot boundaries (the wire-transfer granularity),
       // so a window shorter than one slot could never hold a sample.
-      auto v = ParseIntIn(line, line.tokens[2], kFlitWords,
-                          std::int64_t{1} << 40);
+      auto v = line.IntIn(line.tokens[2], kFlitWords, limits::kMaxCycles);
       if (!v.ok()) return v.status();
       spec.obs.sample_every = *v;
     } else if (kind == "trace") {
       if (line.tokens.size() != 2 && line.tokens.size() != 4) {
-        return ParseError(line.number, "trace <file> [cap <events>]");
+        return line.Error("trace <file> [cap <events>]");
       }
       spec.obs.trace_path = line.tokens[1];
       if (line.tokens.size() == 4) {
         if (line.tokens[2] != "cap") {
-          return ParseError(line.number, "expected 'cap <events>'");
+          return line.Error("expected 'cap <events>'");
         }
-        auto v = ParseIntIn(line, line.tokens[3], 1, std::int64_t{1} << 30);
+        auto v = line.IntIn(line.tokens[3], 1, std::int64_t{1} << 30);
         if (!v.ok()) return v.status();
         spec.obs.trace_cap = *v;
       }
     } else if (kind == "fault") {
       if (line.tokens.size() != 1) {
-        return ParseError(line.number,
-                          "'fault' opens a block; directives go on the "
-                          "following lines, closed with 'end'");
+        return line.Error(
+            "'fault' opens a block; directives go on the "
+            "following lines, closed with 'end'");
       }
       if (spec.fault.has_value()) {
-        return ParseError(line.number, "duplicate 'fault' block");
+        return line.Error("duplicate 'fault' block");
       }
       spec.fault.emplace();
       in_fault = true;
       fault_line = line.number;
     } else if (kind == "traffic") {
       if (!have_noc) {
-        return ParseError(line.number, "'noc' must come before 'traffic'");
+        return line.Error("'noc' must come before 'traffic'");
       }
       if (Status s = ParseTraffic(line, &spec, current_phase); !s.ok()) {
         return s;
       }
     } else {
-      return ParseError(line.number, "unknown directive '" + kind + "'");
+      return line.Error("unknown directive '" + kind + "'");
     }
   }
   if (in_fault) {
-    return ParseError(fault_line, "'fault' block is never closed with 'end'");
+    return LineError(fault_line, "'fault' block is never closed with 'end'");
   }
   if (!have_noc) return InvalidArgumentError("scenario has no 'noc' line");
   if (spec.traffic.empty()) {
@@ -693,13 +625,13 @@ Result<ScenarioSpec> ParseScenario(const std::string& text) {
   if (spec.Phased()) {
     for (const TrafficSpec& traffic : spec.traffic) {
       if (traffic.phase < 0) {
-        return ParseError(traffic.line,
+        return LineError(traffic.line,
                           "phased scenario has a traffic directive before "
                           "the first 'phase' block");
       }
     }
     if (spec.cfg_ni >= spec.NumNis()) {
-      return ParseError(cfgni_line,
+      return LineError(cfgni_line,
                         "cfgni " + std::to_string(spec.cfg_ni) +
                             " is off the topology (" +
                             std::to_string(spec.NumNis()) + " NIs)");
@@ -715,20 +647,20 @@ Result<ScenarioSpec> ParseScenario(const std::string& text) {
         }
       }
       if (!active) {
-        return ParseError(spec.phases[k].line,
+        return LineError(spec.phases[k].line,
                           "phase '" + spec.phases[k].name +
                               "' has no active traffic directive");
       }
     }
   } else {
     if (cfgni_line != 0 || drain_line != 0) {
-      return ParseError(cfgni_line != 0 ? cfgni_line : drain_line,
+      return LineError(cfgni_line != 0 ? cfgni_line : drain_line,
                         std::string(cfgni_line != 0 ? "'cfgni'" : "'drain'") +
                             " applies to phased scenarios only");
     }
     if (spec.fault.has_value() &&
         (spec.fault->AnyConfigFaults() || spec.fault->retry.enabled)) {
-      return ParseError(fault_line,
+      return LineError(fault_line,
                         "config faults and the retry policy act on the "
                         "runtime configuration protocol, which only phased "
                         "scenarios exercise");

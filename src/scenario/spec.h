@@ -13,6 +13,11 @@
 //                                 # or: noc ring ROUTERS NIS_PER_ROUTER
 //   stu 8                         # slot-table size        (default 8)
 //   netmhz 500                    # network clock, MHz     (default 500)
+//   ipmhz 200                     # clock of every IP port, MHz
+//                                 # (default: netmhz). Injection periods
+//                                 # and word latencies count IP cycles;
+//                                 # durations, windows and throughput
+//                                 # count network cycles (DESIGN.md §8.3)
 //   queues 32                     # channel queue words    (default 32)
 //   seed 1                        # RNG seed               (default 1)
 //   warmup 500                    # settle cycles          (default 500)
@@ -137,6 +142,29 @@
 
 namespace aethereal::scenario {
 
+/// Value ranges the scenario grammar and the sweep parameters both
+/// enforce, so a value one front end accepts the other accepts too.
+namespace limits {
+/// Largest NI population: keeps design-time arithmetic far from integer
+/// overflow and rejects un-simulatable specs at parse time instead of
+/// hanging in allocation.
+inline constexpr std::int64_t kMaxNis = 4096;
+/// Clock frequencies (netmhz, ipmhz), MHz.
+inline constexpr std::int64_t kMaxMhz = 1000000;
+/// Cycle counts (warmup, durations, drain, convergence windows): ~12 days
+/// of 1 GHz simulation, and far from Cycle overflow when summed.
+inline constexpr std::int64_t kMaxCycles = std::int64_t{1} << 40;
+/// Channel queue depth, words.
+inline constexpr std::int64_t kMaxQueueWords = std::int64_t{1} << 20;
+/// GT slots one connection may reserve.
+inline constexpr std::int64_t kMaxGtSlots = 1024;
+/// `inject periodic N`: cycles between emissions.
+inline constexpr std::int64_t kMaxPeriod = std::int64_t{1} << 30;
+/// `inject bursty W G`: words per burst, idle cycles between bursts.
+inline constexpr std::int64_t kMaxBurstWords = std::int64_t{1} << 20;
+inline constexpr std::int64_t kMaxGapCycles = std::int64_t{1} << 30;
+}  // namespace limits
+
 enum class PatternKind {
   kUniform,
   kTranspose,
@@ -224,6 +252,9 @@ struct ScenarioSpec {
 
   int stu_slots = 8;
   double net_mhz = 500.0;
+  /// Clock of every IP port (`ipmhz`); unset, the ports run on the
+  /// network clock. Read it through IpMhz().
+  std::optional<double> ip_mhz;
   int queue_words = 32;
   std::uint64_t seed = 1;
   Cycle warmup = 500;
@@ -263,6 +294,8 @@ struct ScenarioSpec {
   stats_ctl::ConvergeSpec converge;
 
   bool Phased() const { return !phases.empty(); }
+
+  double IpMhz() const { return ip_mhz.value_or(net_mhz); }
 
   /// The measured windows of the run: the declared phases, or — for a
   /// static spec — one implicit phase of `duration` cycles with no warmup

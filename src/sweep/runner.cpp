@@ -8,6 +8,7 @@
 #include "util/check.h"
 #include "util/csv.h"
 #include "util/json.h"
+#include "util/parse.h"
 #include "util/stats.h"
 
 namespace aethereal::sweep {
@@ -137,9 +138,11 @@ void SummarizePoint(const ScenarioResult& result, PointResult* point) {
   for (const scenario::FlowResult& flow : result.flows) {
     const auto group = static_cast<std::size_t>(flow.group);
     AETHEREAL_CHECK(group < result.spec.traffic.size());
+    // Injection counts IP cycles, throughput network cycles.
     const double offered =
         OfferedWpc(result.spec.traffic[group]) *
-        ActiveFraction(result.spec, result.spec.traffic[group]);
+        ActiveFraction(result.spec, result.spec.traffic[group]) *
+        (result.spec.IpMhz() / result.spec.net_mhz);
     AddFlow(&point->all, &all_samples, flow, offered);
     AddFlow(flow.gt ? &point->gt : &point->be,
             flow.gt ? &gt_samples : &be_samples, flow, offered);
@@ -162,7 +165,7 @@ Status SweepRunner::RunSaturation(const ScenarioSpec& materialized,
   auto probe = [&](double x) -> Result<ProbeResult> {
     ProbeResult p;
     p.x_label = FormatDouble(x);
-    p.x = std::stod(p.x_label);
+    p.x = ParseDouble(p.x_label).value();
     ScenarioSpec probe_spec = materialized;
     if (Status s = ApplyParam(sat.param, p.x_label, &probe_spec); !s.ok()) {
       return s;

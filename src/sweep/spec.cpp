@@ -5,12 +5,12 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
-#include <stdexcept>
 #include <utility>
 
 #include "core/registers.h"
 #include "scenario/patterns.h"
 #include "util/json.h"
+#include "util/parse.h"
 #include "util/rng.h"
 
 namespace aethereal::sweep {
@@ -18,6 +18,7 @@ namespace aethereal::sweep {
 using scenario::InjectKind;
 using scenario::ScenarioSpec;
 using scenario::TrafficSpec;
+namespace limits = scenario::limits;
 
 bool ParamRef::IsTrafficKey() const {
   switch (key) {
@@ -69,44 +70,6 @@ constexpr ParamRef::Key kAllKeys[] = {
     ParamRef::Key::kFaultDrop, ParamRef::Key::kFaultCfgDrop,
 };
 
-/// Strict full-token integer parse (no silent prefix parse).
-Result<std::int64_t> ParseInt(const std::string& token) {
-  try {
-    std::size_t pos = 0;
-    const std::int64_t value = std::stoll(token, &pos);
-    if (pos != token.size()) throw std::invalid_argument(token);
-    return value;
-  } catch (const std::exception&) {
-    return InvalidArgumentError("expected a number, got '" + token + "'");
-  }
-}
-
-Result<std::int64_t> ParseIntIn(const std::string& token, std::int64_t lo,
-                                std::int64_t hi) {
-  auto value = ParseInt(token);
-  if (!value.ok()) return value;
-  if (*value < lo || *value > hi) {
-    return InvalidArgumentError("'" + token + "' out of range [" +
-                                std::to_string(lo) + ", " +
-                                std::to_string(hi) + "]");
-  }
-  return value;
-}
-
-Result<double> ParseDouble(const std::string& token) {
-  try {
-    std::size_t pos = 0;
-    const double value = std::stod(token, &pos);
-    if (pos != token.size()) throw std::invalid_argument(token);
-    return value;
-  } catch (const std::exception&) {
-    return InvalidArgumentError("expected a number, got '" + token + "'");
-  }
-}
-
-/// Same population ceiling as the scenario parser.
-constexpr std::int64_t kMaxSweepNis = 4096;
-
 /// Applies a "noc" axis value: star7, mesh4x4x1, ring6x1.
 Status ApplyNoc(const std::string& value, ScenarioSpec* spec) {
   std::size_t at = 0;
@@ -119,7 +82,7 @@ Status ApplyNoc(const std::string& value, ScenarioSpec* spec) {
   std::string token;
   for (std::size_t i = at; i <= value.size(); ++i) {
     if (i == value.size() || value[i] == 'x') {
-      auto v = ParseIntIn(token, 1, kMaxSweepNis);
+      auto v = ParseInt64In(token, 1, limits::kMaxNis);
       if (!v.ok()) {
         return InvalidArgumentError("noc '" + value +
                                     "': " + v.status().message());
@@ -136,9 +99,9 @@ Status ApplyNoc(const std::string& value, ScenarioSpec* spec) {
     spec->dim_b = 1;
     spec->nis_per_router = 1;
   } else if (kind == "mesh" && dims.size() == 3) {
-    if (dims[0] * dims[1] * dims[2] > kMaxSweepNis) {
+    if (dims[0] * dims[1] * dims[2] > limits::kMaxNis) {
       return InvalidArgumentError("noc '" + value + "': more than " +
-                                  std::to_string(kMaxSweepNis) + " NIs");
+                                  std::to_string(limits::kMaxNis) + " NIs");
     }
     spec->topology = scenario::TopologyKind::kMesh;
     spec->dim_a = static_cast<int>(dims[0]);
@@ -148,9 +111,9 @@ Status ApplyNoc(const std::string& value, ScenarioSpec* spec) {
     if (dims[0] < 3) {
       return InvalidArgumentError("noc '" + value + "': ring needs >= 3 routers");
     }
-    if (dims[0] * dims[1] > kMaxSweepNis) {
+    if (dims[0] * dims[1] > limits::kMaxNis) {
       return InvalidArgumentError("noc '" + value + "': more than " +
-                                  std::to_string(kMaxSweepNis) + " NIs");
+                                  std::to_string(limits::kMaxNis) + " NIs");
     }
     spec->topology = scenario::TopologyKind::kRing;
     spec->dim_a = static_cast<int>(dims[0]);
@@ -222,7 +185,7 @@ Result<ParamRef> ParseParamRef(const std::string& token) {
       std::isdigit(static_cast<unsigned char>(token[1])) != 0) {
     const auto dot = token.find('.');
     if (dot != std::string::npos) {
-      auto group = ParseIntIn(token.substr(1, dot - 1), 0, 4096);
+      auto group = ParseInt64In(token.substr(1, dot - 1), 0, 4096);
       if (!group.ok()) return group.status();
       param.group = static_cast<int>(*group);
       key = token.substr(dot + 1);
@@ -231,7 +194,7 @@ Result<ParamRef> ParseParamRef(const std::string& token) {
              std::isdigit(static_cast<unsigned char>(token[1])) != 0) {
     const auto dot = token.find('.');
     if (dot != std::string::npos) {
-      auto phase = ParseIntIn(token.substr(1, dot - 1), 0, 64);
+      auto phase = ParseInt64In(token.substr(1, dot - 1), 0, 64);
       if (!phase.ok()) return phase.status();
       param.phase = static_cast<int>(*phase);
       key = token.substr(dot + 1);
@@ -262,25 +225,25 @@ Status ApplyParam(const ParamRef& param, const std::string& value,
   switch (param.key) {
     case ParamRef::Key::kStu: {
       // Mirrors the scenario parser: the SLOTS register is a 32-bit mask.
-      auto v = ParseIntIn(value, 1, core::regs::kMaxStuSlots);
+      auto v = ParseInt64In(value, 1, core::regs::kMaxStuSlots);
       if (!v.ok()) return v.status();
       spec->stu_slots = static_cast<int>(*v);
       return OkStatus();
     }
     case ParamRef::Key::kQueues: {
-      auto v = ParseIntIn(value, 1, 1 << 20);
+      auto v = ParseInt64In(value, 1, limits::kMaxQueueWords);
       if (!v.ok()) return v.status();
       spec->queue_words = static_cast<int>(*v);
       return OkStatus();
     }
     case ParamRef::Key::kSeed: {
-      auto v = ParseIntIn(value, 0, std::numeric_limits<std::int64_t>::max());
+      auto v = ParseInt64In(value, 0, std::numeric_limits<std::int64_t>::max());
       if (!v.ok()) return v.status();
       spec->seed = static_cast<std::uint64_t>(*v);
       return OkStatus();
     }
     case ParamRef::Key::kWarmup: {
-      auto v = ParseIntIn(value, 0, std::int64_t{1} << 40);
+      auto v = ParseInt64In(value, 0, limits::kMaxCycles);
       if (!v.ok()) return v.status();
       if (param.phase >= 0) {
         if (static_cast<std::size_t>(param.phase) >= spec->phases.size()) {
@@ -295,7 +258,7 @@ Status ApplyParam(const ParamRef& param, const std::string& value,
       return OkStatus();
     }
     case ParamRef::Key::kDuration: {
-      auto v = ParseIntIn(value, 1, std::int64_t{1} << 40);
+      auto v = ParseInt64In(value, 1, limits::kMaxCycles);
       if (!v.ok()) return v.status();
       if (param.phase >= 0) {
         if (static_cast<std::size_t>(param.phase) >= spec->phases.size()) {
@@ -314,7 +277,7 @@ Status ApplyParam(const ParamRef& param, const std::string& value,
       return OkStatus();
     }
     case ParamRef::Key::kNetMhz: {
-      auto v = ParseIntIn(value, 1, 1000000);
+      auto v = ParseInt64In(value, 1, limits::kMaxMhz);
       if (!v.ok()) return v.status();
       spec->net_mhz = static_cast<double>(*v);
       return OkStatus();
@@ -344,7 +307,7 @@ Status ApplyParam(const ParamRef& param, const std::string& value,
           [&](TrafficSpec* t) { t->rate = *v; }, "a bernoulli directive");
     }
     case ParamRef::Key::kPeriod: {
-      auto v = ParseIntIn(value, 1, std::int64_t{1} << 30);
+      auto v = ParseInt64In(value, 1, limits::kMaxPeriod);
       if (!v.ok()) return v.status();
       return ForEachTarget(
           param, spec,
@@ -357,8 +320,10 @@ Status ApplyParam(const ParamRef& param, const std::string& value,
         return InvalidArgumentError("burst value must be WORDS/GAP, got '" +
                                     value + "'");
       }
-      auto words = ParseIntIn(value.substr(0, slash), 1, std::int64_t{1} << 20);
-      auto gap = ParseIntIn(value.substr(slash + 1), 0, std::int64_t{1} << 30);
+      auto words = ParseInt64In(value.substr(0, slash), 1,
+                                limits::kMaxBurstWords);
+      auto gap = ParseInt64In(value.substr(slash + 1), 0,
+                              limits::kMaxGapCycles);
       if (!words.ok()) return words.status();
       if (!gap.ok()) return gap.status();
       return ForEachTarget(
@@ -371,7 +336,7 @@ Status ApplyParam(const ParamRef& param, const std::string& value,
           "a bursty directive");
     }
     case ParamRef::Key::kGtSlots: {
-      auto v = ParseIntIn(value, 1, 1024);
+      auto v = ParseInt64In(value, 1, limits::kMaxGtSlots);
       if (!v.ok()) return v.status();
       return ForEachTarget(
           param, spec, [](const TrafficSpec& t) { return t.gt; },
@@ -384,7 +349,7 @@ Status ApplyParam(const ParamRef& param, const std::string& value,
       if (value == "be") {
         gt = false;
       } else if (value.size() > 2 && value.compare(0, 2, "gt") == 0) {
-        auto v = ParseIntIn(value.substr(2), 1, 1024);
+        auto v = ParseInt64In(value.substr(2), 1, limits::kMaxGtSlots);
         if (!v.ok()) return v.status();
         gt = true;
         slots = static_cast<int>(*v);
@@ -401,7 +366,7 @@ Status ApplyParam(const ParamRef& param, const std::string& value,
           "a traffic directive");
     }
     case ParamRef::Key::kFaultSeed: {
-      auto v = ParseIntIn(value, 0, std::numeric_limits<std::int64_t>::max());
+      auto v = ParseInt64In(value, 0, std::numeric_limits<std::int64_t>::max());
       if (!v.ok()) return v.status();
       if (!spec->fault.has_value()) spec->fault.emplace();
       spec->fault->seed = static_cast<std::uint64_t>(*v);
@@ -487,33 +452,6 @@ Result<scenario::ScenarioSpec> MaterializePoint(const SweepSpec& spec,
 
 namespace {
 
-struct Line {
-  int number;
-  std::vector<std::string> tokens;
-};
-
-std::vector<Line> Tokenize(const std::string& text) {
-  std::vector<Line> lines;
-  std::istringstream stream(text);
-  std::string raw;
-  int number = 0;
-  while (std::getline(stream, raw)) {
-    ++number;
-    const auto hash = raw.find('#');
-    if (hash != std::string::npos) raw.erase(hash);
-    std::istringstream ls(raw);
-    Line line{number, {}};
-    std::string token;
-    while (ls >> token) line.tokens.push_back(token);
-    if (!line.tokens.empty()) lines.push_back(std::move(line));
-  }
-  return lines;
-}
-
-Status ParseError(int line, const std::string& message) {
-  return InvalidArgumentError("line " + std::to_string(line) + ": " + message);
-}
-
 /// Dry-runs a materialized spec's pattern expansion so structurally
 /// impossible grids (transpose on a non-square mesh, bit patterns on a
 /// non-power-of-two population, NI ids off the new topology) fail at
@@ -546,63 +484,60 @@ Result<SweepSpec> ParseSweep(
   bool have_base = false;
   bool have_name = false;
   std::vector<ParamRef> set_params;
-  for (const Line& line : Tokenize(text)) {
+  for (const SpecLine& line : TokenizeSpec(text)) {
     const std::string& kind = line.tokens[0];
     if (kind == "sweep") {
-      if (have_name) return ParseError(line.number, "duplicate 'sweep'");
+      if (have_name) return line.Error("duplicate 'sweep'");
       if (line.tokens.size() != 2) {
-        return ParseError(line.number, "sweep <name>");
+        return line.Error("sweep <name>");
       }
       spec.name = line.tokens[1];
       have_name = true;
     } else if (kind == "base") {
-      if (have_base) return ParseError(line.number, "duplicate 'base'");
+      if (have_base) return line.Error("duplicate 'base'");
       if (line.tokens.size() != 2) {
-        return ParseError(line.number, "base <scenario-file>");
+        return line.Error("base <scenario-file>");
       }
       spec.base_path = line.tokens[1];
       auto base = load_base(spec.base_path);
       if (!base.ok()) {
-        return ParseError(line.number, "base '" + spec.base_path +
-                                           "': " + base.status().message());
+        return line.Error("base '" + spec.base_path +
+                          "': " + base.status().message());
       }
       spec.base = std::move(*base);
       have_base = true;
     } else if (kind == "set" || kind == "axis") {
       if (!have_base) {
-        return ParseError(line.number,
-                          "'base' must come before '" + kind + "'");
+        return line.Error("'base' must come before '" + kind + "'");
       }
       if (line.tokens.size() < 3) {
-        return ParseError(line.number, kind + " <param> <value...>");
+        return line.Error(kind + " <param> <value...>");
       }
       auto param = ParseParamRef(line.tokens[1]);
       if (!param.ok()) {
-        return ParseError(line.number, param.status().message());
+        return line.Error(param.status().message());
       }
       if (kind == "set") {
         if (line.tokens.size() != 3) {
-          return ParseError(line.number, "set <param> <value>");
+          return line.Error("set <param> <value>");
         }
         // Same rule as the scenario parser's duplicate check: silently
         // keeping the later value would make the earlier line a lie.
         for (const ParamRef& earlier : set_params) {
           if (earlier == *param) {
-            return ParseError(line.number,
-                              "duplicate 'set " + param->Name() + "'");
+            return line.Error("duplicate 'set " + param->Name() + "'");
           }
         }
         set_params.push_back(*param);
         // Sets fold into the stored base, in file order.
         if (Status s = ApplyParam(*param, line.tokens[2], &spec.base);
             !s.ok()) {
-          return ParseError(line.number, s.message());
+          return line.Error(s.message());
         }
       } else {
         for (const Axis& axis : spec.axes) {
           if (axis.param == *param) {
-            return ParseError(line.number, "duplicate axis on '" +
-                                               param->Name() + "'");
+            return line.Error("duplicate axis on '" + param->Name() + "'");
           }
         }
         Axis axis;
@@ -613,40 +548,37 @@ Result<SweepSpec> ParseSweep(
       }
     } else if (kind == "saturate") {
       if (!have_base) {
-        return ParseError(line.number, "'base' must come before 'saturate'");
+        return line.Error("'base' must come before 'saturate'");
       }
       if (spec.saturation.enabled) {
-        return ParseError(line.number, "duplicate 'saturate'");
+        return line.Error("duplicate 'saturate'");
       }
       if (line.tokens.size() != 6 && line.tokens.size() != 8) {
-        return ParseError(
-            line.number,
+        return line.Error(
             "saturate <param> <lo> <hi> <mean|p99|max> <bound> [iters N]");
       }
       auto param = ParseParamRef(line.tokens[1]);
       if (!param.ok()) {
-        return ParseError(line.number, param.status().message());
+        return line.Error(param.status().message());
       }
       if (param->key != ParamRef::Key::kRate) {
-        return ParseError(line.number,
-                          "saturate needs a continuous parameter (rate)");
+        return line.Error("saturate needs a continuous parameter (rate)");
       }
-      auto lo = ParseDouble(line.tokens[2]);
-      auto hi = ParseDouble(line.tokens[3]);
-      if (!lo.ok()) return ParseError(line.number, lo.status().message());
-      if (!hi.ok()) return ParseError(line.number, hi.status().message());
+      auto lo = line.Double(line.tokens[2]);
+      auto hi = line.Double(line.tokens[3]);
+      if (!lo.ok()) return lo.status();
+      if (!hi.ok()) return hi.status();
       if (!(*lo < *hi)) {
-        return ParseError(line.number, "saturate needs LO < HI");
+        return line.Error("saturate needs LO < HI");
       }
       const std::string& metric = line.tokens[4];
       if (metric != "mean" && metric != "p99" && metric != "max") {
-        return ParseError(line.number,
-                          "saturate metric must be mean, p99, or max");
+        return line.Error("saturate metric must be mean, p99, or max");
       }
-      auto bound = ParseDouble(line.tokens[5]);
-      if (!bound.ok()) return ParseError(line.number, bound.status().message());
+      auto bound = line.Double(line.tokens[5]);
+      if (!bound.ok()) return bound.status();
       if (*bound <= 0) {
-        return ParseError(line.number, "saturate bound must be > 0");
+        return line.Error("saturate bound must be > 0");
       }
       spec.saturation.enabled = true;
       spec.saturation.param = *param;
@@ -656,16 +588,14 @@ Result<SweepSpec> ParseSweep(
       spec.saturation.bound = *bound;
       if (line.tokens.size() == 8) {
         if (line.tokens[6] != "iters") {
-          return ParseError(line.number, "expected 'iters N'");
+          return line.Error("expected 'iters N'");
         }
-        auto iters = ParseIntIn(line.tokens[7], 1, 32);
-        if (!iters.ok()) {
-          return ParseError(line.number, iters.status().message());
-        }
+        auto iters = line.IntIn(line.tokens[7], 1, 32);
+        if (!iters.ok()) return iters.status();
         spec.saturation.iters = static_cast<int>(*iters);
       }
     } else {
-      return ParseError(line.number, "unknown directive '" + kind + "'");
+      return line.Error("unknown directive '" + kind + "'");
     }
   }
   if (!have_base) return InvalidArgumentError("sweep has no 'base' line");
@@ -676,15 +606,15 @@ Result<SweepSpec> ParseSweep(
     for (const std::string& value : axis.values) {
       if (Status s = ValidateAxisValue(axis.param, value, spec.base);
           !s.ok()) {
-        return ParseError(axis.line, "axis " + axis.param.Name() +
-                                         " value '" + value +
-                                         "': " + s.message());
+        return LineError(axis.line, "axis " + axis.param.Name() +
+                                        " value '" + value +
+                                        "': " + s.message());
       }
     }
     if (spec.saturation.enabled && axis.param == spec.saturation.param) {
-      return ParseError(axis.line, "'" + axis.param.Name() +
-                                       "' is both an axis and the saturate "
-                                       "parameter");
+      return LineError(axis.line, "'" + axis.param.Name() +
+                                      "' is both an axis and the saturate "
+                                      "parameter");
     }
   }
   if (spec.saturation.enabled) {

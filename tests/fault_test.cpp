@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fault/spec.h"
 #include "scenario/runner.h"
 #include "scenario/spec.h"
 #include "sim/engine.h"
@@ -210,6 +211,20 @@ TEST(FaultTest, FixedSeedFaultsAreEngineInvariant) {
   auto run = gated.Run();
   ASSERT_TRUE(run.ok()) << run.status();
   EXPECT_EQ(run->ToJson(), ref->ToJson());
+}
+
+TEST(FaultTest, FaultFileRejectsNonFiniteRates) {
+  // Regression: NaN passed the [0, 1] rate check and armed nothing.
+  for (const char* text : {"link corrupt nan\n", "link drop inf\n",
+                           "config delay nan 40\n"}) {
+    auto spec = fault::ParseFaultText(text);
+    ASSERT_FALSE(spec.ok()) << text;
+    EXPECT_NE(spec.status().message().find("line 1: "), std::string::npos)
+        << spec.status();
+    EXPECT_NE(spec.status().message().find("rate must be a number in [0, 1]"),
+              std::string::npos)
+        << spec.status();
+  }
 }
 
 TEST(FaultTest, FaultSectionAppearsInJson) {

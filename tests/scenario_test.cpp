@@ -79,6 +79,17 @@ TEST(ScenarioSpecTest, ParsesDefaultsAndDirectives) {
   EXPECT_EQ(spec.traffic[3].read_fraction, 0.75);
 }
 
+TEST(ScenarioSpecTest, IpClockDefaultsToTheNetworkClock) {
+  const ScenarioSpec plain = MustParse("netmhz 400\nnoc star 4\n"
+                                       "traffic uniform\n");
+  EXPECT_FALSE(plain.ip_mhz.has_value());
+  EXPECT_EQ(plain.IpMhz(), 400.0);
+  const ScenarioSpec slow = MustParse("ipmhz 125\nnoc star 4\n"
+                                      "traffic uniform\n");
+  EXPECT_EQ(slow.IpMhz(), 125.0);
+  EXPECT_EQ(slow.net_mhz, 500.0);
+}
+
 TEST(ScenarioSpecTest, RejectsMalformedInput) {
   // Each case: (description text, expected error fragment).
   const std::vector<std::pair<std::string, std::string>> cases = {
@@ -285,6 +296,36 @@ TEST(ScenarioRunnerTest, VideoChainPreservesEndToEndLatency) {
   // End-to-end latency spans all three hops: well above a single hop.
   EXPECT_GT(chain.latency.mean, 20);
   EXPECT_GT(chain.latency.count, 0);
+}
+
+TEST(ScenarioRunnerTest, IpPortsRunOnTheIpClock) {
+  const std::string body =
+      "noc star 4\nwarmup 100\nduration 1500\n"
+      "traffic pairs 0 1 inject periodic 6 qos gt 2\n"
+      "traffic memory 2 3 inject periodic 40 burst 2\n";
+  // An ipmhz equal to netmhz is the default: same clock, same bytes, and
+  // no ip_mhz key in the result.
+  ScenarioRunner plain(MustParse(body));
+  ScenarioRunner same(MustParse("ipmhz 500\n" + body));
+  auto plain_result = plain.Run();
+  auto same_result = same.Run();
+  ASSERT_TRUE(plain_result.ok()) << plain_result.status();
+  ASSERT_TRUE(same_result.ok()) << same_result.status();
+  EXPECT_EQ(same.soc()->port_clock(0, 0), same.soc()->net_clock());
+  EXPECT_EQ(plain_result->ToJson(), same_result->ToJson());
+  EXPECT_EQ(plain_result->ToJson().find("ip_mhz"), std::string::npos);
+
+  // A slower IP clock drives every port; the result records it.
+  ScenarioRunner slow(MustParse("ipmhz 200\nverify on\n" + body));
+  auto slow_result = slow.Run();
+  ASSERT_TRUE(slow_result.ok()) << slow_result.status();
+  for (NiId ni = 0; ni < 4; ++ni) {
+    EXPECT_EQ(slow.soc()->port_clock(ni, 0)->period_ps(), 5000);
+  }
+  EXPECT_NE(slow_result->ToJson().find("\"ip_mhz\": 200"), std::string::npos);
+  for (const FlowResult& flow : slow_result->flows) {
+    EXPECT_GT(flow.words_total, 0) << flow.pattern;
+  }
 }
 
 TEST(ScenarioRunnerTest, BuildFailsOnSlotExhaustion) {

@@ -211,6 +211,22 @@ TEST(SocMesh, PortClockOverridesApply) {
   EXPECT_EQ(soc.port_clock(1, 0)->period_ps(), 2000);
 }
 
+TEST(SocMesh, PortClocksOfOneNiAreIndependent) {
+  // NI 0 has two ports: the listed one runs at 125 MHz, the unlisted one
+  // on the network clock itself. A port listed at the network frequency
+  // shares the network clock rather than getting a second clock.
+  auto star = topology::BuildStar(2);
+  std::vector<core::NiKernelParams> params(2, NiWithChannels(1));
+  params[0].ports.push_back(params[0].ports[0]);
+  SocOptions options;
+  options.port_mhz[{0, 0}] = 125.0;
+  options.port_mhz[{1, 0}] = options.net_mhz;
+  Soc soc(std::move(star.topology), std::move(params), options);
+  EXPECT_EQ(soc.port_clock(0, 0)->period_ps(), 8000);
+  EXPECT_EQ(soc.port_clock(0, 1), soc.net_clock());
+  EXPECT_EQ(soc.port_clock(1, 0), soc.net_clock());
+}
+
 TEST(AreaModel, ReproducesPaperNumbers) {
   using analysis::AreaModel;
   const auto kernel =

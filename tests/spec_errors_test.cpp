@@ -120,6 +120,54 @@ TEST(SpecErrorsTest, OutOfRangeClauses) {
               "read_fraction must be in [0, 1]", 2);
 }
 
+TEST(SpecErrorsTest, InjectionBoundsMatchTheSweepParams) {
+  // Regression: an unbounded burst length parsed, then overflowed
+  // `burst_words + gap_cycles` when the source was built (UBSan: signed
+  // integer overflow). The limits are the ones the sweep params enforce.
+  ExpectError(
+      "noc star 4\ntraffic neighbor inject bursty 9223372036854775807 1\n",
+      "bursty needs WORDS <= 2^20, GAP <= 2^30", 2);
+  ExpectError("noc star 4\ntraffic neighbor inject bursty 4 1073741825\n",
+              "bursty needs WORDS <= 2^20, GAP <= 2^30", 2);
+  ExpectError("noc star 4\ntraffic neighbor inject periodic 1073741825\n",
+              "period must be <= 2^30", 2);
+  // The limits themselves parse.
+  EXPECT_TRUE(ParseScenario("noc star 4\ntraffic neighbor inject bursty "
+                            "1048576 1073741824\n")
+                  .ok());
+  EXPECT_TRUE(
+      ParseScenario("noc star 4\ntraffic neighbor inject periodic 1073741824\n")
+          .ok());
+}
+
+TEST(SpecErrorsTest, NonFiniteNumbersAreRejected) {
+  // Regression: NaN passed every `v <= lo || v > hi` range check; a NaN
+  // Bernoulli rate then aborted in the RNG when the source was built.
+  ExpectError("noc star 4\ntraffic neighbor inject bernoulli nan\n",
+              "expected a number, got 'nan'", 2);
+  ExpectError("noc star 4\ntraffic memory 0 1 read_fraction nan\n",
+              "expected a number, got 'nan'", 2);
+  ExpectError("noc star 4\ntraffic neighbor\nconverge rel_err nan\n",
+              "expected a number, got 'nan'", 3);
+  ExpectError("noc star 4\ntraffic neighbor inject bernoulli inf\n",
+              "expected a number, got 'inf'", 2);
+  ExpectError("noc star 4\ntraffic neighbor\nfault\nlink corrupt nan\nend\n",
+              "link corrupt rate must be a number in [0, 1], got 'nan'", 4);
+}
+
+TEST(SpecErrorsTest, IpClockDirective) {
+  ExpectError("ipmhz 0\nnoc star 4\ntraffic uniform\n",
+              "ipmhz must be in [1, 1000000]", 1);
+  ExpectError("ipmhz 1000001\nnoc star 4\ntraffic uniform\n",
+              "ipmhz must be in [1, 1000000]", 1);
+  ExpectError("ipmhz 200\nnoc star 4\nipmhz 250\ntraffic uniform\n",
+              "duplicate 'ipmhz' directive", 3);
+  ExpectError("ipmhz 200 250\nnoc star 4\ntraffic uniform\n",
+              "'ipmhz' takes one argument", 1);
+  ExpectError("ipmhz fast\nnoc star 4\ntraffic uniform\n",
+              "expected a number", 1);
+}
+
 TEST(SpecErrorsTest, MissingClauseArguments) {
   ExpectError("noc star 4\ntraffic uniform inject\n", "missing arguments", 2);
   ExpectError("noc star 4\ntraffic uniform inject periodic\n",

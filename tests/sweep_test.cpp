@@ -122,6 +122,38 @@ TEST(ApplyParamTest, TrafficKeysTargetMatchingDirectives) {
   EXPECT_FALSE(ApplyParam(*ParseParamRef("burst"), "4/64", &spec).ok());
 }
 
+TEST(ApplyParamTest, RateRejectsNonFiniteValues) {
+  // Regression: NaN slipped through the (0, 1] check and reached the RNG.
+  auto spec = BaseSpec();
+  for (const char* value : {"nan", "inf", "-nan"}) {
+    const Status s = ApplyParam(*ParseParamRef("rate"), value, &spec);
+    ASSERT_FALSE(s.ok()) << value;
+    EXPECT_NE(s.message().find("expected a number"), std::string::npos) << s;
+  }
+  auto axis = Parse("base b\naxis rate 0.1 nan\n");
+  ASSERT_FALSE(axis.ok());
+  EXPECT_NE(axis.status().message().find("line 2"), std::string::npos);
+  EXPECT_NE(axis.status().message().find("expected a number, got 'nan'"),
+            std::string::npos);
+  auto saturate = Parse("base b\nsaturate rate 0.01 0.3 p99 inf\n");
+  ASSERT_FALSE(saturate.ok());
+  EXPECT_NE(saturate.status().message().find("expected a number, got 'inf'"),
+            std::string::npos);
+}
+
+TEST(ApplyParamTest, InjectionBoundsMatchTheScenarioGrammar) {
+  auto spec = BaseSpec();
+  const auto period = ParseParamRef("period");
+  EXPECT_TRUE(ApplyParam(*period, "1073741824", &spec).ok());
+  EXPECT_FALSE(ApplyParam(*period, "1073741825", &spec).ok());
+  EXPECT_TRUE(scenario::ParseScenario(
+                  "noc star 4\ntraffic neighbor inject periodic 1073741824\n")
+                  .ok());
+  EXPECT_FALSE(scenario::ParseScenario(
+                   "noc star 4\ntraffic neighbor inject periodic 1073741825\n")
+                   .ok());
+}
+
 TEST(SweepParseTest, FullSpecRoundTrips) {
   auto spec = Parse(
       "sweep demo\n"
@@ -341,6 +373,22 @@ TEST(SweepRunnerTest, ClassSummariesSplitGtAndBe) {
   EXPECT_NE(curve->find(",be,"), std::string::npos);
   EXPECT_NE(curve->find(",all,"), std::string::npos);
   EXPECT_FALSE(result->ToCurveCsv("stu").ok()) << "not an axis";
+}
+
+TEST(SweepRunnerTest, OfferedLoadCountsNetworkCycles) {
+  // Injection periods count IP cycles; with the IP ports at half the
+  // network clock, the GT pair's period 6 offers 1/12 word per network
+  // cycle, the unit its delivered throughput is measured in.
+  auto spec = scenario::ParseScenario(std::string(kBaseScenario) +
+                                      "ipmhz 250\n");
+  ASSERT_TRUE(spec.ok()) << spec.status();
+  scenario::ScenarioRunner runner(*spec);
+  auto result = runner.Run();
+  ASSERT_TRUE(result.ok()) << result.status();
+  PointResult point;
+  SummarizePoint(*result, &point);
+  EXPECT_DOUBLE_EQ(point.gt.offered_wpc, 1.0 / 12.0);
+  EXPECT_NEAR(point.gt.throughput_wpc, point.gt.offered_wpc, 0.01);
 }
 
 TEST(SweepRunnerTest, SaturationBisectionFindsTheBoundary) {

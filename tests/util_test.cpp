@@ -1,11 +1,14 @@
-// Unit tests for util: status, bits, rng, stats, table.
+// Unit tests for util: status, bits, rng, stats, table, and the spec
+// front end (lexer, strict number parsing, and the tools' use of it).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <sstream>
 
+#include "tools/cli_common.h"
 #include "util/bits.h"
+#include "util/parse.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/status.h"
@@ -184,6 +187,62 @@ TEST(Table, PrintsAlignedRows) {
 TEST(Table, FmtHelpers) {
   EXPECT_EQ(Table::Fmt(3.14159, 2), "3.14");
   EXPECT_EQ(Table::Fmt(static_cast<std::int64_t>(42)), "42");
+}
+
+TEST(Parse, LexerNumbersLinesAndDropsComments) {
+  const auto lines = TokenizeSpec("# header\n\nnoc star 4  # four\n  x\ty\n");
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_EQ(lines[0].number, 3);
+  EXPECT_EQ(lines[0].tokens, (std::vector<std::string>{"noc", "star", "4"}));
+  EXPECT_EQ(lines[1].number, 4);
+  EXPECT_EQ(lines[1].tokens, (std::vector<std::string>{"x", "y"}));
+  EXPECT_EQ(lines[1].Error("bad").message(), "line 4: bad");
+  EXPECT_EQ(lines[1].Int("7x").status().message(),
+            "line 4: expected a number, got '7x'");
+}
+
+TEST(Parse, StrictWholeTokenNumbers) {
+  EXPECT_EQ(*ParseInt64("-12"), -12);
+  EXPECT_FALSE(ParseInt64("12abc").ok());
+  EXPECT_FALSE(ParseInt64("").ok());
+  EXPECT_FALSE(ParseInt64("9223372036854775808").ok());
+  EXPECT_EQ(ParseInt64In("5", 1, 4).status().message(),
+            "'5' out of range [1, 4]");
+  EXPECT_EQ(*ParseDouble("0.25"), 0.25);
+  EXPECT_FALSE(ParseDouble("0.25x").ok());
+  for (const char* token : {"nan", "-nan", "NAN", "inf", "-inf", "infinity",
+                            "1e999"}) {
+    EXPECT_FALSE(ParseDouble(token).ok()) << token;
+  }
+}
+
+/// Feeds one option and its value through the tools' shared flag parser.
+cli::Match MatchOne(const char* flag, const char* value,
+                    cli::CommonOptions* options) {
+  char prog[] = "tool";
+  std::string f = flag;
+  std::string v = value;
+  char* argv[] = {prog, f.data(), v.data()};
+  cli::ArgReader args("tool", 3, argv);
+  EXPECT_TRUE(args.Next());
+  return cli::MatchCommonArg(args, options);
+}
+
+TEST(Parse, CliFlagsRejectNonFiniteAndOutOfRangeValues) {
+  // Regression: `--converge nan` used to be accepted.
+  cli::CommonOptions options;
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(MatchOne("--converge", "nan", &options), cli::Match::kError);
+  EXPECT_EQ(MatchOne("--converge", "inf", &options), cli::Match::kError);
+  EXPECT_EQ(MatchOne("--seed", "-1", &options), cli::Match::kError);
+  EXPECT_EQ(MatchOne("--converge-batches", "1", &options),
+            cli::Match::kError);
+  testing::internal::GetCapturedStderr();
+  EXPECT_FALSE(options.converge_rel_err.has_value());
+  EXPECT_EQ(MatchOne("--converge", "0.05", &options), cli::Match::kYes);
+  EXPECT_EQ(options.converge_rel_err, 0.05);
+  EXPECT_EQ(MatchOne("--seed", "42", &options), cli::Match::kYes);
+  EXPECT_EQ(options.seed, 42u);
 }
 
 }  // namespace

@@ -71,20 +71,20 @@ class ArgReader {
     return argv_[++index_];
   }
 
-  /// Value() parsed as an unsigned integer in [min, max]; nullopt (with a
+  /// Value() parsed as an integer in [min, max]; nullopt (with a
   /// diagnostic naming `what`) on anything else.
-  std::optional<std::uint64_t> U64Value(
-      const char* what, std::uint64_t min = 0,
-      std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
+  std::optional<std::int64_t> IntValue(
+      const char* what, std::int64_t min = 0,
+      std::int64_t max = std::numeric_limits<std::int64_t>::max()) {
     const char* v = Value();
     if (v == nullptr) return std::nullopt;
-    const auto parsed = ParseU64(v);
-    if (!parsed || *parsed < min || *parsed > max) {
+    const auto parsed = ParseInt64In(v, min, max);
+    if (!parsed.ok()) {
       std::cerr << prog_ << ": " << arg_ << " needs " << what << ", got '"
                 << v << "'\n";
       return std::nullopt;
     }
-    return parsed;
+    return *parsed;
   }
 
   /// Value() parsed as a double in the OPEN interval (lo, hi); nullopt
@@ -92,13 +92,13 @@ class ArgReader {
   std::optional<double> F64Value(const char* what, double lo, double hi) {
     const char* v = Value();
     if (v == nullptr) return std::nullopt;
-    const auto parsed = ParseF64(v);
-    if (!parsed || *parsed <= lo || *parsed >= hi) {
+    const auto parsed = ParseDouble(v);
+    if (!parsed.ok() || *parsed <= lo || *parsed >= hi) {
       std::cerr << prog_ << ": " << arg_ << " needs " << what << ", got '"
                 << v << "'\n";
       return std::nullopt;
     }
-    return parsed;
+    return *parsed;
   }
 
  private:
@@ -181,9 +181,9 @@ inline Match MatchCommonArg(ArgReader& args, CommonOptions* out,
     return Match::kYes;
   }
   if (arg == "--seed") {
-    const auto parsed = args.U64Value("a non-negative integer");
+    const auto parsed = args.IntValue("a non-negative integer");
     if (!parsed.has_value()) return Match::kError;
-    out->seed = *parsed;
+    out->seed = static_cast<std::uint64_t>(*parsed);
     return Match::kYes;
   }
   if (arg == "--converge") {
@@ -201,20 +201,20 @@ inline Match MatchCommonArg(ArgReader& args, CommonOptions* out,
   }
   if (arg == "--converge-max-duration") {
     const auto parsed =
-        args.U64Value("a positive cycle count", 1, std::uint64_t{1} << 40);
+        args.IntValue("a positive cycle count", 1, std::int64_t{1} << 40);
     if (!parsed.has_value()) return Match::kError;
-    out->converge_max_duration = static_cast<Cycle>(*parsed);
+    out->converge_max_duration = *parsed;
     return Match::kYes;
   }
   if (arg == "--converge-interval") {
     const auto parsed =
-        args.U64Value("a positive cycle count", 1, std::uint64_t{1} << 40);
+        args.IntValue("a positive cycle count", 1, std::int64_t{1} << 40);
     if (!parsed.has_value()) return Match::kError;
-    out->converge_interval = static_cast<Cycle>(*parsed);
+    out->converge_interval = *parsed;
     return Match::kYes;
   }
   if (arg == "--converge-batches") {
-    const auto parsed = args.U64Value("a batch count in [2, 4096]", 2, 4096);
+    const auto parsed = args.IntValue("a batch count in [2, 4096]", 2, 4096);
     if (!parsed.has_value()) return Match::kError;
     out->converge_batches = static_cast<int>(*parsed);
     return Match::kYes;

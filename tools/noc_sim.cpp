@@ -99,22 +99,19 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
     }
     const std::string& arg = args.Arg();
     if (arg == "--duration") {
-      const auto parsed = args.U64Value(
-          "a cycle count >= 1", 1,
-          static_cast<std::uint64_t>(std::numeric_limits<Cycle>::max()));
+      const auto parsed = args.IntValue("a cycle count >= 1", 1,
+                                        std::numeric_limits<Cycle>::max());
       if (!parsed.has_value()) return false;
-      options->duration = static_cast<Cycle>(*parsed);
+      options->duration = *parsed;
     } else if (arg == "--trace") {
       const char* v = args.Value();
       if (v == nullptr) return false;
       options->trace_path = v;
     } else if (arg == "--sample-every") {
-      const auto parsed = args.U64Value(
-          "a cycle count >= one slot (3 cycles)",
-          static_cast<std::uint64_t>(kFlitWords),
-          static_cast<std::uint64_t>(std::int64_t{1} << 40));
+      const auto parsed = args.IntValue("a cycle count >= one slot (3 cycles)",
+                                        kFlitWords, std::int64_t{1} << 40);
       if (!parsed.has_value()) return false;
-      options->sample_every = static_cast<Cycle>(*parsed);
+      options->sample_every = *parsed;
     } else if (arg == "--stats-csv") {
       const char* v = args.Value();
       if (v == nullptr) return false;

@@ -104,7 +104,7 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
       if (v == nullptr) return false;
       options->curve_param = v;
     } else if (arg == "--jobs") {
-      const auto parsed = args.U64Value("an integer in [1, 1024]", 1, 1024);
+      const auto parsed = args.IntValue("an integer in [1, 1024]", 1, 1024);
       if (!parsed.has_value()) return false;
       options->jobs = static_cast<int>(*parsed);
     } else if (arg == "--axis") {

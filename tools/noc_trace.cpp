@@ -52,9 +52,9 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
   while (args.Next()) {
     const std::string& arg = args.Arg();
     if (arg == "--top") {
-      const auto parsed = args.U64Value("a site count >= 1", 1, 1000);
+      const auto parsed = args.IntValue("a site count >= 1", 1, 1000);
       if (!parsed.has_value()) return false;
-      options->top = static_cast<std::int64_t>(*parsed);
+      options->top = *parsed;
     } else if (arg == "--assert-no-drops") {
       options->assert_no_drops = true;
     } else if (arg == "--quiet") {

@@ -89,7 +89,7 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
     const std::string& arg = args.Arg();
     if (arg == "--fuzz" || arg == "--fault-fuzz") {
       const auto parsed =
-          args.U64Value("a batch size in [0, 1000000]", 0, 1'000'000);
+          args.IntValue("a batch size in [0, 1000000]", 0, 1'000'000);
       if (!parsed.has_value()) return false;
       (arg == "--fuzz" ? options->fuzz : options->fault_fuzz) =
           static_cast<int>(*parsed);
