@@ -8,6 +8,8 @@
 #include "ip/memory_slave.h"
 #include "ip/stream.h"
 #include "ip/traffic_gen.h"
+#include "scenario/sources.h"
+#include "scenario/wiring.h"
 #include "shells/master_shell.h"
 #include "shells/slave_shell.h"
 #include "soc/soc.h"
@@ -210,6 +212,127 @@ TEST(TrafficGen, BernoulliRespectsOutstandingLimit) {
   }
   ASSERT_TRUE(gen.Done());
   EXPECT_EQ(gen.completed(), 40);
+}
+
+// The injection schedule every stream source keeps: the cycles on which
+// each source writes a word, stepped one network cycle at a time on both
+// engines. One string per source, one character per cycle ('1': a word
+// written in that cycle). Covers the seeded scenario processes (periodic,
+// bursty, Bernoulli, each with its phase offset), a burst larger than its
+// period (the backlog grows and the port backpressures), a word cap, and
+// silencing and restarting a source between cycles.
+constexpr int kScheduleSteps = 96;
+
+std::vector<std::string> RecordSchedules(sim::EngineKind engine) {
+  soc::SocOptions options;
+  options.engine = engine;
+  constexpr NiId kSources = 7;
+  auto soc = scenario::MakeMeshSoc(2, 4, /*nis_per_router=*/2,
+                                   /*channels_per_ni=*/1, /*queue_words=*/8,
+                                   options);
+  for (NiId i = 0; i < kSources; ++i) {
+    EXPECT_TRUE(soc->OpenConnection(GlobalChannel{i, 0},
+                                    GlobalChannel{i + kSources, 0})
+                    .ok());
+  }
+  auto traffic = [](scenario::InjectKind kind) {
+    scenario::TrafficSpec t;
+    t.inject = kind;
+    return t;
+  };
+  scenario::TrafficSpec periodic = traffic(scenario::InjectKind::kPeriodic);
+  periodic.period = 5;
+  scenario::TrafficSpec bursty = traffic(scenario::InjectKind::kBursty);
+  bursty.burst_words = 3;
+  bursty.gap_cycles = 4;
+  scenario::TrafficSpec bernoulli = traffic(scenario::InjectKind::kBernoulli);
+  bernoulli.rate = 0.3;
+  scenario::TrafficSpec phased = traffic(scenario::InjectKind::kPeriodic);
+  phased.period = 6;
+
+  scenario::PatternSource s0("periodic", soc->port(0, 0), 0, periodic, 11);
+  scenario::PatternSource s1("bursty", soc->port(1, 0), 0, bursty, 12);
+  scenario::PatternSource s2("bernoulli", soc->port(2, 0), 0, bernoulli, 13);
+  StreamProducer s3("backlog", soc->port(3, 0), 0, /*period=*/2,
+                    /*words_per_period=*/5);
+  StreamProducer s4("capped", soc->port(4, 0), 0, /*period=*/3,
+                    /*words_per_period=*/2, /*timestamp=*/true,
+                    /*total=*/7);
+  StreamProducer s5("restarted", soc->port(5, 0), 0, /*period=*/4,
+                    /*words_per_period=*/1);
+  scenario::PatternSource s6("reactivated", soc->port(6, 0), 0, phased, 14);
+  std::vector<std::unique_ptr<StreamConsumer>> sinks;
+  for (NiId i = 0; i < kSources; ++i) {
+    sinks.push_back(std::make_unique<StreamConsumer>(
+        "sink", soc->port(i + kSources, 0), 0));
+    soc->RegisterOnPort(sinks.back().get(), i + kSources, 0);
+  }
+  soc->RegisterOnPort(&s0, 0, 0);
+  soc->RegisterOnPort(&s1, 1, 0);
+  soc->RegisterOnPort(&s2, 2, 0);
+  soc->RegisterOnPort(&s3, 3, 0);
+  soc->RegisterOnPort(&s4, 4, 0);
+  soc->RegisterOnPort(&s5, 5, 0);
+  soc->RegisterOnPort(&s6, 6, 0);
+
+  auto written = [&] {
+    return std::vector<std::int64_t>{
+        s0.words_written(), s1.words_written(), s2.words_written(),
+        s3.words_written(), s4.words_written(), s5.words_written(),
+        s6.words_written()};
+  };
+  std::vector<std::string> schedules(kSources);
+  for (int step = 0; step < kScheduleSteps; ++step) {
+    // Silenced with an empty backlog, restarted after its pending event.
+    if (step == 30) s5.Stop();
+    if (step == 50) s5.Start();
+    // Silenced mid-run, restarted at its seeded phase from the new origin.
+    if (step == 40) s6.Deactivate();
+    if (step == 61) s6.Activate(soc->port_clock(6, 0)->cycles());
+    const std::vector<std::int64_t> before = written();
+    soc->RunCycles(1);
+    const std::vector<std::int64_t> after = written();
+    for (std::size_t i = 0; i < schedules.size(); ++i) {
+      schedules[i] += static_cast<char>('0' + (after[i] - before[i]));
+    }
+  }
+  EXPECT_EQ(s4.words_written(), 7);
+  return schedules;
+}
+
+TEST(Stream, SourcesKeepTheirInjectionSchedule) {
+  const std::vector<std::string> expected = {
+      // periodic
+      "100001000010000100001000010000100001000010000100"
+      "001000010000100001000010000100001000010000100001",
+      // bursty
+      "011100001110000111000011100001110000100000001100"
+      "001000001101000001001000000000000001100001001101",
+      // bernoulli
+      "100001000000000110010110010010100101000011100100"
+      "000000001000001000001000000001000001100001000001",
+      // backlog
+      "111111111111001101100000000000000000000000001000"
+      "001100001000001100001100000000001000001100000001",
+      // capped
+      "110110110100000000000000000000000000000000000000"
+      "000000000000000000000000000000000000000000000000",
+      // restarted
+      "100010001000100010001000100010000000000000000000"
+      "001000100010001000100010001000100010001000100010",
+      // reactivated
+      "010000010000010000010000010000010000010000000000"
+      "000000000000001000001000001000001000001000001000",
+  };
+  for (sim::EngineKind engine :
+       {sim::EngineKind::kNaive, sim::EngineKind::kSoa}) {
+    SCOPED_TRACE(sim::EngineKindName(engine));
+    const std::vector<std::string> schedules = RecordSchedules(engine);
+    ASSERT_EQ(schedules.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(schedules[i], expected[i]) << "source " << i;
+    }
+  }
 }
 
 TEST(Stream, ProducerConsumerLatencyAndOrder) {
