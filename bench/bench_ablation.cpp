@@ -35,10 +35,10 @@ void PiggybackAblation() {
                         .ok());
     // Symmetric bidirectional traffic at full rate: the link is saturated,
     // so every credit-only packet displaces a data flit.
-    ip::StreamProducer p01("p01", soc.port(0, 0), 0, 1, 1, false, -1);
-    ip::StreamConsumer c01("c01", soc.port(1, 0), 0, kFlitWords, false);
-    ip::StreamProducer p10("p10", soc.port(1, 0), 0, 1, 1, false, -1);
-    ip::StreamConsumer c10("c10", soc.port(0, 0), 0, kFlitWords, false);
+    ip::StreamSource p01("p01", soc.port(0, 0), 0, ip::Injection{.period = 1});
+    ip::StreamConsumer c01("c01", soc.port(1, 0), 0, kFlitWords);
+    ip::StreamSource p10("p10", soc.port(1, 0), 0, ip::Injection{.period = 1});
+    ip::StreamConsumer c10("c10", soc.port(0, 0), 0, kFlitWords);
     soc.RegisterOnPort(&p01, 0, 0);
     soc.RegisterOnPort(&c01, 1, 0);
     soc.RegisterOnPort(&p10, 1, 0);
@@ -83,12 +83,12 @@ void ArbitrationAblation() {
                                          tdm::GlobalChannel{1, ch})
                           .ok());
     }
-    ip::StreamProducer p0("p0", soc.port(0, 0), 0, 1, 1, false, -1);
-    ip::StreamProducer p1("p1", soc.port(0, 0), 1, 2, 1, false, -1);
-    ip::StreamProducer p2("p2", soc.port(0, 0), 2, 8, 1, false, -1);
-    ip::StreamConsumer c0("c0", soc.port(1, 0), 0, kFlitWords, false);
-    ip::StreamConsumer c1("c1", soc.port(1, 0), 1, kFlitWords, false);
-    ip::StreamConsumer c2("c2", soc.port(1, 0), 2, kFlitWords, false);
+    ip::StreamSource p0("p0", soc.port(0, 0), 0, ip::Injection{.period = 1});
+    ip::StreamSource p1("p1", soc.port(0, 0), 1, ip::Injection{.period = 2});
+    ip::StreamSource p2("p2", soc.port(0, 0), 2, ip::Injection{.period = 8});
+    ip::StreamConsumer c0("c0", soc.port(1, 0), 0, kFlitWords);
+    ip::StreamConsumer c1("c1", soc.port(1, 0), 1, kFlitWords);
+    ip::StreamConsumer c2("c2", soc.port(1, 0), 2, kFlitWords);
     soc.RegisterOnPort(&p0, 0, 0);
     soc.RegisterOnPort(&p1, 0, 0);
     soc.RegisterOnPort(&p2, 0, 0);

@@ -44,14 +44,14 @@ MixResult Measure(int gt_slots, double be_load) {
   // GT paced at ~80% of its guarantee (isolation test, not saturation).
   const int gt_period =
       gt_slots > 0 ? std::max(1, (3 * 8) / (2 * gt_slots) + 1) : 6;
-  ip::StreamProducer gt_prod("gp", soc->port(0, 0), 0, gt_period, 1,
-                             /*timestamp=*/true, -1);
+  ip::StreamSource gt_prod("gp", soc->port(0, 0), 0,
+                           ip::Injection{.period = gt_period});
   ip::StreamConsumer gt_cons("gc", soc->port(2, 0), 0, kFlitWords);
   // BE offered load in words/cycle (period = 1/load).
   const auto be_period = std::max<std::int64_t>(
       1, static_cast<std::int64_t>(1.0 / be_load));
-  ip::StreamProducer be_prod("bp", soc->port(1, 0), 1, be_period, 1,
-                             /*timestamp=*/true, -1);
+  ip::StreamSource be_prod("bp", soc->port(1, 0), 1,
+                           ip::Injection{.period = be_period});
   ip::StreamConsumer be_cons("bc", soc->port(2, 0), 1, kFlitWords);
   soc->RegisterOnPort(&gt_prod, 0, 0);
   soc->RegisterOnPort(&gt_cons, 2, 0);

@@ -52,13 +52,12 @@ Measured Measure(int slots, tdm::AllocPolicy policy, bool saturate_source) {
   // so queueing does not mask the per-word bound.
   const std::int64_t period =
       saturate_source ? 1 : std::max<std::int64_t>(1, 3 * kStuSlots / slots) + 3;
-  ip::StreamProducer gt_prod("gp", soc->port(0, 0), 0, period, 1,
-                             /*timestamp=*/true, -1);
+  ip::StreamSource gt_prod("gp", soc->port(0, 0), 0,
+                           ip::Injection{.period = period});
   ip::StreamConsumer gt_cons("gc", soc->port(2, 0), 0, kFlitWords);
-  ip::StreamProducer be_prod("bp", soc->port(1, 0), 1, 1, 1,
-                             /*timestamp=*/false, -1);
-  ip::StreamConsumer be_cons("bc", soc->port(2, 0), 1, kFlitWords,
-                             /*timestamp=*/false);
+  ip::StreamSource be_prod("bp", soc->port(1, 0), 1,
+                           ip::Injection{.period = 1});
+  ip::StreamConsumer be_cons("bc", soc->port(2, 0), 1, kFlitWords);
   soc->RegisterOnPort(&gt_prod, 0, 0);
   soc->RegisterOnPort(&gt_cons, 2, 0);
   soc->RegisterOnPort(&be_prod, 1, 0);

@@ -32,8 +32,9 @@ Stats MeasureRawChannel(int burst) {
   auto handle = soc->OpenConnection(tdm::GlobalChannel{0, 0},
                                     tdm::GlobalChannel{1, 0});
   AETHEREAL_CHECK(handle.ok());
-  ip::StreamProducer producer("p", soc->port(0, 0), 0, /*period=*/60, burst,
-                              /*timestamp=*/true, /*total=*/60 * burst);
+  ip::StreamSource producer(
+      "p", soc->port(0, 0), 0,
+      ip::Injection{.period = 60, .words = burst, .total_words = 60 * burst});
   ip::StreamConsumer consumer("c", soc->port(1, 0), 0, kFlitWords);
   soc->RegisterOnPort(&producer, 0, 0);
   soc->RegisterOnPort(&consumer, 1, 0);

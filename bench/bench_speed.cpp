@@ -68,7 +68,7 @@ struct RunResult {
 /// the TDM NoC is provisioned for.
 struct SpeedWorkload {
   std::unique_ptr<soc::Soc> soc;
-  std::vector<std::unique_ptr<ip::StreamProducer>> producers;
+  std::vector<std::unique_ptr<ip::StreamSource>> producers;
   std::vector<std::unique_ptr<ip::StreamConsumer>> consumers;
 };
 
@@ -115,13 +115,13 @@ SpeedWorkload MakeWorkload(int rows, int cols, Traffic traffic,
                                            tdm::GlobalChannel{b, 0}, qos, qos)
                           .ok());
       for (const auto& [src, dst] : {std::pair{a, b}, std::pair{b, a}}) {
-        w.producers.push_back(std::make_unique<ip::StreamProducer>(
-            "p" + std::to_string(src), w.soc->port(src, 0), 0, kBurstPeriod,
-            kBurstWords, /*timestamp=*/false, /*total=*/-1));
+        w.producers.push_back(std::make_unique<ip::StreamSource>(
+            "p" + std::to_string(src), w.soc->port(src, 0), 0,
+            ip::Injection{.period = kBurstPeriod, .words = kBurstWords}));
         w.soc->RegisterOnPort(w.producers.back().get(), src, 0);
         w.consumers.push_back(std::make_unique<ip::StreamConsumer>(
             "c" + std::to_string(dst), w.soc->port(dst, 0), 0,
-            /*drain_per_cycle=*/kFlitWords, /*timestamp=*/false));
+            /*drain_per_cycle=*/kFlitWords));
         w.soc->RegisterOnPort(w.consumers.back().get(), dst, 0);
       }
       ++pair_index;

@@ -33,8 +33,9 @@ double HwPacketizationCycles(int words) {
   AETHEREAL_CHECK(soc->OpenConnection(tdm::GlobalChannel{0, 0},
                                       tdm::GlobalChannel{1, 0})
                       .ok());
-  ip::StreamProducer producer("p", soc->port(0, 0), 0, /*period=*/90, words,
-                              /*timestamp=*/true, 40 * words);
+  ip::StreamSource producer(
+      "p", soc->port(0, 0), 0,
+      ip::Injection{.period = 90, .words = words, .total_words = 40 * words});
   ip::StreamConsumer consumer("c", soc->port(1, 0), 0, kFlitWords);
   soc->RegisterOnPort(&producer, 0, 0);
   soc->RegisterOnPort(&consumer, 1, 0);

@@ -40,10 +40,9 @@ ThresholdResult MeasureDataThreshold(int threshold, int burst, int period) {
                                       tdm::GlobalChannel{1, 0}, qos,
                                       config::ChannelQos{})
                       .ok());
-  ip::StreamProducer producer("p", soc->port(0, 0), 0, period, burst,
-                              /*timestamp=*/false, -1);
-  ip::StreamConsumer consumer("c", soc->port(1, 0), 0, kFlitWords,
-                              /*timestamp=*/false);
+  ip::StreamSource producer("p", soc->port(0, 0), 0,
+                            ip::Injection{.period = period, .words = burst});
+  ip::StreamConsumer consumer("c", soc->port(1, 0), 0, kFlitWords);
   soc->RegisterOnPort(&producer, 0, 0);
   soc->RegisterOnPort(&consumer, 1, 0);
   soc->RunCycles(500);
@@ -132,10 +131,9 @@ void CreditThresholdSweep() {
     AETHEREAL_CHECK(soc->OpenConnection(tdm::GlobalChannel{0, 0},
                                         tdm::GlobalChannel{1, 0}, fwd, rev)
                         .ok());
-    ip::StreamProducer producer("p", soc->port(0, 0), 0, 3, 1,
-                                /*timestamp=*/false, -1);
-    ip::StreamConsumer consumer("c", soc->port(1, 0), 0, kFlitWords,
-                                /*timestamp=*/false);
+    ip::StreamSource producer("p", soc->port(0, 0), 0,
+                              ip::Injection{.period = 3});
+    ip::StreamConsumer consumer("c", soc->port(1, 0), 0, kFlitWords);
     soc->RegisterOnPort(&producer, 0, 0);
     soc->RegisterOnPort(&consumer, 1, 0);
     soc->RunCycles(500);

@@ -37,10 +37,9 @@ Measured MeasureOneWay(bool gt, int slots, Cycle cycles) {
                                       tdm::GlobalChannel{1, 0}, qos,
                                       config::ChannelQos{})
                       .ok());
-  ip::StreamProducer producer("p", soc->port(0, 0), 0, /*period=*/1,
-                              /*words=*/1, /*timestamp=*/false, -1);
-  ip::StreamConsumer consumer("c", soc->port(1, 0), 0, kFlitWords,
-                              /*timestamp=*/false);
+  ip::StreamSource producer("p", soc->port(0, 0), 0,
+                            ip::Injection{.period = 1});
+  ip::StreamConsumer consumer("c", soc->port(1, 0), 0, kFlitWords);
   soc->RegisterOnPort(&producer, 0, 0);
   soc->RegisterOnPort(&consumer, 1, 0);
   soc->RunCycles(200);  // warm up
@@ -100,10 +99,10 @@ int main() {
     AETHEREAL_CHECK(soc->OpenConnection(tdm::GlobalChannel{0, 0},
                                         tdm::GlobalChannel{1, 0}, gt, gt)
                         .ok());
-    ip::StreamProducer p01("p01", soc->port(0, 0), 0, 1, 1, false, -1);
-    ip::StreamConsumer c01("c01", soc->port(1, 0), 0, kFlitWords, false);
-    ip::StreamProducer p10("p10", soc->port(1, 0), 0, 1, 1, false, -1);
-    ip::StreamConsumer c10("c10", soc->port(0, 0), 0, kFlitWords, false);
+    ip::StreamSource p01("p01", soc->port(0, 0), 0, ip::Injection{.period = 1});
+    ip::StreamConsumer c01("c01", soc->port(1, 0), 0, kFlitWords);
+    ip::StreamSource p10("p10", soc->port(1, 0), 0, ip::Injection{.period = 1});
+    ip::StreamConsumer c10("c10", soc->port(0, 0), 0, kFlitWords);
     soc->RegisterOnPort(&p01, 0, 0);
     soc->RegisterOnPort(&c01, 1, 0);
     soc->RegisterOnPort(&p10, 1, 0);

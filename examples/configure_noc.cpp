@@ -51,13 +51,12 @@ int main() {
   config::ConnectionManager* manager = soc.EnableConfig(setup);
 
   // Two traffic phases: producer1 before the reconfiguration, producer2
-  // (held idle until Start()) after it.
+  // (held idle until Activate()) after it.
   constexpr int kPhaseWords = 400;
-  ip::StreamProducer producer1("producer1", soc.port(1, 0), 1, /*period=*/4,
-                               /*words=*/1, /*timestamp=*/true, kPhaseWords);
-  ip::StreamProducer producer2("producer2", soc.port(1, 0), 1, /*period=*/4,
-                               /*words=*/1, /*timestamp=*/true, kPhaseWords);
-  producer2.Stop();
+  const ip::Injection phase{.period = 4, .total_words = kPhaseWords};
+  ip::StreamSource producer1("producer1", soc.port(1, 0), 1, phase);
+  ip::StreamSource producer2("producer2", soc.port(1, 0), 1, phase);
+  producer2.Deactivate();
   ip::StreamConsumer consumer("consumer", soc.port(2, 0), 1);
   soc.RegisterOnPort(&producer1, 1, 0);
   soc.RegisterOnPort(&producer2, 1, 0);
@@ -104,7 +103,7 @@ int main() {
             << " with 6/8 slots — config connections were reused\n";
 
   // Phase 2: new traffic on the reconfigured connection.
-  producer2.Start();
+  producer2.Activate(soc.port_clock(1, 0)->cycles());
   while (consumer.words_read() < 2 * kPhaseWords) soc.RunCycles(10);
   std::cout << "  traffic after reconfig: " << kPhaseWords
             << " more words delivered\n";

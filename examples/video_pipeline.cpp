@@ -16,7 +16,6 @@
 #include <memory>
 
 #include "ip/stream.h"
-#include "scenario/sources.h"
 #include "scenario/wiring.h"
 #include "soc/soc.h"
 
@@ -26,7 +25,7 @@ int main() {
   constexpr int kPixels = 3000;
 
   // 2x2 mesh; camera at (0,0), stages at (0,1) and (1,0), display at (1,1).
-  // The pixel-processing stages are scenario::Relay modules: raw NI-port
+  // The pixel-processing stages are ip::Relay modules: raw NI-port
   // forwarding, no shells, as the paper describes for streaming chains
   // (the "processing" models a LUT transform that keeps the
   // latency-measurement payload intact).
@@ -60,17 +59,16 @@ int main() {
   }
 
   // Camera: one timestamped pixel every 4 cycles.
-  ip::StreamProducer camera("camera", soc.port(0, 0), 0, /*period=*/4,
-                            /*words=*/1, /*timestamp=*/true, kPixels);
-  scenario::Relay stage1("stage1", soc.port(1, 0), /*in_connid=*/1,
-                         /*out_connid=*/0);
-  scenario::Relay stage2("stage2", soc.port(2, 0), /*in_connid=*/1,
-                         /*out_connid=*/0);
+  ip::StreamSource camera("camera", soc.port(0, 0), 0,
+                          ip::Injection{.period = 4, .total_words = kPixels});
+  ip::Relay stage1("stage1", soc.port(1, 0), /*in_connid=*/1,
+                   /*out_connid=*/0);
+  ip::Relay stage2("stage2", soc.port(2, 0), /*in_connid=*/1,
+                   /*out_connid=*/0);
   ip::StreamConsumer display("display", soc.port(3, 0), 1);
-  ip::StreamProducer be_noise("be_noise", soc.port(0, 0), 2, /*period=*/1,
-                              /*words=*/1, /*timestamp=*/false, -1);
-  ip::StreamConsumer be_sink("be_sink", soc.port(3, 0), 2, 1,
-                             /*timestamp=*/false);
+  ip::StreamSource be_noise("be_noise", soc.port(0, 0), 2,
+                            ip::Injection{.period = 1});
+  ip::StreamConsumer be_sink("be_sink", soc.port(3, 0), 2, 1);
   soc.RegisterOnPort(&camera, 0, 0);
   soc.RegisterOnPort(&stage1, 1, 0);
   soc.RegisterOnPort(&stage2, 2, 0);

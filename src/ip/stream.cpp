@@ -6,68 +6,96 @@
 
 namespace aethereal::ip {
 
-StreamProducer::StreamProducer(std::string name, core::NiPort* port,
-                               int connid, std::int64_t period,
-                               int words_per_period, bool timestamp_mode,
-                               std::int64_t total_words)
+StreamSource::StreamSource(std::string name, core::NiPort* port, int connid,
+                           const Injection& injection, Rng rng)
     : sim::Module(std::move(name)),
       port_(port),
       connid_(connid),
-      period_(period),
-      words_per_period_(words_per_period),
-      timestamp_mode_(timestamp_mode),
-      total_words_(total_words) {
+      injection_(injection),
+      rng_(rng),
+      next_emit_(injection.phase) {
   AETHEREAL_CHECK(port != nullptr);
-  AETHEREAL_CHECK(period >= 1);
-  AETHEREAL_CHECK(words_per_period >= 1);
+  AETHEREAL_CHECK(injection.period >= 1);
+  AETHEREAL_CHECK(injection.words >= 1);
+  AETHEREAL_CHECK(injection.phase >= 0);
 }
 
-void StreamProducer::Evaluate() {
-  if (!active_) {
-    Park();  // Start() wakes us
+void StreamSource::Activate(Cycle now) {
+  active_ = true;
+  backlog_ = 0;
+  // The same phase, rebased to the activation instant, so a phase's flows
+  // fan out over the period exactly like a run that started here.
+  next_emit_ = now + injection_.phase;
+  Wake();
+}
+
+void StreamSource::Deactivate() {
+  active_ = false;
+  backlog_ = 0;
+}
+
+void StreamSource::Evaluate() {
+  if (!active_ || (Done() && backlog_ == 0)) {
+    Park();  // silent until Activate() wakes us, or finished for good
     return;
   }
-  if (Done() && backlog_ == 0) {
-    Park();  // finished for good
-    return;
-  }
-  if (CycleCount() >= next_emit_) {
-    std::int64_t due = words_per_period_;
-    if (total_words_ >= 0) {
-      due = std::min<std::int64_t>(due,
-                                   total_words_ - words_written_ - backlog_);
+  const Cycle now = CycleCount();
+  if (now >= next_emit_) {
+    std::int64_t due = injection_.words;
+    if (injection_.total_words >= 0) {
+      due = std::min(due,
+                     injection_.total_words - words_written_ - backlog_);
     }
     if (due > 0) {
       backlog_ += due;
-      next_emit_ = CycleCount() + period_;
+      next_emit_ = now + injection_.period;
+      if (injection_.rate > 0) next_emit_ += rng_.NextGeometric(injection_.rate);
     }
   }
-  // Push at most one word per cycle (the port is a 32-bit interface).
+  // The port is a 32-bit interface: at most one word per cycle.
   if (backlog_ > 0) {
     if (port_->CanWrite(connid_)) {
-      const Word value = timestamp_mode_ ? static_cast<Word>(CycleCount())
-                                         : seq_++;
-      port_->Write(connid_, value);
+      port_->Write(connid_, static_cast<Word>(now));
       --backlog_;
       ++words_written_;
     } else {
       ++stall_cycles_;
     }
-  } else if (next_emit_ > CycleCount()) {
-    // Nothing due until the next emission tick: sleep through the gap.
+  } else if (next_emit_ > now) {
+    // Nothing due until the next injection event: sleep through the gap.
     // (A full source queue keeps us awake — space frees asynchronously.)
     ParkUntil(next_emit_);
   }
 }
 
+Relay::Relay(std::string name, core::NiPort* port, int in_connid,
+             int out_connid)
+    : sim::Module(std::move(name)),
+      port_(port),
+      in_connid_(in_connid),
+      out_connid_(out_connid) {
+  AETHEREAL_CHECK(port != nullptr);
+  AETHEREAL_CHECK(in_connid != out_connid);
+  // Park on an empty input queue; deliveries wake us in time.
+  port->WakeOnDelivery(in_connid, this);
+}
+
+void Relay::Evaluate() {
+  if (port_->ReadAvailable(in_connid_) == 0) {
+    Park();  // empty input: sleep until the next delivery
+    return;
+  }
+  if (!port_->CanWrite(out_connid_)) return;  // output full: retry next cycle
+  port_->Write(out_connid_, port_->Read(in_connid_));
+  ++words_relayed_;
+}
+
 StreamConsumer::StreamConsumer(std::string name, core::NiPort* port,
-                               int connid, int drain_per_cycle,
-                               bool timestamp_mode)
+                               int connid, int drain_per_cycle)
     : sim::Module(std::move(name)),
       port_(port),
       connid_(connid),
-      drain_per_cycle_(drain_per_cycle),
-      timestamp_mode_(timestamp_mode) {
+      drain_per_cycle_(drain_per_cycle) {
   AETHEREAL_CHECK(port != nullptr);
   AETHEREAL_CHECK(drain_per_cycle >= 1);
   // Park on an empty destination queue; deliveries wake us in time for the
@@ -81,14 +109,11 @@ void StreamConsumer::Evaluate() {
       if (i == 0) Park();  // empty queue: sleep until the next delivery
       return;
     }
-    const Word value = port_->Read(connid_);
-    if (timestamp_mode_) {
-      latency_.Add(static_cast<double>(CycleCount()) -
-                   static_cast<double>(value));
-    } else {
-      if (value != expected_seq_) ++sequence_errors_;
-      expected_seq_ = value + 1;
-    }
+    const Word stamp = port_->Read(connid_);
+    latency_.Add(static_cast<double>(CycleCount()) -
+                 static_cast<double>(stamp));
+    if (static_cast<Cycle>(stamp) <= last_stamp_) ++sequence_errors_;
+    last_stamp_ = stamp;
     if (last_arrival_ >= 0) {
       inter_arrival_.Add(static_cast<double>(CycleCount() - last_arrival_));
     }

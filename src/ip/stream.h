@@ -2,9 +2,15 @@
 //
 // Paper §4.2: point-to-point connections "are useful in systems involving
 // chains of modules communicating point to point with one another (e.g.,
-// video pixel processing)". The producer stamps each word with its emission
+// video pixel processing)". The source stamps each word with its emission
 // cycle so the consumer can measure end-to-end latency and jitter — the
-// quantities the GT service bounds.
+// quantities the GT service bounds — and check in-order delivery. A relay
+// is the intermediate stage of such a chain: it forwards words between two
+// channels of one NI port with their stamps intact, so the chain's latency
+// is measured end to end.
+//
+// Every module follows the park/wake discipline of sim/kernel.h, so runs
+// are bit-identical on the soa and naive engines.
 #ifndef AETHEREAL_IP_STREAM_H
 #define AETHEREAL_IP_STREAM_H
 
@@ -12,64 +18,94 @@
 
 #include "core/ni_kernel.h"
 #include "sim/kernel.h"
+#include "util/rng.h"
 #include "util/stats.h"
 #include "util/types.h"
 
 namespace aethereal::ip {
 
-class StreamProducer : public sim::Module {
+/// An injection process: an event every `period` cycles puts `words` words
+/// in the source's backlog. With `rate` > 0 the events are Bernoulli
+/// instead: each one is followed by `period` cycles plus a geometric(rate)
+/// gap. The first event falls `phase` cycles after activation.
+struct Injection {
+  std::int64_t period = 1;
+  std::int64_t words = 1;
+  double rate = 0;
+  Cycle phase = 0;
+  std::int64_t total_words = -1;  // words to emit in all (-1: unbounded)
+};
+
+class StreamSource : public sim::Module {
  public:
-  /// Emits `words_per_period` words every `period` cycles (period >= 1).
-  /// In timestamp mode each word carries the emission cycle; otherwise a
-  /// running sequence number.
-  StreamProducer(std::string name, core::NiPort* port, int connid,
-                 std::int64_t period, int words_per_period,
-                 bool timestamp_mode = true,
-                 std::int64_t total_words = -1);
+  /// Writes the words of `injection` on `connid`, each stamped with its
+  /// emission cycle. `rng` draws the Bernoulli gaps (unused at rate 0).
+  StreamSource(std::string name, core::NiPort* port, int connid,
+               const Injection& injection, Rng rng = Rng());
+
+  /// Starts injecting: the first event happens at `now` plus the phase.
+  /// Callable between cycles only.
+  void Activate(Cycle now);
+
+  /// Stops injecting immediately; pending backlog is discarded so
+  /// words_written() is final as soon as this returns.
+  void Deactivate();
+
+  bool active() const { return active_; }
 
   std::int64_t words_written() const { return words_written_; }
   std::int64_t stall_cycles() const { return stall_cycles_; }
   bool Done() const {
-    return total_words_ >= 0 && words_written_ >= total_words_;
+    return injection_.total_words >= 0 &&
+           words_written_ >= injection_.total_words;
   }
-
-  /// Producers can be held idle and started under application control
-  /// (e.g. after a run-time reconfiguration).
-  void Start() {
-    active_ = true;
-    Wake();  // a stopped producer parks itself
-  }
-  void Stop() { active_ = false; }
-  bool active() const { return active_; }
 
   void Evaluate() override;
 
  private:
   core::NiPort* port_;
   int connid_;
-  std::int64_t period_;
-  int words_per_period_;
-  bool timestamp_mode_;
-  std::int64_t total_words_;
+  Injection injection_;
+  Rng rng_;
   bool active_ = true;
+  std::int64_t backlog_ = 0;  // words due but not yet accepted
+  Cycle next_emit_ = 0;
   std::int64_t words_written_ = 0;
   std::int64_t stall_cycles_ = 0;
-  std::int64_t backlog_ = 0;  // words due but not yet accepted
-  std::int64_t next_emit_ = 0;
-  Word seq_ = 0;
+};
+
+/// Forwards words from one channel to another on the same NI port, one
+/// word per cycle (a pixel-processing stage whose transform keeps the
+/// emission stamp intact).
+class Relay : public sim::Module {
+ public:
+  Relay(std::string name, core::NiPort* port, int in_connid, int out_connid);
+
+  std::int64_t words_relayed() const { return words_relayed_; }
+
+  void Evaluate() override;
+
+ private:
+  core::NiPort* port_;
+  int in_connid_;
+  int out_connid_;
+  std::int64_t words_relayed_ = 0;
 };
 
 class StreamConsumer : public sim::Module {
  public:
-  /// Drains up to `drain_per_cycle` words per cycle. In timestamp mode,
-  /// per-word latency (arrival - emission) is recorded; inter-arrival gaps
-  /// are recorded always (jitter).
+  /// Drains up to `drain_per_cycle` words per cycle, recording per-word
+  /// latency (arrival - emission stamp) and inter-arrival gaps (jitter).
   StreamConsumer(std::string name, core::NiPort* port, int connid,
-                 int drain_per_cycle = 1, bool timestamp_mode = true);
+                 int drain_per_cycle = 1);
 
   std::int64_t words_read() const { return words_read_; }
   const Stats& latency() const { return latency_; }
   const Stats& inter_arrival() const { return inter_arrival_; }
+  /// Words whose stamp is not above the previous word's. A source writes
+  /// at most one word per cycle, so its stamps strictly increase: zero
+  /// errors plus words_read == words_written proves exactly-once,
+  /// in-order delivery.
   std::int64_t sequence_errors() const { return sequence_errors_; }
 
   void Evaluate() override;
@@ -78,9 +114,8 @@ class StreamConsumer : public sim::Module {
   core::NiPort* port_;
   int connid_;
   int drain_per_cycle_;
-  bool timestamp_mode_;
   std::int64_t words_read_ = 0;
-  Word expected_seq_ = 0;
+  Cycle last_stamp_ = -1;
   std::int64_t sequence_errors_ = 0;
   Cycle last_arrival_ = -1;
   Stats latency_;

@@ -2,6 +2,8 @@
 
 #include <string>
 
+#include "util/check.h"
+
 namespace aethereal::scenario {
 
 namespace {
@@ -169,6 +171,34 @@ Result<std::vector<Flow>> ExpandPattern(const ScenarioSpec& spec,
     }
   }
   return flows;
+}
+
+ip::Injection StreamInjection(const TrafficSpec& traffic, Rng& rng) {
+  ip::Injection injection;
+  switch (traffic.inject) {
+    case InjectKind::kPeriodic:
+      injection.period = traffic.period;
+      break;
+    case InjectKind::kBernoulli:
+      injection.rate = traffic.rate;
+      break;
+    case InjectKind::kBursty:
+      // The burst occupies burst_words cycles on the port, then the line
+      // goes idle for gap_cycles.
+      injection.period = traffic.burst_words + traffic.gap_cycles;
+      injection.words = traffic.burst_words;
+      break;
+    case InjectKind::kClosedLoop:
+      AETHEREAL_CHECK_MSG(false, "closed-loop traffic has no stream source");
+  }
+  // Seeded phase offset: flows of one pattern must not inject in lockstep,
+  // or the arbiter would see an artificial synchronized burst every period.
+  injection.phase =
+      injection.rate > 0
+          ? rng.NextGeometric(injection.rate)
+          : static_cast<Cycle>(
+                rng.NextBelow(static_cast<std::uint64_t>(injection.period)));
+  return injection;
 }
 
 }  // namespace aethereal::scenario

@@ -5,12 +5,15 @@
 // (uniform random, transpose, bit-complement, bit-reversal, hotspot) plus
 // the paper's own application shapes (video chains, shared-memory
 // master/slave traffic). Expansion is deterministic: the only randomness
-// is the seeded permutation of the uniform pattern.
+// is the seeded permutation of the uniform pattern. StreamInjection turns
+// a directive's injection process into the one rule every stream source
+// follows (ip/stream.h).
 #ifndef AETHEREAL_SCENARIO_PATTERNS_H
 #define AETHEREAL_SCENARIO_PATTERNS_H
 
 #include <vector>
 
+#include "ip/stream.h"
 #include "scenario/spec.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -39,6 +42,14 @@ Result<std::vector<Flow>> ExpandPattern(const ScenarioSpec& spec,
 /// A seeded random permutation with no fixed points (every NI sends, no NI
 /// sends to itself). Exposed for direct testing.
 std::vector<NiId> UniformPartners(int num_nis, Rng& rng);
+
+/// The injection process of a stream directive: `periodic N` is (N, 1),
+/// `bursty W G` is (W+G, W) and `bernoulli P` is (1, 1) at rate P. The
+/// phase offset is drawn from `rng` (geometric for Bernoulli, uniform over
+/// the period otherwise) so flows of one pattern do not inject in
+/// lockstep; the caller hands `rng` on to the source for its Bernoulli
+/// gaps.
+ip::Injection StreamInjection(const TrafficSpec& traffic, Rng& rng);
 
 }  // namespace aethereal::scenario
 

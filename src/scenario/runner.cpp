@@ -427,13 +427,15 @@ Status ScenarioRunner::Build() {
       } else {
         const std::string label =
             tag + (video ? "_video" : "f" + std::to_string(first));
-        f.source = std::make_unique<PatternSource>(
+        Rng flow_rng(rng.Next());
+        const ip::Injection injection = StreamInjection(traffic, flow_rng);
+        f.source = std::make_unique<ip::StreamSource>(
             label + "_src", soc_->port(in.flow.src, 0), in.src_connid,
-            traffic, rng.Next());
+            injection, flow_rng);
         soc_->RegisterOnPort(f.source.get(), in.flow.src, 0);
         for (std::size_t h = first; h + 1 < first + span; ++h) {
           const NiId at = wired[h].flow.dst;
-          auto relay = std::make_unique<Relay>(
+          auto relay = std::make_unique<ip::Relay>(
               tag + "_relay" + std::to_string(h), soc_->port(at, 0),
               wired[h].dst_connid, wired[h + 1].src_connid);
           soc_->RegisterOnPort(relay.get(), at, 0);
@@ -441,8 +443,7 @@ Status ScenarioRunner::Build() {
         }
         f.consumer = std::make_unique<ip::StreamConsumer>(
             label + "_sink", soc_->port(out.flow.dst, 0), out.dst_connid,
-            /*drain_per_cycle=*/video ? 1 : kFlitWords,
-            /*timestamp_mode=*/true);
+            /*drain_per_cycle=*/video ? 1 : kFlitWords);
         soc_->RegisterOnPort(f.consumer.get(), out.flow.dst, 0);
       }
       // A phased flow stays silent until its phase begins.

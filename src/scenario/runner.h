@@ -22,7 +22,6 @@
 #include "ip/stream.h"
 #include "ip/traffic_gen.h"
 #include "scenario/patterns.h"
-#include "scenario/sources.h"
 #include "scenario/spec.h"
 #include "shells/master_shell.h"
 #include "shells/slave_shell.h"
@@ -291,8 +290,8 @@ class ScenarioRunner {
     NiId dst() const { return hops.back().flow.dst; }
 
     // Streams and video chains.
-    std::unique_ptr<PatternSource> source;
-    std::vector<std::unique_ptr<Relay>> relays;
+    std::unique_ptr<ip::StreamSource> source;
+    std::vector<std::unique_ptr<ip::Relay>> relays;
     std::unique_ptr<ip::StreamConsumer> consumer;
     // Memory flows.
     int burst_words = 0;

@@ -65,10 +65,9 @@ TEST_P(KernelSweep, DeliversEverythingInOrderAndRecyclesCredits) {
                   .ok());
 
   constexpr std::int64_t kWords = 400;
-  ip::StreamProducer producer("p", soc.port(0, 0), 0, /*period=*/1,
-                              /*words=*/1, /*timestamp=*/false, kWords);
-  ip::StreamConsumer consumer("c", soc.port(1, 0), 0, 1,
-                              /*timestamp=*/false);
+  ip::StreamSource producer("p", soc.port(0, 0), 0,
+                            ip::Injection{.period = 1, .total_words = kWords});
+  ip::StreamConsumer consumer("c", soc.port(1, 0), 0, 1);
   soc.RegisterOnPort(&producer, 0, 0);
   soc.RegisterOnPort(&consumer, 1, 0);
   soc.RunCycles(2);

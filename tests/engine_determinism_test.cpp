@@ -420,13 +420,12 @@ std::int64_t SteadyStateAllocations(SocOptions options) {
                          be, be)
           .ok());
 
-  std::vector<std::unique_ptr<ip::StreamProducer>> producers;
+  std::vector<std::unique_ptr<ip::StreamSource>> producers;
   std::vector<std::unique_ptr<SilentConsumer>> consumers;
   const std::pair<NiId, NiId> flows[] = {{0, 3}, {3, 0}, {1, 2}, {2, 1}};
   for (const auto& [src, dst] : flows) {
-    producers.push_back(std::make_unique<ip::StreamProducer>(
-        "p", soc.port(src, 0), 0, /*period=*/48, /*words=*/6,
-        /*timestamp=*/false, /*total=*/-1));
+    producers.push_back(std::make_unique<ip::StreamSource>(
+        "p", soc.port(src, 0), 0, ip::Injection{.period = 48, .words = 6}));
     soc.RegisterOnPort(producers.back().get(), src, 0);
     consumers.push_back(
         std::make_unique<SilentConsumer>("c", soc.port(dst, 0), 0));

@@ -8,7 +8,7 @@
 #include "ip/memory_slave.h"
 #include "ip/stream.h"
 #include "ip/traffic_gen.h"
-#include "scenario/sources.h"
+#include "scenario/patterns.h"
 #include "scenario/wiring.h"
 #include "shells/master_shell.h"
 #include "shells/slave_shell.h"
@@ -250,17 +250,23 @@ std::vector<std::string> RecordSchedules(sim::EngineKind engine) {
   scenario::TrafficSpec phased = traffic(scenario::InjectKind::kPeriodic);
   phased.period = 6;
 
-  scenario::PatternSource s0("periodic", soc->port(0, 0), 0, periodic, 11);
-  scenario::PatternSource s1("bursty", soc->port(1, 0), 0, bursty, 12);
-  scenario::PatternSource s2("bernoulli", soc->port(2, 0), 0, bernoulli, 13);
-  StreamProducer s3("backlog", soc->port(3, 0), 0, /*period=*/2,
-                    /*words_per_period=*/5);
-  StreamProducer s4("capped", soc->port(4, 0), 0, /*period=*/3,
-                    /*words_per_period=*/2, /*timestamp=*/true,
-                    /*total=*/7);
-  StreamProducer s5("restarted", soc->port(5, 0), 0, /*period=*/4,
-                    /*words_per_period=*/1);
-  scenario::PatternSource s6("reactivated", soc->port(6, 0), 0, phased, 14);
+  // Scenario sources draw their phase offset, then their Bernoulli gaps,
+  // from one per-flow seed.
+  auto seeded = [&](const char* name, NiId ni,
+                    const scenario::TrafficSpec& t, std::uint64_t seed) {
+    Rng rng(seed);
+    const Injection injection = scenario::StreamInjection(t, rng);
+    return StreamSource(name, soc->port(ni, 0), 0, injection, rng);
+  };
+  StreamSource s0 = seeded("periodic", 0, periodic, 11);
+  StreamSource s1 = seeded("bursty", 1, bursty, 12);
+  StreamSource s2 = seeded("bernoulli", 2, bernoulli, 13);
+  StreamSource s3("backlog", soc->port(3, 0), 0,
+                  Injection{.period = 2, .words = 5});
+  StreamSource s4("capped", soc->port(4, 0), 0,
+                  Injection{.period = 3, .words = 2, .total_words = 7});
+  StreamSource s5("restarted", soc->port(5, 0), 0, Injection{.period = 4});
+  StreamSource s6 = seeded("reactivated", 6, phased, 14);
   std::vector<std::unique_ptr<StreamConsumer>> sinks;
   for (NiId i = 0; i < kSources; ++i) {
     sinks.push_back(std::make_unique<StreamConsumer>(
@@ -284,8 +290,8 @@ std::vector<std::string> RecordSchedules(sim::EngineKind engine) {
   std::vector<std::string> schedules(kSources);
   for (int step = 0; step < kScheduleSteps; ++step) {
     // Silenced with an empty backlog, restarted after its pending event.
-    if (step == 30) s5.Stop();
-    if (step == 50) s5.Start();
+    if (step == 30) s5.Deactivate();
+    if (step == 50) s5.Activate(soc->port_clock(5, 0)->cycles());
     // Silenced mid-run, restarted at its seeded phase from the new origin.
     if (step == 40) s6.Deactivate();
     if (step == 61) s6.Activate(soc->port_clock(6, 0)->cycles());
@@ -341,9 +347,8 @@ TEST(Stream, ProducerConsumerLatencyAndOrder) {
   soc::Soc soc(std::move(star.topology), std::move(params));
   ASSERT_TRUE(soc.OpenConnection(GlobalChannel{0, 0}, GlobalChannel{1, 0}).ok());
 
-  StreamProducer producer("producer", soc.port(0, 0), 0, /*period=*/4,
-                          /*words_per_period=*/1, /*timestamp=*/true,
-                          /*total=*/100);
+  StreamSource producer("producer", soc.port(0, 0), 0,
+                        Injection{.period = 4, .total_words = 100});
   StreamConsumer consumer("consumer", soc.port(1, 0), 0);
   soc.RegisterOnPort(&producer, 0, 0);
   soc.RegisterOnPort(&consumer, 1, 0);
@@ -366,11 +371,9 @@ TEST(Stream, SequenceModeDetectsNoErrorsOnCleanChannel) {
   std::vector<core::NiKernelParams> params{OneChannelNi(), OneChannelNi()};
   soc::Soc soc(std::move(star.topology), std::move(params));
   ASSERT_TRUE(soc.OpenConnection(GlobalChannel{0, 0}, GlobalChannel{1, 0}).ok());
-  StreamProducer producer("producer", soc.port(0, 0), 0, /*period=*/1,
-                          /*words_per_period=*/1, /*timestamp=*/false,
-                          /*total=*/300);
-  StreamConsumer consumer("consumer", soc.port(1, 0), 0, 1,
-                          /*timestamp=*/false);
+  StreamSource producer("producer", soc.port(0, 0), 0,
+                        Injection{.period = 1, .total_words = 300});
+  StreamConsumer consumer("consumer", soc.port(1, 0), 0, 1);
   soc.RegisterOnPort(&producer, 0, 0);
   soc.RegisterOnPort(&consumer, 1, 0);
   soc.RunCycles(2);
@@ -381,6 +384,38 @@ TEST(Stream, SequenceModeDetectsNoErrorsOnCleanChannel) {
   }
   ASSERT_EQ(consumer.words_read(), 300);
   EXPECT_EQ(consumer.sequence_errors(), 0);
+}
+
+// Writes a fixed list of words on one channel, one per cycle.
+class ScriptedWriter : public sim::Module {
+ public:
+  ScriptedWriter(core::NiPort* port, std::vector<Word> words)
+      : sim::Module("writer"), port_(port), words_(std::move(words)) {}
+  void Evaluate() override {
+    if (next_ < words_.size() && port_->CanWrite(0)) {
+      port_->Write(0, words_[next_++]);
+    }
+  }
+
+ private:
+  core::NiPort* port_;
+  std::vector<Word> words_;
+  std::size_t next_ = 0;
+};
+
+TEST(Stream, ConsumerCountsStampsThatDoNotIncrease) {
+  auto star = topology::BuildStar(2);
+  std::vector<core::NiKernelParams> params{OneChannelNi(), OneChannelNi()};
+  soc::Soc soc(std::move(star.topology), std::move(params));
+  ASSERT_TRUE(soc.OpenConnection(GlobalChannel{0, 0}, GlobalChannel{1, 0}).ok());
+  // A repeated stamp and a stamp below its predecessor: two errors.
+  ScriptedWriter writer(soc.port(0, 0), {4, 7, 7, 2, 9});
+  StreamConsumer consumer("consumer", soc.port(1, 0), 0);
+  soc.RegisterOnPort(&writer, 0, 0);
+  soc.RegisterOnPort(&consumer, 1, 0);
+  soc.RunCycles(200);
+  ASSERT_EQ(consumer.words_read(), 5);
+  EXPECT_EQ(consumer.sequence_errors(), 2);
 }
 
 }  // namespace

@@ -10,7 +10,6 @@
 
 #include "scenario/patterns.h"
 #include "scenario/runner.h"
-#include "scenario/sources.h"
 #include "scenario/spec.h"
 #include "util/rng.h"
 

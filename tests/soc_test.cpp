@@ -39,8 +39,8 @@ TEST(SocMesh, GtStreamAcrossThreeHops) {
                                  gt, ChannelQos{})
                   .ok());
 
-  ip::StreamProducer producer("producer", soc.port(0, 0), 0, /*period=*/3,
-                              /*words=*/1, true, /*total=*/200);
+  ip::StreamSource producer("producer", soc.port(0, 0), 0,
+                            ip::Injection{.period = 3, .total_words = 200});
   ip::StreamConsumer consumer("consumer", soc.port(3, 0), 0);
   soc.RegisterOnPort(&producer, 0, 0);
   soc.RegisterOnPort(&consumer, 3, 0);
@@ -79,8 +79,8 @@ TEST(SocMesh, GtLatencyBoundHolds) {
                                    gt, ChannelQos{});
   ASSERT_TRUE(handle.ok());
 
-  ip::StreamProducer producer("producer", soc.port(0, 0), 0, /*period=*/12,
-                              /*words=*/1, true, /*total=*/100);
+  ip::StreamSource producer("producer", soc.port(0, 0), 0,
+                            ip::Injection{.period = 12, .total_words = 100});
   ip::StreamConsumer consumer("consumer", soc.port(3, 0), 0);
   soc.RegisterOnPort(&producer, 0, 0);
   soc.RegisterOnPort(&consumer, 3, 0);
@@ -113,12 +113,12 @@ TEST(SocMesh, BeTrafficCrossesMeshUnderContention) {
                                    GlobalChannel{pair[1], 0})
                     .ok());
   }
-  std::vector<std::unique_ptr<ip::StreamProducer>> producers;
+  std::vector<std::unique_ptr<ip::StreamSource>> producers;
   std::vector<std::unique_ptr<ip::StreamConsumer>> consumers;
   for (int i = 0; i < 4; ++i) {
-    producers.push_back(std::make_unique<ip::StreamProducer>(
-        "p" + std::to_string(i), soc.port(pairs[i][0], 0), 0, 2, 1, true,
-        300));
+    producers.push_back(std::make_unique<ip::StreamSource>(
+        "p" + std::to_string(i), soc.port(pairs[i][0], 0), 0,
+        ip::Injection{.period = 2, .total_words = 300}));
     consumers.push_back(std::make_unique<ip::StreamConsumer>(
         "c" + std::to_string(i), soc.port(pairs[i][1], 0), 0));
     soc.RegisterOnPort(producers.back().get(), pairs[i][0], 0);
@@ -155,11 +155,14 @@ TEST(SocMesh, GtUnaffectedByBeCongestion) {
   ASSERT_TRUE(soc.OpenConnection(GlobalChannel{1, 1}, GlobalChannel{3, 1}).ok());
   ASSERT_TRUE(soc.OpenConnection(GlobalChannel{2, 2}, GlobalChannel{3, 2}).ok());
 
-  ip::StreamProducer gt_prod("gt_p", soc.port(0, 0), 0, 6, 1, true, 200);
+  ip::StreamSource gt_prod("gt_p", soc.port(0, 0), 0,
+                           ip::Injection{.period = 6, .total_words = 200});
   ip::StreamConsumer gt_cons("gt_c", soc.port(3, 0), 0);
-  ip::StreamProducer be1("be1", soc.port(1, 0), 1, 1, 1, true, 2000);
+  ip::StreamSource be1("be1", soc.port(1, 0), 1,
+                       ip::Injection{.period = 1, .total_words = 2000});
   ip::StreamConsumer bc1("bc1", soc.port(3, 0), 1);
-  ip::StreamProducer be2("be2", soc.port(2, 0), 2, 1, 1, true, 2000);
+  ip::StreamSource be2("be2", soc.port(2, 0), 2,
+                       ip::Injection{.period = 1, .total_words = 2000});
   ip::StreamConsumer bc2("bc2", soc.port(3, 0), 2);
   soc.RegisterOnPort(&gt_prod, 0, 0);
   soc.RegisterOnPort(&gt_cons, 3, 0);
