@@ -75,8 +75,7 @@ void Clock::PopDueTimers() {
 // saturated best-effort mesh every router wake-chains its downstream
 // neighbours, and sweeping the live words re-evaluated about half of them
 // a second time per slot edge.
-void Clock::RunFlagged(const std::vector<std::uint64_t>& bits,
-                       bool per_module_stride) {
+void Clock::RunFlagged(const std::vector<std::uint64_t>& bits) {
   const std::size_t words = bits.size();
   for (std::size_t w = 0; w < words; ++w) {
     std::uint64_t chunk = bits[w];
@@ -84,7 +83,6 @@ void Clock::RunFlagged(const std::vector<std::uint64_t>& bits,
       const int b = std::countr_zero(chunk);
       chunk &= chunk - 1;
       Module* m = modules_[(w << 6) + static_cast<std::size_t>(b)];
-      if (per_module_stride && cycles_ % m->evaluate_stride_ != 0) continue;
       m->Evaluate();
     }
   }
@@ -110,18 +108,13 @@ void Clock::EvaluatePhase(bool gated) {
   // edge (see RunFlagged). assign() reuses capacity — no steady-state
   // allocation. The strided words are only copied on a boundary edge.
   eval_scratch_.assign(eval_every_bits_.begin(), eval_every_bits_.end());
-  const bool strided_fire =
-      strided_uniform_ < 0 ||
-      (strided_uniform_ > 0 && cycles_ % strided_uniform_ == 0);
+  const bool strided_fire = stride_ > 0 && cycles_ % stride_ == 0;
   if (strided_fire) {
     eval_scratch_strided_.assign(eval_strided_bits_.begin(),
                                  eval_strided_bits_.end());
   }
-  RunFlagged(eval_scratch_, /*per_module_stride=*/false);
-  if (strided_fire) {
-    RunFlagged(eval_scratch_strided_,
-               /*per_module_stride=*/strided_uniform_ < 0);
-  }
+  RunFlagged(eval_scratch_);
+  if (strided_fire) RunFlagged(eval_scratch_strided_);
   if (profile_ != nullptr) profile_->evaluate_sec += SecondsSince(t0);
 }
 

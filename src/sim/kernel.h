@@ -131,7 +131,8 @@ class Module {
 
   /// Declares that Evaluate() does nothing except on cycles where
   /// CycleCount() % stride == 0 (slot-granular modules: routers, NI
-  /// kernels). The gated engine then calls it only on those cycles.
+  /// kernels). The gated engine then calls it only on those cycles. The
+  /// strided modules of one clock share one stride (CHECKed).
   void SetEvaluateStride(int stride);  // inline below
 
  private:
@@ -209,11 +210,12 @@ class Clock {
     } else {
       SetBit(eval_every_bits_, i, false);
       SetBit(eval_strided_bits_, i, true);
-      if (strided_uniform_ == 0) {
-        strided_uniform_ = m->evaluate_stride_;
-      } else if (strided_uniform_ != m->evaluate_stride_) {
-        strided_uniform_ = -1;  // mixed strides: check per module
-      }
+      AETHEREAL_CHECK_MSG(stride_ == 0 || stride_ == m->evaluate_stride_,
+                          m->name() << " has stride " << m->evaluate_stride_
+                                    << " but clock " << name_
+                                    << " runs its strided modules every "
+                                    << stride_ << " cycles");
+      stride_ = m->evaluate_stride_;
     }
   }
 
@@ -236,8 +238,7 @@ class Clock {
     cycles_ += 1;
     next_edge_ps_ += period_ps_;
   }
-  void RunFlagged(const std::vector<std::uint64_t>& bits,
-                  bool per_module_stride);
+  void RunFlagged(const std::vector<std::uint64_t>& bits);
   void PopDueTimers();
 
   struct Timer {
@@ -272,7 +273,7 @@ class Clock {
   // wakes mutate the live words above, not the working set.
   std::vector<std::uint64_t> eval_scratch_;
   std::vector<std::uint64_t> eval_scratch_strided_;
-  int strided_uniform_ = 0;  // shared stride over ALL strided modules ever
+  int stride_ = 0;  // the one stride of the strided modules (0: none yet)
 
   EngineProfile* profile_ = nullptr;  // set while the kernel profiles
 };

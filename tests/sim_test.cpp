@@ -180,6 +180,28 @@ TEST(FifoContract, SameEdgePushPopIsFlowThrough) {
   }
 }
 
+// A slot-granular module: Evaluate() matters only every `stride` cycles.
+class Strided : public Module {
+ public:
+  Strided(std::string name, int stride) : Module(std::move(name)) {
+    SetEvaluateStride(stride);
+  }
+  void Restride(int stride) { SetEvaluateStride(stride); }
+  void Evaluate() override {}
+};
+
+TEST(KernelDeathTest, StridedModulesOfOneClockShareOneStride) {
+  Kernel kernel;
+  Clock* clk = kernel.AddClock("clk", 1000);
+  Strided a("a", 3);
+  Strided b("b", 3);
+  clk->Register(&a);
+  clk->Register(&b);
+  Strided c("c", 2);
+  EXPECT_DEATH(clk->Register(&c), "stride 2");
+  EXPECT_DEATH(b.Restride(4), "stride 4");
+}
+
 TEST(FifoDeathTest, OverflowChecks) {
   Kernel kernel;
   Clock* clk = kernel.AddClock("clk", 1000);
