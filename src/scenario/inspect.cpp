@@ -1,55 +1,19 @@
 #include "scenario/inspect.h"
 
-#include <algorithm>
 #include <sstream>
-
-#include "scenario/runner.h"
-#include "util/rng.h"
 
 namespace aethereal::scenario {
 
-Result<Inspection> InspectScenario(const ScenarioSpec& spec, bool wire) {
+Result<Inspection> InspectScenario(const ScenarioSpec& spec) {
+  ScenarioRunner runner(spec);
+  if (Status s = runner.Build(); !s.ok()) return s;
   Inspection inspection;
   inspection.spec = spec;
   inspection.num_nis = spec.NumNis();
-
-  // Mirror of ScenarioRunner::Build: one seeded master RNG, patterns
-  // expanded in directive order, connids assigned per NI in flow order.
-  // Phased scenarios provision the configuration plumbing first: one
-  // channel per remote NI at the Cfg NI, a CNIP channel everywhere else.
-  Rng rng(spec.seed);
-  std::vector<int> next_connid(static_cast<std::size_t>(spec.NumNis()), 0);
-  for (std::size_t n = 0; n < next_connid.size(); ++n) {
-    next_connid[n] = spec.ConfigChannelsOf(static_cast<NiId>(n));
+  for (NiId n = 0; n < static_cast<NiId>(inspection.num_nis); ++n) {
+    inspection.channels_per_ni.push_back(runner.soc()->ni(n)->NumChannels());
   }
-  for (std::size_t g = 0; g < spec.traffic.size(); ++g) {
-    auto flows = ExpandPattern(spec, spec.traffic[g], rng);
-    if (!flows.ok()) {
-      return Status(flows.status().code(),
-                    "traffic directive " + std::to_string(g) + " (" +
-                        PatternKindName(spec.traffic[g].pattern) +
-                        "): " + flows.status().message());
-    }
-    for (const Flow& flow : *flows) {
-      InspectedFlow inspected;
-      inspected.group = static_cast<int>(g);
-      inspected.flow = flow;
-      inspected.src_connid = next_connid[static_cast<std::size_t>(flow.src)]++;
-      inspected.dst_connid = next_connid[static_cast<std::size_t>(flow.dst)]++;
-      inspection.flows.push_back(inspected);
-    }
-  }
-  inspection.channels_per_ni.reserve(next_connid.size());
-  for (int count : next_connid) {
-    inspection.channels_per_ni.push_back(std::max(count, 1));
-  }
-
-  if (wire) {
-    // The full Build catches what structure alone cannot: GT slot-table
-    // exhaustion, channel/queue provisioning limits, path constraints.
-    ScenarioRunner runner(spec);
-    if (Status s = runner.Build(); !s.ok()) return s;
-  }
+  inspection.flows = runner.hops();
   return inspection;
 }
 
@@ -107,11 +71,11 @@ std::string Inspection::Describe() const {
     os << " qos " << (traffic.gt ? "gt " + std::to_string(traffic.gt_slots)
                                  : std::string("be"));
     std::size_t count = 0;
-    for (const InspectedFlow& f : flows) {
+    for (const ScenarioRunner::Hop& f : flows) {
       if (f.group == static_cast<int>(g)) ++count;
     }
     os << " — " << count << " flow" << (count == 1 ? "" : "s") << ":\n";
-    for (const InspectedFlow& f : flows) {
+    for (const ScenarioRunner::Hop& f : flows) {
       if (f.group != static_cast<int>(g)) continue;
       os << "    " << f.flow.src << " -> " << f.flow.dst << " (connids "
          << f.src_connid << " -> " << f.dst_connid << ")\n";

@@ -1,49 +1,36 @@
-// Scenario inspection: expand a parsed spec into the SoC it implies —
-// topology, per-NI channel provisioning, every concrete flow with its
-// connids — without running a single cycle. Shared by `noc_sim
-// --validate/--print` and `noc_sweep --validate` so grid validation stays
-// fast and both CLIs report identical diagnostics.
-//
-// The expansion mirrors ScenarioRunner::Build exactly (same RNG draw
-// order, same connid assignment); with `wire` it additionally performs
-// the full Build so resource errors (slot-table exhaustion, queue
-// budget) surface too.
+// Scenario inspection: build the SoC a parsed spec implies — topology,
+// per-NI channel provisioning, every concrete flow with its connids —
+// without running a single cycle. Shared by `noc_sim --validate/--print`
+// and `noc_sweep --validate` so both CLIs report identical diagnostics.
+// The flows and channel counts are read from ScenarioRunner::Build, so
+// the inspection cannot drift from what a run wires.
 #ifndef AETHEREAL_SCENARIO_INSPECT_H
 #define AETHEREAL_SCENARIO_INSPECT_H
 
 #include <string>
 #include <vector>
 
-#include "scenario/patterns.h"
+#include "scenario/runner.h"
 #include "scenario/spec.h"
 #include "util/status.h"
 
 namespace aethereal::scenario {
 
-/// One concrete flow of the expanded scenario.
-struct InspectedFlow {
-  int group = 0;  // owning traffic-directive index
-  Flow flow;
-  int src_connid = 0;
-  int dst_connid = 0;
-};
-
 struct Inspection {
   ScenarioSpec spec;
   int num_nis = 0;
-  std::vector<int> channels_per_ni;  // flow endpoints per NI (min 1 wired)
-  std::vector<InspectedFlow> flows;  // directive order, then pattern order
+  std::vector<int> channels_per_ni;  // as built (idle NIs get one)
+  std::vector<ScenarioRunner::Hop> flows;  // directive, then pattern order
 
   /// Human-readable dump of the expanded SoC (the `noc_sim --print`
   /// output).
   std::string Describe() const;
 };
 
-/// Expands every traffic directive of `spec`. With `wire`, also builds
-/// the full SoC (ScenarioRunner::Build) so wiring-time errors are caught;
-/// without it, only pattern/structure errors are (cheap enough for large
-/// grids).
-Result<Inspection> InspectScenario(const ScenarioSpec& spec, bool wire);
+/// Builds the SoC of `spec` (ScenarioRunner::Build), so pattern errors and
+/// wiring-time errors (GT slot-table exhaustion, channel and queue limits,
+/// path constraints) surface exactly as a run would report them.
+Result<Inspection> InspectScenario(const ScenarioSpec& spec);
 
 }  // namespace aethereal::scenario
 

@@ -332,9 +332,15 @@ Status ScenarioRunner::Build() {
 
   Rng rng(spec_.seed);
   std::vector<std::vector<Flow>> flows_by_group;
-  for (const TrafficSpec& traffic : spec_.traffic) {
+  for (std::size_t g = 0; g < spec_.traffic.size(); ++g) {
+    const TrafficSpec& traffic = spec_.traffic[g];
     auto flows = ExpandPattern(spec_, traffic, rng);
-    if (!flows.ok()) return flows.status();
+    if (!flows.ok()) {
+      return Status(flows.status().code(),
+                    "traffic directive " + std::to_string(g) + " (" +
+                        PatternKindName(traffic.pattern) +
+                        "): " + flows.status().message());
+    }
     flows_by_group.push_back(std::move(*flows));
   }
 
@@ -374,8 +380,10 @@ Status ScenarioRunner::Build() {
     std::vector<Hop> wired;
     for (const Flow& flow : flows_by_group[g]) {
       Hop w{flow, next_connid[static_cast<std::size_t>(flow.src)]++,
-            next_connid[static_cast<std::size_t>(flow.dst)]++};
+            next_connid[static_cast<std::size_t>(flow.dst)]++,
+            static_cast<int>(g)};
       wired.push_back(w);
+      hops_.push_back(w);
       const config::ConnectionSpec conn = ConnSpecOf(traffic, w);
       if (phased) {
         // Connections of a phased run are opened at runtime, over the NoC,

@@ -266,17 +266,21 @@ class ScenarioRunner {
   /// phase-dependent (bounds are checked per window by the verified run).
   Result<std::vector<GtFlowBound>> ComputeGtBounds();
 
-  soc::Soc* soc() { return soc_.get(); }
-  const ScenarioSpec& spec() const { return spec_; }
-
- private:
   /// One NoC connection of a flow, with the connids at both ends.
   struct Hop {
     Flow flow;
     int src_connid = 0;
     int dst_connid = 0;
+    int group = 0;  // owning traffic-directive index
   };
 
+  soc::Soc* soc() { return soc_.get(); }
+  const ScenarioSpec& spec() const { return spec_; }
+  /// Every connection Build() wired, in directive order, then pattern
+  /// order.
+  const std::vector<Hop>& hops() const { return hops_; }
+
+ private:
   /// The workload IPs behind one result flow — a stream, a whole video
   /// chain, or a memory master/slave pair — and the one view the run loop
   /// measures every kind through.
@@ -344,6 +348,7 @@ class ScenarioRunner {
   bool built_ = false;
   bool ran_ = false;
   std::unique_ptr<soc::Soc> soc_;
+  std::vector<Hop> hops_;
   /// Streams, then video chains, then memory flows, each in directive
   /// order: the order convergence samples are concatenated in.
   std::vector<FlowIps> flows_;

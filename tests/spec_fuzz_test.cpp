@@ -4,8 +4,8 @@
 // parse or be rejected with a non-OK Status: never abort, hang or trip a
 // sanitizer. A value that slips past a parser usually blows up later, when
 // the SoC is wired, so parsed scenario mutants are also wired
-// (InspectScenario with `wire`), and parsed sweep mutants materialize
-// every grid point and wire the first.
+// (InspectScenario), and parsed sweep mutants materialize every grid point
+// and wire the first.
 //
 // Fixed seed and count: the test is deterministic and sized for tier-1 and
 // the ASan/UBSan build alike.
@@ -130,7 +130,7 @@ TEST(SpecFuzzTest, ScenarioMutantsParseAndWireOrFail) {
       ++parsed;
       // Wiring may still refuse the spec (slot tables full, a pattern the
       // topology cannot hold); it must do so with a Status.
-      auto inspection = scenario::InspectScenario(*spec, /*wire=*/true);
+      auto inspection = scenario::InspectScenario(*spec);
       if (!inspection.ok()) {
         EXPECT_FALSE(inspection.status().message().empty());
       }
@@ -164,8 +164,7 @@ TEST(SpecFuzzTest, SweepMutantsParseAndMaterializeOrFail) {
       for (const sweep::GridPoint& point : sweep::ExpandGrid(*spec)) {
         auto materialized = sweep::MaterializePoint(*spec, point);
         if (!materialized.ok() || point.index != 0) continue;
-        auto inspection = scenario::InspectScenario(*materialized,
-                                                    /*wire=*/true);
+        auto inspection = scenario::InspectScenario(*materialized);
         if (!inspection.ok()) {
           EXPECT_FALSE(inspection.status().message().empty());
         }

@@ -240,7 +240,7 @@ int ValidateSpecs(const CliOptions& options) {
       ++failures;
       continue;
     }
-    auto inspection = scenario::InspectScenario(*spec, /*wire=*/true);
+    auto inspection = scenario::InspectScenario(*spec);
     if (!inspection.ok()) {
       std::cerr << "noc_sim: " << path << ": " << inspection.status() << "\n";
       ++failures;

@@ -198,8 +198,7 @@ int ValidateSweep(const std::string& path, const sweep::SweepSpec& spec,
   for (const sweep::GridPoint& point : grid) {
     auto materialized = sweep::MaterializePoint(spec, point);
     if (materialized.ok()) {
-      auto inspection =
-          scenario::InspectScenario(*materialized, /*wire=*/true);
+      auto inspection = scenario::InspectScenario(*materialized);
       if (inspection.ok()) continue;
       std::cerr << "noc_sweep: " << path << " point " << point.index << ": "
                 << inspection.status() << "\n";
