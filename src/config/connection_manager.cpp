@@ -358,9 +358,12 @@ void ConnectionManager::StartNextOp() {
 }
 
 Cycle ConnectionManager::RetryDeadline(const OutstandingWrite& write) const {
+  // Exponential backoff per attempt, saturated at the longest spec-nameable
+  // wait: the timeout is at most kMaxCycles and the backoff at most 8, so
+  // nothing overflows.
   Cycle window = retry_.timeout;
   for (int a = 0; a < write.attempt && a < 16; ++a) {
-    window *= retry_.backoff;  // exponential backoff per attempt
+    window = std::min(window * retry_.backoff, kMaxCycles);
   }
   return write.issued_at + window;
 }

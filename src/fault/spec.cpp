@@ -1,6 +1,7 @@
 #include "fault/spec.h"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "util/parse.h"
@@ -30,18 +31,18 @@ Status ParseStall(const std::vector<std::string>& tokens, const char* what,
   const auto id = ParseInt64(tokens[1]);
   const auto start = ParseInt64(tokens[3]);
   const auto length = ParseInt64(tokens[4]);
-  if (!id.ok() || *id < 0) {
+  if (!id.ok() || *id < 0 || *id > std::numeric_limits<std::int32_t>::max()) {
     return InvalidArgumentError(std::string(what) +
-                                " id must be a non-negative integer, got '" +
+                                " id must be an integer in [0, 2^31), got '" +
                                 tokens[1] + "'");
   }
-  if (!start.ok() || *start < 0) {
-    return InvalidArgumentError("stall start must be a non-negative cycle, "
-                                "got '" + tokens[3] + "'");
+  if (!start.ok() || *start < 0 || *start > kMaxCycles) {
+    return InvalidArgumentError("stall start must be a non-negative cycle "
+                                "<= 2^40, got '" + tokens[3] + "'");
   }
-  if (!length.ok() || *length < 1) {
+  if (!length.ok() || *length < 1 || *length > kMaxCycles) {
     return InvalidArgumentError("stall length must be a positive cycle "
-                                "count, got '" + tokens[4] + "'");
+                                "count <= 2^40, got '" + tokens[4] + "'");
   }
   out->push_back(StallWindow{static_cast<std::int32_t>(*id), *start, *length});
   return OkStatus();
@@ -88,9 +89,10 @@ Status ApplyFaultDirective(const std::vector<std::string>& tokens,
           ParseRate(tokens[2], "config delay", &spec->config_delay_rate);
       if (!status.ok()) return status;
       const auto cycles = ParseInt64(tokens[3]);
-      if (!cycles.ok() || *cycles < 1) {
+      if (!cycles.ok() || *cycles < 1 || *cycles > kMaxCycles) {
         return InvalidArgumentError("config delay cycles must be a positive "
-                                    "integer, got '" + tokens[3] + "'");
+                                    "integer <= 2^40, got '" + tokens[3] +
+                                    "'");
       }
       spec->config_delay_cycles = *cycles;
       return OkStatus();
@@ -108,9 +110,9 @@ Status ApplyFaultDirective(const std::vector<std::string>& tokens,
     const auto timeout = ParseInt64(tokens[2]);
     const auto max_retries = ParseInt64(tokens[4]);
     const auto backoff = ParseInt64(tokens[6]);
-    if (!timeout.ok() || *timeout < 1) {
+    if (!timeout.ok() || *timeout < 1 || *timeout > kMaxCycles) {
       return InvalidArgumentError("retry timeout must be a positive cycle "
-                                  "count, got '" + tokens[2] + "'");
+                                  "count <= 2^40, got '" + tokens[2] + "'");
     }
     if (!max_retries.ok() || *max_retries < 0 || *max_retries > 64) {
       return InvalidArgumentError("retry max must be in [0, 64], got '" +
@@ -127,6 +129,32 @@ Status ApplyFaultDirective(const std::vector<std::string>& tokens,
     return OkStatus();
   }
   return InvalidArgumentError("unknown fault directive '" + kind + "'");
+}
+
+namespace {
+
+Status CheckStallTargets(const std::vector<StallWindow>& windows,
+                         const char* what, int count) {
+  for (const StallWindow& window : windows) {
+    if (window.id >= count) {
+      return InvalidArgumentError(
+          std::string("fault: ") + what + " " + std::to_string(window.id) +
+          " stall targets no " + what + " of the NoC (ids 0.." +
+          std::to_string(count - 1) + ")");
+    }
+  }
+  return OkStatus();
+}
+
+}  // namespace
+
+Status CheckFaultTargets(const FaultSpec& spec, int num_routers,
+                         int num_nis) {
+  if (Status s = CheckStallTargets(spec.router_stalls, "router", num_routers);
+      !s.ok()) {
+    return s;
+  }
+  return CheckStallTargets(spec.ni_stalls, "ni", num_nis);
 }
 
 Result<FaultSpec> ParseFaultText(const std::string& text) {

@@ -34,7 +34,8 @@
 namespace aethereal::fault {
 
 /// A half-open cycle window [start, start + length) in which component `id`
-/// (a router or NI) is stalled. Cycles are network-clock cycles.
+/// (a router or NI) is stalled. Cycles are network-clock cycles; the parser
+/// bounds start and length by kMaxCycles, so the sum cannot overflow.
 struct StallWindow {
   std::int32_t id = 0;
   Cycle start = 0;
@@ -99,6 +100,11 @@ struct FaultSpec {
 /// clauses, or out-of-range values.
 Status ApplyFaultDirective(const std::vector<std::string>& tokens,
                            FaultSpec* spec);
+
+/// Rejects a stall window whose router or NI id lies outside a NoC of
+/// `num_routers` routers and `num_nis` NIs (such a window would stall
+/// nothing). Called once the NoC is built, before the run starts.
+Status CheckFaultTargets(const FaultSpec& spec, int num_routers, int num_nis);
 
 /// Parses a standalone fault file: one directive per line, '#' comments,
 /// same grammar as the `.scn` fault block (without `fault` / `end`).

@@ -278,6 +278,13 @@ Status ScenarioRunner::BuildTopologyAndSoc(
       break;
   }
   AETHEREAL_CHECK(topo.NumNis() == spec_.NumNis());
+  if (spec_.fault.has_value()) {
+    if (Status s = fault::CheckFaultTargets(*spec_.fault, topo.NumRouters(),
+                                            topo.NumNis());
+        !s.ok()) {
+      return s;
+    }
+  }
 
   std::vector<core::NiKernelParams> ni_params;
   for (int count : channels) {

@@ -435,7 +435,7 @@ Result<ScenarioSpec> ParseScenario(const std::string& text) {
       if (!v.ok()) return v.status();
       // ~12 days of 1 GHz simulation — anything beyond this is a typo,
       // and the bound keeps warmup + duration far from Cycle overflow.
-      if (*v < 0 || *v > limits::kMaxCycles) {
+      if (*v < 0 || *v > kMaxCycles) {
         return line.Error("warmup must be in [0, 2^40]");
       }
       spec.warmup = *v;
@@ -447,7 +447,7 @@ Result<ScenarioSpec> ParseScenario(const std::string& text) {
       }
       auto v = int_arg();
       if (!v.ok()) return v.status();
-      if (*v < 1 || *v > limits::kMaxCycles) {
+      if (*v < 1 || *v > kMaxCycles) {
         return line.Error("duration must be in [1, 2^40]");
       }
       spec.duration = *v;
@@ -475,14 +475,14 @@ Result<ScenarioSpec> ParseScenario(const std::string& text) {
       if (line.tokens[2] != "duration") {
         return line.Error("phase <name> duration <cycles> [warmup <cycles>]");
       }
-      auto d = line.IntIn(line.tokens[3], 1, limits::kMaxCycles);
+      auto d = line.IntIn(line.tokens[3], 1, kMaxCycles);
       if (!d.ok()) return d.status();
       phase.duration = *d;
       if (line.tokens.size() == 6) {
         if (line.tokens[4] != "warmup") {
           return line.Error("expected 'warmup <cycles>'");
         }
-        auto w = line.IntIn(line.tokens[5], 0, limits::kMaxCycles);
+        auto w = line.IntIn(line.tokens[5], 0, kMaxCycles);
         if (!w.ok()) return w.status();
         phase.warmup = *w;
       }
@@ -499,7 +499,7 @@ Result<ScenarioSpec> ParseScenario(const std::string& text) {
     } else if (kind == "drain") {
       auto v = int_arg();
       if (!v.ok()) return v.status();
-      if (*v < 1 || *v > limits::kMaxCycles) {
+      if (*v < 1 || *v > kMaxCycles) {
         return line.Error("drain must be in [1, 2^40]");
       }
       spec.drain_cycles = *v;
@@ -549,13 +549,13 @@ Result<ScenarioSpec> ParseScenario(const std::string& text) {
           }
           spec.converge.conf = *v;
         } else if (key == "max_duration") {
-          auto v = line.IntIn(val, 1, limits::kMaxCycles);
+          auto v = line.IntIn(val, 1, kMaxCycles);
           if (!v.ok()) return v.status();
           spec.converge.max_duration = *v;
         } else if (key == "interval") {
           // A check interval shorter than one slot could never close a
           // new sample window.
-          auto v = line.IntIn(val, kFlitWords, limits::kMaxCycles);
+          auto v = line.IntIn(val, kFlitWords, kMaxCycles);
           if (!v.ok()) return v.status();
           spec.converge.interval = *v;
         } else if (key == "batches") {
@@ -576,7 +576,7 @@ Result<ScenarioSpec> ParseScenario(const std::string& text) {
       }
       // Windows close at slot boundaries (the wire-transfer granularity),
       // so a window shorter than one slot could never hold a sample.
-      auto v = line.IntIn(line.tokens[2], kFlitWords, limits::kMaxCycles);
+      auto v = line.IntIn(line.tokens[2], kFlitWords, kMaxCycles);
       if (!v.ok()) return v.status();
       spec.obs.sample_every = *v;
     } else if (kind == "trace") {

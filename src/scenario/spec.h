@@ -151,9 +151,6 @@ namespace limits {
 inline constexpr std::int64_t kMaxNis = 4096;
 /// Clock frequencies (netmhz, ipmhz), MHz.
 inline constexpr std::int64_t kMaxMhz = 1000000;
-/// Cycle counts (warmup, durations, drain, convergence windows): ~12 days
-/// of 1 GHz simulation, and far from Cycle overflow when summed.
-inline constexpr std::int64_t kMaxCycles = std::int64_t{1} << 40;
 /// Channel queue depth, words.
 inline constexpr std::int64_t kMaxQueueWords = std::int64_t{1} << 20;
 /// GT slots one connection may reserve.

@@ -243,7 +243,7 @@ Status ApplyParam(const ParamRef& param, const std::string& value,
       return OkStatus();
     }
     case ParamRef::Key::kWarmup: {
-      auto v = ParseInt64In(value, 0, limits::kMaxCycles);
+      auto v = ParseInt64In(value, 0, kMaxCycles);
       if (!v.ok()) return v.status();
       if (param.phase >= 0) {
         if (static_cast<std::size_t>(param.phase) >= spec->phases.size()) {
@@ -258,7 +258,7 @@ Status ApplyParam(const ParamRef& param, const std::string& value,
       return OkStatus();
     }
     case ParamRef::Key::kDuration: {
-      auto v = ParseInt64In(value, 1, limits::kMaxCycles);
+      auto v = ParseInt64In(value, 1, kMaxCycles);
       if (!v.ok()) return v.status();
       if (param.phase >= 0) {
         if (static_cast<std::size_t>(param.phase) >= spec->phases.size()) {

@@ -15,6 +15,11 @@ using Picoseconds = std::int64_t;
 /// A count of clock edges observed in one clock domain.
 using Cycle = std::int64_t;
 
+/// Largest cycle count a spec may name (warmup, durations, drain,
+/// convergence windows, fault windows and delays): ~12 days of 1 GHz
+/// simulation, and far from Cycle overflow when summed.
+inline constexpr Cycle kMaxCycles = Cycle{1} << 40;
+
 /// Identifies a network interface instance within a NoC.
 using NiId = std::int32_t;
 

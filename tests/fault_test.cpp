@@ -227,6 +227,49 @@ TEST(FaultTest, FaultFileRejectsNonFiniteRates) {
   }
 }
 
+TEST(FaultTest, FaultFileBoundsCyclesAndIds) {
+  // Regression: each of these parsed, then stalled the wrong router, or
+  // fed a wrapping sum (start + length, now + delay, issued + timeout).
+  for (const char* text :
+       {"router 4294967297 stall 100 400\n",
+        "router 1 stall 100 9223372036854775807\n",
+        "ni 0 stall 9223372036854775807 1\n",
+        "config delay 0.5 1099511627777\n",
+        "retry timeout 9223372036854775807 max 4 backoff 2\n"}) {
+    auto spec = fault::ParseFaultText(text);
+    ASSERT_FALSE(spec.ok()) << text;
+    EXPECT_NE(spec.status().message().find("line 1: "), std::string::npos)
+        << spec.status();
+    EXPECT_NE(spec.status().message().find("2^"), std::string::npos)
+        << spec.status();
+  }
+  auto limit = fault::ParseFaultText(
+      "config delay 0.5 1099511627776\n"
+      "retry timeout 1099511627776 max 4 backoff 8\n");
+  ASSERT_TRUE(limit.ok()) << limit.status();
+  EXPECT_EQ(limit->config_delay_cycles, kMaxCycles);
+  EXPECT_EQ(limit->retry.timeout, kMaxCycles);
+}
+
+TEST(FaultTest, StallOutsideTheNocIsRejectedBeforeTheRun) {
+  // Regression: router 999 on a one-router star was accepted and stalled
+  // nothing. The 4-NI star has router 0 and NIs 0..3.
+  for (const char* block :
+       {"router 1 stall 100 400\n", "ni 4 stall 100 400\n"}) {
+    auto result = RunText(std::string(kStreamBase) + "fault\n" + block +
+                          "end\n");
+    ASSERT_FALSE(result.ok()) << block;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().message().find("targets no"),
+              std::string::npos)
+        << result.status();
+  }
+  auto inside = RunText(std::string(kStreamBase) +
+                        "fault\nrouter 0 stall 100 400\nni 3 stall 100 "
+                        "400\nend\n");
+  EXPECT_TRUE(inside.ok()) << inside.status();
+}
+
 TEST(FaultTest, FaultSectionAppearsInJson) {
   auto result = RunText(std::string(kStreamBase) +
                         "fault\nseed 11\nlink corrupt 0.01\nend\n");

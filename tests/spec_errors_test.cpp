@@ -226,6 +226,26 @@ TEST(SpecErrorsTest, FaultBlockErrors) {
               "only phased scenarios", 3);
 }
 
+TEST(SpecErrorsTest, FaultCyclesAndIdsAreBounded) {
+  const std::string head = "noc star 4\ntraffic uniform\n";
+  // Regression: an id past int32 was truncated (2^32 + 1 stalled router
+  // 1), and start + length wrapped in int64 so the window stalled nothing.
+  ExpectError(head + "fault\nrouter 4294967297 stall 100 400\nend\n",
+              "router id must be an integer in [0, 2^31)", 4);
+  ExpectError(head + "fault\nni 2147483648 stall 100 400\nend\n",
+              "ni id must be an integer in [0, 2^31)", 4);
+  ExpectError(head + "fault\nrouter 0 stall 100 9223372036854775807\nend\n",
+              "stall length must be a positive cycle count <= 2^40", 4);
+  ExpectError(head + "fault\nrouter 0 stall 1099511627777 10\nend\n",
+              "stall start must be a non-negative cycle <= 2^40", 4);
+  // The limit itself is a valid window.
+  auto spec = ParseScenario(
+      head + "fault\nrouter 0 stall 1099511627776 1099511627776\nend\n");
+  ASSERT_TRUE(spec.ok()) << spec.status();
+  ASSERT_EQ(spec->fault->router_stalls.size(), 1u);
+  EXPECT_EQ(spec->fault->router_stalls[0].length, kMaxCycles);
+}
+
 TEST(SpecErrorsTest, FaultBlockParses) {
   auto spec = ParseScenario(
       "noc star 4\ntraffic neighbor qos gt 1\n"
