@@ -58,8 +58,6 @@ void StreamSource::Evaluate() {
       port_->Write(connid_, static_cast<Word>(now));
       --backlog_;
       ++words_written_;
-    } else {
-      ++stall_cycles_;
     }
   } else if (next_emit_ > now) {
     // Nothing due until the next injection event: sleep through the gap.

@@ -51,10 +51,7 @@ class StreamSource : public sim::Module {
   /// words_written() is final as soon as this returns.
   void Deactivate();
 
-  bool active() const { return active_; }
-
   std::int64_t words_written() const { return words_written_; }
-  std::int64_t stall_cycles() const { return stall_cycles_; }
   bool Done() const {
     return injection_.total_words >= 0 &&
            words_written_ >= injection_.total_words;
@@ -71,7 +68,6 @@ class StreamSource : public sim::Module {
   std::int64_t backlog_ = 0;  // words due but not yet accepted
   Cycle next_emit_ = 0;
   std::int64_t words_written_ = 0;
-  std::int64_t stall_cycles_ = 0;
 };
 
 /// Forwards words from one channel to another on the same NI port, one
