@@ -364,9 +364,9 @@ with open(sys.argv[1]) as f:
 
 # The gated engine against the naive reference on the sparse 16x16 GT
 # pairing (one adjacent pair in eight streams), reps interleaved in one
-# process. Ten runs on a 4-vCPU host read 3.24-5.10x with idle-module
-# gating and 1.25-1.38x with Module::Park a no-op; the 4x4 mixed ratio
-# (1.24-1.41x gated, 0.91-1.22x without) is recorded but too close to its
+# process. Ten runs on a 4-vCPU host read 4.02-4.83x with idle-module
+# gating and 1.13-1.38x with Module::Park a no-op; the 4x4 mixed ratio
+# (1.28-1.38x gated, 1.06-1.15x without) is recorded but too close to its
 # no-gating reading to gate on.
 ratio = data["speedup_16x16_gt_sparse"]["ratio"]
 print(f"bench_speed gate: 16x16 gt_sparse soa/naive flit rate = {ratio:.2f}x")
