@@ -420,6 +420,11 @@ Status Soc::CloseConnection(int handle) {
   return OkStatus();
 }
 
+const config::CnipAgent* Soc::cnip_agent(NiId ni) const {
+  auto it = cnip_agents_.find(ni);
+  return it == cnip_agents_.end() ? nullptr : it->second.get();
+}
+
 config::ConnectionManager* Soc::EnableConfig(const ConfigSetup& setup) {
   AETHEREAL_CHECK_MSG(manager_ == nullptr, "config already enabled");
   std::map<NiId, int> remote_connids = setup.cfg_connid_of_ni;
@@ -433,17 +438,18 @@ config::ConnectionManager* Soc::EnableConfig(const ConfigSetup& setup) {
   for (const auto& [target, port_connid] : setup.cnip_of_ni) {
     const auto [cnip_port, cnip_connid] = port_connid;
     core::NiPort* p = port(target, cnip_port);
-    cnip_shells_.push_back(std::make_unique<shells::SlaveShell>(
-        "cnip_shell_ni" + std::to_string(target), p, cnip_connid));
-    RegisterOnPort(cnip_shells_.back().get(), target, cnip_port);
-    cnip_agents_.push_back(std::make_unique<config::CnipAgent>(
-        "cnip_agent_ni" + std::to_string(target), ni(target),
-        cnip_shells_.back().get()));
+    auto& shell = cnip_shells_[target];
+    shell = std::make_unique<shells::SlaveShell>(
+        "cnip_shell_ni" + std::to_string(target), p, cnip_connid);
+    RegisterOnPort(shell.get(), target, cnip_port);
+    auto& agent = cnip_agents_[target];
+    agent = std::make_unique<config::CnipAgent>(
+        "cnip_agent_ni" + std::to_string(target), ni(target), shell.get());
     const ChannelId flat = p->GlobalChannelOf(cnip_connid);
     if (fault_injector_ != nullptr) {
-      cnip_agents_.back()->SetFaultInjector(fault_injector_.get(), flat);
+      agent->SetFaultInjector(fault_injector_.get(), flat);
     }
-    RegisterOnPort(cnip_agents_.back().get(), target, cnip_port);
+    RegisterOnPort(agent.get(), target, cnip_port);
 
     cnip_info[target] = config::ConnectionManager::CnipInfo{
         flat, DestQueueWordsOf(tdm::GlobalChannel{target, flat})};

@@ -175,6 +175,8 @@ class Soc {
 
   config::ConnectionManager* manager() { return manager_.get(); }
   shells::ConfigShell* config_shell() { return config_shell_.get(); }
+  /// The CNIP agent serving NI `ni`, or null if it has none.
+  const config::CnipAgent* cnip_agent(NiId ni) const;
 
  private:
   struct DirectConnection {
@@ -217,8 +219,8 @@ class Soc {
 
   // Configuration infrastructure (EnableConfig).
   std::unique_ptr<shells::ConfigShell> config_shell_;
-  std::vector<std::unique_ptr<shells::SlaveShell>> cnip_shells_;
-  std::vector<std::unique_ptr<config::CnipAgent>> cnip_agents_;
+  std::map<NiId, std::unique_ptr<shells::SlaveShell>> cnip_shells_;
+  std::map<NiId, std::unique_ptr<config::CnipAgent>> cnip_agents_;
   std::unique_ptr<config::ConnectionManager> manager_;
 };
 

@@ -10,6 +10,8 @@
 #include "config/connection_manager.h"
 #include "config/script.h"
 #include "core/registers.h"
+#include "fault/injector.h"
+#include "fault/spec.h"
 #include "ip/memory_slave.h"
 #include "shells/master_shell.h"
 #include "shells/slave_shell.h"
@@ -32,7 +34,8 @@ struct ConfigRig {
   std::unique_ptr<soc::Soc> soc;
   ConnectionManager* manager = nullptr;
 
-  explicit ConfigRig(int stu_slots = 8, int data_channels = 1) {
+  explicit ConfigRig(int stu_slots = 8, int data_channels = 1,
+                     soc::SocOptions options = {}) {
     auto star = topology::BuildStar(3);
     std::vector<core::NiKernelParams> params(3);
     auto make_ni = [&](int channels) {
@@ -47,7 +50,6 @@ struct ConfigRig {
     params[0] = make_ni(2);  // Cfg: config connections to NI1, NI2
     params[1] = make_ni(1 + data_channels);  // CNIP + data channel(s)
     params[2] = make_ni(1 + data_channels);
-    soc::SocOptions options;
     options.stu_slots = stu_slots;
     soc = std::make_unique<soc::Soc>(std::move(star.topology),
                                      std::move(params), options);
@@ -115,6 +117,83 @@ TEST(ConnectionManager, OpenedConnectionCarriesTransactions) {
   ASSERT_TRUE(master.HasResponse());
   EXPECT_EQ(master.PopResponse().error, transaction::ResponseError::kOk);
   EXPECT_EQ(memory.Load(0x40), 0xF00Du);
+}
+
+// The configuration schedule: the cycles on which the connection manager
+// issues register writes (local and over the NoC), each CNIP agent executes
+// them, and operations complete, stepped one network cycle at a time on
+// both engines. One string per counter, one character per cycle. Covers the
+// Fig. 9 bootstrap (local writes at the Cfg NI, acknowledged remote ones),
+// a GT open, its close and a BE reopen, with a quarter of the CNIP requests
+// held back by a config-delay fault.
+constexpr int kConfigSteps = 1500;
+
+struct ConfigSchedule {
+  std::vector<std::string> counters;
+  std::vector<std::int64_t> totals;
+};
+
+ConfigSchedule RecordConfigSchedule(sim::EngineKind engine) {
+  fault::FaultSpec faults;
+  faults.seed = 3;
+  faults.config_delay_rate = 0.25;
+  faults.config_delay_cycles = 40;
+  soc::SocOptions options;
+  options.engine = engine;
+  options.fault = &faults;
+  ConfigRig rig(/*stu_slots=*/8, /*data_channels=*/1, options);
+  const shells::ConfigShell* shell = rig.soc->config_shell();
+  const CnipAgent* cnip1 = rig.soc->cnip_agent(1);
+  const CnipAgent* cnip2 = rig.soc->cnip_agent(2);
+  EXPECT_NE(cnip1, nullptr);
+  EXPECT_NE(cnip2, nullptr);
+  auto counters = [&] {
+    return std::vector<std::int64_t>{
+        shell->local_writes(),         shell->remote_writes(),
+        cnip1->writes_executed(),      cnip2->writes_executed(),
+        rig.manager->operations_completed()};
+  };
+  ConfigSchedule schedule;
+  schedule.counters.resize(counters().size());
+  int gt = -1;
+  int be = -1;
+  for (int step = 0; step < kConfigSteps; ++step) {
+    if (step == 0) gt = rig.manager->RequestOpen(DataConnection(true, 2));
+    if (step == 700) {
+      EXPECT_TRUE(rig.manager->RequestClose(gt).ok());
+    }
+    if (step == 760) be = rig.manager->RequestOpen(DataConnection());
+    const std::vector<std::int64_t> before = counters();
+    rig.soc->RunCycles(1);
+    const std::vector<std::int64_t> after = counters();
+    for (std::size_t i = 0; i < after.size(); ++i) {
+      schedule.counters[i] += static_cast<char>('0' + (after[i] - before[i]));
+    }
+  }
+  EXPECT_TRUE(rig.manager->Idle());
+  EXPECT_EQ(rig.manager->StateOf(gt), ConnectionState::kClosed);
+  EXPECT_EQ(rig.manager->StateOf(be), ConnectionState::kOpen);
+  schedule.totals = counters();
+  schedule.totals.push_back(rig.manager->CompletionCycleOf(gt));
+  schedule.totals.push_back(rig.manager->CompletionCycleOf(be));
+  schedule.totals.push_back(
+      rig.soc->fault_injector()->config_requests_delayed());
+  return schedule;
+}
+
+TEST(ConnectionManager, ConfigurationKeepsItsSchedule) {
+  const ConfigSchedule naive = RecordConfigSchedule(sim::EngineKind::kNaive);
+  const ConfigSchedule soa = RecordConfigSchedule(sim::EngineKind::kSoa);
+  ASSERT_EQ(naive.counters.size(), soa.counters.size());
+  for (std::size_t i = 0; i < naive.counters.size(); ++i) {
+    EXPECT_EQ(soa.counters[i], naive.counters[i]) << "counter " << i;
+  }
+  // Local and remote writes issued, writes executed at NI1 and NI2,
+  // operations completed; the close's and the reopen's completion cycles;
+  // CNIP requests the fault delayed.
+  const std::vector<std::int64_t> expected = {8, 25, 15, 10, 5, 855, 1074, 7};
+  EXPECT_EQ(naive.totals, expected);
+  EXPECT_EQ(soa.totals, expected);
 }
 
 TEST(ConnectionManager, RegisterWriteCountsMatchThePaper) {

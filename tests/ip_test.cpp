@@ -214,6 +214,140 @@ TEST(TrafficGen, BernoulliRespectsOutstandingLimit) {
   EXPECT_EQ(gen.completed(), 40);
 }
 
+// The transaction schedule every memory master and slave keeps: the cycles
+// on which each master issues and completes transactions and each memory
+// serves reads and writes, stepped one network cycle at a time on both
+// engines. One string per counter, one character per cycle (the count's
+// growth in that cycle). Covers closed-loop, periodic and Bernoulli masters,
+// acknowledged and posted writes (so one-word acks cross the NoC), service
+// latencies 0 and 3, a master silenced and restarted between cycles, and a
+// master shell that test code drives between cycles.
+constexpr int kTransactionSteps = 700;
+
+struct TransactionSchedule {
+  std::vector<std::string> counters;
+  std::vector<std::int64_t> totals;
+};
+
+TransactionSchedule RecordTransactions(sim::EngineKind engine) {
+  soc::SocOptions options;
+  options.engine = engine;
+  constexpr NiId kPairs = 4;
+  auto soc = scenario::MakeMeshSoc(2, 2, /*nis_per_router=*/2,
+                                   /*channels_per_ni=*/1, /*queue_words=*/8,
+                                   options);
+  for (NiId i = 0; i < kPairs; ++i) {
+    EXPECT_TRUE(soc->OpenConnection(GlobalChannel{i, 0},
+                                    GlobalChannel{i + kPairs, 0})
+                    .ok());
+  }
+  std::vector<std::unique_ptr<shells::MasterShell>> masters;
+  std::vector<std::unique_ptr<shells::SlaveShell>> slaves;
+  std::vector<std::unique_ptr<MemorySlave>> memories;
+  for (NiId i = 0; i < kPairs; ++i) {
+    masters.push_back(std::make_unique<shells::MasterShell>(
+        "master_shell", soc->port(i, 0), 0));
+    slaves.push_back(std::make_unique<shells::SlaveShell>(
+        "slave_shell", soc->port(i + kPairs, 0), 0));
+    memories.push_back(std::make_unique<MemorySlave>(
+        "memory", slaves.back().get(), 0, 256,
+        /*service_latency_cycles=*/i % 2 == 0 ? 0 : 3));
+  }
+  TrafficPattern closed;
+  closed.kind = TrafficPattern::Kind::kClosedLoop;
+  closed.read_fraction = 0.5;
+  closed.burst_words = 2;
+  closed.address_range = 200;
+  TrafficPattern periodic;
+  periodic.kind = TrafficPattern::Kind::kFixedPeriod;
+  periodic.period = 9;
+  periodic.read_fraction = 0.3;
+  periodic.acked_writes = false;
+  periodic.burst_words = 3;
+  periodic.address_range = 200;
+  TrafficPattern bernoulli;
+  bernoulli.kind = TrafficPattern::Kind::kBernoulli;
+  bernoulli.rate = 0.08;
+  bernoulli.read_fraction = 0.2;
+  bernoulli.burst_words = 1;
+  bernoulli.max_outstanding = 2;
+  bernoulli.address_range = 200;
+  TrafficGenMaster gen0("closed", masters[0].get(), closed, /*seed=*/21);
+  TrafficGenMaster gen1("periodic", masters[1].get(), periodic, /*seed=*/22);
+  TrafficGenMaster gen2("bernoulli", masters[2].get(), bernoulli,
+                        /*seed=*/23);
+  std::vector<TrafficGenMaster*> gens = {&gen0, &gen1, &gen2};
+  for (NiId i = 0; i < kPairs; ++i) {
+    soc->RegisterOnPort(masters[static_cast<std::size_t>(i)].get(), i, 0);
+    if (i < 3) soc->RegisterOnPort(gens[static_cast<std::size_t>(i)], i, 0);
+    soc->RegisterOnPort(slaves[static_cast<std::size_t>(i)].get(),
+                        i + kPairs, 0);
+    soc->RegisterOnPort(memories[static_cast<std::size_t>(i)].get(),
+                        i + kPairs, 0);
+  }
+  shells::MasterShell& driven = *masters[3];
+
+  auto counters = [&] {
+    std::vector<std::int64_t> c;
+    for (const TrafficGenMaster* g : gens) {
+      c.push_back(g->issued());
+      c.push_back(g->completed());
+    }
+    for (const auto& m : memories) {
+      c.push_back(m->reads_served());
+      c.push_back(m->writes_served());
+    }
+    return c;
+  };
+  TransactionSchedule schedule;
+  schedule.counters.resize(counters().size());
+  int driven_responses = 0;
+  for (int step = 0; step < kTransactionSteps; ++step) {
+    // Silenced mid-run (outstanding responses still drain), restarted
+    // from the new origin.
+    if (step == 200) gen1.Deactivate();
+    if (step == 330) gen1.Activate(soc->port_clock(1, 0)->cycles());
+    if (step == 250) gen2.Deactivate();
+    if (step == 260) gen2.Activate(soc->port_clock(2, 0)->cycles());
+    // Test code issuing between cycles, as an application would.
+    if (step % 97 == 5 && driven.CanIssue(2)) {
+      driven.IssueWrite(static_cast<Word>(step % 64), {Word(step), 7},
+                        /*needs_ack=*/step % 2 == 1, /*tid=*/step % 16);
+    }
+    if (step % 97 == 50 && driven.CanIssue()) {
+      driven.IssueRead(static_cast<Word>(step % 64), 2, /*tid=*/3);
+    }
+    while (driven.HasResponse()) {
+      driven.PopResponse();
+      ++driven_responses;
+    }
+    const std::vector<std::int64_t> before = counters();
+    soc->RunCycles(1);
+    const std::vector<std::int64_t> after = counters();
+    for (std::size_t i = 0; i < after.size(); ++i) {
+      schedule.counters[i] += static_cast<char>('0' + (after[i] - before[i]));
+    }
+  }
+  schedule.totals = counters();
+  schedule.totals.push_back(driven_responses);
+  return schedule;
+}
+
+TEST(TrafficGen, MastersAndMemoriesKeepTheirTransactionSchedule) {
+  const TransactionSchedule naive = RecordTransactions(sim::EngineKind::kNaive);
+  const TransactionSchedule soa = RecordTransactions(sim::EngineKind::kSoa);
+  ASSERT_EQ(naive.counters.size(), soa.counters.size());
+  for (std::size_t i = 0; i < naive.counters.size(); ++i) {
+    EXPECT_EQ(soa.counters[i], naive.counters[i]) << "counter " << i;
+  }
+  // Issued/completed per master, then reads/writes served per memory, then
+  // the driven master's responses.
+  const std::vector<std::int64_t> expected = {12, 11, 53, 12, 25, 23, 7, 5,
+                                              12, 24, 10, 15, 7, 7, 11};
+  EXPECT_EQ(naive.totals, expected);
+  EXPECT_EQ(soa.totals, expected);
+}
+
 // The injection schedule every stream source keeps: the cycles on which
 // each source writes a word, stepped one network cycle at a time on both
 // engines. One string per source, one character per cycle ('1': a word
