@@ -86,7 +86,7 @@ ChannelId NiPort::GlobalChannelOf(int connid) const {
 void NiPort::WakeOnDelivery(int connid, sim::Module* listener) {
   AETHEREAL_CHECK(connid >= 0 && connid < NumChannels());
   auto& ch = kernel_->ChannelAt(channels_[static_cast<std::size_t>(connid)]);
-  ch.dest.SetReadListener(listener);
+  ch.dest.AddReadListener(listener);
 }
 
 // ---------------------------------------------------------------------------

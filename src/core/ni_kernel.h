@@ -75,7 +75,8 @@ class NiPort : public sim::Module {
 
   /// Declares a module to Wake() whenever newly delivered words become
   /// readable on `connid` — lets a consumer IP park on an empty queue
-  /// without ever reading a word late.
+  /// without ever reading a word late. A channel takes at most two
+  /// (sim::CdcFifo::AddReadListener).
   void WakeOnDelivery(int connid, sim::Module* listener);
 
   /// The NI-global channel id (= remote_qid a peer must address).

@@ -32,6 +32,8 @@
 #ifndef AETHEREAL_SIM_CDC_FIFO_H
 #define AETHEREAL_SIM_CDC_FIFO_H
 
+#include <array>
+#include <cstddef>
 #include <limits>
 #include <utility>
 
@@ -44,6 +46,9 @@ namespace aethereal::sim {
 /// Synchronizer latency in destination-domain edges (gray-code pointer
 /// crossing through a 2-flop synchronizer).
 inline constexpr int kCdcSyncEdges = 2;
+
+/// Read listeners one queue takes (CdcFifo::AddReadListener).
+inline constexpr std::size_t kMaxReadListeners = 2;
 
 template <typename T>
 class CdcFifo {
@@ -66,8 +71,22 @@ class CdcFifo {
   /// Declares a module to wake whenever newly synchronized words become
   /// readable — lets a consumer park on an empty queue and still start
   /// reading at exactly the first cycle data is readable. It must run on
-  /// the reader's clock.
-  void SetReadListener(Module* listener) { listener_ = listener; }
+  /// the reader's clock. A queue takes at most kMaxReadListeners: the
+  /// module that pops it and the IP that reads what that module assembles
+  /// (a shell and its IP, DESIGN.md §7.4). A third listener, or one module
+  /// added twice, is a CHECK failure.
+  void AddReadListener(Module* listener) {
+    AETHEREAL_CHECK(listener != nullptr);
+    for (const Module* m : listeners_) {
+      AETHEREAL_CHECK_MSG(m != listener,
+                          listener->name() << " already listens on this queue");
+    }
+    AETHEREAL_CHECK_MSG(listeners_[kMaxReadListeners - 1] == nullptr,
+                        listener->name() << ": a queue takes at most "
+                                         << kMaxReadListeners
+                                         << " read listeners");
+    listeners_[listeners_[0] == nullptr ? 0 : 1] = listener;
+  }
 
   // ---- writer-side interface (call only from the writer's clock domain) --
 
@@ -89,7 +108,9 @@ class CdcFifo {
     words_.push_back(Entry{std::move(value), readable});
     if (handoff) {
       reader_->WakeAt(readable);
-      if (listener_ != nullptr) listener_->WakeAt(readable);
+      for (Module* m : listeners_) {
+        if (m != nullptr) m->WakeAt(readable);
+      }
     }
   }
 
@@ -178,8 +199,10 @@ class CdcFifo {
     rclock_ = reader_->clock();
     AETHEREAL_CHECK_MSG(wclock_ != nullptr && rclock_ != nullptr,
                         "CdcFifo sides must be registered on clocks");
-    AETHEREAL_CHECK_MSG(listener_ == nullptr || listener_->clock() == rclock_,
-                        listener_->name() << " listens on another clock");
+    for (const Module* m : listeners_) {
+      AETHEREAL_CHECK_MSG(m == nullptr || m->clock() == rclock_,
+                          m->name() << " listens on another clock");
+    }
     if (wclock_ == rclock_) {
       reader_first_ = reader_->clock_index() < writer_->clock_index();
       writer_first_ = writer_->clock_index() < reader_->clock_index();
@@ -215,7 +238,7 @@ class CdcFifo {
   Ring<Entry> words_;  // pushed and not popped, readable or still in flight
   Module* writer_ = nullptr;
   Module* reader_ = nullptr;
-  Module* listener_ = nullptr;
+  std::array<Module*, kMaxReadListeners> listeners_{};
   const Clock* wclock_ = nullptr;
   const Clock* rclock_ = nullptr;
   bool reader_first_ = false;  // reader side synchronizes first

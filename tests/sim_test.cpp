@@ -546,6 +546,53 @@ TEST(CdcFifo, SpaceReturnsAfterWriterEdges) {
   }
 }
 
+// Records the edges it is evaluated on and parks after each one.
+class Sleeper : public Module {
+ public:
+  explicit Sleeper(std::string name) : Module(std::move(name)) {}
+  void Evaluate() override {
+    seen.push_back(CycleCount());
+    Park();
+  }
+  std::vector<Cycle> seen;
+};
+
+// Both read listeners of a queue (a shell and its IP) sleep through the
+// crossing and wake at the edge the word becomes readable.
+TEST(CdcFifo, WakesEveryReadListenerWhenAWordMatures) {
+  Kernel kernel;
+  Clock* clk = kernel.AddClock("clk", 1000);
+  CdcFifo<int> fifo(4);
+  Probe writer("w"), reader("r");
+  Sleeper shell("shell"), ip("ip");
+  fifo.Bind(&writer, &reader);
+  fifo.AddReadListener(&shell);
+  fifo.AddReadListener(&ip);
+  writer.body = [&](Cycle t) {
+    if (t == 2) fifo.Push(7);
+  };
+  clk->Register(&writer);
+  clk->Register(&reader);
+  clk->Register(&shell);
+  clk->Register(&ip);
+  kernel.RunCycles(clk, 8);
+  // Parked after edge 0; woken at edge 4, two edges after the push.
+  for (const Sleeper* s : {&shell, &ip}) {
+    ASSERT_GE(s->seen.size(), 2u) << s->name();
+    EXPECT_EQ(s->seen[0], 0) << s->name();
+    EXPECT_EQ(s->seen[1], 4) << s->name();
+  }
+}
+
+TEST(CdcFifoDeathTest, ReadListenersAreBoundedAndDistinct) {
+  CdcFifo<int> fifo(4);
+  Probe a("a"), b("b"), c("c");
+  fifo.AddReadListener(&a);
+  EXPECT_DEATH(fifo.AddReadListener(&a), "already listens");
+  fifo.AddReadListener(&b);
+  EXPECT_DEATH(fifo.AddReadListener(&c), "at most 2 read listeners");
+}
+
 TEST(CdcFifo, OrderPreserved) {
   for (EngineKind engine : kEngines) {
     Kernel kernel;
