@@ -16,6 +16,7 @@ CnipAgent::CnipAgent(std::string name, core::NiKernel* kernel,
                      shells::SlaveShell* shell)
     : sim::Module(std::move(name)), kernel_(kernel), shell_(shell) {
   AETHEREAL_CHECK(kernel != nullptr && shell != nullptr);
+  shell->BindIp(this);
 }
 
 bool CnipAgent::IsBootstrapAddress(Word address) const {
@@ -26,8 +27,12 @@ bool CnipAgent::IsBootstrapAddress(Word address) const {
 }
 
 void CnipAgent::Evaluate() {
-  // One configuration transaction per cycle.
-  if (!shell_->HasRequest()) return;
+  // One configuration transaction per cycle. No request: the shell wakes
+  // us for the next one.
+  if (!shell_->HasRequest()) {
+    Park();
+    return;
+  }
 
   // Config-path faults: judge the request once when it reaches the head.
   // Requests addressing the CNIP channel's own register block are exempt
@@ -49,7 +54,10 @@ void CnipAgent::Evaluate() {
       verdict_valid_ = false;
       return;
     }
-    if (CycleCount() < release_at_) return;  // delayed in flight
+    if (CycleCount() < release_at_) {
+      ParkUntil(release_at_);  // delayed in flight
+      return;
+    }
   }
 
   if (!shell_->CanRespond(1)) return;  // leave the request queued

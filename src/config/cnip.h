@@ -6,6 +6,9 @@
 // dedicated channel (enabled at reset so the NoC can bootstrap its own
 // configuration), are executed one per cycle on the kernel's register file,
 // and acknowledged / answered in order.
+//
+// The agent parks while it has no request, and until a fault's delay has
+// passed; the shell wakes it for every request (DESIGN.md §7.4).
 #ifndef AETHEREAL_CONFIG_CNIP_H
 #define AETHEREAL_CONFIG_CNIP_H
 

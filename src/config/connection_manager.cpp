@@ -36,6 +36,7 @@ ConnectionManager::ConnectionManager(
       lookup_(std::move(lookup)) {
   AETHEREAL_CHECK(topology != nullptr && allocator != nullptr &&
                   shell != nullptr && cfg_port != nullptr);
+  shell->BindAgent(this);
 }
 
 int ConnectionManager::RequestOpen(const ConnectionSpec& spec) {
@@ -368,6 +369,20 @@ Cycle ConnectionManager::RetryDeadline(const OutstandingWrite& write) const {
   return write.issued_at + window;
 }
 
+void ConnectionManager::ParkUntilAckOrTimeout() {
+  // The config shell wakes us for every response; under a retry policy
+  // the earliest ack deadline wakes us too.
+  if (!retry_.enabled || outstanding_writes_.empty()) {
+    Park();
+    return;
+  }
+  Cycle deadline = RetryDeadline(outstanding_writes_.front());
+  for (const OutstandingWrite& write : outstanding_writes_) {
+    deadline = std::min(deadline, RetryDeadline(write));
+  }
+  ParkUntil(deadline);
+}
+
 ConnectionManager::TimeoutScan ConnectionManager::ScanForTimeouts() {
   for (OutstandingWrite& write : outstanding_writes_) {
     if (CycleCount() < RetryDeadline(write)) continue;
@@ -440,14 +455,20 @@ void ConnectionManager::Evaluate() {
   }
 
   StartNextOp();
-  if (!op_active_) return;
+  if (!op_active_) {
+    Park();  // RequestOpen/RequestClose wake us
+    return;
+  }
 
   // Barrier handling and action issue (one register write per cycle).
   if (!current_actions_.empty()) {
     const Action& action = current_actions_.front();
     if (action.ni == kInvalidId) {
       // Barrier: wait for every outstanding acknowledgment.
-      if (!outstanding_tids_.empty()) return;
+      if (!outstanding_tids_.empty()) {
+        ParkUntilAckOrTimeout();
+        return;
+      }
       current_actions_.pop_front();
       return;
     }
@@ -472,7 +493,10 @@ void ConnectionManager::Evaluate() {
   }
 
   // All actions issued and all barriers passed: the op completes.
-  if (!outstanding_tids_.empty()) return;
+  if (!outstanding_tids_.empty()) {
+    ParkUntilAckOrTimeout();
+    return;
+  }
   switch (current_op_.kind) {
     case Op::Kind::kEnsureConfig:
       config_live_[current_op_.target] = true;

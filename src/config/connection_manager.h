@@ -15,6 +15,12 @@
 //
 // Each phase ends with an acknowledged write so that a later phase never
 // races an earlier one on a different channel.
+//
+// The manager parks while no operation is active or queued, and while it
+// waits for acks at a barrier (until the earliest retry deadline under a
+// retry policy); requests and the config shell's responses wake it
+// (DESIGN.md §7.4). It never parks in an edge in which it issued a write:
+// a local-NI write answers on the next edge.
 #ifndef AETHEREAL_CONFIG_CONNECTION_MANAGER_H
 #define AETHEREAL_CONFIG_CONNECTION_MANAGER_H
 
@@ -73,13 +79,16 @@ class ConnectionManager : public sim::Module {
                     std::map<NiId, CnipInfo> cnip_of_ni, QueueLookup lookup);
 
   /// Queues a connection-open; returns a handle. Progress happens as the
-  /// simulation runs; poll StateOf()/Idle().
+  /// simulation runs; poll StateOf()/Idle(). Callable between cycles or
+  /// from a module registered after the manager (the wake it issues takes
+  /// effect on the next edge).
   int RequestOpen(const ConnectionSpec& spec);
 
   /// Queues a connection-close. Closing a handle that is already closed, or
   /// whose open has already failed, is rejected here with a clean status
   /// (never an abort). A close queued behind a still-pending open is
   /// accepted; if that open later fails, the close completes as a no-op.
+  /// Callable like RequestOpen.
   Status RequestClose(int handle);
 
   bool Idle() const { return ops_.empty() && !op_active_; }
@@ -163,6 +172,9 @@ class ConnectionManager : public sim::Module {
 
   void StartNextOp();
   Cycle RetryDeadline(const OutstandingWrite& write) const;
+  /// Parks while acks are outstanding: until the earliest retry deadline
+  /// under a retry policy, else until the config shell wakes us.
+  void ParkUntilAckOrTimeout();
   enum class TimeoutScan { kNothing, kReissued, kOpFailed };
   TimeoutScan ScanForTimeouts();
   bool BuildEnsureConfigActions(NiId target);

@@ -20,6 +20,7 @@ MemorySlave::MemorySlave(std::string name, shells::SlaveEndpoint* endpoint,
   AETHEREAL_CHECK(endpoint != nullptr);
   AETHEREAL_CHECK(size_words > 0);
   AETHEREAL_CHECK(service_latency_cycles >= 0);
+  endpoint->BindIp(this);
 }
 
 bool MemorySlave::InRange(Word address, int words) const {
@@ -89,20 +90,33 @@ ResponseMessage MemorySlave::Execute(const RequestMessage& req) {
 }
 
 void MemorySlave::Evaluate() {
+  bool served = false;
   if (in_service_.has_value()) {
-    if (CycleCount() < done_at_) return;
+    if (CycleCount() < done_at_) {
+      ParkUntil(done_at_);
+      return;
+    }
     const int payload =
         in_service_->IsWrite() ? 0 : in_service_->read_length;
     if (in_service_->ExpectsResponse() && !endpoint_->CanRespond(payload)) {
-      return;  // hold until the response path drains
+      return;  // hold (awake) until the response path drains
     }
     const ResponseMessage rsp = Execute(*in_service_);
     if (in_service_->ExpectsResponse()) endpoint_->Respond(rsp);
     in_service_.reset();
+    served = true;
   }
   if (!in_service_.has_value() && endpoint_->HasRequest()) {
     in_service_ = endpoint_->PopRequest();
     done_at_ = CycleCount() + service_latency_;
+  }
+  if (served) return;  // run again next edge
+  // Idle: the endpoint wakes us for the next request. In service: sleep
+  // until the service latency has passed.
+  if (!in_service_.has_value()) {
+    Park();
+  } else if (done_at_ > CycleCount()) {
+    ParkUntil(done_at_);
   }
 }
 

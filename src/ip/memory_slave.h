@@ -4,6 +4,10 @@
 // a configurable service latency, plus read-linked / write-conditional
 // (locked accesses, which the paper lists among full-fledged slave-shell
 // features) implemented with a single reservation register.
+//
+// Parks while idle, and until its service latency has passed while a
+// request is in service; the endpoint wakes it for every request
+// (DESIGN.md §7.4).
 #ifndef AETHEREAL_IP_MEMORY_SLAVE_H
 #define AETHEREAL_IP_MEMORY_SLAVE_H
 

@@ -15,12 +15,14 @@ TrafficGenMaster::TrafficGenMaster(std::string name,
   AETHEREAL_CHECK(endpoint != nullptr);
   AETHEREAL_CHECK(pattern.burst_words >= 1);
   AETHEREAL_CHECK(pattern.max_outstanding >= 1);
+  endpoint->BindIp(this);
 }
 
 void TrafficGenMaster::Activate(Cycle now) {
   active_ = true;
   next_issue_cycle_ =
       pattern_.kind == TrafficPattern::Kind::kClosedLoop ? -1 : now;
+  Wake();
 }
 
 bool TrafficGenMaster::Done() const {
@@ -87,12 +89,29 @@ void TrafficGenMaster::Evaluate() {
     }
   }
 
-  if (!active_) return;  // deactivated: drain responses, issue nothing
+  // Deactivated: drain responses, issue nothing. The endpoint wakes us for
+  // each response, Activate() for the next issue.
+  if (!active_) {
+    Park();
+    return;
+  }
   const bool time_ok =
       pattern_.kind == TrafficPattern::Kind::kClosedLoop
           ? (outstanding() == 0 || issued_ == 0)
           : CycleCount() >= next_issue_cycle_;
+  const std::int64_t issued_before = issued_;
   if (time_ok) MaybeIssue();
+  if (issued_ != issued_before) return;  // run again next edge
+
+  // Nothing issued. Sleep unless only back-pressure held the issue back:
+  // then the shell's staging frees without waking us.
+  if (pattern_.max_transactions >= 0 && issued_ >= pattern_.max_transactions) {
+    Park();  // finished issuing; responses still wake us
+  } else if (!time_ok && pattern_.kind != TrafficPattern::Kind::kClosedLoop) {
+    ParkUntil(next_issue_cycle_);
+  } else if (!time_ok || outstanding() >= pattern_.max_outstanding) {
+    Park();  // waiting for a response
+  }
 }
 
 }  // namespace aethereal::ip

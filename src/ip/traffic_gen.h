@@ -3,6 +3,10 @@
 // Drives a master endpoint with synthetic read/write transactions and
 // records per-transaction latency — the workload generator behind the
 // benches (GT/BE mixes, threshold sweeps, guarantee validation).
+//
+// Parks while it waits: for its next issue time (periodic, Bernoulli), for
+// a response (closed loop, outstanding limit), or for good once silenced or
+// done. The endpoint wakes it for every response (DESIGN.md §7.4).
 #ifndef AETHEREAL_IP_TRAFFIC_GEN_H
 #define AETHEREAL_IP_TRAFFIC_GEN_H
 

@@ -24,7 +24,14 @@ ConfigShell::ConfigShell(std::string name, core::NiKernel* local_kernel,
     streamers_.push_back(
         std::make_unique<MessageStreamer>(port, connid, pipeline_cycles));
     collectors_.push_back(std::make_unique<ResponseCollector>(port, connid));
+    collectors_.back()->AddListener(this);
   }
+}
+
+void ConfigShell::BindAgent(sim::Module* agent) {
+  AETHEREAL_CHECK_MSG(agent_ == nullptr, name() << " already has an agent");
+  agent_ = agent;
+  for (auto& c : collectors_) c->AddListener(agent);
 }
 
 bool ConfigShell::CanReach(NiId ni) const {
@@ -57,6 +64,7 @@ int ConfigShell::WriteRegister(NiId ni, Word reg, Word value, bool acked) {
     local_ops_.push_back(
         LocalOp{false, reg, value, acked, tid, CycleCount() + 1});
     ++local_writes_;
+    Wake();
     return tid;
   }
   RequestMessage msg;
@@ -68,6 +76,7 @@ int ConfigShell::WriteRegister(NiId ni, Word reg, Word value, bool acked) {
   // Configuration messages are sparse and latency-critical: always flush.
   StreamerFor(ni)->Accept(msg.Encode(), CycleCount(), /*flush_after=*/true);
   ++remote_writes_;
+  Wake();
   return tid;
 }
 
@@ -75,6 +84,7 @@ int ConfigShell::ReadRegister(NiId ni, Word reg) {
   const int tid = NextTid();
   if (ni == local_kernel_->id()) {
     local_ops_.push_back(LocalOp{true, reg, 0, true, tid, CycleCount() + 1});
+    Wake();
     return tid;
   }
   RequestMessage msg;
@@ -83,6 +93,7 @@ int ConfigShell::ReadRegister(NiId ni, Word reg) {
   msg.read_length = 1;
   msg.transaction_id = tid;
   StreamerFor(ni)->Accept(msg.Encode(), CycleCount(), /*flush_after=*/true);
+  Wake();
   return tid;
 }
 
@@ -111,9 +122,15 @@ ResponseMessage ConfigShell::PopResponse() {
 
 void ConfigShell::Evaluate() {
   const Cycle now = CycleCount();
-  for (auto& s : streamers_) s->Tick(now);
+  bool moved = false;
+  bool idle = true;  // staging empty, no response word readable
+  for (auto& s : streamers_) {
+    moved |= s->Tick(now);
+    idle &= s->Empty();
+  }
   for (auto& c : collectors_) {
-    c->Tick();
+    moved |= c->Tick();
+    idle &= !c->Readable();
     while (c->HasMessage()) responses_.push_back(c->Pop());
   }
   // Execute at most one local register access per cycle.
@@ -142,6 +159,11 @@ void ConfigShell::Evaluate() {
       }
     }
   }
+  // The agent runs after this shell within an edge: waking it now keeps it
+  // running on the next edge, when a response may complete or a local
+  // access execute.
+  if ((moved || !local_ops_.empty()) && agent_ != nullptr) agent_->Wake();
+  if (idle && local_ops_.empty()) Park();
 }
 
 }  // namespace aethereal::shells

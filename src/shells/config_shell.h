@@ -11,6 +11,10 @@
 // accesses execute directly on the local NI kernel's register file (one
 // cycle); remote accesses are sequentialized into request messages on the
 // configuration connection toward the target NI's CNIP.
+//
+// Parks while no local access is pending, every staging buffer is empty and
+// no response word is readable; issue calls and deliveries wake it
+// (DESIGN.md §7.4).
 #ifndef AETHEREAL_SHELLS_CONFIG_SHELL_H
 #define AETHEREAL_SHELLS_CONFIG_SHELL_H
 
@@ -53,6 +57,12 @@ class ConfigShell : public sim::Module {
   bool HasResponse() const;
   transaction::ResponseMessage PopResponse();
 
+  /// Binds the agent that issues through this shell and collects its
+  /// responses (the connection manager), like Endpoint::BindIp: the shell
+  /// wakes it on every edge on which it moves a word or still holds a
+  /// local access, and it listens on every response queue.
+  void BindAgent(sim::Module* agent);
+
   /// Removes and returns the first queued response whose transaction id is
   /// in `tids` (several agents can share the shell; each takes only its
   /// own responses).
@@ -86,6 +96,7 @@ class ConfigShell : public sim::Module {
   std::map<NiId, std::size_t> streamer_index_;
   std::deque<LocalOp> local_ops_;
   std::deque<transaction::ResponseMessage> responses_;
+  sim::Module* agent_ = nullptr;
   int tid_ = 0;
   std::int64_t local_writes_ = 0;
   std::int64_t remote_writes_ = 0;

@@ -12,12 +12,30 @@
 #include "transaction/message.h"
 #include "util/types.h"
 
+namespace aethereal::sim {
+class Module;
+}
+
 namespace aethereal::shells {
 
-/// What a master IP module sees: issue transactions, collect responses.
-class MasterEndpoint {
+/// The schedule side of an endpoint: the IP bound to it may park whenever
+/// its next Evaluate would do nothing, because the endpoint wakes it for
+/// every edge on which it could have work (DESIGN.md §7.4).
+class Endpoint {
  public:
-  virtual ~MasterEndpoint() = default;
+  virtual ~Endpoint() = default;
+
+  /// Binds the IP module driving this endpoint; its constructor calls this
+  /// once. The shell then Wake()s the IP on every edge on which it moves a
+  /// word, and adds it as a read listener on its destination queues, so a
+  /// parked IP runs on the edge a message for it completes. The IP must be
+  /// registered on the port's clock.
+  virtual void BindIp(sim::Module* ip) = 0;
+};
+
+/// What a master IP module sees: issue transactions, collect responses.
+class MasterEndpoint : public Endpoint {
+ public:
   virtual bool CanIssue(int payload_words) const = 0;
   virtual int IssueRead(Word address, int length, int transaction_id) = 0;
   virtual int IssueWrite(Word address, const std::vector<Word>& data,
@@ -27,9 +45,8 @@ class MasterEndpoint {
 };
 
 /// What a slave IP module sees: receive requests, send responses.
-class SlaveEndpoint {
+class SlaveEndpoint : public Endpoint {
  public:
-  virtual ~SlaveEndpoint() = default;
   virtual bool HasRequest() const = 0;
   virtual transaction::RequestMessage PopRequest() = 0;
   virtual bool CanRespond(int payload_words) const = 0;

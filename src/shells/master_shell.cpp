@@ -9,7 +9,15 @@ MasterShell::MasterShell(std::string name, core::NiPort* port, int connid,
                          int pipeline_cycles)
     : sim::Module(std::move(name)),
       streamer_(port, connid, pipeline_cycles),
-      collector_(port, connid) {}
+      collector_(port, connid) {
+  collector_.AddListener(this);
+}
+
+void MasterShell::BindIp(sim::Module* ip) {
+  AETHEREAL_CHECK_MSG(ip_ == nullptr, name() << " already has an IP");
+  ip_ = ip;
+  collector_.AddListener(ip);
+}
 
 bool MasterShell::CanIssue(int payload_words) const {
   return streamer_.CanAccept(2 + payload_words);
@@ -25,6 +33,7 @@ int MasterShell::Issue(RequestMessage msg, bool flush) {
   msg.sequence_number = NextSeqno();
   if (msg.ExpectsResponse()) ++outstanding_;
   streamer_.Accept(msg.Encode(), CycleCount(), flush);
+  Wake();
   return msg.sequence_number;
 }
 
@@ -73,10 +82,15 @@ int MasterShell::IssueWriteConditional(Word address,
 }
 
 void MasterShell::Evaluate() {
-  streamer_.Tick(CycleCount());
+  const bool sent = streamer_.Tick(CycleCount());
   const int before = collector_.MessageCount();
-  collector_.Tick();
+  const bool received = collector_.Tick();
   if (collector_.MessageCount() > before) --outstanding_;
+  // The IP runs after this shell within an edge: waking it now keeps it
+  // running on the next edge, when the message this word belongs to may
+  // complete.
+  if ((sent || received) && ip_ != nullptr) ip_->Wake();
+  if (streamer_.Empty() && !collector_.Readable()) Park();
 }
 
 }  // namespace aethereal::shells

@@ -3,6 +3,9 @@
 // into request messages (2-cycle pipeline, as the simplified DTL master
 // shell of paper §5) and desequentializes response messages into read data
 // and write responses.
+//
+// Parks while its staging buffer is empty and no response word is readable;
+// issue calls and deliveries wake it (DESIGN.md §7.4).
 #ifndef AETHEREAL_SHELLS_MASTER_SHELL_H
 #define AETHEREAL_SHELLS_MASTER_SHELL_H
 
@@ -48,6 +51,8 @@ class MasterShell : public sim::Module, public MasterEndpoint {
   /// Responses issued but not yet delivered.
   int OutstandingResponses() const { return outstanding_; }
 
+  void BindIp(sim::Module* ip) override;
+
   void Evaluate() override;
 
  private:
@@ -56,6 +61,7 @@ class MasterShell : public sim::Module, public MasterEndpoint {
 
   MessageStreamer streamer_;
   ResponseCollector collector_;
+  sim::Module* ip_ = nullptr;
   int seqno_ = 0;
   int outstanding_ = 0;
 };

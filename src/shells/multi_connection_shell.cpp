@@ -77,10 +77,19 @@ void MultiConnectionShell::Respond(const ResponseMessage& msg) {
       msg.Encode(), CycleCount(), /*flush_after=*/true);
 }
 
+void MultiConnectionShell::BindIp(sim::Module* ip) {
+  AETHEREAL_CHECK_MSG(ip_ == nullptr, name() << " already has an IP");
+  ip_ = ip;
+  for (auto& c : collectors_) c->AddListener(ip);
+}
+
 void MultiConnectionShell::Evaluate() {
   const Cycle now = CycleCount();
-  for (auto& s : streamers_) s->Tick(now);
-  for (auto& c : collectors_) c->Tick();
+  bool moved = false;
+  for (auto& s : streamers_) moved |= s->Tick(now);
+  for (auto& c : collectors_) moved |= c->Tick();
+  // The IP runs after this shell within an edge (see MasterShell).
+  if (moved && ip_ != nullptr) ip_->Wake();
 }
 
 }  // namespace aethereal::shells

@@ -46,6 +46,8 @@ class MultiConnectionShell : public sim::Module, public SlaveEndpoint {
   /// Responds to the oldest popped-but-unanswered request.
   void Respond(const transaction::ResponseMessage& msg) override;
 
+  void BindIp(sim::Module* ip) override;
+
   void Evaluate() override;
 
  private:
@@ -53,6 +55,7 @@ class MultiConnectionShell : public sim::Module, public SlaveEndpoint {
 
   std::vector<std::unique_ptr<MessageStreamer>> streamers_;
   std::vector<std::unique_ptr<RequestCollector>> collectors_;
+  sim::Module* ip_ = nullptr;  // runs every edge itself; wakes its IP
   SelectPolicy policy_;
   std::deque<int> response_history_;  // connection index per expected resp.
   mutable int rr_pointer_ = 0;

@@ -110,10 +110,19 @@ ResponseMessage NarrowcastShell::PopResponse() {
   return collectors_[static_cast<std::size_t>(entry.slave_index)]->Pop();
 }
 
+void NarrowcastShell::BindIp(sim::Module* ip) {
+  AETHEREAL_CHECK_MSG(ip_ == nullptr, name() << " already has an IP");
+  ip_ = ip;
+  for (auto& c : collectors_) c->AddListener(ip);
+}
+
 void NarrowcastShell::Evaluate() {
   const Cycle now = CycleCount();
-  for (auto& s : streamers_) s->Tick(now);
-  for (auto& c : collectors_) c->Tick();
+  bool moved = false;
+  for (auto& s : streamers_) moved |= s->Tick(now);
+  for (auto& c : collectors_) moved |= c->Tick();
+  // The IP runs after this shell within an edge (see MasterShell).
+  if (moved && ip_ != nullptr) ip_->Wake();
 }
 
 }  // namespace aethereal::shells

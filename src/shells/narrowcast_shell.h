@@ -53,6 +53,8 @@ class NarrowcastShell : public sim::Module, public MasterEndpoint {
   bool HasResponse() const override;
   transaction::ResponseMessage PopResponse() override;
 
+  void BindIp(sim::Module* ip) override;
+
   void Evaluate() override;
 
  private:
@@ -71,6 +73,7 @@ class NarrowcastShell : public sim::Module, public MasterEndpoint {
 
   std::vector<std::unique_ptr<MessageStreamer>> streamers_;
   std::vector<std::unique_ptr<ResponseCollector>> collectors_;
+  sim::Module* ip_ = nullptr;  // runs every edge itself; wakes its IP
   std::vector<Range> ranges_;
   std::deque<HistoryEntry> history_;
   int seqno_ = 0;

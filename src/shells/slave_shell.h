@@ -1,5 +1,8 @@
 // Slave shell (paper Fig. 6): desequentializes request messages for a slave
 // IP module and sequentializes its responses back into the NoC.
+//
+// Parks while its staging buffer is empty and no request word is readable;
+// Respond() and deliveries wake it (DESIGN.md §7.4).
 #ifndef AETHEREAL_SHELLS_SLAVE_SHELL_H
 #define AETHEREAL_SHELLS_SLAVE_SHELL_H
 
@@ -34,11 +37,14 @@ class SlaveShell : public sim::Module, public SlaveEndpoint {
   /// channel: a master is typically blocked on them.
   void Respond(const transaction::ResponseMessage& msg) override;
 
+  void BindIp(sim::Module* ip) override;
+
   void Evaluate() override;
 
  private:
   MessageStreamer streamer_;
   RequestCollector collector_;
+  sim::Module* ip_ = nullptr;
 };
 
 }  // namespace aethereal::shells

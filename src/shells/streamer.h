@@ -17,7 +17,7 @@ namespace aethereal::shells {
 /// Sequentializer (Seq in Figs. 5-6): accepts encoded message words and
 /// streams them into an NI-port source queue at one word per cycle, after a
 /// fixed pipeline delay. Owned by a shell; Tick() is called from the shell's
-/// Evaluate.
+/// Evaluate, which keeps running while Empty() is false.
 class MessageStreamer {
  public:
   MessageStreamer(core::NiPort* port, int connid, int pipeline_cycles,
@@ -48,18 +48,20 @@ class MessageStreamer {
     }
   }
 
-  /// Moves at most one ready word into the port per cycle.
-  void Tick(Cycle now) {
-    if (staging_.empty()) return;
+  /// Moves at most one ready word into the port per cycle. Returns true if
+  /// it moved one.
+  bool Tick(Cycle now) {
+    if (staging_.empty()) return false;
     const Staged& head = staging_.front();
-    if (head.ready > now) return;
-    if (!port_->CanWrite(connid_)) return;
+    if (head.ready > now) return false;
+    if (!port_->CanWrite(connid_)) return false;
     port_->Write(connid_, head.word);
     if (head.flush_after) port_->FlushData(connid_);
     staging_.pop_front();
+    return true;
   }
 
-  int Backlog() const { return static_cast<int>(staging_.size()); }
+  bool Empty() const { return staging_.empty(); }
   int connid() const { return connid_; }
 
  private:
@@ -76,7 +78,9 @@ class MessageStreamer {
 };
 
 /// Desequentializer (Deseq): drains an NI-port destination queue one word
-/// per cycle through a framer, yielding complete messages.
+/// per cycle through a framer, yielding complete messages. The owning shell
+/// keeps running while Readable() is true and listens on the queue for the
+/// rest (AddListener).
 template <typename MessageT>
 class MessageCollector {
  public:
@@ -85,8 +89,9 @@ class MessageCollector {
     AETHEREAL_CHECK(port != nullptr);
   }
 
-  void Tick() {
-    if (port_->ReadAvailable(connid_) == 0) return;
+  /// Drains at most one word per cycle. Returns true if it drained one.
+  bool Tick() {
+    if (!Readable()) return false;
     const Word word = port_->Read(connid_);
     if (framer_.Feed(word)) {
       auto decoded = framer_.Take();
@@ -95,6 +100,15 @@ class MessageCollector {
                               << connid_ << ": " << decoded.status());
       completed_.push_back(std::move(*decoded));
     }
+    return true;
+  }
+
+  /// True if a word can be drained this cycle.
+  bool Readable() const { return port_->ReadAvailable(connid_) > 0; }
+
+  /// Wakes `module` at the edge each delivered word becomes readable.
+  void AddListener(sim::Module* module) {
+    port_->WakeOnDelivery(connid_, module);
   }
 
   bool HasMessage() const { return !completed_.empty(); }

@@ -24,9 +24,15 @@ using transaction::RequestMessage;
 using transaction::ResponseError;
 using transaction::ResponseMessage;
 
-// A fake endpoint driving the MemorySlave directly (no NoC).
+// A fake endpoint driving the MemorySlave directly (no NoC). Like a shell,
+// it wakes the bound memory for every request it hands over.
 class FakeSlaveEndpoint : public shells::SlaveEndpoint {
  public:
+  void BindIp(sim::Module* ip) override { ip_ = ip; }
+  void Push(RequestMessage msg) {
+    requests_.push_back(std::move(msg));
+    ip_->Wake();
+  }
   bool HasRequest() const override { return !requests_.empty(); }
   RequestMessage PopRequest() override {
     RequestMessage msg = requests_.front();
@@ -38,8 +44,11 @@ class FakeSlaveEndpoint : public shells::SlaveEndpoint {
     responses_.push_back(msg);
   }
 
-  std::deque<RequestMessage> requests_;
   std::deque<ResponseMessage> responses_;
+
+ private:
+  sim::Module* ip_ = nullptr;
+  std::deque<RequestMessage> requests_;
 };
 
 RequestMessage Write(Word addr, std::vector<Word> data) {
@@ -75,8 +84,8 @@ class MemorySlaveDirect : public ::testing::Test {
 };
 
 TEST_F(MemorySlaveDirect, BurstWriteRead) {
-  endpoint_.requests_.push_back(Write(0x100, {1, 2, 3, 4}));
-  endpoint_.requests_.push_back(Read(0x102, 2));
+  endpoint_.Push(Write(0x100, {1, 2, 3, 4}));
+  endpoint_.Push(Read(0x102, 2));
   Run(6);
   ASSERT_EQ(endpoint_.responses_.size(), 2u);
   EXPECT_TRUE(endpoint_.responses_[0].is_write_ack);
@@ -84,9 +93,9 @@ TEST_F(MemorySlaveDirect, BurstWriteRead) {
 }
 
 TEST_F(MemorySlaveDirect, RangeChecks) {
-  endpoint_.requests_.push_back(Write(0x90, {1}));        // below base
-  endpoint_.requests_.push_back(Write(0x13F, {1, 2}));    // straddles end
-  endpoint_.requests_.push_back(Read(0x140, 1));          // past end
+  endpoint_.Push(Write(0x90, {1}));      // below base
+  endpoint_.Push(Write(0x13F, {1, 2}));  // straddles end
+  endpoint_.Push(Read(0x140, 1));        // past end
   Run(8);
   ASSERT_EQ(endpoint_.responses_.size(), 3u);
   for (const auto& rsp : endpoint_.responses_) {
@@ -100,7 +109,7 @@ TEST_F(MemorySlaveDirect, ServiceLatencyDelaysResponse) {
   FakeSlaveEndpoint endpoint;
   MemorySlave slow("slow", &endpoint, 0, 16, /*latency=*/10);
   clock->Register(&slow);
-  endpoint.requests_.push_back(Read(0x0, 1));
+  endpoint.Push(Read(0x0, 1));
   sim.RunCycles(clock, 5);
   EXPECT_TRUE(endpoint.responses_.empty());
   sim.RunCycles(clock, 10);
@@ -113,7 +122,7 @@ TEST_F(MemorySlaveDirect, WriteConditionalRequiresReservation) {
   wc.address = 0x100;
   wc.data = {42};
   wc.flags = transaction::kFlagNeedsAck;
-  endpoint_.requests_.push_back(wc);
+  endpoint_.Push(wc);
   Run(4);
   ASSERT_EQ(endpoint_.responses_.size(), 1u);
   EXPECT_EQ(endpoint_.responses_[0].error, ResponseError::kConditionalFail);
@@ -124,13 +133,13 @@ TEST_F(MemorySlaveDirect, ReadLinkedGrantsReservation) {
   rl.cmd = Command::kReadLinked;
   rl.address = 0x100;
   rl.read_length = 1;
-  endpoint_.requests_.push_back(rl);
+  endpoint_.Push(rl);
   RequestMessage wc;
   wc.cmd = Command::kWriteConditional;
   wc.address = 0x100;
   wc.data = {42};
   wc.flags = transaction::kFlagNeedsAck;
-  endpoint_.requests_.push_back(wc);
+  endpoint_.Push(wc);
   Run(6);
   ASSERT_EQ(endpoint_.responses_.size(), 2u);
   EXPECT_EQ(endpoint_.responses_[1].error, ResponseError::kOk);
