@@ -517,6 +517,33 @@ bool ScenarioRunner::FlowIps::Drained() const {
              : consumer->words_read() == source->words_written();
 }
 
+bool ScenarioRunner::SilenceAndDrain(Cycle max_cycles) {
+  AETHEREAL_CHECK_MSG(ran_, "SilenceAndDrain follows Run()");
+  for (FlowIps& f : flows_) f.SetActive(false, 0);
+  auto drained = [&] {
+    return std::all_of(flows_.begin(), flows_.end(),
+                       [](const FlowIps& f) { return f.Drained(); });
+  };
+  for (Cycle spent = 0; !drained() && spent < max_cycles; ++spent) {
+    soc_->RunCycles(1);
+  }
+  return drained();
+}
+
+std::vector<const sim::Module*> ScenarioRunner::TransactionModules() const {
+  std::vector<const sim::Module*> modules;
+  for (const FlowIps& f : flows_) {
+    if (f.master == nullptr) continue;
+    modules.insert(modules.end(), {f.master_shell.get(), f.master.get(),
+                                   f.slave_shell.get(), f.memory.get()});
+  }
+  if (soc_ != nullptr) {
+    const std::vector<const sim::Module*> config = soc_->ConfigModules();
+    modules.insert(modules.end(), config.begin(), config.end());
+  }
+  return modules;
+}
+
 Result<ScenarioResult> ScenarioRunner::Run() {
   AETHEREAL_CHECK_MSG(!ran_, "ScenarioRunner::Run is single-shot");
   if (Status s = Build(); !s.ok()) return s;

@@ -276,6 +276,15 @@ class ScenarioRunner {
 
   soc::Soc* soc() { return soc_.get(); }
   const ScenarioSpec& spec() const { return spec_; }
+
+  /// After Run(): silences every flow and runs until all have drained, at
+  /// most `max_cycles` network cycles. False if one has not drained.
+  bool SilenceAndDrain(Cycle max_cycles);
+
+  /// The clocked modules of the transaction and configuration stack: every
+  /// memory flow's master shell, master, slave shell and memory, then the
+  /// Soc's configuration modules (Soc::ConfigModules).
+  std::vector<const sim::Module*> TransactionModules() const;
   /// Every connection Build() wired, in directive order, then pattern
   /// order.
   const std::vector<Hop>& hops() const { return hops_; }

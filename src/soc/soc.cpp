@@ -425,6 +425,18 @@ const config::CnipAgent* Soc::cnip_agent(NiId ni) const {
   return it == cnip_agents_.end() ? nullptr : it->second.get();
 }
 
+std::vector<const sim::Module*> Soc::ConfigModules() const {
+  std::vector<const sim::Module*> modules;
+  if (manager_ == nullptr) return modules;
+  modules.push_back(config_shell_.get());
+  for (const auto& [ni, shell] : cnip_shells_) {
+    modules.push_back(shell.get());
+    modules.push_back(cnip_agents_.at(ni).get());
+  }
+  modules.push_back(manager_.get());
+  return modules;
+}
+
 config::ConnectionManager* Soc::EnableConfig(const ConfigSetup& setup) {
   AETHEREAL_CHECK_MSG(manager_ == nullptr, "config already enabled");
   std::map<NiId, int> remote_connids = setup.cfg_connid_of_ni;

@@ -177,6 +177,9 @@ class Soc {
   shells::ConfigShell* config_shell() { return config_shell_.get(); }
   /// The CNIP agent serving NI `ni`, or null if it has none.
   const config::CnipAgent* cnip_agent(NiId ni) const;
+  /// The configuration modules EnableConfig built: the config shell, each
+  /// CNIP shell and agent, and the connection manager (none before).
+  std::vector<const sim::Module*> ConfigModules() const;
 
  private:
   struct DirectConnection {

@@ -414,5 +414,38 @@ TEST(ScenarioDeterminismTest, SoaAndNaiveEnginesAgreeOnCanonicalSpecs) {
   }
 }
 
+// Idle-module gating of the transaction and configuration stack: once a
+// run is over and its flows are silenced and drained, every shell, master,
+// memory, CNIP shell and agent, the config shell and the connection
+// manager is parked on the soa engine. The naive engine never parks, and
+// both produce the same result.
+TEST(ScenarioDeterminismTest, IdleTransactionStackParksOnSoaOnly) {
+  for (const std::string name : {"memory_star", "open_close_churn"}) {
+    auto spec = LoadScenarioFile(std::string(AETHEREAL_SCENARIO_DIR) + "/" +
+                                 name + ".scn");
+    ASSERT_TRUE(spec.ok()) << spec.status();
+    std::string json[2];
+    for (sim::EngineKind engine :
+         {sim::EngineKind::kSoa, sim::EngineKind::kNaive}) {
+      SCOPED_TRACE(name + " on " + sim::EngineKindName(engine));
+      ScenarioSpec run_spec = *spec;
+      run_spec.engine = engine;
+      ScenarioRunner runner(std::move(run_spec));
+      auto result = runner.Run();
+      ASSERT_TRUE(result.ok()) << result.status();
+      json[engine == sim::EngineKind::kSoa ? 0 : 1] = result->ToJson();
+      ASSERT_TRUE(runner.SilenceAndDrain(20000));
+      runner.soc()->RunCycles(200);  // let the last acks settle
+      const std::vector<const sim::Module*> modules =
+          runner.TransactionModules();
+      EXPECT_FALSE(modules.empty());
+      for (const sim::Module* m : modules) {
+        EXPECT_EQ(m->parked(), engine == sim::EngineKind::kSoa) << m->name();
+      }
+    }
+    EXPECT_EQ(json[0], json[1]) << name;
+  }
+}
+
 }  // namespace
 }  // namespace aethereal::scenario
