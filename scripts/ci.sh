@@ -24,7 +24,8 @@
 #
 # Steps: configure (warnings-as-errors, ccache when present), build, ctest
 # with JUnit output, run noc_sim over every canonical scenario spec, check
-# the committed goldens are regen-clean, run the guarantee-verification
+# the committed goldens are regen-clean, cross-check the engines on fresh
+# seeds of the memory and phased scenarios, run the guarantee-verification
 # layer (noc_verify over every canonical scenario and sweep on both
 # engines, plus a fixed-seed conformance-fuzz batch — under ASan in the
 # sanitize configuration), and — on plain Release — a bench_speed smoke so
@@ -156,6 +157,25 @@ done
   -o "$out_dir/killswitch_zero.json" scenarios/uniform_star.scn
 cmp "$out_dir/killswitch_plain.json" "$out_dir/killswitch_zero.json"
 echo "  zero-rate fault file is byte-inert"
+
+echo "=== cross-engine seed check: memory and phased scenarios ==="
+# The goldens pin one seed per spec. Every canonical scenario with a memory
+# flow or a phase also runs verified on two fresh seeds, and the soa and
+# naive engines must write byte-identical results: the idle-module gating
+# of the shells, memory IPs, CNIP agents and connection manager has to
+# wake each of them on the same edge the naive engine acts.
+for scn in $(grep -lE '^(phase|traffic memory)' scenarios/*.scn); do
+  name="$(basename "$scn" .scn)"
+  for seed in 2001 2002; do
+    ./"$build_dir"/noc_sim --quiet --verify --seed "$seed" \
+      -o "$out_dir/seeds_${name}_${seed}.json" "$scn"
+    ./"$build_dir"/noc_sim --quiet --verify --seed "$seed" --engine naive \
+      -o "$out_dir/seeds_${name}_${seed}_naive.json" "$scn"
+    cmp "$out_dir/seeds_${name}_${seed}.json" \
+        "$out_dir/seeds_${name}_${seed}_naive.json"
+  done
+  echo "  ${name}: seeds 2001, 2002 verified, engines byte-identical"
+done
 
 echo "=== observability smoke: counters + trace + noc_trace ==="
 # A canonical scenario with sampling and tracing armed: the stats section
