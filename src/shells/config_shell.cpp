@@ -160,8 +160,9 @@ void ConfigShell::Evaluate() {
     }
   }
   // The agent runs after this shell within an edge: waking it now keeps it
-  // running on the next edge, when a response may complete or a local
-  // access execute.
+  // running on the next edge, when a response may complete. Pending local
+  // accesses keep it awake too: they execute one per edge, so with several
+  // callers one may answer later than the edge after its issue.
   if ((moved || !local_ops_.empty()) && agent_ != nullptr) agent_->Wake();
   if (idle && local_ops_.empty()) Park();
 }

@@ -77,15 +77,17 @@ class CdcFifo {
   /// added twice, is a CHECK failure.
   void AddReadListener(Module* listener) {
     AETHEREAL_CHECK(listener != nullptr);
-    for (const Module* m : listeners_) {
-      AETHEREAL_CHECK_MSG(m != listener,
+    for (Module*& slot : listeners_) {
+      AETHEREAL_CHECK_MSG(slot != listener,
                           listener->name() << " already listens on this queue");
+      if (slot == nullptr) {
+        slot = listener;
+        return;
+      }
     }
-    AETHEREAL_CHECK_MSG(listeners_[kMaxReadListeners - 1] == nullptr,
-                        listener->name() << ": a queue takes at most "
-                                         << kMaxReadListeners
-                                         << " read listeners");
-    listeners_[listeners_[0] == nullptr ? 0 : 1] = listener;
+    AETHEREAL_CHECK_MSG(false, listener->name() << ": a queue takes at most "
+                                                << kMaxReadListeners
+                                                << " read listeners");
   }
 
   // ---- writer-side interface (call only from the writer's clock domain) --
