@@ -4,13 +4,20 @@
 // and flush — the full Fig. 2 datapath.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/ni_kernel.h"
 #include "core/registers.h"
+#include "link/flit.h"
 #include "link/header.h"
 #include "link/wire.h"
 #include "router/router.h"
+#include "sim/engine.h"
 #include "sim/kernel.h"
 
 namespace aethereal::core {
@@ -463,6 +470,302 @@ TEST(NiKernelTraffic, StatsConserveWords) {
   EXPECT_EQ(f.ni0->stats().payload_words_sent,
             f.ni1->stats().payload_words_received);
   EXPECT_EQ(f.ni0->stats().payload_words_sent, sent);
+}
+
+// ---------------------------------------------------------------------------
+// Wide-NI schedule contract: two 32-channel NIs on one router, stepped one
+// network cycle at a time. Each slot appends to a trace the flit each NI
+// injected (channel, kind, credits, words) and its kernel and per-channel
+// counters. The trace must be the same on both engines and hash to a pinned
+// digest per BE policy, so any change in which channel is served in which
+// slot fails here.
+// ---------------------------------------------------------------------------
+
+constexpr int kWideChannels = 32;  // every qid the header can address
+constexpr int kFastChannels = 24;  // 0..23 on the network clock, rest slow
+
+NiKernelParams WideNi(BeArbitration policy) {
+  NiKernelParams params;
+  params.be_arbitration = policy;
+  PortParams fast{"fast", {}};
+  PortParams slow{"slow", {}};
+  for (int c = 0; c < kWideChannels; ++c) {
+    (c < kFastChannels ? fast : slow)
+        .channels.push_back(ChannelParams{8, 8, 1 + c % 3});  // weights 1..3
+  }
+  params.ports = {fast, slow};
+  return params;
+}
+
+std::uint64_t Mix(std::uint64_t x) {  // SplitMix64 finalizer
+  x += 0x9E3779B97F4A7C15ull;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+  return x ^ (x >> 31);
+}
+
+/// True with probability 1/`one_in`, a fixed function of its arguments.
+bool Chance(Cycle t, int ch, int salt, int one_in) {
+  const auto key = (static_cast<std::uint64_t>(t) << 8) |
+                   static_cast<std::uint64_t>(ch * 4 + salt);
+  return Mix(key) % static_cast<std::uint64_t>(one_in) == 0;
+}
+
+class WideNiRig {
+ public:
+  WideNiRig(BeArbitration policy, sim::EngineKind engine) {
+    sim_.set_engine(engine);
+    net_ = sim_.AddClockMhz("net", 500.0);
+    slow_ = sim_.AddClockMhz("slow", 200.0);
+    router_ = std::make_unique<router::Router>("router", 0,
+                                               router::RouterConfig{2, 8});
+    for (auto& l : links_) l = std::make_unique<link::LinkWires>(net_);
+    for (int n = 0; n < 2; ++n) {
+      ni_[n] = std::make_unique<NiKernel>("ni" + std::to_string(n), n,
+                                          WideNi(policy));
+      ni_[n]->ConnectToRouter(links_[2 * n].get(), links_[2 * n + 1].get(), 8);
+      router_->ConnectInput(n, links_[2 * n].get());
+      router_->ConnectOutput(n, links_[2 * n + 1].get(), 8);
+    }
+    net_->Register(router_.get());
+    for (auto& ni : ni_) net_->Register(ni.get());
+    for (auto& ni : ni_) {
+      net_->Register(ni->port(0));
+      slow_->Register(ni->port(1));
+    }
+  }
+
+  NiKernel& ni(int n) { return *ni_[n]; }
+  NiPort& PortOf(int n, ChannelId ch) {
+    return *ni_[n]->port(ch < kFastChannels ? 0 : 1);
+  }
+  static int ConnidOf(ChannelId ch) {
+    return ch < kFastChannels ? ch : ch - kFastChannels;
+  }
+
+  /// Opens NI `n`'s channel `ch` toward the same channel of the other NI.
+  void Open(int n, ChannelId ch, bool gt = false, Word slots = 0,
+            int data_thr = 1, int credit_thr = 1) {
+    const auto path = SourcePath::FromHops({n == 0 ? 1 : 0});
+    SetReg(n, ch, regs::ChannelReg::kSpace, 8);
+    SetReg(n, ch, regs::ChannelReg::kPathRqid, regs::PackPathRqid(path, ch));
+    SetReg(n, ch, regs::ChannelReg::kThresholds,
+           regs::PackThresholds(data_thr, credit_thr));
+    if (slots != 0) SetReg(n, ch, regs::ChannelReg::kSlots, slots);
+    SetReg(n, ch, regs::ChannelReg::kCtrl,
+           regs::kCtrlEnable | (gt ? regs::kCtrlGt : 0));
+  }
+  void Close(int n, ChannelId ch) {
+    SetReg(n, ch, regs::ChannelReg::kCtrl, 0);
+  }
+
+  /// Writes one word to `ch`'s source queue if it fits.
+  void Offer(int n, ChannelId ch) {
+    NiPort& port = PortOf(n, ch);
+    if (!port.CanWrite(ConnidOf(ch))) return;
+    port.Write(ConnidOf(ch), (static_cast<Word>(n) << 24) |
+                                 (static_cast<Word>(ch) << 16) |
+                                 static_cast<Word>(next_word_++ & 0xFFFF));
+  }
+  /// Pops one word of `ch`'s destination queue if one is readable.
+  void Consume(int n, ChannelId ch) {
+    NiPort& port = PortOf(n, ch);
+    if (port.ReadAvailable(ConnidOf(ch)) > 0) (void)port.Read(ConnidOf(ch));
+  }
+
+  Cycle now() const { return net_->cycles(); }
+
+  /// Steps one network cycle; after a slot boundary, appends each NI's
+  /// injected flit and counters to the trace.
+  void Step() {
+    const Cycle t = now();
+    sim_.RunCycles(net_, 1);
+    if (t % kFlitWords != 0) return;
+    const Cycle slot = t / kFlitWords;
+    for (int n = 0; n < 2; ++n) {
+      const link::Flit& f = links_[2 * n]->data.SampleDrivenIn(slot);
+      std::ostringstream line;
+      line << slot << " ni" << n;
+      if (!f.IsIdle()) {
+        int& open = open_[n][f.gt ? 1 : 0];
+        int credits = -1;
+        if (f.kind == link::FlitKind::kHeader) {
+          const auto header = link::PacketHeader::Decode(f.words[0]);
+          open = header.remote_qid;  // channels pair with equal ids
+          credits = header.credits;
+        }
+        line << " ch" << open << " k" << static_cast<int>(f.kind) << " gt"
+             << f.gt << " eop" << f.eop << " cr" << credits << " w";
+        for (int i = 0; i < f.valid_words; ++i) {
+          line << ' ' << f.words[static_cast<std::size_t>(i)];
+        }
+        if (f.eop) open = kInvalidId;
+      }
+      const NiKernelStats& s = ni_[n]->stats();
+      line << " |";
+      for (std::int64_t v :
+           {s.gt_packets, s.be_packets, s.credit_only_packets, s.gt_flits,
+            s.be_flits, s.payload_words_sent, s.header_words_sent,
+            s.payload_words_received, s.packets_received,
+            s.credits_piggybacked, s.credits_in_credit_only, s.idle_slots,
+            s.be_link_stalls, s.gt_slots_unused}) {
+        line << ' ' << v;
+      }
+      for (ChannelId c = 0; c < kWideChannels; ++c) {
+        const ChannelStats& cs = ni_[n]->channel_stats(c);
+        line << " /" << cs.words_sent << ' ' << cs.words_received << ' '
+             << cs.packets_sent << ' ' << cs.credit_only_packets;
+      }
+      trace.push_back(line.str());
+    }
+  }
+
+  std::vector<std::string> trace;
+
+ private:
+  void SetReg(int n, ChannelId ch, regs::ChannelReg reg, Word value) {
+    ASSERT_TRUE(
+        ni_[n]->WriteRegister(regs::ChannelRegAddr(ch, reg), value).ok());
+  }
+
+  sim::Kernel sim_;
+  sim::Clock* net_ = nullptr;
+  sim::Clock* slow_ = nullptr;
+  std::unique_ptr<router::Router> router_;
+  std::array<std::unique_ptr<NiKernel>, 2> ni_;
+  std::array<std::unique_ptr<link::LinkWires>, 4> links_;
+  int open_[2][2] = {{kInvalidId, kInvalidId}, {kInvalidId, kInvalidId}};
+  Word next_word_ = 0;
+};
+
+// Channel roles, NI0 channel c paired with NI1 channel c:
+//  * GT NI0 -> NI1 (NI1 side BE, returning credits): 2 (slots 1-2),
+//    9 (slot 5), 26 (slot 7, slow port). Offered sparsely, so the kernel
+//    waits for the reserved slot.
+//  * BE NI0 -> NI1: 0, 5, 13 (data threshold 3, data flush), 17 (NI1 credit
+//    threshold 4, credit flush), 23 (idle from 800, closed at 1000,
+//    reopened at 1150),
+//    27 (slow, data threshold 4, data flush from the slow port), 31 (slow).
+//  * BE NI1 -> NI0 until cycle 700: 0 and 31, so credits also ride on data
+//    headers.
+//  * NI1 closes 5 at cycle 600 and keeps popping it: its space returns
+//    land on a disabled channel. Every other channel stays disabled.
+constexpr ChannelId kForward[] = {0, 2, 5, 9, 13, 17, 23, 26, 27, 31};
+constexpr ChannelId kBackward[] = {0, 31};
+
+std::vector<std::string> RunWideSchedule(BeArbitration policy,
+                                         sim::EngineKind engine) {
+  WideNiRig rig(policy, engine);
+  rig.Open(0, 0);
+  rig.Open(1, 0);
+  rig.Open(0, 2, /*gt=*/true, (1u << 1) | (1u << 2));
+  rig.Open(1, 2);
+  rig.Open(0, 5);
+  rig.Open(1, 5);
+  rig.Open(0, 9, /*gt=*/true, 1u << 5);
+  rig.Open(1, 9);
+  rig.Open(0, 13, false, 0, /*data_thr=*/3);
+  rig.Open(1, 13);
+  rig.Open(0, 17);
+  rig.Open(1, 17, false, 0, /*data_thr=*/1, /*credit_thr=*/4);
+  rig.Open(0, 23);
+  rig.Open(1, 23);
+  rig.Open(0, 26, /*gt=*/true, 1u << 7);
+  rig.Open(1, 26);
+  rig.Open(0, 27, false, 0, /*data_thr=*/4);
+  rig.Open(1, 27);
+  rig.Open(0, 31);
+  rig.Open(1, 31);
+
+  for (Cycle t = rig.now(); t < 1800; t = rig.now()) {
+    // Saturating load until 500 (every BE queue contends), lighter after.
+    const bool offering = t >= 10 && t < 1400;
+    const bool heavy = t < 500;
+    const bool ch23_open = t < 800 || t >= 1160;
+    if (offering) {
+      for (ChannelId ch : kForward) {
+        const bool gt = ch == 2 || ch == 9 || ch == 26;
+        if (ch == 23 && !ch23_open) continue;
+        if (Chance(t, ch, 0, gt ? (heavy ? 9 : 16) : (heavy ? 3 : 12))) {
+          rig.Offer(0, ch);
+        }
+      }
+      // Reverse data only until 700: under queue-fill, a channel with data
+      // always beats one that owes only credits.
+      for (ChannelId ch : kBackward) {
+        if (t < 700 && Chance(t, ch, 1, 8)) rig.Offer(1, ch);
+      }
+    }
+    for (ChannelId ch : kForward) {
+      if (Chance(t, ch, 2, 2)) rig.Consume(1, ch);
+    }
+    for (ChannelId ch : kBackward) {
+      if (Chance(t, ch, 3, 2)) rig.Consume(0, ch);
+    }
+    if (t % 97 == 50) rig.PortOf(0, 13).FlushData(WideNiRig::ConnidOf(13));
+    if (t % 89 == 40) rig.PortOf(0, 27).FlushData(WideNiRig::ConnidOf(27));
+    if (t % 131 == 70) {
+      rig.PortOf(1, 17).FlushCredits(WideNiRig::ConnidOf(17));
+    }
+    if (t == 600) rig.Close(1, 5);
+    if (t == 1000) {
+      EXPECT_EQ(rig.ni(0).SourceQueueWords(23), 0);
+      rig.Close(0, 23);
+      rig.Close(1, 23);
+    }
+    if (t == 1150) {
+      EXPECT_EQ(rig.ni(1).DestQueueWords(23), 0);
+      rig.Open(0, 23);
+      rig.Open(1, 23);
+    }
+    rig.Step();
+  }
+
+  // The scenario reached the corners it is meant to cover.
+  EXPECT_GT(rig.ni(0).channel_stats(31).words_sent, 0);
+  EXPECT_GT(rig.ni(1).channel_stats(31).words_sent, 0);
+  EXPECT_GT(rig.ni(0).channel_stats(26).words_sent, 0);
+  EXPECT_FALSE(rig.ni(1).ChannelEnabled(5));
+  EXPECT_GT(rig.ni(1).CreditsOwedOf(5), 0)
+      << "space returns on the disabled channel were not harvested";
+  EXPECT_GT(rig.ni(0).stats().gt_packets, 0);
+  EXPECT_GT(rig.ni(1).stats().credit_only_packets, 0);
+  return std::move(rig.trace);
+}
+
+std::uint64_t Fnv1a(const std::vector<std::string>& lines) {
+  std::uint64_t h = 0xCBF29CE484222325ull;
+  for (const std::string& line : lines) {
+    for (char c : line) {
+      h = (h ^ static_cast<unsigned char>(c)) * 0x100000001B3ull;
+    }
+    h = (h ^ '\n') * 0x100000001B3ull;
+  }
+  return h;
+}
+
+void ExpectWideSchedule(BeArbitration policy, std::uint64_t digest) {
+  const auto soa = RunWideSchedule(policy, sim::EngineKind::kSoa);
+  const auto naive = RunWideSchedule(policy, sim::EngineKind::kNaive);
+  ASSERT_EQ(soa.size(), naive.size());
+  for (std::size_t i = 0; i < soa.size(); ++i) {
+    ASSERT_EQ(soa[i], naive[i]) << "engines diverge at trace line " << i;
+  }
+  EXPECT_EQ(Fnv1a(soa), digest)
+      << "schedule changed: digest 0x" << std::hex << Fnv1a(soa);
+}
+
+TEST(NiKernelWideSchedule, RoundRobin) {
+  ExpectWideSchedule(BeArbitration::kRoundRobin, 0x3cbc2b9c4cc96ff2ull);
+}
+
+TEST(NiKernelWideSchedule, WeightedRoundRobin) {
+  ExpectWideSchedule(BeArbitration::kWeightedRoundRobin,
+                     0x7ebe44b18d5c7c78ull);
+}
+
+TEST(NiKernelWideSchedule, QueueFill) {
+  ExpectWideSchedule(BeArbitration::kQueueFill, 0x84f7d2c996944089ull);
 }
 
 }  // namespace
