@@ -1,6 +1,7 @@
 #include "core/ni_kernel.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "fault/injector.h"
 #include "link/flit.h"
@@ -54,6 +55,7 @@ Word NiPort::Read(int connid) {
   AETHEREAL_CHECK_MSG(ch.dest.CanPop(),
                       name() << ": destination queue underflow on connid "
                              << connid);
+  kernel_->harvest_ |= NiKernel::Bit(GlobalChannelOf(connid));
   return ch.dest.Pop();
 }
 
@@ -61,6 +63,7 @@ void NiPort::FlushData(int connid) {
   AETHEREAL_CHECK(connid >= 0 && connid < NumChannels());
   auto& ch = kernel_->ChannelAt(channels_[static_cast<std::size_t>(connid)]);
   ch.data_flush_reqs.Set(ch.data_flush_reqs.Get() + 1);
+  kernel_->harvest_ |= NiKernel::Bit(GlobalChannelOf(connid));
   WakeKernelForFlush();
 }
 
@@ -68,6 +71,7 @@ void NiPort::FlushCredits(int connid) {
   AETHEREAL_CHECK(connid >= 0 && connid < NumChannels());
   auto& ch = kernel_->ChannelAt(channels_[static_cast<std::size_t>(connid)]);
   ch.credit_flush_reqs.Set(ch.credit_flush_reqs.Get() + 1);
+  kernel_->harvest_ |= NiKernel::Bit(GlobalChannelOf(connid));
   WakeKernelForFlush();
 }
 
@@ -299,6 +303,11 @@ void NiKernel::ApplyRegisterWrite(Word address, Word value) {
         ch.credit_flush = false;
       }
       ch.enabled = enable;
+      if (enable) {
+        enabled_ |= Bit(chid);
+      } else {
+        enabled_ &= ~Bit(chid);
+      }
       ch.gt = gt;
       if (enable && !gt) {
         // A best-effort channel must not own TDM slots. Checked here (not
@@ -421,7 +430,9 @@ void NiKernel::MaybeParkUntilGtSlot(Cycle slot_number) {
   if (rx_qid_gt_ != kInvalidId || rx_qid_be_ != kInvalidId) return;
   if (be_open_channel_ != kInvalidId) return;
   if (!pending_register_writes_.empty()) return;
-  for (const Channel& ch : channels_) {
+  for (ChannelMask m = enabled_; m != 0; m &= m - 1) {
+    const Channel& ch =
+        channels_[static_cast<std::size_t>(std::countr_zero(m))];
     if (ch.open_words_left > 0) return;
     if (!ch.gt && Eligible(ch)) return;  // BE work is granted next free slot
   }
@@ -441,7 +452,11 @@ bool NiKernel::CanSleep() const {
   if (rx_qid_gt_ != kInvalidId || rx_qid_be_ != kInvalidId) return false;
   if (be_open_channel_ != kInvalidId) return false;
   if (!pending_register_writes_.empty()) return false;
-  for (const Channel& ch : channels_) {
+  // Only enabled channels can be eligible or hold an open packet (a disable
+  // mid-packet is fatal).
+  for (ChannelMask m = enabled_; m != 0; m &= m - 1) {
+    const Channel& ch =
+        channels_[static_cast<std::size_t>(std::countr_zero(m))];
     if (ch.open_words_left > 0) return false;
     if (Eligible(ch)) return false;
   }
@@ -548,7 +563,9 @@ bool NiKernel::ReceiveFlit() {
 
 bool NiKernel::HarvestCreditsAndFlushes() {
   bool any = false;
-  for (Channel& ch : channels_) {
+  for (ChannelMask m = harvest_; m != 0; m &= m - 1) {
+    const int id = std::countr_zero(m);
+    Channel& ch = channels_[static_cast<std::size_t>(id)];
     const int freed = ch.dest.TakeFreedForWriter();
     if (freed > 0) {
       ch.credits_owed += freed;
@@ -568,6 +585,15 @@ bool NiKernel::HarvestCreditsAndFlushes() {
       any = true;
     }
     if (ch.credit_flush && ch.credits_owed == 0) ch.credit_flush = false;
+    // A channel left out of harvest_ has nothing for a later harvest: no
+    // space return to take, no flush request above its seen count, and no
+    // credit flush pending.
+    if (!ch.dest.HasPendingReturns() &&
+        ch.data_flush_reqs.LastSet() == ch.data_flush_seen &&
+        ch.credit_flush_reqs.LastSet() == ch.credit_flush_seen &&
+        !ch.credit_flush) {
+      harvest_ &= ~Bit(id);
+    }
   }
   return any;
 }
@@ -662,51 +688,57 @@ bool NiKernel::Schedule() {
 
 ChannelId NiKernel::ArbitrateBe() {
   const auto num = static_cast<int>(channels_.size());
-  auto eligible_be = [this](ChannelId id) {
-    const Channel& ch = ChannelAt(id);
-    return !ch.gt && Eligible(ch);
-  };
-
   switch (params_.be_arbitration) {
     case BeArbitration::kRoundRobin: {
-      for (int k = 0; k < num; ++k) {
-        const ChannelId id = static_cast<ChannelId>((rr_pointer_ + k) % num);
-        if (eligible_be(id)) {
-          rr_pointer_ = (id + 1) % num;
-          return id;
-        }
-      }
-      return kInvalidId;
+      const ChannelId id = FirstEligibleBe(rr_pointer_);
+      if (id != kInvalidId) rr_pointer_ = (id + 1) % num;
+      return id;
     }
     case BeArbitration::kWeightedRoundRobin: {
       // The current channel keeps the grant for `weight` packets.
-      if (wrr_grants_left_ > 0 &&
-          eligible_be(static_cast<ChannelId>(rr_pointer_))) {
+      const Channel& current =
+          channels_[static_cast<std::size_t>(rr_pointer_)];
+      if (wrr_grants_left_ > 0 && !current.gt && Eligible(current)) {
         --wrr_grants_left_;
         return static_cast<ChannelId>(rr_pointer_);
       }
-      for (int k = 1; k <= num; ++k) {
-        const ChannelId id = static_cast<ChannelId>((rr_pointer_ + k) % num);
-        if (eligible_be(id)) {
-          rr_pointer_ = id;
-          wrr_grants_left_ = ChannelAt(id).params.weight - 1;
-          return id;
-        }
+      const ChannelId id = FirstEligibleBe(rr_pointer_ + 1);
+      if (id != kInvalidId) {
+        rr_pointer_ = id;
+        wrr_grants_left_ = ChannelAt(id).params.weight - 1;
       }
-      return kInvalidId;
+      return id;
     }
     case BeArbitration::kQueueFill: {
+      // Ascending ids, so the lowest of the fullest channels wins.
       ChannelId best = kInvalidId;
       int best_fill = -1;
-      for (ChannelId id = 0; id < num; ++id) {
-        if (!eligible_be(id)) continue;
-        const int fill = SendableWords(ChannelAt(id));
+      for (ChannelMask m = enabled_; m != 0; m &= m - 1) {
+        const auto id = static_cast<ChannelId>(std::countr_zero(m));
+        const Channel& ch = channels_[static_cast<std::size_t>(id)];
+        if (ch.gt || !Eligible(ch)) continue;
+        const int fill = SendableWords(ch);
         if (fill > best_fill) {
           best_fill = fill;
           best = id;
         }
       }
       return best;
+    }
+  }
+  return kInvalidId;
+}
+
+ChannelId NiKernel::FirstEligibleBe(int start) const {
+  const ChannelMask from =
+      start < std::numeric_limits<ChannelMask>::digits
+          ? enabled_ & (~ChannelMask{0} << start)
+          : 0;
+  for (ChannelMask m : {from, enabled_ & ~from}) {
+    for (; m != 0; m &= m - 1) {
+      const auto id = static_cast<ChannelId>(std::countr_zero(m));
+      const Channel& ch = channels_[static_cast<std::size_t>(id)];
+      if (!ch.gt && Eligible(ch)) return id;
     }
   }
   return kInvalidId;

@@ -19,6 +19,8 @@
 #ifndef AETHEREAL_CORE_NI_KERNEL_H
 #define AETHEREAL_CORE_NI_KERNEL_H
 
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -121,6 +123,11 @@ struct ChannelStats {
 
 class NiKernel : public sim::Module {
  public:
+  /// A set of channels, bit c standing for channel c.
+  using ChannelMask = std::uint32_t;
+  static_assert(link::kMaxQueueId < std::numeric_limits<ChannelMask>::digits,
+                "a channel mask needs one bit per addressable queue id");
+
   /// Constructs the kernel and its ports. Register the kernel on the
   /// network clock and each port on its (possibly distinct) port clock.
   NiKernel(std::string name, NiId id, const NiKernelParams& params);
@@ -200,10 +207,10 @@ class NiKernel : public sim::Module {
     int port = 0;
     int connid = 0;
     ChannelParams params;
-    // Queues (the CDC boundary), stored inline so the per-slot channel walk
-    // (harvest, schedule, eligibility) stays within the channel slab
-    // instead of chasing one heap allocation per queue. The port writes the
-    // source queue and reads the destination queue; the kernel the reverse.
+    // Queues (the CDC boundary), stored inline so the per-slot walks over
+    // the enabled and harvest masks stay within the channel slab instead of
+    // chasing one heap allocation per queue. The port writes the source
+    // queue and reads the destination queue; the kernel the reverse.
     sim::CdcFifo<Word> source;
     sim::CdcFifo<Word> dest;
     // Run-time configuration registers.
@@ -231,6 +238,7 @@ class NiKernel : public sim::Module {
     ChannelStats stats;
   };
 
+  static ChannelMask Bit(ChannelId ch) { return ChannelMask{1} << ch; }
   bool IsSlotBoundary() const { return CycleCount() % kFlitWords == 0; }
   Channel& ChannelAt(ChannelId ch);
   const Channel& ChannelAt(ChannelId ch) const;
@@ -245,6 +253,9 @@ class NiKernel : public sim::Module {
   bool Eligible(const Channel& ch) const;
   int SendableWords(const Channel& ch) const;
   ChannelId ArbitrateBe();
+  /// The first eligible BE channel, visiting the enabled channels from id
+  /// `start` (at most 32) upward, then wrapping to those below it.
+  ChannelId FirstEligibleBe(int start) const;
   int GtRunWords(ChannelId ch, SlotIndex slot) const;
   void ApplyRegisterWrite(Word address, Word value);
   /// Applies, in order, the staged register writes whose edge has passed.
@@ -269,6 +280,15 @@ class NiKernel : public sim::Module {
   // Channels live in a contiguous fixed-capacity slab, so the per-slot
   // channel walk touches consecutive memory (sim/soa_state.h).
   sim::Slab<Channel> channels_;
+  // The per-slot walks visit only the channels in these masks, so their
+  // cost follows the open connections, not the channels instantiated
+  // (DESIGN.md §7.4). enabled_ mirrors the CTRL enable bits: a disabled
+  // channel is never eligible nor mid-packet. harvest_ marks the channels
+  // a harvest may find work on: set by a destination-queue pop and by a
+  // data or credit flush request, kept while a space return or a request
+  // is still on its way or a credit flush is pending.
+  ChannelMask enabled_ = 0;
+  ChannelMask harvest_ = 0;
   std::vector<std::unique_ptr<NiPort>> ports_;
   std::vector<ChannelId> stu_;  // slot -> owning channel (or kInvalidId)
 

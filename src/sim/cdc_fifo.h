@@ -126,6 +126,10 @@ class CdcFifo {
     return freed;
   }
 
+  /// True while popped space has not been taken by TakeFreedForWriter():
+  /// still in flight to the writer, or synchronized and not yet taken.
+  bool HasPendingReturns() const { return !returns_.empty() || freed_ > 0; }
+
   // ---- reader-side interface (call only from the reader's clock domain) --
 
   /// Words readable at the start of this edge: this edge's pops are still

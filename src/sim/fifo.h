@@ -128,6 +128,10 @@ class Register {
 
   const T& Get() const { return Landed() ? next_ : value_; }
 
+  /// The value of the latest Set(), landed or not (the reset value if the
+  /// register was never Set()).
+  const T& LastSet() const { return next_; }
+
   void Set(T value) {
     const Cycle now = Now();
     if (stamp_ != now) {
