@@ -10,6 +10,9 @@
 #     naive engine, each with and without --verify (noc_sim's stdout is
 #     only the summary table);
 #   * the result JSON and CSV of every canonical sweep on both engines;
+#   * when benchmark/out/specs/ exists (benchmark/run.sh writes it, as does
+#     noc_bench --write-specs), the result JSON of every generated
+#     benchmark scenario there on both engines;
 #   * the stdout of the paper benches and the examples. bench_stack's
 #     google-benchmark rows are host timings and are dropped; bench_speed
 #     and bench_sweep print nothing but host timings and are not run.
@@ -86,6 +89,27 @@ for sweep in scenarios/sweeps/*.swp; do
     same "$work/parent/$tag.csv" "$work/change/$tag.csv" "noc_sweep $tag csv"
   done
 done
+
+# Benchmark scenarios: the workloads a perf change is measured on.
+bench_specs="benchmark/out/specs"
+if [[ -d "$bench_specs" ]]; then
+  for spec in "$bench_specs"/*.scn; do
+    [[ -e "$spec" ]] || continue
+    name="$(basename "$spec" .scn)"
+    for engine in soa naive; do
+      tag="bench_${name}_${engine}"
+      for side in parent change; do
+        build="$parent"
+        [[ "$side" == change ]] && build="$change"
+        "$build/noc_sim" --quiet --engine "$engine" \
+          -o "$work/$side/$tag.json" "$spec" > /dev/null 2>&1 || true
+      done
+      same "$work/parent/$tag.json" "$work/change/$tag.json" "noc_sim $tag"
+    done
+  done
+else
+  echo "skipped: $bench_specs (not generated)"
+fi
 
 # Paper benches and examples: stdout, run from a scratch directory so no
 # program writes into the checkout.
