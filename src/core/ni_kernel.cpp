@@ -263,7 +263,7 @@ Result<Word> NiKernel::ReadRegister(Word address) {
   const Channel& ch = ChannelAt(chid);
   switch (static_cast<regs::ChannelReg>(reg)) {
     case regs::ChannelReg::kCtrl:
-      return static_cast<Word>((ch.enabled ? regs::kCtrlEnable : 0) |
+      return static_cast<Word>((Enabled(chid) ? regs::kCtrlEnable : 0) |
                                (ch.gt ? regs::kCtrlGt : 0));
     case regs::ChannelReg::kSpace:
       return static_cast<Word>(ch.space);
@@ -292,17 +292,17 @@ void NiKernel::ApplyRegisterWrite(Word address, Word value) {
     case regs::ChannelReg::kCtrl: {
       const bool enable = (value & regs::kCtrlEnable) != 0;
       const bool gt = (value & regs::kCtrlGt) != 0;
-      AETHEREAL_CHECK_MSG(!(ch.enabled && !enable && ch.open_words_left > 0),
+      const bool was_enabled = Enabled(chid);
+      AETHEREAL_CHECK_MSG(!(was_enabled && !enable && ch.open_words_left > 0),
                           name() << ": channel " << chid
                                  << " disabled mid-packet");
-      if (enable && !ch.enabled) {
+      if (enable && !was_enabled) {
         // (Re)opening: reset run-time state.
         ch.credits_owed = 0;
         ch.open_words_left = 0;
         ch.flush_words_left = 0;
         ch.credit_flush = false;
       }
-      ch.enabled = enable;
       if (enable) {
         enabled_ |= Bit(chid);
       } else {
@@ -340,7 +340,7 @@ void NiKernel::ApplyRegisterWrite(Word address, Word value) {
         ChannelId& owner = stu_[static_cast<std::size_t>(s)];
         if (want) {
           // Conflicting claims were rejected when staged (WriteRegister).
-          AETHEREAL_CHECK_MSG(!(ch.enabled && !ch.gt),
+          AETHEREAL_CHECK_MSG(!(Enabled(chid) && !ch.gt),
                               name() << ": STU slot " << s
                                      << " owned by best-effort channel "
                                      << chid);
@@ -382,7 +382,8 @@ SlotIndex NiKernel::CurrentSlot() const {
 }
 bool NiKernel::ChannelEnabled(ChannelId ch) {
   ApplyRegisterWrites();
-  return ChannelAt(ch).enabled;
+  AETHEREAL_CHECK(ch >= 0 && ch < NumChannels());
+  return Enabled(ch);
 }
 
 // ---------------------------------------------------------------------------
@@ -441,7 +442,7 @@ void NiKernel::MaybeParkUntilGtSlot(Cycle slot_number) {
         stu_[static_cast<std::size_t>((slot_number + d) % params_.stu_slots)];
     if (owner == kInvalidId) continue;
     const Channel& oc = ChannelAt(owner);
-    if (oc.gt && Eligible(oc)) {
+    if (Enabled(owner) && oc.gt && Eligible(oc)) {
       ParkUntil((slot_number + d) * kFlitWords);
       return;
     }
@@ -452,7 +453,7 @@ bool NiKernel::CanSleep() const {
   if (rx_qid_gt_ != kInvalidId || rx_qid_be_ != kInvalidId) return false;
   if (be_open_channel_ != kInvalidId) return false;
   if (!pending_register_writes_.empty()) return false;
-  // Only enabled channels can be eligible or hold an open packet (a disable
+  // Only enabled channels can send or hold an open packet (a disable
   // mid-packet is fatal).
   for (ChannelMask m = enabled_; m != 0; m &= m - 1) {
     const Channel& ch =
@@ -478,7 +479,7 @@ void NiKernel::AccountIdleThrough(Cycle last_slot) {
   Cycle owned_enabled = 0;  // enabled-owner slots per full table rotation
   for (SlotIndex s = 0; s < params_.stu_slots; ++s) {
     const ChannelId owner = stu_[static_cast<std::size_t>(s)];
-    if (owner != kInvalidId && ChannelAt(owner).enabled) ++owned_enabled;
+    if (owner != kInvalidId && Enabled(owner)) ++owned_enabled;
   }
   if (owned_enabled == 0) return;
   const Cycle rotations = skipped / params_.stu_slots;
@@ -486,7 +487,7 @@ void NiKernel::AccountIdleThrough(Cycle last_slot) {
   for (Cycle s = first + rotations * params_.stu_slots; s <= last_slot; ++s) {
     const ChannelId owner =
         stu_[static_cast<std::size_t>(s % params_.stu_slots)];
-    if (owner != kInvalidId && ChannelAt(owner).enabled) {
+    if (owner != kInvalidId && Enabled(owner)) {
       ++stats_.gt_slots_unused;
     }
   }
@@ -603,7 +604,6 @@ int NiKernel::SendableWords(const Channel& ch) const {
 }
 
 bool NiKernel::Eligible(const Channel& ch) const {
-  if (!ch.enabled) return false;
   // A channel whose path register was never configured has nowhere to send
   // (e.g. a CNIP channel enabled at reset that has already consumed
   // configuration messages but whose response direction is not yet set up,
@@ -639,7 +639,7 @@ bool NiKernel::Schedule() {
   // replay of AccountIdleThrough exactly.
   if (fault_ != nullptr && fault_->NiStalled(id_, CycleCount())) {
     const ChannelId stalled_owner = stu_[static_cast<std::size_t>(slot)];
-    if (stalled_owner != kInvalidId && ChannelAt(stalled_owner).enabled) {
+    if (stalled_owner != kInvalidId && Enabled(stalled_owner)) {
       ++stats_.gt_slots_unused;
     }
     ++stats_.idle_slots;
@@ -649,7 +649,7 @@ bool NiKernel::Schedule() {
   const ChannelId owner = stu_[static_cast<std::size_t>(slot)];
   if (owner != kInvalidId) {
     Channel& oc = ChannelAt(owner);
-    if (oc.enabled) {
+    if (Enabled(owner)) {
       AETHEREAL_CHECK_MSG(oc.gt,
                           name() << ": STU slot " << slot
                                  << " owned by best-effort channel " << owner);
@@ -698,7 +698,8 @@ ChannelId NiKernel::ArbitrateBe() {
       // The current channel keeps the grant for `weight` packets.
       const Channel& current =
           channels_[static_cast<std::size_t>(rr_pointer_)];
-      if (wrr_grants_left_ > 0 && !current.gt && Eligible(current)) {
+      if (wrr_grants_left_ > 0 && Enabled(rr_pointer_) && !current.gt &&
+          Eligible(current)) {
         --wrr_grants_left_;
         return static_cast<ChannelId>(rr_pointer_);
       }

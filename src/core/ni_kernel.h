@@ -213,8 +213,7 @@ class NiKernel : public sim::Module {
     // queue and reads the destination queue; the kernel the reverse.
     sim::CdcFifo<Word> source;
     sim::CdcFifo<Word> dest;
-    // Run-time configuration registers.
-    bool enabled = false;
+    // Run-time configuration registers (the CTRL enable bit is enabled_).
     bool gt = false;
     link::SourcePath path;
     int remote_qid = 0;
@@ -239,6 +238,7 @@ class NiKernel : public sim::Module {
   };
 
   static ChannelMask Bit(ChannelId ch) { return ChannelMask{1} << ch; }
+  bool Enabled(ChannelId ch) const { return (enabled_ & Bit(ch)) != 0; }
   bool IsSlotBoundary() const { return CycleCount() % kFlitWords == 0; }
   Channel& ChannelAt(ChannelId ch);
   const Channel& ChannelAt(ChannelId ch) const;
@@ -250,6 +250,7 @@ class NiKernel : public sim::Module {
   /// Returns true if a flit was emitted.
   bool Schedule();
   void EmitFlit(ChannelId ch);
+  /// True if an enabled channel has data or credits to send now.
   bool Eligible(const Channel& ch) const;
   int SendableWords(const Channel& ch) const;
   ChannelId ArbitrateBe();
@@ -282,11 +283,11 @@ class NiKernel : public sim::Module {
   sim::Slab<Channel> channels_;
   // The per-slot walks visit only the channels in these masks, so their
   // cost follows the open connections, not the channels instantiated
-  // (DESIGN.md §7.4). enabled_ mirrors the CTRL enable bits: a disabled
-  // channel is never eligible nor mid-packet. harvest_ marks the channels
-  // a harvest may find work on: set by a destination-queue pop and by a
-  // data or credit flush request, kept while a space return or a request
-  // is still on its way or a credit flush is pending.
+  // (DESIGN.md §7.4). enabled_ holds the CTRL enable bits: a disabled
+  // channel sends nothing and is never mid-packet. harvest_ marks the
+  // channels a harvest may find work on: set by a destination-queue pop
+  // and by a data or credit flush request, kept while a space return or a
+  // request is still on its way or a credit flush is pending.
   ChannelMask enabled_ = 0;
   ChannelMask harvest_ = 0;
   std::vector<std::unique_ptr<NiPort>> ports_;
