@@ -278,8 +278,9 @@ class NiKernel : public sim::Module {
 
   NiId id_;
   NiKernelParams params_;
-  // Channels live in a contiguous fixed-capacity slab, so the per-slot
-  // channel walk touches consecutive memory (sim/soa_state.h).
+  // Channels live in a contiguous fixed-capacity slab, indexed by channel
+  // id, so the masked walks below reach a channel with one index and no
+  // pointer chase (sim/soa_state.h).
   sim::Slab<Channel> channels_;
   // The per-slot walks visit only the channels in these masks, so their
   // cost follows the open connections, not the channels instantiated
