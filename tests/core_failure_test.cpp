@@ -12,6 +12,8 @@
 #include "soc/soc.h"
 #include "topology/builders.h"
 
+#include "poll.h"
+
 namespace aethereal::core {
 namespace {
 
@@ -124,7 +126,8 @@ TEST(KernelFailure, CreditOverflowIsFatal) {
         auto* src = soc->port(0, 0);
         auto* dst = soc->port(1, 0);
         for (int i = 0; i < 8; ++i) {
-          while (!src->CanWrite(0)) soc->RunCycles(3);
+          ASSERT_TRUE(PollUntil([&] { return src->CanWrite(0); },
+                                [&](Cycle n) { soc->RunCycles(n); }, 3));
           src->Write(0, static_cast<Word>(i));
           soc->RunCycles(1);
         }

@@ -20,6 +20,8 @@
 #include "sim/engine.h"
 #include "sim/kernel.h"
 
+#include "poll.h"
+
 namespace aethereal::core {
 namespace {
 
@@ -180,7 +182,8 @@ TEST(NiKernelTraffic, BeOrderPreserved) {
   f.OpenPair(0, 0);
   std::vector<Word> sent;
   for (Word i = 0; i < 30; ++i) {
-    while (!f.ni0->port(0)->CanWrite(0)) f.Run(3);
+    ASSERT_TRUE(PollUntil([&] { return f.ni0->port(0)->CanWrite(0); },
+                          [&](Cycle n) { f.Run(n); }, 3));
     f.ni0->port(0)->Write(0, 0x100 + i);
     sent.push_back(0x100 + i);
     f.Run(1);
@@ -255,7 +258,8 @@ TEST(NiKernelTraffic, CreditOnlyPacketsReturnSpace) {
   // Send 8 words (exhausts space), consume them at NI1; with no reverse
   // data, credits must come back as credit-only (header-only) packets.
   for (int i = 0; i < 8; ++i) {
-    while (!f.ni0->port(0)->CanWrite(0)) f.Run(3);
+    ASSERT_TRUE(PollUntil([&] { return f.ni0->port(0)->CanWrite(0); },
+                          [&](Cycle n) { f.Run(n); }, 3));
     f.ni0->port(0)->Write(0, static_cast<Word>(i));
     f.Run(1);
   }
@@ -276,7 +280,8 @@ TEST(NiKernelTraffic, GtDeliveryOnReservedSlots) {
   // GT request channel with slots {1, 5}; BE response channel for credits.
   f.OpenPair(0, 0, /*gt0=*/true, /*gt1=*/false, /*slots0=*/(1u << 1) | (1u << 5));
   for (int i = 0; i < 6; ++i) {
-    while (!f.ni0->port(0)->CanWrite(0)) f.Run(3);
+    ASSERT_TRUE(PollUntil([&] { return f.ni0->port(0)->CanWrite(0); },
+                          [&](Cycle n) { f.Run(n); }, 3));
     f.ni0->port(0)->Write(0, 0xA0 + static_cast<Word>(i));
     f.Run(1);
   }
@@ -362,7 +367,8 @@ TEST(NiKernelTraffic, CreditThresholdBatchesCredits) {
                      /*data_thr=*/1, /*credit_thr=*/4);
   f.Run(2);
   for (int i = 0; i < 8; ++i) {
-    while (!f.ni0->port(0)->CanWrite(0)) f.Run(3);
+    ASSERT_TRUE(PollUntil([&] { return f.ni0->port(0)->CanWrite(0); },
+                          [&](Cycle n) { f.Run(n); }, 3));
     f.ni0->port(0)->Write(0, static_cast<Word>(i));
     f.Run(1);
   }
@@ -388,7 +394,8 @@ TEST(NiKernelTraffic, CreditFlushForcesCredits) {
                      /*data_thr=*/1, /*credit_thr=*/4);
   f.Run(2);
   for (int i = 0; i < 8; ++i) {
-    while (!f.ni0->port(0)->CanWrite(0)) f.Run(3);
+    ASSERT_TRUE(PollUntil([&] { return f.ni0->port(0)->CanWrite(0); },
+                          [&](Cycle n) { f.Run(n); }, 3));
     f.ni0->port(0)->Write(0, static_cast<Word>(i));
     f.Run(1);
   }
@@ -417,7 +424,8 @@ TEST(NiKernelTraffic, MaxPacketLengthRespected) {
                   .ok());
   f.Run(2);
   for (int i = 0; i < 20; ++i) {
-    while (!f.ni0->port(0)->CanWrite(0)) f.Run(3);
+    ASSERT_TRUE(PollUntil([&] { return f.ni0->port(0)->CanWrite(0); },
+                          [&](Cycle n) { f.Run(n); }, 3));
     f.ni0->port(0)->Write(0, static_cast<Word>(i));
     f.Run(1);
   }
@@ -434,7 +442,8 @@ TEST(NiKernelTraffic, CrossClockDomainDelivery) {
   TwoNiFixture f(OneChannelNi(), OneChannelNi(), /*port_mhz=*/125.0);
   f.OpenPair(0, 0);
   for (int i = 0; i < 12; ++i) {
-    while (!f.ni0->port(0)->CanWrite(0)) f.Run(12);
+    ASSERT_TRUE(PollUntil([&] { return f.ni0->port(0)->CanWrite(0); },
+                          [&](Cycle n) { f.Run(n); }, 12));
     f.ni0->port(0)->Write(0, 0x700 + static_cast<Word>(i));
     f.Run(4);
     if (f.ni1->port(0)->ReadAvailable(0) > 4) {
