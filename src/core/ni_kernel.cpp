@@ -205,7 +205,8 @@ Status NiKernel::WriteRegister(Word address, Word value) {
   pending_register_writes_.push_back(PendingWrite{edge, address, value});
   // The write lands after this edge; wake so the *scheduling* consequences
   // (enable, slots, thresholds) are acted on from the next slot boundary.
-  Wake(kFlitWords + 1);
+  // A pending write keeps the kernel from parking until it has landed.
+  Wake();
   return OkStatus();
 }
 
@@ -396,72 +397,48 @@ void NiKernel::Evaluate() {
   const Cycle slot_number = CycleCount() / kFlitWords;
   AccountIdleThrough(slot_number - 1);  // slots skipped while parked
   last_accounted_slot_ = slot_number;   // this slot is processed below
-  bool active = false;
   if (to_router_ != nullptr) {
-    const int returned = to_router_->credit_return.Sample();
-    if (returned != 0) {
-      be_link_credits_ += returned;
-      active = true;
-    }
+    be_link_credits_ += to_router_->credit_return.Sample();
   }
-  if (from_router_ != nullptr) active |= ReceiveFlit();
-  active |= HarvestCreditsAndFlushes();
-  if (to_router_ != nullptr) active |= Schedule();
-
-  // A slot with no arrivals, no harvested credits, no flushes, and nothing
-  // emitted can only be followed by more of the same until an external
-  // event (wire drive, queue push, flush, register write) wakes us.
-  if (!active) {
-    if (CanSleep()) {
-      Park();
-    } else {
-      MaybeParkUntilGtSlot(slot_number);
-    }
-  }
+  if (from_router_ != nullptr) ReceiveFlit();
+  HarvestCreditsAndFlushes();
+  if (to_router_ != nullptr) Schedule();
+  ParkUntilWork(slot_number);
 }
 
-void NiKernel::MaybeParkUntilGtSlot(Cycle slot_number) {
-  // Sleep through the wait for a reserved TDM slot: if the only pending
-  // work is eligible GT channels waiting for their slot to come around,
-  // schedule a wake at the earliest slot owned by any of them. The skipped
-  // slots are exactly the slots the naïve engine spends scanning an
-  // unchanged schedule (it grants nothing until that same slot), so the
-  // idle accounting replay stays exact. Any external event still wakes us
-  // earlier.
+void NiKernel::ParkUntilWork(Cycle slot_number) {
+  // Open packets, pending register writes and eligible BE channels keep us
+  // running: BE work is granted the next free slot. Only enabled channels
+  // can send or hold an open packet (a disable mid-packet is fatal).
   if (rx_qid_gt_ != kInvalidId || rx_qid_be_ != kInvalidId) return;
   if (be_open_channel_ != kInvalidId) return;
   if (!pending_register_writes_.empty()) return;
+  ChannelMask gt_eligible = 0;
   for (ChannelMask m = enabled_; m != 0; m &= m - 1) {
-    const Channel& ch =
-        channels_[static_cast<std::size_t>(std::countr_zero(m))];
+    const int id = std::countr_zero(m);
+    const Channel& ch = channels_[static_cast<std::size_t>(id)];
     if (ch.open_words_left > 0) return;
-    if (!ch.gt && Eligible(ch)) return;  // BE work is granted next free slot
+    if (!Eligible(ch)) continue;
+    if (!ch.gt) return;
+    gt_eligible |= Bit(id);
   }
-  for (Cycle d = 1; d <= params_.stu_slots; ++d) {
-    const ChannelId owner =
-        stu_[static_cast<std::size_t>((slot_number + d) % params_.stu_slots)];
-    if (owner == kInvalidId) continue;
-    const Channel& oc = ChannelAt(owner);
-    if (Enabled(owner) && oc.gt && Eligible(oc)) {
-      ParkUntil((slot_number + d) * kFlitWords);
-      return;
+  // Sleep through the wait for a reserved TDM slot: wake at the earliest
+  // slot owned by an eligible GT channel. The skipped slots are exactly the
+  // slots the naïve engine spends scanning an unchanged schedule (it grants
+  // nothing until that same slot), so the idle accounting replay stays
+  // exact. With no such slot, nothing can be sent until an external event
+  // (wire drive, queue hand-off, flush, register write) wakes us.
+  if (gt_eligible != 0) {
+    for (Cycle d = 1; d <= params_.stu_slots; ++d) {
+      const ChannelId owner =
+          stu_[static_cast<std::size_t>((slot_number + d) % params_.stu_slots)];
+      if (owner != kInvalidId && (gt_eligible & Bit(owner)) != 0) {
+        ParkUntil((slot_number + d) * kFlitWords);
+        return;
+      }
     }
   }
-}
-
-bool NiKernel::CanSleep() const {
-  if (rx_qid_gt_ != kInvalidId || rx_qid_be_ != kInvalidId) return false;
-  if (be_open_channel_ != kInvalidId) return false;
-  if (!pending_register_writes_.empty()) return false;
-  // Only enabled channels can send or hold an open packet (a disable
-  // mid-packet is fatal).
-  for (ChannelMask m = enabled_; m != 0; m &= m - 1) {
-    const Channel& ch =
-        channels_[static_cast<std::size_t>(std::countr_zero(m))];
-    if (ch.open_words_left > 0) return false;
-    if (Eligible(ch)) return false;
-  }
-  return true;
+  Park();
 }
 
 void NiKernel::AccountIdleThrough(Cycle last_slot) {
@@ -503,9 +480,9 @@ const NiKernelStats& NiKernel::stats() {
   return stats_;
 }
 
-bool NiKernel::ReceiveFlit() {
+void NiKernel::ReceiveFlit() {
   const Flit& flit = from_router_->data.Sample();
-  if (flit.IsIdle()) return false;
+  if (flit.IsIdle()) return;
 
   // One packet per traffic class may be in flight on the delivery link (GT
   // preempts BE at slot boundaries upstream).
@@ -559,11 +536,9 @@ bool NiKernel::ReceiveFlit() {
   // Return one link-level credit per BE flit consumed (the NI always sinks
   // flits: end-to-end flow control already guaranteed destination space).
   if (!flit.gt) from_router_->credit_return.Drive(1);
-  return true;
 }
 
-bool NiKernel::HarvestCreditsAndFlushes() {
-  bool any = false;
+void NiKernel::HarvestCreditsAndFlushes() {
   for (ChannelMask m = harvest_; m != 0; m &= m - 1) {
     const int id = std::countr_zero(m);
     Channel& ch = channels_[static_cast<std::size_t>(id)];
@@ -572,18 +547,15 @@ bool NiKernel::HarvestCreditsAndFlushes() {
       ch.credits_owed += freed;
       AETHEREAL_CHECK_MSG(ch.credits_owed <= ch.params.dest_queue_words,
                           name() << ": credits owed exceed queue capacity");
-      any = true;
     }
     if (ch.data_flush_reqs.Get() > ch.data_flush_seen) {
       ch.data_flush_seen = ch.data_flush_reqs.Get();
       // Snapshot of the source-queue filling at flush time (paper §4.1).
       ch.flush_words_left = ch.source.ReaderSize();
-      any = true;
     }
     if (ch.credit_flush_reqs.Get() > ch.credit_flush_seen) {
       ch.credit_flush_seen = ch.credit_flush_reqs.Get();
       ch.credit_flush = true;
-      any = true;
     }
     if (ch.credit_flush && ch.credits_owed == 0) ch.credit_flush = false;
     // A channel left out of harvest_ has nothing for a later harvest: no
@@ -596,11 +568,13 @@ bool NiKernel::HarvestCreditsAndFlushes() {
       harvest_ &= ~Bit(id);
     }
   }
-  return any;
 }
 
 int NiKernel::SendableWords(const Channel& ch) const {
-  return std::min(ch.source.ReaderSize(), ch.space);
+  // Net of this slot's pops (the kernel is the only reader): the same as
+  // the readable size until EmitFlit pops, and what is left after it, so
+  // the park decision that ends the slot sees the flit as sent.
+  return std::min(ch.source.ReaderAvailable(), ch.space);
 }
 
 bool NiKernel::Eligible(const Channel& ch) const {
@@ -628,7 +602,7 @@ int NiKernel::GtRunWords(ChannelId ch, SlotIndex slot) const {
   return run * kFlitWords - 1;  // the header consumes one word
 }
 
-bool NiKernel::Schedule() {
+void NiKernel::Schedule() {
   const SlotIndex slot = CurrentSlot();
   ChannelId granted = kInvalidId;
 
@@ -643,7 +617,7 @@ bool NiKernel::Schedule() {
       ++stats_.gt_slots_unused;
     }
     ++stats_.idle_slots;
-    return false;
+    return;
   }
 
   const ChannelId owner = stu_[static_cast<std::size_t>(slot)];
@@ -666,24 +640,23 @@ bool NiKernel::Schedule() {
       // Wormhole: the open BE packet continues before anything else.
       if (be_link_credits_ <= 0) {
         ++stats_.be_link_stalls;
-        return false;
+        return;
       }
       granted = be_open_channel_;
     } else {
       granted = ArbitrateBe();
       if (granted != kInvalidId && be_link_credits_ <= 0) {
         ++stats_.be_link_stalls;
-        return false;
+        return;
       }
     }
   }
 
   if (granted == kInvalidId) {
     ++stats_.idle_slots;
-    return false;
+    return;
   }
   EmitFlit(granted);
-  return true;
 }
 
 ChannelId NiKernel::ArbitrateBe() {

@@ -243,12 +243,9 @@ class NiKernel : public sim::Module {
   Channel& ChannelAt(ChannelId ch);
   const Channel& ChannelAt(ChannelId ch) const;
 
-  /// Returns true if a non-idle flit arrived.
-  bool ReceiveFlit();
-  /// Returns true if any credit was harvested or flush request seen.
-  bool HarvestCreditsAndFlushes();
-  /// Returns true if a flit was emitted.
-  bool Schedule();
+  void ReceiveFlit();
+  void HarvestCreditsAndFlushes();
+  void Schedule();
   void EmitFlit(ChannelId ch);
   /// True if an enabled channel has data or credits to send now.
   bool Eligible(const Channel& ch) const;
@@ -265,12 +262,10 @@ class NiKernel : public sim::Module {
   void ApplyRegisterWrites();
   /// The owner slot `slot` will have once every staged write has landed.
   ChannelId StagedSlotOwner(SlotIndex slot) const;
-  /// True when no channel has pending or schedulable work, so Evaluate()
-  /// would remain a no-op until an external event (which always Wake()s us).
-  bool CanSleep() const;
-  /// If the only pending work is eligible GT channels waiting for their
-  /// reserved slot, schedules a wake at the earliest such slot and parks.
-  void MaybeParkUntilGtSlot(Cycle slot_number);
+  /// Ends every slot evaluation: parks unless a packet is open, a register
+  /// write is pending or a BE channel is eligible, with a timer wake at the
+  /// earliest slot owned by an eligible GT channel if there is one.
+  void ParkUntilWork(Cycle slot_number);
   /// Replays the idle accounting (idle_slots / gt_slots_unused) for slots
   /// skipped while parked, through slot `last_slot` inclusive, keeping the
   /// stats identical to the naïve path.

@@ -35,8 +35,8 @@ void StreamSource::Deactivate() {
 }
 
 void StreamSource::Evaluate() {
-  if (!active_ || (Done() && backlog_ == 0)) {
-    Park();  // silent until Activate() wakes us, or finished for good
+  if (!active_) {
+    Park();  // silent until Activate() wakes us
     return;
   }
   const Cycle now = CycleCount();
@@ -53,15 +53,18 @@ void StreamSource::Evaluate() {
     }
   }
   // The port is a 32-bit interface: at most one word per cycle.
-  if (backlog_ > 0) {
-    if (port_->CanWrite(connid_)) {
-      port_->Write(connid_, static_cast<Word>(now));
-      --backlog_;
-      ++words_written_;
-    }
-  } else if (next_emit_ > now) {
-    // Nothing due until the next injection event: sleep through the gap.
-    // (A full source queue keeps us awake — space frees asynchronously.)
+  if (backlog_ > 0 && port_->CanWrite(connid_)) {
+    port_->Write(connid_, static_cast<Word>(now));
+    --backlog_;
+    ++words_written_;
+  }
+  // A backlog keeps us awake: a full source queue frees space without
+  // waking anyone. Otherwise sleep through the gap to the next injection
+  // event, or for good once every word is written.
+  if (backlog_ > 0) return;
+  if (Done()) {
+    Park();
+  } else {
     ParkUntil(next_emit_);
   }
 }
@@ -79,13 +82,14 @@ Relay::Relay(std::string name, core::NiPort* port, int in_connid,
 }
 
 void Relay::Evaluate() {
+  if (port_->ReadAvailable(in_connid_) > 0) {
+    if (!port_->CanWrite(out_connid_)) return;  // output full: retry next cycle
+    port_->Write(out_connid_, port_->Read(in_connid_));
+    ++words_relayed_;
+  }
   if (port_->ReadAvailable(in_connid_) == 0) {
     Park();  // empty input: sleep until the next delivery
-    return;
   }
-  if (!port_->CanWrite(out_connid_)) return;  // output full: retry next cycle
-  port_->Write(out_connid_, port_->Read(in_connid_));
-  ++words_relayed_;
 }
 
 StreamConsumer::StreamConsumer(std::string name, core::NiPort* port,
@@ -102,11 +106,8 @@ StreamConsumer::StreamConsumer(std::string name, core::NiPort* port,
 }
 
 void StreamConsumer::Evaluate() {
-  for (int i = 0; i < drain_per_cycle_; ++i) {
-    if (port_->ReadAvailable(connid_) == 0) {
-      if (i == 0) Park();  // empty queue: sleep until the next delivery
-      return;
-    }
+  for (int i = 0; i < drain_per_cycle_ && port_->ReadAvailable(connid_) > 0;
+       ++i) {
     const Word stamp = port_->Read(connid_);
     latency_.Add(static_cast<double>(CycleCount()) -
                  static_cast<double>(stamp));
@@ -117,6 +118,9 @@ void StreamConsumer::Evaluate() {
     }
     last_arrival_ = CycleCount();
     ++words_read_;
+  }
+  if (port_->ReadAvailable(connid_) == 0) {
+    Park();  // empty queue: sleep until the next delivery
   }
 }
 

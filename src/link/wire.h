@@ -98,7 +98,7 @@ class SlotWire {
     }
     entry.stamp = slot;
     if (consumer_masks_ != nullptr) (*consumer_masks_)[p] |= consumer_mask_bit_;
-    if (consumer_ != nullptr) consumer_->Wake(kFlitWords);
+    if (consumer_ != nullptr) consumer_->Wake();
   }
 
   /// Consumer: the value driven in the previous slot, else idle.

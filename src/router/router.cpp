@@ -21,8 +21,6 @@ Router::Router(std::string name, RouterId id, const RouterConfig& config)
   SetEvaluateStride(kFlitWords);  // all work happens at slot boundaries
   inputs_.reserve(static_cast<std::size_t>(config.num_ports));
   outputs_.resize(static_cast<std::size_t>(config.num_ports));
-  gt_out_scratch_.resize(static_cast<std::size_t>(config.num_ports),
-                         Flit::Idle());
   for (int p = 0; p < config.num_ports; ++p) {
     inputs_.emplace_back(config.be_buffer_flits);
     inputs_.back().be_queue.Bind(this);
@@ -77,7 +75,6 @@ void Router::Evaluate() {
   const std::uint32_t input_ports = std::exchange(inputs_pending_[last], 0);
 
   // Collect returned BE credits from downstream.
-  const bool credits_arrived = credit_ports != 0;
   for (std::uint32_t m = credit_ports; m != 0; m &= m - 1) {
     auto& out = outputs_[static_cast<std::size_t>(std::countr_zero(m))];
     const int returned = out.wires->credit_return.Sample();
@@ -86,55 +83,33 @@ void Router::Evaluate() {
     out.be_credits += returned;
   }
 
-  // Phase A: accept arriving flits. GT flits are switched through
-  // immediately; BE flits go to the input buffers. During a fault stall
+  // Phase A: accept arriving flits. GT flits are switched through to their
+  // output at once; BE flits go to the input buffers. During a fault stall
   // window the router accepts no NEW packets: arriving headers (and their
   // continuations) are dropped whole, with link credits returned for the
   // discarded BE flits; packets already in flight complete normally.
   const bool frozen =
       fault_ != nullptr && fault_->RouterStalled(id_, CycleCount());
-  for (const int p : gt_out_ports_) {
-    gt_out_scratch_[static_cast<std::size_t>(p)] = Flit::Idle();
-  }
-  gt_out_ports_.clear();
-  const bool flits_arrived =
-      AcceptInputs(input_ports, gt_out_scratch_, frozen);
-
-  // Slot fast path: nothing arrived and the BE pipeline is empty, so there
-  // is nothing to switch, arbitrate, drain or acknowledge — the remaining
-  // phases are no-ops by construction.
-  if (!flits_arrived && be_flits_buffered_ == 0 && open_wormholes_ == 0) {
-    if (!credits_arrived) Park();
-    return;
-  }
+  AcceptInputs(input_ports, frozen);
 
   // Phase B: BE wormhole arbitration on the outputs GT left free.
-  ArbitrateBestEffort(gt_out_scratch_, frozen);
+  ArbitrateBestEffort(frozen);
 
-  // Phase C: return one link-level credit per BE flit drained from each
-  // input buffer this slot.
-  bool credits_returned = false;
-  bool be_buffered = false;
-  for (auto& in : inputs_) {
-    if (in.wires != nullptr && in.credits_freed_this_slot > 0) {
-      in.wires->credit_return.Drive(in.credits_freed_this_slot);
-      credits_returned = true;
-    }
-    in.credits_freed_this_slot = 0;
-    if (in.be_queue.Size() > 0) be_buffered = true;
+  // Phase C: return one link-level credit per BE flit drained from (or
+  // discarded at) each input this slot.
+  for (std::uint32_t m = std::exchange(credit_inputs_, 0); m != 0;
+       m &= m - 1) {
+    auto& in = inputs_[static_cast<std::size_t>(std::countr_zero(m))];
+    in.wires->credit_return.Drive(std::exchange(in.credits_freed_this_slot, 0));
   }
 
-  // A slot in which nothing arrived, nothing was buffered, and nothing was
-  // driven cannot be followed by local work: any future work begins with a
-  // wire drive, which wakes us.
-  if (!flits_arrived && !credits_arrived && !credits_returned &&
-      !be_buffered) {
-    Park();
-  }
+  // With no BE flit buffered, nothing is left to switch: any future work
+  // begins with a wire drive, which wakes us. That holds inside an open
+  // wormhole too: its next flit arrives on a wire.
+  if (be_flits_buffered_ == 0) Park();
 }
 
-bool Router::AcceptInputs(std::uint32_t pending, std::vector<Flit>& gt_out,
-                          bool frozen) {
+void Router::AcceptInputs(std::uint32_t pending, bool frozen) {
   for (std::uint32_t m = pending; m != 0; m &= m - 1) {
     const auto i = static_cast<std::size_t>(std::countr_zero(m));
     auto& in = inputs_[i];
@@ -148,7 +123,7 @@ bool Router::AcceptInputs(std::uint32_t pending, std::vector<Flit>& gt_out,
     if (flit.kind == FlitKind::kPayload &&
         (flit.gt ? in.gt_discard : in.be_discard)) {
       if (flit.eop) (flit.gt ? in.gt_discard : in.be_discard) = false;
-      if (!flit.gt) in.credits_freed_this_slot += 1;
+      if (!flit.gt) FreeCredit(static_cast<int>(i));
       fault_->NoteRouterStallDrop(id_, CycleCount(), flit.gt,
                                   /*is_header=*/false, flit.valid_words);
       continue;
@@ -159,7 +134,7 @@ bool Router::AcceptInputs(std::uint32_t pending, std::vector<Flit>& gt_out,
         in.gt_discard = !flit.eop;
       } else {
         in.be_discard = !flit.eop;
-        in.credits_freed_this_slot += 1;
+        FreeCredit(static_cast<int>(i));
       }
       fault_->NoteRouterStallDrop(id_, CycleCount(), flit.gt,
                                   /*is_header=*/true, flit.valid_words - 1);
@@ -182,7 +157,7 @@ bool Router::AcceptInputs(std::uint32_t pending, std::vector<Flit>& gt_out,
       forwarded.words[0] = header.Encode();
 
       if (header.gt) {
-        ForwardGt(static_cast<int>(i), forwarded, target, gt_out);
+        ForwardGt(static_cast<int>(i), forwarded, target);
         in.gt_target = flit.eop ? kInvalidId : target;
       } else {
         BufferBe(static_cast<int>(i), forwarded, target);
@@ -195,7 +170,7 @@ bool Router::AcceptInputs(std::uint32_t pending, std::vector<Flit>& gt_out,
       if (flit.gt) {
         AETHEREAL_CHECK_MSG(in.gt_target != kInvalidId,
                             name() << ": orphan GT payload flit at input " << i);
-        ForwardGt(static_cast<int>(i), flit, in.gt_target, gt_out);
+        ForwardGt(static_cast<int>(i), flit, in.gt_target);
         if (flit.eop) in.gt_target = kInvalidId;
       } else {
         AETHEREAL_CHECK_MSG(in.be_accept_target != kInvalidId,
@@ -205,19 +180,19 @@ bool Router::AcceptInputs(std::uint32_t pending, std::vector<Flit>& gt_out,
       }
     }
   }
-  return pending != 0;
 }
 
-void Router::ForwardGt(int input, const Flit& flit, int target,
-                       std::vector<Flit>& gt_out) {
+void Router::ForwardGt(int input, const Flit& flit, int target) {
+  const std::uint32_t bit = std::uint32_t{1} << target;
   AETHEREAL_CHECK_MSG(
-      gt_out[static_cast<std::size_t>(target)].IsIdle(),
+      (gt_claimed_outputs_ & bit) == 0,
       name() << ": GT slot contention on output " << target << " (input "
              << input << ") — slot allocation is corrupt");
-  AETHEREAL_CHECK_MSG(outputs_[static_cast<std::size_t>(target)].wires != nullptr,
+  auto& out = outputs_[static_cast<std::size_t>(target)];
+  AETHEREAL_CHECK_MSG(out.wires != nullptr,
                       name() << ": GT flit to unconnected output " << target);
-  gt_out[static_cast<std::size_t>(target)] = flit;
-  gt_out_ports_.push_back(target);
+  gt_claimed_outputs_ |= bit;
+  out.wires->data.Drive(flit);
   ++stats_.gt_flits;
 }
 
@@ -234,30 +209,20 @@ void Router::BufferBe(int input, const Flit& flit, int target) {
                static_cast<std::int64_t>(in.be_queue.Occupancy()));
 }
 
-void Router::ArbitrateBestEffort(const std::vector<Flit>& gt_out,
-                                 bool frozen) {
-  // GT-only fast path: with no BE flits buffered and no open wormholes,
-  // the only possible action per output is driving a switched GT flit —
-  // and those outputs are exactly the ones listed in gt_out_ports_.
-  // (be_blocked_gt cannot tick: it requires an owner, hence an open
-  // wormhole.)
-  if (be_flits_buffered_ == 0 && open_wormholes_ == 0) {
-    for (const int o : gt_out_ports_) {
-      outputs_[static_cast<std::size_t>(o)].wires->data.Drive(
-          gt_out[static_cast<std::size_t>(o)]);
-    }
-    return;
-  }
+void Router::FreeCredit(int input) {
+  inputs_[static_cast<std::size_t>(input)].credits_freed_this_slot += 1;
+  credit_inputs_ |= std::uint32_t{1} << input;
+}
 
+void Router::ArbitrateBestEffort(bool frozen) {
+  const std::uint32_t gt_claimed = std::exchange(gt_claimed_outputs_, 0);
   for (int o = 0; o < config_.num_ports; ++o) {
     auto& out = outputs_[static_cast<std::size_t>(o)];
-    if (out.wires == nullptr) continue;
-    const Flit& gt_flit = gt_out[static_cast<std::size_t>(o)];
-    if (!gt_flit.IsIdle()) {
-      out.wires->data.Drive(gt_flit);
+    if ((gt_claimed >> o) & 1) {
       if (out.be_owner_input != kInvalidId) ++stats_.be_blocked_gt;
       continue;
     }
+    if (out.wires == nullptr) continue;
 
     int i = out.be_owner_input;
     if (i != kInvalidId) {
@@ -284,7 +249,7 @@ void Router::ArbitrateBestEffort(const std::vector<Flit>& gt_out,
     auto& in = inputs_[static_cast<std::size_t>(i)];
     const BufferedBeFlit entry = in.be_queue.Pop();
     --be_flits_buffered_;
-    in.credits_freed_this_slot += 1;
+    FreeCredit(i);
     out.be_credits -= 1;
     out.wires->data.Drive(entry.flit);
     ++stats_.be_flits;
@@ -294,12 +259,10 @@ void Router::ArbitrateBestEffort(const std::vector<Flit>& gt_out,
       if (!entry.flit.eop) {
         out.be_owner_input = i;
         in.be_drain_target = o;
-        ++open_wormholes_;
       }
     } else if (entry.flit.eop) {
       out.be_owner_input = kInvalidId;
       in.be_drain_target = kInvalidId;
-      --open_wormholes_;
     }
     // The pop may expose a header that a later output grants this slot.
     RefreshBeRequest(i);

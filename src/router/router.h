@@ -95,15 +95,16 @@ class Router : public sim::Module {
   };
 
   bool IsSlotBoundary() const { return CycleCount() % kFlitWords == 0; }
-  /// Accepts the flits flagged in `pending` (the inputs driven last slot);
-  /// returns true if there were any.
-  bool AcceptInputs(std::uint32_t pending, std::vector<link::Flit>& gt_out,
-                    bool frozen);
-  void ForwardGt(int input, const link::Flit& flit, int target,
-                 std::vector<link::Flit>& gt_out);
+  /// Accepts the flits flagged in `pending` (the inputs driven last slot).
+  void AcceptInputs(std::uint32_t pending, bool frozen);
+  /// Drives a GT flit on output `target` now and claims the output for
+  /// this slot.
+  void ForwardGt(int input, const link::Flit& flit, int target);
   void BufferBe(int input, const link::Flit& flit, int target);
-  void ArbitrateBestEffort(const std::vector<link::Flit>& gt_out,
-                           bool frozen);
+  /// Owes one link-level credit upstream of `input` for a BE flit that
+  /// left its buffer (or was discarded) this slot.
+  void FreeCredit(int input);
+  void ArbitrateBestEffort(bool frozen);
   /// Recomputes which output `input` requests: its committed head if that
   /// is a header and the input is not draining a packet, else none.
   void RefreshBeRequest(int input);
@@ -133,19 +134,18 @@ class Router : public sim::Module {
 
   std::vector<InputState> inputs_;
   std::vector<OutputState> outputs_;
-  // Per-slot GT crossbar scratch, preallocated so Evaluate() never touches
-  // the heap (it used to build a fresh std::vector<Flit> every slot).
-  // gt_out_ports_ lists the scratch entries holding a flit this slot, so
-  // clearing and driving walk only the occupied ports (at most one per
-  // input) instead of all of them.
-  std::vector<link::Flit> gt_out_scratch_;
-  std::vector<int> gt_out_ports_;
-  // Activity summaries for the slot fast path: total BE flits resident in
-  // the input buffers (staged or committed) and open BE wormholes. When
-  // both are zero and no flit arrived, the whole BE pipeline — arbitration,
-  // credit returns, buffered-work check — is provably a no-op this slot.
+  // Per-slot masks (bit = port), cleared as the slot's sweep uses them.
+  // GT switching is unbuffered, so a GT flit is driven the moment it is
+  // accepted; gt_claimed_outputs_ records the outputs it took, for the
+  // contention CHECK and so BE arbitration skips them. credit_inputs_
+  // lists the inputs with credits_freed_this_slot > 0, the only wires
+  // the slot's credit return drives.
+  std::uint32_t gt_claimed_outputs_ = 0;
+  std::uint32_t credit_inputs_ = 0;
+  // BE flits resident in the input buffers (staged or committed). The
+  // router parks at the end of any slot that leaves none: further work
+  // then starts with a wire drive, which wakes it.
   int be_flits_buffered_ = 0;
-  int open_wormholes_ = 0;
   // Inputs that buffered a BE flit this slot. The push is visible from the
   // next edge, so their requests are refreshed at the next slot.
   std::uint32_t be_pushed_inputs_ = 0;

@@ -57,7 +57,12 @@ void Clock::PopDueTimers() {
     Module* m = timers_.front().module;
     std::pop_heap(timers_.begin(), timers_.end(), TimerAfter);
     timers_.pop_back();
-    m->Wake();
+    // No park hold: nothing staged races a timer, so the module may park
+    // again in the evaluation it was woken for.
+    if (m->parked_) {
+      m->parked_ = false;
+      NoteEvalStatus(m);
+    }
   }
 }
 

@@ -97,12 +97,14 @@ class Module {
   /// True while the module is gated off the kernel's evaluate sweep.
   bool parked() const { return parked_; }
 
-  /// Ensures the module runs from the next edge of its clock onward, and
-  /// suppresses Park() for `hold_edges` further edges. Callable by anyone
-  /// (producers wake consumers); idempotent and order-independent within an
-  /// edge: a wake issued during edge t always defeats a Park() in edge t,
-  /// regardless of module iteration order.
-  void Wake(Cycle hold_edges = 1);  // inline below (hot path)
+  /// Ensures the module runs from the next edge of its clock onward.
+  /// Callable by anyone (producers wake consumers); idempotent and
+  /// order-independent within an edge: a wake issued during edge t (or
+  /// between steps, before edge t) suppresses Park() through edge t, so it
+  /// defeats a park decided in that edge regardless of module iteration
+  /// order. The module may park again in the evaluation that consumes
+  /// what woke it.
+  void Wake();  // inline below (hot path)
 
   /// Ensures the module evaluates at edge `edge` of its clock, or at its
   /// first stride edge from there: a parked module gets a timer wake at
@@ -344,13 +346,12 @@ inline Cycle Module::CycleCount() const {
   return clock_->cycles_;
 }
 
-inline void Module::Wake(Cycle hold_edges) {
+inline void Module::Wake() {
   if (clock_ == nullptr) {
     parked_ = false;
     return;
   }
-  const Cycle until = clock_->cycles_ + hold_edges;
-  if (until > wake_until_) wake_until_ = until;
+  if (clock_->cycles_ > wake_until_) wake_until_ = clock_->cycles_;
   if (parked_) {
     parked_ = false;
     clock_->NoteEvalStatus(this);

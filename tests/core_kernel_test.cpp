@@ -177,6 +177,26 @@ TEST(NiKernelTraffic, BeSingleWordDelivery) {
   EXPECT_EQ(f.ni1->port(0)->Read(0), 0xDEADBEEFu);
 }
 
+// The slot that emits a kernel's last flit leaves it nothing to send, so
+// it parks in that slot (soa; the naive engine never parks). The link
+// credit the router returns for the flit wakes it again.
+TEST(NiKernelTraffic, KernelParksInTheSlotOfItsLastFlit) {
+  for (sim::EngineKind engine :
+       {sim::EngineKind::kNaive, sim::EngineKind::kSoa}) {
+    SCOPED_TRACE(sim::EngineKindName(engine));
+    TwoNiFixture f(OneChannelNi(), OneChannelNi());
+    f.sim.set_engine(engine);
+    f.OpenPair(0, 0);
+    f.ni0->port(0)->Write(0, 0xDEADBEEF);
+    ASSERT_TRUE(PollUntil([&] { return f.ni0->stats().be_flits == 1; },
+                          [&](Cycle n) { f.Run(n); }, 1, 60));
+    EXPECT_EQ(f.ni0->parked(), engine == sim::EngineKind::kSoa);
+    f.Run(60);
+    ASSERT_EQ(f.ni1->port(0)->ReadAvailable(0), 1);
+    EXPECT_EQ(f.ni1->port(0)->Read(0), 0xDEADBEEFu);
+  }
+}
+
 TEST(NiKernelTraffic, BeOrderPreserved) {
   TwoNiFixture f(OneChannelNi(), OneChannelNi());
   f.OpenPair(0, 0);

@@ -15,6 +15,8 @@
 #include "soc/soc.h"
 #include "topology/builders.h"
 
+#include "poll.h"
+
 namespace aethereal::ip {
 namespace {
 
@@ -545,6 +547,56 @@ class ScriptedWriter : public sim::Module {
   std::vector<Word> words_;
   std::size_t next_ = 0;
 };
+
+// A source parks in the evaluation that writes its burst's last word
+// (soa; the naive engine never parks), and its timer brings it back for
+// the next burst.
+TEST(Stream, SourceParksWithItsBurstsLastWord) {
+  for (sim::EngineKind engine :
+       {sim::EngineKind::kNaive, sim::EngineKind::kSoa}) {
+    SCOPED_TRACE(sim::EngineKindName(engine));
+    auto star = topology::BuildStar(2);
+    std::vector<core::NiKernelParams> params{OneChannelNi(), OneChannelNi()};
+    soc::SocOptions options;
+    options.engine = engine;
+    soc::Soc soc(std::move(star.topology), std::move(params), options);
+    ASSERT_TRUE(
+        soc.OpenConnection(GlobalChannel{0, 0}, GlobalChannel{1, 0}).ok());
+    StreamSource source("source", soc.port(0, 0), 0,
+                        Injection{.period = 40, .words = 3});
+    soc.RegisterOnPort(&source, 0, 0);
+    auto run = [&](Cycle n) { soc.RunCycles(n); };
+    ASSERT_TRUE(PollUntil([&] { return source.words_written() == 3; }, run, 1,
+                          40));
+    EXPECT_EQ(source.parked(), engine == sim::EngineKind::kSoa);
+    ASSERT_TRUE(PollUntil([&] { return source.words_written() == 6; }, run, 1,
+                          60));
+    EXPECT_EQ(source.parked(), engine == sim::EngineKind::kSoa);
+  }
+}
+
+// A consumer parks in the evaluation whose read empties its queue.
+TEST(Stream, ConsumerParksWithTheReadThatEmptiesItsQueue) {
+  for (sim::EngineKind engine :
+       {sim::EngineKind::kNaive, sim::EngineKind::kSoa}) {
+    SCOPED_TRACE(sim::EngineKindName(engine));
+    auto star = topology::BuildStar(2);
+    std::vector<core::NiKernelParams> params{OneChannelNi(), OneChannelNi()};
+    soc::SocOptions options;
+    options.engine = engine;
+    soc::Soc soc(std::move(star.topology), std::move(params), options);
+    ASSERT_TRUE(
+        soc.OpenConnection(GlobalChannel{0, 0}, GlobalChannel{1, 0}).ok());
+    ScriptedWriter writer(soc.port(0, 0), {7, 8});
+    StreamConsumer consumer("consumer", soc.port(1, 0), 0);
+    soc.RegisterOnPort(&writer, 0, 0);
+    soc.RegisterOnPort(&consumer, 1, 0);
+    ASSERT_TRUE(PollUntil([&] { return consumer.words_read() == 2; },
+                          [&](Cycle n) { soc.RunCycles(n); }, 1, 200));
+    EXPECT_EQ(consumer.parked(), engine == sim::EngineKind::kSoa);
+    EXPECT_EQ(consumer.sequence_errors(), 0);
+  }
+}
 
 TEST(Stream, ConsumerCountsStampsThatDoNotIncrease) {
   auto star = topology::BuildStar(2);

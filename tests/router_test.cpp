@@ -2,9 +2,9 @@
 // source-route consumption, contention-free GT switching, wormhole
 // ownership, round-robin order (rotation, skipping idle inputs, inputs
 // freed mid-slot by an eop), link-credit stalling with one blocked count
-// per slot, the fatal invariant checks, and a seeded trace digest that pins
-// the exact grant order of a 5-port router. Every test runs on both
-// engines.
+// per slot, parking in the slot that ends the router's work, the fatal
+// invariant checks, and a seeded trace digest that pins the exact grant
+// order of a 5-port router. Every test runs on both engines.
 #include <gtest/gtest.h>
 
 #include <deque>
@@ -185,6 +185,35 @@ TEST_P(RouterTest, GtForwardsSameSlotWithConsumedPath) {
   EXPECT_EQ(header.remote_qid, 5);
   EXPECT_EQ(flit.words[1], 0xD0u);
   EXPECT_EQ(rig.router().stats().gt_flits, 1);
+}
+
+// GT switching is unbuffered: the slot that forwards a lone GT flit leaves
+// the router with nothing to do, so it parks in that slot (soa; the naive
+// engine never parks) and still delivers on time.
+TEST_P(RouterTest, ParksInTheSlotThatForwardsALoneGtFlit) {
+  RouterRig rig(GetParam());
+  rig.source(0).Enqueue(HeaderFlit(true, {2}, 5, true, 2));
+  rig.RunSlots(2);  // forwarded during slot 1
+  EXPECT_EQ(rig.router().stats().gt_flits, 1);
+  EXPECT_EQ(rig.router().parked(), GetParam() == sim::EngineKind::kSoa);
+  rig.RunSlots(2);
+  ASSERT_EQ(rig.sink(2).flits().size(), 1u);
+  EXPECT_EQ(rig.sink(2).flits()[0].first, 2);
+}
+
+// The slot that drains the last buffered BE flit parks the router. The
+// credit the sink returns for it wakes the router to collect it.
+TEST_P(RouterTest, ParksInTheSlotThatDrainsTheLastBeFlit) {
+  RouterRig rig(GetParam());
+  rig.source(0).Enqueue(HeaderFlit(false, {1}, 3, true, 1));
+  rig.RunSlots(3);  // buffered in slot 1, drained in slot 2
+  EXPECT_EQ(rig.router().stats().be_flits, 1);
+  EXPECT_EQ(rig.router().parked(), GetParam() == sim::EngineKind::kSoa);
+  rig.RunSlots(3);
+  ASSERT_EQ(rig.sink(1).flits().size(), 1u);
+  EXPECT_EQ(rig.sink(1).flits()[0].first, 3);
+  EXPECT_EQ(rig.router().OutputCredits(1), 4);
+  EXPECT_EQ(rig.router().parked(), GetParam() == sim::EngineKind::kSoa);
 }
 
 TEST_P(RouterTest, GtMultiFlitPacketStaysContiguous) {
