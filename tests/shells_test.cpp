@@ -4,6 +4,7 @@
 // multi-connection arbitration with response routing.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 
 #include "ip/memory_slave.h"
@@ -21,6 +22,8 @@ namespace {
 using config::ChannelQos;
 using tdm::GlobalChannel;
 using transaction::ResponseError;
+using NarrowcastMaster = NarrowcastShell;
+using MultiConnectionSlave = MultiConnectionShell;
 
 core::NiKernelParams NiWithChannels(int channels) {
   core::NiKernelParams params;
@@ -31,12 +34,16 @@ core::NiKernelParams NiWithChannels(int channels) {
   return params;
 }
 
-std::unique_ptr<soc::Soc> MakeStarSoc(const std::vector<int>& channels) {
+std::unique_ptr<soc::Soc> MakeStarSoc(
+    const std::vector<int>& channels,
+    sim::EngineKind engine = sim::EngineKind::kSoa) {
   auto star = topology::BuildStar(static_cast<int>(channels.size()));
   std::vector<core::NiKernelParams> params;
   for (int c : channels) params.push_back(NiWithChannels(c));
+  soc::SocOptions options;
+  options.engine = engine;
   return std::make_unique<soc::Soc>(std::move(star.topology),
-                                    std::move(params));
+                                    std::move(params), options);
 }
 
 void RunUntil(soc::Soc& soc, const std::function<bool()>& done,
@@ -297,6 +304,212 @@ TEST(MultiConnectionShell, ServesTwoMastersAndRoutesResponses) {
   EXPECT_EQ(master0.PopResponse().data, (std::vector<Word>{0xB0}));
   EXPECT_EQ(master1.PopResponse().data, (std::vector<Word>{0xA0}));
 }
+
+// ---------------------------------------------------------------------------
+// Per-cycle schedules of the N-connection shells. A scripted master IP
+// issues a fixed list of transactions and hashes every response with the
+// cycle it pops it; the digests pin those cycles on both engines.
+// ---------------------------------------------------------------------------
+
+std::uint64_t Mix(std::uint64_t hash, std::uint64_t value) {
+  for (int b = 0; b < 8; ++b) {
+    hash = (hash ^ ((value >> (8 * b)) & 0xFF)) * 0x100000001B3ull;
+  }
+  return hash;
+}
+
+struct ScriptOp {
+  Cycle at;       // earliest issue cycle
+  bool read;
+  bool acked;     // writes only
+  Word address;
+  int tid;
+};
+
+/// A master IP that issues `ops` in order (each no earlier than its cycle,
+/// and only when the endpoint has room) and hashes each response it pops.
+/// It never parks, so its schedule shows only the shell's timing.
+class ScriptedMaster : public sim::Module {
+ public:
+  ScriptedMaster(std::string name, MasterEndpoint* endpoint,
+                 std::vector<ScriptOp> ops)
+      : sim::Module(std::move(name)), endpoint_(endpoint), ops_(std::move(ops)) {
+    endpoint->BindIp(this);
+  }
+
+  std::uint64_t digest() const { return digest_; }
+  int responses() const { return responses_; }
+  bool issued_all() const { return next_ == ops_.size(); }
+
+  void Evaluate() override {
+    while (endpoint_->HasResponse()) {
+      const auto rsp = endpoint_->PopResponse();
+      digest_ = Mix(digest_, static_cast<std::uint64_t>(CycleCount()));
+      digest_ = Mix(digest_, static_cast<std::uint64_t>(rsp.transaction_id));
+      digest_ = Mix(digest_, static_cast<std::uint64_t>(rsp.error));
+      digest_ = Mix(digest_, rsp.is_write_ack ? 1 : 0);
+      for (Word w : rsp.data) digest_ = Mix(digest_, w);
+      ++responses_;
+    }
+    while (next_ < ops_.size() && ops_[next_].at <= CycleCount()) {
+      const ScriptOp& op = ops_[next_];
+      if (!endpoint_->CanIssue(op.read ? 0 : 2)) break;
+      if (op.read) {
+        endpoint_->IssueRead(op.address, 2, op.tid);
+      } else {
+        const Word base = static_cast<Word>(op.tid) * 16;
+        endpoint_->IssueWrite(op.address, {base + 1, base + 2}, op.acked,
+                              op.tid);
+      }
+      ++next_;
+    }
+  }
+
+ private:
+  MasterEndpoint* endpoint_;
+  std::vector<ScriptOp> ops_;
+  std::size_t next_ = 0;
+  std::uint64_t digest_ = 0xCBF29CE484222325ull;
+  int responses_ = 0;
+};
+
+/// NI0 runs a two-slave narrowcast master: a fast memory on NI1 maps
+/// [0, 0x100), a slow one on NI2 maps [0x1000, 0x1100). The script mixes
+/// reads, acknowledged and posted writes, and unmapped addresses.
+struct NarrowcastRig {
+  explicit NarrowcastRig(sim::EngineKind engine) {
+    soc = MakeStarSoc({2, 1, 1}, engine);
+    AETHEREAL_CHECK(
+        soc->OpenConnection(GlobalChannel{0, 0}, GlobalChannel{1, 0}).ok());
+    AETHEREAL_CHECK(
+        soc->OpenConnection(GlobalChannel{0, 1}, GlobalChannel{2, 0}).ok());
+    shell = std::make_unique<NarrowcastMaster>("narrowcast", soc->port(0, 0),
+                                               std::vector<int>{0, 1});
+    AETHEREAL_CHECK(shell->MapRange(0x0000, 0x100, 0).ok());
+    AETHEREAL_CHECK(shell->MapRange(0x1000, 0x100, 1).ok());
+    slave1 = std::make_unique<SlaveShell>("slave1", soc->port(1, 0), 0);
+    slave2 = std::make_unique<SlaveShell>("slave2", soc->port(2, 0), 0);
+    mem1 = std::make_unique<ip::MemorySlave>("mem1", slave1.get(), 0x0000,
+                                             0x100, /*latency=*/1);
+    mem2 = std::make_unique<ip::MemorySlave>("mem2", slave2.get(), 0x1000,
+                                             0x100, /*latency=*/30);
+    std::vector<ScriptOp> ops;
+    int tid = 0;
+    for (int round = 0; round < 6; ++round) {
+      const Cycle at = 10 + 90 * round;
+      const Word offset = static_cast<Word>(4 * round);
+      ops.push_back({at, false, false, 0x1000 + offset, tid++});  // posted
+      ops.push_back({at, true, false, 0x1000 + offset, tid++});   // slow
+      ops.push_back({at, false, true, 0x0000 + offset, tid++});   // fast
+      ops.push_back({at, true, false, 0x0000 + offset, tid++});   // fast
+      ops.push_back({at + 3, true, false, 0x4000 + offset, tid++});  // unmapped
+      ops.push_back({at + 3, false, false, 0x5000, tid++});  // unmapped posted
+      ops.push_back({at + 5, false, true, 0x1002 + offset, tid++});  // slow
+      ops.push_back({at + 5, false, true, 0x6000, tid++});  // unmapped acked
+      ops.push_back({at + 7, false, false, 0x0002 + offset, tid++});  // posted
+      ops.push_back({at + 7, true, false, 0x1002 + offset, tid++});   // slow
+    }
+    master = std::make_unique<ScriptedMaster>("cpu", shell.get(), ops);
+    soc->RegisterOnPort(shell.get(), 0, 0);
+    soc->RegisterOnPort(master.get(), 0, 0);
+    soc->RegisterOnPort(slave1.get(), 1, 0);
+    soc->RegisterOnPort(slave2.get(), 2, 0);
+    soc->RegisterOnPort(mem1.get(), 1, 0);
+    soc->RegisterOnPort(mem2.get(), 2, 0);
+  }
+
+  std::unique_ptr<soc::Soc> soc;
+  std::unique_ptr<NarrowcastMaster> shell;
+  std::unique_ptr<SlaveShell> slave1, slave2;
+  std::unique_ptr<ip::MemorySlave> mem1, mem2;
+  std::unique_ptr<ScriptedMaster> master;
+};
+
+/// Two masters on NI0 and NI1 share the memory behind a two-connection
+/// multi-connection slave on NI2. Both issue bursts on the same cycles, so
+/// the queue-filling selector and its round-robin tie-break decide the
+/// service order.
+struct MultiConnectionRig {
+  explicit MultiConnectionRig(sim::EngineKind engine) {
+    soc = MakeStarSoc({1, 1, 2}, engine);
+    AETHEREAL_CHECK(
+        soc->OpenConnection(GlobalChannel{0, 0}, GlobalChannel{2, 0}).ok());
+    AETHEREAL_CHECK(
+        soc->OpenConnection(GlobalChannel{1, 0}, GlobalChannel{2, 1}).ok());
+    shell0 = std::make_unique<MasterShell>("master0", soc->port(0, 0), 0);
+    shell1 = std::make_unique<MasterShell>("master1", soc->port(1, 0), 0);
+    slave = std::make_unique<MultiConnectionSlave>(
+        "multiconn", soc->port(2, 0), std::vector<int>{0, 1});
+    memory = std::make_unique<ip::MemorySlave>("memory", slave.get(), 0, 0x100,
+                                               /*latency=*/3);
+    std::vector<ScriptOp> ops0, ops1;
+    int tid = 0;
+    for (int round = 0; round < 5; ++round) {
+      const Cycle at = 10 + 120 * round;
+      const Word a = static_cast<Word>(8 * round);
+      // Master 0 sends a burst of three, master 1 one more on the same
+      // cycle and a second after a short gap: fills differ, then tie.
+      ops0.push_back({at, false, true, a, tid++});
+      ops0.push_back({at, true, false, a + 0x80, tid++});
+      ops0.push_back({at, false, false, a + 2, tid++});
+      ops0.push_back({at + 20, true, false, a, tid++});
+      ops1.push_back({at, true, false, a, tid++});
+      ops1.push_back({at, false, true, a + 0x80, tid++});
+      ops1.push_back({at + 4, true, false, a + 2, tid++});
+      ops1.push_back({at + 20, false, true, a + 0x400, tid++});  // unmapped
+    }
+    master0 = std::make_unique<ScriptedMaster>("cpu0", shell0.get(), ops0);
+    master1 = std::make_unique<ScriptedMaster>("cpu1", shell1.get(), ops1);
+    soc->RegisterOnPort(shell0.get(), 0, 0);
+    soc->RegisterOnPort(master0.get(), 0, 0);
+    soc->RegisterOnPort(shell1.get(), 1, 0);
+    soc->RegisterOnPort(master1.get(), 1, 0);
+    soc->RegisterOnPort(slave.get(), 2, 0);
+    soc->RegisterOnPort(memory.get(), 2, 0);
+  }
+
+  std::unique_ptr<soc::Soc> soc;
+  std::unique_ptr<MasterShell> shell0, shell1;
+  std::unique_ptr<MultiConnectionSlave> slave;
+  std::unique_ptr<ip::MemorySlave> memory;
+  std::unique_ptr<ScriptedMaster> master0, master1;
+};
+
+class ShellSchedule : public ::testing::TestWithParam<sim::EngineKind> {};
+
+// Every response reaches the narrowcast master's IP on the same cycle on
+// both engines, and in issue order: 6 rounds x 7 responses (posted writes
+// expect none).
+TEST_P(ShellSchedule, NarrowcastMasterDigest) {
+  NarrowcastRig rig(GetParam());
+  rig.soc->RunCycles(1500);
+  EXPECT_TRUE(rig.master->issued_all());
+  EXPECT_EQ(rig.master->responses(), 6 * 7);
+  EXPECT_EQ(rig.mem1->writes_served(), 12);
+  EXPECT_EQ(rig.mem2->writes_served(), 12);
+  EXPECT_EQ(rig.master->digest(), 0xae980f0ab1132b27ull)
+      << "schedule changed: digest 0x" << std::hex << rig.master->digest();
+}
+
+// Both masters' responses arrive on the same cycles on both engines.
+TEST_P(ShellSchedule, MultiConnectionSlaveDigest) {
+  MultiConnectionRig rig(GetParam());
+  rig.soc->RunCycles(1500);
+  EXPECT_TRUE(rig.master0->issued_all() && rig.master1->issued_all());
+  EXPECT_EQ(rig.master0->responses(), 5 * 3);
+  EXPECT_EQ(rig.master1->responses(), 5 * 4);
+  const std::uint64_t digest =
+      Mix(rig.master0->digest(), rig.master1->digest());
+  EXPECT_EQ(digest, 0x48184e55d5cc9cbaull) << "schedule changed: digest 0x" << std::hex
+                            << digest;
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, ShellSchedule,
+                         ::testing::Values(sim::EngineKind::kNaive,
+                                           sim::EngineKind::kSoa),
+                         [](const auto& info) {
+                           return std::string(sim::EngineKindName(info.param));
+                         });
 
 }  // namespace
 }  // namespace aethereal::shells
