@@ -3,15 +3,16 @@
 // Paper Fig. 3 / §4.2: "Narrowcast connections provide a simple, low-cost
 // solution for a single shared address space mapped on multiple memories."
 // A CPU-like master sees one flat address space; the narrowcast shell
-// decodes each transaction's address and sends it to exactly one of three
-// memory tiles, merging responses back in order.
+// (a master shell over three connections) decodes each transaction's
+// address and sends it to exactly one of three memory tiles, merging
+// responses back in order.
 //
 // Build & run:  ./example_multi_memory
 #include <iostream>
 
 #include "ip/memory_slave.h"
 #include "scenario/wiring.h"
-#include "shells/narrowcast_shell.h"
+#include "shells/master_shell.h"
 #include "shells/slave_shell.h"
 #include "soc/soc.h"
 
@@ -30,7 +31,8 @@ int main() {
     }
   }
 
-  shells::NarrowcastShell cpu_shell("narrowcast", soc.port(0, 0), {0, 1, 2});
+  shells::MasterShell cpu_shell("narrowcast", soc.port(0, 0),
+                              std::vector<int>{0, 1, 2});
   // One flat 3 x 0x400-word address space: [0x0000, 0x0C00).
   constexpr Word kBankWords = 0x400;
   for (int m = 0; m < 3; ++m) {

@@ -11,8 +11,7 @@ using transaction::ResponseMessage;
 
 ConfigShell::ConfigShell(std::string name, core::NiKernel* local_kernel,
                          core::NiPort* port,
-                         std::map<NiId, int> remote_connids,
-                         int pipeline_cycles)
+                         std::map<NiId, int> remote_connids)
     : sim::Module(std::move(name)),
       local_kernel_(local_kernel),
       remote_connids_(std::move(remote_connids)) {
@@ -22,7 +21,8 @@ ConfigShell::ConfigShell(std::string name, core::NiKernel* local_kernel,
                         "local NI must not have a remote config connection");
     streamer_index_[ni] = streamers_.size();
     streamers_.push_back(
-        std::make_unique<MessageStreamer>(port, connid, pipeline_cycles));
+        std::make_unique<MessageStreamer>(port, connid,
+                                          kConfigShellPipelineCycles));
     collectors_.push_back(std::make_unique<ResponseCollector>(port, connid));
     collectors_.back()->AddListener(this);
   }

@@ -31,14 +31,16 @@
 
 namespace aethereal::shells {
 
+/// Sequentialization latency of the configuration shell's remote accesses.
+inline constexpr int kConfigShellPipelineCycles = 1;
+
 class ConfigShell : public sim::Module {
  public:
   /// `local_kernel`: the NI this shell sits on. `port`: the kernel port
   /// whose channels carry configuration connections. `remote_connids`:
   /// connid on that port per reachable remote NI.
   ConfigShell(std::string name, core::NiKernel* local_kernel,
-              core::NiPort* port, std::map<NiId, int> remote_connids,
-              int pipeline_cycles = 1);
+              core::NiPort* port, std::map<NiId, int> remote_connids);
 
   /// True if the configuration connection toward `ni` exists (the local NI
   /// needs none).

@@ -4,36 +4,73 @@ namespace aethereal::shells {
 
 using transaction::Command;
 using transaction::RequestMessage;
+using transaction::ResponseError;
+using transaction::ResponseMessage;
 
-MasterShell::MasterShell(std::string name, core::NiPort* port, int connid,
-                         int pipeline_cycles)
-    : sim::Module(std::move(name)),
-      streamer_(port, connid, pipeline_cycles),
-      collector_(port, connid) {
-  collector_.AddListener(this);
+MasterShell::MasterShell(std::string name, core::NiPort* port, int connid)
+    : MasterShell(std::move(name), port, std::vector<int>{connid}) {}
+
+MasterShell::MasterShell(std::string name, core::NiPort* port,
+                         std::vector<int> connids)
+    : sim::Module(std::move(name)) {
+  AETHEREAL_CHECK_MSG(!connids.empty(), "a master shell needs a connection");
+  connections_.reserve(connids.size());
+  for (int connid : connids) {
+    connections_.push_back(
+        Connection{MessageStreamer(port, connid, kMasterShellPipelineCycles),
+                   ResponseCollector(port, connid)});
+    connections_.back().collector.AddListener(this);
+  }
 }
 
 void MasterShell::BindIp(sim::Module* ip) {
   AETHEREAL_CHECK_MSG(ip_ == nullptr, name() << " already has an IP");
   ip_ = ip;
-  collector_.AddListener(ip);
+  for (Connection& c : connections_) c.collector.AddListener(ip);
+}
+
+Status MasterShell::MapRange(Word base, Word size, int slave_index) {
+  if (slave_index < 0 || slave_index >= NumSlaves()) {
+    return InvalidArgumentError("slave index out of range");
+  }
+  if (size == 0) return InvalidArgumentError("empty range");
+  for (const Range& r : ranges_) {
+    const bool disjoint = base + size <= r.base || r.base + r.size <= base;
+    if (!disjoint) return AlreadyExistsError("address ranges overlap");
+  }
+  ranges_.push_back(Range{base, size, slave_index});
+  return OkStatus();
+}
+
+Result<int> MasterShell::DecodeAddress(Word address) const {
+  if (connections_.size() == 1) return 0;
+  for (const Range& r : ranges_) {
+    if (address >= r.base && address - r.base < r.size) return r.slave_index;
+  }
+  return NotFoundError("address not mapped to any slave");
 }
 
 bool MasterShell::CanIssue(int payload_words) const {
-  return streamer_.CanAccept(2 + payload_words);
-}
-
-int MasterShell::NextSeqno() {
-  const int assigned = seqno_;
-  seqno_ = (seqno_ + 1) % (transaction::kMaxSequenceNumber + 1);
-  return assigned;
+  for (const Connection& c : connections_) {
+    if (!c.streamer.CanAccept(2 + payload_words)) return false;
+  }
+  return true;
 }
 
 int MasterShell::Issue(RequestMessage msg, bool flush) {
-  msg.sequence_number = NextSeqno();
-  if (msg.ExpectsResponse()) ++outstanding_;
-  streamer_.Accept(msg.Encode(), CycleCount(), flush);
-  Wake();
+  msg.sequence_number = seqno_;
+  seqno_ = (seqno_ + 1) % (transaction::kMaxSequenceNumber + 1);
+  const Result<int> target = DecodeAddress(msg.address);
+  if (msg.ExpectsResponse()) {
+    history_.push_back(HistoryEntry{target.ok() ? *target : -1,
+                                    msg.transaction_id, msg.sequence_number,
+                                    msg.IsWrite()});
+  }
+  if (target.ok()) {
+    connections_[static_cast<std::size_t>(*target)].streamer.Accept(
+        msg.Encode(), CycleCount(), flush);
+    Wake();
+  }
   return msg.sequence_number;
 }
 
@@ -81,16 +118,43 @@ int MasterShell::IssueWriteConditional(Word address,
   return Issue(std::move(msg), /*flush=*/true);
 }
 
+bool MasterShell::HasResponse() const {
+  if (history_.empty()) return false;
+  const int slave = history_.front().slave_index;
+  return slave < 0 ||
+         connections_[static_cast<std::size_t>(slave)].collector.HasMessage();
+}
+
+ResponseMessage MasterShell::PopResponse() {
+  AETHEREAL_CHECK_MSG(HasResponse(), name() << ": no in-order response ready");
+  const HistoryEntry entry = history_.front();
+  history_.pop_front();
+  if (entry.slave_index >= 0) {
+    return connections_[static_cast<std::size_t>(entry.slave_index)]
+        .collector.Pop();
+  }
+  ResponseMessage err;
+  err.transaction_id = entry.transaction_id;
+  err.sequence_number = entry.sequence_number;
+  err.error = ResponseError::kUnmappedAddress;
+  err.is_write_ack = entry.is_write;
+  return err;
+}
+
 void MasterShell::Evaluate() {
-  const bool sent = streamer_.Tick(CycleCount());
-  const int before = collector_.MessageCount();
-  const bool received = collector_.Tick();
-  if (collector_.MessageCount() > before) --outstanding_;
+  const Cycle now = CycleCount();
+  bool moved = false;
+  bool busy = false;
+  for (Connection& c : connections_) moved |= c.streamer.Tick(now);
+  for (Connection& c : connections_) {
+    moved |= c.collector.Tick();
+    busy |= !c.streamer.Empty() || c.collector.Readable();
+  }
   // The IP runs after this shell within an edge: waking it now keeps it
   // running on the next edge, when the message this word belongs to may
   // complete.
-  if ((sent || received) && ip_ != nullptr) ip_->Wake();
-  if (streamer_.Empty() && !collector_.Readable()) Park();
+  if (moved && ip_ != nullptr) ip_->Wake();
+  if (!busy) Park();
 }
 
 }  // namespace aethereal::shells

@@ -1,14 +1,24 @@
-// Master shell (paper Fig. 5): the point-to-point protocol adapter a master
-// IP module uses. Sequentializes commands+flags, addresses and write data
-// into request messages (2-cycle pipeline, as the simplified DTL master
-// shell of paper §5) and desequentializes response messages into read data
-// and write responses.
+// Master shell (paper Fig. 5): the protocol adapter a master IP module uses.
+// Sequentializes commands+flags, addresses and write data into request
+// messages (2-cycle pipeline, as the simplified DTL master shell of paper
+// §5) and desequentializes response messages into read data and write
+// responses.
 //
-// Parks while its staging buffer is empty and no response word is readable;
-// issue calls and deliveries wake it (DESIGN.md §7.4).
+// One shell serves one or more point-to-point connections. With several,
+// it is the narrowcast shell of paper Fig. 3: each transaction goes to
+// exactly one slave, selected by decoding its address against the mapped
+// ranges, and a history of the transactions that expect a response
+// delivers the responses to the IP in issue order, even when slaves answer
+// out of order relative to each other. Unmapped addresses get a locally
+// synthesized kUnmappedAddress response in that order. A shell with one
+// connection maps every address to it.
+//
+// Parks while every staging buffer is empty and no response word is
+// readable; issue calls and deliveries wake it (DESIGN.md §7.4).
 #ifndef AETHEREAL_SHELLS_MASTER_SHELL_H
 #define AETHEREAL_SHELLS_MASTER_SHELL_H
 
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -16,18 +26,32 @@
 #include "shells/streamer.h"
 #include "sim/kernel.h"
 #include "transaction/message.h"
+#include "util/status.h"
 
 namespace aethereal::shells {
 
-/// Default sequentialization latency of the DTL-style master shell.
+/// Sequentialization latency of the DTL-style master shell.
 inline constexpr int kMasterShellPipelineCycles = 2;
 
 class MasterShell : public sim::Module, public MasterEndpoint {
  public:
-  MasterShell(std::string name, core::NiPort* port, int connid,
-              int pipeline_cycles = kMasterShellPipelineCycles);
+  MasterShell(std::string name, core::NiPort* port, int connid);
+  /// `connids`: the port channels of the per-slave connections, in slave
+  /// order.
+  MasterShell(std::string name, core::NiPort* port, std::vector<int> connids);
 
-  /// True if a transaction of `payload_words` data words can be issued now.
+  /// Maps [base, base+size) to slave `slave_index` (an index into the
+  /// connid list). Ranges must not overlap.
+  Status MapRange(Word base, Word size, int slave_index);
+
+  int NumSlaves() const { return static_cast<int>(connections_.size()); }
+
+  /// Address decode: slave index owning `address`, or error if unmapped.
+  Result<int> DecodeAddress(Word address) const;
+
+  /// True if a transaction of `payload_words` data words can be issued now:
+  /// the target is known only at issue time, so every connection's staging
+  /// must have room.
   bool CanIssue(int payload_words = 0) const override;
 
   /// Issues a read of `length` words at `address`. Returns the sequence
@@ -45,25 +69,44 @@ class MasterShell : public sim::Module, public MasterEndpoint {
   int IssueWriteConditional(Word address, const std::vector<Word>& data,
                             int transaction_id);
 
-  bool HasResponse() const override { return collector_.HasMessage(); }
-  transaction::ResponseMessage PopResponse() override { return collector_.Pop(); }
+  /// In-order response delivery: a response is visible only once every
+  /// older transaction's response has been popped.
+  bool HasResponse() const override;
+  transaction::ResponseMessage PopResponse() override;
 
-  /// Responses issued but not yet delivered.
-  int OutstandingResponses() const { return outstanding_; }
+  /// Transactions issued whose response has not been popped yet.
+  int OutstandingResponses() const { return static_cast<int>(history_.size()); }
 
   void BindIp(sim::Module* ip) override;
 
   void Evaluate() override;
 
  private:
-  int NextSeqno();
+  struct Connection {
+    MessageStreamer streamer;
+    ResponseCollector collector;
+  };
+  struct Range {
+    Word base;
+    Word size;
+    int slave_index;
+  };
+  /// A transaction that expects a response. `slave_index` -1 stands for a
+  /// synthesized kUnmappedAddress response, built from the other fields.
+  struct HistoryEntry {
+    int slave_index;
+    int transaction_id;
+    int sequence_number;
+    bool is_write;
+  };
+
   int Issue(transaction::RequestMessage msg, bool flush);
 
-  MessageStreamer streamer_;
-  ResponseCollector collector_;
+  std::vector<Connection> connections_;
+  std::vector<Range> ranges_;
+  std::deque<HistoryEntry> history_;
   sim::Module* ip_ = nullptr;
   int seqno_ = 0;
-  int outstanding_ = 0;
 };
 
 }  // namespace aethereal::shells

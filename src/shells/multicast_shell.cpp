@@ -8,12 +8,13 @@ using transaction::ResponseError;
 using transaction::ResponseMessage;
 
 MulticastShell::MulticastShell(std::string name, core::NiPort* port,
-                               std::vector<int> connids, int pipeline_cycles)
+                               std::vector<int> connids)
     : sim::Module(std::move(name)) {
   AETHEREAL_CHECK_MSG(!connids.empty(), "multicast needs at least one slave");
   for (int connid : connids) {
     streamers_.push_back(
-        std::make_unique<MessageStreamer>(port, connid, pipeline_cycles));
+        std::make_unique<MessageStreamer>(port, connid,
+                                          kMasterShellPipelineCycles));
     collectors_.push_back(std::make_unique<ResponseCollector>(port, connid));
   }
 }

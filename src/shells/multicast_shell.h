@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "shells/master_shell.h"
 #include "shells/streamer.h"
 #include "sim/kernel.h"
 #include "transaction/message.h"
@@ -24,7 +25,7 @@ namespace aethereal::shells {
 class MulticastShell : public sim::Module {
  public:
   MulticastShell(std::string name, core::NiPort* port,
-                 std::vector<int> connids, int pipeline_cycles = 2);
+                 std::vector<int> connids);
 
   int NumSlaves() const { return static_cast<int>(streamers_.size()); }
 

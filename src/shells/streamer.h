@@ -20,20 +20,18 @@ namespace aethereal::shells {
 /// Evaluate, which keeps running while Empty() is false.
 class MessageStreamer {
  public:
-  MessageStreamer(core::NiPort* port, int connid, int pipeline_cycles,
-                  int staging_capacity = 64)
-      : port_(port),
-        connid_(connid),
-        pipeline_cycles_(pipeline_cycles),
-        staging_capacity_(staging_capacity) {
+  /// Words the staging buffer holds.
+  static constexpr int kStagingCapacity = 64;
+
+  MessageStreamer(core::NiPort* port, int connid, int pipeline_cycles)
+      : port_(port), connid_(connid), pipeline_cycles_(pipeline_cycles) {
     AETHEREAL_CHECK(port != nullptr);
     AETHEREAL_CHECK(pipeline_cycles >= 0);
-    AETHEREAL_CHECK(staging_capacity > 0);
   }
 
   /// True if `words` more words fit in the staging buffer.
   bool CanAccept(int words) const {
-    return static_cast<int>(staging_.size()) + words <= staging_capacity_;
+    return static_cast<int>(staging_.size()) + words <= kStagingCapacity;
   }
 
   /// Stages an encoded message. If `flush_after` is set, the NI data-flush
@@ -73,7 +71,6 @@ class MessageStreamer {
   core::NiPort* port_;
   int connid_;
   Cycle pipeline_cycles_;
-  int staging_capacity_;
   std::deque<Staged> staging_;
 };
 

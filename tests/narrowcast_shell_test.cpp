@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "ip/memory_slave.h"
-#include "shells/narrowcast_shell.h"
+#include "shells/master_shell.h"
 #include "shells/slave_shell.h"
 #include "soc/soc.h"
 #include "topology/builders.h"
@@ -59,8 +59,8 @@ class NarrowcastOrdering : public ::testing::Test {
         soc_->OpenConnection(GlobalChannel{0, 0}, GlobalChannel{1, 0}).ok());
     ASSERT_TRUE(
         soc_->OpenConnection(GlobalChannel{0, 1}, GlobalChannel{2, 0}).ok());
-    shell_ = std::make_unique<NarrowcastShell>(
-        "narrowcast", soc_->port(0, 0), std::vector<int>{0, 1});
+    shell_ = std::make_unique<MasterShell>("narrowcast", soc_->port(0, 0),
+                                           std::vector<int>{0, 1});
     ASSERT_TRUE(shell_->MapRange(0x0000, 0x100, 0).ok());
     ASSERT_TRUE(shell_->MapRange(0x1000, 0x100, 1).ok());
     slave1_ = std::make_unique<SlaveShell>("slave1", soc_->port(1, 0), 0);
@@ -78,7 +78,7 @@ class NarrowcastOrdering : public ::testing::Test {
   }
 
   std::unique_ptr<soc::Soc> soc_;
-  std::unique_ptr<NarrowcastShell> shell_;
+  std::unique_ptr<MasterShell> shell_;
   std::unique_ptr<SlaveShell> slave1_, slave2_;
   std::unique_ptr<ip::MemorySlave> mem1_, mem2_;
 };

@@ -9,9 +9,7 @@
 
 #include "ip/memory_slave.h"
 #include "shells/master_shell.h"
-#include "shells/multi_connection_shell.h"
 #include "shells/multicast_shell.h"
-#include "shells/narrowcast_shell.h"
 #include "shells/slave_shell.h"
 #include "soc/soc.h"
 #include "topology/builders.h"
@@ -22,8 +20,6 @@ namespace {
 using config::ChannelQos;
 using tdm::GlobalChannel;
 using transaction::ResponseError;
-using NarrowcastMaster = NarrowcastShell;
-using MultiConnectionSlave = MultiConnectionShell;
 
 core::NiKernelParams NiWithChannels(int channels) {
   core::NiKernelParams params;
@@ -164,9 +160,8 @@ class NarrowcastFixture : public ::testing::Test {
         soc_->OpenConnection(GlobalChannel{0, 0}, GlobalChannel{1, 0}).ok());
     ASSERT_TRUE(
         soc_->OpenConnection(GlobalChannel{0, 1}, GlobalChannel{2, 0}).ok());
-    shell_ = std::make_unique<NarrowcastShell>("narrowcast",
-                                               soc_->port(0, 0),
-                                               std::vector<int>{0, 1});
+    shell_ = std::make_unique<MasterShell>("narrowcast", soc_->port(0, 0),
+                                           std::vector<int>{0, 1});
     ASSERT_TRUE(shell_->MapRange(0x0000, 0x100, 0).ok());
     ASSERT_TRUE(shell_->MapRange(0x1000, 0x100, 1).ok());
     slave1_ = std::make_unique<SlaveShell>("slave1", soc_->port(1, 0), 0);
@@ -185,7 +180,7 @@ class NarrowcastFixture : public ::testing::Test {
   }
 
   std::unique_ptr<soc::Soc> soc_;
-  std::unique_ptr<NarrowcastShell> shell_;
+  std::unique_ptr<MasterShell> shell_;
   std::unique_ptr<SlaveShell> slave1_, slave2_;
   std::unique_ptr<ip::MemorySlave> mem1_, mem2_;
 };
@@ -274,14 +269,14 @@ TEST(MulticastShell, MergedAckReportsError) {
   EXPECT_EQ(shell.PopResponse().error, ResponseError::kUnmappedAddress);
 }
 
-TEST(MultiConnectionShell, ServesTwoMastersAndRoutesResponses) {
+TEST(MultiConnectionSlaveShell, ServesTwoMastersAndRoutesResponses) {
   // NI0 and NI1 masters -> NI2 port with two connections and one memory.
   auto soc = MakeStarSoc({1, 1, 2});
   ASSERT_TRUE(soc->OpenConnection(GlobalChannel{0, 0}, GlobalChannel{2, 0}).ok());
   ASSERT_TRUE(soc->OpenConnection(GlobalChannel{1, 0}, GlobalChannel{2, 1}).ok());
   MasterShell master0("master0", soc->port(0, 0), 0);
   MasterShell master1("master1", soc->port(1, 0), 0);
-  MultiConnectionShell shell("multiconn", soc->port(2, 0), {0, 1});
+  SlaveShell shell("multiconn", soc->port(2, 0), std::vector<int>{0, 1});
   ip::MemorySlave memory("memory", &shell, 0, 256);
   soc->RegisterOnPort(&master0, 0, 0);
   soc->RegisterOnPort(&master1, 1, 0);
@@ -383,7 +378,7 @@ struct NarrowcastRig {
         soc->OpenConnection(GlobalChannel{0, 0}, GlobalChannel{1, 0}).ok());
     AETHEREAL_CHECK(
         soc->OpenConnection(GlobalChannel{0, 1}, GlobalChannel{2, 0}).ok());
-    shell = std::make_unique<NarrowcastMaster>("narrowcast", soc->port(0, 0),
+    shell = std::make_unique<MasterShell>("narrowcast", soc->port(0, 0),
                                                std::vector<int>{0, 1});
     AETHEREAL_CHECK(shell->MapRange(0x0000, 0x100, 0).ok());
     AETHEREAL_CHECK(shell->MapRange(0x1000, 0x100, 1).ok());
@@ -419,7 +414,7 @@ struct NarrowcastRig {
   }
 
   std::unique_ptr<soc::Soc> soc;
-  std::unique_ptr<NarrowcastMaster> shell;
+  std::unique_ptr<MasterShell> shell;
   std::unique_ptr<SlaveShell> slave1, slave2;
   std::unique_ptr<ip::MemorySlave> mem1, mem2;
   std::unique_ptr<ScriptedMaster> master;
@@ -438,7 +433,7 @@ struct MultiConnectionRig {
         soc->OpenConnection(GlobalChannel{1, 0}, GlobalChannel{2, 1}).ok());
     shell0 = std::make_unique<MasterShell>("master0", soc->port(0, 0), 0);
     shell1 = std::make_unique<MasterShell>("master1", soc->port(1, 0), 0);
-    slave = std::make_unique<MultiConnectionSlave>(
+    slave = std::make_unique<SlaveShell>(
         "multiconn", soc->port(2, 0), std::vector<int>{0, 1});
     memory = std::make_unique<ip::MemorySlave>("memory", slave.get(), 0, 0x100,
                                                /*latency=*/3);
@@ -470,7 +465,7 @@ struct MultiConnectionRig {
 
   std::unique_ptr<soc::Soc> soc;
   std::unique_ptr<MasterShell> shell0, shell1;
-  std::unique_ptr<MultiConnectionSlave> slave;
+  std::unique_ptr<SlaveShell> slave;
   std::unique_ptr<ip::MemorySlave> memory;
   std::unique_ptr<ScriptedMaster> master0, master1;
 };
@@ -480,7 +475,7 @@ class ShellSchedule : public ::testing::TestWithParam<sim::EngineKind> {};
 // Every response reaches the narrowcast master's IP on the same cycle on
 // both engines, and in issue order: 6 rounds x 7 responses (posted writes
 // expect none).
-TEST_P(ShellSchedule, NarrowcastMasterDigest) {
+TEST_P(ShellSchedule, MasterShellDigest) {
   NarrowcastRig rig(GetParam());
   rig.soc->RunCycles(1500);
   EXPECT_TRUE(rig.master->issued_all());
@@ -502,6 +497,25 @@ TEST_P(ShellSchedule, MultiConnectionSlaveDigest) {
       Mix(rig.master0->digest(), rig.master1->digest());
   EXPECT_EQ(digest, 0x48184e55d5cc9cbaull) << "schedule changed: digest 0x" << std::hex
                             << digest;
+}
+
+// Once the traffic has drained, the N-connection shells park like their
+// one-connection peers (soa; the naive engine never parks).
+TEST_P(ShellSchedule, NConnectionShellsParkOnceDrained) {
+  const bool parks = GetParam() == sim::EngineKind::kSoa;
+  NarrowcastRig narrowcast(GetParam());
+  narrowcast.soc->RunCycles(1500);
+  ASSERT_EQ(narrowcast.master->responses(), 6 * 7);
+  EXPECT_EQ(narrowcast.shell->parked(), parks);
+  EXPECT_EQ(narrowcast.slave1->parked(), parks);
+  EXPECT_EQ(narrowcast.slave2->parked(), parks);
+
+  MultiConnectionRig multi(GetParam());
+  multi.soc->RunCycles(1500);
+  ASSERT_EQ(multi.master1->responses(), 5 * 4);
+  EXPECT_EQ(multi.slave->parked(), parks);
+  EXPECT_EQ(multi.shell0->parked(), parks);
+  EXPECT_EQ(multi.shell1->parked(), parks);
 }
 
 INSTANTIATE_TEST_SUITE_P(Engines, ShellSchedule,
