@@ -233,10 +233,9 @@ void NiKernel::ApplyRegisterWrites() {
   const Cycle now = CycleCount();
   auto due = pending_register_writes_.begin();
   for (; due != pending_register_writes_.end() && due->edge < now; ++due) {
-    // Settle the idle-accounting replay for any parked window *before* the
-    // write changes enable/slot-table state: the naïve engine walked those
-    // slots with the pre-write configuration.
-    AccountIdleThrough(due->edge / kFlitWords);
+    // Count the slots scheduled before the write changes enable/slot-table
+    // state: they ran with the pre-write configuration.
+    CountSlotsThrough(due->edge / kFlitWords);
     ApplyRegisterWrite(due->address, due->value);
   }
   pending_register_writes_.erase(pending_register_writes_.begin(), due);
@@ -395,8 +394,6 @@ void NiKernel::Evaluate() {
   if (!IsSlotBoundary()) return;
   ApplyRegisterWrites();
   const Cycle slot_number = CycleCount() / kFlitWords;
-  AccountIdleThrough(slot_number - 1);  // slots skipped while parked
-  last_accounted_slot_ = slot_number;   // this slot is processed below
   if (to_router_ != nullptr) {
     be_link_credits_ += to_router_->credit_return.Sample();
   }
@@ -425,8 +422,7 @@ void NiKernel::ParkUntilWork(Cycle slot_number) {
   // Sleep through the wait for a reserved TDM slot: wake at the earliest
   // slot owned by an eligible GT channel. The skipped slots are exactly the
   // slots the naïve engine spends scanning an unchanged schedule (it grants
-  // nothing until that same slot), so the idle accounting replay stays
-  // exact. With no such slot, nothing can be sent until an external event
+  // nothing until that same slot). With no such slot, nothing can be sent until an external event
   // (wire drive, queue hand-off, flush, register write) wakes us.
   if (gt_eligible != 0) {
     for (Cycle d = 1; d <= params_.stu_slots; ++d) {
@@ -441,42 +437,36 @@ void NiKernel::ParkUntilWork(Cycle slot_number) {
   Park();
 }
 
-void NiKernel::AccountIdleThrough(Cycle last_slot) {
-  if (last_slot <= last_accounted_slot_) return;
-  const Cycle first = last_accounted_slot_ + 1;
-  last_accounted_slot_ = last_slot;
-  if (to_router_ == nullptr) return;  // the naïve path never schedules either
-  // While we were parked, the naïve engine would have walked Schedule() each
-  // slot and found nothing to send: every skipped slot is an idle slot, and
-  // every skipped slot whose STU owner is enabled is additionally an unused
-  // GT slot (the owner cannot have been eligible, or we would not have
-  // parked, and eligibility cannot change without an event that wakes us).
-  const Cycle skipped = last_slot - first + 1;
-  stats_.idle_slots += skipped;
+void NiKernel::CountSlotsThrough(Cycle last_slot) {
+  if (last_slot <= last_counted_slot_) return;
+  const Cycle first = last_counted_slot_ + 1;
+  last_counted_slot_ = last_slot;
+  if (to_router_ == nullptr) return;  // nothing is ever scheduled
+  const Cycle slots = last_slot - first + 1;
+  scheduled_slots_ += slots;
   Cycle owned_enabled = 0;  // enabled-owner slots per full table rotation
   for (SlotIndex s = 0; s < params_.stu_slots; ++s) {
     const ChannelId owner = stu_[static_cast<std::size_t>(s)];
     if (owner != kInvalidId && Enabled(owner)) ++owned_enabled;
   }
   if (owned_enabled == 0) return;
-  const Cycle rotations = skipped / params_.stu_slots;
-  stats_.gt_slots_unused += rotations * owned_enabled;
+  const Cycle rotations = slots / params_.stu_slots;
+  owner_slots_ += rotations * owned_enabled;
   for (Cycle s = first + rotations * params_.stu_slots; s <= last_slot; ++s) {
     const ChannelId owner =
         stu_[static_cast<std::size_t>(s % params_.stu_slots)];
-    if (owner != kInvalidId && Enabled(owner)) {
-      ++stats_.gt_slots_unused;
-    }
+    if (owner != kInvalidId && Enabled(owner)) ++owner_slots_;
   }
 }
 
 const NiKernelStats& NiKernel::stats() {
-  // Settle the idle accounting for any trailing parked window so counters
-  // read mid- or post-run match the naïve engine exactly.
   ApplyRegisterWrites();
   if (clock() != nullptr && CycleCount() > 0) {
-    AccountIdleThrough((CycleCount() - 1) / kFlitWords);
+    CountSlotsThrough((CycleCount() - 1) / kFlitWords);
   }
+  stats_.idle_slots = scheduled_slots_ - stats_.gt_flits - stats_.be_flits -
+                      stats_.be_link_stalls;
+  stats_.gt_slots_unused = owner_slots_ - stats_.gt_flits;
   return stats_;
 }
 
@@ -607,18 +597,8 @@ void NiKernel::Schedule() {
   ChannelId granted = kInvalidId;
 
   // Fault stall window: the scheduler grants nothing this slot (transient
-  // scheduling fault, DESIGN.md §12). The accounting mirrors a slot in
-  // which nothing was sendable — idle, plus an unused GT slot when the
-  // owner is enabled — so it matches both the naïve walk and the parked
-  // replay of AccountIdleThrough exactly.
-  if (fault_ != nullptr && fault_->NiStalled(id_, CycleCount())) {
-    const ChannelId stalled_owner = stu_[static_cast<std::size_t>(slot)];
-    if (stalled_owner != kInvalidId && Enabled(stalled_owner)) {
-      ++stats_.gt_slots_unused;
-    }
-    ++stats_.idle_slots;
-    return;
-  }
+  // scheduling fault, DESIGN.md §12), which the stats count as idle.
+  if (fault_ != nullptr && fault_->NiStalled(id_, CycleCount())) return;
 
   const ChannelId owner = stu_[static_cast<std::size_t>(slot)];
   if (owner != kInvalidId) {
@@ -627,11 +607,7 @@ void NiKernel::Schedule() {
       AETHEREAL_CHECK_MSG(oc.gt,
                           name() << ": STU slot " << slot
                                  << " owned by best-effort channel " << owner);
-      if (oc.open_words_left > 0 || Eligible(oc)) {
-        granted = owner;
-      } else {
-        ++stats_.gt_slots_unused;
-      }
+      if (oc.open_words_left > 0 || Eligible(oc)) granted = owner;
     }
   }
 
@@ -652,11 +628,7 @@ void NiKernel::Schedule() {
     }
   }
 
-  if (granted == kInvalidId) {
-    ++stats_.idle_slots;
-    return;
-  }
-  EmitFlit(granted);
+  if (granted != kInvalidId) EmitFlit(granted);
 }
 
 ChannelId NiKernel::ArbitrateBe() {

@@ -30,7 +30,7 @@
 #include "link/header.h"
 #include "link/wire.h"
 #include "sim/cdc_fifo.h"
-#include "sim/fifo.h"
+#include "sim/register.h"
 #include "sim/kernel.h"
 #include "sim/soa_state.h"
 #include "util/status.h"
@@ -108,6 +108,9 @@ struct NiKernelStats {
   std::int64_t packets_received = 0;
   std::int64_t credits_piggybacked = 0;   // credits carried by data packets
   std::int64_t credits_in_credit_only = 0;
+  // Every scheduled slot sends a GT flit, a BE flit, stalls BE on link
+  // credits or idles (a fault stall idles); a GT flit leaves only in a slot
+  // its enabled STU owner holds. So stats() derives the last two counters.
   std::int64_t idle_slots = 0;            // slots with nothing to send
   std::int64_t be_link_stalls = 0;        // BE blocked on link-level credits
   std::int64_t gt_slots_unused = 0;       // reserved slots the owner skipped
@@ -159,8 +162,8 @@ class NiKernel : public sim::Module {
 
   // --- introspection for tests / benches ----------------------------------
 
-  /// Aggregate counters. Non-const: settles idle accounting for any
-  /// trailing parked window so the values match the naïve engine exactly.
+  /// Aggregate counters. Non-const: counts the slots scheduled so far, from
+  /// which idle_slots and gt_slots_unused are derived.
   const NiKernelStats& stats();
   const ChannelStats& channel_stats(ChannelId ch) const;
   int NumChannels() const { return static_cast<int>(channels_.size()); }
@@ -266,10 +269,12 @@ class NiKernel : public sim::Module {
   /// write is pending or a BE channel is eligible, with a timer wake at the
   /// earliest slot owned by an eligible GT channel if there is one.
   void ParkUntilWork(Cycle slot_number);
-  /// Replays the idle accounting (idle_slots / gt_slots_unused) for slots
-  /// skipped while parked, through slot `last_slot` inclusive, keeping the
-  /// stats identical to the naïve path.
-  void AccountIdleThrough(Cycle last_slot);
+  /// Counts the slots through `last_slot` inclusive into scheduled_slots_,
+  /// and those held by an enabled STU owner into owner_slots_, under the
+  /// current configuration. Runs before each register write lands and in
+  /// stats(), so every slot is counted under the configuration it was
+  /// scheduled with, parked or not.
+  void CountSlotsThrough(Cycle last_slot);
 
   NiId id_;
   NiKernelParams params_;
@@ -305,9 +310,12 @@ class NiKernel : public sim::Module {
   int rr_pointer_ = 0;
   int wrr_grants_left_ = 0;
 
-  // Idle accounting across parked windows (slot sequence number of the last
-  // slot whose idle stats were accounted).
-  Cycle last_accounted_slot_ = -1;
+  // Slot counts behind the derived stats (CountSlotsThrough): slots
+  // scheduled, and slots held by an enabled STU owner, through slot
+  // number last_counted_slot_.
+  Cycle last_counted_slot_ = -1;
+  std::int64_t scheduled_slots_ = 0;
+  std::int64_t owner_slots_ = 0;
 
   std::vector<PendingWrite> pending_register_writes_;
   NiKernelStats stats_;
