@@ -23,7 +23,6 @@ Router::Router(std::string name, RouterId id, const RouterConfig& config)
   outputs_.resize(static_cast<std::size_t>(config.num_ports));
   for (int p = 0; p < config.num_ports; ++p) {
     inputs_.emplace_back(config.be_buffer_flits);
-    inputs_.back().be_queue.Bind(this);
   }
 }
 
@@ -198,15 +197,15 @@ void Router::ForwardGt(int input, const Flit& flit, int target) {
 
 void Router::BufferBe(int input, const Flit& flit, int target) {
   auto& in = inputs_[static_cast<std::size_t>(input)];
-  AETHEREAL_CHECK_MSG(in.be_queue.CanPush(),
+  AETHEREAL_CHECK_MSG(!in.be_queue.full(),
                       name() << ": BE buffer overflow at input " << input
                              << " — link credit protocol violated");
-  in.be_queue.Push(BufferedBeFlit{flit, target});
+  in.be_queue.push_back(BufferedBeFlit{flit, target});
   be_pushed_inputs_ |= std::uint32_t{1} << input;
   ++be_flits_buffered_;
   stats_.be_max_occupancy =
       std::max(stats_.be_max_occupancy,
-               static_cast<std::int64_t>(in.be_queue.Occupancy()));
+               static_cast<std::int64_t>(in.be_queue.size()));
 }
 
 void Router::FreeCredit(int input) {
@@ -228,8 +227,8 @@ void Router::ArbitrateBestEffort(bool frozen) {
     if (i != kInvalidId) {
       // Wormhole: continue the packet owning this output.
       const auto& in = inputs_[static_cast<std::size_t>(i)];
-      if (!in.be_queue.CanPop()) continue;  // bubble inside the packet
-      const BufferedBeFlit& head = in.be_queue.Peek();
+      if (CommittedBeFlits(i) == 0) continue;  // bubble inside the packet
+      const BufferedBeFlit& head = in.be_queue.front();
       AETHEREAL_CHECK_MSG(head.flit.kind == FlitKind::kPayload &&
                               head.target == o,
                           name() << ": BE packet interleaving on input " << i);
@@ -247,7 +246,7 @@ void Router::ArbitrateBestEffort(bool frozen) {
       continue;
     }
     auto& in = inputs_[static_cast<std::size_t>(i)];
-    const BufferedBeFlit entry = in.be_queue.Pop();
+    const BufferedBeFlit entry = in.be_queue.pop_front();
     --be_flits_buffered_;
     FreeCredit(i);
     out.be_credits -= 1;
@@ -269,11 +268,16 @@ void Router::ArbitrateBestEffort(bool frozen) {
   }
 }
 
+int Router::CommittedBeFlits(int input) const {
+  return inputs_[static_cast<std::size_t>(input)].be_queue.size() -
+         static_cast<int>((be_pushed_inputs_ >> input) & 1);
+}
+
 void Router::RefreshBeRequest(int input) {
   auto& in = inputs_[static_cast<std::size_t>(input)];
   int target = kInvalidId;
-  if (in.be_drain_target == kInvalidId && in.be_queue.CanPop()) {
-    const BufferedBeFlit& head = in.be_queue.Peek();
+  if (in.be_drain_target == kInvalidId && CommittedBeFlits(input) > 0) {
+    const BufferedBeFlit& head = in.be_queue.front();
     if (head.flit.kind == FlitKind::kHeader) target = head.target;
   }
   if (target == in.be_request) return;

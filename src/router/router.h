@@ -28,8 +28,8 @@
 
 #include "link/flit.h"
 #include "link/wire.h"
-#include "sim/fifo.h"
 #include "sim/kernel.h"
+#include "sim/ring.h"
 #include "util/types.h"
 
 namespace aethereal::fault {
@@ -108,13 +108,19 @@ class Router : public sim::Module {
   /// Recomputes which output `input` requests: its committed head if that
   /// is a header and the input is not draining a packet, else none.
   void RefreshBeRequest(int input);
+  /// BE flits at `input` buffered in an earlier slot: the ones that may
+  /// leave this slot (one BE hop takes a slot).
+  int CommittedBeFlits(int input) const;
 
   RouterId id_;
   RouterConfig config_;
 
   struct InputState {
     link::LinkWires* wires = nullptr;
-    sim::Fifo<BufferedBeFlit> be_queue;
+    // Every BE flit buffered and not yet drained. The router alone pushes
+    // and pops it, at most one push per slot (in phase A, before phase B
+    // pops), so a flit pushed this slot is the one be_pushed_inputs_ flags.
+    sim::Ring<BufferedBeFlit> be_queue;
     int gt_target = kInvalidId;         // output of the in-progress GT packet
     int be_accept_target = kInvalidId;  // target of the BE packet being received
     int be_drain_target = kInvalidId;   // output of the BE packet being sent
@@ -146,8 +152,8 @@ class Router : public sim::Module {
   // router parks at the end of any slot that leaves none: further work
   // then starts with a wire drive, which wakes it.
   int be_flits_buffered_ = 0;
-  // Inputs that buffered a BE flit this slot. The push is visible from the
-  // next edge, so their requests are refreshed at the next slot.
+  // Inputs that buffered a BE flit this slot. The flit can leave from the
+  // next slot on (CommittedBeFlits), so their requests are refreshed then.
   std::uint32_t be_pushed_inputs_ = 0;
   // Wire pending masks (bit = port), one word per slot parity, set by
   // SlotWire::Drive in the word of the drive slot's parity (link/wire.h

@@ -11,7 +11,7 @@
 //    kernel calls Evaluate() on the modules of ALL firing clocks, then
 //    advances those clocks. There is no commit phase. Evaluate() reads
 //    state from earlier edges and stages updates only through stamp-latched
-//    elements (sim::Fifo, sim::Register, sim::CdcFifo, link::SlotWire):
+//    elements (sim::Register, sim::CdcFifo, link::SlotWire):
 //    each stamps what it stages with its clock's edge and tells it apart
 //    from earlier edges' state when read. Results are therefore independent
 //    of module iteration order, exactly like synchronous RTL.

@@ -1,5 +1,5 @@
-// Unit tests for the simulation kernel: clocks, stamp-latched FIFOs and
-// registers, clock-domain-crossing FIFOs.
+// Unit tests for the simulation kernel: clocks, stamp-latched registers,
+// clock-domain-crossing FIFOs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "sim/cdc_fifo.h"
-#include "sim/fifo.h"
+#include "sim/register.h"
 #include "sim/kernel.h"
 
 namespace aethereal::sim {
@@ -127,59 +127,6 @@ void RegisterInOrder(Clock* clock, Probe* first, Probe* second,
   clock->Register(reversed ? first : second);
 }
 
-TEST(FifoContract, PushVisibleNextEdgeNotThisOne) {
-  for (EngineKind engine : kEngines) {
-    for (bool reversed : {false, true}) {
-      Kernel kernel;
-      kernel.set_engine(engine);
-      Clock* clk = kernel.AddClock("clk", 1000);
-      Fifo<int> fifo(4);
-      Probe writer("w"), reader("r");
-      fifo.Bind(&writer);
-      std::vector<int> seen;
-      writer.body = [&](Cycle t) {
-        if (t != 2) return;
-        fifo.Push(7);
-        EXPECT_EQ(fifo.Size(), 0);  // the writer's own push is not visible
-        EXPECT_FALSE(fifo.CanPop());
-      };
-      reader.body = [&](Cycle) { seen.push_back(fifo.Size()); };
-      RegisterInOrder(clk, &writer, &reader, reversed);
-      kernel.RunCycles(clk, 5);
-      EXPECT_EQ(seen, (std::vector<int>{0, 0, 0, 1, 1})) << reversed;
-      EXPECT_EQ(fifo.Peek(), 7);
-    }
-  }
-}
-
-TEST(FifoContract, SameEdgePushPopIsFlowThrough) {
-  for (EngineKind engine : kEngines) {
-    Kernel kernel;
-    kernel.set_engine(engine);
-    Clock* clk = kernel.AddClock("clk", 1000);
-    Fifo<int> fifo(1);
-    Probe owner("o");
-    fifo.Bind(&owner);
-    owner.body = [&](Cycle t) {
-      if (t == 0) fifo.Push(1);
-      if (t == 1) {
-        EXPECT_FALSE(fifo.CanPush());  // full
-        EXPECT_EQ(fifo.Pop(), 1);
-        EXPECT_TRUE(fifo.CanPush());  // the same-edge pop frees the space
-        fifo.Push(2);
-        EXPECT_EQ(fifo.Size(), 1);  // still the edge-start occupancy
-        EXPECT_FALSE(fifo.CanPop());
-      }
-      if (t == 2) {
-        EXPECT_EQ(fifo.Size(), 1);
-        EXPECT_EQ(fifo.Peek(), 2);
-      }
-    };
-    clk->Register(&owner);
-    kernel.RunCycles(clk, 3);
-  }
-}
-
 // A slot-granular module: Evaluate() matters only every `stride` cycles.
 class Strided : public Module {
  public:
@@ -200,109 +147,6 @@ TEST(KernelDeathTest, StridedModulesOfOneClockShareOneStride) {
   Strided c("c", 2);
   EXPECT_DEATH(clk->Register(&c), "stride 2");
   EXPECT_DEATH(b.Restride(4), "stride 4");
-}
-
-TEST(FifoDeathTest, OverflowChecks) {
-  Kernel kernel;
-  Clock* clk = kernel.AddClock("clk", 1000);
-  Probe owner("o");
-  clk->Register(&owner);
-  Fifo<int> fifo(1);
-  fifo.Bind(&owner);
-  fifo.Push(1);
-  EXPECT_DEATH(fifo.Push(2), "overflow");
-}
-
-TEST(FifoDeathTest, UnderflowChecks) {
-  Kernel kernel;
-  Clock* clk = kernel.AddClock("clk", 1000);
-  Probe owner("o");
-  clk->Register(&owner);
-  Fifo<int> fifo(1);
-  fifo.Bind(&owner);
-  EXPECT_DEATH(fifo.Pop(), "underflow");
-  fifo.Push(1);
-  EXPECT_DEATH(fifo.Pop(), "underflow");  // pushed this edge: not visible
-}
-
-TEST(FifoContract, PeekCountsStagedPops) {
-  for (EngineKind engine : kEngines) {
-    Kernel kernel;
-    kernel.set_engine(engine);
-    Clock* clk = kernel.AddClock("clk", 1000);
-    Fifo<int> fifo(4);
-    Probe owner("o");
-    fifo.Bind(&owner);
-    owner.body = [&](Cycle t) {
-      if (t == 0) {
-        fifo.Push(1);
-        fifo.Push(2);
-        fifo.Push(3);
-      }
-      if (t == 1) {
-        EXPECT_EQ(fifo.Pop(), 1);
-        EXPECT_EQ(fifo.Peek(0), 2);
-        EXPECT_EQ(fifo.Peek(1), 3);
-        EXPECT_EQ(fifo.Size(), 3);  // pops land at the next edge
-      }
-      if (t == 2) {
-        EXPECT_EQ(fifo.Size(), 2);
-      }
-    };
-    clk->Register(&owner);
-    kernel.RunCycles(clk, 3);
-  }
-}
-
-TEST(FifoContract, CapacityOrdering) {
-  Kernel kernel;
-  Clock* clk = kernel.AddClock("clk", 1000);
-  Fifo<int> fifo(8);
-  Probe owner("o");
-  fifo.Bind(&owner);
-  // Fill at even edges, drain at odd ones: the ring wraps every round.
-  owner.body = [&](Cycle t) {
-    const int round = static_cast<int>(t / 2);
-    if (t % 2 == 0) {
-      for (int i = 0; i < 8; ++i) fifo.Push(round * 8 + i);
-      EXPECT_FALSE(fifo.CanPush());
-    } else {
-      for (int i = 0; i < 8; ++i) EXPECT_EQ(fifo.Pop(), round * 8 + i);
-      EXPECT_FALSE(fifo.CanPop());
-    }
-  };
-  clk->Register(&owner);
-  kernel.RunCycles(clk, 6);
-  EXPECT_EQ(fifo.Occupancy(), 0);
-}
-
-TEST(FifoContract, ObserverSizeIndependentOfOrder) {
-  std::vector<std::vector<int>> runs;
-  for (EngineKind engine : kEngines) {
-    for (bool reversed : {false, true}) {
-      Kernel kernel;
-      kernel.set_engine(engine);
-      Clock* clk = kernel.AddClock("clk", 1000);
-      Fifo<int> fifo(3);
-      Probe owner("o"), observer("obs");
-      fifo.Bind(&owner);
-      // Two pushes per edge for three edges, then one pop per edge, with
-      // one push alongside a pop at edge 4.
-      owner.body = [&](Cycle t) {
-        if (t < 3 && fifo.CanPush()) fifo.Push(static_cast<int>(t));
-        if (t < 3 && fifo.CanPush()) fifo.Push(static_cast<int>(t));
-        if (t >= 3 && fifo.CanPop()) (void)fifo.Pop();
-        if (t == 4) fifo.Push(9);
-      };
-      std::vector<int> sizes;
-      observer.body = [&](Cycle) { sizes.push_back(fifo.Size()); };
-      RegisterInOrder(clk, &owner, &observer, reversed);
-      kernel.RunCycles(clk, 9);
-      runs.push_back(sizes);
-    }
-  }
-  const std::vector<int> expected = {0, 2, 3, 3, 2, 2, 1, 0, 0};
-  for (const auto& run : runs) EXPECT_EQ(run, expected);
 }
 
 // A register written on one clock and read on another: the reader at
