@@ -1,7 +1,8 @@
 // Integration tests of the NI shells (paper Figs. 3-6) on a full SoC:
 // master/slave transaction round trips, narrowcast address decode with
-// in-order responses, multicast fan-out with merged acknowledgments, and
-// multi-connection arbitration with response routing.
+// in-order responses (a master shell over two connections), multicast
+// fan-out with merged acknowledgments, and multi-connection arbitration
+// with response routing (a slave shell over two connections).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -436,7 +437,7 @@ struct MultiConnectionRig {
     slave = std::make_unique<SlaveShell>(
         "multiconn", soc->port(2, 0), std::vector<int>{0, 1});
     memory = std::make_unique<ip::MemorySlave>("memory", slave.get(), 0, 0x100,
-                                               /*latency=*/3);
+                                               /*latency=*/12);
     std::vector<ScriptOp> ops0, ops1;
     int tid = 0;
     for (int round = 0; round < 5; ++round) {
@@ -495,7 +496,7 @@ TEST_P(ShellSchedule, MultiConnectionSlaveDigest) {
   EXPECT_EQ(rig.master1->responses(), 5 * 4);
   const std::uint64_t digest =
       Mix(rig.master0->digest(), rig.master1->digest());
-  EXPECT_EQ(digest, 0x48184e55d5cc9cbaull) << "schedule changed: digest 0x" << std::hex
+  EXPECT_EQ(digest, 0x7e113dc4e1b72821ull) << "schedule changed: digest 0x" << std::hex
                             << digest;
 }
 
