@@ -422,8 +422,9 @@ void NiKernel::ParkUntilWork(Cycle slot_number) {
   // Sleep through the wait for a reserved TDM slot: wake at the earliest
   // slot owned by an eligible GT channel. The skipped slots are exactly the
   // slots the naïve engine spends scanning an unchanged schedule (it grants
-  // nothing until that same slot). With no such slot, nothing can be sent until an external event
-  // (wire drive, queue hand-off, flush, register write) wakes us.
+  // nothing until that same slot). With no such slot, nothing can be sent
+  // until an external event (wire drive, queue hand-off, flush, register
+  // write) wakes us.
   if (gt_eligible != 0) {
     for (Cycle d = 1; d <= params_.stu_slots; ++d) {
       const ChannelId owner =

@@ -30,8 +30,8 @@
 #include "link/header.h"
 #include "link/wire.h"
 #include "sim/cdc_fifo.h"
-#include "sim/register.h"
 #include "sim/kernel.h"
+#include "sim/register.h"
 #include "sim/soa_state.h"
 #include "util/status.h"
 #include "util/types.h"

@@ -1,9 +1,10 @@
 // Abstract transaction endpoints offered by shells to IP modules.
 //
 // IP models (traffic generators, memories) bind to these interfaces so the
-// same IP works behind a plain master/slave shell, a narrowcast shell, or a
-// multi-connection shell — the decoupling of computation from communication
-// the paper's transport-level services provide.
+// same IP works behind a master or slave shell over one connection or over
+// several (the narrowcast and multi-connection shells of paper Figs. 3-4)
+// — the decoupling of computation from communication the paper's
+// transport-level services provide.
 #ifndef AETHEREAL_SHELLS_ENDPOINTS_H
 #define AETHEREAL_SHELLS_ENDPOINTS_H
 

@@ -41,13 +41,9 @@ class MasterShell : public sim::Module, public MasterEndpoint {
   MasterShell(std::string name, core::NiPort* port, std::vector<int> connids);
 
   /// Maps [base, base+size) to slave `slave_index` (an index into the
-  /// connid list). Ranges must not overlap.
+  /// connid list). Ranges must not overlap. A shell with one connection
+  /// sends every address to it, mapped or not.
   Status MapRange(Word base, Word size, int slave_index);
-
-  int NumSlaves() const { return static_cast<int>(connections_.size()); }
-
-  /// Address decode: slave index owning `address`, or error if unmapped.
-  Result<int> DecodeAddress(Word address) const;
 
   /// True if a transaction of `payload_words` data words can be issued now:
   /// the target is known only at issue time, so every connection's staging
@@ -100,6 +96,9 @@ class MasterShell : public sim::Module, public MasterEndpoint {
     bool is_write;
   };
 
+  int NumSlaves() const { return static_cast<int>(connections_.size()); }
+  /// Address decode: slave index owning `address`, or error if unmapped.
+  Result<int> DecodeAddress(Word address) const;
   int Issue(transaction::RequestMessage msg, bool flush);
 
   std::vector<Connection> connections_;

@@ -34,8 +34,6 @@ class SlaveShell : public sim::Module, public SlaveEndpoint {
   SlaveShell(std::string name, core::NiPort* port, int connid);
   SlaveShell(std::string name, core::NiPort* port, std::vector<int> connids);
 
-  int NumConnections() const { return static_cast<int>(connections_.size()); }
-
   /// True if some connection has a complete request.
   bool HasRequest() const override { return SelectConnection() >= 0; }
 
@@ -66,12 +64,15 @@ class SlaveShell : public sim::Module, public SlaveEndpoint {
     RequestCollector collector;
   };
 
+  int NumConnections() const { return static_cast<int>(connections_.size()); }
   /// The connection holding the most complete requests, scanning from the
   /// round-robin pointer so equal fills rotate; -1 if none holds one.
   int SelectConnection() const;
 
   std::vector<Connection> connections_;
-  std::deque<int> history_;  // connection per popped request awaiting a response
+  // The connection of each popped request awaiting a response, oldest
+  // first.
+  std::deque<int> history_;
   int rr_pointer_ = 0;
   sim::Module* ip_ = nullptr;
 };

@@ -1,8 +1,9 @@
-// Direct ordering-semantics tests for the narrowcast shell (paper Fig. 3):
-// responses are delivered to the master strictly in transaction-issue
-// order, regardless of slave latency skew, posted (response-less) writes,
-// and locally synthesized error responses. shells_test.cpp exercises the
-// shell incidentally; this file pins the ordering contract itself.
+// Direct ordering-semantics tests for the narrowcast shell (paper Fig. 3),
+// a master shell over several connections: responses are delivered to the
+// master strictly in transaction-issue order, regardless of slave latency
+// skew, posted (response-less) writes, and locally synthesized error
+// responses. shells_test.cpp exercises the shell incidentally; this file
+// pins the ordering contract itself.
 #include <gtest/gtest.h>
 
 #include <functional>

@@ -329,7 +329,9 @@ class ScriptedMaster : public sim::Module {
  public:
   ScriptedMaster(std::string name, MasterEndpoint* endpoint,
                  std::vector<ScriptOp> ops)
-      : sim::Module(std::move(name)), endpoint_(endpoint), ops_(std::move(ops)) {
+      : sim::Module(std::move(name)),
+        endpoint_(endpoint),
+        ops_(std::move(ops)) {
     endpoint->BindIp(this);
   }
 
@@ -496,8 +498,8 @@ TEST_P(ShellSchedule, MultiConnectionSlaveDigest) {
   EXPECT_EQ(rig.master1->responses(), 5 * 4);
   const std::uint64_t digest =
       Mix(rig.master0->digest(), rig.master1->digest());
-  EXPECT_EQ(digest, 0x7e113dc4e1b72821ull) << "schedule changed: digest 0x" << std::hex
-                            << digest;
+  EXPECT_EQ(digest, 0x7e113dc4e1b72821ull)
+      << "schedule changed: digest 0x" << std::hex << digest;
 }
 
 // Once the traffic has drained, the N-connection shells park like their
