@@ -10,6 +10,7 @@
 // trace file accounts for every recorded event, and percentiles follow
 // the one nearest-rank formula everywhere.
 #include <algorithm>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -23,6 +24,7 @@
 #include "obs/trace.h"
 #include "scenario/runner.h"
 #include "scenario/spec.h"
+#include "sim/engine.h"
 #include "util/stats.h"
 
 namespace aethereal::scenario {
@@ -185,6 +187,78 @@ TEST(ObsOnTest, WindowsAndCountersAreConsistent) {
             0u);
   const std::size_t rows = std::count(csv.begin(), csv.end(), '\n');
   EXPECT_EQ(rows, 1 + stats.windows.size() * stats.links.size());
+}
+
+// --- per-slot attribution -------------------------------------------------
+
+// FNV-1a over every window field (the per-link busy vector included) and
+// every per-link counter, in order. A change that moves one link
+// observation into a neighbouring slot or window changes it.
+std::uint64_t AttributionDigest(const obs::ObsStatsSnapshot& stats) {
+  std::uint64_t h = 0xCBF29CE484222325ull;
+  const auto mix = [&h](std::int64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h = (h ^ ((static_cast<std::uint64_t>(value) >> (8 * byte)) & 0xFFu)) *
+          0x100000001B3ull;
+    }
+  };
+  for (const obs::SampleWindow& win : stats.windows) {
+    mix(win.start);
+    mix(win.length);
+    mix(win.gt_injected);
+    mix(win.be_injected);
+    mix(win.gt_delivered);
+    mix(win.be_delivered);
+    mix(win.busy_link_slots);
+    mix(win.link_slots);
+    mix(win.max_queue_words);
+    for (std::int32_t busy : win.link_busy) mix(busy);
+  }
+  for (const obs::LinkCounters& c : stats.links) {
+    mix(c.gt_flits);
+    mix(c.be_flits);
+    mix(c.header_flits);
+    mix(c.idle_slots);
+    mix(c.credit_slots);
+    mix(c.credits_returned);
+  }
+  return h;
+}
+
+// Pins which slot and which window every link observation is counted in,
+// on both engines. Sample periods 7 and 301 close windows off the slot
+// grid, and fault_stream_star drops and corrupts flits on its links.
+TEST(ObsOnTest, PerSlotAttributionIsPinned) {
+  struct Case {
+    const char* scenario;
+    Cycle sample_every;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {"uniform_star", 7, 0x55f19ec9144a02baull},
+      {"uniform_star", 301, 0x0d82cf4e7b75b0fcull},
+      {"fault_stream_star", 7, 0x32a310edce35317full},
+      {"fault_stream_star", 301, 0x899cd0dd3bf79c54ull},
+  };
+  for (const Case& c : cases) {
+    auto spec = LoadScenarioFile(std::string(AETHEREAL_SCENARIO_DIR) + "/" +
+                                 c.scenario + ".scn");
+    ASSERT_TRUE(spec.ok()) << spec.status();
+    spec->obs.sample_every = c.sample_every;
+    for (sim::EngineKind engine :
+         {sim::EngineKind::kNaive, sim::EngineKind::kSoa}) {
+      SCOPED_TRACE(std::string(c.scenario) + " sample_every " +
+                   std::to_string(c.sample_every) + " " +
+                   sim::EngineKindName(engine));
+      ScenarioSpec armed = *spec;
+      armed.engine = engine;
+      const ScenarioResult result = MustRun(armed);
+      ASSERT_TRUE(result.obs_stats.has_value());
+      const std::uint64_t digest = AttributionDigest(*result.obs_stats);
+      EXPECT_EQ(digest, c.digest)
+          << "attribution changed: digest 0x" << std::hex << digest;
+    }
+  }
 }
 
 // --- histograms & percentiles ---------------------------------------------

@@ -5,7 +5,10 @@
 // negative test: a deliberately corrupted slot table is caught.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "core/registers.h"
 #include "scenario/runner.h"
@@ -220,6 +223,92 @@ TEST(VerifiedRun, BrokenSlotTableIsCaught) {
   EXPECT_EQ(result.status().code(), StatusCode::kVerificationFailed);
   EXPECT_NE(result.status().message().find("slot"), std::string::npos)
       << result.status();
+}
+
+// The stu-allocator-conformance check itself: a slot granted in the STU
+// but never reserved is reported once, for its NI and slot, however many
+// rotations it persists; a stray SLOTS write undone within one rotation
+// is the window a legitimate update opens and is not reported.
+class StuConformance : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    spec_ = GtPairSpec();
+    spec_.verify = true;
+    runner_ = std::make_unique<scenario::ScenarioRunner>(spec_);
+    ASSERT_TRUE(runner_->Build().ok());
+    runner_->soc()->RunCycles(2);
+    kernel_ = runner_->soc()->ni(0);
+    channel_ = runner_->soc()->port(0, 0)->GlobalChannelOf(0);
+    auto mask = kernel_->ReadRegister(SlotsAddr());
+    ASSERT_TRUE(mask.ok());
+    ASSERT_NE(*mask, 0u);
+    mask_ = *mask;
+    for (SlotIndex s = 0; s < spec_.stu_slots; ++s) {
+      if ((mask_ & (1u << s)) == 0) {
+        stolen_ = s;
+        break;
+      }
+    }
+    ASSERT_GE(stolen_, 0);
+  }
+
+  Word SlotsAddr() const {
+    return regs::ChannelRegAddr(channel_, regs::ChannelReg::kSlots);
+  }
+
+  void WriteSlots(Word mask) {
+    ASSERT_TRUE(kernel_->WriteRegister(SlotsAddr(), mask).ok());
+  }
+
+  // Runs `rotations` full STU table rotations.
+  void RunRotations(int rotations) {
+    runner_->soc()->RunCycles(static_cast<Cycle>(rotations) *
+                              spec_.stu_slots * kFlitWords);
+  }
+
+  // The recorded stu-allocator-conformance violations; fails the test if
+  // the recorded list was capped, since then one could be missing.
+  std::vector<Violation> StuViolations() const {
+    const Monitor* monitor = runner_->soc()->monitor();
+    EXPECT_EQ(monitor->total_violations(),
+              static_cast<std::int64_t>(monitor->violations().size()))
+        << "violation list capped";
+    std::vector<Violation> stu;
+    for (const Violation& v : monitor->violations()) {
+      if (v.check == "stu-allocator-conformance") stu.push_back(v);
+    }
+    return stu;
+  }
+
+  scenario::ScenarioSpec spec_;
+  std::unique_ptr<scenario::ScenarioRunner> runner_;
+  core::NiKernel* kernel_ = nullptr;
+  ChannelId channel_ = kInvalidId;
+  Word mask_ = 0;
+  SlotIndex stolen_ = -1;
+};
+
+TEST_F(StuConformance, StolenSlotIsReportedOnce) {
+  WriteSlots(mask_ | (1u << stolen_));
+  RunRotations(20);
+  const std::vector<Violation> stu = StuViolations();
+  ASSERT_EQ(stu.size(), 1u);
+  EXPECT_FALSE(stu[0].fault_induced);
+  EXPECT_EQ(stu[0].message.rfind("ni0 STU slot " + std::to_string(stolen_) +
+                                     " owned by enabled channel " +
+                                     std::to_string(channel_),
+                                 0),
+            0u)
+      << stu[0].message;
+}
+
+TEST_F(StuConformance, StrayWriteUndoneWithinARotationIsNotReported) {
+  // Set for exactly one rotation: the check sees the stolen slot once.
+  WriteSlots(mask_ | (1u << stolen_));
+  RunRotations(1);
+  WriteSlots(mask_);
+  RunRotations(20);
+  EXPECT_TRUE(StuViolations().empty());
 }
 
 }  // namespace
