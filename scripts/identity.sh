@@ -13,6 +13,10 @@
 #   * when benchmark/out/specs/ exists (benchmark/run.sh writes it, as does
 #     noc_bench --write-specs), the result JSON of every generated
 #     benchmark scenario there on both engines;
+#   * observed runs: every canonical scenario and every generated
+#     benchmark scenario on both engines with the verify monitor and the
+#     obs tap armed (--verify --sample-every 64 --trace --stats-csv), which
+#     compares the result JSON, the trace and the per-window stats CSV;
 #   * the stdout of the paper benches and the examples. bench_stack's
 #     google-benchmark rows are host timings and are dropped; bench_speed
 #     and bench_sweep print nothing but host timings and are not run.
@@ -110,6 +114,30 @@ if [[ -d "$bench_specs" ]]; then
 else
   echo "skipped: $bench_specs (not generated)"
 fi
+
+# Observed runs: the monitor and the obs tap armed together. The trace and
+# the stats CSV are outputs of their own, compared with the result JSON.
+observed_specs=(scenarios/*.scn)
+[[ -d "$bench_specs" ]] && observed_specs+=("$bench_specs"/*.scn)
+for spec in "${observed_specs[@]}"; do
+  [[ -e "$spec" ]] || continue
+  name="$(basename "$spec" .scn)"
+  for engine in soa naive; do
+    tag="observed_${name}_${engine}"
+    for side in parent change; do
+      build="$parent"
+      [[ "$side" == change ]] && build="$change"
+      "$build/noc_sim" --quiet --engine "$engine" --verify --sample-every 64 \
+        --trace "$work/$side/$tag.trace.json" \
+        --stats-csv "$work/$side/$tag.csv" \
+        -o "$work/$side/$tag.json" "$spec" > /dev/null 2>&1 || true
+    done
+    same "$work/parent/$tag.json" "$work/change/$tag.json" "noc_sim $tag json"
+    same "$work/parent/$tag.trace.json" "$work/change/$tag.trace.json" \
+      "noc_sim $tag trace"
+    same "$work/parent/$tag.csv" "$work/change/$tag.csv" "noc_sim $tag csv"
+  done
+done
 
 # Paper benches and examples: stdout, run from a scratch directory so no
 # program writes into the checkout.

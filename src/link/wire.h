@@ -22,7 +22,9 @@
 // Sample() in the same edge independent of their order, which is the
 // one-phase contract by construction. Drive() also wakes the
 // consumer module registered with SetConsumer() for the next slot, so a
-// parked consumer is running when the value becomes visible.
+// parked consumer is running when the value becomes visible, and adds
+// what it drove to the link's LinkTraffic when one is installed
+// (CountInto(); the obs tap's counters, DESIGN.md §13.2).
 #ifndef AETHEREAL_LINK_WIRE_H
 #define AETHEREAL_LINK_WIRE_H
 
@@ -45,6 +47,17 @@ class FlitTap {
  public:
   virtual ~FlitTap() = default;
   virtual bool OnDrive(int site, Cycle now, Flit* flit) = 0;
+};
+
+/// Cumulative traffic of one directed link, counted by its wires as they
+/// are driven: the flit wire counts flits, the credit wire credit pulses.
+/// An idle flit and a zero credit count nothing.
+struct LinkTraffic {
+  std::int64_t gt_flits = 0;
+  std::int64_t be_flits = 0;
+  std::int64_t header_flits = 0;   // packet starts (either class)
+  std::int64_t credit_slots = 0;   // slots carrying a credit return
+  std::int64_t credits_returned = 0;
 };
 
 template <typename T>
@@ -82,6 +95,11 @@ class SlotWire {
     tap_site_ = site;
   }
 
+  /// Counts every later drive into `*traffic` (null stops counting). The
+  /// count follows the fault tap: a corrupted flit counts as driven, a
+  /// dropped one not at all, exactly as Sample() will see them.
+  void CountInto(LinkTraffic* traffic) { traffic_ = traffic; }
+
   /// Producer: drive the wire for the current slot (call during Evaluate,
   /// at most once per slot).
   void Drive(const T& value) {
@@ -97,6 +115,7 @@ class SlotWire {
       }
     }
     entry.stamp = slot;
+    if (traffic_ != nullptr) Count(entry.value);
     if (consumer_masks_ != nullptr) (*consumer_masks_)[p] |= consumer_mask_bit_;
     if (consumer_ != nullptr) consumer_->Wake();
   }
@@ -121,6 +140,18 @@ class SlotWire {
   static constexpr Cycle kNever = std::numeric_limits<Cycle>::min();
   static inline const T kIdle{};
 
+  void Count(const T& value) {
+    if constexpr (std::is_same_v<T, Flit>) {
+      if (value.IsIdle()) return;
+      ++(value.gt ? traffic_->gt_flits : traffic_->be_flits);
+      if (value.kind == FlitKind::kHeader) ++traffic_->header_flits;
+    } else {
+      if (value <= 0) return;
+      ++traffic_->credit_slots;
+      traffic_->credits_returned += value;
+    }
+  }
+
   struct Entry {
     Cycle stamp = kNever;  // the slot that drove `value`
     T value{};
@@ -133,6 +164,7 @@ class SlotWire {
   std::uint32_t consumer_mask_bit_ = 0;
   FlitTap* tap_ = nullptr;
   int tap_site_ = -1;
+  LinkTraffic* traffic_ = nullptr;  // CountInto
 };
 
 using FlitWire = SlotWire<Flit>;
@@ -145,6 +177,12 @@ using CreditWire = SlotWire<int>;
 struct LinkWires {
   explicit LinkWires(const sim::Clock* clock)
       : data(clock), credit_return(clock) {}
+
+  /// Counts both wires' drives into `*traffic` (see SlotWire::CountInto).
+  void CountInto(LinkTraffic* traffic) {
+    data.CountInto(traffic);
+    credit_return.CountInto(traffic);
+  }
 
   FlitWire data;
   CreditWire credit_return;

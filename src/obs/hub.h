@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "link/wire.h"
 #include "obs/spec.h"
 #include "obs/trace.h"
 #include "util/types.h"
@@ -41,18 +42,15 @@ enum class LinkKind : std::uint8_t {
 };
 const char* LinkKindName(LinkKind kind);
 
-/// Per-link hardware counters, accumulated once per slot by the tap. A
-/// slot carries exactly one of: a GT flit, a BE flit, or nothing (idle).
-/// Flits observed on a router's *output* links are that port's
-/// arbitration wins, so per-router GT/BE win counts fall out of these
-/// counters without touching router internals.
-struct LinkCounters {
-  std::int64_t gt_flits = 0;
-  std::int64_t be_flits = 0;
-  std::int64_t header_flits = 0;   // packet starts (either class)
+/// Per-link hardware counters over the slots the tap observed, filled by
+/// its Finalize(). A slot carries exactly one of: a GT flit, a BE flit, or
+/// nothing (idle). The link's wires count the traffic as it is driven; the
+/// idle slots are the observed slots that carried no flit. Flits observed
+/// on a router's *output* links are that port's arbitration wins, so
+/// per-router GT/BE win counts fall out of these counters without
+/// touching router internals.
+struct LinkCounters : link::LinkTraffic {
   std::int64_t idle_slots = 0;
-  std::int64_t credit_slots = 0;   // slots carrying a credit return
-  std::int64_t credits_returned = 0;
 };
 
 /// Per-NI observation: committed queue-fill high-water marks (sampled

@@ -21,21 +21,63 @@ void ObsTap::Attach(ObsHookup hookup) {
   hookup_ = std::move(hookup);
   hub_->SetCounts(static_cast<int>(hookup_.nis.size()),
                   static_cast<int>(hookup_.routers.size()));
-  if (hub_->spec().SamplingEnabled()) {
-    window_.start = 0;
-    window_.length = hub_->spec().sample_every;
-    window_.link_busy.assign(hookup_.links.size(), 0);
+  driven_.assign(hookup_.links.size(), link::LinkTraffic{});
+  closed_.assign(hookup_.links.size(), link::LinkTraffic{});
+  for (std::size_t i = 0; i < hookup_.links.size(); ++i) {
+    hookup_.links[i]->CountInto(&driven_[i]);
   }
   attached_ = true;
 }
 
-void ObsTap::CloseWindow(Cycle nominal_start) {
-  SampleWindow closed = std::move(window_);
-  closed.start = nominal_start;
-  window_ = SampleWindow{};
-  window_.length = closed.length;
-  window_.link_busy.assign(hookup_.links.size(), 0);
-  hub_->PushWindow(std::move(closed));
+link::LinkTraffic ObsTap::Observed(std::size_t i,
+                                   Cycle unobserved_slot) const {
+  link::LinkTraffic traffic = driven_[i];
+  const link::LinkWires* wires = hookup_.links[i];
+  const link::Flit& flit = wires->data.SampleDrivenIn(unobserved_slot);
+  if (!flit.IsIdle()) {
+    --(flit.gt ? traffic.gt_flits : traffic.be_flits);
+    if (flit.kind == link::FlitKind::kHeader) --traffic.header_flits;
+  }
+  const int credits = wires->credit_return.SampleDrivenIn(unobserved_slot);
+  if (credits > 0) {
+    --traffic.credit_slots;
+    traffic.credits_returned -= credits;
+  }
+  return traffic;
+}
+
+void ObsTap::CloseWindow(Cycle unobserved_slot) {
+  const Cycle sample_every = hub_->spec().sample_every;
+  SampleWindow window;
+  window.start = static_cast<Cycle>(window_index_) * sample_every;
+  window.length = sample_every;
+  window.link_slots = (observed_slots_ - closed_slots_) *
+                      static_cast<std::int64_t>(hookup_.links.size());
+  window.max_queue_words = window_queue_words_;
+  window.link_busy.resize(hookup_.links.size());
+  for (std::size_t i = 0; i < hookup_.links.size(); ++i) {
+    const link::LinkTraffic seen = Observed(i, unobserved_slot);
+    const std::int64_t gt = seen.gt_flits - closed_[i].gt_flits;
+    const std::int64_t be = seen.be_flits - closed_[i].be_flits;
+    closed_[i] = seen;
+    window.link_busy[i] = static_cast<std::int32_t>(gt + be);
+    window.busy_link_slots += gt + be;
+    switch (hub_->link_kind(static_cast<int>(i))) {
+      case LinkKind::kInjection:
+        window.gt_injected += gt;
+        window.be_injected += be;
+        break;
+      case LinkKind::kDelivery:
+        window.gt_delivered += gt;
+        window.be_delivered += be;
+        break;
+      case LinkKind::kRouterRouter:
+        break;
+    }
+  }
+  hub_->PushWindow(std::move(window));
+  closed_slots_ = observed_slots_;
+  window_queue_words_ = 0;
   ++window_index_;
 }
 
@@ -46,66 +88,37 @@ void ObsTap::Evaluate() {
   if (!attached_ || !IsSlotBoundary()) return;
   const Cycle now = CycleCount();
   const bool sampling = hub_->spec().SamplingEnabled();
-  Tracer* tracer = hub_->tracer();
+  // The slot this evaluation observes: its drives are on the wires now.
+  const Cycle prev_slot = now / kFlitWords - 1;
 
   // Close the current sampling window when its end has passed. Windows
-  // close at the first slot boundary past k * sample_every; the nominal
-  // start/length keep the series grid regular.
-  if (sampling) {
-    const Cycle window_end =
-        static_cast<Cycle>(window_index_ + 1) * hub_->spec().sample_every;
-    if (now >= window_end) {
-      CloseWindow(static_cast<Cycle>(window_index_) *
-                  hub_->spec().sample_every);
-    }
+  // close at the first slot boundary past k * sample_every, before this
+  // boundary's observation; the nominal start/length keep the series grid
+  // regular.
+  if (sampling &&
+      now >= static_cast<Cycle>(window_index_ + 1) *
+                 hub_->spec().sample_every) {
+    CloseWindow(prev_slot);
   }
 
-  // --- links: one committed flit (or idle) + one credit pulse per slot.
-  // Every link runs on this clock, so the previous slot is computed once
-  // here rather than by each of the two Sample() calls per link.
-  std::vector<LinkCounters>& counters = hub_->link_counters();
-  const Cycle prev_slot = now / kFlitWords - 1;
-  for (std::size_t i = 0; i < hookup_.links.size(); ++i) {
-    const link::LinkWires* wires = hookup_.links[i];
-    const link::Flit& flit = wires->data.SampleDrivenIn(prev_slot);
-    LinkCounters& c = counters[i];
-    const LinkKind kind = hub_->link_kind(static_cast<int>(i));
-    if (flit.IsIdle()) {
-      ++c.idle_slots;
-    } else {
-      if (flit.gt) {
-        ++c.gt_flits;
-      } else {
-        ++c.be_flits;
-      }
-      if (flit.kind == link::FlitKind::kHeader) ++c.header_flits;
-      if (sampling) {
-        ++window_.busy_link_slots;
-        ++window_.link_busy[i];
-        if (kind == LinkKind::kInjection) {
-          ++(flit.gt ? window_.gt_injected : window_.be_injected);
-        } else if (kind == LinkKind::kDelivery) {
-          ++(flit.gt ? window_.gt_delivered : window_.be_delivered);
-        }
-      }
-      if (tracer != nullptr) {
-        std::uint16_t code = kFlitRoute;
-        if (kind == LinkKind::kInjection) code = kFlitInject;
-        if (kind == LinkKind::kDelivery) code = kFlitEject;
-        tracer->Record(TraceCat::kFlit, code, now, static_cast<std::int32_t>(i),
-                       flit.gt ? 1 : 0, flit.eop ? 1 : 0);
-        if (flit.gt && kind == LinkKind::kInjection) {
-          tracer->Record(TraceCat::kSlot, kSlotGtFire, now,
-                         static_cast<std::int32_t>(i));
-        }
+  // --- links: the wires counted their own drives; this observes a slot.
+  ++observed_slots_;
+  slot_ = now / kFlitWords;
+  if (Tracer* tracer = hub_->tracer(); tracer != nullptr) {
+    for (std::size_t i = 0; i < hookup_.links.size(); ++i) {
+      const link::Flit& flit = hookup_.links[i]->data.SampleDrivenIn(prev_slot);
+      if (flit.IsIdle()) continue;
+      const LinkKind kind = hub_->link_kind(static_cast<int>(i));
+      std::uint16_t code = kFlitRoute;
+      if (kind == LinkKind::kInjection) code = kFlitInject;
+      if (kind == LinkKind::kDelivery) code = kFlitEject;
+      tracer->Record(TraceCat::kFlit, code, now, static_cast<std::int32_t>(i),
+                     flit.gt ? 1 : 0, flit.eop ? 1 : 0);
+      if (flit.gt && kind == LinkKind::kInjection) {
+        tracer->Record(TraceCat::kSlot, kSlotGtFire, now,
+                       static_cast<std::int32_t>(i));
       }
     }
-    const int credits = wires->credit_return.SampleDrivenIn(prev_slot);
-    if (credits > 0) {
-      ++c.credit_slots;
-      c.credits_returned += credits;
-    }
-    if (sampling) window_.link_slots += 1;
   }
 
   // --- per-NI committed queue fills (source + dest CDC reader sizes).
@@ -123,8 +136,8 @@ void ObsTap::Evaluate() {
     o.source_queue_hwm = std::max(o.source_queue_hwm, source);
     o.dest_queue_hwm = std::max(o.dest_queue_hwm, dest);
     if (sampling) {
-      window_.max_queue_words =
-          std::max(window_.max_queue_words, std::max(source, dest));
+      window_queue_words_ =
+          std::max(window_queue_words_, std::max(source, dest));
     }
   }
 }
@@ -134,9 +147,17 @@ void ObsTap::Finalize() {
   finalized_ = true;
   const Cycle cycles = clock() != nullptr ? CycleCount() : 0;
 
-  // Trailing partial window (only if it saw at least one slot).
-  if (hub_->spec().SamplingEnabled() && window_.link_slots > 0) {
-    CloseWindow(static_cast<Cycle>(window_index_) * hub_->spec().sample_every);
+  // Trailing partial window (only if it saw at least one slot), then the
+  // whole-run link counters; the drive of the last evaluated slot was
+  // never observed.
+  if (hub_->spec().SamplingEnabled() && observed_slots_ > closed_slots_) {
+    CloseWindow(slot_);
+  }
+  std::vector<LinkCounters>& counters = hub_->link_counters();
+  for (std::size_t i = 0; i < hookup_.links.size(); ++i) {
+    LinkCounters& c = counters[i];
+    static_cast<link::LinkTraffic&>(c) = Observed(i, slot_);
+    c.idle_slots = observed_slots_ - c.gt_flits - c.be_flits;
   }
 
   // End-of-run per-NI snapshot: idle accounting settled by stats() (which

@@ -8,12 +8,16 @@
 // counts it accumulates are identical on the naive and soa engines (the
 // committed-state trajectory is the engines' byte-identity invariant).
 //
-// Per slot the tap classifies every link (GT flit / BE flit / idle /
-// credit return) into the hub's LinkCounters, records flit trace events
-// when tracing is armed, tracks per-NI committed queue-fill high-water
-// marks, and closes time-series windows. Finalize() (after the run)
-// closes the trailing window and snapshots the per-NI / per-router
-// aggregate counters.
+// The links count their own traffic: Attach() points every link's wires
+// at a link::LinkTraffic of the tap's, which each Drive() adds to. Per
+// slot the tap only counts the slot, tracks per-NI committed queue-fill
+// high-water marks and, when tracing is armed, walks the links to record
+// flit trace events. A window close derives every window field from the
+// cumulative counts, less the one drive the tap has not observed yet
+// (the slot in flight: a drive becomes observable one slot later).
+// Finalize() (after the run) closes the trailing window and fills the
+// hub's per-link counters the same way, and snapshots the per-NI /
+// per-router aggregate counters.
 #ifndef AETHEREAL_OBS_TAP_H
 #define AETHEREAL_OBS_TAP_H
 
@@ -34,9 +38,10 @@ class Router;
 namespace aethereal::obs {
 
 /// What the tap observes. `links` is index-aligned with the hub's link
-/// registry (same order as ObsHub::RegisterLink calls).
+/// registry (same order as ObsHub::RegisterLink calls); Attach() installs
+/// the tap's traffic counters on them.
 struct ObsHookup {
-  std::vector<const link::LinkWires*> links;
+  std::vector<link::LinkWires*> links;
   std::vector<core::NiKernel*> nis;         // stats() is non-const (settle)
   std::vector<const router::Router*> routers;
 };
@@ -58,15 +63,28 @@ class ObsTap : public sim::Module {
 
  private:
   bool IsSlotBoundary() const { return CycleCount() % kFlitWords == 0; }
-  void CloseWindow(Cycle nominal_start);
+  /// Link `i`'s traffic through the slot before `unobserved_slot`: what its
+  /// wires counted, less their drive in `unobserved_slot`.
+  link::LinkTraffic Observed(std::size_t i, Cycle unobserved_slot) const;
+  /// Closes the current sampling window with the traffic observed before
+  /// `unobserved_slot`.
+  void CloseWindow(Cycle unobserved_slot);
 
   ObsHub* hub_;
   ObsHookup hookup_;
   bool attached_ = false;
   bool finalized_ = false;
 
-  // Accumulating sampling window (valid while spec().SamplingEnabled()).
-  SampleWindow window_;
+  std::vector<link::LinkTraffic> driven_;  // per link, counted by its wires
+  std::int64_t observed_slots_ = 0;  // slot boundaries evaluated so far
+  Cycle slot_ = -1;  // slot of the last evaluation: driven, unobserved
+
+  // Sampling windows (valid while spec().SamplingEnabled()): the observed
+  // traffic and slot count at the last close, and the deepest queue fill
+  // since then.
+  std::vector<link::LinkTraffic> closed_;
+  std::int64_t closed_slots_ = 0;
+  int window_queue_words_ = 0;
   std::int64_t window_index_ = 0;
 };
 

@@ -71,14 +71,15 @@ Soc::Soc(topology::Topology topology,
 
   // The observability tap follows the monitor's contract (read-only,
   // registered before the NoC hardware, observation at slot boundaries).
-  // When options_.obs is null or disabled NOTHING is built — that absent
-  // module is the subsystem's entire cost when off (DESIGN.md §13).
+  // When options_.obs is null or disabled NOTHING is built and no wire
+  // counts its drives — that absent module and one null check per wire
+  // drive are the subsystem's entire cost when off (DESIGN.md §13).
   if (options_.obs != nullptr && options_.obs->Enabled()) {
     obs_hub_ = std::make_unique<obs::ObsHub>(*options_.obs);
     obs_tap_ = std::make_unique<obs::ObsTap>(obs_hub_.get());
     net_clock_->Register(obs_tap_.get());
   }
-  std::vector<const link::LinkWires*> obs_links;
+  std::vector<link::LinkWires*> obs_links;
 
   // All link wires live in one contiguous slab, bound to the network clock;
   // size it exactly: two NI links per NI plus every directed
@@ -194,6 +195,7 @@ Soc::Soc(topology::Topology topology,
   allocator_ = std::make_unique<tdm::CentralizedAllocator>(
       &topology_, options_.stu_slots);
 
+  // Attaching the tap sets every link's wires counting their drives.
   if (obs_tap_ != nullptr) {
     obs::ObsHookup hookup;
     hookup.links = std::move(obs_links);

@@ -55,6 +55,11 @@ void Monitor::Attach(MonitorHookup hookup) {
   open_inj_be_.resize(num_nis);
   open_del_gt_.resize(num_nis);
   open_del_be_.resize(num_nis);
+  injection_tables_.reserve(num_nis);
+  for (std::size_t n = 0; n < num_nis; ++n) {
+    injection_tables_.push_back(&hookup_.allocator->TableOf(topology::LinkId{
+        /*from_ni=*/true, static_cast<NiId>(n), /*port=*/0}));
+  }
   ledgers_.resize(num_nis * static_cast<std::size_t>(max_qid_));
   stu_mismatch_streak_.assign(
       num_nis * static_cast<std::size_t>(table_slots_), 0);
@@ -158,40 +163,6 @@ NiId Monitor::ResolveDestination(NiId ni, const link::SourcePath& path) {
   oss << "packet from ni" << ni << " has an empty source path";
   Report("gt-route-conformance", oss.str());
   return kInvalidId;
-}
-
-void Monitor::CheckStuConformance(SlotIndex slot) {
-  // An enabled channel owning STU slot `slot` must be backed by an
-  // allocator reservation on the NI's injection link for the same channel.
-  // (The reverse — reserved but not yet programmed — is the normal state
-  // during connection setup and is fine.)
-  for (std::size_t n = 0; n < hookup_.nis.size(); ++n) {
-    const auto ni = static_cast<NiId>(n);
-    const std::size_t key =
-        n * static_cast<std::size_t>(table_slots_) +
-        static_cast<std::size_t>(slot);
-    const ChannelId stu_owner = hookup_.nis[n]->SlotOwner(slot);
-    bool mismatch = false;
-    if (stu_owner != kInvalidId &&
-        hookup_.nis[n]->ChannelEnabled(stu_owner)) {
-      const tdm::SlotTable& table = hookup_.allocator->TableOf(
-          topology::LinkId{/*from_ni=*/true, ni, /*port=*/0});
-      const tdm::GlobalChannel& owner = table.Owner(slot);
-      mismatch = !(owner == tdm::GlobalChannel{ni, stu_owner});
-    }
-    if (!mismatch) {
-      stu_mismatch_streak_[key] = 0;
-      continue;
-    }
-    if (++stu_mismatch_streak_[key] >= kStuMismatchThreshold &&
-        !stu_mismatch_reported_[key]) {
-      stu_mismatch_reported_[key] = true;
-      std::ostringstream oss;
-      oss << "ni" << ni << " STU slot " << slot << " owned by enabled channel "
-          << stu_owner << " without a matching allocator reservation";
-      Report("stu-allocator-conformance", oss.str());
-    }
-  }
 }
 
 void Monitor::ObserveInjection(NiId ni, const Flit& flit) {
@@ -552,20 +523,41 @@ void Monitor::Evaluate() {
   }
 
   // Snapshot the tables governing the slot the NIs are about to schedule
-  // (this same cycle, after us), for use one slot from now.
+  // (this same cycle, after us), for use one slot from now, and check the
+  // STU against the allocator on the same reads: an enabled channel owning
+  // STU slot `slot` must be backed by an allocator reservation on the NI's
+  // injection link for the same channel. (The reverse — reserved but not
+  // yet programmed — is the normal state during connection setup and is
+  // fine.)
   const auto slot = static_cast<SlotIndex>((now / kFlitWords) % table_slots_);
   for (std::size_t n = 0; n < hookup_.nis.size(); ++n) {
     const auto ni = static_cast<NiId>(n);
+    core::NiKernel* kernel = hookup_.nis[n];
     SlotSnapshot& snap = prev_snapshot_[n];
     snap.valid = true;
     snap.slot = slot;
-    snap.stu_owner = hookup_.nis[n]->SlotOwner(slot);
-    snap.alloc_owner = hookup_.allocator
-                           ->TableOf(topology::LinkId{/*from_ni=*/true, ni,
-                                                      /*port=*/0})
-                           .Owner(slot);
+    snap.stu_owner = kernel->SlotOwner(slot);
+    snap.alloc_owner = injection_tables_[n]->Owner(slot);
+
+    const std::size_t key = n * static_cast<std::size_t>(table_slots_) +
+                            static_cast<std::size_t>(slot);
+    const bool mismatch =
+        snap.stu_owner != kInvalidId &&
+        kernel->ChannelEnabled(snap.stu_owner) &&
+        !(snap.alloc_owner == tdm::GlobalChannel{ni, snap.stu_owner});
+    if (!mismatch) {
+      stu_mismatch_streak_[key] = 0;
+      continue;
+    }
+    if (++stu_mismatch_streak_[key] >= kStuMismatchThreshold &&
+        !stu_mismatch_reported_[key]) {
+      stu_mismatch_reported_[key] = true;
+      std::ostringstream oss;
+      oss << "ni" << ni << " STU slot " << slot << " owned by enabled channel "
+          << snap.stu_owner << " without a matching allocator reservation";
+      Report("stu-allocator-conformance", oss.str());
+    }
   }
-  CheckStuConformance(slot);
 }
 
 void Monitor::NotePhaseBoundary() {

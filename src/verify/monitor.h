@@ -212,7 +212,6 @@ class Monitor : public sim::Module {
   void Report(const char* check, std::string message,
               bool fault_induced = false);
   void RefreshPairs();
-  void CheckStuConformance(SlotIndex slot);
   void ObserveInjection(NiId ni, const link::Flit& flit);
   void ObserveDelivery(NiId ni, const link::Flit& flit);
   /// Walks a full source route from `ni`'s router; returns the destination
@@ -224,6 +223,7 @@ class Monitor : public sim::Module {
   int table_slots_ = 0;
   int max_qid_ = 0;  // channels addressable per NI (ledger stride)
 
+  std::vector<const tdm::SlotTable*> injection_tables_;  // per NI
   std::vector<SlotSnapshot> prev_snapshot_;       // per NI
   std::vector<OpenPacket> open_inj_gt_, open_inj_be_;  // per NI
   std::vector<OpenPacket> open_del_gt_, open_del_be_;  // per NI
