@@ -178,12 +178,6 @@ struct LinkWires {
   explicit LinkWires(const sim::Clock* clock)
       : data(clock), credit_return(clock) {}
 
-  /// Counts both wires' drives into `*traffic` (see SlotWire::CountInto).
-  void CountInto(LinkTraffic* traffic) {
-    data.CountInto(traffic);
-    credit_return.CountInto(traffic);
-  }
-
   FlitWire data;
   CreditWire credit_return;
 };

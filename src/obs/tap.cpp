@@ -24,7 +24,8 @@ void ObsTap::Attach(ObsHookup hookup) {
   driven_.assign(hookup_.links.size(), link::LinkTraffic{});
   closed_.assign(hookup_.links.size(), link::LinkTraffic{});
   for (std::size_t i = 0; i < hookup_.links.size(); ++i) {
-    hookup_.links[i]->CountInto(&driven_[i]);
+    hookup_.links[i]->data.CountInto(&driven_[i]);
+    hookup_.links[i]->credit_return.CountInto(&driven_[i]);
   }
   attached_ = true;
 }
