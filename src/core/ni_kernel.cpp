@@ -152,9 +152,11 @@ void NiKernel::ConnectToRouter(link::LinkWires* to_router,
   to_router_ = to_router;
   from_router_ = from_router;
   be_link_credits_ = router_be_capacity;
-  // Delivered flits and returned link credits must find us running.
+  router_be_capacity_ = router_be_capacity;
+  // Delivered flits must find us running. Returned link credits wake
+  // nobody: they are counted on the credit wire, and only a kernel with a
+  // BE flit to send reads them, which keeps it running (ParkUntilWork).
   from_router->data.SetConsumer(this);
-  to_router->credit_return.SetConsumer(this);
 }
 
 NiPort* NiKernel::port(int index) {
@@ -394,9 +396,6 @@ void NiKernel::Evaluate() {
   if (!IsSlotBoundary()) return;
   ApplyRegisterWrites();
   const Cycle slot_number = CycleCount() / kFlitWords;
-  if (to_router_ != nullptr) {
-    be_link_credits_ += to_router_->credit_return.Sample();
-  }
   if (from_router_ != nullptr) ReceiveFlit();
   HarvestCreditsAndFlushes();
   if (to_router_ != nullptr) Schedule();
@@ -615,14 +614,14 @@ void NiKernel::Schedule() {
   if (granted == kInvalidId) {
     if (be_open_channel_ != kInvalidId) {
       // Wormhole: the open BE packet continues before anything else.
-      if (be_link_credits_ <= 0) {
+      if (!HasBeLinkCredit()) {
         ++stats_.be_link_stalls;
         return;
       }
       granted = be_open_channel_;
     } else {
       granted = ArbitrateBe();
-      if (granted != kInvalidId && be_link_credits_ <= 0) {
+      if (granted != kInvalidId && !HasBeLinkCredit()) {
         ++stats_.be_link_stalls;
         return;
       }
@@ -630,6 +629,18 @@ void NiKernel::Schedule() {
   }
 
   if (granted != kInvalidId) EmitFlit(granted);
+}
+
+bool NiKernel::HasBeLinkCredit() {
+  if (be_link_credits_ <= 0) {
+    be_link_credits_ += to_router_->credit_return.TakeDriven();
+    AETHEREAL_CHECK_MSG(be_link_credits_ <= router_be_capacity_,
+                        name() << ": holds " << be_link_credits_
+                               << " link credits, over the router's BE"
+                                  " buffer of "
+                               << router_be_capacity_);
+  }
+  return be_link_credits_ > 0;
 }
 
 ChannelId NiKernel::ArbitrateBe() {

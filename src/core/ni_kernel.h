@@ -137,9 +137,10 @@ class NiKernel : public sim::Module {
   ~NiKernel() override;
 
   /// Wires the kernel to its router: `to_router` is the injection link
-  /// (kernel drives data, samples BE credit returns); `from_router` is the
+  /// (kernel drives data, takes BE credit returns); `from_router` is the
   /// delivery link. `router_be_capacity` is the router's BE input-buffer
-  /// depth in flits on the injection link.
+  /// depth in flits on the injection link; the kernel's link credits never
+  /// exceed it.
   void ConnectToRouter(link::LinkWires* to_router, link::LinkWires* from_router,
                        int router_be_capacity);
 
@@ -249,6 +250,9 @@ class NiKernel : public sim::Module {
   void ReceiveFlit();
   void HarvestCreditsAndFlushes();
   void Schedule();
+  /// True if a BE flit may go to the router now. Takes the credits
+  /// returned on the injection link only when none are left.
+  bool HasBeLinkCredit();
   void EmitFlit(ChannelId ch);
   /// True if an enabled channel has data or credits to send now.
   bool Eligible(const Channel& ch) const;
@@ -296,7 +300,8 @@ class NiKernel : public sim::Module {
 
   link::LinkWires* to_router_ = nullptr;
   link::LinkWires* from_router_ = nullptr;
-  int be_link_credits_ = 0;
+  int be_link_credits_ = 0;  // taken from the credit wire, less flits sent
+  int router_be_capacity_ = 0;
 
   // Receive state: one in-progress packet per traffic class, because GT
   // flits may preempt a BE packet mid-stream at the upstream router output

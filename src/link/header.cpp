@@ -5,16 +5,6 @@
 
 namespace aethereal::link {
 
-namespace {
-constexpr int kPathBits = 21;
-constexpr int kBitsPerHop = 3;
-constexpr int kQidLsb = 21;
-constexpr int kQidBits = 5;
-constexpr int kCreditsLsb = 26;
-constexpr int kCreditsBits = 5;
-constexpr int kGtBit = 31;
-}  // namespace
-
 SourcePath SourcePath::FromHops(const std::vector<int>& hops) {
   AETHEREAL_CHECK_MSG(static_cast<int>(hops.size()) <= kMaxPathHops,
                       "path of " << hops.size() << " hops exceeds "
@@ -44,7 +34,7 @@ SourcePath SourcePath::FromPacked(std::uint32_t packed) {
 
 int SourcePath::NextHop() const {
   AETHEREAL_CHECK_MSG(!Exhausted(), "source path exhausted");
-  return static_cast<int>(packed_ & BitMask(kBitsPerHop)) - 1;
+  return PackedNextHop(packed_);
 }
 
 SourcePath SourcePath::Consume() const {
@@ -94,7 +84,7 @@ Word PacketHeader::Encode() const {
 
 PacketHeader PacketHeader::Decode(Word word) {
   PacketHeader header;
-  header.path = SourcePath::FromPacked(ExtractBits(word, 0, kPathBits));
+  header.path = SourcePath::FromPacked(HeaderPath(word));
   header.remote_qid = static_cast<int>(ExtractBits(word, kQidLsb, kQidBits));
   header.credits = static_cast<int>(ExtractBits(word, kCreditsLsb, kCreditsBits));
   header.gt = ExtractBits(word, kGtBit, 1) != 0;

@@ -22,9 +22,31 @@
 #include <ostream>
 #include <vector>
 
+#include "util/bits.h"
 #include "util/types.h"
 
 namespace aethereal::link {
+
+/// Header word layout (see the file comment): bit positions and widths.
+inline constexpr int kPathBits = 21;
+inline constexpr int kBitsPerHop = 3;
+inline constexpr int kQidLsb = 21;
+inline constexpr int kQidBits = 5;
+inline constexpr int kCreditsLsb = 26;
+inline constexpr int kCreditsBits = 5;
+inline constexpr int kGtBit = 31;
+
+/// The packed source route in a header word.
+constexpr std::uint32_t HeaderPath(Word word) {
+  return ExtractBits(word, 0, kPathBits);
+}
+
+/// The header word after the current router takes its hop: the path field
+/// shifted down by one hop in place, every other field unchanged. For a
+/// nonempty path this equals Decode, `path.Consume()`, Encode.
+constexpr Word ConsumeHeaderHop(Word word) {
+  return (word & ~BitMask(kPathBits)) | (HeaderPath(word) >> kBitsPerHop);
+}
 
 /// Maximum piggybacked credits per packet header (5-bit field).
 inline constexpr int kMaxHeaderCredits = 31;
@@ -54,6 +76,12 @@ class SourcePath {
 
   /// Output port at the current (next) router; path must not be exhausted.
   int NextHop() const;
+
+  /// NextHop() of a packed path, without the exhaustion check: -1 when the
+  /// current hop's field is 0.
+  static constexpr int PackedNextHop(std::uint32_t packed) {
+    return static_cast<int>(packed & BitMask(kBitsPerHop)) - 1;
+  }
 
   /// True when all hops have been consumed.
   bool Exhausted() const { return packed_ == 0; }

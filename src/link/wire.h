@@ -20,11 +20,14 @@
 // value. Latch, hold and revert all follow from the stamps, so an undriven
 // wire costs nothing per edge. The two parity entries keep a Drive() and a
 // Sample() in the same edge independent of their order, which is the
-// one-phase contract by construction. Drive() also wakes the
+// one-phase contract by construction. A flit wire's Drive() also wakes the
 // consumer module registered with SetConsumer() for the next slot, so a
-// parked consumer is running when the value becomes visible, and adds
-// what it drove to the link's LinkTraffic when one is installed
-// (CountInto(); the obs tap's counters, DESIGN.md §13.2).
+// parked consumer is running when the flit becomes visible. A credit wire
+// wakes nobody: it counts its pulses, and its sender takes the credits
+// driven in earlier slots (TakeDriven()) only when it has a BE flit to
+// send and none left. Either wire adds what it drove to the link's
+// LinkTraffic when one is installed (CountInto(); the obs tap's counters,
+// DESIGN.md §13.2).
 #ifndef AETHEREAL_LINK_WIRE_H
 #define AETHEREAL_LINK_WIRE_H
 
@@ -72,9 +75,13 @@ class SlotWire {
   SlotWire(const SlotWire&) = delete;
   SlotWire& operator=(const SlotWire&) = delete;
 
-  /// Declares the module that samples this wire; every Drive() wakes it for
-  /// the next slot so a parked consumer never misses a slot transfer.
-  void SetConsumer(sim::Module* consumer) { consumer_ = consumer; }
+  /// Declares the module that samples this flit wire; every Drive() wakes
+  /// it for the next slot so a parked consumer never misses a slot transfer.
+  void SetConsumer(sim::Module* consumer) {
+    static_assert(std::is_same_v<T, Flit>,
+                  "credit wires are read when needed and wake nobody");
+    consumer_ = consumer;
+  }
 
   /// Optional pending masks: a Drive() in slot s sets `1 << bit` in
   /// `(*masks)[s & 1]`. Lets a consumer with many input wires poll one word
@@ -82,6 +89,8 @@ class SlotWire {
   /// of parity (t-1) & 1. Sound only because the drive also wakes the
   /// consumer for slot s+1, so no word outlives the slot that drains it.
   void SetConsumerBit(std::array<std::uint32_t, 2>* masks, int bit) {
+    static_assert(std::is_same_v<T, Flit>,
+                  "credit wires are read when needed and wake nobody");
     consumer_masks_ = masks;
     consumer_mask_bit_ = std::uint32_t{1} << bit;
   }
@@ -116,8 +125,14 @@ class SlotWire {
     }
     entry.stamp = slot;
     if (traffic_ != nullptr) Count(entry.value);
-    if (consumer_masks_ != nullptr) (*consumer_masks_)[p] |= consumer_mask_bit_;
-    if (consumer_ != nullptr) consumer_->Wake();
+    if constexpr (std::is_same_v<T, Flit>) {
+      if (consumer_masks_ != nullptr) {
+        (*consumer_masks_)[p] |= consumer_mask_bit_;
+      }
+      if (consumer_ != nullptr) consumer_->Wake();
+    } else {
+      untaken_ += value;
+    }
   }
 
   /// Consumer: the value driven in the previous slot, else idle.
@@ -134,11 +149,34 @@ class SlotWire {
     return entry.stamp == prev ? entry.value : kIdle;
   }
 
+  /// Credit-wire consumer: takes the credits driven in slots before the
+  /// current one that no earlier call took. A pulse driven in slot s is
+  /// takeable from slot s+1 on, however many slots later the sender asks,
+  /// so a sender reads its credits only when it needs them.
+  int TakeDriven() {
+    const int current = DrivenInCurrentSlot();
+    const int taken = untaken_ - current;
+    untaken_ = current;
+    return taken;
+  }
+
+  /// What TakeDriven() would return now, without taking it.
+  int PeekDriven() const { return untaken_ - DrivenInCurrentSlot(); }
+
  private:
   // Stamp of an entry never driven: no slot number, not even the -1 that
   // slot 0 samples.
   static constexpr Cycle kNever = std::numeric_limits<Cycle>::min();
   static inline const T kIdle{};
+
+  // This slot's pulse: counted in untaken_ but not takeable before the
+  // next slot.
+  int DrivenInCurrentSlot() const {
+    static_assert(std::is_same_v<T, int>, "only credit wires count pulses");
+    const Cycle slot = clock_->cycles() / kFlitWords;
+    const Entry& entry = entries_[static_cast<std::size_t>(slot & 1)];
+    return entry.stamp == slot ? entry.value : 0;
+  }
 
   void Count(const T& value) {
     if constexpr (std::is_same_v<T, Flit>) {
@@ -165,6 +203,7 @@ class SlotWire {
   FlitTap* tap_ = nullptr;
   int tap_site_ = -1;
   LinkTraffic* traffic_ = nullptr;  // CountInto
+  int untaken_ = 0;  // credit wires: pulses driven and not yet taken
 };
 
 using FlitWire = SlotWire<Flit>;

@@ -6,13 +6,13 @@
 
 #include "fault/injector.h"
 #include "link/header.h"
+#include "util/bits.h"
 #include "util/check.h"
 
 namespace aethereal::router {
 
 using link::Flit;
 using link::FlitKind;
-using link::PacketHeader;
 
 Router::Router(std::string name, RouterId id, const RouterConfig& config)
     : sim::Module(std::move(name)), id_(id), config_(config) {
@@ -44,15 +44,14 @@ void Router::ConnectOutput(int port, link::LinkWires* wires,
   auto& out = outputs_[static_cast<std::size_t>(port)];
   out.wires = wires;
   out.be_credits = downstream_be_capacity;
-  // Credits returned by the downstream peer must find us running, and flag
-  // their port so the slot sweep samples only ports with returns driven.
-  wires->credit_return.SetConsumer(this);
-  wires->credit_return.SetConsumerBit(&credits_pending_, port);
+  out.be_capacity = downstream_be_capacity;
 }
 
 int Router::OutputCredits(int port) const {
   AETHEREAL_CHECK(port >= 0 && port < config_.num_ports);
-  return outputs_[static_cast<std::size_t>(port)].be_credits;
+  const auto& out = outputs_[static_cast<std::size_t>(port)];
+  if (out.wires == nullptr) return out.be_credits;
+  return out.be_credits + out.wires->credit_return.PeekDriven();
 }
 
 void Router::Evaluate() {
@@ -65,22 +64,12 @@ void Router::Evaluate() {
     RefreshBeRequest(std::countr_zero(m));
   }
 
-  // The ports driven last slot are flagged in that slot's parity words.
-  // The drive woke us for this slot, so the words are drained on time and
-  // never outlive it.
+  // The inputs driven last slot are flagged in that slot's parity word.
+  // The drive woke us for this slot, so the word is drained on time and
+  // never outlives it.
   const auto last =
       static_cast<std::size_t>((CycleCount() / kFlitWords - 1) & 1);
-  const std::uint32_t credit_ports = std::exchange(credits_pending_[last], 0);
   const std::uint32_t input_ports = std::exchange(inputs_pending_[last], 0);
-
-  // Collect returned BE credits from downstream.
-  for (std::uint32_t m = credit_ports; m != 0; m &= m - 1) {
-    auto& out = outputs_[static_cast<std::size_t>(std::countr_zero(m))];
-    const int returned = out.wires->credit_return.Sample();
-    AETHEREAL_CHECK_MSG(returned != 0,
-                        name() << ": flagged credit port sampled no credit");
-    out.be_credits += returned;
-  }
 
   // Phase A: accept arriving flits. GT flits are switched through to their
   // output at once; BE flits go to the input buffers. During a fault stall
@@ -141,21 +130,23 @@ void Router::AcceptInputs(std::uint32_t pending, bool frozen) {
     }
 
     if (flit.kind == FlitKind::kHeader) {
-      PacketHeader header = PacketHeader::Decode(flit.words[0]);
-      AETHEREAL_CHECK_MSG(flit.gt == header.gt,
+      // Take the hop in place: checks and rewrite read the encoded word.
+      const Word word = flit.words[0];
+      const bool header_gt = ExtractBits(word, link::kGtBit, 1) != 0;
+      AETHEREAL_CHECK_MSG(flit.gt == header_gt,
                           name() << ": GT sideband disagrees with header");
-      AETHEREAL_CHECK_MSG(!header.path.Exhausted(),
+      const std::uint32_t path = link::HeaderPath(word);
+      AETHEREAL_CHECK_MSG(path != 0,
                           name() << ": packet with exhausted path at input "
                                  << i);
-      const int target = header.path.NextHop();
+      const int target = link::SourcePath::PackedNextHop(path);
       AETHEREAL_CHECK_MSG(target >= 0 && target < config_.num_ports,
                           name() << ": path selects port " << target
                                  << " of " << config_.num_ports);
-      header.path = header.path.Consume();
       Flit forwarded = flit;
-      forwarded.words[0] = header.Encode();
+      forwarded.words[0] = link::ConsumeHeaderHop(word);
 
-      if (header.gt) {
+      if (flit.gt) {
         ForwardGt(static_cast<int>(i), forwarded, target);
         in.gt_target = flit.eop ? kInvalidId : target;
       } else {
@@ -215,12 +206,17 @@ void Router::FreeCredit(int input) {
 
 void Router::ArbitrateBestEffort(bool frozen) {
   const std::uint32_t gt_claimed = std::exchange(gt_claimed_outputs_, 0);
-  for (int o = 0; o < config_.num_ports; ++o) {
+  stats_.be_blocked_gt += std::popcount(gt_claimed & be_owned_outputs_);
+  // Only an owned or requested output can send a BE flit. Outputs are
+  // visited in port order; a pop may add a request on a later output, so
+  // the masks are re-read after every visit.
+  for (std::uint32_t above = ~std::uint32_t{0};;) {
+    const std::uint32_t live =
+        (be_owned_outputs_ | be_requested_outputs_) & ~gt_claimed & above;
+    if (live == 0) break;
+    const int o = std::countr_zero(live);
+    above = ~((std::uint32_t{2} << o) - 1);
     auto& out = outputs_[static_cast<std::size_t>(o)];
-    if ((gt_claimed >> o) & 1) {
-      if (out.be_owner_input != kInvalidId) ++stats_.be_blocked_gt;
-      continue;
-    }
     if (out.wires == nullptr) continue;
 
     int i = out.be_owner_input;
@@ -242,8 +238,19 @@ void Router::ArbitrateBestEffort(bool frozen) {
       i = std::countr_zero(from_pointer != 0 ? from_pointer : out.be_requests);
     }
     if (out.be_credits <= 0) {
-      ++stats_.be_blocked_credit;  // head-of-line blocked; nobody may jump
-      continue;
+      // Credits are read from the wire only when needed: the returns
+      // driven in earlier slots.
+      out.be_credits += out.wires->credit_return.TakeDriven();
+      AETHEREAL_CHECK_MSG(out.be_credits <= out.be_capacity,
+                          name() << ": output " << o << " holds "
+                                 << out.be_credits
+                                 << " link credits, over the downstream"
+                                    " capacity of "
+                                 << out.be_capacity);
+      if (out.be_credits <= 0) {
+        ++stats_.be_blocked_credit;  // head-of-line blocked; nobody may jump
+        continue;
+      }
     }
     auto& in = inputs_[static_cast<std::size_t>(i)];
     const BufferedBeFlit entry = in.be_queue.pop_front();
@@ -258,10 +265,12 @@ void Router::ArbitrateBestEffort(bool frozen) {
       if (!entry.flit.eop) {
         out.be_owner_input = i;
         in.be_drain_target = o;
+        be_owned_outputs_ |= std::uint32_t{1} << o;
       }
     } else if (entry.flit.eop) {
       out.be_owner_input = kInvalidId;
       in.be_drain_target = kInvalidId;
+      be_owned_outputs_ &= ~(std::uint32_t{1} << o);
     }
     // The pop may expose a header that a later output grants this slot.
     RefreshBeRequest(i);
@@ -283,10 +292,15 @@ void Router::RefreshBeRequest(int input) {
   if (target == in.be_request) return;
   const std::uint32_t bit = std::uint32_t{1} << input;
   if (in.be_request != kInvalidId) {
-    outputs_[static_cast<std::size_t>(in.be_request)].be_requests &= ~bit;
+    auto& old = outputs_[static_cast<std::size_t>(in.be_request)];
+    old.be_requests &= ~bit;
+    if (old.be_requests == 0) {
+      be_requested_outputs_ &= ~(std::uint32_t{1} << in.be_request);
+    }
   }
   if (target != kInvalidId) {
     outputs_[static_cast<std::size_t>(target)].be_requests |= bit;
+    be_requested_outputs_ |= std::uint32_t{1} << target;
   }
   in.be_request = target;
 }

@@ -61,10 +61,13 @@ class Router : public sim::Module {
   void ConnectInput(int port, link::LinkWires* wires);
 
   /// Wires the outbound link of `port`: the router drives `wires->data` and
-  /// samples `wires->credit_return`. `downstream_be_capacity` initializes
-  /// the BE credit counter (the peer's BE input buffer size in flits; use a
+  /// takes the credits counted on `wires->credit_return` when a BE flit
+  /// waits for the output and its counter is spent; a credit return never
+  /// wakes the router. `downstream_be_capacity` initializes the BE credit
+  /// counter and bounds it (the peer's BE input buffer size in flits; use a
   /// large value for NI-bound links, which always sink flits because
   /// end-to-end flow control already guarantees destination-queue space).
+  /// Credits taken beyond it are a fatal protocol violation.
   void ConnectOutput(int port, link::LinkWires* wires,
                      int downstream_be_capacity);
 
@@ -82,7 +85,8 @@ class Router : public sim::Module {
     fault_ = injector;
   }
 
-  /// BE credits currently available toward the peer of `port`.
+  /// BE credits currently available toward the peer of `port`, counting
+  /// the returns driven before this slot that the router has not yet taken.
   int OutputCredits(int port) const;
 
  private:
@@ -132,7 +136,8 @@ class Router : public sim::Module {
   };
   struct OutputState {
     link::LinkWires* wires = nullptr;
-    int be_credits = 0;
+    int be_credits = 0;   // taken from the credit wire, less flits sent
+    int be_capacity = 0;  // bound on be_credits (downstream_be_capacity)
     int be_owner_input = kInvalidId;  // wormhole ownership
     int rr_pointer = 0;               // round-robin arbitration state
     std::uint32_t be_requests = 0;    // bit i: input i's be_request is here
@@ -148,6 +153,11 @@ class Router : public sim::Module {
   // the slot's credit return drives.
   std::uint32_t gt_claimed_outputs_ = 0;
   std::uint32_t credit_inputs_ = 0;
+  // The outputs BE arbitration visits (bit = port), kept as ownership and
+  // requests change: those a wormhole owns (be_owner_input set) and those
+  // with a nonzero be_requests.
+  std::uint32_t be_owned_outputs_ = 0;
+  std::uint32_t be_requested_outputs_ = 0;
   // BE flits resident in the input buffers (staged or committed). The
   // router parks at the end of any slot that leaves none: further work
   // then starts with a wire drive, which wakes it.
@@ -155,12 +165,11 @@ class Router : public sim::Module {
   // Inputs that buffered a BE flit this slot. The flit can leave from the
   // next slot on (CommittedBeFlits), so their requests are refreshed then.
   std::uint32_t be_pushed_inputs_ = 0;
-  // Wire pending masks (bit = port), one word per slot parity, set by
+  // Input pending masks (bit = port), one word per slot parity, set by
   // SlotWire::Drive in the word of the drive slot's parity (link/wire.h
-  // SetConsumerBit). The sweep of slot t drains the words of parity
-  // (t-1) & 1 instead of sampling every connected port's wires.
-  std::array<std::uint32_t, 2> inputs_pending_{};   // data driven to input
-  std::array<std::uint32_t, 2> credits_pending_{};  // credits to output
+  // SetConsumerBit). The sweep of slot t drains the word of parity
+  // (t-1) & 1 instead of sampling every connected input wire.
+  std::array<std::uint32_t, 2> inputs_pending_{};
   RouterStats stats_;
   fault::FaultInjector* fault_ = nullptr;
 };

@@ -72,9 +72,10 @@ class TwoNiFixture {
     Run(2);  // let the register writes commit
   }
 
-  void ConfigureChannel(NiKernel& ni, ChannelId ch, const SourcePath& path,
-                        int remote_qid, bool gt, Word slots,
-                        int data_thr = 1, int credit_thr = 1) {
+  static void ConfigureChannel(NiKernel& ni, ChannelId ch,
+                               const SourcePath& path, int remote_qid,
+                               bool gt, Word slots, int data_thr = 1,
+                               int credit_thr = 1) {
     const int remote_space = 8;  // all test queues are 8 words deep
     ASSERT_TRUE(ni.WriteRegister(
                       regs::ChannelRegAddr(ch, regs::ChannelReg::kSpace),
@@ -112,6 +113,10 @@ class TwoNiFixture {
     }
     return words;
   }
+
+  /// Link 0: NI0 -> router, 1: router -> NI0, 2: NI1 -> router,
+  /// 3: router -> NI1.
+  link::LinkWires& link(int i) { return *links_[static_cast<std::size_t>(i)]; }
 
   sim::Kernel sim;
   std::unique_ptr<router::Router> router;
@@ -179,21 +184,112 @@ TEST(NiKernelTraffic, BeSingleWordDelivery) {
 
 // The slot that emits a kernel's last flit leaves it nothing to send, so
 // it parks in that slot (soa; the naive engine never parks). The link
-// credit the router returns for the flit wakes it again.
+// credit the router returns for the flit does not wake it: the credit
+// waits on the wire for the kernel's next BE flit.
 TEST(NiKernelTraffic, KernelParksInTheSlotOfItsLastFlit) {
   for (sim::EngineKind engine :
        {sim::EngineKind::kNaive, sim::EngineKind::kSoa}) {
     SCOPED_TRACE(sim::EngineKindName(engine));
+    const bool soa = engine == sim::EngineKind::kSoa;
     TwoNiFixture f(OneChannelNi(), OneChannelNi());
     f.sim.set_engine(engine);
     f.OpenPair(0, 0);
     f.ni0->port(0)->Write(0, 0xDEADBEEF);
     ASSERT_TRUE(PollUntil([&] { return f.ni0->stats().be_flits == 1; },
                           [&](Cycle n) { f.Run(n); }, 1, 60));
-    EXPECT_EQ(f.ni0->parked(), engine == sim::EngineKind::kSoa);
+    EXPECT_EQ(f.ni0->parked(), soa);
+    const link::CreditWire& credits = f.link(0).credit_return;
+    ASSERT_TRUE(PollUntil([&] { return credits.PeekDriven() == 1; },
+                          [&](Cycle n) { f.Run(n); }, 1, 60));
+    EXPECT_EQ(f.ni0->parked(), soa);
     f.Run(60);
+    EXPECT_EQ(f.ni0->parked(), soa);
+    EXPECT_EQ(credits.PeekDriven(), 1);
     ASSERT_EQ(f.ni1->port(0)->ReadAvailable(0), 1);
     EXPECT_EQ(f.ni1->port(0)->Read(0), 0xDEADBEEFu);
+  }
+}
+
+/// One NI kernel whose injection and delivery links end in the test: the
+/// test plays the router, returning link credits by driving the injection
+/// link's credit wire. Channel 0 is open as a BE channel.
+class LoneNiFixture {
+ public:
+  LoneNiFixture(sim::EngineKind engine, int router_be_capacity) {
+    sim.set_engine(engine);
+    net_ = sim.AddClockMhz("net", 500.0);
+    to_router = std::make_unique<link::LinkWires>(net_);
+    from_router = std::make_unique<link::LinkWires>(net_);
+    ni = std::make_unique<NiKernel>("ni", 0, OneChannelNi());
+    ni->ConnectToRouter(to_router.get(), from_router.get(),
+                        router_be_capacity);
+    net_->Register(ni.get());
+    net_->Register(ni->port(0));
+    TwoNiFixture::ConfigureChannel(*ni, 0, SourcePath::FromHops({1}), 0,
+                                   /*gt=*/false, /*slots=*/0);
+    Run(2);
+  }
+
+  void Run(Cycle cycles) { sim.RunCycles(net_, cycles); }
+  Cycle Slot() const { return net_->cycles() / kFlitWords; }
+
+  sim::Kernel sim;
+  std::unique_ptr<link::LinkWires> to_router;
+  std::unique_ptr<link::LinkWires> from_router;
+  std::unique_ptr<NiKernel> ni;
+
+ private:
+  sim::Clock* net_ = nullptr;
+};
+
+// A kernel out of link credits stalls its BE flit and leaves in the slot
+// after the credit pulse, on both engines.
+TEST(NiKernelTraffic, BlockedBeFlitLeavesInTheSlotAfterThePulse) {
+  for (sim::EngineKind engine :
+       {sim::EngineKind::kNaive, sim::EngineKind::kSoa}) {
+    SCOPED_TRACE(sim::EngineKindName(engine));
+    LoneNiFixture f(engine, /*router_be_capacity=*/1);
+    const auto run = [&](Cycle n) { f.Run(n); };
+    f.ni->port(0)->Write(0, 0xA);
+    ASSERT_TRUE(
+        PollUntil([&] { return f.ni->stats().be_flits == 1; }, run, 1, 60));
+    f.ni->port(0)->Write(0, 0xB);
+    ASSERT_TRUE(PollUntil([&] { return f.ni->stats().be_link_stalls > 0; },
+                          run, 1, 60));
+    // Stalled: drive the credit in the current slot, between steps.
+    const Cycle pulse_slot = f.Slot();
+    f.to_router->credit_return.Drive(1);
+    ASSERT_TRUE(
+        PollUntil([&] { return f.ni->stats().be_flits == 2; }, run, 1, 60));
+    EXPECT_EQ(f.Slot(), pulse_slot + 1);  // emitted on the slot's first edge
+    f.Run(kFlitWords);
+    const link::Flit& flit = f.to_router->data.Sample();
+    ASSERT_EQ(flit.kind, link::FlitKind::kHeader);
+    EXPECT_EQ(flit.words[1], 0xBu);
+  }
+}
+
+// The kernel's link credits never exceed the router's BE buffer: one
+// credit pulse too many, taken once the legitimate return is back, is
+// fatal.
+TEST(NiKernelTrafficDeathTest, LinkCreditsOverRouterCapacityAreFatal) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  for (sim::EngineKind engine :
+       {sim::EngineKind::kNaive, sim::EngineKind::kSoa}) {
+    SCOPED_TRACE(sim::EngineKindName(engine));
+    EXPECT_DEATH(
+        {
+          LoneNiFixture f(engine, /*router_be_capacity=*/1);
+          f.ni->port(0)->Write(0, 0xA);
+          f.Run(30);
+          f.to_router->credit_return.Drive(1);  // the return for 0xA
+          f.Run(kFlitWords);
+          f.to_router->credit_return.Drive(1);  // one too many
+          f.Run(kFlitWords);
+          f.ni->port(0)->Write(0, 0xB);
+          f.Run(30);
+        },
+        "holds 2 link credits, over the router's BE buffer of 1");
   }
 }
 

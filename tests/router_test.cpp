@@ -17,6 +17,8 @@
 #include "sim/kernel.h"
 #include "util/rng.h"
 
+#include "poll.h"
+
 namespace aethereal::router {
 namespace {
 
@@ -137,9 +139,11 @@ class RouterRig {
   }
 
   void RunSlots(int slots) { sim_.RunCycles(clock_, slots * kFlitWords); }
+  void RunCycles(Cycle cycles) { sim_.RunCycles(clock_, cycles); }
 
   sim::Clock& clock() { return *clock_; }
   link::LinkWires& input_wires(int p) { return *in_links_[p]; }
+  link::LinkWires& output_wires(int p) { return *out_links_[p]; }
   ScriptedSource& source(int p) { return *sources_[p]; }
   RecordingSink& sink(int p) { return *sinks_[p]; }
   Router& router() { return *router_; }
@@ -202,7 +206,8 @@ TEST_P(RouterTest, ParksInTheSlotThatForwardsALoneGtFlit) {
 }
 
 // The slot that drains the last buffered BE flit parks the router. The
-// credit the sink returns for it wakes the router to collect it.
+// credit the sink returns for it stays on the wire for the router's next
+// BE flit.
 TEST_P(RouterTest, ParksInTheSlotThatDrainsTheLastBeFlit) {
   RouterRig rig(GetParam());
   rig.source(0).Enqueue(HeaderFlit(false, {1}, 3, true, 1));
@@ -214,6 +219,55 @@ TEST_P(RouterTest, ParksInTheSlotThatDrainsTheLastBeFlit) {
   EXPECT_EQ(rig.sink(1).flits()[0].first, 3);
   EXPECT_EQ(rig.router().OutputCredits(1), 4);
   EXPECT_EQ(rig.router().parked(), GetParam() == sim::EngineKind::kSoa);
+}
+
+// A credit return does not wake a router with no BE flit buffered: it
+// stays parked (soa) while OutputCredits shows the returned credit from
+// the slot after the pulse on.
+TEST_P(RouterTest, CreditReturnsLeaveAnIdleRouterParked) {
+  RouterRig rig(GetParam());
+  const bool soa = GetParam() == sim::EngineKind::kSoa;
+  const auto run = [&](Cycle n) { rig.RunCycles(n); };
+  rig.source(0).Enqueue(HeaderFlit(false, {1}, 3, true, 1));
+  // The sink samples the flit and drives its credit in the slot that just
+  // ran, so the credit counts from the slot now starting.
+  ASSERT_TRUE(PollUntil([&] { return rig.sink(1).flits().size() == 1; }, run,
+                        kFlitWords));
+  EXPECT_EQ(rig.router().OutputCredits(1), 4);
+  EXPECT_EQ(rig.router().parked(), soa);
+  for (int slot = 0; slot < 10; ++slot) {
+    rig.RunSlots(1);
+    EXPECT_EQ(rig.router().parked(), soa) << "slot " << slot;
+    EXPECT_EQ(rig.router().OutputCredits(1), 4) << "slot " << slot;
+  }
+  EXPECT_EQ(rig.router().stats().be_flits, 1);
+}
+
+// A BE head blocked on credits leaves in the slot after the credit pulse:
+// the router takes the pulse's credits when it next needs them.
+TEST_P(RouterTest, BlockedBeHeadLeavesInTheSlotAfterThePulse) {
+  RouterRig rig(GetParam());
+  const auto run = [&](Cycle n) { rig.RunCycles(n); };
+  rig.sink(2).set_withhold_credits(true);
+  for (int k = 0; k < 5; ++k) {
+    rig.source(0).Enqueue(HeaderFlit(false, {2}, k, true));
+  }
+  ASSERT_TRUE(PollUntil(
+      [&] { return rig.router().stats().be_blocked_credit > 0; }, run,
+      kFlitWords));
+  EXPECT_EQ(rig.router().stats().be_flits, 4);
+  EXPECT_EQ(rig.router().OutputCredits(2), 0);
+  // Released now, the sink returns its four credits in the coming slot.
+  const Cycle pulse_slot = rig.clock().cycles() / kFlitWords;
+  const std::int64_t blocked = rig.router().stats().be_blocked_credit;
+  rig.sink(2).set_withhold_credits(false);
+  ASSERT_TRUE(PollUntil([&] { return rig.sink(2).flits().size() == 5; }, run,
+                        kFlitWords));
+  // Forwarded in slot pulse_slot + 1, sampled by the sink one slot later.
+  EXPECT_EQ(rig.sink(2).flits().back().first, pulse_slot + 2);
+  EXPECT_EQ(QidOf(rig.sink(2).flits().back().second), 4);
+  // The pulse's own slot is still blocked.
+  EXPECT_EQ(rig.router().stats().be_blocked_credit, blocked + 1);
 }
 
 TEST_P(RouterTest, GtMultiFlitPacketStaysContiguous) {
@@ -617,6 +671,54 @@ TEST_P(RouterDeathTest, ExhaustedPathIsFatal) {
         rig.RunSlots(4);
       },
       "exhausted path");
+}
+
+TEST_P(RouterDeathTest, PathPortOutOfRangeIsFatal) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  EXPECT_DEATH(
+      {
+        RouterRig rig(GetParam());  // ports 0..2
+        rig.source(0).Enqueue(HeaderFlit(true, {3}, 0, true));
+        rig.RunSlots(4);
+      },
+      "path selects port 3 of 3");
+}
+
+// A current hop field of 0 above later hops selects port -1.
+TEST_P(RouterDeathTest, ZeroHopBeforeLaterHopsIsFatal) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  EXPECT_DEATH(
+      {
+        RouterRig rig(GetParam());
+        Flit flit = HeaderFlit(false, {2}, 0, true);
+        PacketHeader header = PacketHeader::Decode(flit.words[0]);
+        header.path = SourcePath::FromPacked(header.path.packed() << 3);
+        flit.words[0] = header.Encode();
+        rig.source(0).Enqueue(flit);
+        rig.RunSlots(4);
+      },
+      "path selects port -1 of 3");
+}
+
+// Credits are conserved: an output never holds more than the downstream
+// capacity given to ConnectOutput. One pulse too many, taken once every
+// other credit is back, is fatal.
+TEST_P(RouterDeathTest, CreditsOverDownstreamCapacityAreFatal) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  EXPECT_DEATH(
+      {
+        RouterRig rig(GetParam());  // downstream capacity 4
+        rig.output_wires(2).credit_return.Drive(1);  // nothing owed
+        for (int k = 0; k < 4; ++k) {
+          rig.source(0).Enqueue(HeaderFlit(false, {2}, k, true));
+        }
+        // The sink returns all four credits before the fifth packet needs
+        // one; the router then takes five.
+        for (int k = 0; k < 6; ++k) rig.source(0).EnqueueIdle();
+        rig.source(0).Enqueue(HeaderFlit(false, {2}, 4, true));
+        rig.RunSlots(20);
+      },
+      "output 2 holds 5 link credits, over the downstream capacity of 4");
 }
 
 TEST_P(RouterDeathTest, OrphanPayloadIsFatal) {
