@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 #include <vector>
 
 #include "sim/cdc_fifo.h"
@@ -426,6 +427,179 @@ TEST(CdcFifo, WakesEveryReadListenerWhenAWordMatures) {
     EXPECT_EQ(s->seen[0], 0) << s->name();
     EXPECT_EQ(s->seen[1], 4) << s->name();
   }
+}
+
+// ---------------------------------------------------------------------------
+// Timer contract: a timer due at edge c unparks its module before the sweep
+// of edge c (no hold), or at the next edge when c has already been swept.
+// A Timed module does work at its due edges and sleeps in between; the
+// soa engine must evaluate it at exactly the pinned edges, and the naive
+// engine (which evaluates every edge) must see the same work.
+// ---------------------------------------------------------------------------
+
+constexpr Cycle kNoWork = std::numeric_limits<Cycle>::max();
+
+class Timed : public Module {
+ public:
+  /// `next_due(t)` is the edge of the next work after work at edge `t`
+  /// (kNoWork: none until rescheduled).
+  Timed(std::string name, std::function<Cycle(Cycle)> next_due)
+      : Module(std::move(name)), next_due_(std::move(next_due)) {}
+
+  void Evaluate() override {
+    const Cycle t = CycleCount();
+    evaluated.push_back(t);
+    if (t >= due_) {
+      work.push_back(t);
+      due_ = next_due_(t);
+    }
+    if (t < busy_until) return;  // stays awake
+    if (due_ == kNoWork) {
+      Park();
+    } else {
+      ParkUntil(due_);
+    }
+  }
+
+  /// Moves the next work to `due` and asks for a wake there.
+  void Reschedule(Cycle due) {
+    due_ = due;
+    WakeAt(due);
+  }
+
+  Cycle busy_until = 0;  // never parks at edges below this
+  std::vector<Cycle> evaluated;
+  std::vector<Cycle> work;
+
+ private:
+  std::function<Cycle(Cycle)> next_due_;
+  Cycle due_ = 0;
+};
+
+/// Runs `script` on a fresh one-clock kernel with one Timed module, on both
+/// engines; checks that the work matches and returns soa's evaluated edges.
+std::vector<Cycle> TimedEdges(
+    std::function<Cycle(Cycle)> next_due, Cycle cycles,
+    const std::function<void(Kernel&, Clock*, Timed&)>& script = {}) {
+  std::vector<Cycle> work[2];
+  std::vector<Cycle> evaluated;
+  for (EngineKind engine : kEngines) {
+    Kernel kernel;
+    kernel.set_engine(engine);
+    Clock* clk = kernel.AddClock("clk", 1000);
+    Timed m("m", next_due);
+    clk->Register(&m);
+    if (script) script(kernel, clk, m);
+    kernel.RunCycles(clk, cycles - clk->cycles());
+    const bool soa = engine == EngineKind::kSoa;
+    work[soa ? 1 : 0] = m.work;
+    if (soa) evaluated = m.evaluated;
+  }
+  EXPECT_EQ(work[0], work[1]) << "engines disagree on the work";
+  return evaluated;
+}
+
+TEST(TimerContract, TimerManyRotationsAhead) {
+  constexpr Cycle kFar = 10 * 256 + 37;
+  const auto edges = TimedEdges(
+      [](Cycle t) { return t == 0 ? kFar : kNoWork; }, kFar + 600);
+  EXPECT_EQ(edges, (std::vector<Cycle>{0, kFar}));
+}
+
+// A timer due at the current edge, or before it, fires at the next edge.
+TEST(TimerContract, TimerDueAtOrBeforeTheCurrentEdge) {
+  const auto edges = TimedEdges(
+      [](Cycle t) -> Cycle {
+        switch (t) {
+          case 0: return 0;   // due now
+          case 1: return 4;
+          case 4: return 4;   // due now
+          case 5: return 2;   // already past
+          default: return kNoWork;
+        }
+      },
+      300);
+  EXPECT_EQ(edges, (std::vector<Cycle>{0, 1, 4, 5, 6}));
+}
+
+// A wake added between steps, while parked, for a later edge, for the edge
+// the next step sweeps, and for an edge already swept.
+TEST(TimerContract, TimerAddedBetweenSteps) {
+  const auto edges = TimedEdges(
+      [](Cycle t) { return t < 1000 ? Cycle{1000} : kNoWork; }, 1100,
+      [](Kernel& kernel, Clock* clk, Timed& m) {
+        kernel.RunCycles(clk, 10);
+        m.Reschedule(14);
+        kernel.RunCycles(clk, 10);
+        m.Reschedule(clk->cycles());
+        kernel.RunCycles(clk, 10);
+        m.Reschedule(clk->cycles() - 5);
+      });
+  EXPECT_EQ(edges, (std::vector<Cycle>{0, 14, 20, 30, 1000}));
+}
+
+// A second pending timer wakes the module after it parked again: one wake
+// at edge 15 is left over from before the module moved its work to 40.
+TEST(TimerContract, SecondTimerWakesAModuleThatParkedAgain) {
+  const auto edges = TimedEdges(
+      [](Cycle t) -> Cycle {
+        if (t == 0) return 10;
+        if (t == 10) return 40;
+        return kNoWork;
+      },
+      400,
+      [](Kernel& kernel, Clock* clk, Timed& m) {
+        kernel.RunCycles(clk, 1);
+        m.WakeAt(15);
+      });
+  EXPECT_EQ(edges, (std::vector<Cycle>{0, 10, 15, 40}));
+}
+
+// A timer that comes due while its module runs is spent: it does not fire
+// again a wheel rotation later.
+TEST(TimerContract, TimerOnAnAwakeModuleIsSpent) {
+  const auto edges = TimedEdges(
+      [](Cycle t) -> Cycle {
+        if (t == 0) return 10;
+        if (t == 10) return 300;
+        return kNoWork;
+      },
+      700,
+      [](Kernel& kernel, Clock* clk, Timed& m) {
+        kernel.RunCycles(clk, 5);
+        m.busy_until = 13;
+        m.Wake();
+      });
+  EXPECT_EQ(edges,
+            (std::vector<Cycle>{0, 5, 6, 7, 8, 9, 10, 11, 12, 13, 300}));
+}
+
+// Each clock counts its own edges: a timer on a slower clock fires at that
+// clock's edge, beside a module on a faster clock with its own timers.
+TEST(TimerContract, TimerOnASlowerSecondClock) {
+  std::vector<Cycle> work[2][2];
+  for (EngineKind engine : kEngines) {
+    Kernel kernel;
+    kernel.set_engine(engine);
+    Clock* fast = kernel.AddClock("fast", 1000);
+    Clock* slow = kernel.AddClock("slow", 3000);
+    Timed f("f", [](Cycle t) { return t + 7; });
+    Timed s("s", [](Cycle t) { return t + 300; });
+    fast->Register(&f);
+    slow->Register(&s);
+    kernel.RunCycles(slow, 700);
+    const bool soa = engine == EngineKind::kSoa;
+    work[soa][0] = f.work;
+    work[soa][1] = s.work;
+    if (soa) {
+      EXPECT_EQ(s.evaluated, (std::vector<Cycle>{0, 300, 600}));
+      EXPECT_EQ(f.evaluated, f.work);
+      ASSERT_FALSE(f.evaluated.empty());
+      EXPECT_EQ(f.evaluated.back(), 2093);  // fast edges: 0, 7, ..., < 2100
+    }
+  }
+  EXPECT_EQ(work[0][0], work[1][0]);
+  EXPECT_EQ(work[0][1], work[1][1]);
 }
 
 TEST(CdcFifoDeathTest, ReadListenersAreBoundedAndDistinct) {
