@@ -53,12 +53,24 @@ void Module::ParkUntil(Cycle cycle) {
 void Clock::PopDueTimers() {
   // Wake modules whose scheduled time has come, before the schedule is
   // consulted, so they are evaluated at exactly the edge they asked for.
-  while (!timers_.empty() && timers_.front().due <= cycles_) {
-    Module* m = timers_.front().module;
-    std::pop_heap(timers_.begin(), timers_.end(), TimerAfter);
-    timers_.pop_back();
+  // Every edge pops its bucket, so an entry is due at the first edge that
+  // visits it or at a later rotation.
+  const Cycle now = cycles_;
+  timer_edge_ = now + 1;
+  std::int32_t* link = &wheel_[static_cast<std::size_t>(now) & kWheelMask];
+  while (*link >= 0) {
+    const std::int32_t i = *link;
+    TimerEntry& entry = timer_pool_[static_cast<std::size_t>(i)];
+    if (entry.due > now) {
+      link = &entry.next;  // a later rotation's
+      continue;
+    }
+    *link = entry.next;
+    entry.next = timer_free_;
+    timer_free_ = i;
     // No park hold: nothing staged races a timer, so the module may park
     // again in the evaluation it was woken for.
+    Module* m = entry.module;
     if (m->parked_) {
       m->parked_ = false;
       NoteEvalStatus(m);

@@ -26,7 +26,9 @@
 //    Step() is about to compute.
 //  * Idle-module gating: a module with no pending work may Park() itself;
 //    parked modules are skipped in the evaluate phase until a wire drive,
-//    queue hand-off, credit return, register write or timer Wake()s them.
+//    queue hand-off, queue space return, register write or timer wakes
+//    them. Timers wait on a per-clock hashed timing wheel, so a wake costs
+//    a list insert and an edge with nothing due one bucket load.
 //  * Engine selection (sim/engine.h): kNaive turns gating off (every module
 //    runs every edge) so the gated engine can be cross-checked for
 //    identical results; kSoa gates with flat per-clock activity bitmaps
@@ -36,6 +38,7 @@
 #define AETHEREAL_SIM_KERNEL_H
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <cstring>
@@ -62,7 +65,9 @@ struct EngineProfile {
   std::int64_t steps = 0;      // kernel Step() calls
   double evaluate_sec = 0.0;   // module Evaluate() sweeps
   double commit_sec = 0.0;     // always 0: there is no commit phase
-  double park_wake_sec = 0.0;  // timer pops + activity-bitmap upkeep
+  // Each gated edge's timer-wheel pop and the unparks it makes. Parks and
+  // wakes issued inside Evaluate() count as evaluate time.
+  double park_wake_sec = 0.0;
 };
 
 /// Base class for all clocked hardware models.
@@ -120,10 +125,15 @@ class Module {
   void Park();
 
   /// Park() plus a scheduled wake: if parking is granted, the clock's timer
-  /// heap guarantees the module is evaluated again at edge `cycle` (it may
+  /// wheel guarantees the module is evaluated again at edge `cycle` (it may
   /// be woken earlier by any other event). For modules that know their next
   /// work time, e.g. periodic traffic sources.
   void ParkUntil(Cycle cycle);
+
+  /// A timer wake at `edge` whether or not the module is parked now: if it
+  /// has parked by then, it is evaluated there. Unlike WakeAt(), it puts
+  /// no hold on a running module. No-op when gating is off.
+  void TimerAt(Cycle edge);
 
   /// Declares that Evaluate() is an unconditional no-op, so the gated
   /// engine drops this module from the evaluate sweep entirely (NI ports:
@@ -156,6 +166,7 @@ class Clock {
   Clock(int id, std::string name, Picoseconds period_ps)
       : id_(id), name_(std::move(name)), period_ps_(period_ps) {
     AETHEREAL_CHECK(period_ps > 0);
+    wheel_.fill(-1);
   }
 
   void Register(Module* module) {
@@ -241,19 +252,40 @@ class Clock {
     next_edge_ps_ += period_ps_;
   }
   void RunFlagged(const std::vector<std::uint64_t>& bits);
+
+  /// Unparks the modules whose timers are due at this edge (no hold: each
+  /// may park again in the evaluation it was woken for).
   void PopDueTimers();
 
-  struct Timer {
-    Cycle due;
-    Module* module;
-  };
-  static bool TimerAfter(const Timer& a, const Timer& b) {
-    return a.due > b.due;
-  }
+  /// Schedules a wake of `module` at edge `due`, or at the next edge whose
+  /// timers are not yet popped when `due` is not later than that.
   void AddTimer(Cycle due, Module* module) {
-    timers_.push_back(Timer{due, module});
-    std::push_heap(timers_.begin(), timers_.end(), TimerAfter);
+    const Cycle at = std::max(due, timer_edge_);
+    std::int32_t i = timer_free_;
+    if (i >= 0) {
+      timer_free_ = timer_pool_[static_cast<std::size_t>(i)].next;
+    } else {
+      i = static_cast<std::int32_t>(timer_pool_.size());
+      timer_pool_.emplace_back();
+    }
+    std::int32_t& head = wheel_[static_cast<std::size_t>(at) & kWheelMask];
+    timer_pool_[static_cast<std::size_t>(i)] = TimerEntry{at, module, head};
+    head = i;
   }
+
+  // Scheduled wakes on a hashed timing wheel (Varghese & Lauck, SOSP 1987):
+  // a timer due at edge d waits in bucket d % kWheelBuckets, and each edge
+  // walks its own bucket, firing the entries due and leaving later
+  // rotations' entries in place. The buckets are intrusive lists through
+  // one entry pool with a free list, so the pool grows only to the most
+  // timers ever live at once and the steady state allocates nothing.
+  static constexpr std::size_t kWheelBuckets = 256;
+  static constexpr std::size_t kWheelMask = kWheelBuckets - 1;
+  struct TimerEntry {
+    Cycle due = 0;
+    Module* module = nullptr;
+    std::int32_t next = -1;  // next entry of the bucket or the free list
+  };
 
   int id_;
   std::string name_;
@@ -262,7 +294,10 @@ class Clock {
   Cycle cycles_ = 0;
   Kernel* kernel_ = nullptr;
   std::vector<Module*> modules_;
-  std::vector<Timer> timers_;         // scheduled wakes (min-heap by due)
+  std::array<std::int32_t, kWheelBuckets> wheel_;  // bucket heads, -1: empty
+  std::vector<TimerEntry> timer_pool_;
+  std::int32_t timer_free_ = -1;  // free-list head in timer_pool_
+  Cycle timer_edge_ = 0;          // first edge whose timers are not popped
   // SoA schedule (kSoa engine): one bit per module (bit i of word i/64
   // covers modules_[i]). The evaluate sweep walks set bits with
   // countr_zero, so a whole mesh costs a handful of word loads per edge
@@ -364,6 +399,14 @@ inline void Module::WakeAt(Cycle edge) {
   } else if (edge - 1 > wake_until_) {
     wake_until_ = edge - 1;
   }
+}
+
+inline void Module::TimerAt(Cycle edge) {
+  if (clock_ == nullptr || clock_->kernel_ == nullptr ||
+      !clock_->kernel_->gating()) {
+    return;
+  }
+  clock_->AddTimer(edge, this);
 }
 
 inline void Module::SetEvaluateIsNoop() {

@@ -467,6 +467,8 @@ class Timed : public Module {
     WakeAt(due);
   }
 
+  using Module::TimerAt;
+
   Cycle busy_until = 0;  // never parks at edges below this
   std::vector<Cycle> evaluated;
   std::vector<Cycle> work;
@@ -572,6 +574,19 @@ TEST(TimerContract, TimerOnAnAwakeModuleIsSpent) {
       });
   EXPECT_EQ(edges,
             (std::vector<Cycle>{0, 5, 6, 7, 8, 9, 10, 11, 12, 13, 300}));
+}
+
+// TimerAt puts no hold on a running module: it parks when its own work
+// allows, and the timer brings it back at the stated edge.
+TEST(TimerContract, TimerAtLeavesARunningModuleFreeToPark) {
+  const auto edges = TimedEdges(
+      [](Cycle t) { return t == 0 ? Cycle{20} : kNoWork; }, 300,
+      [](Kernel& kernel, Clock* clk, Timed& m) {
+        m.busy_until = 5;
+        kernel.RunCycles(clk, 1);
+        m.TimerAt(12);
+      });
+  EXPECT_EQ(edges, (std::vector<Cycle>{0, 1, 2, 3, 4, 5, 12, 20}));
 }
 
 // Each clock counts its own edges: a timer on a slower clock fires at that
