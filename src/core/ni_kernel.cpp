@@ -34,7 +34,10 @@ void NiPort::Write(int connid, Word word) {
   auto& ch = kernel_->ChannelAt(channels_[static_cast<std::size_t>(connid)]);
   AETHEREAL_CHECK_MSG(ch.source.CanPush(),
                       name() << ": source queue overflow on connid " << connid);
-  ch.source.Push(word);
+  const Cycle stamp = ch.source.Push(word);
+  if (stamp != sim::kNoEdge) {
+    kernel_->WakeForSourceWord(GlobalChannelOf(connid), stamp);
+  }
 }
 
 int NiPort::ReadAvailable(int connid) const {
@@ -93,6 +96,12 @@ void NiPort::WakeOnDelivery(int connid, sim::Module* listener) {
   ch.dest.AddReadListener(listener);
 }
 
+Cycle NiPort::WakeOnSpace(int connid, sim::Module* listener) {
+  AETHEREAL_CHECK(connid >= 0 && connid < NumChannels());
+  auto& ch = kernel_->ChannelAt(channels_[static_cast<std::size_t>(connid)]);
+  return ch.source.WakeOnSpace(listener);
+}
+
 // ---------------------------------------------------------------------------
 // NiKernel construction
 // ---------------------------------------------------------------------------
@@ -130,7 +139,9 @@ NiKernel::NiKernel(std::string name, NiId id, const NiKernelParams& params)
       ch->connid = static_cast<int>(port->channels_.size());
       ch->params = cp;
       // The port (its own clock domain) writes the source queue and the
-      // flush-request signals and reads the destination queue.
+      // flush-request signals and reads the destination queue. The port
+      // wakes the kernel for source words (WakeForSourceWord); the IPs
+      // that read the destination queue listen on it (WakeOnDelivery).
       ch->source.Bind(/*writer=*/port.get(), /*reader=*/this);
       ch->dest.Bind(/*writer=*/this, /*reader=*/port.get());
       ch->data_flush_reqs.Bind(port.get());
@@ -203,6 +214,19 @@ Status NiKernel::WriteRegister(Word address, Word value) {
                                  << " already owned by channel " << owner);
     }
   }
+  if (reg == static_cast<Word>(regs::ChannelReg::kSlots) ||
+      reg == static_cast<Word>(regs::ChannelReg::kCtrl)) {
+    // A parked kernel may have put off the wake for a GT word in flight to
+    // the slot its channel owns now (WakeForSourceWord). This write can
+    // move that slot or end the channel's GT service, so the words still
+    // in flight get timer wakes at their own stamps.
+    for (ChannelMask m = enabled_; m != 0; m &= m - 1) {
+      const int id = std::countr_zero(m);
+      const Channel& ch = channels_[static_cast<std::size_t>(id)];
+      if (!ch.gt) continue;
+      ch.source.ForEachHandOffInFlight([this](Cycle s) { TimerAt(s); });
+    }
+  }
   const Cycle edge = clock() != nullptr ? CycleCount() : 0;
   pending_register_writes_.push_back(PendingWrite{edge, address, value});
   // The write lands after this edge; wake so the *scheduling* consequences
@@ -228,6 +252,24 @@ ChannelId NiKernel::StagedSlotOwner(SlotIndex slot) const {
     }
   }
   return owner;
+}
+
+void NiKernel::WakeForSourceWord(ChannelId chid, Cycle stamp) {
+  if (!parked() || !pending_register_writes_.empty() || !Enabled(chid) ||
+      !ChannelAt(chid).gt) {
+    WakeAt(stamp);
+    return;
+  }
+  // A parked kernel acts on a GT channel's word only in an owned slot: in
+  // any other slot it would just park until one.
+  const Cycle first_slot = (stamp + kFlitWords - 1) / kFlitWords;
+  for (Cycle d = 0; d < params_.stu_slots; ++d) {
+    const Cycle slot = first_slot + d;
+    if (stu_[static_cast<std::size_t>(slot % params_.stu_slots)] == chid) {
+      WakeAt(slot * kFlitWords);
+      return;
+    }
+  }
 }
 
 void NiKernel::ApplyRegisterWrites() {

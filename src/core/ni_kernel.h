@@ -81,6 +81,12 @@ class NiPort : public sim::Module {
   /// (sim::CdcFifo::AddReadListener).
   void WakeOnDelivery(int connid, sim::Module* listener);
 
+  /// For a writer blocked on a full source queue of `connid`: the first
+  /// port edge at which space already freed comes back, or sim::kNoEdge
+  /// after arming a one-shot wake of `listener` for the space the kernel
+  /// frees next (sim::CdcFifo::WakeOnSpace).
+  Cycle WakeOnSpace(int connid, sim::Module* listener);
+
   /// The NI-global channel id (= remote_qid a peer must address).
   ChannelId GlobalChannelOf(int connid) const;
 
@@ -269,6 +275,13 @@ class NiKernel : public sim::Module {
   void ApplyRegisterWrites();
   /// The owner slot `slot` will have once every staged write has landed.
   ChannelId StagedSlotOwner(SlotIndex slot) const;
+  /// Wakes the kernel for a source-queue hand-off on `chid` that is
+  /// readable from edge `stamp` (NiPort::Write). A GT word leaves only in
+  /// a slot its channel owns (paper §2), so a parked kernel with no
+  /// register write pending wakes for an enabled GT channel's word at the
+  /// first slot boundary from `stamp` that the channel owns in stu_, and
+  /// not at all if it owns none. Every other hand-off wakes it at `stamp`.
+  void WakeForSourceWord(ChannelId chid, Cycle stamp);
   /// Ends every slot evaluation: parks unless a packet is open, a register
   /// write is pending or a BE channel is eligible, with a timer wake at the
   /// earliest slot owned by an eligible GT channel if there is one.

@@ -58,14 +58,23 @@ void StreamSource::Evaluate() {
     --backlog_;
     ++words_written_;
   }
-  // A backlog keeps us awake: a full source queue frees space without
-  // waking anyone. Otherwise sleep through the gap to the next injection
-  // event, or for good once every word is written.
-  if (backlog_ > 0) return;
-  if (Done()) {
+  // With space for the backlog, write on. Blocked on a full source queue,
+  // sleep until space comes back or the next injection event, whichever
+  // is first, so the event tick does not drift. Otherwise sleep through
+  // the gap to the next event, or for good once every word is due.
+  Cycle wake = next_emit_;
+  if (injection_.total_words >= 0 &&
+      words_written_ + backlog_ >= injection_.total_words) {
+    wake = sim::kNoEdge;  // no event left
+  }
+  if (backlog_ > 0) {
+    if (port_->CanWrite(connid_)) return;
+    wake = std::min(wake, port_->WakeOnSpace(connid_, this));
+  }
+  if (wake == sim::kNoEdge) {
     Park();
   } else {
-    ParkUntil(next_emit_);
+    ParkUntil(wake);
   }
 }
 

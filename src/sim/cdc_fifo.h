@@ -26,9 +26,12 @@
 // hand-off within the instant; it keeps the timing of the earlier
 // commit-ordered model bit for bit.
 //
-// A reader or writer that is parked when a hand-off is made gets one timer
-// wake at its stamp; a running one gets a park hold up to it
-// (Module::WakeAt). Words pushed within one edge are one hand-off.
+// A writer or read listener that is parked when a hand-off is made gets
+// one timer wake at its stamp; a running one gets a park hold up to it
+// (Module::WakeAt). Words pushed within one edge are one hand-off. The
+// reader's wake is left to whoever pushes, which takes each new hand-off's
+// stamp from Push(). A writer-side module that parks on a full queue takes
+// a one-shot space wake (WakeOnSpace).
 #ifndef AETHEREAL_SIM_CDC_FIFO_H
 #define AETHEREAL_SIM_CDC_FIFO_H
 
@@ -50,6 +53,10 @@ inline constexpr int kCdcSyncEdges = 2;
 /// Read listeners one queue takes (CdcFifo::AddReadListener).
 inline constexpr std::size_t kMaxReadListeners = 2;
 
+/// "No such edge": CdcFifo::Push() when a word joins an earlier hand-off
+/// of its edge, CdcFifo::WakeOnSpace() when no space is in flight.
+inline constexpr Cycle kNoEdge = std::numeric_limits<Cycle>::max();
+
 template <typename T>
 class CdcFifo {
  public:
@@ -61,8 +68,11 @@ class CdcFifo {
   int capacity() const { return words_.capacity(); }
 
   /// Binds the modules that push (`writer`) and pop (`reader`). Their
-  /// clocks stamp the hand-offs and they are woken when one matures. Both
-  /// must be registered on clocks before the first Push().
+  /// clocks stamp the hand-offs, and the writer is woken when freed space
+  /// reaches it. Push() does not wake the reader: the caller wakes it from
+  /// the returned stamp (the NI kernel wakes for a GT word only in its
+  /// channel's slot). Both must be registered on clocks before the first
+  /// Push().
   void Bind(Module* writer, Module* reader) {
     writer_ = writer;
     reader_ = reader;
@@ -101,19 +111,38 @@ class CdcFifo {
 
   bool CanPush() const { return WriterSpace() > 0; }
 
-  void Push(T value) {
+  /// Pushes `value` and wakes the read listeners for it. Returns the first
+  /// reader edge that may read it when the push is a new hand-off, or
+  /// kNoEdge when it joins a word pushed earlier in the same edge.
+  Cycle Push(T value) {
     AETHEREAL_CHECK_MSG(CanPush(), "CdcFifo overflow");
     if (rclock_ == nullptr) Resolve();
     const Cycle readable = HandOffEdge(rclock_, wclock_, reader_first_);
     // Words pushed within one edge share a stamp: one hand-off, one wake.
     const bool handoff = words_.empty() || words_.back().readable != readable;
     words_.push_back(Entry{std::move(value), readable});
-    if (handoff) {
-      reader_->WakeAt(readable);
-      for (Module* m : listeners_) {
-        if (m != nullptr) m->WakeAt(readable);
-      }
+    if (!handoff) return kNoEdge;
+    for (Module* m : listeners_) {
+      if (m != nullptr) m->WakeAt(readable);
     }
+    return readable;
+  }
+
+  /// Arms a one-shot wake of `listener`, a module on the writer's clock
+  /// that waits for space: if popped space is already on its way back,
+  /// returns the first writer edge that sees it (the caller sleeps until
+  /// then); otherwise returns kNoEdge and wakes `listener` at the stamp
+  /// of the next pop's space return (Module::WakeAt). One listener at a
+  /// time; it is dropped once woken.
+  Cycle WakeOnSpace(Module* listener) {
+    if (!returns_.empty()) MatureReturns();
+    if (!returns_.empty()) return returns_.front().seen;
+    AETHEREAL_CHECK_MSG(
+        space_listener_ == nullptr || space_listener_ == listener,
+        listener->name() << ": the queue's space wake is armed for "
+                         << space_listener_->name());
+    space_listener_ = listener;
+    return kNoEdge;
   }
 
   /// Words freed by the reader that the writer has now synchronized but not
@@ -124,6 +153,18 @@ class CdcFifo {
     const int freed = freed_;
     freed_ = 0;
     return freed;
+  }
+
+  /// Calls `fn(stamp)` once per hand-off still in flight to the reader
+  /// (pushed words not yet readable), in stamp order.
+  template <typename Fn>
+  void ForEachHandOffInFlight(Fn fn) const {
+    Cycle last = kNoEdge;
+    for (int i = Readable(); i < words_.size(); ++i) {
+      const Cycle stamp = words_[i].readable;
+      if (stamp != last) fn(stamp);
+      last = stamp;
+    }
   }
 
   /// True while popped space has not been taken by TakeFreedForWriter():
@@ -166,6 +207,10 @@ class CdcFifo {
     } else {
       returns_.push_back(SpaceReturn{1, seen});
       writer_->WakeAt(seen);
+      if (space_listener_ != nullptr) {
+        space_listener_->WakeAt(seen);
+        space_listener_ = nullptr;
+      }
     }
     return words_.pop_front().value;
   }
@@ -245,6 +290,7 @@ class CdcFifo {
   Module* writer_ = nullptr;
   Module* reader_ = nullptr;
   std::array<Module*, kMaxReadListeners> listeners_{};
+  Module* space_listener_ = nullptr;  // one-shot, armed by WakeOnSpace
   const Clock* wclock_ = nullptr;
   const Clock* rclock_ = nullptr;
   bool reader_first_ = false;  // reader side synchronizes first

@@ -893,5 +893,134 @@ TEST(NiKernelWideSchedule, QueueFill) {
   ExpectWideSchedule(BeArbitration::kQueueFill, 0x84f7d2c996944089ull);
 }
 
+// ---------------------------------------------------------------------------
+// GT hand-off wakes: one NI kernel whose links end in the test, behind a
+// watcher registered ahead of it on the network clock. The watcher records
+// each edge at which the kernel is not parked when the sweep starts (after
+// the edge's timer wakes), so on soa its list is where the kernel woke.
+// Channel 0 is a GT channel; each slot's injected flit goes to a trace.
+// ---------------------------------------------------------------------------
+
+class ParkWatcher : public sim::Module {
+ public:
+  explicit ParkWatcher(const sim::Module* watched)
+      : sim::Module("watcher"), watched_(watched) {}
+  void Evaluate() override {
+    if (!watched_->parked()) awake.push_back(CycleCount());
+  }
+  std::vector<Cycle> awake;
+
+ private:
+  const sim::Module* watched_;
+};
+
+class GtHandOffRig {
+ public:
+  static constexpr Cycle kRotation = 8 * kFlitWords;  // 8-slot STU
+
+  GtHandOffRig(sim::EngineKind engine, Word slots) {
+    sim_.set_engine(engine);
+    net_ = sim_.AddClockMhz("net", 500.0);
+    to_router_ = std::make_unique<link::LinkWires>(net_);
+    from_router_ = std::make_unique<link::LinkWires>(net_);
+    ni = std::make_unique<NiKernel>("ni", 0, OneChannelNi());
+    ni->ConnectToRouter(to_router_.get(), from_router_.get(), 8);
+    watcher = std::make_unique<ParkWatcher>(ni.get());
+    net_->Register(watcher.get());
+    net_->Register(ni.get());
+    net_->Register(ni->port(0));
+    TwoNiFixture::ConfigureChannel(*ni, 0, SourcePath::FromHops({1}), 0,
+                                   /*gt=*/true, slots);
+    // Idle until the second edge of a later rotation.
+    while (now() < 2 * kRotation + 1) Step();
+    trace.clear();
+  }
+
+  Cycle now() const { return net_->cycles(); }
+
+  /// Steps one edge; after a slot boundary, traces the slot's flit.
+  void Step() {
+    const Cycle t = now();
+    sim_.RunCycles(net_, 1);
+    if (t % kFlitWords != 0) return;
+    const link::Flit& f = to_router_->data.SampleDrivenIn(t / kFlitWords);
+    std::ostringstream line;
+    line << t / kFlitWords;
+    if (!f.IsIdle()) {
+      line << " k" << static_cast<int>(f.kind) << " gt" << f.gt << " w";
+      for (int i = 0; i < f.valid_words; ++i) {
+        line << ' ' << f.words[static_cast<std::size_t>(i)];
+      }
+    }
+    trace.push_back(line.str());
+  }
+
+  std::unique_ptr<NiKernel> ni;
+  std::unique_ptr<ParkWatcher> watcher;
+  std::vector<std::string> trace;
+
+ private:
+  sim::Kernel sim_;
+  sim::Clock* net_ = nullptr;
+  std::unique_ptr<link::LinkWires> to_router_;
+  std::unique_ptr<link::LinkWires> from_router_;
+};
+
+// A word written at rotation edge 1 is readable from edge 4 (slot 2). The
+// channel owns slot 6 only, so a parked kernel first evaluates at slot 6's
+// boundary, edge 18, and sends the word there; both engines send the same.
+TEST(NiKernelGtHandOff, ParkedKernelWakesInTheOwnedSlot) {
+  std::vector<std::string> traces[2];
+  for (sim::EngineKind engine :
+       {sim::EngineKind::kNaive, sim::EngineKind::kSoa}) {
+    SCOPED_TRACE(sim::EngineKindName(engine));
+    const bool soa = engine == sim::EngineKind::kSoa;
+    GtHandOffRig rig(engine, 1u << 6);
+    const Cycle base = rig.now() - 1;  // a rotation start
+    EXPECT_EQ(rig.ni->parked(), soa);
+    rig.watcher->awake.clear();
+    rig.ni->port(0)->Write(0, 0xC0FFEE);
+    while (rig.now() < base + 2 * GtHandOffRig::kRotation) rig.Step();
+    EXPECT_EQ(rig.ni->stats().gt_flits, 1);
+    if (soa) {
+      EXPECT_EQ(rig.watcher->awake, (std::vector<Cycle>{base + 18}));
+      EXPECT_TRUE(rig.ni->parked());
+    }
+    traces[soa ? 1 : 0] = std::move(rig.trace);
+  }
+  EXPECT_EQ(traces[0], traces[1]);
+}
+
+// The same word, and a SLOTS write staged behind it while it is still in
+// the CDC that moves the channel from slot 6 to slot 2. The kernel applies
+// the write at edge 3 and parks before the word is readable, so only a
+// wake at the word's own stamp lets soa send it in slot 2, as naive does.
+TEST(NiKernelGtHandOff, SlotsWriteWithAWordInFlightKeepsTheSchedule) {
+  std::vector<std::string> traces[2];
+  for (sim::EngineKind engine :
+       {sim::EngineKind::kNaive, sim::EngineKind::kSoa}) {
+    SCOPED_TRACE(sim::EngineKindName(engine));
+    const bool soa = engine == sim::EngineKind::kSoa;
+    GtHandOffRig rig(engine, 1u << 6);
+    const Cycle base = rig.now() - 1;
+    EXPECT_EQ(rig.ni->parked(), soa);
+    rig.ni->port(0)->Write(0, 0xC0FFEE);
+    ASSERT_TRUE(rig.ni
+                    ->WriteRegister(
+                        regs::ChannelRegAddr(0, regs::ChannelReg::kSlots),
+                        1u << 2)
+                    .ok());
+    while (rig.now() < base + 3 * GtHandOffRig::kRotation) rig.Step();
+    EXPECT_EQ(rig.ni->stats().gt_flits, 1);
+    traces[soa ? 1 : 0] = std::move(rig.trace);
+  }
+  EXPECT_EQ(Fnv1a(traces[1]), Fnv1a(traces[0]))
+      << "soa's per-slot schedule differs from naive's";
+  // Naive sends the word in the first slot 2 after it is readable: the
+  // trace starts at the rotation's slot 1.
+  ASSERT_GE(traces[0].size(), 2u);
+  EXPECT_NE(traces[0][1].find(" gt1 "), std::string::npos) << traces[0][1];
+}
+
 }  // namespace
 }  // namespace aethereal::core

@@ -2,6 +2,7 @@
 // accesses), traffic generators, and streaming producers/consumers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <memory>
 
@@ -611,6 +612,89 @@ TEST(Stream, ConsumerCountsStampsThatDoNotIncrease) {
   soc.RunCycles(200);
   ASSERT_EQ(consumer.words_read(), 5);
   EXPECT_EQ(consumer.sequence_errors(), 2);
+}
+
+// Records each edge at which `watched` is not parked when the sweep starts.
+// Registered ahead of the watched module on its clock.
+class ParkWatcher : public sim::Module {
+ public:
+  explicit ParkWatcher(const sim::Module* watched)
+      : sim::Module("watcher"), watched_(watched) {}
+  void Evaluate() override {
+    if (!watched_->parked()) awake.push_back(CycleCount());
+  }
+  std::vector<Cycle> awake;
+
+ private:
+  const sim::Module* watched_;
+};
+
+// Reads one word every `every` cycles from cycle `from` on.
+class SlowReader : public sim::Module {
+ public:
+  SlowReader(core::NiPort* port, Cycle from, Cycle every)
+      : sim::Module("reader"), port_(port), from_(from), every_(every) {}
+  void Evaluate() override {
+    const Cycle t = CycleCount();
+    if (t < from_ || (t - from_) % every_ != 0) return;
+    if (port_->ReadAvailable(0) > 0) (void)port_->Read(0);
+  }
+
+ private:
+  core::NiPort* port_;
+  Cycle from_;
+  Cycle every_;
+};
+
+// A source whose bursts outrun a slowly drained channel spends most cycles
+// blocked on a full source queue. Blocked, it sleeps until the queue frees
+// space or its next injection event (soa), so every evaluation writes a
+// word or takes an event, and it writes on the same cycles as naive.
+TEST(Stream, SourceBlockedOnAFullQueueSleepsUntilSpace) {
+  constexpr Cycle kPeriod = 50;
+  std::string schedules[2];
+  for (sim::EngineKind engine :
+       {sim::EngineKind::kNaive, sim::EngineKind::kSoa}) {
+    SCOPED_TRACE(sim::EngineKindName(engine));
+    const bool soa = engine == sim::EngineKind::kSoa;
+    auto star = topology::BuildStar(2);
+    std::vector<core::NiKernelParams> params{OneChannelNi(), OneChannelNi()};
+    soc::SocOptions options;
+    options.engine = engine;
+    soc::Soc soc(std::move(star.topology), std::move(params), options);
+    ASSERT_TRUE(
+        soc.OpenConnection(GlobalChannel{0, 0}, GlobalChannel{1, 0}).ok());
+    StreamSource source("source", soc.port(0, 0), 0,
+                        Injection{.period = kPeriod, .words = 30});
+    ParkWatcher watcher(&source);
+    SlowReader reader(soc.port(1, 0), /*from=*/120, /*every=*/7);
+    soc.RegisterOnPort(&watcher, 0, 0);
+    soc.RegisterOnPort(&source, 0, 0);
+    soc.RegisterOnPort(&reader, 1, 0);
+    const sim::Clock* clock = soc.port_clock(0, 0);
+    std::vector<Cycle> writes;
+    for (Cycle step = 0; step < 600; ++step) {
+      const std::int64_t before = source.words_written();
+      const Cycle t = clock->cycles();
+      soc.RunCycles(1);
+      if (source.words_written() != before) writes.push_back(t);
+      schedules[soa ? 1 : 0] += source.words_written() != before ? '1' : '0';
+    }
+    ASSERT_GT(writes.size(), 40u);
+    if (!soa) continue;
+    int blocked_wakes = 0;
+    for (Cycle t : watcher.awake) {
+      const bool wrote =
+          std::binary_search(writes.begin(), writes.end(), t);
+      EXPECT_TRUE(wrote || t % kPeriod == 0) << "no-op evaluation at " << t;
+      if (wrote && t % kPeriod != 0 &&
+          !std::binary_search(writes.begin(), writes.end(), t - 1)) {
+        ++blocked_wakes;  // woken by freed space after a blocked wait
+      }
+    }
+    EXPECT_GT(blocked_wakes, 10);
+  }
+  EXPECT_EQ(schedules[0], schedules[1]);
 }
 
 }  // namespace
