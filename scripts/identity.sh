@@ -12,7 +12,8 @@
 #   * the result JSON and CSV of every canonical sweep on both engines;
 #   * when benchmark/out/specs/ exists (benchmark/run.sh writes it, as does
 #     noc_bench --write-specs), the result JSON of every generated
-#     benchmark scenario there on both engines;
+#     benchmark scenario there, and the result JSON and CSV of every
+#     generated benchmark sweep there, on both engines;
 #   * observed runs: every canonical scenario and every generated
 #     benchmark scenario on both engines with the verify monitor and the
 #     obs tap armed (--verify --sample-every 64 --trace --stats-csv), which
@@ -109,6 +110,24 @@ if [[ -d "$bench_specs" ]]; then
           -o "$work/$side/$tag.json" "$spec" > /dev/null 2>&1 || true
       done
       same "$work/parent/$tag.json" "$work/change/$tag.json" "noc_sim $tag"
+    done
+  done
+  for sweep in "$bench_specs"/*.swp; do
+    [[ -e "$sweep" ]] || continue
+    name="$(basename "$sweep" .swp)"
+    for engine in soa naive; do
+      tag="bench_sweep_${name}_${engine}"
+      for side in parent change; do
+        build="$parent"
+        [[ "$side" == change ]] && build="$change"
+        "$build/noc_sweep" --quiet --engine "$engine" --jobs "$jobs" \
+          -o "$work/$side/$tag.json" --csv "$work/$side/$tag.csv" \
+          "$sweep" > /dev/null 2>&1 || true
+      done
+      same "$work/parent/$tag.json" "$work/change/$tag.json" \
+        "noc_sweep $tag json"
+      same "$work/parent/$tag.csv" "$work/change/$tag.csv" \
+        "noc_sweep $tag csv"
     done
   done
 else
