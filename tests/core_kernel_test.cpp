@@ -20,6 +20,7 @@
 #include "sim/engine.h"
 #include "sim/kernel.h"
 
+#include "park_watcher.h"
 #include "poll.h"
 
 namespace aethereal::core {
@@ -895,24 +896,10 @@ TEST(NiKernelWideSchedule, QueueFill) {
 
 // ---------------------------------------------------------------------------
 // GT hand-off wakes: one NI kernel whose links end in the test, behind a
-// watcher registered ahead of it on the network clock. The watcher records
-// each edge at which the kernel is not parked when the sweep starts (after
-// the edge's timer wakes), so on soa its list is where the kernel woke.
-// Channel 0 is a GT channel; each slot's injected flit goes to a trace.
+// ParkWatcher on the network clock, so on soa the watcher lists the edges
+// the kernel woke for. Channel 0 is a GT channel; each slot's injected
+// flit goes to a trace.
 // ---------------------------------------------------------------------------
-
-class ParkWatcher : public sim::Module {
- public:
-  explicit ParkWatcher(const sim::Module* watched)
-      : sim::Module("watcher"), watched_(watched) {}
-  void Evaluate() override {
-    if (!watched_->parked()) awake.push_back(CycleCount());
-  }
-  std::vector<Cycle> awake;
-
- private:
-  const sim::Module* watched_;
-};
 
 class GtHandOffRig {
  public:

@@ -16,6 +16,7 @@
 #include "soc/soc.h"
 #include "topology/builders.h"
 
+#include "park_watcher.h"
 #include "poll.h"
 
 namespace aethereal::ip {
@@ -613,21 +614,6 @@ TEST(Stream, ConsumerCountsStampsThatDoNotIncrease) {
   ASSERT_EQ(consumer.words_read(), 5);
   EXPECT_EQ(consumer.sequence_errors(), 2);
 }
-
-// Records each edge at which `watched` is not parked when the sweep starts.
-// Registered ahead of the watched module on its clock.
-class ParkWatcher : public sim::Module {
- public:
-  explicit ParkWatcher(const sim::Module* watched)
-      : sim::Module("watcher"), watched_(watched) {}
-  void Evaluate() override {
-    if (!watched_->parked()) awake.push_back(CycleCount());
-  }
-  std::vector<Cycle> awake;
-
- private:
-  const sim::Module* watched_;
-};
 
 // Reads one word every `every` cycles from cycle `from` on.
 class SlowReader : public sim::Module {
