@@ -16,12 +16,60 @@
 #include "sim/engine.h"
 #include "soc/soc.h"
 #include "verify/bounds.h"
+#include "verify/fuzz.h"
 #include "verify/monitor.h"
 
 namespace aethereal::verify {
 namespace {
 
 namespace regs = core::regs;
+
+/// FNV-1a over everything a verified run's monitor recorded: each
+/// violation's cycle, check, message and fault flag, then the flit and
+/// word ledgers. Equal digests mean the same reports at the same cycles.
+class MonitorDigest {
+ public:
+  explicit MonitorDigest(const Monitor& monitor) {
+    for (const Violation& v : monitor.violations()) {
+      Mix(v.cycle);
+      Mix(v.check);
+      Mix(v.message);
+      Mix(v.fault_induced ? 1 : 0);
+    }
+    Mix(monitor.total_violations());
+    Mix(monitor.flits_checked());
+    Mix(monitor.gt_words_sent());
+    Mix(monitor.gt_words_delivered());
+    Mix(monitor.fault_lost_flits());
+    Mix(monitor.fault_lost_words());
+    Mix(monitor.fault_corrupted_flits());
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  void Mix(std::int64_t v) {
+    for (int i = 0; i < 8; ++i) Byte(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+  void Mix(const std::string& s) {
+    Mix(static_cast<std::int64_t>(s.size()));
+    for (char c : s) Byte(static_cast<std::uint8_t>(c));
+  }
+  void Byte(std::uint8_t b) {
+    hash_ ^= b;
+    hash_ *= 0x100000001b3ull;
+  }
+  std::uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+/// The cycles of the recorded violations of `check`, in report order.
+std::vector<Cycle> ReportCycles(const Monitor& monitor,
+                                const std::string& check) {
+  std::vector<Cycle> cycles;
+  for (const Violation& v : monitor.violations()) {
+    if (v.check == check) cycles.push_back(v.cycle);
+  }
+  return cycles;
+}
 
 // ---------------------------------------------------------------------------
 // Analytical bound model
@@ -223,6 +271,8 @@ TEST(VerifiedRun, BrokenSlotTableIsCaught) {
   EXPECT_EQ(result.status().code(), StatusCode::kVerificationFailed);
   EXPECT_NE(result.status().message().find("slot"), std::string::npos)
       << result.status();
+  EXPECT_EQ(ReportCycles(*runner.soc()->monitor(), "stu-allocator-conformance"),
+            (std::vector<Cycle>{27}));
 }
 
 // The stu-allocator-conformance check itself: a slot granted in the STU
@@ -293,6 +343,9 @@ TEST_F(StuConformance, StolenSlotIsReportedOnce) {
   RunRotations(20);
   const std::vector<Violation> stu = StuViolations();
   ASSERT_EQ(stu.size(), 1u);
+  // The write lands at cycle 3, where the check first sees the stolen
+  // slot; it reports at the second sighting, one rotation later.
+  EXPECT_EQ(stu[0].cycle, 27);
   EXPECT_FALSE(stu[0].fault_induced);
   EXPECT_EQ(stu[0].message.rfind("ni0 STU slot " + std::to_string(stolen_) +
                                      " owned by enabled channel " +
@@ -309,7 +362,112 @@ TEST_F(StuConformance, StrayWriteUndoneWithinARotationIsNotReported) {
   WriteSlots(mask_);
   RunRotations(20);
   EXPECT_TRUE(StuViolations().empty());
+  // Stolen again, for good: the streak restarted with the undo, so the
+  // report comes two observations of the slot after this write.
+  WriteSlots(mask_ | (1u << stolen_));
+  RunRotations(20);
+  const std::vector<Violation> stu = StuViolations();
+  ASSERT_EQ(stu.size(), 1u);
+  EXPECT_EQ(stu[0].cycle, 531);
 }
+
+// gt-route-conformance: right after a GT channel emits a header, its
+// PATH_RQID is rewritten to a valid route to another NI, and restored once
+// the monitor has observed that header (one slot later, before the
+// channel's next header). The header disagrees with the register the
+// monitor reads then; every report is pinned.
+TEST(VerifiedRun, RewrittenGtRouteReportsArePinned) {
+  for (sim::EngineKind engine :
+       {sim::EngineKind::kNaive, sim::EngineKind::kSoa}) {
+    SCOPED_TRACE(sim::EngineKindName(engine));
+    scenario::ScenarioSpec spec = GtPairSpec();
+    spec.verify = true;
+    spec.engine = engine;
+    scenario::ScenarioRunner runner(spec);
+    ASSERT_TRUE(runner.Build().ok());
+    soc::Soc* soc = runner.soc();
+    core::NiKernel* kernel = soc->ni(0);
+    const ChannelId channel = soc->port(0, 0)->GlobalChannelOf(0);
+    const Word addr =
+        regs::ChannelRegAddr(channel, regs::ChannelReg::kPathRqid);
+    const auto packets = [&] {
+      return kernel->channel_stats(channel).packets_sent;
+    };
+    // The port of NI 0's router that leads to NI 2.
+    const topology::Topology& topo = soc->topology();
+    const RouterId router = topo.NiRouter(0);
+    int to_ni2 = -1;
+    for (int p = 0; p < topo.RouterPorts(router); ++p) {
+      const topology::Endpoint& peer = topo.PortPeer(router, p);
+      if (peer.kind == topology::EndpointKind::kNi && peer.id == 2) to_ni2 = p;
+    }
+    ASSERT_GE(to_ni2, 0);
+    for (std::int64_t header : {3, 7}) {
+      for (int i = 0; i < 2000 && packets() < header; ++i) soc->RunCycles(1);
+      ASSERT_EQ(packets(), header);
+      auto configured = kernel->ReadRegister(addr);
+      ASSERT_TRUE(configured.ok());
+      ASSERT_TRUE(
+          kernel
+              ->WriteRegister(addr, regs::PackPathRqid(
+                                        link::SourcePath::FromHops({to_ni2}),
+                                        regs::UnpackRqid(*configured)))
+              .ok());
+      soc->RunCycles(kFlitWords);
+      ASSERT_TRUE(kernel->WriteRegister(addr, *configured).ok());
+      ASSERT_EQ(packets(), header);
+    }
+    auto result = runner.Run();
+    const Monitor& monitor = *soc->monitor();
+    EXPECT_EQ(ReportCycles(monitor, "gt-route-conformance"),
+              (std::vector<Cycle>{39, 87}));
+    EXPECT_EQ(MonitorDigest(monitor).value(), 2587599149519070354u)
+        << monitor.Describe();
+  }
+}
+
+// Every report of the verified runs that reach the monitor's fault
+// classification, resync and reconfiguration paths, and of one random
+// conformance configuration, pinned by digest on both engines.
+class MonitorPins : public ::testing::TestWithParam<sim::EngineKind> {
+ protected:
+  std::uint64_t DigestOf(scenario::ScenarioSpec spec) {
+    spec.verify = true;
+    spec.engine = GetParam();
+    scenario::ScenarioRunner runner(spec);
+    auto result = runner.Run();
+    EXPECT_TRUE(result.ok()) << result.status();
+    const Monitor& monitor = *runner.soc()->monitor();
+    return MonitorDigest(monitor).value();
+  }
+  std::uint64_t DigestOfFile(const std::string& name) {
+    auto spec = scenario::LoadScenarioFile(
+        std::string(AETHEREAL_SCENARIO_DIR) + "/" + name);
+    EXPECT_TRUE(spec.ok()) << spec.status();
+    return spec.ok() ? DigestOf(*spec) : 0;
+  }
+};
+
+TEST_P(MonitorPins, FaultStreamStar) {
+  EXPECT_EQ(DigestOfFile("fault_stream_star.scn"), 17376875852152550375u);
+}
+
+TEST_P(MonitorPins, FaultRetryChurn) {
+  EXPECT_EQ(DigestOfFile("fault_retry_churn.scn"), 10646453912024884831u);
+}
+
+TEST_P(MonitorPins, ConformanceFuzzCase) {
+  EXPECT_EQ(DigestOf(RandomConformanceSpec(0xAE7E12EAu, 3)),
+            11595020215893124742u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, MonitorPins,
+                         ::testing::Values(sim::EngineKind::kNaive,
+                                           sim::EngineKind::kSoa),
+                         [](const auto& info) {
+                           return std::string(
+                               sim::EngineKindName(info.param));
+                         });
 
 }  // namespace
 }  // namespace aethereal::verify
