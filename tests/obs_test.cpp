@@ -19,12 +19,15 @@
 
 #include <gtest/gtest.h>
 
+#include "core/ni_kernel.h"
 #include "obs/hub.h"
 #include "obs/spec.h"
 #include "obs/trace.h"
 #include "scenario/runner.h"
 #include "scenario/spec.h"
 #include "sim/engine.h"
+#include "sim/kernel.h"
+#include "soc/soc.h"
 #include "util/stats.h"
 
 namespace aethereal::scenario {
@@ -257,6 +260,110 @@ TEST(ObsOnTest, PerSlotAttributionIsPinned) {
       const std::uint64_t digest = AttributionDigest(*result.obs_stats);
       EXPECT_EQ(digest, c.digest)
           << "attribution changed: digest 0x" << std::hex << digest;
+    }
+  }
+}
+
+// --- queue fills against a brute-force walk -----------------------------
+
+// The oracle of the tap's queue-fill marks: at every slot boundary it
+// closes the sampling window once the window's end has passed, then sums
+// every channel's committed source and destination queue words of every
+// NI into per-NI high-water marks and the window's deepest fill. Committed
+// fills are the same whichever module reads them within an edge, so it
+// may run after the NoC hardware.
+class QueueFillOracle : public sim::Module {
+ public:
+  QueueFillOracle(std::vector<core::NiKernel*> nis, Cycle sample_every)
+      : sim::Module("queue_fill_oracle"),
+        nis_(std::move(nis)),
+        sample_every_(sample_every),
+        source_hwm_(nis_.size(), 0),
+        dest_hwm_(nis_.size(), 0) {
+    SetEvaluateStride(kFlitWords);
+  }
+
+  void Evaluate() override {
+    const Cycle now = CycleCount();
+    if (now % kFlitWords != 0) return;
+    if (now >= static_cast<Cycle>(window_max_.size()) * sample_every_) {
+      window_max_.push_back(0);
+    }
+    for (std::size_t n = 0; n < nis_.size(); ++n) {
+      int source = 0;
+      int dest = 0;
+      for (ChannelId ch = 0; ch < nis_[n]->NumChannels(); ++ch) {
+        source += nis_[n]->SourceQueueWords(ch);
+        dest += nis_[n]->DestQueueWords(ch);
+      }
+      source_hwm_[n] = std::max(source_hwm_[n], source);
+      dest_hwm_[n] = std::max(dest_hwm_[n], dest);
+      window_max_.back() = std::max(window_max_.back(), std::max(source, dest));
+    }
+  }
+
+  const std::vector<int>& source_hwm() const { return source_hwm_; }
+  const std::vector<int>& dest_hwm() const { return dest_hwm_; }
+  const std::vector<int>& window_max() const { return window_max_; }
+
+ private:
+  std::vector<core::NiKernel*> nis_;
+  Cycle sample_every_;
+  std::vector<int> source_hwm_;
+  std::vector<int> dest_hwm_;
+  std::vector<int> window_max_;  // per window, deepest fill
+};
+
+// The tap re-sums an NI's fills only where a hand-off into its queues
+// becomes readable, and every NI at each window's first slot. Its marks
+// must equal the brute-force walk's: on ipclock_mesh, whose destination
+// queues are read on a slower IP clock, and on wide_ni_churn, whose NIs
+// carry many channels and are reconfigured at run time, on both engines
+// and at sample periods on and off the slot grid.
+TEST(ObsOnTest, QueueFillMarksMatchABruteForceWalk) {
+  const struct {
+    const char* scenario;
+    Cycle sample_every;
+  } cases[] = {{"ipclock_mesh", 64}, {"ipclock_mesh", 301},
+               {"wide_ni_churn", 7}, {"wide_ni_churn", 300}};
+  for (const auto& c : cases) {
+    auto spec = LoadScenarioFile(std::string(AETHEREAL_SCENARIO_DIR) + "/" +
+                                 c.scenario + ".scn");
+    ASSERT_TRUE(spec.ok()) << spec.status();
+    spec->obs.sample_every = c.sample_every;
+    for (sim::EngineKind engine :
+         {sim::EngineKind::kNaive, sim::EngineKind::kSoa}) {
+      SCOPED_TRACE(std::string(c.scenario) + " sample_every " +
+                   std::to_string(c.sample_every) + " " +
+                   sim::EngineKindName(engine));
+      ScenarioSpec armed = *spec;
+      armed.engine = engine;
+      ScenarioRunner runner(armed);
+      ASSERT_TRUE(runner.Build().ok());
+      soc::Soc* soc = runner.soc();
+      std::vector<core::NiKernel*> nis;
+      for (NiId n = 0; n < armed.NumNis(); ++n) nis.push_back(soc->ni(n));
+      QueueFillOracle oracle(nis, c.sample_every);
+      soc->RegisterOnNet(&oracle);
+      auto result = runner.Run();
+      ASSERT_TRUE(result.ok()) << result.status();
+
+      const obs::ObsHub& hub = *soc->obs_hub();
+      ASSERT_EQ(hub.ni_obs().size(), nis.size());
+      int deepest = 0;
+      for (std::size_t n = 0; n < nis.size(); ++n) {
+        EXPECT_EQ(hub.ni_obs()[n].source_queue_hwm, oracle.source_hwm()[n])
+            << "ni" << n;
+        EXPECT_EQ(hub.ni_obs()[n].dest_queue_hwm, oracle.dest_hwm()[n])
+            << "ni" << n;
+        deepest = std::max(deepest, oracle.dest_hwm()[n]);
+      }
+      EXPECT_GT(deepest, 0);
+      ASSERT_EQ(hub.windows().size(), oracle.window_max().size());
+      for (std::size_t w = 0; w < hub.windows().size(); ++w) {
+        EXPECT_EQ(hub.windows()[w].max_queue_words, oracle.window_max()[w])
+            << "window " << w;
+      }
     }
   }
 }
