@@ -18,6 +18,13 @@
 #     benchmark scenario on both engines with the verify monitor and the
 #     obs tap armed (--verify --sample-every 64 --trace --stats-csv), which
 #     compares the result JSON, the trace and the per-window stats CSV;
+#   * noc_verify's randomized runs: `--fuzz 1500 --fault-fuzz 1000` at
+#     seeds 2 and 3 (both engines inside each run, about 6 s per run),
+#     comparing the result JSON and the per-workload report lines. They
+#     reach the monitor's random-conformance, resync and
+#     fault-classification paths, which the canonical scenarios barely
+#     touch. (Larger batches and other seeds hit known verification
+#     failures, and a failing batch writes no JSON.)
 #   * the stdout of the paper benches and the examples. bench_stack's
 #     google-benchmark rows are host timings and are dropped; bench_speed
 #     and bench_sweep print nothing but host timings and are not run.
@@ -34,7 +41,7 @@ cd "$(dirname "$0")/.."
 repo="$(pwd)"
 
 for build in "$parent" "$change"; do
-  for tool in noc_sim noc_sweep; do
+  for tool in noc_sim noc_sweep noc_verify; do
     if [[ ! -x "$build/$tool" ]]; then
       echo "error: $build/$tool not built" >&2
       exit 2
@@ -156,6 +163,20 @@ for spec in "${observed_specs[@]}"; do
       "noc_sim $tag trace"
     same "$work/parent/$tag.csv" "$work/change/$tag.csv" "noc_sim $tag csv"
   done
+done
+
+# Randomized verified runs: the result JSON and the report lines.
+for seed in 2 3; do
+  tag="verify_fuzz_seed${seed}"
+  for side in parent change; do
+    build="$parent"
+    [[ "$side" == change ]] && build="$change"
+    # From the side's own directory, so "wrote FILE" reads the same.
+    (cd "$work/$side" && "$build/noc_verify" --fuzz 1500 --fault-fuzz 1000 \
+      --seed "$seed" -o "$tag.json" > "$tag.out" 2>&1) || true
+  done
+  same "$work/parent/$tag.json" "$work/change/$tag.json" "noc_verify $tag json"
+  same "$work/parent/$tag.out" "$work/change/$tag.out" "noc_verify $tag report"
 done
 
 # Paper benches and examples: stdout, run from a scratch directory so no

@@ -37,6 +37,10 @@ void NiPort::Write(int connid, Word word) {
   const Cycle stamp = ch.source.Push(word);
   if (stamp != sim::kNoEdge) {
     kernel_->WakeForSourceWord(GlobalChannelOf(connid), stamp);
+    if (kernel_->queue_watcher_ != nullptr) {
+      kernel_->queue_watcher_->NoteHandOff(kernel_->id(), *kernel_->clock(),
+                                           stamp);
+    }
   }
 }
 
@@ -226,6 +230,7 @@ Status NiKernel::WriteRegister(Word address, Word value) {
       if (!ch.gt) continue;
       ch.source.ForEachHandOffInFlight([this](Cycle s) { TimerAt(s); });
     }
+    if (table_write_hook_) table_write_hook_();
   }
   const Cycle edge = clock() != nullptr ? CycleCount() : 0;
   pending_register_writes_.push_back(PendingWrite{edge, address, value});
@@ -559,7 +564,12 @@ void NiKernel::ReceiveFlit() {
                         name() << ": destination queue overflow on channel "
                                << rx_qid << " — end-to-end flow control "
                                << "violated");
-    ch.dest.Push(flit.words[static_cast<std::size_t>(word_index)]);
+    const Cycle stamp =
+        ch.dest.Push(flit.words[static_cast<std::size_t>(word_index)]);
+    if (stamp != sim::kNoEdge && queue_watcher_ != nullptr) {
+      queue_watcher_->NoteHandOff(
+          id_, *ports_[static_cast<std::size_t>(ch.port)]->clock(), stamp);
+    }
     ++ch.stats.words_received;
     ++stats_.payload_words_received;
   }

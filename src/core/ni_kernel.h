@@ -20,6 +20,7 @@
 #define AETHEREAL_CORE_NI_KERNEL_H
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
@@ -43,6 +44,20 @@ class FaultInjector;
 namespace aethereal::core {
 
 class NiKernel;
+
+/// Told of every new hand-off into an NI's queues, for an observer whose
+/// work follows the queues' activity (obs/tap.h). A kernel without one
+/// pays a null check per hand-off.
+class QueueWatcher {
+ public:
+  /// A hand-off into a queue of NI `ni`, readable from edge `stamp` of
+  /// `reader`, the clock of the queue's reading side.
+  virtual void NoteHandOff(NiId ni, const sim::Clock& reader,
+                           Cycle stamp) = 0;
+
+ protected:
+  ~QueueWatcher() = default;
+};
 
 /// The IP-facing side of a group of channels (paper: "The NI kernel
 /// communicates with the NI shells via ports"). Runs in its own clock
@@ -196,6 +211,15 @@ class NiKernel : public sim::Module {
     fault_ = injector;
   }
 
+  /// Reports every queue hand-off to `watcher` (null: none).
+  void SetQueueWatcher(QueueWatcher* watcher) { queue_watcher_ = watcher; }
+
+  /// Calls `hook` as each SLOTS or CTRL register write is staged, before
+  /// it lands (verify/monitor.h re-checks the NI's slot tables then).
+  void SetTableWriteHook(std::function<void()> hook) {
+    table_write_hook_ = std::move(hook);
+  }
+
   void Evaluate() override;
 
  private:
@@ -338,6 +362,8 @@ class NiKernel : public sim::Module {
   std::vector<PendingWrite> pending_register_writes_;
   NiKernelStats stats_;
   fault::FaultInjector* fault_ = nullptr;
+  QueueWatcher* queue_watcher_ = nullptr;
+  std::function<void()> table_write_hook_;
 };
 
 }  // namespace aethereal::core

@@ -27,7 +27,29 @@ void ObsTap::Attach(ObsHookup hookup) {
     hookup_.links[i]->data.CountInto(&driven_[i]);
     hookup_.links[i]->credit_return.CountInto(&driven_[i]);
   }
+  marked_slot_.assign(hookup_.nis.size(), -1);
+  for (core::NiKernel* ni : hookup_.nis) ni->SetQueueWatcher(this);
   attached_ = true;
+}
+
+void ObsTap::NoteHandOff(NiId ni, const sim::Clock& reader, Cycle stamp) {
+  // The reader sees the words once its cycle count reaches `stamp`. In a
+  // network edge at time t a clock's count is the number of its edges
+  // before t, so that is the first network edge after reader edge
+  // stamp - 1.
+  const sim::Clock& net = *clock();
+  const Cycle edge =
+      &reader == &net
+          ? stamp
+          : net.FirstEdgeFrom(reader.next_edge_ps() +
+                              (stamp - 1 - reader.cycles()) *
+                                  reader.period_ps() +
+                              1);
+  const Cycle slot = (edge + kFlitWords - 1) / kFlitWords;
+  const auto n = static_cast<std::size_t>(ni);
+  if (marked_slot_[n] == slot) return;
+  marked_slot_[n] = slot;
+  marks_.push_back(Mark{slot, n});
 }
 
 link::LinkTraffic ObsTap::Observed(std::size_t i,
@@ -122,24 +144,39 @@ void ObsTap::Evaluate() {
     }
   }
 
-  // --- per-NI committed queue fills (source + dest CDC reader sizes).
-  std::vector<NiObservation>& nis = hub_->ni_obs();
-  for (std::size_t n = 0; n < hookup_.nis.size(); ++n) {
-    const core::NiKernel* ni = hookup_.nis[n];
-    int source = 0;
-    int dest = 0;
-    const int channels = ni->NumChannels();
-    for (ChannelId ch = 0; ch < channels; ++ch) {
-      source += ni->SourceQueueWords(ch);
-      dest += ni->DestQueueWords(ch);
+  // --- per-NI committed queue fills (source + dest CDC reader sizes):
+  // every NI at a window's first slot, else the NIs whose hand-offs
+  // became readable since the last boundary.
+  const bool window_start = observed_slots_ == closed_slots_ + 1;
+  if (window_start) {
+    for (std::size_t n = 0; n < hookup_.nis.size(); ++n) SumQueueFills(n);
+  }
+  std::size_t kept = 0;
+  for (const Mark& mark : marks_) {
+    if (mark.slot > slot_) {
+      marks_[kept++] = mark;
+    } else if (!window_start) {
+      SumQueueFills(mark.ni);
     }
-    NiObservation& o = nis[n];
-    o.source_queue_hwm = std::max(o.source_queue_hwm, source);
-    o.dest_queue_hwm = std::max(o.dest_queue_hwm, dest);
-    if (sampling) {
-      window_queue_words_ =
-          std::max(window_queue_words_, std::max(source, dest));
-    }
+  }
+  marks_.resize(kept);
+}
+
+void ObsTap::SumQueueFills(std::size_t n) {
+  const core::NiKernel* ni = hookup_.nis[n];
+  int source = 0;
+  int dest = 0;
+  const int channels = ni->NumChannels();
+  for (ChannelId ch = 0; ch < channels; ++ch) {
+    source += ni->SourceQueueWords(ch);
+    dest += ni->DestQueueWords(ch);
+  }
+  NiObservation& o = hub_->ni_obs()[n];
+  o.source_queue_hwm = std::max(o.source_queue_hwm, source);
+  o.dest_queue_hwm = std::max(o.dest_queue_hwm, dest);
+  if (hub_->spec().SamplingEnabled()) {
+    window_queue_words_ =
+        std::max(window_queue_words_, std::max(source, dest));
   }
 }
 

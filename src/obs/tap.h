@@ -10,9 +10,18 @@
 //
 // The links count their own traffic: Attach() points every link's wires
 // at a link::LinkTraffic of the tap's, which each Drive() adds to. Per
-// slot the tap only counts the slot, tracks per-NI committed queue-fill
-// high-water marks and, when tracing is armed, walks the links to record
-// flit trace events. A window close derives every window field from the
+// slot the tap only counts the slot, updates the queue-fill marks of the
+// NIs a hand-off has reached and, when tracing is armed, walks the links
+// to record flit trace events.
+//
+// Queue fills follow the hand-offs. An NI's committed fill can rise only
+// at a slot boundary where a hand-off into one of its queues has become
+// readable; between such boundaries words only leave. Each NI kernel
+// reports its hand-offs (core::QueueWatcher), and the tap re-sums that
+// NI's fills at the first slot boundary at which the queue's reader clock
+// has reached the hand-off's stamp. Every NI is summed once at each
+// sampling window's first slot, where the window's deepest fill starts
+// with the fill carried into it. A window close derives every window field from the
 // cumulative counts, less the one drive the tap has not observed yet
 // (the slot in flight: a drive becomes observable one slot later).
 // Finalize() (after the run) closes the trailing window and fills the
@@ -23,14 +32,12 @@
 
 #include <vector>
 
+#include "core/ni_kernel.h"
 #include "link/wire.h"
 #include "obs/hub.h"
 #include "sim/kernel.h"
 #include "util/types.h"
 
-namespace aethereal::core {
-class NiKernel;
-}
 namespace aethereal::router {
 class Router;
 }
@@ -46,15 +53,19 @@ struct ObsHookup {
   std::vector<const router::Router*> routers;
 };
 
-class ObsTap : public sim::Module {
+class ObsTap : public sim::Module, public core::QueueWatcher {
  public:
   explicit ObsTap(ObsHub* hub);
 
-  /// Hands the tap its observation points. Call after the Soc is wired,
-  /// before the first cycle.
+  /// Hands the tap its observation points and makes it every NI's queue
+  /// watcher. Call after the Soc is wired, before the first cycle.
   void Attach(ObsHookup hookup);
 
   void Evaluate() override;
+
+  /// Marks NI `ni` for a re-sum at the first slot boundary at which
+  /// `reader` has reached edge `stamp`.
+  void NoteHandOff(NiId ni, const sim::Clock& reader, Cycle stamp) override;
 
   /// Closes the trailing partial sampling window and snapshots the
   /// end-of-run per-NI / per-router counters into the hub. Idempotent;
@@ -69,6 +80,8 @@ class ObsTap : public sim::Module {
   /// Closes the current sampling window with the traffic observed before
   /// `unobserved_slot`.
   void CloseWindow(Cycle unobserved_slot);
+  /// Sums NI `n`'s committed queue fills into its marks and the window's.
+  void SumQueueFills(std::size_t n);
 
   ObsHub* hub_;
   ObsHookup hookup_;
@@ -76,6 +89,15 @@ class ObsTap : public sim::Module {
   bool finalized_ = false;
 
   std::vector<link::LinkTraffic> driven_;  // per link, counted by its wires
+  // Queue-fill marks: the NIs to re-sum, each with the slot number of the
+  // boundary that sees its hand-off, and per NI the latest such slot
+  // queued (a hand-off due in the same slot adds nothing).
+  struct Mark {
+    Cycle slot;
+    std::size_t ni;
+  };
+  std::vector<Mark> marks_;
+  std::vector<Cycle> marked_slot_;
   std::int64_t observed_slots_ = 0;  // slot boundaries evaluated so far
   Cycle slot_ = -1;  // slot of the last evaluation: driven, unobserved
 

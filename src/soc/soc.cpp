@@ -217,6 +217,15 @@ Soc::Soc(topology::Topology topology,
     hookup.channel_pairs = [this] { return OpenChannelPairs(); };
     hookup.pairs_version = [this] { return connections_version(); };
     monitor_->Attach(std::move(hookup));
+    // The monitor checks an NI's slot tables per slot only after they
+    // change, so every change is announced before it lands.
+    verify::Monitor* monitor = monitor_.get();
+    for (core::NiKernel& ni : nis_) {
+      ni.SetTableWriteHook(
+          [monitor, id = ni.id()] { monitor->NoteTableChange(id); });
+    }
+    allocator_->SetInjectionTableHook(
+        [monitor](NiId ni) { monitor->NoteTableChange(ni); });
     if (fault_injector_ != nullptr) {
       const fault::FaultSpec& spec = fault_injector_->spec();
       verify::FaultContext context;

@@ -112,6 +112,7 @@ Result<std::vector<SlotIndex>> CentralizedAllocator::Allocate(
   if (chosen.empty()) {
     return ResourceExhaustedError("not enough feasible slots on route");
   }
+  NoteInjectionChange(route);
   for (SlotIndex s : chosen) {
     for (std::size_t j = 0; j < route.links.size(); ++j) {
       const SlotIndex slot_here =
@@ -126,6 +127,7 @@ Result<std::vector<SlotIndex>> CentralizedAllocator::Allocate(
 Status CentralizedAllocator::Free(const topology::ChannelRoute& route,
                                   const GlobalChannel& channel,
                                   const std::vector<SlotIndex>& slots) {
+  NoteInjectionChange(route);
   for (SlotIndex s : slots) {
     for (std::size_t j = 0; j < route.links.size(); ++j) {
       const SlotIndex slot_here =
@@ -138,6 +140,14 @@ Status CentralizedAllocator::Free(const topology::ChannelRoute& route,
     }
   }
   return OkStatus();
+}
+
+void CentralizedAllocator::NoteInjectionChange(
+    const topology::ChannelRoute& route) const {
+  if (injection_table_hook_ && !route.links.empty() &&
+      route.links.front().from_ni) {
+    injection_table_hook_(route.links.front().node);
+  }
 }
 
 const SlotTable& CentralizedAllocator::TableOf(

@@ -10,6 +10,7 @@
 #define AETHEREAL_TDM_ALLOCATOR_H
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "tdm/slot_table.h"
@@ -54,6 +55,13 @@ class CentralizedAllocator {
               const GlobalChannel& channel,
               const std::vector<SlotIndex>& slots);
 
+  /// Calls `hook(ni)` before each Allocate or Free that changes the table
+  /// of NI `ni`'s injection link (verify/monitor.h re-checks the NI's slot
+  /// tables then).
+  void SetInjectionTableHook(std::function<void(NiId)> hook) {
+    injection_table_hook_ = std::move(hook);
+  }
+
   /// Table of one link (by dense link index), e.g. to program an NI's STU.
   const SlotTable& TableOf(const topology::LinkId& link) const;
 
@@ -67,9 +75,12 @@ class CentralizedAllocator {
 
  private:
   SlotTable& MutableTableOf(const topology::LinkId& link);
+  /// Runs the injection-table hook for the table `route` starts on.
+  void NoteInjectionChange(const topology::ChannelRoute& route) const;
   const topology::Topology* topology_;
   int num_slots_;
   std::vector<SlotTable> tables_;  // indexed by Topology::LinkIndex
+  std::function<void(NiId)> injection_table_hook_;
 };
 
 /// Picks `count` slots from `feasible` according to `policy`; exposed for

@@ -56,10 +56,16 @@ void Monitor::Attach(MonitorHookup hookup) {
   open_del_gt_.resize(num_nis);
   open_del_be_.resize(num_nis);
   injection_tables_.reserve(num_nis);
+  channels_of_.reserve(num_nis);
   for (std::size_t n = 0; n < num_nis; ++n) {
     injection_tables_.push_back(&hookup_.allocator->TableOf(topology::LinkId{
         /*from_ni=*/true, static_cast<NiId>(n), /*port=*/0}));
+    channels_of_.push_back(hookup_.nis[n]->params().TotalChannels());
   }
+  routes_.resize(num_nis);
+  listed_.assign(num_nis, false);
+  armed_through_.assign(num_nis, -1);
+  mismatching_.assign(num_nis, 0);
   ledgers_.resize(num_nis * static_cast<std::size_t>(max_qid_));
   stu_mismatch_streak_.assign(
       num_nis * static_cast<std::size_t>(table_slots_), 0);
@@ -125,7 +131,11 @@ void Monitor::RefreshPairs() {
   }
 }
 
-NiId Monitor::ResolveDestination(NiId ni, const link::SourcePath& path) {
+Monitor::Route Monitor::ResolveRoute(NiId ni, const link::SourcePath& path) {
+  std::vector<Route>& known = routes_[static_cast<std::size_t>(ni)];
+  for (const Route& route : known) {
+    if (route.packed == path.packed()) return route;
+  }
   RouterId router = hookup_.topology->NiRouter(ni);
   link::SourcePath rest = path;
   while (!rest.Exhausted()) {
@@ -136,7 +146,7 @@ NiId Monitor::ResolveDestination(NiId ni, const link::SourcePath& path) {
           << " of router" << router << " which has "
           << hookup_.topology->RouterPorts(router) << " ports";
       Report("gt-route-conformance", oss.str());
-      return kInvalidId;
+      return Route{};
     }
     const topology::Endpoint& peer = hookup_.topology->PortPeer(router, port);
     rest = rest.Consume();
@@ -146,23 +156,60 @@ NiId Monitor::ResolveDestination(NiId ni, const link::SourcePath& path) {
         oss << "packet from ni" << ni << " reaches ni" << peer.id
             << " with unconsumed path hops";
         Report("gt-route-conformance", oss.str());
-        return kInvalidId;
+        return Route{};
       }
-      return peer.id;
+      known.push_back(Route{path.packed(), peer.id, path.HopCount()});
+      return known.back();
     }
     if (peer.kind != topology::EndpointKind::kRouter) {
       std::ostringstream oss;
       oss << "packet from ni" << ni << " routes into unconnected port "
           << port << " of router" << router;
       Report("gt-route-conformance", oss.str());
-      return kInvalidId;
+      return Route{};
     }
     router = peer.id;
   }
   std::ostringstream oss;
   oss << "packet from ni" << ni << " has an empty source path";
   Report("gt-route-conformance", oss.str());
-  return kInvalidId;
+  return Route{};
+}
+
+Monitor::SlotSnapshot Monitor::Owners(NiId ni, Cycle boundary) {
+  const auto n = static_cast<std::size_t>(ni);
+  SlotSnapshot snap;
+  snap.valid = true;
+  snap.boundary = boundary;
+  snap.slot = static_cast<SlotIndex>((boundary / kFlitWords) % table_slots_);
+  snap.stu_owner = hookup_.nis[n]->SlotOwner(snap.slot);
+  snap.alloc_owner = injection_tables_[n]->Owner(snap.slot);
+  return snap;
+}
+
+Monitor::SlotSnapshot Monitor::DriveTimeOwners(NiId ni) {
+  const Cycle drive = CycleCount() - kFlitWords;
+  const SlotSnapshot& snap = prev_snapshot_[static_cast<std::size_t>(ni)];
+  return snap.boundary == drive ? snap : Owners(ni, drive);
+}
+
+void Monitor::Arm(std::size_t n, Cycle through_slot) {
+  armed_through_[n] = std::max(armed_through_[n], through_slot);
+  if (listed_[n]) return;
+  listed_[n] = true;
+  armed_.insert(std::lower_bound(armed_.begin(), armed_.end(), n), n);
+}
+
+void Monitor::NoteTableChange(NiId ni) {
+  if (!attached_) return;
+  const auto n = static_cast<std::size_t>(ni);
+  // No table of the NI changed since the last boundary, or it would have
+  // been snapshotted then: what it reads now is what governed that slot.
+  if (last_boundary_ >= 0 && prev_snapshot_[n].boundary != last_boundary_) {
+    prev_snapshot_[n] = Owners(ni, last_boundary_);
+  }
+  const Cycle slot = (clock() != nullptr ? CycleCount() : 0) / kFlitWords;
+  Arm(n, slot + 2 * static_cast<Cycle>(table_slots_) + 1);
 }
 
 void Monitor::ObserveInjection(NiId ni, const Flit& flit) {
@@ -184,18 +231,17 @@ void Monitor::ObserveInjection(NiId ni, const Flit& flit) {
           << "with its header";
       Report("flit-integrity", oss.str());
     }
-    const NiId dest = ResolveDestination(ni, header.path);
+    const Route route = ResolveRoute(ni, header.path);
+    const NiId dest = route.dest;
     if (dest == kInvalidId) return;  // already reported
-    if (header.remote_qid >=
-        hookup_.nis[static_cast<std::size_t>(dest)]->params().TotalChannels()) {
+    const int dest_channels = channels_of_[static_cast<std::size_t>(dest)];
+    if (header.remote_qid >= dest_channels) {
       // Diagnose the corruption instead of letting the capacity lookup
       // CHECK-abort on the nonexistent queue (the destination NI kernel
       // still treats the arrival itself as fatal, per its contract).
       std::ostringstream oss;
       oss << "ni" << ni << " packet addresses queue " << header.remote_qid
-          << " of ni" << dest << " which has only "
-          << hookup_.nis[static_cast<std::size_t>(dest)]->params()
-                 .TotalChannels()
+          << " of ni" << dest << " which has only " << dest_channels
           << " channels";
       Report("gt-route-conformance", oss.str());
       return;
@@ -207,13 +253,13 @@ void Monitor::ObserveInjection(NiId ni, const Flit& flit) {
       Report("flit-ordering", oss.str());
     }
     open.ledger = LedgerIndex(dest, header.remote_qid);
-    open.hops = header.path.HopCount();
+    open.hops = route.hops;
     expect.credits = header.credits;
 
     if (flit.gt) {
-      // Drive-time slot-table conformance (the tables were snapshotted one
-      // slot before this flit became observable).
-      const SlotSnapshot& snap = prev_snapshot_[static_cast<std::size_t>(ni)];
+      // Drive-time slot-table conformance: the owners of the slot the flit
+      // was driven in, one slot before it became observable.
+      const SlotSnapshot snap = DriveTimeOwners(ni);
       if (snap.valid) {
         if (!snap.alloc_owner.valid()) {
           std::ostringstream oss;
@@ -266,7 +312,7 @@ void Monitor::ObserveInjection(NiId ni, const Flit& flit) {
     if (flit.gt) {
       // Payload flits of a GT packet must stay inside reserved slots too
       // (a packet overrunning its contiguous run lands here).
-      const SlotSnapshot& snap = prev_snapshot_[static_cast<std::size_t>(ni)];
+      const SlotSnapshot snap = DriveTimeOwners(ni);
       if (snap.valid &&
           (!snap.alloc_owner.valid() || snap.alloc_owner.ni != ni)) {
         std::ostringstream oss;
@@ -330,8 +376,7 @@ void Monitor::ObserveDelivery(NiId ni, const Flit& flit) {
       oss << "ni" << ni << " received a packet with unconsumed path hops";
       Report("gt-route-conformance", oss.str());
     }
-    if (header.remote_qid >=
-        hookup_.nis[static_cast<std::size_t>(ni)]->params().TotalChannels()) {
+    if (header.remote_qid >= channels_of_[static_cast<std::size_t>(ni)]) {
       std::ostringstream oss;
       oss << "ni" << ni << " received a packet for queue "
           << header.remote_qid << " which it does not have";
@@ -510,7 +555,7 @@ void Monitor::Evaluate() {
   RefreshPairs();
 
   // Validate the flits driven one slot ago (what the wires carry in this
-  // slot) against the tables snapshotted one slot ago. All wires run on
+  // slot) against the tables that governed their slot. All wires run on
   // this clock, so that slot is computed once rather than per Sample().
   if (now >= kFlitWords) {
     const Cycle prev_slot = now / kFlitWords - 1;
@@ -522,42 +567,54 @@ void Monitor::Evaluate() {
     }
   }
 
+  last_boundary_ = now;
+  CheckChangedNis(now);
+}
+
+void Monitor::CheckChangedNis(Cycle now) {
   // Snapshot the tables governing the slot the NIs are about to schedule
   // (this same cycle, after us), for use one slot from now, and check the
   // STU against the allocator on the same reads: an enabled channel owning
   // STU slot `slot` must be backed by an allocator reservation on the NI's
   // injection link for the same channel. (The reverse — reserved but not
   // yet programmed — is the normal state during connection setup and is
-  // fine.)
-  const auto slot = static_cast<SlotIndex>((now / kFlitWords) % table_slots_);
-  for (std::size_t n = 0; n < hookup_.nis.size(); ++n) {
+  // fine.) An NI off the list has had no table change for two rotations
+  // and no slot mismatching, so every check of it would pass.
+  const Cycle slot_number = now / kFlitWords;
+  std::size_t kept = 0;
+  for (const std::size_t n : armed_) {
     const auto ni = static_cast<NiId>(n);
-    core::NiKernel* kernel = hookup_.nis[n];
     SlotSnapshot& snap = prev_snapshot_[n];
-    snap.valid = true;
-    snap.slot = slot;
-    snap.stu_owner = kernel->SlotOwner(slot);
-    snap.alloc_owner = injection_tables_[n]->Owner(slot);
+    snap = Owners(ni, now);
 
     const std::size_t key = n * static_cast<std::size_t>(table_slots_) +
-                            static_cast<std::size_t>(slot);
+                            static_cast<std::size_t>(snap.slot);
     const bool mismatch =
         snap.stu_owner != kInvalidId &&
-        kernel->ChannelEnabled(snap.stu_owner) &&
+        hookup_.nis[n]->ChannelEnabled(snap.stu_owner) &&
         !(snap.alloc_owner == tdm::GlobalChannel{ni, snap.stu_owner});
+    int& streak = stu_mismatch_streak_[key];
     if (!mismatch) {
-      stu_mismatch_streak_[key] = 0;
-      continue;
+      if (streak > 0) --mismatching_[n];
+      streak = 0;
+    } else {
+      if (streak++ == 0) ++mismatching_[n];
+      if (streak >= kStuMismatchThreshold && !stu_mismatch_reported_[key]) {
+        stu_mismatch_reported_[key] = true;
+        std::ostringstream oss;
+        oss << "ni" << ni << " STU slot " << snap.slot
+            << " owned by enabled channel " << snap.stu_owner
+            << " without a matching allocator reservation";
+        Report("stu-allocator-conformance", oss.str());
+      }
     }
-    if (++stu_mismatch_streak_[key] >= kStuMismatchThreshold &&
-        !stu_mismatch_reported_[key]) {
-      stu_mismatch_reported_[key] = true;
-      std::ostringstream oss;
-      oss << "ni" << ni << " STU slot " << slot << " owned by enabled channel "
-          << snap.stu_owner << " without a matching allocator reservation";
-      Report("stu-allocator-conformance", oss.str());
+    if (armed_through_[n] >= slot_number || mismatching_[n] > 0) {
+      armed_[kept++] = n;
+    } else {
+      listed_[n] = false;
     }
   }
+  armed_.resize(kept);
 }
 
 void Monitor::NotePhaseBoundary() {
@@ -566,9 +623,18 @@ void Monitor::NotePhaseBoundary() {
   // Invalidate the drive-time snapshots: the next slot boundary re-reads
   // the (reconfigured) allocator tables and STU state from scratch instead
   // of judging the first post-boundary flit against pre-boundary tables.
-  for (SlotSnapshot& snap : prev_snapshot_) snap = SlotSnapshot{};
-  // A mismatch streak must not straddle two configurations.
+  for (SlotSnapshot& snap : prev_snapshot_) {
+    snap = SlotSnapshot{};
+    snap.boundary = last_boundary_;
+  }
+  // A mismatch streak must not straddle two configurations; every NI is
+  // checked afresh for two rotations.
   std::fill(stu_mismatch_streak_.begin(), stu_mismatch_streak_.end(), 0);
+  std::fill(mismatching_.begin(), mismatching_.end(), 0);
+  const Cycle slot = CycleCount() / kFlitWords;
+  for (std::size_t n = 0; n < hookup_.nis.size(); ++n) {
+    Arm(n, slot + 2 * static_cast<Cycle>(table_slots_) + 1);
+  }
   // Re-pair unconditionally on the next Evaluate.
   pairs_version_seen_ = -1;
 }

@@ -26,7 +26,9 @@
 //    without a matching allocator reservation (checked per slot index as
 //    the table rotates; a mismatch must persist for two rotations before
 //    it is reported, so the one-cycle window of a legitimate register
-//    update never false-positives).
+//    update never false-positives). Only an NI whose tables changed in
+//    the last two rotations, or whose check sees a mismatch, is checked:
+//    elsewhere the check would find what it found a rotation ago.
 //  * gt-route-conformance — a GT header's path and remote queue id must
 //    equal the emitting channel's configured PATH/RQID register.
 //  * gt-timing — every GT flit entering the network at observation time t
@@ -135,6 +137,13 @@ class Monitor : public sim::Module {
   void NotePhaseBoundary();
   std::int64_t phase_boundaries() const { return phase_boundaries_; }
 
+  /// Declares that NI `ni`'s STU, CTRL enables or injection-link
+  /// allocator table are about to change (the NI's table-write hook and
+  /// the allocator's injection-table hook call this before the change
+  /// lands). Keeps the NI's drive-time owners and slot check per slot for
+  /// the next two rotations.
+  void NoteTableChange(NiId ni);
+
   /// Declares which fault effects are armed. Must be set before traffic
   /// flows; without it every violation is reported as genuine.
   void SetFaultContext(const FaultContext& context) {
@@ -191,13 +200,21 @@ class Monitor : public sim::Module {
     int peer = -1;                     // ledger index of the paired channel
   };
 
-  /// Drive-time table snapshot of one NI's current slot, taken one slot
-  /// before the driven flit becomes observable.
+  /// Drive-time table snapshot of one NI's slot at slot boundary
+  /// `boundary`, for the flit driven there (observable one slot later).
   struct SlotSnapshot {
     bool valid = false;
+    Cycle boundary = -1;
     SlotIndex slot = -1;
     tdm::GlobalChannel alloc_owner;
     ChannelId stu_owner = kInvalidId;
+  };
+
+  /// Where a source path from an NI leads.
+  struct Route {
+    std::uint32_t packed = 0;  // the encoded path
+    NiId dest = kInvalidId;
+    int hops = 0;
   };
 
   /// Per-link, per-class open-packet attribution state.
@@ -214,9 +231,19 @@ class Monitor : public sim::Module {
   void RefreshPairs();
   void ObserveInjection(NiId ni, const link::Flit& flit);
   void ObserveDelivery(NiId ni, const link::Flit& flit);
-  /// Walks a full source route from `ni`'s router; returns the destination
-  /// NI or kInvalidId (reporting the violation).
-  NiId ResolveDestination(NiId ni, const link::SourcePath& path);
+  /// The destination NI and hop count of `path` from `ni`, walked once per
+  /// (NI, path) and remembered. A malformed route is reported on every
+  /// call, never remembered, and returned with dest kInvalidId.
+  Route ResolveRoute(NiId ni, const link::SourcePath& path);
+  /// The owners NI `ni`'s tables give slot boundary `boundary`'s slot now.
+  SlotSnapshot Owners(NiId ni, Cycle boundary);
+  /// The owners that governed the flit `ni` drove one slot ago: its
+  /// snapshot if one was kept, else the owners now, which are the same
+  /// when no table of the NI has changed since.
+  SlotSnapshot DriveTimeOwners(NiId ni);
+  /// Snapshots and slot-checks the NIs whose tables changed lately.
+  void CheckChangedNis(Cycle now);
+  void Arm(std::size_t n, Cycle through_slot);
 
   bool attached_ = false;
   MonitorHookup hookup_;
@@ -224,6 +251,8 @@ class Monitor : public sim::Module {
   int max_qid_ = 0;  // channels addressable per NI (ledger stride)
 
   std::vector<const tdm::SlotTable*> injection_tables_;  // per NI
+  std::vector<int> channels_of_;                  // per NI: queues it has
+  std::vector<std::vector<Route>> routes_;        // per NI: paths resolved
   std::vector<SlotSnapshot> prev_snapshot_;       // per NI
   std::vector<OpenPacket> open_inj_gt_, open_inj_be_;  // per NI
   std::vector<OpenPacket> open_del_gt_, open_del_be_;  // per NI
@@ -231,6 +260,14 @@ class Monitor : public sim::Module {
   std::vector<int> stu_mismatch_streak_;          // per (NI, slot)
   std::vector<bool> stu_mismatch_reported_;       // per (NI, slot)
   std::int64_t pairs_version_seen_ = -1;
+  // The NIs checked per slot (CheckChangedNis), listed in armed_ in index
+  // order: through slot number armed_through_[n], and after that while
+  // mismatching_[n] of their slots have a nonzero streak.
+  std::vector<std::size_t> armed_;
+  std::vector<bool> listed_;
+  std::vector<Cycle> armed_through_;
+  std::vector<int> mismatching_;
+  Cycle last_boundary_ = -1;  // the last slot boundary evaluated
 
   std::vector<Violation> violations_;
   std::int64_t total_violations_ = 0;
