@@ -1,6 +1,7 @@
 #include "scenario/runner.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <sstream>
@@ -19,15 +20,18 @@ namespace aethereal::scenario {
 
 namespace {
 
-LatencySummary Summarize(const Stats& stats) {
+/// The summary of `stats`, whose samples `samples` holds a copy of; the
+/// percentiles are selected in place, so `samples` ends reordered.
+LatencySummary Summarize(const Stats& stats, std::vector<double>& samples) {
   LatencySummary s;
   s.count = stats.count();
   if (!stats.empty()) {
     s.min = stats.Min();
     s.mean = stats.Mean();
-    s.p50 = stats.Percentile(50);
-    s.p95 = stats.Percentile(95);
-    s.p99 = stats.Percentile(99);
+    const TailPercentiles tail = SelectTailPercentiles(samples);
+    s.p50 = tail.p50;
+    s.p95 = tail.p95;
+    s.p99 = tail.p99;
     s.max = stats.Max();
   }
   return s;
@@ -50,39 +54,42 @@ void WriteLatency(JsonWriter& w, const LatencySummary& latency) {
 /// One histogram summary of the `histograms` result section: exact
 /// nearest-rank percentiles over the merged sample population plus
 /// power-of-two latency buckets ([2^k, 2^(k+1)) cycles; samples below one
-/// cycle land in a [0, 1) bucket). Only non-empty buckets are emitted.
+/// cycle land in a [0, 1) bucket). Only non-empty buckets are emitted. One
+/// pass takes the extremes, the sum and the bucket counts; the samples are
+/// latencies in whole cycles, so the sum is exact in any order.
 void WriteHistogram(JsonWriter& w, std::vector<double> samples) {
   w.BeginObject();
   w.Key("count").Int(static_cast<std::int64_t>(samples.size()));
   if (!samples.empty()) {
-    std::sort(samples.begin(), samples.end());
+    double min = samples.front();
+    double max = samples.front();
     double sum = 0;
-    for (double v : samples) sum += v;
-    w.Key("min").Double(samples.front());
-    w.Key("mean").Double(sum / static_cast<double>(samples.size()));
-    w.Key("p50").Double(SortedPercentile(samples, 50));
-    w.Key("p95").Double(SortedPercentile(samples, 95));
-    w.Key("p99").Double(SortedPercentile(samples, 99));
-    w.Key("max").Double(samples.back());
-    // The samples are sorted, so one pass groups them into buckets in
-    // increasing-k order (k = -1 is the sub-cycle bucket).
-    w.Key("buckets").BeginArray();
-    std::size_t i = 0;
-    while (i < samples.size()) {
-      const double v = samples[i];
+    // Bucket k + 1 counts [2^k, 2^(k+1)); bucket 0 is the sub-cycle one.
+    std::array<std::int64_t, 65> buckets{};
+    for (double v : samples) {
+      min = std::min(min, v);
+      max = std::max(max, v);
+      sum += v;
       const int k =
           v < 1.0 ? -1
                   : std::bit_width(static_cast<std::uint64_t>(v)) - 1;
-      const double lo = k < 0 ? 0.0 : static_cast<double>(std::int64_t{1} << k);
-      const double hi = static_cast<double>(std::int64_t{1} << (k + 1));
-      std::int64_t count = 0;
-      while (i < samples.size() && samples[i] < hi) {
-        ++count;
-        ++i;
-      }
+      ++buckets[static_cast<std::size_t>(k + 1)];
+    }
+    const TailPercentiles tail = SelectTailPercentiles(samples);
+    w.Key("min").Double(min);
+    w.Key("mean").Double(sum / static_cast<double>(samples.size()));
+    w.Key("p50").Double(tail.p50);
+    w.Key("p95").Double(tail.p95);
+    w.Key("p99").Double(tail.p99);
+    w.Key("max").Double(max);
+    w.Key("buckets").BeginArray();
+    for (int k = -1; k < 64; ++k) {
+      const std::int64_t count = buckets[static_cast<std::size_t>(k + 1)];
+      if (count == 0) continue;
       w.BeginObject();
-      w.Key("lo").Double(lo);
-      w.Key("hi").Double(hi);
+      w.Key("lo").Double(k < 0 ? 0.0
+                               : static_cast<double>(std::int64_t{1} << k));
+      w.Key("hi").Double(static_cast<double>(std::int64_t{1} << (k + 1)));
       w.Key("count").Int(count);
       w.EndObject();
     }
@@ -92,16 +99,17 @@ void WriteHistogram(JsonWriter& w, std::vector<double> samples) {
 }
 
 /// Fills the latency fields PhaseResult and PhaseFlowStats share from
-/// one window's samples (sorted) and their sum.
+/// one window's samples (reordered) and their sum.
 template <typename Window>
-void SummarizeWindowLatency(const std::vector<double>& sorted, double sum,
+void SummarizeWindowLatency(std::vector<double> samples, double sum,
                             Window* window) {
-  window->latency_count = static_cast<std::int64_t>(sorted.size());
-  if (sorted.empty()) return;
-  window->latency_mean = sum / static_cast<double>(sorted.size());
-  window->latency_p50 = SortedPercentile(sorted, 50);
-  window->latency_p95 = SortedPercentile(sorted, 95);
-  window->latency_p99 = SortedPercentile(sorted, 99);
+  window->latency_count = static_cast<std::int64_t>(samples.size());
+  if (samples.empty()) return;
+  window->latency_mean = sum / static_cast<double>(samples.size());
+  const TailPercentiles tail = SelectTailPercentiles(samples);
+  window->latency_p50 = tail.p50;
+  window->latency_p95 = tail.p95;
+  window->latency_p99 = tail.p99;
 }
 
 template <typename Window>
@@ -744,8 +752,11 @@ Result<ScenarioResult> ScenarioRunner::Run() {
       if (lat.count() > snap[i].lat_count) {
         const auto first = static_cast<std::size_t>(snap[i].lat_count);
         const double sum = lat.Sum() - snap[i].lat_sum;
-        SummarizeWindowLatency(lat.SortedRange(first, lat.samples().size()),
-                               sum, &ps);
+        SummarizeWindowLatency(
+            std::vector<double>(
+                lat.samples().begin() + static_cast<std::ptrdiff_t>(first),
+                lat.samples().end()),
+            sum, &ps);
         phase_samples.insert(phase_samples.end(),
                              lat.samples().begin() + first,
                              lat.samples().end());
@@ -762,8 +773,7 @@ Result<ScenarioResult> ScenarioRunner::Run() {
     }
     pr.throughput_wpc = static_cast<double>(pr.words_in_window) /
                         static_cast<double>(pr.duration);
-    std::sort(phase_samples.begin(), phase_samples.end());
-    SummarizeWindowLatency(phase_samples, phase_lat_sum, &pr);
+    SummarizeWindowLatency(std::move(phase_samples), phase_lat_sum, &pr);
     window_results.push_back(std::move(pr));
   }
 
@@ -813,8 +823,8 @@ Result<ScenarioResult> ScenarioRunner::Run() {
       r.words_in_window = window_words[i];
       r.throughput_wpc = static_cast<double>(r.words_in_window) /
                          static_cast<double>(measured);
-      r.latency = Summarize(f.Latency());
       r.latency_samples = f.Latency().samples();
+      r.latency = Summarize(f.Latency(), r.latency_samples);
       r.phase_stats = std::move(phase_stats[i]);
       result.words_in_window += r.words_in_window;
       result.flows.push_back(std::move(r));

@@ -79,7 +79,7 @@ struct FlowResult {
   /// transaction round-trip latency. Cumulative over the whole run.
   LatencySummary latency;
 
-  /// The raw samples behind `latency`, in insertion order — the exact
+  /// The raw samples behind `latency`, in no particular order — the exact
   /// population the result's histograms and the sweep's merged class
   /// percentiles derive from (integer cycle counts stored as doubles).
   std::vector<double> latency_samples;

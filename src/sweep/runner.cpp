@@ -82,10 +82,10 @@ void FinishClass(ClassSummary* summary, std::vector<double>* samples,
       static_cast<double>(duration);
   if (summary->latency_count > 0) {
     summary->latency_mean /= static_cast<double>(summary->latency_count);
-    std::sort(samples->begin(), samples->end());
-    summary->latency_p50 = SortedPercentile(*samples, 50.0);
-    summary->latency_p95 = SortedPercentile(*samples, 95.0);
-    summary->latency_p99 = SortedPercentile(*samples, 99.0);
+    const TailPercentiles tail = SelectTailPercentiles(*samples);
+    summary->latency_p50 = tail.p50;
+    summary->latency_p95 = tail.p95;
+    summary->latency_p99 = tail.p99;
   }
 }
 

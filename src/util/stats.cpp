@@ -10,7 +10,6 @@ namespace aethereal {
 void Stats::Add(double sample) {
   samples_.push_back(sample);
   sum_ += sample;
-  sorted_valid_ = false;
 }
 
 double Stats::Min() const {
@@ -37,23 +36,44 @@ double Stats::StdDev() const {
   return std::sqrt(acc / static_cast<double>(samples_.size() - 1));
 }
 
+std::size_t NearestRank(std::size_t n, double p) {
+  AETHEREAL_CHECK(n > 0);
+  AETHEREAL_CHECK(p >= 0.0 && p <= 100.0);
+  auto rank = static_cast<std::size_t>(
+      std::ceil(p / 100.0 * static_cast<double>(n)));
+  if (rank > 0) --rank;
+  return std::min(rank, n - 1);
+}
+
 double SortedPercentile(const std::vector<double>& sorted, double p) {
   AETHEREAL_CHECK(!sorted.empty());
-  AETHEREAL_CHECK(p >= 0.0 && p <= 100.0);
-  const auto n = static_cast<double>(sorted.size());
-  auto rank = static_cast<std::size_t>(std::ceil(p / 100.0 * n));
-  if (rank > 0) --rank;
-  return sorted[std::min(rank, sorted.size() - 1)];
+  return sorted[NearestRank(sorted.size(), p)];
+}
+
+TailPercentiles SelectTailPercentiles(std::vector<double>& samples) {
+  AETHEREAL_CHECK(!samples.empty());
+  auto from = samples.begin();
+  const auto select = [&](double p) {
+    const auto at = samples.begin() + static_cast<std::ptrdiff_t>(
+                                          NearestRank(samples.size(), p));
+    std::nth_element(from, at, samples.end());
+    from = at;
+    return *at;
+  };
+  TailPercentiles t;
+  t.p50 = select(50);
+  t.p95 = select(95);
+  t.p99 = select(99);
+  return t;
 }
 
 double Stats::Percentile(double p) const {
   AETHEREAL_CHECK(!samples_.empty());
-  if (!sorted_valid_) {
-    sorted_ = samples_;
-    std::sort(sorted_.begin(), sorted_.end());
-    sorted_valid_ = true;
-  }
-  return SortedPercentile(sorted_, p);
+  std::vector<double> copy = samples_;
+  const auto at =
+      copy.begin() + static_cast<std::ptrdiff_t>(NearestRank(copy.size(), p));
+  std::nth_element(copy.begin(), at, copy.end());
+  return *at;
 }
 
 std::vector<double> Stats::SortedRange(std::size_t first,

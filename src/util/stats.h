@@ -14,7 +14,7 @@ namespace aethereal {
 /// Samples stay in insertion order forever: phased scenarios snapshot the
 /// sample count at window boundaries and later ask for exact percentiles
 /// over the insertion-order range [first, last) of one phase's window, so
-/// Percentile() works on a sorted *copy* (cached until the next Add).
+/// Percentile() selects from a copy.
 class Stats {
  public:
   void Add(double sample);
@@ -29,7 +29,9 @@ class Stats {
   /// sample). The batch-means confidence intervals are built on this, so
   /// the population (n) estimator would bias every half-width low.
   double StdDev() const;
-  /// Exact percentile by nearest-rank, p in [0, 100].
+  /// Exact percentile by nearest-rank, p in [0, 100]. Selects from a fresh
+  /// copy of the samples (linear time); for several percentiles of one
+  /// population, copy samples() once into SelectTailPercentiles.
   double Percentile(double p) const;
   double Sum() const { return sum_; }
 
@@ -50,15 +52,29 @@ class Stats {
  private:
   std::vector<double> samples_;  // insertion order; never reordered
   double sum_ = 0.0;
-  mutable std::vector<double> sorted_;  // cached sorted copy for Percentile
-  mutable bool sorted_valid_ = false;
 };
 
+/// The index of the nearest-rank percentile p (in [0, 100]) among `n`
+/// sorted samples, n > 0: the one formula behind every percentile in the
+/// result JSON.
+std::size_t NearestRank(std::size_t n, double p);
+
 /// Nearest-rank percentile of an externally sorted sample vector
-/// (p in [0, 100]); the shared formula of Stats and the class-level
-/// histogram merges, so every percentile in the result JSON is computed
-/// identically.
+/// (p in [0, 100]).
 double SortedPercentile(const std::vector<double>& sorted, double p);
+
+/// The p50, p95 and p99 the result JSON reports for a latency population.
+struct TailPercentiles {
+  double p50 = 0;
+  double p95 = 0;
+  double p99 = 0;
+};
+
+/// The nearest-rank p50, p95 and p99 of `samples` (non-empty), which it
+/// reorders: each is picked with std::nth_element from the part above the
+/// one before, so the values equal SortedPercentile's on the sorted
+/// samples at linear cost.
+TailPercentiles SelectTailPercentiles(std::vector<double>& samples);
 
 }  // namespace aethereal
 

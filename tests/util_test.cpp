@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
+#include <vector>
 
 #include "tools/cli_common.h"
 #include "util/bits.h"
@@ -161,6 +163,27 @@ TEST(Stats, SortedRangeMatchesRangePercentile) {
   EXPECT_TRUE(std::is_sorted(sorted.begin(), sorted.end()));
   for (double p : {0.0, 50.0, 95.0, 99.0, 100.0}) {
     EXPECT_DOUBLE_EQ(SortedPercentile(sorted, p), s.RangePercentile(2, 7, p));
+  }
+}
+
+TEST(Stats, SelectedTailPercentilesMatchTheSortedOnes) {
+  // Small populations (the ranks coincide) and larger ones with many ties,
+  // against the sorted nearest-rank formula.
+  std::uint64_t x = 12345;
+  for (std::size_t n : {1u, 2u, 3u, 7u, 100u, 101u, 1000u, 4099u}) {
+    std::vector<double> samples;
+    for (std::size_t i = 0; i < n; ++i) {
+      x = x * 6364136223846793005ull + 1442695040888963407ull;
+      samples.push_back(static_cast<double>((x >> 33) % 97));
+    }
+    std::vector<double> sorted = samples;
+    std::sort(sorted.begin(), sorted.end());
+    const TailPercentiles tail = SelectTailPercentiles(samples);
+    EXPECT_EQ(tail.p50, SortedPercentile(sorted, 50)) << n;
+    EXPECT_EQ(tail.p95, SortedPercentile(sorted, 95)) << n;
+    EXPECT_EQ(tail.p99, SortedPercentile(sorted, 99)) << n;
+    std::sort(samples.begin(), samples.end());
+    EXPECT_EQ(samples, sorted) << n;  // reordered, same population
   }
 }
 
