@@ -314,12 +314,53 @@ class QueueFillOracle : public sim::Module {
   std::vector<int> window_max_;  // per window, deepest fill
 };
 
+// The tap's queue-fill marks must equal the brute-force walk's on both
+// engines, for every NI and every window.
+void ExpectOracleMarks(const ScenarioSpec& spec, Cycle sample_every) {
+  for (sim::EngineKind engine :
+       {sim::EngineKind::kNaive, sim::EngineKind::kSoa}) {
+    SCOPED_TRACE(spec.name + " sample_every " + std::to_string(sample_every) +
+                 " " + sim::EngineKindName(engine));
+    ScenarioSpec armed = spec;
+    armed.obs.sample_every = sample_every;
+    armed.engine = engine;
+    ScenarioRunner runner(armed);
+    ASSERT_TRUE(runner.Build().ok());
+    soc::Soc* soc = runner.soc();
+    std::vector<core::NiKernel*> nis;
+    for (NiId n = 0; n < armed.NumNis(); ++n) nis.push_back(soc->ni(n));
+    QueueFillOracle oracle(nis, sample_every);
+    soc->RegisterOnNet(&oracle);
+    auto result = runner.Run();
+    ASSERT_TRUE(result.ok()) << result.status();
+
+    const obs::ObsHub& hub = *soc->obs_hub();
+    ASSERT_EQ(hub.ni_obs().size(), nis.size());
+    int deepest = 0;
+    for (std::size_t n = 0; n < nis.size(); ++n) {
+      EXPECT_EQ(hub.ni_obs()[n].source_queue_hwm, oracle.source_hwm()[n])
+          << "ni" << n;
+      EXPECT_EQ(hub.ni_obs()[n].dest_queue_hwm, oracle.dest_hwm()[n])
+          << "ni" << n;
+      deepest = std::max(deepest, oracle.dest_hwm()[n]);
+    }
+    EXPECT_GT(deepest, 0);
+    ASSERT_EQ(hub.windows().size(), oracle.window_max().size());
+    for (std::size_t w = 0; w < hub.windows().size(); ++w) {
+      EXPECT_EQ(hub.windows()[w].max_queue_words, oracle.window_max()[w])
+          << "window " << w;
+    }
+  }
+}
+
 // The tap re-sums an NI's fills only where a hand-off into its queues
-// becomes readable, and every NI at each window's first slot. Its marks
-// must equal the brute-force walk's: on ipclock_mesh, whose destination
-// queues are read on a slower IP clock, and on wide_ni_churn, whose NIs
-// carry many channels and are reconfigured at run time, on both engines
-// and at sample periods on and off the slot grid.
+// becomes readable, and every NI at each window's first slot. Checked on
+// ipclock_mesh, whose destination queues are read on a slower IP clock;
+// on wide_ni_churn, whose NIs carry many channels and are reconfigured at
+// run time; and on a one-way stream into an NI whose IP clock runs at a
+// tenth of the network's, where each word is a lone hand-off that alone
+// moves its destination's fill (with one window for the whole run, so
+// only the marks can see it). Sample periods on and off the slot grid.
 TEST(ObsOnTest, QueueFillMarksMatchABruteForceWalk) {
   const struct {
     const char* scenario;
@@ -330,42 +371,18 @@ TEST(ObsOnTest, QueueFillMarksMatchABruteForceWalk) {
     auto spec = LoadScenarioFile(std::string(AETHEREAL_SCENARIO_DIR) + "/" +
                                  c.scenario + ".scn");
     ASSERT_TRUE(spec.ok()) << spec.status();
-    spec->obs.sample_every = c.sample_every;
-    for (sim::EngineKind engine :
-         {sim::EngineKind::kNaive, sim::EngineKind::kSoa}) {
-      SCOPED_TRACE(std::string(c.scenario) + " sample_every " +
-                   std::to_string(c.sample_every) + " " +
-                   sim::EngineKindName(engine));
-      ScenarioSpec armed = *spec;
-      armed.engine = engine;
-      ScenarioRunner runner(armed);
-      ASSERT_TRUE(runner.Build().ok());
-      soc::Soc* soc = runner.soc();
-      std::vector<core::NiKernel*> nis;
-      for (NiId n = 0; n < armed.NumNis(); ++n) nis.push_back(soc->ni(n));
-      QueueFillOracle oracle(nis, c.sample_every);
-      soc->RegisterOnNet(&oracle);
-      auto result = runner.Run();
-      ASSERT_TRUE(result.ok()) << result.status();
-
-      const obs::ObsHub& hub = *soc->obs_hub();
-      ASSERT_EQ(hub.ni_obs().size(), nis.size());
-      int deepest = 0;
-      for (std::size_t n = 0; n < nis.size(); ++n) {
-        EXPECT_EQ(hub.ni_obs()[n].source_queue_hwm, oracle.source_hwm()[n])
-            << "ni" << n;
-        EXPECT_EQ(hub.ni_obs()[n].dest_queue_hwm, oracle.dest_hwm()[n])
-            << "ni" << n;
-        deepest = std::max(deepest, oracle.dest_hwm()[n]);
-      }
-      EXPECT_GT(deepest, 0);
-      ASSERT_EQ(hub.windows().size(), oracle.window_max().size());
-      for (std::size_t w = 0; w < hub.windows().size(); ++w) {
-        EXPECT_EQ(hub.windows()[w].max_queue_words, oracle.window_max()[w])
-            << "window " << w;
-      }
-    }
+    ExpectOracleMarks(*spec, c.sample_every);
   }
+  auto slow_reader = ParseScenario(
+      "scenario slow_reader\n"
+      "noc star 2\n"
+      "netmhz 500\n"
+      "ipmhz 50\n"
+      "queues 16\n"
+      "duration 3000\n"
+      "traffic pairs 0 1 inject periodic 200 qos gt 1\n");
+  ASSERT_TRUE(slow_reader.ok()) << slow_reader.status();
+  ExpectOracleMarks(*slow_reader, 1000000);
 }
 
 // --- histograms & percentiles ---------------------------------------------

@@ -371,6 +371,26 @@ TEST_F(StuConformance, StrayWriteUndoneWithinARotationIsNotReported) {
   EXPECT_EQ(stu[0].cycle, 531);
 }
 
+TEST_F(StuConformance, LateSlotStolenLongAfterSetUpIsReported) {
+  // Long after the last table write, the last free slot of the table is
+  // stolen: the check must still look at it when the rotation reaches it,
+  // and report it at its second sighting.
+  RunRotations(20);
+  SlotIndex late = -1;
+  for (SlotIndex s = 0; s < spec_.stu_slots; ++s) {
+    if ((mask_ & (1u << s)) == 0) late = s;
+  }
+  ASSERT_GT(late, stolen_);
+  WriteSlots(mask_ | (1u << late));
+  RunRotations(20);
+  const std::vector<Violation> stu = StuViolations();
+  ASSERT_EQ(stu.size(), 1u);
+  EXPECT_EQ(stu[0].cycle, 525);
+  EXPECT_EQ(stu[0].message.rfind("ni0 STU slot " + std::to_string(late), 0),
+            0u)
+      << stu[0].message;
+}
+
 // gt-route-conformance: right after a GT channel emits a header, its
 // PATH_RQID is rewritten to a valid route to another NI, and restored once
 // the monitor has observed that header (one slot later, before the
@@ -423,6 +443,48 @@ TEST(VerifiedRun, RewrittenGtRouteReportsArePinned) {
               (std::vector<Cycle>{39, 87}));
     EXPECT_EQ(MonitorDigest(monitor).value(), 2587599149519070354u)
         << monitor.Describe();
+  }
+}
+
+// The drive-time owners: right after a GT channel's header leaves, its
+// SLOTS register drops that slot and is restored once the monitor has
+// observed the flit. The flit is judged against the tables that governed
+// its slot, so nothing is reported. The headers are picked long after any
+// earlier table write, when the monitor keeps no per-slot snapshot of the
+// NI and must take one as the write is staged.
+TEST(VerifiedRun, SlotsRewrittenBehindAFlitAreJudgedAtDriveTime) {
+  for (sim::EngineKind engine :
+       {sim::EngineKind::kNaive, sim::EngineKind::kSoa}) {
+    SCOPED_TRACE(sim::EngineKindName(engine));
+    scenario::ScenarioSpec spec = GtPairSpec();
+    spec.verify = true;
+    spec.engine = engine;
+    scenario::ScenarioRunner runner(spec);
+    ASSERT_TRUE(runner.Build().ok());
+    soc::Soc* soc = runner.soc();
+    core::NiKernel* kernel = soc->ni(0);
+    const ChannelId channel = soc->port(0, 0)->GlobalChannelOf(0);
+    const Word addr = regs::ChannelRegAddr(channel, regs::ChannelReg::kSlots);
+    const auto packets = [&] {
+      return kernel->channel_stats(channel).packets_sent;
+    };
+    for (std::int64_t header : {20, 40}) {
+      for (int i = 0; i < 2000 && packets() < header; ++i) soc->RunCycles(1);
+      ASSERT_EQ(packets(), header);
+      // The slot the header was driven in.
+      const SlotIndex slot = static_cast<SlotIndex>(
+          (soc->net_clock()->cycles() - 1) / kFlitWords % spec.stu_slots);
+      auto mask = kernel->ReadRegister(addr);
+      ASSERT_TRUE(mask.ok());
+      ASSERT_NE(*mask & (1u << slot), 0u);
+      ASSERT_TRUE(kernel->WriteRegister(addr, *mask & ~(1u << slot)).ok());
+      soc->RunCycles(kFlitWords);
+      ASSERT_TRUE(kernel->WriteRegister(addr, *mask).ok());
+    }
+    auto result = runner.Run();
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(soc->monitor()->total_violations(), 0)
+        << soc->monitor()->Describe();
   }
 }
 
