@@ -47,9 +47,9 @@ struct LatencySummary {
 
 /// One phase window's slice of a flow's statistics (phased scenarios).
 /// The Stats objects keep their samples in insertion order, so per-phase
-/// percentiles are exact — computed over the [window-start, window-end)
-/// sample range (Stats::RangePercentile); the whole-run summary stays on
-/// the owning FlowResult.
+/// percentiles are exact — computed over the samples recorded between the
+/// window's start and end; the whole-run summary stays on the owning
+/// FlowResult.
 struct PhaseFlowStats {
   int phase = 0;
   std::int64_t words = 0;         // delivered inside the phase window

@@ -76,19 +76,4 @@ double Stats::Percentile(double p) const {
   return *at;
 }
 
-std::vector<double> Stats::SortedRange(std::size_t first,
-                                       std::size_t last) const {
-  AETHEREAL_CHECK(first < last && last <= samples_.size());
-  std::vector<double> window(
-      samples_.begin() + static_cast<std::ptrdiff_t>(first),
-      samples_.begin() + static_cast<std::ptrdiff_t>(last));
-  std::sort(window.begin(), window.end());
-  return window;
-}
-
-double Stats::RangePercentile(std::size_t first, std::size_t last,
-                              double p) const {
-  return SortedPercentile(SortedRange(first, last), p);
-}
-
 }  // namespace aethereal

@@ -12,9 +12,9 @@ namespace aethereal {
 /// exact percentiles are available (bench runs are bounded in size).
 ///
 /// Samples stay in insertion order forever: phased scenarios snapshot the
-/// sample count at window boundaries and later ask for exact percentiles
-/// over the insertion-order range [first, last) of one phase's window, so
-/// Percentile() selects from a copy.
+/// sample count at window boundaries and take exact percentiles of the
+/// samples recorded within one phase's window, so Percentile() selects
+/// from a copy.
 class Stats {
  public:
   void Add(double sample);
@@ -34,17 +34,6 @@ class Stats {
   /// population, copy samples() once into SelectTailPercentiles.
   double Percentile(double p) const;
   double Sum() const { return sum_; }
-
-  /// Exact nearest-rank percentile over the insertion-order sample range
-  /// [first, last) — the samples recorded between two count() snapshots.
-  /// Sorts a fresh copy of the window on every call: when several
-  /// percentiles of ONE window are needed, take SortedRange() once and
-  /// query SortedPercentile on it instead.
-  double RangePercentile(std::size_t first, std::size_t last, double p) const;
-
-  /// Sorted copy of the insertion-order sample range [first, last) — one
-  /// O(n log n) sort serving any number of SortedPercentile queries.
-  std::vector<double> SortedRange(std::size_t first, std::size_t last) const;
 
   /// Samples in insertion order (for histogram bucketing / merging).
   const std::vector<double>& samples() const { return samples_; }

@@ -155,17 +155,6 @@ TEST(Stats, StdDevUsesSampleVariance) {
   EXPECT_DOUBLE_EQ(s.StdDev(), std::sqrt(2.0));
 }
 
-TEST(Stats, SortedRangeMatchesRangePercentile) {
-  Stats s;
-  for (double v : {5.0, 1.0, 9.0, 3.0, 7.0, 2.0, 8.0}) s.Add(v);
-  const auto sorted = s.SortedRange(2, 7);  // {9,3,7,2,8} sorted
-  ASSERT_EQ(sorted.size(), 5u);
-  EXPECT_TRUE(std::is_sorted(sorted.begin(), sorted.end()));
-  for (double p : {0.0, 50.0, 95.0, 99.0, 100.0}) {
-    EXPECT_DOUBLE_EQ(SortedPercentile(sorted, p), s.RangePercentile(2, 7, p));
-  }
-}
-
 TEST(Stats, SelectedTailPercentilesMatchTheSortedOnes) {
   // Small populations (the ranks coincide) and larger ones with many ties,
   // against the sorted nearest-rank formula.
