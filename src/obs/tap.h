@@ -21,9 +21,11 @@
 // NI's fills at the first slot boundary at which the queue's reader clock
 // has reached the hand-off's stamp. Every NI is summed once at each
 // sampling window's first slot, where the window's deepest fill starts
-// with the fill carried into it. A window close derives every window field from the
-// cumulative counts, less the one drive the tap has not observed yet
-// (the slot in flight: a drive becomes observable one slot later).
+// with the fill carried into it.
+//
+// A window close derives every window field from the cumulative counts,
+// less the one drive the tap has not observed yet (the slot in flight: a
+// drive becomes observable one slot later).
 // Finalize() (after the run) closes the trailing window and fills the
 // hub's per-link counters the same way, and snapshots the per-NI /
 // per-router aggregate counters.
