@@ -96,7 +96,6 @@ void CnipAgent::Evaluate() {
           break;
         }
         rsp.data.push_back(*value);
-        ++reads_executed_;
         ++address;
       }
       break;

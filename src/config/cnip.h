@@ -34,7 +34,6 @@ class CnipAgent : public sim::Module {
   void Evaluate() override;
 
   std::int64_t writes_executed() const { return writes_executed_; }
-  std::int64_t reads_executed() const { return reads_executed_; }
 
   /// Arms fault injection (DESIGN.md §12): each arriving configuration
   /// request is judged once — pass, drop (discarded unexecuted, its ack
@@ -58,7 +57,6 @@ class CnipAgent : public sim::Module {
   core::NiKernel* kernel_;
   shells::SlaveShell* shell_;
   std::int64_t writes_executed_ = 0;
-  std::int64_t reads_executed_ = 0;
   fault::FaultInjector* fault_ = nullptr;
   ChannelId cnip_channel_ = kInvalidId;
   // Fault verdict for the request at the head of the queue; decided exactly

@@ -72,7 +72,6 @@ class ScriptedConfigDriver : public sim::Module {
   /// True once every pushed op has completed (successfully or not).
   bool Done() const { return next_to_finish_ == ops_.size(); }
 
-  std::size_t num_ops() const { return ops_.size(); }
   const ScriptedOp& op(std::size_t index) const;
 
   std::int64_t ops_succeeded() const { return ops_succeeded_; }

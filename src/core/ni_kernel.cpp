@@ -18,20 +18,16 @@ using link::PacketHeader;
 // ---------------------------------------------------------------------------
 
 NiPort::NiPort(std::string name, NiKernel* kernel)
-    : sim::Module(std::move(name)), kernel_(kernel) {
-  SetEvaluateIsNoop();  // ports only stand for the port side of the queues
-}
+    : name_(std::move(name)), kernel_(kernel) {}
 
 bool NiPort::CanWrite(int connid, int words) const {
-  AETHEREAL_CHECK(connid >= 0 && connid < NumChannels());
   AETHEREAL_CHECK(words >= 0);
-  const auto& ch = kernel_->ChannelAt(channels_[static_cast<std::size_t>(connid)]);
+  const auto& ch = kernel_->ChannelAt(GlobalChannelOf(connid));
   return ch.source.WriterSpace() >= words;
 }
 
 void NiPort::Write(int connid, Word word) {
-  AETHEREAL_CHECK(connid >= 0 && connid < NumChannels());
-  auto& ch = kernel_->ChannelAt(channels_[static_cast<std::size_t>(connid)]);
+  auto& ch = kernel_->ChannelAt(GlobalChannelOf(connid));
   AETHEREAL_CHECK_MSG(ch.source.CanPush(),
                       name() << ": source queue overflow on connid " << connid);
   const Cycle stamp = ch.source.Push(word);
@@ -45,20 +41,12 @@ void NiPort::Write(int connid, Word word) {
 }
 
 int NiPort::ReadAvailable(int connid) const {
-  AETHEREAL_CHECK(connid >= 0 && connid < NumChannels());
-  const auto& ch = kernel_->ChannelAt(channels_[static_cast<std::size_t>(connid)]);
+  const auto& ch = kernel_->ChannelAt(GlobalChannelOf(connid));
   return ch.dest.ReaderAvailable();
 }
 
-Word NiPort::PeekRead(int connid, int offset) const {
-  AETHEREAL_CHECK(connid >= 0 && connid < NumChannels());
-  const auto& ch = kernel_->ChannelAt(channels_[static_cast<std::size_t>(connid)]);
-  return ch.dest.Peek(offset);
-}
-
 Word NiPort::Read(int connid) {
-  AETHEREAL_CHECK(connid >= 0 && connid < NumChannels());
-  auto& ch = kernel_->ChannelAt(channels_[static_cast<std::size_t>(connid)]);
+  auto& ch = kernel_->ChannelAt(GlobalChannelOf(connid));
   AETHEREAL_CHECK_MSG(ch.dest.CanPop(),
                       name() << ": destination queue underflow on connid "
                              << connid);
@@ -67,16 +55,14 @@ Word NiPort::Read(int connid) {
 }
 
 void NiPort::FlushData(int connid) {
-  AETHEREAL_CHECK(connid >= 0 && connid < NumChannels());
-  auto& ch = kernel_->ChannelAt(channels_[static_cast<std::size_t>(connid)]);
+  auto& ch = kernel_->ChannelAt(GlobalChannelOf(connid));
   ch.data_flush_reqs.Set(ch.data_flush_reqs.Get() + 1);
   kernel_->harvest_ |= NiKernel::Bit(GlobalChannelOf(connid));
   WakeKernelForFlush();
 }
 
 void NiPort::FlushCredits(int connid) {
-  AETHEREAL_CHECK(connid >= 0 && connid < NumChannels());
-  auto& ch = kernel_->ChannelAt(channels_[static_cast<std::size_t>(connid)]);
+  auto& ch = kernel_->ChannelAt(GlobalChannelOf(connid));
   ch.credit_flush_reqs.Set(ch.credit_flush_reqs.Get() + 1);
   kernel_->harvest_ |= NiKernel::Bit(GlobalChannelOf(connid));
   WakeKernelForFlush();
@@ -95,14 +81,12 @@ ChannelId NiPort::GlobalChannelOf(int connid) const {
 }
 
 void NiPort::WakeOnDelivery(int connid, sim::Module* listener) {
-  AETHEREAL_CHECK(connid >= 0 && connid < NumChannels());
-  auto& ch = kernel_->ChannelAt(channels_[static_cast<std::size_t>(connid)]);
+  auto& ch = kernel_->ChannelAt(GlobalChannelOf(connid));
   ch.dest.AddReadListener(listener);
 }
 
 Cycle NiPort::WakeOnSpace(int connid, sim::Module* listener) {
-  AETHEREAL_CHECK(connid >= 0 && connid < NumChannels());
-  auto& ch = kernel_->ChannelAt(channels_[static_cast<std::size_t>(connid)]);
+  auto& ch = kernel_->ChannelAt(GlobalChannelOf(connid));
   return ch.source.WakeOnSpace(listener);
 }
 
@@ -142,14 +126,6 @@ NiKernel::NiKernel(std::string name, NiId id, const NiKernelParams& params)
       ch->port = static_cast<int>(p);
       ch->connid = static_cast<int>(port->channels_.size());
       ch->params = cp;
-      // The port (its own clock domain) writes the source queue and the
-      // flush-request signals and reads the destination queue. The port
-      // wakes the kernel for source words (WakeForSourceWord); the IPs
-      // that read the destination queue listen on it (WakeOnDelivery).
-      ch->source.Bind(/*writer=*/port.get(), /*reader=*/this);
-      ch->dest.Bind(/*writer=*/this, /*reader=*/port.get());
-      ch->data_flush_reqs.Bind(port.get());
-      ch->credit_flush_reqs.Bind(port.get());
       port->channels_.push_back(flat);
     }
     ports_.push_back(std::move(port));
@@ -177,6 +153,22 @@ void NiKernel::ConnectToRouter(link::LinkWires* to_router,
 NiPort* NiKernel::port(int index) {
   AETHEREAL_CHECK(index >= 0 && index < NumPorts());
   return ports_[static_cast<std::size_t>(index)].get();
+}
+
+void NiKernel::BindPortClock(int index, sim::Clock* clock) {
+  NiPort* p = port(index);
+  AETHEREAL_CHECK_MSG(clock != nullptr && p->clock_ == nullptr,
+                      p->name() << ": bind one clock, once");
+  p->clock_ = clock;
+  for (const ChannelId flat : p->channels_) {
+    Channel& ch = ChannelAt(flat);
+    // No module to wake on the port side: a writer blocked on a full
+    // source queue arms WakeOnSpace, and readers listen (WakeOnDelivery).
+    ch.source.Bind(/*writer=*/clock, /*reader=*/this);
+    ch.dest.Bind(/*writer=*/this, /*reader=*/clock);
+    ch.data_flush_reqs.Bind(clock);
+    ch.credit_flush_reqs.Bind(clock);
+  }
 }
 
 NiKernel::Channel& NiKernel::ChannelAt(ChannelId ch) {

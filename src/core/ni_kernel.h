@@ -60,12 +60,15 @@ class QueueWatcher {
 };
 
 /// The IP-facing side of a group of channels (paper: "The NI kernel
-/// communicates with the NI shells via ports"). Runs in its own clock
-/// domain; the channel queues implement the crossing. Shells use this API
-/// from the port clock's Evaluate phase, selecting the channel with the
-/// connid parameter.
-class NiPort : public sim::Module {
+/// communicates with the NI shells via ports"). Not a module: the port
+/// is the port-clock side of its channels' queues, which implement the
+/// crossing. Shells and IPs on the port clock use this API from their
+/// Evaluate phase, selecting the channel with the connid parameter.
+class NiPort {
  public:
+  const std::string& name() const { return name_; }
+  /// The clock the port runs on; null until NiKernel::BindPortClock.
+  sim::Clock* clock() const { return clock_; }
   int NumChannels() const { return static_cast<int>(channels_.size()); }
 
   /// True if `words` more words fit in the source queue of `connid`.
@@ -77,8 +80,7 @@ class NiPort : public sim::Module {
   /// Words of incoming messages available to read.
   int ReadAvailable(int connid) const;
 
-  /// Peeks / pops incoming message words.
-  Word PeekRead(int connid, int offset = 0) const;
+  /// Pops an incoming message word.
   Word Read(int connid);
 
   /// Raises the data-flush signal: a snapshot of the source-queue filling
@@ -105,14 +107,14 @@ class NiPort : public sim::Module {
   /// The NI-global channel id (= remote_qid a peer must address).
   ChannelId GlobalChannelOf(int connid) const;
 
-  void Evaluate() override {}
-
  private:
   friend class NiKernel;
   NiPort(std::string name, NiKernel* kernel);
   /// Makes the kernel see a flush request raised now (FlushData/Credits).
   void WakeKernelForFlush();
+  std::string name_;
   NiKernel* kernel_;
+  sim::Clock* clock_ = nullptr;
   std::vector<ChannelId> channels_;  // flat channel ids, by connid
 };
 
@@ -153,7 +155,7 @@ class NiKernel : public sim::Module {
                 "a channel mask needs one bit per addressable queue id");
 
   /// Constructs the kernel and its ports. Register the kernel on the
-  /// network clock and each port on its (possibly distinct) port clock.
+  /// network clock, then BindPortClock each port to its port clock.
   NiKernel(std::string name, NiId id, const NiKernelParams& params);
   ~NiKernel() override;
 
@@ -169,6 +171,10 @@ class NiKernel : public sim::Module {
   const NiKernelParams& params() const { return params_; }
   int NumPorts() const { return static_cast<int>(ports_.size()); }
   NiPort* port(int index);
+
+  /// Binds port `index` to the clock it runs on (once): the port side of
+  /// its channels' queues and flush signals.
+  void BindPortClock(int index, sim::Clock* clock);
 
   // --- memory-mapped configuration (CNIP) ---------------------------------
 
@@ -261,7 +267,7 @@ class NiKernel : public sim::Module {
     int flush_words_left = 0;    // flush snapshot still to send
     bool credit_flush = false;
     // Flush request signals crossing from the port domain: monotonic
-    // counters stamped with the port clock (bound to the port); the kernel
+    // counters stamped with the port clock (BindPortClock); the kernel
     // compares them against its "seen" counters. This keeps the
     // order-independence guarantee across domains.
     sim::Register<std::int64_t> data_flush_reqs{0};

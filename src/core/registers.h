@@ -79,25 +79,6 @@ inline int UnpackRqid(Word word) {
   return static_cast<int>(ExtractBits(word, 21, 5));
 }
 
-// --- NoC-wide configuration address space ---------------------------------
-// The configuration shell (paper Fig. 8) decodes a global address into
-// (target NI, register offset): the NI id lives in the upper bits, the
-// register offset in the lower 12 bits. Accesses to the local NI are served
-// directly; others travel over the NoC to the target's CNIP.
-
-inline constexpr int kNiAddressShift = 12;
-
-/// Global config-space address of register `reg` in NI `ni`.
-constexpr Word GlobalConfigAddress(NiId ni, Word reg) {
-  return (static_cast<Word>(ni) << kNiAddressShift) | reg;
-}
-constexpr NiId ConfigAddressNi(Word address) {
-  return static_cast<NiId>(address >> kNiAddressShift);
-}
-constexpr Word ConfigAddressReg(Word address) {
-  return address & ((1u << kNiAddressShift) - 1u);
-}
-
 /// THRESHOLDS packing.
 inline Word PackThresholds(int data_threshold, int credit_threshold) {
   Word word = 0;

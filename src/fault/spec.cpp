@@ -55,12 +55,12 @@ Status ApplyFaultDirective(const std::vector<std::string>& tokens,
   if (tokens.empty()) return OkStatus();
   const std::string& kind = tokens[0];
   if (kind == "seed") {
-    const auto seed = ParseInt64(tokens.size() == 2 ? tokens[1] : "");
-    if (tokens.size() != 2 || !seed.ok() || *seed < 0) {
+    const auto seed = ParseUint64(tokens.size() == 2 ? tokens[1] : "");
+    if (tokens.size() != 2 || !seed.ok()) {
       return InvalidArgumentError(
           "expected 'seed N' with a non-negative integer");
     }
-    spec->seed = static_cast<std::uint64_t>(*seed);
+    spec->seed = *seed;
     return OkStatus();
   }
   if (kind == "link") {

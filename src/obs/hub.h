@@ -129,7 +129,6 @@ class ObsHub {
   void SetCounts(int num_nis, int num_routers);
 
   int NumLinks() const { return static_cast<int>(link_kinds_.size()); }
-  const std::vector<std::string>& link_sites() const { return link_sites_; }
   LinkKind link_kind(int index) const {
     return link_kinds_[static_cast<std::size_t>(index)];
   }

@@ -74,7 +74,6 @@ class Tracer {
               std::int32_t site = -1, std::int64_t arg0 = 0,
               std::int64_t arg1 = 0);
 
-  std::int64_t cap() const { return cap_; }
   /// Events currently held in the ring of `cat`.
   std::int64_t held(TraceCat cat) const;
   /// Events recorded into `cat` over the run (held + dropped).

@@ -1097,32 +1097,76 @@ void ScenarioRunner::CheckGtLatency(const FlowIps& f,
   // so the comparison only holds when the two clocks are one.
   if (spec_.IpMhz() != spec_.net_mhz) return;
   // The end-to-end (Write-to-Read) latency bound is table-derivable only
-  // when the credit loop provably cannot bind: stream credits return as
-  // best-effort packets, so any BE directive in the scenario can delay
-  // them arbitrarily and stretch end-to-end latency without violating any
-  // GT guarantee (the per-flit network timing is checked unconditionally
-  // by the monitor). With only GT directives, every reverse path carries
-  // at most a trickle of credit-only flits, bounded by one table rotation
-  // of jitter. The bound also needs one slot table for the whole run: the
-  // samples are whole-run, and declared phases reconfigure between windows.
+  // when the credit loop provably cannot bind (DESIGN.md §10.3): stream
+  // credits return as best-effort packets, so any BE directive in the
+  // scenario can delay them arbitrarily and stretch end-to-end latency
+  // without violating any GT guarantee (the per-flit network timing is
+  // checked unconditionally by the monitor). The bound also needs one slot
+  // table for the whole run: the samples are whole-run, and declared
+  // phases reconfigure between windows.
   const bool all_gt =
       std::all_of(spec_.traffic.begin(), spec_.traffic.end(),
                   [](const TrafficSpec& t) { return t.gt; });
   // Beyond that, each word must provably find an empty source queue and
   // full credit: periodic injection at most once per table rotation,
-  // unmodified thresholds, and a queue deep enough to ride out the credit
-  // round trip.
+  // unmodified thresholds...
   const TrafficSpec& traffic = spec_.traffic[f.group];
   const Cycle rotation_words = static_cast<Cycle>(spec_.stu_slots) * kFlitWords;
   if (!all_gt || traffic.inject != InjectKind::kPeriodic ||
       traffic.period < rotation_words || traffic.data_threshold != 1 ||
-      traffic.credit_threshold != 1 || spec_.queue_words < 4 ||
-      f.Latency().count() == 0) {
+      traffic.credit_threshold != 1 || f.Latency().count() == 0) {
     return;
   }
+  // ... credit-only packets that wait at most a rotation for a slot: on
+  // each link back, those the flows may owe per rotation (a periodic stream
+  // hop ceil(rotation / period), else one per slot, a memory flow both
+  // ways) fit the slots no GT channel reserves...
+  const topology::Topology& topo = soc_->topology();
+  const auto links = [&](NiId from, NiId to) {
+    auto route = topo.Route(from, to);
+    AETHEREAL_CHECK(route.ok());  // the connection was opened over it
+    return std::move(route->links);
+  };
+  if (credit_load_.empty()) {
+    credit_load_.assign(static_cast<std::size_t>(topo.NumLinks()), 0);
+    const auto add = [&](NiId from, NiId to, Cycle owed) {
+      for (const topology::LinkId& link : links(from, to)) {
+        credit_load_[static_cast<std::size_t>(topo.LinkIndex(link))] +=
+            static_cast<int>(std::min<Cycle>(owed, spec_.stu_slots));
+      }
+    };
+    for (const FlowIps& g : flows_) {
+      const TrafficSpec& t = spec_.traffic[g.group];
+      const bool memory = t.pattern == PatternKind::kMemory;
+      const Cycle owed = t.inject == InjectKind::kPeriodic && !memory
+                             ? (rotation_words + t.period - 1) / t.period
+                             : spec_.stu_slots;
+      for (const Hop& hop : g.hops) {
+        add(hop.flow.dst, hop.flow.src, owed);
+        if (memory) add(hop.flow.src, hop.flow.dst, owed);
+      }
+    }
+  }
+  const Flow& flow = f.hops.front().flow;
+  const std::vector<topology::LinkId> back = links(flow.dst, flow.src);
+  for (const topology::LinkId& link : back) {
+    if (credit_load_[static_cast<std::size_t>(topo.LinkIndex(link))] >
+        spec_.stu_slots - soc_->allocator().TableOf(link).Reserved()) {
+      return;
+    }
+  }
+  // ... and a queue that holds the words written within a credit round
+  // trip: the word's latency bound, then its credit's (no reserved slot).
+  const GtFlowBound hop = BoundOfHop(f.group, f.hops.front());
+  const Cycle round_trip =
+      hop.bound.worst_case_latency +
+      verify::ComputeGtBound({}, spec_.stu_slots,
+                             static_cast<int>(back.size()) - 1,
+                             soc_->ni(flow.dst)->params().max_packet_flits)
+          .worst_case_latency;
+  if (spec_.queue_words * traffic.period < round_trip) return;
   // One rotation of margin absorbs credit-return and BE-arbitration jitter
   // among the (all-GT) companion flows.
-  const GtFlowBound hop = BoundOfHop(f.group, f.hops.front());
   const Cycle bound = hop.bound.worst_case_latency + rotation_words;
   const double measured = f.Latency().Max();
   if (measured > static_cast<double>(bound)) {

@@ -361,6 +361,7 @@ class ScenarioRunner {
   /// Streams, then video chains, then memory flows, each in directive
   /// order: the order convergence samples are concatenated in.
   std::vector<FlowIps> flows_;
+  std::vector<int> credit_load_;  // per link, filled by CheckGtLatency
 
   // Phased scenarios: the runtime-configuration machinery. Connections are
   // NOT opened at build time; each phase's are opened (and the outgoing

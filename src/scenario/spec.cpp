@@ -424,12 +424,14 @@ Result<ScenarioSpec> ParseScenario(const std::string& text) {
       }
       spec.queue_words = static_cast<int>(*v);
     } else if (kind == "seed") {
-      auto v = int_arg();
-      if (!v.ok()) return v.status();
+      if (line.tokens.size() != 2) return int_arg().status();
       // Reproducibility-critical: a negative seed must fail loudly, not
-      // silently wrap (mirrors the noc_sim --seed check).
-      if (*v < 0) return line.Error("seed must be >= 0");
-      spec.seed = static_cast<std::uint64_t>(*v);
+      // silently wrap (mirrors the noc_sim --seed check). Seeds span the
+      // whole uint64 range, as the conformance fuzzer draws them.
+      if (line.tokens[1][0] == '-') return line.Error("seed must be >= 0");
+      auto v = ParseUint64(line.tokens[1]);
+      if (!v.ok()) return line.Error(v.status().message());
+      spec.seed = *v;
     } else if (kind == "warmup") {
       auto v = int_arg();
       if (!v.ok()) return v.status();

@@ -7,9 +7,9 @@
 // shell optimizes away the need for an extra data port at NI1 to be
 // connected to NI1's CNIP."
 //
-// Addresses follow core/registers.h GlobalConfigAddress(ni, reg). Local
-// accesses execute directly on the local NI kernel's register file (one
-// cycle); remote accesses are sequentialized into request messages on the
+// An access names its target NI and register offset. Local accesses
+// execute directly on the local NI kernel's register file (one cycle);
+// remote accesses are sequentialized into request messages on the
 // configuration connection toward the target NI's CNIP.
 //
 // Parks while no local access is pending, every staging buffer is empty and

@@ -18,20 +18,20 @@
 // or of its next edge when made between steps. Its stamp is the opposite
 // clock's first edge at or after that instant plus kCdcSyncEdges, plus one
 // edge when the opposite side synchronizes first within the instant:
-//  * on a shared clock, when the opposite side's module was registered
-//    before the handing-off side's (a per-fifo constant);
+//  * on a shared clock, when the opposite side comes first in side order,
+//    CdcSide::Order() (a per-fifo constant);
 //  * across clocks, when the opposite clock fires at the same instant and
 //    has the lower id (coincident clocks are ordered by id).
 // That extra edge is the synchronizer sampling the pointer before the
 // hand-off within the instant; it keeps the timing of the earlier
 // commit-ordered model bit for bit.
 //
-// A writer or read listener that is parked when a hand-off is made gets
-// one timer wake at its stamp; a running one gets a park hold up to it
+// A writer module or read listener that is parked when a hand-off is made
+// gets one timer wake at its stamp; a running one gets a park hold up to it
 // (Module::WakeAt). Words pushed within one edge are one hand-off. The
 // reader's wake is left to whoever pushes, which takes each new hand-off's
-// stamp from Push(). A writer-side module that parks on a full queue takes
-// a one-shot space wake (WakeOnSpace).
+// stamp from Push(). A module on the writer's clock that parks on a full
+// queue takes a one-shot space wake (WakeOnSpace).
 #ifndef AETHEREAL_SIM_CDC_FIFO_H
 #define AETHEREAL_SIM_CDC_FIFO_H
 
@@ -57,6 +57,21 @@ inline constexpr std::size_t kMaxReadListeners = 2;
 /// of its edge, CdcFifo::WakeOnSpace() when no space is in flight.
 inline constexpr Cycle kNoEdge = std::numeric_limits<Cycle>::max();
 
+/// One side of a CdcFifo: a module on its clock, or a bare clock with no
+/// module to wake (an NI port's side: the IPs on the port arm their own).
+struct CdcSide {
+  CdcSide() = default;
+  CdcSide(Module* m) : module(m) {}      // NOLINT: implicit
+  CdcSide(const Clock* c) : clock(c) {}  // NOLINT: implicit
+  const Clock* Resolved() const { return module ? module->clock() : clock; }
+  /// Same-clock order: module sides by registration, then bare sides.
+  int Order() const {
+    return module ? module->clock_index() : std::numeric_limits<int>::max();
+  }
+  Module* module = nullptr;
+  const Clock* clock = nullptr;
+};
+
 template <typename T>
 class CdcFifo {
  public:
@@ -67,13 +82,13 @@ class CdcFifo {
 
   int capacity() const { return words_.capacity(); }
 
-  /// Binds the modules that push (`writer`) and pop (`reader`). Their
-  /// clocks stamp the hand-offs, and the writer is woken when freed space
-  /// reaches it. Push() does not wake the reader: the caller wakes it from
-  /// the returned stamp (the NI kernel wakes for a GT word only in its
-  /// channel's slot). Both must be registered on clocks before the first
-  /// Push().
-  void Bind(Module* writer, Module* reader) {
+  /// Binds the sides that push (`writer`) and pop (`reader`). Their
+  /// clocks stamp the hand-offs, and a writer module is woken when freed
+  /// space reaches it. Push() does not wake the reader: the caller wakes it
+  /// from the returned stamp (the NI kernel wakes for a GT word only in its
+  /// channel's slot). A module side must be registered on its clock before
+  /// the first Push().
+  void Bind(CdcSide writer, CdcSide reader) {
     writer_ = writer;
     reader_ = reader;
   }
@@ -186,11 +201,6 @@ class CdcFifo {
 
   bool CanPop() const { return Readable() > 0; }
 
-  const T& Peek(int offset = 0) const {
-    AETHEREAL_CHECK(offset < Readable());
-    return words_[offset].value;
-  }
-
   T Pop() {
     AETHEREAL_CHECK_MSG(CanPop(), "CdcFifo underflow");
     const Cycle now = rclock_->cycles();
@@ -206,7 +216,7 @@ class CdcFifo {
       returns_.back().count += 1;  // same hand-off as an earlier pop
     } else {
       returns_.push_back(SpaceReturn{1, seen});
-      writer_->WakeAt(seen);
+      if (writer_.module != nullptr) writer_.module->WakeAt(seen);
       if (space_listener_ != nullptr) {
         space_listener_->WakeAt(seen);
         space_listener_ = nullptr;
@@ -230,7 +240,7 @@ class CdcFifo {
   /// edge when made between steps; call its instant t. The stamp is `to`'s
   /// first edge at or after t, plus kCdcSyncEdges, plus one when `to`'s
   /// side synchronizes first at t. `to_first` is the per-fifo side order:
-  /// registration order on a shared clock, clock-id order across clocks.
+  /// CdcSide::Order() on a shared clock, clock-id order across clocks.
   /// It only counts when `to` fires at t too, which a shared clock does.
   static Cycle HandOffEdge(const Clock* to, const Clock* from,
                            bool to_first) {
@@ -242,21 +252,19 @@ class CdcFifo {
     return first + kCdcSyncEdges + (late ? 1 : 0);
   }
 
-  /// Resolves the clocks and side order once both modules are registered.
+  /// Resolves the clocks and side order once module sides are registered.
   void Resolve() {
-    AETHEREAL_CHECK_MSG(writer_ != nullptr && reader_ != nullptr,
-                        "CdcFifo used before Bind()");
-    wclock_ = writer_->clock();
-    rclock_ = reader_->clock();
+    wclock_ = writer_.Resolved();
+    rclock_ = reader_.Resolved();
     AETHEREAL_CHECK_MSG(wclock_ != nullptr && rclock_ != nullptr,
-                        "CdcFifo sides must be registered on clocks");
+                        "CdcFifo sides must be bound to clocks");
     for (const Module* m : listeners_) {
       AETHEREAL_CHECK_MSG(m == nullptr || m->clock() == rclock_,
                           m->name() << " listens on another clock");
     }
     if (wclock_ == rclock_) {
-      reader_first_ = reader_->clock_index() < writer_->clock_index();
-      writer_first_ = writer_->clock_index() < reader_->clock_index();
+      reader_first_ = reader_.Order() < writer_.Order();
+      writer_first_ = writer_.Order() < reader_.Order();
     } else {
       reader_first_ = rclock_->id() < wclock_->id();
       writer_first_ = wclock_->id() < rclock_->id();
@@ -287,8 +295,8 @@ class CdcFifo {
   }
 
   Ring<Entry> words_;  // pushed and not popped, readable or still in flight
-  Module* writer_ = nullptr;
-  Module* reader_ = nullptr;
+  CdcSide writer_;
+  CdcSide reader_;
   std::array<Module*, kMaxReadListeners> listeners_{};
   Module* space_listener_ = nullptr;  // one-shot, armed by WakeOnSpace
   const Clock* wclock_ = nullptr;

@@ -195,7 +195,6 @@ Picoseconds Kernel::Step() {
     const Picoseconds t = c->next_edge_ps_;
     c->EvaluatePhase(gated);
     c->Advance();
-    now_ps_ = t;
     return t;
   }
 
@@ -218,7 +217,6 @@ Picoseconds Kernel::Step() {
     edge_heap_.push_back(c);
     std::push_heap(edge_heap_.begin(), edge_heap_.end(), EdgeAfter);
   }
-  now_ps_ = t;
   return t;
 }
 

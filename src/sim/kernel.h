@@ -4,7 +4,8 @@
 // The Æthereal NI explicitly supports a different clock frequency per NI
 // port (the hardware FIFOs implement the clock-domain boundary), so the
 // kernel models time in integer picoseconds and lets every module belong to
-// its own clock domain.
+// its own clock domain. A clock needs no modules: an NI port is not one, but
+// the port-clock side of those FIFOs (sim/cdc_fifo.h).
 //
 // Semantics (see DESIGN.md §6):
 //  * At every instant where one or more clocks have a rising edge, the
@@ -135,12 +136,6 @@ class Module {
   /// no hold on a running module. No-op when gating is off.
   void TimerAt(Cycle edge);
 
-  /// Declares that Evaluate() is an unconditional no-op, so the gated
-  /// engine drops this module from the evaluate sweep entirely (NI ports:
-  /// they only bind the port side of the CDC queues). The naïve path still
-  /// calls it.
-  void SetEvaluateIsNoop();  // inline below (needs the complete Clock type)
-
   /// Declares that Evaluate() does nothing except on cycles where
   /// CycleCount() % stride == 0 (slot-granular modules: routers, NI
   /// kernels). The gated engine then calls it only on those cycles. The
@@ -155,7 +150,6 @@ class Module {
   Clock* clock_ = nullptr;
   int clock_index_ = -1;  // slot in the clock's module array and bitmaps
   bool parked_ = false;
-  bool evaluate_noop_ = false;
   int evaluate_stride_ = 1;
   Cycle wake_until_ = -1;  // Park() suppressed while cycles() <= this
 };
@@ -200,19 +194,17 @@ class Clock {
     return cycles_ + (t - next_edge_ps_ + period_ps_ - 1) / period_ps_;
   }
 
-  double frequency_ghz() const { return 1000.0 / static_cast<double>(period_ps_); }
-
  private:
   friend class Kernel;
   friend class Module;
 
-  /// Keeps the activity bitmaps in sync with a module's parked / no-op /
-  /// stride status. Called on every park-wake transition: the per-clock
+  /// Keeps the activity bitmaps in sync with a module's parked / stride
+  /// status. Called on every park-wake transition: the per-clock
   /// bitmaps ARE the schedule, so there is nothing to rebuild at the next
   /// edge.
   void NoteEvalStatus(Module* m) {
     const auto i = static_cast<std::size_t>(m->clock_index_);
-    if (m->parked_ || m->evaluate_noop_) {
+    if (m->parked_) {
       SetBit(eval_every_bits_, i, false);
       SetBit(eval_strided_bits_, i, false);
       return;
@@ -338,19 +330,15 @@ class Kernel {
   /// O(1) for a single clock, heap-top otherwise.
   Picoseconds NextEdgeTime() const;
 
-  Picoseconds now_ps() const { return now_ps_; }
-
   /// Selects the engine (sim/engine.h). Must be set before the first
   /// Step(). The edge schedule itself is always on (it is exactly
   /// equivalent scheduling, not an approximation). Both engines produce
   /// bit-identical results.
   void set_engine(EngineKind kind);
-  EngineKind engine() const { return engine_; }
 
   /// Arms per-stage wall-time attribution (resets any prior counts).
   /// Callable at any point; existing and future clocks both report.
   void EnableProfiling();
-  bool profiling() const { return profiling_; }
   const EngineProfile& profile() const { return profile_data_; }
 
  private:
@@ -369,7 +357,6 @@ class Kernel {
   std::vector<Clock*> firing_;
   EngineKind engine_ = EngineKind::kSoa;
   bool stepped_ = false;
-  Picoseconds now_ps_ = 0;
   bool profiling_ = false;
   EngineProfile profile_data_;
 };
@@ -407,11 +394,6 @@ inline void Module::TimerAt(Cycle edge) {
     return;
   }
   clock_->AddTimer(edge, this);
-}
-
-inline void Module::SetEvaluateIsNoop() {
-  evaluate_noop_ = true;
-  if (clock_ != nullptr) clock_->NoteEvalStatus(this);
 }
 
 inline void Module::SetEvaluateStride(int stride) {

@@ -2,9 +2,9 @@
 // edges, while a write made during this edge's Evaluate() lands at the next
 // edge.
 //
-// It has no commit step (DESIGN.md §6). A register is bound to the module
-// that writes it and stamps each write with that module's clock edge; a
-// read tells this edge's write from earlier edges' by comparing the stamp
+// It has no commit step (DESIGN.md §6). A register is bound to the clock
+// of the side that writes it and stamps each write with that clock's edge;
+// a read tells this edge's write from earlier edges' by comparing the stamp
 // with the clock. So a same-edge write and read are independent of their
 // order, and an idle register costs nothing per edge.
 #ifndef AETHEREAL_SIM_REGISTER_H
@@ -31,9 +31,9 @@ class Register {
   Register() = default;
   explicit Register(T reset) : value_(reset), next_(reset) {}
 
-  /// Binds the register to the module that Set()s it; its clock stamps
-  /// the writes. Required before the first Set() or Get().
-  void Bind(const Module* writer) { writer_ = writer; }
+  /// Binds the register to its writer's clock, which stamps the writes.
+  /// Required before the first Set().
+  void Bind(const Clock* clock) { clock_ = clock; }
 
   const T& Get() const { return Landed() ? next_ : value_; }
 
@@ -52,19 +52,18 @@ class Register {
 
  private:
   Cycle Now() const {
-    AETHEREAL_CHECK_MSG(writer_ != nullptr, "Register used before Bind()");
-    return writer_->CycleCount();
+    AETHEREAL_CHECK_MSG(clock_ != nullptr, "Register used before Bind()");
+    return clock_->cycles();
   }
-  // A register never Set() holds its reset value, even while its writer
-  // has no clock yet.
+  // A register never Set() holds its reset value, even before Bind().
   bool Landed() const { return stamp_ == kNever || Now() > stamp_; }
 
   static constexpr Cycle kNever = std::numeric_limits<Cycle>::min();
 
   T value_{};
   T next_{};
-  const Module* writer_ = nullptr;
-  Cycle stamp_ = kNever;  // the writer edge that Set() next_
+  const Clock* clock_ = nullptr;  // the writer's
+  Cycle stamp_ = kNever;          // the writer edge that Set() next_
 };
 
 }  // namespace aethereal::sim

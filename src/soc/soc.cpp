@@ -162,7 +162,7 @@ Soc::Soc(topology::Topology topology,
       auto it = options_.port_mhz.find({n, p});
       sim::Clock* clock =
           (it == options_.port_mhz.end()) ? net_clock_ : ClockForMhz(it->second);
-      clock->Register(kernel->port(p));
+      kernel->BindPortClock(p, clock);
     }
   }
 
@@ -285,9 +285,7 @@ core::NiPort* Soc::port(NiId id, int port_index) {
 }
 
 sim::Clock* Soc::port_clock(NiId id, int port_index) {
-  sim::Clock* clock = port(id, port_index)->clock();
-  AETHEREAL_CHECK(clock != nullptr);
-  return clock;
+  return port(id, port_index)->clock();  // bound at construction
 }
 
 void Soc::RegisterOnPort(sim::Module* module, NiId id, int port_index) {

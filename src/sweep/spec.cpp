@@ -3,7 +3,6 @@
 #include <cctype>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -222,6 +221,12 @@ Result<ParamRef> ParseParamRef(const std::string& token) {
 
 Status ApplyParam(const ParamRef& param, const std::string& value,
                   ScenarioSpec* spec) {
+  if (param.phase >= 0 &&
+      static_cast<std::size_t>(param.phase) >= spec->phases.size()) {
+    return InvalidArgumentError(param.Name() + ": base scenario has " +
+                                std::to_string(spec->phases.size()) +
+                                " phases");
+  }
   switch (param.key) {
     case ParamRef::Key::kStu: {
       // Mirrors the scenario parser: the SLOTS register is a 32-bit mask.
@@ -237,20 +242,15 @@ Status ApplyParam(const ParamRef& param, const std::string& value,
       return OkStatus();
     }
     case ParamRef::Key::kSeed: {
-      auto v = ParseInt64In(value, 0, std::numeric_limits<std::int64_t>::max());
+      auto v = ParseUint64(value);
       if (!v.ok()) return v.status();
-      spec->seed = static_cast<std::uint64_t>(*v);
+      spec->seed = *v;
       return OkStatus();
     }
     case ParamRef::Key::kWarmup: {
       auto v = ParseInt64In(value, 0, kMaxCycles);
       if (!v.ok()) return v.status();
       if (param.phase >= 0) {
-        if (static_cast<std::size_t>(param.phase) >= spec->phases.size()) {
-          return InvalidArgumentError(
-              param.Name() + ": base scenario has " +
-              std::to_string(spec->phases.size()) + " phases");
-        }
         spec->phases[static_cast<std::size_t>(param.phase)].warmup = *v;
       } else {
         spec->warmup = *v;
@@ -261,11 +261,6 @@ Status ApplyParam(const ParamRef& param, const std::string& value,
       auto v = ParseInt64In(value, 1, kMaxCycles);
       if (!v.ok()) return v.status();
       if (param.phase >= 0) {
-        if (static_cast<std::size_t>(param.phase) >= spec->phases.size()) {
-          return InvalidArgumentError(
-              param.Name() + ": base scenario has " +
-              std::to_string(spec->phases.size()) + " phases");
-        }
         spec->phases[static_cast<std::size_t>(param.phase)].duration = *v;
       } else if (spec->Phased()) {
         return InvalidArgumentError(
@@ -366,10 +361,10 @@ Status ApplyParam(const ParamRef& param, const std::string& value,
           "a traffic directive");
     }
     case ParamRef::Key::kFaultSeed: {
-      auto v = ParseInt64In(value, 0, std::numeric_limits<std::int64_t>::max());
+      auto v = ParseUint64(value);
       if (!v.ok()) return v.status();
       if (!spec->fault.has_value()) spec->fault.emplace();
-      spec->fault->seed = static_cast<std::uint64_t>(*v);
+      spec->fault->seed = *v;
       return OkStatus();
     }
     case ParamRef::Key::kFaultCorrupt:

@@ -4,6 +4,7 @@
 #ifndef AETHEREAL_UTIL_PARSE_H
 #define AETHEREAL_UTIL_PARSE_H
 
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <sstream>
@@ -40,6 +41,18 @@ inline Result<std::int64_t> ParseInt64In(const std::string& token,
                                 std::to_string(hi) + "]");
   }
   return value;
+}
+
+/// Strict unsigned parse of digits only, over the whole uint64 range:
+/// seeds take it, since the conformance fuzzer draws them as full 64-bit
+/// values. A sign or an overflowing value fails loudly instead of wrapping.
+inline Result<std::uint64_t> ParseUint64(const std::string& token) {
+  std::uint64_t value = 0;
+  const char* last = token.data() + token.size();
+  const auto [end, error] = std::from_chars(token.data(), last, value);
+  if (error == std::errc() && end == last) return value;
+  return InvalidArgumentError("expected a number in [0, 2^64), got '" +
+                              token + "'");
 }
 
 /// Strict double parse under the same whole-token discipline. NaN and the

@@ -10,9 +10,7 @@ const char* StatusCodeName(StatusCode code) {
     case StatusCode::kAlreadyExists: return "ALREADY_EXISTS";
     case StatusCode::kResourceExhausted: return "RESOURCE_EXHAUSTED";
     case StatusCode::kFailedPrecondition: return "FAILED_PRECONDITION";
-    case StatusCode::kRejected: return "REJECTED";
     case StatusCode::kOutOfRange: return "OUT_OF_RANGE";
-    case StatusCode::kUnimplemented: return "UNIMPLEMENTED";
     case StatusCode::kVerificationFailed: return "VERIFICATION_FAILED";
     case StatusCode::kTimeout: return "TIMEOUT";
     case StatusCode::kRetriesExhausted: return "RETRIES_EXHAUSTED";
@@ -49,14 +47,8 @@ Status ResourceExhaustedError(std::string message) {
 Status FailedPreconditionError(std::string message) {
   return Status(StatusCode::kFailedPrecondition, std::move(message));
 }
-Status RejectedError(std::string message) {
-  return Status(StatusCode::kRejected, std::move(message));
-}
 Status OutOfRangeError(std::string message) {
   return Status(StatusCode::kOutOfRange, std::move(message));
-}
-Status UnimplementedError(std::string message) {
-  return Status(StatusCode::kUnimplemented, std::move(message));
 }
 Status VerificationFailedError(std::string message) {
   return Status(StatusCode::kVerificationFailed, std::move(message));

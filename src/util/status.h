@@ -21,9 +21,7 @@ enum class StatusCode {
   kAlreadyExists,     // duplicate open, double reservation
   kResourceExhausted, // no free slots / queues / channels
   kFailedPrecondition,// operation in wrong state (e.g. channel not enabled)
-  kRejected,          // tentative distributed reservation rejected
   kOutOfRange,        // index outside table
-  kUnimplemented,
   kVerificationFailed,// a runtime invariant or analytical GT bound broke
   kTimeout,           // a bounded wait (drain, config ack) expired
   kRetriesExhausted,  // retried up to the policy bound, every attempt lost
@@ -65,9 +63,7 @@ Status NotFoundError(std::string message);
 Status AlreadyExistsError(std::string message);
 Status ResourceExhaustedError(std::string message);
 Status FailedPreconditionError(std::string message);
-Status RejectedError(std::string message);
 Status OutOfRangeError(std::string message);
-Status UnimplementedError(std::string message);
 Status VerificationFailedError(std::string message);
 Status TimeoutError(std::string message);
 Status RetriesExhaustedError(std::string message);

@@ -619,7 +619,6 @@ void Monitor::CheckChangedNis(Cycle now) {
 
 void Monitor::NotePhaseBoundary() {
   if (!attached_) return;
-  ++phase_boundaries_;
   // Invalidate the drive-time snapshots: the next slot boundary re-reads
   // the (reconfigured) allocator tables and STU state from scratch instead
   // of judging the first post-boundary flit against pre-boundary tables.

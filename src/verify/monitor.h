@@ -135,7 +135,6 @@ class Monitor : public sim::Module {
   /// still held to exact per-flit timing, which is what proves a
   /// reconfiguration never disturbs in-flight guaranteed traffic.
   void NotePhaseBoundary();
-  std::int64_t phase_boundaries() const { return phase_boundaries_; }
 
   /// Declares that NI `ni`'s STU, CTRL enables or injection-link
   /// allocator table are about to change (the NI's table-write hook and
@@ -272,7 +271,6 @@ class Monitor : public sim::Module {
   std::vector<Violation> violations_;
   std::int64_t total_violations_ = 0;
   std::int64_t flits_checked_ = 0;
-  std::int64_t phase_boundaries_ = 0;
 
   FaultContext fault_context_;
   std::int64_t fault_violations_ = 0;

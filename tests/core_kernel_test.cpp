@@ -61,8 +61,8 @@ class TwoNiFixture {
     net_->Register(router.get());
     net_->Register(ni0.get());
     net_->Register(ni1.get());
-    port_clk_->Register(ni0->port(0));
-    port_clk_->Register(ni1->port(0));
+    ni0->BindPortClock(0, port_clk_);
+    ni1->BindPortClock(0, port_clk_);
   }
 
   /// Opens a symmetric channel pair: NI0 channel `c0` <-> NI1 channel `c1`.
@@ -225,7 +225,7 @@ class LoneNiFixture {
     ni->ConnectToRouter(to_router.get(), from_router.get(),
                         router_be_capacity);
     net_->Register(ni.get());
-    net_->Register(ni->port(0));
+    ni->BindPortClock(0, net_);
     TwoNiFixture::ConfigureChannel(*ni, 0, SourcePath::FromHops({1}), 0,
                                    /*gt=*/false, /*slots=*/0);
     Run(2);
@@ -656,8 +656,8 @@ class WideNiRig {
     net_->Register(router_.get());
     for (auto& ni : ni_) net_->Register(ni.get());
     for (auto& ni : ni_) {
-      net_->Register(ni->port(0));
-      slow_->Register(ni->port(1));
+      ni->BindPortClock(0, net_);
+      ni->BindPortClock(1, slow_);
     }
   }
 
@@ -915,7 +915,7 @@ class GtHandOffRig {
     watcher = std::make_unique<ParkWatcher>(ni.get());
     net_->Register(watcher.get());
     net_->Register(ni.get());
-    net_->Register(ni->port(0));
+    ni->BindPortClock(0, net_);
     TwoNiFixture::ConfigureChannel(*ni, 0, SourcePath::FromHops({1}), 0,
                                    /*gt=*/true, slots);
     // Idle until the second edge of a later rotation.

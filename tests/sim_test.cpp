@@ -17,8 +17,11 @@ namespace {
 // A module that counts its own cycles.
 class Counter : public Module {
  public:
-  explicit Counter(std::string name) : Module(std::move(name)) {
-    value_.Bind(this);
+  explicit Counter(std::string name) : Module(std::move(name)) {}
+  /// Registers the counter on `clock`, which stamps its register.
+  void RegisterOn(Clock* clock) {
+    clock->Register(this);
+    value_.Bind(clock);
   }
   void Evaluate() override { value_.Set(value_.Get() + 1); }
   int Value() const { return value_.Get(); }
@@ -32,7 +35,7 @@ TEST(Kernel, SingleClockCycles) {
   Clock* clk = kernel.AddClockMhz("clk", 500.0);
   EXPECT_EQ(clk->period_ps(), 2000);
   Counter counter("c");
-  clk->Register(&counter);
+  counter.RegisterOn(clk);
   kernel.RunCycles(clk, 10);
   EXPECT_EQ(clk->cycles(), 10);
   EXPECT_EQ(counter.Value(), 10);
@@ -43,8 +46,8 @@ TEST(Kernel, TwoClocksAdvanceProportionally) {
   Clock* fast = kernel.AddClock("fast", 1000);  // 1 GHz
   Clock* slow = kernel.AddClock("slow", 4000);  // 250 MHz
   Counter cf("cf"), cs("cs");
-  fast->Register(&cf);
-  slow->Register(&cs);
+  cf.RegisterOn(fast);
+  cs.RegisterOn(slow);
   kernel.RunUntil(40000);
   // Edges at t=0,1000,... inclusive of t=0 and t=40000.
   EXPECT_EQ(cf.Value(), 41);
@@ -56,8 +59,8 @@ TEST(Kernel, CoincidentEdgesFireTogether) {
   Clock* a = kernel.AddClock("a", 2000);
   Clock* b = kernel.AddClock("b", 3000);
   Counter ca("ca"), cb("cb");
-  a->Register(&ca);
-  b->Register(&cb);
+  ca.RegisterOn(a);
+  cb.RegisterOn(b);
   // First step handles t=0 where both fire.
   kernel.Step();
   EXPECT_EQ(ca.Value(), 1);
@@ -73,9 +76,7 @@ TEST(Kernel, CoincidentEdgesFireTogether) {
 class Swapper : public Module {
  public:
   Swapper(std::string name, Register<int>* mine, const Register<int>* theirs)
-      : Module(std::move(name)), mine_(mine), theirs_(theirs) {
-    mine_->Bind(this);
-  }
+      : Module(std::move(name)), mine_(mine), theirs_(theirs) {}
   void Evaluate() override { mine_->Set(theirs_->Get() + 1); }
 
  private:
@@ -88,6 +89,8 @@ TEST(Kernel, RegisterOrderIndependence) {
     Kernel kernel;
     Clock* clk = kernel.AddClock("clk", 1000);
     Register<int> ra(0), rb(100);
+    ra.Bind(clk);
+    rb.Bind(clk);
     Swapper a("a", &ra, &rb), b("b", &rb, &ra);
     if (reversed) {
       clk->Register(&b);
@@ -171,7 +174,7 @@ TEST(RegisterContract, CrossClockReadOrder) {
       }
       Register<Cycle> reg(0);
       Probe writer("w"), reader("r");
-      reg.Bind(&writer);
+      reg.Bind(wclk);
       writer.body = [&](Cycle t) { reg.Set(t + 1); };
       reader.body = [&](Cycle t) {
         const Picoseconds now = t * kReaderPs;
@@ -194,13 +197,19 @@ struct CdcTiming {
   Cycle space_back = -1;   // writer edge at which CanPush() is true again
 };
 
+// The side of a CdcFifo bound to its bare clock instead of its probe (an
+// NI port's side); the probe on that clock still pushes or pops.
+enum class BareSide { kNone, kWriter, kReader };
+
 CdcTiming RunOneWord(EngineKind engine, Kernel& kernel, Clock* wclk,
-                     Clock* rclk, bool reader_registered_first) {
+                     Clock* rclk, bool reader_registered_first,
+                     BareSide bare = BareSide::kNone) {
   kernel.set_engine(engine);
   constexpr Cycle kPushEdge = 2;
   CdcFifo<int> fifo(1);
   Probe writer("w"), reader("r");
-  fifo.Bind(&writer, &reader);
+  fifo.Bind(bare == BareSide::kWriter ? CdcSide(wclk) : CdcSide(&writer),
+            bare == BareSide::kReader ? CdcSide(rclk) : CdcSide(&reader));
   CdcTiming timing;
   bool popped = false;
   writer.body = [&](Cycle t) {
@@ -269,6 +278,88 @@ TEST(CdcContract, CoincidentClocksLatencyBothIdOrders) {
             << reader_clock_first << reader_first;
         EXPECT_EQ(t.space_back, t.readable + (reader_clock_first ? 2 : 3))
             << reader_clock_first << reader_first;
+      }
+    }
+  }
+}
+
+// A side bound to its bare clock synchronizes after a module side on a
+// shared clock, wherever the probe that drives it is registered: the
+// timing of a module side registered last.
+TEST(CdcContract, BareSideOnASharedClockSynchronizesLast) {
+  for (EngineKind engine : kEngines) {
+    for (bool bare_probe_first : {false, true}) {
+      Kernel kernel;
+      Clock* clk = kernel.AddClock("clk", 1000);
+      // Bare writer: the reader's module goes first.
+      const CdcTiming w = RunOneWord(engine, kernel, clk, clk,
+                                     !bare_probe_first, BareSide::kWriter);
+      EXPECT_EQ(w.readable, 5) << bare_probe_first;
+      EXPECT_EQ(w.space_back, 7) << bare_probe_first;
+    }
+    for (bool bare_probe_first : {false, true}) {
+      Kernel kernel;
+      Clock* clk = kernel.AddClock("clk", 1000);
+      // Bare reader: the writer's module goes first.
+      const CdcTiming r = RunOneWord(engine, kernel, clk, clk,
+                                     bare_probe_first, BareSide::kReader);
+      EXPECT_EQ(r.readable, 4) << bare_probe_first;
+      EXPECT_EQ(r.space_back, 7) << bare_probe_first;
+    }
+  }
+}
+
+// Across coincident clocks a bare side keeps the clock-id order.
+TEST(CdcContract, BareSideOnCoincidentClocksBothIdOrders) {
+  for (EngineKind engine : kEngines) {
+    for (BareSide bare : {BareSide::kWriter, BareSide::kReader}) {
+      for (bool reader_clock_first : {false, true}) {
+        Kernel kernel;
+        Clock* wclk = nullptr;
+        Clock* rclk = nullptr;
+        if (reader_clock_first) {
+          rclk = kernel.AddClock("r", 2000);
+          wclk = kernel.AddClock("w", 2000);
+        } else {
+          wclk = kernel.AddClock("w", 2000);
+          rclk = kernel.AddClock("r", 2000);
+        }
+        const CdcTiming t =
+            RunOneWord(engine, kernel, wclk, rclk, false, bare);
+        const int side = static_cast<int>(bare);
+        EXPECT_EQ(t.readable, reader_clock_first ? 5 : 4)
+            << side << reader_clock_first;
+        EXPECT_EQ(t.space_back, t.readable + (reader_clock_first ? 2 : 3))
+            << side << reader_clock_first;
+      }
+    }
+  }
+}
+
+// A bare side on a 2000 ps writer / 3000 ps reader pair: pushed at writer
+// edge 2, readable at reader edge 4; popped there, which coincides with
+// writer edge 6, and the space is back two writer edges on, plus one when
+// the writer clock has the lower id.
+TEST(CdcContract, BareSideOnA2000And3000PsPair) {
+  for (EngineKind engine : kEngines) {
+    for (BareSide bare : {BareSide::kWriter, BareSide::kReader}) {
+      for (bool reader_clock_first : {false, true}) {
+        Kernel kernel;
+        Clock* wclk = nullptr;
+        Clock* rclk = nullptr;
+        if (reader_clock_first) {
+          rclk = kernel.AddClock("r", 3000);
+          wclk = kernel.AddClock("w", 2000);
+        } else {
+          wclk = kernel.AddClock("w", 2000);
+          rclk = kernel.AddClock("r", 3000);
+        }
+        const CdcTiming t =
+            RunOneWord(engine, kernel, wclk, rclk, false, bare);
+        const int side = static_cast<int>(bare);
+        EXPECT_EQ(t.readable, 4) << side << reader_clock_first;
+        EXPECT_EQ(t.space_back, reader_clock_first ? 8 : 9)
+            << side << reader_clock_first;
       }
     }
   }
@@ -624,6 +715,19 @@ TEST(CdcFifoDeathTest, ReadListenersAreBoundedAndDistinct) {
   EXPECT_DEATH(fifo.AddReadListener(&a), "already listens");
   fifo.AddReadListener(&b);
   EXPECT_DEATH(fifo.AddReadListener(&c), "at most 2 read listeners");
+}
+
+TEST(CdcFifoDeathTest, ListenerOnAnotherClockThanABareReader) {
+  Kernel kernel;
+  Clock* wclk = kernel.AddClock("w", 1000);
+  Clock* rclk = kernel.AddClock("r", 2000);
+  CdcFifo<int> fifo(4);
+  Probe writer("w"), listener("l");
+  wclk->Register(&writer);
+  wclk->Register(&listener);
+  fifo.Bind(&writer, rclk);
+  fifo.AddReadListener(&listener);
+  EXPECT_DEATH(fifo.Push(1), "listens on another clock");
 }
 
 TEST(CdcFifo, OrderPreserved) {

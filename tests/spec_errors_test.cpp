@@ -2,6 +2,8 @@
 // out-of-range values, and duplicate directives must produce clear
 // diagnostics with line numbers — never silent defaults. A scenario file
 // is the experiment record; a typo that parses is a corrupted experiment.
+#include <cstdint>
+#include <limits>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -101,6 +103,39 @@ TEST(SpecErrorsTest, OutOfRangeScalars) {
               "duration must be in", 1);
   ExpectError("netmhz 0\nnoc star 4\ntraffic uniform\n", "netmhz must be in",
               1);
+}
+
+// Seeds span the whole uint64 range: the conformance fuzzer draws them as
+// full 64-bit values (verify/fuzz.cpp), and each case must replay from a
+// spec. Negative and overflowing seeds still fail.
+TEST(SpecErrorsTest, SeedsSpanTheWholeUint64Range) {
+  const std::string tail = "noc star 4\ntraffic uniform\n";
+  for (const std::uint64_t seed :
+       {std::uint64_t{0}, std::uint64_t{9223372036854775807u},
+        std::uint64_t{9223372036854775808u},
+        std::uint64_t{17181368232381819650u},
+        std::numeric_limits<std::uint64_t>::max()}) {
+    auto spec = ParseScenario("seed " + std::to_string(seed) + "\n" + tail);
+    ASSERT_TRUE(spec.ok()) << spec.status();
+    EXPECT_EQ(spec->seed, seed);
+    auto fault = ParseScenario(tail + "fault\nseed " + std::to_string(seed) +
+                               "\nend\n");
+    ASSERT_TRUE(fault.ok()) << fault.status();
+    EXPECT_EQ(fault->fault->seed, seed);
+  }
+  ExpectError("seed 18446744073709551616\n" + tail,
+              "expected a number in [0, 2^64), got '18446744073709551616'",
+              1);
+  ExpectError("seed 99999999999999999999999\n" + tail, "[0, 2^64)", 1);
+  ExpectError("seed +5\n" + tail, "expected a number in [0, 2^64)", 1);
+  ExpectError("seed -9223372036854775809\n" + tail, "seed must be >= 0", 1);
+  ExpectError("seed -18446744073709551615\n" + tail, "seed must be >= 0", 1);
+  ExpectError("seed 1e3\n" + tail, "expected a number", 1);
+  ExpectError("seed +\n" + tail, "expected a number", 1);
+  ExpectError(tail + "fault\nseed 18446744073709551616\nend\n",
+              "expected 'seed N' with a non-negative integer", 4);
+  ExpectError(tail + "fault\nseed -1\nend\n",
+              "expected 'seed N' with a non-negative integer", 4);
 }
 
 TEST(SpecErrorsTest, OutOfRangeClauses) {

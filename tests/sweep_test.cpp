@@ -67,6 +67,14 @@ TEST(ApplyParamTest, ScenarioLevelKeys) {
   EXPECT_EQ(spec.stu_slots, 16);
   ASSERT_TRUE(ApplyParam(*ParseParamRef("seed"), "99", &spec).ok());
   EXPECT_EQ(spec.seed, 99u);
+  // Seed axes take the whole uint64 range, as spec seeds do.
+  ASSERT_TRUE(
+      ApplyParam(*ParseParamRef("seed"), "17181368232381819650", &spec).ok());
+  EXPECT_EQ(spec.seed, 17181368232381819650u);
+  EXPECT_FALSE(
+      ApplyParam(*ParseParamRef("seed"), "18446744073709551616", &spec).ok());
+  EXPECT_FALSE(ApplyParam(*ParseParamRef("seed"), "-1", &spec).ok());
+  EXPECT_EQ(spec.seed, 17181368232381819650u);
   ASSERT_TRUE(ApplyParam(*ParseParamRef("noc"), "mesh2x2x1", &spec).ok());
   EXPECT_EQ(spec.topology, scenario::TopologyKind::kMesh);
   EXPECT_EQ(spec.NumNis(), 4);

@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "tools/cli_common.h"
@@ -255,6 +257,43 @@ TEST(Parse, CliFlagsRejectNonFiniteAndOutOfRangeValues) {
   EXPECT_EQ(options.converge_rel_err, 0.05);
   EXPECT_EQ(MatchOne("--seed", "42", &options), cli::Match::kYes);
   EXPECT_EQ(options.seed, 42u);
+}
+
+// --seed takes the whole uint64 range, so every fuzz case's seed replays
+// from the command line; negative and overflowing values still fail.
+TEST(Parse, CliSeedSpansTheWholeUint64Range) {
+  cli::CommonOptions options;
+  EXPECT_EQ(MatchOne("--seed", "17181368232381819650", &options),
+            cli::Match::kYes);
+  EXPECT_EQ(options.seed, 17181368232381819650u);
+  EXPECT_EQ(MatchOne("--seed", "18446744073709551615", &options),
+            cli::Match::kYes);
+  EXPECT_EQ(options.seed, std::numeric_limits<std::uint64_t>::max());
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(MatchOne("--seed", "18446744073709551616", &options),
+            cli::Match::kError);
+  EXPECT_EQ(MatchOne("--seed", "-18446744073709551615", &options),
+            cli::Match::kError);
+  EXPECT_EQ(MatchOne("--seed", "-1", &options), cli::Match::kError);
+  EXPECT_EQ(MatchOne("--seed", "12x", &options), cli::Match::kError);
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("--seed needs a non-negative integer, got "
+                     "'18446744073709551616'"),
+            std::string::npos)
+      << err;
+  EXPECT_EQ(options.seed, std::numeric_limits<std::uint64_t>::max());
+}
+
+TEST(Parse, Uint64IsStrict) {
+  EXPECT_EQ(*ParseUint64("0"), 0u);
+  EXPECT_EQ(*ParseUint64("18446744073709551615"),
+            std::numeric_limits<std::uint64_t>::max());
+  for (const char* bad : {"", "-", "+", "-1", "-0", "+5",
+                          "18446744073709551616", "1 ", " 1", "0x10", "1.0"}) {
+    EXPECT_FALSE(ParseUint64(bad).ok()) << "'" << bad << "'";
+  }
+  EXPECT_NE(ParseUint64("12x").status().message().find("expected a number"),
+            std::string::npos);
 }
 
 }  // namespace

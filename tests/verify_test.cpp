@@ -213,6 +213,34 @@ TEST(VerifiedRun, LatencyBoundArmsForSlowPeriodicGtFlow) {
   }
 }
 
+TEST(VerifiedRun, LatencyCheckStaysOffWhereCreditReturnsCanCongest) {
+  // Twelve slow GT streams around a 2x3 mesh, one credit-only packet per
+  // word. The credits of 5->0 and 2->3 cross links where the credit
+  // packets the flows may owe in one rotation outnumber the slots left
+  // free of GT reservations, so they queue for GT-idle slots and the
+  // 8-word queues of those flows run out of credit: their word latency is
+  // not the slot tables' to bound, and the check must not fire on them.
+  for (sim::EngineKind engine :
+       {sim::EngineKind::kNaive, sim::EngineKind::kSoa}) {
+    SCOPED_TRACE(sim::EngineKindName(engine));
+    auto spec = scenario::ParseScenario(
+        "noc mesh 2 3 1\n"
+        "stu 4\n"
+        "queues 8\n"
+        "seed 8\n"
+        "warmup 303\n"
+        "duration 2680\n"
+        "verify on\n"
+        "traffic neighbor inject periodic 21 qos gt 1\n"
+        "traffic neighbor inject periodic 15 qos gt 1\n");
+    ASSERT_TRUE(spec.ok()) << spec.status();
+    spec->engine = engine;
+    scenario::ScenarioRunner runner(*spec);
+    auto result = runner.Run();
+    ASSERT_TRUE(result.ok()) << result.status();
+  }
+}
+
 TEST(VerifiedRun, ComputeGtBoundsCoversVideoChains) {
   auto spec = scenario::ParseScenario(
       "scenario verify_video\n"

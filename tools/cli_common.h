@@ -87,6 +87,20 @@ class ArgReader {
     return *parsed;
   }
 
+  /// Value() parsed as an unsigned 64-bit integer (ParseUint64); nullopt
+  /// (with a diagnostic naming `what`) on anything else.
+  std::optional<std::uint64_t> U64Value(const char* what) {
+    const char* v = Value();
+    if (v == nullptr) return std::nullopt;
+    const auto parsed = ParseUint64(v);
+    if (!parsed.ok()) {
+      std::cerr << prog_ << ": " << arg_ << " needs " << what << ", got '"
+                << v << "'\n";
+      return std::nullopt;
+    }
+    return *parsed;
+  }
+
   /// Value() parsed as a double in the OPEN interval (lo, hi); nullopt
   /// (with a diagnostic naming `what`) on anything else.
   std::optional<double> F64Value(const char* what, double lo, double hi) {
@@ -181,9 +195,9 @@ inline Match MatchCommonArg(ArgReader& args, CommonOptions* out,
     return Match::kYes;
   }
   if (arg == "--seed") {
-    const auto parsed = args.IntValue("a non-negative integer");
+    const auto parsed = args.U64Value("a non-negative integer");
     if (!parsed.has_value()) return Match::kError;
-    out->seed = static_cast<std::uint64_t>(*parsed);
+    out->seed = *parsed;
     return Match::kYes;
   }
   if (arg == "--converge") {
