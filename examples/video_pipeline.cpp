@@ -86,7 +86,7 @@ int main() {
             << display.latency().Max() << " cycles\n";
   std::cout << "  inter-arrival  mean/p99/max = "
             << display.inter_arrival().Mean() << " / "
-            << display.inter_arrival().Percentile(99) << " / "
+            << display.inter_arrival().Tail().p99 << " / "
             << display.inter_arrival().Max() << " cycles\n";
   std::cout << "  background BE words delivered: " << be_sink.words_read()
             << " (sequence errors: " << be_sink.sequence_errors() << ")\n";

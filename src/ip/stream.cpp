@@ -123,7 +123,7 @@ void StreamConsumer::Evaluate() {
     if (static_cast<Cycle>(stamp) <= last_stamp_) ++sequence_errors_;
     last_stamp_ = stamp;
     if (last_arrival_ >= 0) {
-      inter_arrival_.Add(static_cast<double>(CycleCount() - last_arrival_));
+      inter_arrival_.Add(CycleCount() - last_arrival_);
     }
     last_arrival_ = CycleCount();
     ++words_read_;

@@ -91,13 +91,19 @@ class Relay : public sim::Module {
 class StreamConsumer : public sim::Module {
  public:
   /// Drains up to `drain_per_cycle` words per cycle, recording per-word
-  /// latency (arrival - emission stamp) and inter-arrival gaps (jitter).
+  /// latency (arrival - emission stamp) and counting inter-arrival gaps
+  /// (jitter).
   StreamConsumer(std::string name, core::NiPort* port, int connid,
                  int drain_per_cycle = 1);
 
   std::int64_t words_read() const { return words_read_; }
   const Stats& latency() const { return latency_; }
-  const Stats& inter_arrival() const { return inter_arrival_; }
+  /// Per-word latency samples; the scenario runner takes them for the
+  /// flow's result once the run ends.
+  Stats* mutable_latency() { return &latency_; }
+  /// Cycles between consecutive reads, counted per whole-cycle value: its
+  /// memory does not grow with the number of words.
+  const CycleCounts& inter_arrival() const { return inter_arrival_; }
   /// Words whose stamp is not above the previous word's. A source writes
   /// at most one word per cycle, so its stamps strictly increase: zero
   /// errors plus words_read == words_written proves exactly-once,
@@ -115,7 +121,7 @@ class StreamConsumer : public sim::Module {
   std::int64_t sequence_errors_ = 0;
   Cycle last_arrival_ = -1;
   Stats latency_;
-  Stats inter_arrival_;
+  CycleCounts inter_arrival_;
 };
 
 }  // namespace aethereal::ip

@@ -60,6 +60,7 @@ class TrafficGenMaster : public sim::Module {
   /// Latency from issue to response delivery, in cycles (response-carrying
   /// transactions only).
   const Stats& latency() const { return latency_; }
+  Stats* mutable_latency() { return &latency_; }
 
   /// True once max_transactions were issued and all responses returned.
   bool Done() const;

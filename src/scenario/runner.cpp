@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cmath>
 #include <sstream>
 #include <tuple>
@@ -20,19 +19,24 @@ namespace aethereal::scenario {
 
 namespace {
 
-/// The summary of `stats`, whose samples `samples` holds a copy of; the
-/// percentiles are selected in place, so `samples` ends reordered.
-LatencySummary Summarize(const Stats& stats, std::vector<double>& samples) {
+/// The summary of a finished flow's `stats`, whose samples it moves into
+/// `samples` (the result's one copy): min, mean and max are taken before
+/// the move, the percentiles selected in place after it, so `samples`
+/// ends reordered.
+LatencySummary Summarize(Stats* stats, std::vector<double>* samples) {
   LatencySummary s;
-  s.count = stats.count();
-  if (!stats.empty()) {
-    s.min = stats.Min();
-    s.mean = stats.Mean();
-    const TailPercentiles tail = SelectTailPercentiles(samples);
+  s.count = stats->count();
+  if (!stats->empty()) {
+    s.min = stats->Min();
+    s.mean = stats->Mean();
+    s.max = stats->Max();
+  }
+  *samples = stats->TakeSamples();
+  if (!samples->empty()) {
+    const TailPercentiles tail = SelectTailPercentiles(*samples);
     s.p50 = tail.p50;
     s.p95 = tail.p95;
     s.p99 = tail.p99;
-    s.max = stats.Max();
   }
   return s;
 }
@@ -52,36 +56,23 @@ void WriteLatency(JsonWriter& w, const LatencySummary& latency) {
 }
 
 /// One histogram summary of the `histograms` result section: exact
-/// nearest-rank percentiles over the merged sample population plus
-/// power-of-two latency buckets ([2^k, 2^(k+1)) cycles; samples below one
-/// cycle land in a [0, 1) bucket). Only non-empty buckets are emitted. One
-/// pass takes the extremes, the sum and the bucket counts; the samples are
-/// latencies in whole cycles, so the sum is exact in any order.
-void WriteHistogram(JsonWriter& w, std::vector<double> samples) {
+/// nearest-rank percentiles over the merged population plus power-of-two
+/// latency buckets ([2^k, 2^(k+1)) cycles; a latency below one cycle lands
+/// in a [0, 1) bucket). Only non-empty buckets are emitted.
+void WriteHistogram(JsonWriter& w, const CycleCounts& counts) {
   w.BeginObject();
-  w.Key("count").Int(static_cast<std::int64_t>(samples.size()));
-  if (!samples.empty()) {
-    double min = samples.front();
-    double max = samples.front();
-    double sum = 0;
-    // Bucket k + 1 counts [2^k, 2^(k+1)); bucket 0 is the sub-cycle one.
-    std::array<std::int64_t, 65> buckets{};
-    for (double v : samples) {
-      min = std::min(min, v);
-      max = std::max(max, v);
-      sum += v;
-      const int k =
-          v < 1.0 ? -1
-                  : std::bit_width(static_cast<std::uint64_t>(v)) - 1;
-      ++buckets[static_cast<std::size_t>(k + 1)];
-    }
-    const TailPercentiles tail = SelectTailPercentiles(samples);
-    w.Key("min").Double(min);
-    w.Key("mean").Double(sum / static_cast<double>(samples.size()));
+  w.Key("count").Int(counts.count());
+  if (!counts.empty()) {
+    const TailPercentiles tail = counts.Tail();
+    w.Key("min").Double(counts.Min());
+    w.Key("mean").Double(counts.Mean());
     w.Key("p50").Double(tail.p50);
     w.Key("p95").Double(tail.p95);
     w.Key("p99").Double(tail.p99);
-    w.Key("max").Double(max);
+    w.Key("max").Double(counts.Max());
+    // Bucket k + 1 counts [2^k, 2^(k+1)); bucket 0 is the sub-cycle one.
+    const std::array<std::int64_t, CycleCounts::kBuckets> buckets =
+        counts.Buckets();
     w.Key("buckets").BeginArray();
     for (int k = -1; k < 64; ++k) {
       const std::int64_t count = buckets[static_cast<std::size_t>(k + 1)];
@@ -99,14 +90,13 @@ void WriteHistogram(JsonWriter& w, std::vector<double> samples) {
 }
 
 /// Fills the latency fields PhaseResult and PhaseFlowStats share from
-/// one window's samples (reordered) and their sum.
+/// one window's latency counts.
 template <typename Window>
-void SummarizeWindowLatency(std::vector<double> samples, double sum,
-                            Window* window) {
-  window->latency_count = static_cast<std::int64_t>(samples.size());
-  if (samples.empty()) return;
-  window->latency_mean = sum / static_cast<double>(samples.size());
-  const TailPercentiles tail = SelectTailPercentiles(samples);
+void SummarizeWindowLatency(const CycleCounts& counts, Window* window) {
+  window->latency_count = counts.count();
+  if (counts.empty()) return;
+  window->latency_mean = counts.Mean();
+  const TailPercentiles tail = counts.Tail();
   window->latency_p50 = tail.p50;
   window->latency_p95 = tail.p95;
   window->latency_p99 = tail.p99;
@@ -507,6 +497,11 @@ const Stats& ScenarioRunner::FlowIps::Latency() const {
   return master != nullptr ? master->latency() : consumer->latency();
 }
 
+Stats* ScenarioRunner::FlowIps::MutableLatency() {
+  return master != nullptr ? master->mutable_latency()
+                           : consumer->mutable_latency();
+}
+
 void ScenarioRunner::FlowIps::SetActive(bool active, Cycle now) {
   if (master != nullptr && active) {
     master->Activate(now);
@@ -654,13 +649,11 @@ Result<ScenarioResult> ScenarioRunner::Run() {
     pr.window_start = now();
     struct Snap {
       std::int64_t delivered = 0, admitted = 0, lat_count = 0;
-      double lat_sum = 0;
     };
     std::vector<Snap> snap(n);
     for (std::size_t i = 0; i < n; ++i) {
       const FlowIps& f = flows_[i];
-      snap[i] = Snap{f.Delivered(), f.Admitted(), f.Latency().count(),
-                     f.Latency().Sum()};
+      snap[i] = Snap{f.Delivered(), f.Admitted(), f.Latency().count()};
     }
     const std::size_t first_check = window_checks.size();
     if (spec_.verify) {
@@ -733,9 +726,8 @@ Result<ScenarioResult> ScenarioRunner::Run() {
 
     // Window accounting. The per-window latency summaries are reported for
     // declared phases only (the implicit phase's are the flows' own), so a
-    // static run skips their sorting.
-    std::vector<double> phase_samples;
-    double phase_lat_sum = 0;
+    // static run skips their counting.
+    CycleCounts phase_latency;
     for (std::size_t i = 0; i < n; ++i) {
       const FlowIps& f = flows_[i];
       if (!active(f)) continue;
@@ -749,19 +741,11 @@ Result<ScenarioResult> ScenarioRunner::Run() {
       ps.words = words;
       ps.throughput_wpc =
           static_cast<double>(words) / static_cast<double>(pr.duration);
-      if (lat.count() > snap[i].lat_count) {
-        const auto first = static_cast<std::size_t>(snap[i].lat_count);
-        const double sum = lat.Sum() - snap[i].lat_sum;
-        SummarizeWindowLatency(
-            std::vector<double>(
-                lat.samples().begin() + static_cast<std::ptrdiff_t>(first),
-                lat.samples().end()),
-            sum, &ps);
-        phase_samples.insert(phase_samples.end(),
-                             lat.samples().begin() + first,
-                             lat.samples().end());
-        phase_lat_sum += sum;
-      }
+      CycleCounts window;
+      window.AddSamples(lat.samples(),
+                        static_cast<std::size_t>(snap[i].lat_count));
+      SummarizeWindowLatency(window, &ps);
+      phase_latency.Merge(window);
       phase_stats[i].push_back(ps);
     }
     for (std::size_t c = first_check; c < window_checks.size(); ++c) {
@@ -773,7 +757,7 @@ Result<ScenarioResult> ScenarioRunner::Run() {
     }
     pr.throughput_wpc = static_cast<double>(pr.words_in_window) /
                         static_cast<double>(pr.duration);
-    SummarizeWindowLatency(std::move(phase_samples), phase_lat_sum, &pr);
+    SummarizeWindowLatency(phase_latency, &pr);
     window_results.push_back(std::move(pr));
   }
 
@@ -800,11 +784,13 @@ Result<ScenarioResult> ScenarioRunner::Run() {
   }
   if (phased) result.phases = std::move(window_results);
 
-  // Flow results in directive order (flows_ is in measurement order).
+  // Flow results in directive order (flows_ is in measurement order);
+  // result_of[i] is flow i's index among them.
+  std::vector<std::size_t> result_of(n);
   for (std::size_t g = 0; g < spec_.traffic.size(); ++g) {
     for (std::size_t i = 0; i < n; ++i) {
       if (flows_[i].group != g) continue;
-      const FlowIps& f = flows_[i];
+      FlowIps& f = flows_[i];
       const TrafficSpec& traffic = spec_.traffic[f.group];
       FlowResult r;
       r.pattern = PatternKindName(traffic.pattern);
@@ -823,10 +809,10 @@ Result<ScenarioResult> ScenarioRunner::Run() {
       r.words_in_window = window_words[i];
       r.throughput_wpc = static_cast<double>(r.words_in_window) /
                          static_cast<double>(measured);
-      r.latency_samples = f.Latency().samples();
-      r.latency = Summarize(f.Latency(), r.latency_samples);
+      r.latency = Summarize(f.MutableLatency(), &r.latency_samples);
       r.phase_stats = std::move(phase_stats[i]);
       result.words_in_window += r.words_in_window;
+      result_of[i] = result.flows.size();
       result.flows.push_back(std::move(r));
     }
   }
@@ -871,7 +857,10 @@ Result<ScenarioResult> ScenarioRunner::Run() {
             << check.slack;
         gt_sink->push_back(oss.str());
       }
-      if (!phased && !video) CheckGtLatency(f, gt_sink);
+      if (!phased && !video) {
+        CheckGtLatency(f, result.flows[result_of[check.flow]].latency,
+                       gt_sink);
+      }
     }
     // Sanity: a memory master never completes more than it issued, and a
     // consumer never reads more than its producer wrote (whole-run
@@ -1092,6 +1081,7 @@ Status ScenarioRunner::EnterPhase(std::size_t k, TransitionResult* tr) {
 }
 
 void ScenarioRunner::CheckGtLatency(const FlowIps& f,
+                                    const LatencySummary& latency,
                                     std::vector<std::string>* sink) {
   // The word latency counts IP cycles and the table bound network cycles,
   // so the comparison only holds when the two clocks are one.
@@ -1114,7 +1104,7 @@ void ScenarioRunner::CheckGtLatency(const FlowIps& f,
   const Cycle rotation_words = static_cast<Cycle>(spec_.stu_slots) * kFlitWords;
   if (!all_gt || traffic.inject != InjectKind::kPeriodic ||
       traffic.period < rotation_words || traffic.data_threshold != 1 ||
-      traffic.credit_threshold != 1 || f.Latency().count() == 0) {
+      traffic.credit_threshold != 1 || latency.count == 0) {
     return;
   }
   // ... credit-only packets that wait at most a rotation for a slot: on
@@ -1168,7 +1158,7 @@ void ScenarioRunner::CheckGtLatency(const FlowIps& f,
   // One rotation of margin absorbs credit-return and BE-arbitration jitter
   // among the (all-GT) companion flows.
   const Cycle bound = hop.bound.worst_case_latency + rotation_words;
-  const double measured = f.Latency().Max();
+  const double measured = latency.max;
   if (measured > static_cast<double>(bound)) {
     std::ostringstream oss;
     oss << "gt-latency: stream g" << f.group << " " << f.src() << "->"
@@ -1375,30 +1365,27 @@ std::string ScenarioResult::ToJson() const {
   // (stream + video flows) and transaction round-trip latency (memory
   // flows), merged over the whole run from the flows' exact samples.
   {
-    std::vector<double> all, gt, be, txn;
+    CycleCounts gt, be, txn;
     for (const FlowResult& flow : flows) {
-      if (flow.pattern == PatternKindName(PatternKind::kMemory)) {
-        txn.insert(txn.end(), flow.latency_samples.begin(),
-                   flow.latency_samples.end());
-        continue;
-      }
-      all.insert(all.end(), flow.latency_samples.begin(),
-                 flow.latency_samples.end());
-      std::vector<double>& cls = flow.gt ? gt : be;
-      cls.insert(cls.end(), flow.latency_samples.begin(),
-                 flow.latency_samples.end());
+      CycleCounts& counts =
+          flow.pattern == PatternKindName(PatternKind::kMemory) ? txn
+          : flow.gt                                              ? gt
+                                                                 : be;
+      counts.AddSamples(flow.latency_samples);
     }
+    CycleCounts all = gt;
+    all.Merge(be);
     w.Key("histograms").BeginObject();
     w.Key("flit_latency").BeginObject();
     w.Key("all");
-    WriteHistogram(w, std::move(all));
+    WriteHistogram(w, all);
     w.Key("gt");
-    WriteHistogram(w, std::move(gt));
+    WriteHistogram(w, gt);
     w.Key("be");
-    WriteHistogram(w, std::move(be));
+    WriteHistogram(w, be);
     w.EndObject();
     w.Key("transaction_latency");
-    WriteHistogram(w, std::move(txn));
+    WriteHistogram(w, txn);
     w.EndObject();
   }
   if (obs_stats.has_value()) {

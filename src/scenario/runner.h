@@ -47,9 +47,9 @@ struct LatencySummary {
 
 /// One phase window's slice of a flow's statistics (phased scenarios).
 /// The Stats objects keep their samples in insertion order, so per-phase
-/// percentiles are exact — computed over the samples recorded between the
-/// window's start and end; the whole-run summary stays on the owning
-/// FlowResult.
+/// percentiles are exact — computed from the counts of the samples
+/// recorded between the window's start and end; the whole-run summary
+/// stays on the owning FlowResult.
 struct PhaseFlowStats {
   int phase = 0;
   std::int64_t words = 0;         // delivered inside the phase window
@@ -81,7 +81,9 @@ struct FlowResult {
 
   /// The raw samples behind `latency`, in no particular order — the exact
   /// population the result's histograms and the sweep's merged class
-  /// percentiles derive from (integer cycle counts stored as doubles).
+  /// percentiles count (integer cycle counts stored as doubles). Moved
+  /// out of the flow's consumer or master when the run ends: the one copy
+  /// of each sample.
   std::vector<double> latency_samples;
 
   // Memory flows only.
@@ -113,7 +115,7 @@ struct TransitionResult {
 
 /// One phase window of a phased run. The latency fields summarize the
 /// samples of every flow active in the window, merged — exact, from the
-/// flows' insertion-order sample ranges.
+/// counts of the flows' insertion-order sample ranges.
 struct PhaseResult {
   std::string name;
   Cycle window_start = 0;        // first measured cycle of the window
@@ -320,6 +322,7 @@ class ScenarioRunner {
     /// Per-word latency (memory: per-transaction round trip), samples in
     /// insertion order.
     const Stats& Latency() const;
+    Stats* MutableLatency();
     void SetActive(bool active, Cycle now);
     /// True once every word the silenced source wrote has been consumed
     /// (memory: no transaction outstanding).
@@ -340,9 +343,11 @@ class ScenarioRunner {
   Status EnterPhase(std::size_t k, TransitionResult* transition);
   void SetGroupActive(std::size_t group, bool active);
   bool GroupDrained(std::size_t group) const;
-  /// The static-only per-word GT latency check of one stream flow (see
-  /// the definition for when the table bound applies).
-  void CheckGtLatency(const FlowIps& flow, std::vector<std::string>* sink);
+  /// The static-only per-word GT latency check of one stream flow, whose
+  /// result summary is `latency` (see the definition for when the table
+  /// bound applies).
+  void CheckGtLatency(const FlowIps& flow, const LatencySummary& latency,
+                      std::vector<std::string>* sink);
   /// Fills result->fault from the injector / manager / monitor ledgers
   /// (no-op unless the spec's fault block is Enabled()).
   void FillFaultResult(std::vector<std::string> degradations,

@@ -55,34 +55,29 @@ double OfferedWpc(const TrafficSpec& traffic) {
 
 namespace {
 
-void AddFlow(ClassSummary* summary, std::vector<double>* samples,
+void AddFlow(ClassSummary* summary, CycleCounts* latency,
              const scenario::FlowResult& flow, double offered) {
   ++summary->flows;
   summary->offered_wpc += offered;
   summary->words_in_window += flow.words_in_window;
-  if (flow.latency.count > 0) {
-    if (summary->latency_count == 0 || flow.latency.min < summary->latency_min) {
-      summary->latency_min = flow.latency.min;
-    }
-    summary->latency_max = std::max(summary->latency_max, flow.latency.max);
-    // Weighted-mean accumulation: stash the sample sum in `latency_mean`
-    // until Finish() divides by the total count.
-    summary->latency_mean +=
-        static_cast<double>(flow.latency.count) * flow.latency.mean;
-    summary->latency_count += flow.latency.count;
-    samples->insert(samples->end(), flow.latency_samples.begin(),
-                    flow.latency_samples.end());
-  }
+  // Weighted-mean accumulation: stash count x mean in `latency_mean` until
+  // FinishClass() divides by the total count.
+  summary->latency_mean +=
+      static_cast<double>(flow.latency.count) * flow.latency.mean;
+  latency->AddSamples(flow.latency_samples);
 }
 
-void FinishClass(ClassSummary* summary, std::vector<double>* samples,
+void FinishClass(ClassSummary* summary, const CycleCounts& latency,
                  Cycle duration) {
   summary->throughput_wpc =
       static_cast<double>(summary->words_in_window) /
       static_cast<double>(duration);
-  if (summary->latency_count > 0) {
-    summary->latency_mean /= static_cast<double>(summary->latency_count);
-    const TailPercentiles tail = SelectTailPercentiles(*samples);
+  summary->latency_count = latency.count();
+  if (!latency.empty()) {
+    summary->latency_min = latency.Min();
+    summary->latency_max = latency.Max();
+    summary->latency_mean /= static_cast<double>(latency.count());
+    const TailPercentiles tail = latency.Tail();
     summary->latency_p50 = tail.p50;
     summary->latency_p95 = tail.p95;
     summary->latency_p99 = tail.p99;
@@ -132,9 +127,9 @@ void SummarizePoint(const ScenarioResult& result, PointResult* point) {
   point->slot_utilization = result.slot_utilization;
   point->gt_flits = result.gt_flits;
   point->be_flits = result.be_flits;
-  std::vector<double> all_samples;
-  std::vector<double> gt_samples;
-  std::vector<double> be_samples;
+  CycleCounts all_latency;
+  CycleCounts gt_latency;
+  CycleCounts be_latency;
   for (const scenario::FlowResult& flow : result.flows) {
     const auto group = static_cast<std::size_t>(flow.group);
     AETHEREAL_CHECK(group < result.spec.traffic.size());
@@ -143,13 +138,13 @@ void SummarizePoint(const ScenarioResult& result, PointResult* point) {
         OfferedWpc(result.spec.traffic[group]) *
         ActiveFraction(result.spec, result.spec.traffic[group]) *
         (result.spec.IpMhz() / result.spec.net_mhz);
-    AddFlow(&point->all, &all_samples, flow, offered);
+    AddFlow(&point->all, &all_latency, flow, offered);
     AddFlow(flow.gt ? &point->gt : &point->be,
-            flow.gt ? &gt_samples : &be_samples, flow, offered);
+            flow.gt ? &gt_latency : &be_latency, flow, offered);
   }
-  FinishClass(&point->all, &all_samples, measured);
-  FinishClass(&point->gt, &gt_samples, measured);
-  FinishClass(&point->be, &be_samples, measured);
+  FinishClass(&point->all, all_latency, measured);
+  FinishClass(&point->gt, gt_latency, measured);
+  FinishClass(&point->be, be_latency, measured);
 }
 
 SweepRunner::SweepRunner(SweepSpec spec) : spec_(std::move(spec)) {}

@@ -24,10 +24,11 @@
 namespace aethereal::sweep {
 
 /// Latency/throughput summary of one service class (all / GT / BE) at one
-/// grid point. Latency merges the flows' raw sample populations
-/// (FlowResult::latency_samples), so mean, min/max AND the percentiles
-/// are all exact class-level values (nearest-rank, the same formula as
-/// every other percentile in the result JSON).
+/// grid point. Latency counts the flows' raw sample populations
+/// (FlowResult::latency_samples) into one CycleCounts, so min/max AND the
+/// percentiles are exact class-level values (nearest-rank, the same
+/// formula as every other percentile in the result JSON); the mean is the
+/// count-weighted mean of the flows' means.
 struct ClassSummary {
   std::int64_t flows = 0;
   double offered_wpc = 0;  // sum of per-flow injected words/cycle

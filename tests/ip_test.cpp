@@ -513,6 +513,63 @@ TEST(Stream, ProducerConsumerLatencyAndOrder) {
   EXPECT_LE(consumer.latency().Max(), 100.0);
 }
 
+// A consumer that also records the cycle of every word it reads.
+class RecordingConsumer : public StreamConsumer {
+ public:
+  using StreamConsumer::StreamConsumer;
+  void Evaluate() override {
+    const std::int64_t before = words_read();
+    StreamConsumer::Evaluate();
+    for (std::int64_t i = before; i < words_read(); ++i) {
+      arrivals.push_back(CycleCount());
+    }
+  }
+  std::vector<Cycle> arrivals;
+};
+
+// The consumer counts its inter-arrival gaps instead of keeping one sample
+// per word; their mean, p99 and max equal a recomputation over the gaps
+// of the same run. Bernoulli bursts drained two words a cycle give gaps
+// of zero, one and many cycles.
+TEST(Stream, ConsumerInterArrivalCountsMatchTheGaps) {
+  for (sim::EngineKind engine :
+       {sim::EngineKind::kNaive, sim::EngineKind::kSoa}) {
+    SCOPED_TRACE(sim::EngineKindName(engine));
+    auto star = topology::BuildStar(2);
+    std::vector<core::NiKernelParams> params{OneChannelNi(), OneChannelNi()};
+    soc::SocOptions options;
+    options.engine = engine;
+    soc::Soc soc(std::move(star.topology), std::move(params), options);
+    ASSERT_TRUE(
+        soc.OpenConnection(GlobalChannel{0, 0}, GlobalChannel{1, 0}).ok());
+    StreamSource source("source", soc.port(0, 0), 0,
+                        Injection{.period = 2, .words = 3, .rate = 0.05},
+                        Rng(77));
+    RecordingConsumer consumer("consumer", soc.port(1, 0), 0, 2);
+    soc.RegisterOnPort(&source, 0, 0);
+    soc.RegisterOnPort(&consumer, 1, 0);
+    soc.RunCycles(6000);
+    ASSERT_GT(consumer.words_read(), 200);
+    ASSERT_EQ(static_cast<std::int64_t>(consumer.arrivals.size()),
+              consumer.words_read());
+
+    std::vector<double> gaps;
+    double sum = 0;
+    for (std::size_t i = 1; i < consumer.arrivals.size(); ++i) {
+      gaps.push_back(
+          static_cast<double>(consumer.arrivals[i] - consumer.arrivals[i - 1]));
+      sum += gaps.back();
+    }
+    std::sort(gaps.begin(), gaps.end());
+    ASSERT_EQ(gaps.front(), 0.0);
+    const CycleCounts& counted = consumer.inter_arrival();
+    ASSERT_EQ(counted.count(), static_cast<std::int64_t>(gaps.size()));
+    EXPECT_EQ(counted.Mean(), sum / static_cast<double>(gaps.size()));
+    EXPECT_EQ(counted.Tail().p99, SortedPercentile(gaps, 99));
+    EXPECT_EQ(counted.Max(), gaps.back());
+  }
+}
+
 TEST(Stream, SequenceModeDetectsNoErrorsOnCleanChannel) {
   auto star = topology::BuildStar(2);
   std::vector<core::NiKernelParams> params{OneChannelNi(), OneChannelNi()};

@@ -414,6 +414,59 @@ TEST(ScenarioDeterminismTest, SoaAndNaiveEnginesAgreeOnCanonicalSpecs) {
   }
 }
 
+// The "count" of the histogram `key` ("all", "gt", "be" or
+// "transaction_latency") in a result JSON's histograms section.
+std::int64_t HistogramCount(const std::string& json, const std::string& key) {
+  std::size_t at = json.find("\"histograms\"");
+  EXPECT_NE(at, std::string::npos);
+  at = json.find("\"" + key + "\": {", at);
+  EXPECT_NE(at, std::string::npos) << key;
+  const std::string count = "\"count\": ";
+  at = json.find(count, at);
+  EXPECT_NE(at, std::string::npos) << key;
+  return std::stoll(json.substr(at + count.size()));
+}
+
+// Each flow's result holds its latency samples, one per counted word or
+// transaction, and the histograms count exactly the flows' samples: on a
+// static spec (GT and BE streams) and a phased one (a video chain, then
+// memory flows).
+TEST(ScenarioRunnerTest, FlowSamplesAndHistogramsCountEveryLatency) {
+  for (const std::string name : {"mixed_star", "video_to_memory_switch"}) {
+    SCOPED_TRACE(name);
+    auto spec = LoadScenarioFile(std::string(AETHEREAL_SCENARIO_DIR) + "/" +
+                                 name + ".scn");
+    ASSERT_TRUE(spec.ok()) << spec.status();
+    ScenarioRunner runner(*spec);
+    auto result = runner.Run();
+    ASSERT_TRUE(result.ok()) << result.status();
+    std::int64_t gt = 0;
+    std::int64_t be = 0;
+    std::int64_t txn = 0;
+    for (const FlowResult& flow : result->flows) {
+      EXPECT_EQ(static_cast<std::int64_t>(flow.latency_samples.size()),
+                flow.latency.count);
+      if (flow.pattern == PatternKindName(PatternKind::kMemory)) {
+        txn += flow.latency.count;
+      } else {
+        (flow.gt ? gt : be) += flow.latency.count;
+      }
+    }
+    EXPECT_GT(gt + be, 0);
+    if (spec->Phased()) {
+      EXPECT_GT(txn, 0);
+    } else {
+      EXPECT_GT(gt, 0);
+      EXPECT_GT(be, 0);
+    }
+    const std::string json = result->ToJson();
+    EXPECT_EQ(HistogramCount(json, "all"), gt + be);
+    EXPECT_EQ(HistogramCount(json, "gt"), gt);
+    EXPECT_EQ(HistogramCount(json, "be"), be);
+    EXPECT_EQ(HistogramCount(json, "transaction_latency"), txn);
+  }
+}
+
 // Idle-module gating of the transaction and configuration stack: once a
 // run is over and its flows are silenced and drained, every shell, master,
 // memory, CNIP shell and agent, the config shell and the connection

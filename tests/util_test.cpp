@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -141,20 +143,6 @@ TEST(Stats, Summary) {
   EXPECT_DOUBLE_EQ(s.Min(), 1.0);
   EXPECT_DOUBLE_EQ(s.Max(), 4.0);
   EXPECT_DOUBLE_EQ(s.Mean(), 2.5);
-  // Unbiased sample stddev: sqrt(((1.5^2+0.5^2)*2) / (4-1)) = sqrt(5/3).
-  EXPECT_NEAR(s.StdDev(), std::sqrt(5.0 / 3.0), 1e-12);
-}
-
-TEST(Stats, StdDevUsesSampleVariance) {
-  // Regression: StdDev once divided by n (population variance), biasing
-  // every confidence half-width low. The unbiased estimator divides by
-  // n-1; a single sample has no spread estimate at all.
-  Stats s;
-  s.Add(7.0);
-  EXPECT_DOUBLE_EQ(s.StdDev(), 0.0);
-  s.Add(9.0);
-  // Two samples at distance 2: variance (1+1)/(2-1) = 2.
-  EXPECT_DOUBLE_EQ(s.StdDev(), std::sqrt(2.0));
 }
 
 TEST(Stats, SelectedTailPercentilesMatchTheSortedOnes) {
@@ -184,6 +172,137 @@ TEST(Stats, Percentile) {
   EXPECT_DOUBLE_EQ(s.Percentile(50), 50.0);
   EXPECT_DOUBLE_EQ(s.Percentile(99), 99.0);
   EXPECT_DOUBLE_EQ(s.Percentile(100), 100.0);
+}
+
+TEST(Stats, TakeSamplesLeavesItEmpty) {
+  Stats s;
+  for (double v : {3.0, 1.0, 2.0}) s.Add(v);
+  EXPECT_EQ(s.TakeSamples(), (std::vector<double>{3.0, 1.0, 2.0}));
+  EXPECT_TRUE(s.empty());
+  EXPECT_EQ(s.Sum(), 0.0);
+  s.Add(5.0);
+  EXPECT_EQ(s.count(), 1);
+  EXPECT_EQ(s.Sum(), 5.0);
+}
+
+// The summary the result JSON's `histograms` section printed when it
+// merged the flows' samples into one vector: one pass for the extremes,
+// the sum and the power-of-two buckets, SelectTailPercentiles for the
+// percentiles.
+struct SampleSummary {
+  double min = 0;
+  double max = 0;
+  double mean = 0;
+  TailPercentiles tail;
+  std::array<std::int64_t, CycleCounts::kBuckets> buckets{};
+};
+
+SampleSummary SummarizeSamples(std::vector<double> samples) {
+  SampleSummary s;
+  s.min = samples.front();
+  s.max = samples.front();
+  double sum = 0;
+  for (double v : samples) {
+    s.min = std::min(s.min, v);
+    s.max = std::max(s.max, v);
+    sum += v;
+    const int k =
+        v < 1.0 ? -1 : std::bit_width(static_cast<std::uint64_t>(v)) - 1;
+    ++s.buckets[static_cast<std::size_t>(k + 1)];
+  }
+  s.mean = sum / static_cast<double>(samples.size());
+  s.tail = SelectTailPercentiles(samples);
+  return s;
+}
+
+// Seeded random integer populations: empty and single-sample ones, heavy
+// ties, zeros and negative values (the sub-cycle bucket; a corrupted
+// stamp makes a latency negative), values either side of the dense limit
+// and above 2^20. Counted whole, or in slices merged together, the counts
+// give exactly the samples' summary.
+TEST(CycleCounts, MatchesTheSampleSummaryOnRandomPopulations) {
+  Rng rng(20260);
+  const std::vector<std::int64_t> spans = {1, 2, 97, 1023, 1025, 5000,
+                                           (std::int64_t{1} << 20) + 7,
+                                           std::int64_t{1} << 40};
+  int populations = 0;
+  for (std::size_t n : {0u, 1u, 2u, 3u, 7u, 100u, 101u, 1000u, 4099u}) {
+    for (std::int64_t span : spans) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " span=" + std::to_string(span));
+      std::vector<double> samples;
+      for (std::size_t i = 0; i < n; ++i) {
+        // Half the samples at 0, negated or at a large offset, so small
+        // spans still mix the dense and the sparse counts.
+        std::int64_t v = static_cast<std::int64_t>(
+            rng.NextBelow(static_cast<std::uint64_t>(span)));
+        switch (rng.NextBelow(6)) {
+          case 0: v = 0; break;
+          case 1: v += std::int64_t{1} << 21; break;
+          case 2: v = -v; break;
+          default: break;
+        }
+        samples.push_back(static_cast<double>(v));
+      }
+      CycleCounts whole;
+      whole.AddSamples(samples);
+      CycleCounts merged;
+      const std::size_t cut = n / 3;
+      CycleCounts head;
+      head.AddSamples(std::vector<double>(samples.begin(),
+                                          samples.begin() +
+                                              static_cast<std::ptrdiff_t>(cut)));
+      CycleCounts tail;
+      tail.AddSamples(samples, cut);
+      merged.Merge(head);
+      merged.Merge(tail);
+      for (const CycleCounts* counts : {&whole, &merged}) {
+        ASSERT_EQ(counts->count(), static_cast<std::int64_t>(n));
+        ASSERT_EQ(counts->empty(), n == 0);
+        if (n == 0) {
+          EXPECT_EQ(counts->Buckets(),
+                    (std::array<std::int64_t, CycleCounts::kBuckets>{}));
+          continue;
+        }
+        const SampleSummary want = SummarizeSamples(samples);
+        EXPECT_EQ(counts->Min(), want.min);
+        EXPECT_EQ(counts->Max(), want.max);
+        EXPECT_EQ(counts->Mean(), want.mean);
+        const TailPercentiles got = counts->Tail();
+        EXPECT_EQ(got.p50, want.tail.p50);
+        EXPECT_EQ(got.p95, want.tail.p95);
+        EXPECT_EQ(got.p99, want.tail.p99);
+        EXPECT_EQ(counts->Buckets(), want.buckets);
+      }
+      ++populations;
+    }
+  }
+  EXPECT_EQ(populations, 72);
+}
+
+TEST(CycleCounts, SingleValuesAndTies) {
+  CycleCounts counts;
+  counts.Add(0);
+  EXPECT_EQ(counts.Min(), 0.0);
+  EXPECT_EQ(counts.Max(), 0.0);
+  EXPECT_EQ(counts.Tail().p99, 0.0);
+  EXPECT_EQ(counts.Buckets()[0], 1);  // the sub-cycle bucket
+  for (int i = 0; i < 99; ++i) counts.Add(4);
+  EXPECT_EQ(counts.count(), 100);
+  EXPECT_EQ(counts.Sum(), 396.0);
+  EXPECT_EQ(counts.Tail().p50, 4.0);
+  EXPECT_EQ(counts.Buckets()[3], 99);  // [4, 8)
+  counts.Add(-7);
+  EXPECT_EQ(counts.Min(), -7.0);
+  EXPECT_EQ(counts.Tail().p50, 4.0);
+  EXPECT_EQ(counts.Buckets()[0], 2);
+}
+
+TEST(CycleCountsDeathTest, RejectsSamplesThatAreNotWholeCycles) {
+  CycleCounts counts;
+  EXPECT_DEATH(counts.AddSamples({2.5}), "whole cycle");
+  EXPECT_DEATH(counts.AddSamples({-0.5}), "whole cycle");
+  EXPECT_DEATH(counts.AddSamples({std::numeric_limits<double>::quiet_NaN()}),
+               "whole cycle");
 }
 
 TEST(Table, PrintsAlignedRows) {
