@@ -1269,7 +1269,7 @@ std::string ScenarioResult::ToJson() const {
   w.Key("net_mhz").Double(spec.net_mhz);
   if (spec.IpMhz() != spec.net_mhz) w.Key("ip_mhz").Double(spec.IpMhz());
   w.Key("queue_words").Int(spec.queue_words);
-  w.Key("seed").Int(static_cast<std::int64_t>(spec.seed));
+  w.Key("seed").Uint(spec.seed);
   w.Key("warmup").Int(spec.warmup);
   w.Key("duration").Int(spec.TotalDuration());
   w.Key("cycles_run").Int(cycles_run);
@@ -1399,7 +1399,7 @@ std::string ScenarioResult::ToJson() const {
   if (fault.has_value()) {
     const FaultResult& f = *fault;
     w.Key("fault").BeginObject();
-    w.Key("seed").Int(static_cast<std::int64_t>(f.seed));
+    w.Key("seed").Uint(f.seed);
     w.Key("flits_corrupted").Int(f.flits_corrupted);
     w.Key("link_packets_dropped").Int(f.link_packets_dropped);
     w.Key("link_words_dropped").Int(f.link_words_dropped);

@@ -112,6 +112,12 @@ JsonWriter& JsonWriter::Int(std::int64_t value) {
   return *this;
 }
 
+JsonWriter& JsonWriter::Uint(std::uint64_t value) {
+  BeforeValue();
+  out_ += std::to_string(value);
+  return *this;
+}
+
 JsonWriter& JsonWriter::Bool(bool value) {
   BeforeValue();
   out_ += value ? "true" : "false";

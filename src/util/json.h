@@ -43,6 +43,8 @@ class JsonWriter {
 
   JsonWriter& String(const std::string& value);
   JsonWriter& Int(std::int64_t value);
+  /// For values that span the whole uint64 range (seeds).
+  JsonWriter& Uint(std::uint64_t value);
   JsonWriter& Bool(bool value);
   /// Doubles print as integers when integral (|v| < 2^53), otherwise via
   /// "%.6g". Non-finite values print as null.

@@ -395,6 +395,38 @@ TEST(ScenarioDeterminismTest, SeedChangesTheResult) {
   EXPECT_NE(a, b);
 }
 
+// The unsigned value of the first `"seed": ` at or after `from`.
+std::string JsonSeedAfter(const std::string& json, std::size_t from) {
+  const std::string key = "\"seed\": ";
+  const std::size_t at = json.find(key, from);
+  EXPECT_NE(at, std::string::npos);
+  const std::size_t begin = at + key.size();
+  return json.substr(begin, json.find_first_of(",\n", begin) - begin);
+}
+
+// A seed above INT64_MAX (fuzz321's, from noc_verify --fuzz at seed
+// 12345) is written unsigned, so the scenario and fault seeds copied from
+// a result back into a spec reproduce the result byte for byte.
+TEST(ScenarioDeterminismTest, SeedsAboveInt64MaxRoundTripThroughTheResult) {
+  const std::string big = "17181368232381819650";
+  const auto text = [](const std::string& seed, const std::string& fault) {
+    return "noc star 4\nseed " + seed +
+           "\nwarmup 200\nduration 2000\nverify on\n"
+           "traffic uniform inject bernoulli 0.05 qos be\n"
+           "fault\nseed " + fault + "\nlink corrupt 0.002\nend\n";
+  };
+  const std::string first =
+      RunToJson(MustParse(text(big, big)), sim::EngineKind::kSoa);
+  const std::string seed = JsonSeedAfter(first, 0);
+  const std::string fault_seed =
+      JsonSeedAfter(first, first.find("\"fault\": {"));
+  EXPECT_EQ(seed, big);
+  EXPECT_EQ(fault_seed, big);
+  EXPECT_EQ(RunToJson(MustParse(text(seed, fault_seed)),
+                      sim::EngineKind::kSoa),
+            first);
+}
+
 // The canonical specs must produce the byte-identical result JSON on the
 // soa and the naive engine — the scenario-level restatement of the
 // engine bit-exactness contract.
