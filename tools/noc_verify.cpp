@@ -24,6 +24,10 @@
 //                         stream-only random workloads (the resilience
 //                         soak; DESIGN.md §12)
 //     --seed S            fuzz / fault-fuzz batch seed (default 1)
+//     --case I            run only case I of the --fuzz / --fault-fuzz
+//                         batches (I below each batch size): a case
+//                         derives from (seed, I) alone, so it replays
+//                         exactly as it ran in the batch
 //     --bounds            print the analytical GT bound table per workload
 //     --quiet             only report failures
 //
@@ -33,6 +37,7 @@
 #include <iostream>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cli_common.h"
@@ -52,6 +57,7 @@ struct CliOptions {
   std::vector<std::string> spec_paths;
   int fuzz = 0;
   int fault_fuzz = 0;
+  std::optional<int> case_index;
   bool bounds = false;
   bool quiet = false;
 
@@ -62,6 +68,13 @@ struct CliOptions {
     if (common.engine.has_value()) return {*common.engine};
     return {sim::EngineKind::kNaive, sim::EngineKind::kSoa};
   }
+
+  /// The cases [first, last) of a batch of `size`: all of them, or only
+  /// --case I.
+  std::pair<int, int> Cases(int size) const {
+    if (size == 0 || !case_index.has_value()) return {0, size};
+    return {*case_index, *case_index + 1};
+  }
 };
 
 void PrintUsage(std::ostream& os) {
@@ -70,7 +83,8 @@ void PrintUsage(std::ostream& os) {
                        "|all]",
                    "[-o FILE]", "[--fuzz N]",
                    "[--fault FILE]",
-                   "[--fault-fuzz N]", "[--seed S]", "[--bounds]",
+                   "[--fault-fuzz N]", "[--seed S]", "[--case I]",
+                   "[--bounds]",
                    "[--quiet]", "[SPEC_FILE...]"});
 }
 
@@ -93,6 +107,11 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
       if (!parsed.has_value()) return false;
       (arg == "--fuzz" ? options->fuzz : options->fault_fuzz) =
           static_cast<int>(*parsed);
+    } else if (arg == "--case") {
+      const auto parsed =
+          args.IntValue("a case index in [0, 999999]", 0, 999'999);
+      if (!parsed.has_value()) return false;
+      options->case_index = static_cast<int>(*parsed);
     } else if (arg == "--bounds") {
       options->bounds = true;
     } else if (arg == "--quiet") {
@@ -113,6 +132,19 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
                  "--fault-fuzz)\n";
     PrintUsage(std::cerr);
     return false;
+  }
+  if (options->case_index.has_value()) {
+    if (options->fuzz == 0 && options->fault_fuzz == 0) {
+      std::cerr << "noc_verify: --case needs --fuzz N or --fault-fuzz N\n";
+      return false;
+    }
+    for (const int size : {options->fuzz, options->fault_fuzz}) {
+      if (size > 0 && *options->case_index >= size) {
+        std::cerr << "noc_verify: --case " << *options->case_index
+                  << " is not below the batch size " << size << "\n";
+        return false;
+      }
+    }
   }
   if (!options->common.fault_path.empty() && options->spec_paths.empty()) {
     std::cerr << "noc_verify: --fault needs SPEC_FILE workloads to arm\n";
@@ -246,12 +278,17 @@ int main(int argc, char** argv) {
     }
     tally(RunWorkload(options, *spec, path, &jsons));
   }
-  for (int i = 0; i < options.fuzz; ++i) {
+  int workloads = static_cast<int>(options.spec_paths.size());
+  const auto [fuzz_first, fuzz_last] = options.Cases(options.fuzz);
+  for (int i = fuzz_first; i < fuzz_last; ++i) {
+    ++workloads;
     scenario::ScenarioSpec spec =
         verify::RandomConformanceSpec(options.common.seed.value_or(1), i);
     tally(RunWorkload(options, spec, spec.name, &jsons));
   }
-  for (int i = 0; i < options.fault_fuzz; ++i) {
+  const auto [fault_first, fault_last] = options.Cases(options.fault_fuzz);
+  for (int i = fault_first; i < fault_last; ++i) {
+    ++workloads;
     const std::uint64_t seed = options.common.seed.value_or(1);
     scenario::ScenarioSpec spec = verify::RandomFaultWorkload(seed, i);
     const int num_routers = spec.topology == scenario::TopologyKind::kStar
@@ -273,9 +310,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (!options.quiet) {
-    std::cout << "noc_verify: all "
-              << options.spec_paths.size() + options.fuzz +
-                     options.fault_fuzz
+    std::cout << "noc_verify: all " << workloads
               << " workload(s) passed verified\n";
   }
   return 0;
