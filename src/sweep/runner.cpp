@@ -55,8 +55,8 @@ double OfferedWpc(const TrafficSpec& traffic) {
 
 namespace {
 
-void AddFlow(ClassSummary* summary, CycleCounts* latency,
-             const scenario::FlowResult& flow, double offered) {
+void AddFlow(ClassSummary* summary, const scenario::FlowResult& flow,
+             double offered) {
   ++summary->flows;
   summary->offered_wpc += offered;
   summary->words_in_window += flow.words_in_window;
@@ -64,7 +64,6 @@ void AddFlow(ClassSummary* summary, CycleCounts* latency,
   // FinishClass() divides by the total count.
   summary->latency_mean +=
       static_cast<double>(flow.latency.count) * flow.latency.mean;
-  latency->AddSamples(flow.latency_samples);
 }
 
 void FinishClass(ClassSummary* summary, const CycleCounts& latency,
@@ -127,7 +126,6 @@ void SummarizePoint(const ScenarioResult& result, PointResult* point) {
   point->slot_utilization = result.slot_utilization;
   point->gt_flits = result.gt_flits;
   point->be_flits = result.be_flits;
-  CycleCounts all_latency;
   CycleCounts gt_latency;
   CycleCounts be_latency;
   for (const scenario::FlowResult& flow : result.flows) {
@@ -138,10 +136,12 @@ void SummarizePoint(const ScenarioResult& result, PointResult* point) {
         OfferedWpc(result.spec.traffic[group]) *
         ActiveFraction(result.spec, result.spec.traffic[group]) *
         (result.spec.IpMhz() / result.spec.net_mhz);
-    AddFlow(&point->all, &all_latency, flow, offered);
-    AddFlow(flow.gt ? &point->gt : &point->be,
-            flow.gt ? &gt_latency : &be_latency, flow, offered);
+    AddFlow(&point->all, flow, offered);
+    AddFlow(flow.gt ? &point->gt : &point->be, flow, offered);
+    (flow.gt ? gt_latency : be_latency).AddSamples(flow.latency_samples);
   }
+  CycleCounts all_latency = gt_latency;
+  all_latency.Merge(be_latency);
   FinishClass(&point->all, all_latency, measured);
   FinishClass(&point->gt, gt_latency, measured);
   FinishClass(&point->be, be_latency, measured);
