@@ -18,6 +18,7 @@ StreamSource::StreamSource(std::string name, core::NiPort* port, int connid,
   AETHEREAL_CHECK(injection.period >= 1);
   AETHEREAL_CHECK(injection.words >= 1);
   AETHEREAL_CHECK(injection.phase >= 0);
+  if (injection.rate > 0) gap_.emplace(injection.rate);
 }
 
 void StreamSource::Activate(Cycle now) {
@@ -49,7 +50,7 @@ void StreamSource::Evaluate() {
     if (due > 0) {
       backlog_ += due;
       next_emit_ = now + injection_.period;
-      if (injection_.rate > 0) next_emit_ += rng_.NextGeometric(injection_.rate);
+      if (gap_) next_emit_ += gap_->Draw(rng_);
     }
   }
   // The port is a 32-bit interface: at most one word per cycle.

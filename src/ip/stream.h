@@ -14,6 +14,7 @@
 #ifndef AETHEREAL_IP_STREAM_H
 #define AETHEREAL_IP_STREAM_H
 
+#include <optional>
 #include <string>
 
 #include "core/ni_kernel.h"
@@ -64,6 +65,7 @@ class StreamSource : public sim::Module {
   int connid_;
   Injection injection_;
   Rng rng_;
+  std::optional<GeometricGap> gap_;  // the Bernoulli gaps (rate > 0 only)
   bool active_ = true;
   std::int64_t backlog_ = 0;  // words due but not yet accepted
   Cycle next_emit_ = 0;

@@ -15,6 +15,9 @@ TrafficGenMaster::TrafficGenMaster(std::string name,
   AETHEREAL_CHECK(endpoint != nullptr);
   AETHEREAL_CHECK(pattern.burst_words >= 1);
   AETHEREAL_CHECK(pattern.max_outstanding >= 1);
+  if (pattern.kind == TrafficPattern::Kind::kBernoulli) {
+    gap_.emplace(pattern.rate);
+  }
   endpoint->BindIp(this);
 }
 
@@ -66,7 +69,7 @@ void TrafficGenMaster::MaybeIssue() {
       next_issue_cycle_ = CycleCount() + pattern_.period;
       break;
     case TrafficPattern::Kind::kBernoulli:
-      next_issue_cycle_ = CycleCount() + 1 + rng_.NextGeometric(pattern_.rate);
+      next_issue_cycle_ = CycleCount() + 1 + gap_->Draw(rng_);
       break;
     case TrafficPattern::Kind::kClosedLoop:
       next_issue_cycle_ = -1;  // wait for the response

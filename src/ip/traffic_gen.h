@@ -11,6 +11,7 @@
 #define AETHEREAL_IP_TRAFFIC_GEN_H
 
 #include <map>
+#include <optional>
 #include <string>
 
 #include "shells/endpoints.h"
@@ -73,6 +74,7 @@ class TrafficGenMaster : public sim::Module {
   shells::MasterEndpoint* endpoint_;
   TrafficPattern pattern_;
   Rng rng_;
+  std::optional<GeometricGap> gap_;  // kBernoulli only
   bool active_ = true;
   std::int64_t issued_ = 0;
   std::int64_t issued_responses_ = 0;  // transactions expecting a response

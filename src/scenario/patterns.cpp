@@ -195,7 +195,7 @@ ip::Injection StreamInjection(const TrafficSpec& traffic, Rng& rng) {
   // or the arbiter would see an artificial synchronized burst every period.
   injection.phase =
       injection.rate > 0
-          ? rng.NextGeometric(injection.rate)
+          ? GeometricGap(injection.rate).Draw(rng)
           : static_cast<Cycle>(
                 rng.NextBelow(static_cast<std::uint64_t>(injection.period)));
   return injection;

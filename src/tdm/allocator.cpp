@@ -12,8 +12,9 @@ CentralizedAllocator::CentralizedAllocator(const topology::Topology* topology,
     : topology_(topology), num_slots_(num_slots) {
   AETHEREAL_CHECK(topology != nullptr);
   AETHEREAL_CHECK(num_slots > 0);
-  tables_.reserve(static_cast<std::size_t>(topology->NumLinks()));
-  for (int i = 0; i < topology->NumLinks(); ++i) {
+  const int links = topology->NumLinks();
+  tables_.reserve(static_cast<std::size_t>(links));
+  for (int i = 0; i < links; ++i) {
     tables_.emplace_back(num_slots);
   }
 }

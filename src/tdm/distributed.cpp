@@ -10,7 +10,10 @@ DistributedAllocator::DistributedAllocator(
   AETHEREAL_CHECK(topology != nullptr);
   AETHEREAL_CHECK(num_slots > 0);
   AETHEREAL_CHECK(max_attempts > 0);
-  for (int i = 0; i < topology->NumLinks(); ++i) {
+  const int links = topology->NumLinks();
+  committed_.reserve(static_cast<std::size_t>(links));
+  tentative_.reserve(static_cast<std::size_t>(links));
+  for (int i = 0; i < links; ++i) {
     committed_.emplace_back(num_slots);
     tentative_.emplace_back(num_slots);
   }

@@ -1,8 +1,7 @@
 #include "topology/topology.h"
 
-#include <algorithm>
-#include <deque>
 #include <sstream>
+#include <utility>
 
 #include "link/header.h"
 #include "util/check.h"
@@ -13,6 +12,9 @@ RouterId Topology::AddRouter(int num_ports) {
   AETHEREAL_CHECK(num_ports > 0);
   routers_.push_back(RouterNode{std::vector<Endpoint>(
       static_cast<std::size_t>(num_ports))});
+  router_link_base_.push_back(router_ports_);
+  router_ports_ += num_ports;
+  search_.emplace_back();
   return static_cast<RouterId>(routers_.size() - 1);
 }
 
@@ -93,42 +95,46 @@ Result<std::vector<int>> Topology::RouteHops(NiId from, NiId to) const {
   const RouterId start = NiRouter(from);
   const RouterId goal = NiRouter(to);
 
-  // BFS over routers; predecessor records (router, inbound port of pred).
-  struct Pred {
-    RouterId router = kInvalidId;
-    int out_port = -1;  // port taken at the predecessor
+  // BFS over routers, recording how each was first reached.
+  if (++search_generation_ == 0) {
+    // The generation wrapped: forget every mark so none reads as current.
+    for (SearchNode& node : search_) node.mark = 0;
+    search_generation_ = 1;
+  }
+  const std::uint32_t gen = search_generation_;
+  const auto node_of = [this](RouterId r) -> SearchNode& {
+    return search_[static_cast<std::size_t>(r)];
   };
-  std::vector<Pred> pred(static_cast<std::size_t>(NumRouters()));
-  std::vector<bool> seen(static_cast<std::size_t>(NumRouters()), false);
-  std::deque<RouterId> frontier;
-  seen[static_cast<std::size_t>(start)] = true;
-  frontier.push_back(start);
-  while (!frontier.empty() && !seen[static_cast<std::size_t>(goal)]) {
-    const RouterId r = frontier.front();
-    frontier.pop_front();
-    for (int p = 0; p < RouterPorts(r); ++p) {
-      const Endpoint& ep = PortPeer(r, p);
+  frontier_.clear();
+  node_of(start).mark = gen;
+  frontier_.push_back(start);
+  for (std::size_t head = 0;
+       head < frontier_.size() && node_of(goal).mark != gen; ++head) {
+    const RouterId r = frontier_[head];
+    const auto& ports = routers_[static_cast<std::size_t>(r)].ports;
+    for (int p = 0; p < static_cast<int>(ports.size()); ++p) {
+      const Endpoint& ep = ports[static_cast<std::size_t>(p)];
       if (ep.kind != EndpointKind::kRouter) continue;
-      if (seen[static_cast<std::size_t>(ep.id)]) continue;
-      seen[static_cast<std::size_t>(ep.id)] = true;
-      pred[static_cast<std::size_t>(ep.id)] = Pred{r, p};
-      frontier.push_back(ep.id);
+      SearchNode& next = node_of(ep.id);
+      if (next.mark == gen) continue;
+      next = SearchNode{gen, r, p};
+      frontier_.push_back(ep.id);
     }
   }
-  if (!seen[static_cast<std::size_t>(goal)]) {
+  if (node_of(goal).mark != gen) {
     return NotFoundError("no route between NIs");
   }
 
-  std::vector<int> hops;
-  // Walk back from the goal router, then append the NI exit port.
-  RouterId r = goal;
-  while (r != start) {
-    const Pred& pr = pred[static_cast<std::size_t>(r)];
-    hops.push_back(pr.out_port);
-    r = pr.router;
+  // Walk back from the goal router to size the route, then again to fill
+  // it in from the end; the last hop is the NI exit port.
+  std::size_t length = 1;
+  for (RouterId r = goal; r != start; r = node_of(r).pred) ++length;
+  std::vector<int> hops(length);
+  hops.back() = NiRouterPort(to);
+  std::size_t i = length - 1;
+  for (RouterId r = goal; r != start; r = node_of(r).pred) {
+    hops[--i] = node_of(r).pred_port;
   }
-  std::reverse(hops.begin(), hops.end());
-  hops.push_back(NiRouterPort(to));
   if (static_cast<int>(hops.size()) > link::kMaxPathHops) {
     return ResourceExhaustedError("route exceeds max source-path hops");
   }
@@ -146,7 +152,8 @@ Result<ChannelRoute> Topology::Route(NiId from, NiId to) const {
   ChannelRoute route;
   route.source_ni = from;
   route.dest_ni = to;
-  route.hops = *hops;
+  route.hops = std::move(*hops);
+  route.links.reserve(route.hops.size() + 1);
   route.links.push_back(LinkId{true, from, 0});
   RouterId r = NiRouter(from);
   for (std::size_t i = 0; i < route.hops.size(); ++i) {
@@ -165,12 +172,6 @@ Result<ChannelRoute> Topology::Route(NiId from, NiId to) const {
   return route;
 }
 
-int Topology::NumLinks() const {
-  int total = NumNis();
-  for (const auto& r : routers_) total += static_cast<int>(r.ports.size());
-  return total;
-}
-
 int Topology::LinkIndex(const LinkId& link) const {
   if (link.from_ni) {
     AETHEREAL_CHECK(link.node >= 0 && link.node < NumNis());
@@ -178,9 +179,8 @@ int Topology::LinkIndex(const LinkId& link) const {
   }
   AETHEREAL_CHECK(link.node >= 0 && link.node < NumRouters());
   AETHEREAL_CHECK(link.port >= 0 && link.port < RouterPorts(link.node));
-  int base = NumNis();
-  for (RouterId r = 0; r < link.node; ++r) base += RouterPorts(r);
-  return base + link.port;
+  return NumNis() + router_link_base_[static_cast<std::size_t>(link.node)] +
+         link.port;
 }
 
 std::string Topology::LinkName(const LinkId& link) const {

@@ -7,9 +7,15 @@
 //    channel is configured, Fig. 9),
 //  * stable directed-link identifiers, used by the TDM slot allocator to
 //    reserve slots along a path.
+//
+// `NumLinks` and `LinkIndex` are O(1). A route query costs what its search
+// visits: it reuses scratch the topology sizes as routers are added, so
+// route queries on one `Topology` are single-threaded (each SoC is driven
+// by one thread, and sweep workers build their own).
 #ifndef AETHEREAL_TOPOLOGY_TOPOLOGY_H
 #define AETHEREAL_TOPOLOGY_TOPOLOGY_H
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -75,16 +81,19 @@ class Topology {
   /// Shortest route (BFS, deterministic tie-break by port number) from one
   /// NI to another: the output port at each traversed router, ending with
   /// the port where `to` is attached. Fails if disconnected or if the hop
-  /// count exceeds what a packet header can carry.
+  /// count exceeds what a packet header can carry. Not thread-safe: it
+  /// writes the topology's search scratch.
   Result<std::vector<int>> RouteHops(NiId from, NiId to) const;
 
   /// Full channel route including directed link ids (for slot allocation).
   Result<ChannelRoute> Route(NiId from, NiId to) const;
 
   /// Total number of directed links (for allocator table sizing).
-  int NumLinks() const;
+  int NumLinks() const { return NumNis() + router_ports_; }
 
-  /// Dense index of a directed link in [0, NumLinks()).
+  /// Dense index of a directed link in [0, NumLinks()): the NI injection
+  /// links first, by NI id, then each router's output ports in router
+  /// order.
   int LinkIndex(const LinkId& link) const;
 
   /// Human-readable link name for diagnostics.
@@ -100,8 +109,25 @@ class Topology {
     bool attached = false;
   };
 
+  // Breadth-first search state of one route query: a router counts as
+  // visited when its mark equals the query's generation, so nothing is
+  // cleared between queries.
+  struct SearchNode {
+    std::uint32_t mark = 0;
+    RouterId pred = kInvalidId;  // router the search reached this one from
+    int pred_port = -1;          // output port taken at `pred`
+  };
+
   std::vector<RouterNode> routers_;
+  // Ports of routers [0, r): the first link index of router r, less the
+  // NI injection links that precede every router link.
+  std::vector<int> router_link_base_;
+  int router_ports_ = 0;  // ports of all routers
   std::vector<NiNode> nis_;
+
+  mutable std::vector<SearchNode> search_;     // one per router
+  mutable std::vector<RouterId> frontier_;     // FIFO, one push per router
+  mutable std::uint32_t search_generation_ = 0;
 };
 
 }  // namespace aethereal::topology

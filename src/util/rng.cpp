@@ -61,11 +61,15 @@ double Rng::NextDouble() {
 
 bool Rng::NextBool(double p) { return NextDouble() < p; }
 
-std::int64_t Rng::NextGeometric(double p) {
+GeometricGap::GeometricGap(double p)
+    : certain_(p >= 1.0), log1m_p_(certain_ ? 0.0 : std::log1p(-p)) {
   AETHEREAL_CHECK(p > 0.0 && p <= 1.0);
-  if (p >= 1.0) return 0;
-  const double u = NextDouble();
-  return static_cast<std::int64_t>(std::floor(std::log1p(-u) / std::log1p(-p)));
+}
+
+std::int64_t GeometricGap::Draw(Rng& rng) const {
+  if (certain_) return 0;
+  const double u = rng.NextDouble();
+  return static_cast<std::int64_t>(std::floor(std::log1p(-u) / log1m_p_));
 }
 
 }  // namespace aethereal

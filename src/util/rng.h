@@ -30,12 +30,23 @@ class Rng {
   /// Bernoulli trial with probability p in [0, 1].
   bool NextBool(double p);
 
-  /// Geometric inter-arrival gap for a Bernoulli(p)-per-cycle process,
-  /// i.e. number of failures before the first success. p in (0, 1].
-  std::int64_t NextGeometric(double p);
-
  private:
   std::uint64_t state_[4];
+};
+
+/// Geometric inter-arrival gaps of a Bernoulli(p)-per-cycle process, i.e.
+/// the number of failures before the first success. p in (0, 1] is fixed
+/// per source, so the inversion's denominator log(1 - p) is computed once.
+class GeometricGap {
+ public:
+  explicit GeometricGap(double p);
+
+  /// One gap drawn from `rng`. At p = 1 the gap is 0 and nothing is drawn.
+  std::int64_t Draw(Rng& rng) const;
+
+ private:
+  bool certain_;      // p == 1
+  double log1m_p_;    // log1p(-p), unused when certain_
 };
 
 }  // namespace aethereal

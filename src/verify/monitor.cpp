@@ -457,30 +457,51 @@ void Monitor::ObserveDelivery(NiId ni, const Flit& flit) {
     // is. A GT flit is pinned to its per-flit deadline, which only the
     // true entry satisfies; with corruption also armed, a deadline-exact
     // GT candidate whose fields agree may differ in payload (dropped
-    // predecessors AND a bit flip on the survivor).
+    // predecessors AND a bit flip on the survivor). A BE flit has no
+    // deadline: only when no candidate in the window matches it word for
+    // word is the first fields-matching BE candidate taken as a corrupted
+    // survivor.
     bool resynced = false;
     if (fault_context_.drops_possible) {
       const std::size_t limit =
           std::min(ledger.expected.size(), kMaxResyncScan);
+      std::size_t lost = 0;  // entries lost ahead of this flit's own
+      bool corrupted_survivor = false;
       for (std::size_t k = 1; k < limit; ++k) {
         const ExpectedFlit& cand = ledger.expected[k];
         const bool deadline_ok =
             !flit.gt || cand.arrival < 0 || cand.arrival == now;
         if (!deadline_ok || !fields_of(cand)) continue;
-        const bool cand_words = words_of(cand);
-        const bool corrupted_survivor =
-            !cand_words && flit.gt && cand.arrival == now &&
-            fault_context_.corruption_possible;
-        if (!cand_words && !corrupted_survivor) continue;
+        if (words_of(cand)) {
+          lost = k;
+          break;
+        }
+        if (flit.gt && cand.arrival == now &&
+            fault_context_.corruption_possible) {
+          lost = k;
+          corrupted_survivor = true;
+          break;
+        }
+      }
+      if (lost == 0 && !flit.gt && fault_context_.corruption_possible) {
+        for (std::size_t k = 1; k < limit; ++k) {
+          if (fields_of(ledger.expected[k])) {
+            lost = k;
+            corrupted_survivor = true;
+            break;
+          }
+        }
+      }
+      if (lost != 0) {
         std::int64_t words_lost = 0;
-        for (std::size_t d = 0; d < k; ++d) {
+        for (std::size_t d = 0; d < lost; ++d) {
           words_lost += ledger.expected[d].payload_words;
         }
-        fault_lost_flits_ += static_cast<std::int64_t>(k);
+        fault_lost_flits_ += static_cast<std::int64_t>(lost);
         fault_lost_words_ += words_lost;
         ledger.sent_words -= words_lost;  // never reached the queue
         std::ostringstream oss;
-        oss << "ni" << ni << ".q" << qid << " resynced past " << k
+        oss << "ni" << ni << ".q" << qid << " resynced past " << lost
             << " flit(s) (" << words_lost
             << " word(s)) lost to injected drop faults";
         Report("flit-loss", oss.str(), /*fault_induced=*/true);
@@ -493,11 +514,10 @@ void Monitor::ObserveDelivery(NiId ni, const Flit& flit) {
         }
         ledger.expected.erase(
             ledger.expected.begin(),
-            ledger.expected.begin() + static_cast<std::ptrdiff_t>(k));
+            ledger.expected.begin() + static_cast<std::ptrdiff_t>(lost));
         expect = ledger.expected.front();
         ledger.expected.pop_front();
         resynced = true;
-        break;
       }
     }
     if (!resynced) {

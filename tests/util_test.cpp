@@ -131,9 +131,17 @@ TEST(Rng, GeometricMean) {
   Rng rng(13);
   double sum = 0;
   const int n = 20000;
-  for (int i = 0; i < n; ++i) sum += static_cast<double>(rng.NextGeometric(0.25));
+  const GeometricGap gap(0.25);
+  for (int i = 0; i < n; ++i) sum += static_cast<double>(gap.Draw(rng));
   // Mean of geometric (failures before success) = (1-p)/p = 3.
   EXPECT_NEAR(sum / n, 3.0, 0.15);
+}
+
+TEST(Rng, GeometricAtRateOneDrawsNothing) {
+  Rng rng(17);
+  Rng untouched(17);
+  EXPECT_EQ(GeometricGap(1.0).Draw(rng), 0);
+  EXPECT_EQ(rng.Next(), untouched.Next());  // the gap consumed no draw
 }
 
 TEST(Stats, Summary) {
