@@ -21,7 +21,7 @@
 #   * noc_verify's randomized runs: `--fuzz 1500 --fault-fuzz 1000` at
 #     seeds 2 and 3 (both engines inside each run, about 6 s per run),
 #     comparing the result JSON and the per-workload report lines. They
-#     reach the monitor's random-conformance, resync and
+#     reach the monitor's random-conformance, lost-flit and
 #     fault-classification paths, which the canonical scenarios barely
 #     touch. A failing batch writes no JSON, so these seeds pass on
 #     older builds too and the comparison stays valid against them.

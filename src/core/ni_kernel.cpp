@@ -750,6 +750,7 @@ void NiKernel::EmitFlit(ChannelId chid) {
   Channel& ch = ChannelAt(chid);
   Flit flit;
   flit.gt = ch.gt;
+  flit.id = link::FlitId(id_, flits_emitted_++);
 
   if (ch.open_words_left == 0) {
     // Start a new packet: header flit. Decide the payload budget now

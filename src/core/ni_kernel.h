@@ -357,6 +357,10 @@ class NiKernel : public sim::Module {
   ChannelId be_open_channel_ = kInvalidId;  // BE packet in progress
   int rr_pointer_ = 0;
   int wrr_grants_left_ = 0;
+  // Flits emitted so far: the sequence part of the next flit's identity
+  // (link::Flit::id, simulation-only; never reset, so identities stay
+  // unique across close and reopen).
+  std::uint64_t flits_emitted_ = 0;
 
   // Slot counts behind the derived stats (CountSlotsThrough): slots
   // scheduled, and slots held by an enabled STU owner, through slot

@@ -115,6 +115,7 @@ bool FaultInjector::OnDrive(int site_id, Cycle now, link::Flit* flit) {
                                                    payload_words));
       flit->words[static_cast<std::size_t>(index)] ^=
           Word{1} << ((h >> 8) % 8);
+      flit->fault_flipped = true;  // sideband for the verify monitor
       ++flits_corrupted_;
       Record(now, "link-corrupt", site.name);
     }

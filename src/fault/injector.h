@@ -44,8 +44,10 @@ class FaultInjector : public link::FlitTap {
 
   /// link::FlitTap — consulted once per driven data flit on tapped wires.
   /// Returns false to swallow the flit (dropped on the wire); may corrupt
-  /// payload words in place. GT packets are dropped whole (header decides,
-  /// continuation flits of a dropped packet are swallowed until EOP).
+  /// payload words in place, and then sets the flit's simulation-only
+  /// fault_flipped bit (link/flit.h) for the verify monitor. GT packets
+  /// are dropped whole (header decides, continuation flits of a dropped
+  /// packet are swallowed until EOP).
   bool OnDrive(int site, Cycle now, link::Flit* flit) override;
 
   bool RouterStalled(RouterId router, Cycle now) const {

@@ -822,10 +822,10 @@ Result<ScenarioResult> ScenarioRunner::Run() {
   AggregateNiStats(soc_.get(), spec_.NumNis(), &result);
 
   std::vector<std::string> degradations;
+  std::vector<std::string> problems;
   if (spec_.verify) {
     const bool fault_aware =
         spec_.fault.has_value() && spec_.fault->AnyNetworkFaults();
-    std::vector<std::string> problems;
     verify::Monitor* monitor = soc_->monitor();
     AETHEREAL_CHECK(monitor != nullptr);
     AppendMonitorProblems(monitor, &problems,
@@ -885,9 +885,9 @@ Result<ScenarioResult> ScenarioRunner::Run() {
       }
       problems.push_back(oss.str());
     }
-    if (!problems.empty()) return VerificationError(spec_.name, problems);
   }
-  FillFaultResult(std::move(degradations), &result);
+  FillFaultResult(std::move(degradations), &result, &problems);
+  if (!problems.empty()) return VerificationError(spec_.name, problems);
   if (Status s = FinalizeObsIntoResult(&result); !s.ok()) return s;
   return result;
 }
@@ -1171,7 +1171,8 @@ void ScenarioRunner::CheckGtLatency(const FlowIps& f,
 }
 
 void ScenarioRunner::FillFaultResult(std::vector<std::string> degradations,
-                                     ScenarioResult* result) {
+                                     ScenarioResult* result,
+                                     std::vector<std::string>* problems) {
   if (!spec_.fault.has_value() || !spec_.fault->Enabled()) return;
   const fault::FaultInjector* injector = soc_->fault_injector();
   AETHEREAL_CHECK(injector != nullptr);
@@ -1202,6 +1203,24 @@ void ScenarioRunner::FillFaultResult(std::vector<std::string> degradations,
             ? static_cast<double>(fr.gt_words_delivered) /
                   static_cast<double>(fr.gt_words_offered)
             : 1.0;
+    // Fault accounting: the monitor may attribute to faults no more than
+    // the injector did.
+    if (fr.monitor_corrupted_flits > fr.flits_corrupted) {
+      std::ostringstream oss;
+      oss << "fault-accounting: the monitor counted "
+          << fr.monitor_corrupted_flits
+          << " corrupted flit(s) but the injector flipped "
+          << fr.flits_corrupted;
+      problems->push_back(oss.str());
+    }
+    const std::int64_t words_dropped =
+        fr.link_words_dropped + fr.router_stall_words_dropped;
+    if (fr.monitor_lost_words > words_dropped) {
+      std::ostringstream oss;
+      oss << "fault-accounting: the monitor counted " << fr.monitor_lost_words
+          << " lost word(s) but the injector dropped " << words_dropped;
+      problems->push_back(oss.str());
+    }
   }
   fr.degradations = std::move(degradations);
   for (const fault::FaultInjector::Event& event : injector->events()) {

@@ -349,9 +349,12 @@ class ScenarioRunner {
   void CheckGtLatency(const FlowIps& flow, const LatencySummary& latency,
                       std::vector<std::string>* sink);
   /// Fills result->fault from the injector / manager / monitor ledgers
-  /// (no-op unless the spec's fault block is Enabled()).
+  /// (no-op unless the spec's fault block is Enabled()). Appends a
+  /// fault-accounting problem when the monitor attributes more corrupted
+  /// flits or lost words to faults than the injector caused.
   void FillFaultResult(std::vector<std::string> degradations,
-                       ScenarioResult* result);
+                       ScenarioResult* result,
+                       std::vector<std::string>* problems);
   /// Observability epilogue (no-op without a hub): mirrors the recorded
   /// fault events into the trace, finalizes the tap, snapshots the stats
   /// section into the result, and writes the trace file. Call after

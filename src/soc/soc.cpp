@@ -229,12 +229,10 @@ Soc::Soc(topology::Topology topology,
     if (fault_injector_ != nullptr) {
       const fault::FaultSpec& spec = fault_injector_->spec();
       verify::FaultContext context;
-      // Wire drops and router stalls lose whole packets; corruption flips
-      // payload bits. NI stalls only delay traffic, so they widen neither
-      // tolerance.
+      // Wire drops and router stalls lose whole packets. NI stalls only
+      // delay traffic, and each corrupted flit carries the injector's mark.
       context.drops_possible =
           spec.link_drop_rate > 0.0 || !spec.router_stalls.empty();
-      context.corruption_possible = spec.link_corrupt_rate > 0.0;
       monitor_->SetFaultContext(context);
     }
   }

@@ -65,15 +65,6 @@ TailPercentiles SelectTailPercentiles(std::vector<double>& samples) {
   return t;
 }
 
-double Stats::Percentile(double p) const {
-  AETHEREAL_CHECK(!samples_.empty());
-  std::vector<double> copy = samples_;
-  const auto at =
-      copy.begin() + static_cast<std::ptrdiff_t>(NearestRank(copy.size(), p));
-  std::nth_element(copy.begin(), at, copy.end());
-  return *at;
-}
-
 template <typename F>
 void CycleCounts::ForEach(F f) const {
   const auto non_negative = sparse_.lower_bound(0);

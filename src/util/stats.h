@@ -17,7 +17,8 @@ namespace aethereal {
 /// Samples stay in insertion order until TakeSamples(): phased scenarios
 /// snapshot the sample count at window boundaries and count the samples
 /// recorded within one phase's window, and the convergence check's batch
-/// means read them in that order, so Percentile() selects from a copy.
+/// means read them in that order. Percentiles come from a CycleCounts
+/// (AddSamples) or from SelectTailPercentiles on a copy.
 class Stats {
  public:
   void Add(double sample);
@@ -28,10 +29,6 @@ class Stats {
   double Min() const;
   double Max() const;
   double Mean() const;
-  /// Exact percentile by nearest-rank, p in [0, 100]. Selects from a fresh
-  /// copy of the samples (linear time); for several percentiles of one
-  /// population, copy samples() once into SelectTailPercentiles.
-  double Percentile(double p) const;
   double Sum() const { return sum_; }
 
   /// Samples in insertion order.

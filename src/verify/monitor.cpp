@@ -25,12 +25,6 @@ constexpr int kStuMismatchThreshold = 2;
 /// Recorded-violation cap; total_violations() keeps counting beyond it.
 constexpr std::size_t kMaxRecorded = 64;
 
-/// How far ahead of the expectation FIFO the delivery matcher scans when a
-/// drop fault may have consumed the oldest entries. Bounds the cost of a
-/// pathological mismatch; low fault rates drop far fewer flits back to
-/// back.
-constexpr std::size_t kMaxResyncScan = 64;
-
 }  // namespace
 
 Monitor::Monitor(std::string name) : sim::Module(std::move(name)) {
@@ -219,6 +213,7 @@ void Monitor::ObserveInjection(NiId ni, const Flit& flit) {
   const Cycle now = CycleCount();
 
   ExpectedFlit expect;
+  expect.id = flit.id;
   expect.kind = flit.kind;
   expect.gt = flit.gt;
   expect.eop = flit.eop;
@@ -397,148 +392,65 @@ void Monitor::ObserveDelivery(NiId ni, const Flit& flit) {
   const int qid = open.ledger % max_qid_;
   if (flit.eop) open.ledger = -1;
 
-  if (ledger.expected.empty()) {
+  // The flit is the in-flight entry with its identity; every older entry
+  // ahead of it was lost on the way.
+  const auto match =
+      std::find_if(ledger.expected.begin(), ledger.expected.end(),
+                   [&](const ExpectedFlit& e) { return e.id == flit.id; });
+  if (match == ledger.expected.end()) {
     std::ostringstream oss;
     oss << "ni" << ni << ".q" << qid << " received a flit that never "
         << "entered the network (injection tap saw nothing)";
     Report("flit-ordering", oss.str());
     return;
   }
-  // In-order, uncorrupted delivery: the flit must be exactly the oldest
-  // in-flight flit for this destination queue.
-  int payload_words = 0;
-  std::array<Word, kFlitWords> payload{};
-  const int first = flit.kind == FlitKind::kHeader ? 1 : 0;
-  for (int i = first; i < flit.valid_words; ++i) {
-    payload[static_cast<std::size_t>(payload_words++)] =
-        flit.words[static_cast<std::size_t>(i)];
-  }
-  const auto fields_of = [&](const ExpectedFlit& e) {
-    return e.kind == flit.kind && e.gt == flit.gt && e.eop == flit.eop &&
-           e.credits == credits && e.payload_words == payload_words;
-  };
-  const auto words_of = [&](const ExpectedFlit& e) {
-    for (int i = 0; i < payload_words; ++i) {
-      if (e.payload[static_cast<std::size_t>(i)] !=
-          payload[static_cast<std::size_t>(i)]) {
-        return false;
-      }
+  if (match != ledger.expected.begin()) {
+    const auto lost = match - ledger.expected.begin();
+    std::int64_t words_lost = 0;
+    for (auto it = ledger.expected.begin(); it != match; ++it) {
+      words_lost += it->payload_words;
     }
-    return true;
-  };
-
-  ExpectedFlit expect = ledger.expected.front();
-  const bool front_matches = fields_of(expect) && words_of(expect);
-  // Under drop faults a word-exact front match that misses its GT deadline
-  // is suspect: periodic sources repeat payloads, so after a drop the NEXT
-  // flit matches the dropped flit's entry word-for-word and the whole
-  // expectation queue would stay shifted (every later arrival one slot
-  // revolution "late"). Only the deadline discriminates; prefer the
-  // deadline-exact entry further in the queue.
-  const bool front_on_time =
-      !flit.gt || expect.arrival < 0 || expect.arrival == now;
-  if (front_matches &&
-      (front_on_time || !fault_context_.drops_possible)) {
-    ledger.expected.pop_front();
-  } else if (!front_matches && fields_of(expect) && front_on_time &&
-             fault_context_.corruption_possible) {
-    // Framing, class, credits and word count all agree with the oldest
-    // in-flight flit — only payload bits differ. That is exactly what the
-    // armed corruption fault does: delivered, degraded.
-    ledger.expected.pop_front();
-    ++fault_corrupted_flits_;
+    ledger.sent_words -= words_lost;  // never reached the queue
     std::ostringstream oss;
-    oss << "ni" << ni << ".q" << qid
-        << " payload corrupted in flight (fault-injected bit flip)";
-    Report("flit-integrity", oss.str(), /*fault_induced=*/true);
-  } else {
-    // Under drop faults the oldest expectation(s) may simply never
-    // arrive: scan a bounded window ahead for the entry this flit really
-    // is. A GT flit is pinned to its per-flit deadline, which only the
-    // true entry satisfies; with corruption also armed, a deadline-exact
-    // GT candidate whose fields agree may differ in payload (dropped
-    // predecessors AND a bit flip on the survivor). A BE flit has no
-    // deadline: only when no candidate in the window matches it word for
-    // word is the first fields-matching BE candidate taken as a corrupted
-    // survivor.
-    bool resynced = false;
+    oss << "ni" << ni << ".q" << qid << " lost " << lost << " flit(s) ("
+        << words_lost << " word(s))";
+    // Only a drop fault may lose a flit.
     if (fault_context_.drops_possible) {
-      const std::size_t limit =
-          std::min(ledger.expected.size(), kMaxResyncScan);
-      std::size_t lost = 0;  // entries lost ahead of this flit's own
-      bool corrupted_survivor = false;
-      for (std::size_t k = 1; k < limit; ++k) {
-        const ExpectedFlit& cand = ledger.expected[k];
-        const bool deadline_ok =
-            !flit.gt || cand.arrival < 0 || cand.arrival == now;
-        if (!deadline_ok || !fields_of(cand)) continue;
-        if (words_of(cand)) {
-          lost = k;
-          break;
-        }
-        if (flit.gt && cand.arrival == now &&
-            fault_context_.corruption_possible) {
-          lost = k;
-          corrupted_survivor = true;
-          break;
-        }
-      }
-      if (lost == 0 && !flit.gt && fault_context_.corruption_possible) {
-        for (std::size_t k = 1; k < limit; ++k) {
-          if (fields_of(ledger.expected[k])) {
-            lost = k;
-            corrupted_survivor = true;
-            break;
-          }
-        }
-      }
-      if (lost != 0) {
-        std::int64_t words_lost = 0;
-        for (std::size_t d = 0; d < lost; ++d) {
-          words_lost += ledger.expected[d].payload_words;
-        }
-        fault_lost_flits_ += static_cast<std::int64_t>(lost);
-        fault_lost_words_ += words_lost;
-        ledger.sent_words -= words_lost;  // never reached the queue
-        std::ostringstream oss;
-        oss << "ni" << ni << ".q" << qid << " resynced past " << lost
-            << " flit(s) (" << words_lost
-            << " word(s)) lost to injected drop faults";
-        Report("flit-loss", oss.str(), /*fault_induced=*/true);
-        if (corrupted_survivor) {
-          ++fault_corrupted_flits_;
-          std::ostringstream coss;
-          coss << "ni" << ni << ".q" << qid
-               << " payload corrupted in flight (fault-injected bit flip)";
-          Report("flit-integrity", coss.str(), /*fault_induced=*/true);
-        }
-        ledger.expected.erase(
-            ledger.expected.begin(),
-            ledger.expected.begin() + static_cast<std::ptrdiff_t>(lost));
-        expect = ledger.expected.front();
-        ledger.expected.pop_front();
-        resynced = true;
-      }
+      fault_lost_flits_ += lost;
+      fault_lost_words_ += words_lost;
+      oss << " to injected drop faults";
+    } else {
+      oss << " ahead of a delivered flit";
     }
-    if (!resynced) {
-      ledger.expected.pop_front();
-      if (front_matches) {
-        // The front really was this flit, merely late; the GT-timing check
-        // below reports the contract breach.
-      } else if (fields_of(expect) && fault_context_.corruption_possible) {
-        ++fault_corrupted_flits_;
-        std::ostringstream oss;
-        oss << "ni" << ni << ".q" << qid
-            << " payload corrupted in flight (fault-injected bit flip)";
-        Report("flit-integrity", oss.str(), /*fault_induced=*/true);
-      } else {
-        std::ostringstream oss;
-        oss << "ni" << ni << ".q" << qid
-            << " delivery differs from the oldest "
-            << "in-flight flit (reordered or corrupted)";
-        Report("flit-integrity", oss.str());
-      }
+    Report("flit-loss", oss.str(), fault_context_.drops_possible);
+  }
+  const ExpectedFlit expect = *match;
+  ledger.expected.erase(ledger.expected.begin(), match + 1);
+
+  // Uncorrupted delivery: the flit must be exactly what entered the
+  // network (header word excluded: the path field mutates en route).
+  const int first = flit.kind == FlitKind::kHeader ? 1 : 0;
+  const int payload_words = flit.valid_words - first;
+  if (expect.kind != flit.kind || expect.gt != flit.gt ||
+      expect.eop != flit.eop || expect.credits != credits ||
+      expect.payload_words != payload_words) {
+    std::ostringstream oss;
+    oss << "ni" << ni << ".q" << qid << " delivery differs in framing from "
+        << "the flit that entered the network";
+    Report("flit-integrity", oss.str());
+  } else if (!std::equal(expect.payload.begin(),
+                         expect.payload.begin() + payload_words,
+                         flit.words.begin() + first)) {
+    // Only the injector's bit flip may change payload bits.
+    std::ostringstream oss;
+    oss << "ni" << ni << ".q" << qid;
+    if (flit.fault_flipped) {
+      ++fault_corrupted_flits_;
+      oss << " payload corrupted in flight (fault-injected bit flip)";
+    } else {
+      oss << " payload differs from the flit that entered the network";
     }
+    Report("flit-integrity", oss.str(), flit.fault_flipped);
   }
 
   // The GT latency contract: exactly one slot per traversed link, which

@@ -36,10 +36,14 @@
 //    link at exactly t + h*kFlitWords: the pipelined-circuit latency, and
 //    the proof that GT flits are never delayed by best-effort traffic.
 //    Finalize() reports GT flits still unaccounted past their deadline.
-//  * flit-integrity / flit-ordering — every flit delivered to (NI, queue)
-//    is matched FIFO against what entered the network for (NI, queue):
-//    payload words, header fields, end-of-packet, and traffic class must
-//    agree (per-channel in-order, uncorrupted delivery — for BE too).
+//  * flit-integrity / flit-ordering / flit-loss — every flit delivered to
+//    (NI, queue) is matched with the in-flight entry of the same identity
+//    (link::Flit::id, the simulation-only stamp of the emitting NI) among
+//    what entered the network for (NI, queue): payload words, header
+//    fields, end-of-packet and traffic class must agree, and no older
+//    entry may be left behind (per-channel in-order, uncorrupted, lossless
+//    delivery — for BE too). A flit matching no entry is a flit-ordering
+//    violation; older entries skipped are lost (flit-loss).
 //  * credit-conservation — per connection direction a->b, the words that
 //    entered the network for b minus the credits returned to a never
 //    exceed b's destination-queue capacity (the Space counter can never
@@ -71,20 +75,21 @@ struct Violation {
   Cycle cycle = 0;
   std::string check;    // e.g. "gt-timing"
   std::string message;
-  /// True when the violation is explained by the armed fault model (see
-  /// FaultContext): a corrupted payload with otherwise matching framing
-  /// under corruption faults, a lost packet under drop faults. The
-  /// scenario runner demotes fault-induced violations to degradation
-  /// records; unexplained ones still fail the run.
+  /// True when the violation is explained by the armed fault model: a
+  /// payload that differs on a flit the fault injector flipped a bit of
+  /// (link::Flit::fault_flipped), or, under drop faults (FaultContext), a
+  /// lost flit and the credit imbalance it leaves. The scenario runner
+  /// demotes fault-induced violations to degradation records; unexplained
+  /// ones still fail the run.
   bool fault_induced = false;
 };
 
 /// What the armed fault model can legitimately do to observed traffic
-/// (soc.cpp derives this from the FaultSpec). With everything false — the
-/// default — every violation is genuine.
+/// (soc.cpp derives this from the FaultSpec). With drops_possible false —
+/// the default — a lost flit and a credit imbalance are genuine. Payload
+/// corruption needs no flag here: the injector marks each flit it flips.
 struct FaultContext {
-  bool drops_possible = false;       // wire drops or router stall windows
-  bool corruption_possible = false;  // payload bit flips on links
+  bool drops_possible = false;  // wire drops or router stall windows
 };
 
 /// Everything the monitor needs from the assembled SoC, passed as plain
@@ -160,9 +165,9 @@ class Monitor : public sim::Module {
   std::int64_t unexplained_violations() const {
     return total_violations_ - fault_violations_;
   }
-  /// Graceful-degradation ledger: flits whose payload arrived flipped but
-  /// framed correctly, and flits/words attributed to drop faults (resync
-  /// plus end-of-run undelivered).
+  /// Graceful-degradation ledger: delivered flits whose payload a fault
+  /// flipped, and flits/words attributed to drop faults (skipped by a
+  /// later delivery, plus GT flits past their deadline at end of run).
   std::int64_t fault_corrupted_flits() const { return fault_corrupted_flits_; }
   std::int64_t fault_lost_flits() const { return fault_lost_flits_; }
   std::int64_t fault_lost_words() const { return fault_lost_words_; }
@@ -179,6 +184,7 @@ class Monitor : public sim::Module {
   /// network (header word excluded — the path field mutates en route;
   /// header fields are compared decoded).
   struct ExpectedFlit {
+    std::uint64_t id = 0;  // link::Flit::id, the delivery match key
     Cycle arrival = -1;  // exact delivery-observation cycle; -1 for BE
     link::FlitKind kind = link::FlitKind::kIdle;
     bool gt = false;

@@ -99,7 +99,7 @@ TEST(FaultTest, LinkCorruptionDetectedAndClassified) {
   EXPECT_EQ(f.events[0].kind, "link-corrupt");
 }
 
-TEST(FaultTest, LinkDropsResyncAndStayExplained) {
+TEST(FaultTest, LinkDropsAreCountedAndStayExplained) {
   auto result = RunText(std::string(kStreamBase) +
                         "fault\nseed 7\nlink drop 0.01\nend\n");
   ASSERT_TRUE(result.ok()) << result.status();
@@ -128,6 +128,44 @@ TEST(FaultTest, RouterStallDiscardsWholePackets) {
   EXPECT_GT(f.router_stall_packets_dropped, 0);
   EXPECT_GT(f.router_stall_words_dropped, 0);
   EXPECT_EQ(f.monitor_unexplained_violations, 0);
+}
+
+// A long router stall on a 2-NI star drops hundreds of BE flits back to
+// back toward one queue. The monitor matches each delivered flit by its
+// identity, however many flits ahead of it were lost, and counts exactly
+// what the injector dropped (a bounded forward scan once failed this with
+// 63 unexplained problems beyond 64 lost flits).
+TEST(FaultTest, LongRouterStallLosesExactlyWhatWasDropped) {
+  auto spec = ParseScenario(R"(
+scenario longstall
+noc star 2
+stu 8
+queues 1024
+seed 3
+warmup 100
+duration 3000
+verify on
+traffic neighbor inject periodic 3 qos be
+fault
+seed 1
+router 0 stall 300 900
+end
+)");
+  ASSERT_TRUE(spec.ok()) << spec.status();
+  for (sim::EngineKind engine :
+       {sim::EngineKind::kNaive, sim::EngineKind::kSoa}) {
+    SCOPED_TRACE(sim::EngineKindName(engine));
+    spec->engine = engine;
+    ScenarioRunner runner(*spec);
+    auto result = runner.Run();
+    ASSERT_TRUE(result.ok()) << result.status();
+    ASSERT_TRUE(result->fault.has_value());
+    const FaultResult& f = *result->fault;
+    EXPECT_EQ(f.monitor_unexplained_violations, 0);
+    EXPECT_GT(f.router_stall_packets_dropped, 64);
+    EXPECT_EQ(f.monitor_lost_flits, f.router_stall_packets_dropped);
+    EXPECT_EQ(f.monitor_lost_words, f.router_stall_words_dropped);
+  }
 }
 
 TEST(FaultTest, NiStallOnlyDelays) {

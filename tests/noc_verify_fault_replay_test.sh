@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Replays the --fault-fuzz cases in which a best-effort flit survives with
 # a flipped payload bit after the flits ahead of it in its queue were
-# dropped. The monitor must classify the survivor as fault-induced
-# corruption after the lost flits (DESIGN §12.3), so every case passes
-# on both engines.
+# dropped. The monitor matches the survivor by the identity its NI
+# stamped, counts the flits ahead of it lost, and its payload as
+# fault-induced corruption because the injector marked the flip
+# (DESIGN §12.3); every case passes on both engines. The cases are kept
+# as regression inputs: each once failed as unexplained.
 #
 #   tests/noc_verify_fault_replay_test.sh NOC_VERIFY
 set -euo pipefail

@@ -512,25 +512,5 @@ TEST(ObsOnTest, PhasedTraceRecordsConfigAndPhaseEvents) {
   }
 }
 
-// --- the shared percentile formula ----------------------------------------
-
-TEST(StatsPercentileTest, PercentileKeepsInsertionOrder) {
-  Stats stats;
-  // Two "phases": 50 samples descending, then 30 ascending — insertion
-  // order deliberately unsorted.
-  for (int i = 50; i >= 1; --i) stats.Add(i);
-  for (int i = 101; i <= 130; ++i) stats.Add(i);
-
-  // Whole-population percentile agrees with the free-function formula.
-  std::vector<double> all = stats.samples();
-  std::sort(all.begin(), all.end());
-  EXPECT_EQ(stats.Percentile(95.0), SortedPercentile(all, 95.0));
-
-  // Percentile() must not disturb insertion order (it selects from a
-  // copy), which the per-phase windows rely on.
-  EXPECT_EQ(stats.samples().front(), 50.0);
-  EXPECT_EQ(stats.samples().back(), 130.0);
-}
-
 }  // namespace
 }  // namespace aethereal::scenario

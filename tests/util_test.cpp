@@ -174,14 +174,6 @@ TEST(Stats, SelectedTailPercentilesMatchTheSortedOnes) {
   }
 }
 
-TEST(Stats, Percentile) {
-  Stats s;
-  for (int i = 1; i <= 100; ++i) s.Add(i);
-  EXPECT_DOUBLE_EQ(s.Percentile(50), 50.0);
-  EXPECT_DOUBLE_EQ(s.Percentile(99), 99.0);
-  EXPECT_DOUBLE_EQ(s.Percentile(100), 100.0);
-}
-
 TEST(Stats, TakeSamplesLeavesItEmpty) {
   Stats s;
   for (double v : {3.0, 1.0, 2.0}) s.Add(v);
