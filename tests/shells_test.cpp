@@ -473,6 +473,103 @@ struct MultiConnectionRig {
   std::unique_ptr<ScriptedMaster> master0, master1;
 };
 
+/// A never-parking master IP that drives a multicast shell directly (the
+/// shell is not a MasterEndpoint): it issues `ops` (writes only) as
+/// ScriptedMaster does and hashes each merged acknowledgment it pops.
+class MulticastWriter : public sim::Module {
+ public:
+  MulticastWriter(std::string name, MulticastShell* shell,
+                  std::vector<ScriptOp> ops)
+      : sim::Module(std::move(name)), shell_(shell), ops_(std::move(ops)) {}
+
+  std::uint64_t digest() const { return digest_; }
+  int responses() const { return responses_; }
+  bool issued_all() const { return next_ == ops_.size(); }
+
+  void Evaluate() override {
+    while (shell_->HasResponse()) {
+      const auto rsp = shell_->PopResponse();
+      digest_ = Mix(digest_, static_cast<std::uint64_t>(CycleCount()));
+      digest_ = Mix(digest_, static_cast<std::uint64_t>(rsp.transaction_id));
+      digest_ = Mix(digest_, static_cast<std::uint64_t>(rsp.error));
+      digest_ = Mix(digest_, rsp.is_write_ack ? 1 : 0);
+      for (Word w : rsp.data) digest_ = Mix(digest_, w);
+      ++responses_;
+    }
+    while (next_ < ops_.size() && ops_[next_].at <= CycleCount()) {
+      const ScriptOp& op = ops_[next_];
+      if (!shell_->CanIssue(2)) break;
+      const Word base = static_cast<Word>(op.tid) * 16;
+      shell_->IssueWrite(op.address, {base + 1, base + 2}, op.acked, op.tid);
+      ++next_;
+    }
+  }
+
+ private:
+  MulticastShell* shell_;
+  std::vector<ScriptOp> ops_;
+  std::size_t next_ = 0;
+  std::uint64_t digest_ = 0xCBF29CE484222325ull;
+  int responses_ = 0;
+};
+
+/// NI0 multicasts to a fast memory on NI1 mapping [0, 0x100) and a slow
+/// one on NI2 mapping only [0, 0x40). Writes in [0x40, 0x100) miss the
+/// second memory, so their merged acknowledgment carries kUnmappedAddress;
+/// writes above 0x100 miss both. No write can draw two kinds of error.
+struct MulticastRig {
+  explicit MulticastRig(sim::EngineKind engine) {
+    soc = MakeStarSoc({2, 1, 1}, engine);
+    AETHEREAL_CHECK(
+        soc->OpenConnection(GlobalChannel{0, 0}, GlobalChannel{1, 0}).ok());
+    AETHEREAL_CHECK(
+        soc->OpenConnection(GlobalChannel{0, 1}, GlobalChannel{2, 0}).ok());
+    shell = std::make_unique<MulticastShell>("multicast", soc->port(0, 0),
+                                             std::vector<int>{0, 1});
+    slave1 = std::make_unique<SlaveShell>("slave1", soc->port(1, 0), 0);
+    slave2 = std::make_unique<SlaveShell>("slave2", soc->port(2, 0), 0);
+    mem1 = std::make_unique<ip::MemorySlave>("mem1", slave1.get(), 0, 0x100,
+                                             /*latency=*/1);
+    mem2 = std::make_unique<ip::MemorySlave>("mem2", slave2.get(), 0, 0x40,
+                                             /*latency=*/30);
+    std::vector<ScriptOp> ops;
+    int tid = 0;
+    for (int round = 0; round < 6; ++round) {
+      const Cycle at = 10 + 90 * round;
+      const Word offset = static_cast<Word>(2 * round);
+      ops.push_back({at, false, true, 0x00 + offset, tid++});      // both
+      ops.push_back({at, false, false, 0x10 + offset, tid++});     // posted
+      ops.push_back({at, false, true, 0x80 + offset, tid++});      // mem1 only
+      ops.push_back({at + 3, false, false, 0x90 + offset, tid++}); // posted
+      ops.push_back({at + 5, false, true, 0x20 + offset, tid++});  // both
+      ops.push_back({at + 5, false, true, 0x200, tid++});          // neither
+      ops.push_back({at + 7, false, false, 0x30 + offset, tid++}); // posted
+      ops.push_back({at + 7, false, true, 0xC0 + offset, tid++});  // mem1 only
+    }
+    master = std::make_unique<MulticastWriter>("cpu", shell.get(), ops);
+    soc->RegisterOnPort(shell.get(), 0, 0);
+    soc->RegisterOnPort(master.get(), 0, 0);
+    soc->RegisterOnPort(slave1.get(), 1, 0);
+    soc->RegisterOnPort(slave2.get(), 2, 0);
+    soc->RegisterOnPort(mem1.get(), 1, 0);
+    soc->RegisterOnPort(mem2.get(), 2, 0);
+  }
+
+  /// The writer's response digest mixed with both memories' contents.
+  std::uint64_t Digest() const {
+    std::uint64_t digest = master->digest();
+    for (Word a = 0; a < 0x100; ++a) digest = Mix(digest, mem1->Load(a));
+    for (Word a = 0; a < 0x40; ++a) digest = Mix(digest, mem2->Load(a));
+    return digest;
+  }
+
+  std::unique_ptr<soc::Soc> soc;
+  std::unique_ptr<MulticastShell> shell;
+  std::unique_ptr<SlaveShell> slave1, slave2;
+  std::unique_ptr<ip::MemorySlave> mem1, mem2;
+  std::unique_ptr<MulticastWriter> master;
+};
+
 class ShellSchedule : public ::testing::TestWithParam<sim::EngineKind> {};
 
 // Every response reaches the narrowcast master's IP on the same cycle on
@@ -500,6 +597,19 @@ TEST_P(ShellSchedule, MultiConnectionSlaveDigest) {
       Mix(rig.master0->digest(), rig.master1->digest());
   EXPECT_EQ(digest, 0x7e113dc4e1b72821ull)
       << "schedule changed: digest 0x" << std::hex << digest;
+}
+
+// Every merged acknowledgment reaches the multicast master's IP on the same
+// cycle on both engines: 6 rounds x 5 acknowledged writes.
+TEST_P(ShellSchedule, MulticastMasterDigest) {
+  MulticastRig rig(GetParam());
+  rig.soc->RunCycles(1500);
+  EXPECT_TRUE(rig.master->issued_all());
+  EXPECT_EQ(rig.master->responses(), 6 * 5);
+  EXPECT_EQ(rig.mem1->writes_served(), 6 * 7);
+  EXPECT_EQ(rig.mem2->writes_served(), 6 * 4);
+  EXPECT_EQ(rig.Digest(), 0xc5e3625e3d70d7dfull)
+      << "schedule changed: digest 0x" << std::hex << rig.Digest();
 }
 
 // Once the traffic has drained, the N-connection shells park like their
