@@ -11,8 +11,8 @@ MasterShell::MasterShell(std::string name, core::NiPort* port, int connid)
     : MasterShell(std::move(name), port, std::vector<int>{connid}) {}
 
 MasterShell::MasterShell(std::string name, core::NiPort* port,
-                         std::vector<int> connids)
-    : sim::Module(std::move(name)) {
+                         std::vector<int> connids, Decode decode)
+    : sim::Module(std::move(name)), decode_(decode) {
   AETHEREAL_CHECK_MSG(!connids.empty(), "a master shell needs a connection");
   connections_.reserve(connids.size());
   for (int connid : connids) {
@@ -30,6 +30,9 @@ void MasterShell::BindIp(sim::Module* ip) {
 }
 
 Status MasterShell::MapRange(Word base, Word size, int slave_index) {
+  if (decode_ == Decode::kAll) {
+    return FailedPreconditionError("a multicast shell has no address decode");
+  }
   if (slave_index < 0 || slave_index >= NumSlaves()) {
     return InvalidArgumentError("slave index out of range");
   }
@@ -42,12 +45,21 @@ Status MasterShell::MapRange(Word base, Word size, int slave_index) {
   return OkStatus();
 }
 
-Result<int> MasterShell::DecodeAddress(Word address) const {
+int MasterShell::Route(const RequestMessage& msg,
+                       ResponseError* local_error) const {
+  if (decode_ == Decode::kAll) {
+    if (msg.cmd == Command::kWrite) return kEveryConnection;
+    *local_error = ResponseError::kBadCommand;
+    return kLocal;
+  }
   if (connections_.size() == 1) return 0;
   for (const Range& r : ranges_) {
-    if (address >= r.base && address - r.base < r.size) return r.slave_index;
+    if (msg.address >= r.base && msg.address - r.base < r.size) {
+      return r.slave_index;
+    }
   }
-  return NotFoundError("address not mapped to any slave");
+  *local_error = ResponseError::kUnmappedAddress;
+  return kLocal;
 }
 
 bool MasterShell::CanIssue(int payload_words) const {
@@ -60,17 +72,24 @@ bool MasterShell::CanIssue(int payload_words) const {
 int MasterShell::Issue(RequestMessage msg, bool flush) {
   msg.sequence_number = seqno_;
   seqno_ = (seqno_ + 1) % (transaction::kMaxSequenceNumber + 1);
-  const Result<int> target = DecodeAddress(msg.address);
+  ResponseError local_error = ResponseError::kOk;
+  const int source = Route(msg, &local_error);
   if (msg.ExpectsResponse()) {
-    history_.push_back(HistoryEntry{target.ok() ? *target : -1,
-                                    msg.transaction_id, msg.sequence_number,
-                                    msg.IsWrite()});
+    history_.push_back(HistoryEntry{source, msg.transaction_id,
+                                    msg.sequence_number, msg.IsWrite(),
+                                    local_error});
   }
-  if (target.ok()) {
-    connections_[static_cast<std::size_t>(*target)].streamer.Accept(
-        msg.Encode(), CycleCount(), flush);
-    Wake();
+  if (source == kLocal) return msg.sequence_number;
+  const std::vector<Word> words = msg.Encode();
+  if (source == kEveryConnection) {
+    for (Connection& c : connections_) {
+      c.streamer.Accept(words, CycleCount(), flush);
+    }
+  } else {
+    connections_[static_cast<std::size_t>(source)].streamer.Accept(
+        words, CycleCount(), flush);
   }
+  Wake();
   return msg.sequence_number;
 }
 
@@ -120,25 +139,44 @@ int MasterShell::IssueWriteConditional(Word address,
 
 bool MasterShell::HasResponse() const {
   if (history_.empty()) return false;
-  const int slave = history_.front().slave_index;
-  return slave < 0 ||
-         connections_[static_cast<std::size_t>(slave)].collector.HasMessage();
+  const int source = history_.front().source;
+  if (source >= 0) {
+    return connections_[static_cast<std::size_t>(source)]
+        .collector.HasMessage();
+  }
+  if (source == kLocal) return true;
+  for (const Connection& c : connections_) {
+    if (!c.collector.HasMessage()) return false;
+  }
+  return true;
 }
 
 ResponseMessage MasterShell::PopResponse() {
   AETHEREAL_CHECK_MSG(HasResponse(), name() << ": no in-order response ready");
   const HistoryEntry entry = history_.front();
   history_.pop_front();
-  if (entry.slave_index >= 0) {
-    return connections_[static_cast<std::size_t>(entry.slave_index)]
+  if (entry.source >= 0) {
+    return connections_[static_cast<std::size_t>(entry.source)]
         .collector.Pop();
   }
-  ResponseMessage err;
-  err.transaction_id = entry.transaction_id;
-  err.sequence_number = entry.sequence_number;
-  err.error = ResponseError::kUnmappedAddress;
-  err.is_write_ack = entry.is_write;
-  return err;
+  ResponseMessage rsp;
+  rsp.transaction_id = entry.transaction_id;
+  rsp.sequence_number = entry.sequence_number;
+  rsp.error = entry.local_error;
+  rsp.is_write_ack = entry.is_write;
+  if (entry.source == kEveryConnection) {
+    // One acknowledgment per slave; channels are in order, so each
+    // collector's oldest message is this write's.
+    for (Connection& c : connections_) {
+      const ResponseMessage ack = c.collector.Pop();
+      AETHEREAL_CHECK_MSG(ack.is_write_ack,
+                          name() << ": data response on a multicast write");
+      AETHEREAL_CHECK_MSG(ack.sequence_number == entry.sequence_number,
+                          name() << ": unmatched acknowledgment");
+      if (rsp.error == ResponseError::kOk) rsp.error = ack.error;
+    }
+  }
+  return rsp;
 }
 
 void MasterShell::Evaluate() {

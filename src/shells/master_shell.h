@@ -4,14 +4,23 @@
 // §5) and desequentializes response messages into read data and write
 // responses.
 //
-// One shell serves one or more point-to-point connections. With several,
-// it is the narrowcast shell of paper Fig. 3: each transaction goes to
-// exactly one slave, selected by decoding its address against the mapped
-// ranges, and a history of the transactions that expect a response
-// delivers the responses to the IP in issue order, even when slaves answer
-// out of order relative to each other. Unmapped addresses get a locally
-// synthesized kUnmappedAddress response in that order. A shell with one
-// connection maps every address to it.
+// One shell serves one or more point-to-point connections behind one of two
+// decodes, chosen at construction (paper §2 builds narrowcast and multicast
+// alike, as point-to-point connections behind a decode):
+//  * kAddress, the narrowcast shell of paper Fig. 3: each transaction goes
+//    to exactly one slave, selected by decoding its address against the
+//    mapped ranges. Unmapped addresses get a locally synthesized
+//    kUnmappedAddress response. A shell with one connection maps every
+//    address to it.
+//  * kAll, the multicast shell: each write goes to every slave. An
+//    acknowledged write completes once every slave has acknowledged it, and
+//    its one response merges theirs: the first non-OK error in connection
+//    order wins. Reads, read-linked and write-conditional would return the
+//    slaves' colliding data, so they issue nothing and get a locally
+//    synthesized kBadCommand response.
+// Either way, a history of the transactions that expect a response
+// delivers the responses to the IP in issue order, synthesized ones
+// included, even when slaves answer out of order relative to each other.
 //
 // Parks while every staging buffer is empty and no response word is
 // readable; issue calls and deliveries wake it (DESIGN.md §7.4).
@@ -35,14 +44,19 @@ inline constexpr int kMasterShellPipelineCycles = 2;
 
 class MasterShell : public sim::Module, public MasterEndpoint {
  public:
+  /// Which connections a transaction goes to (see the file comment).
+  enum class Decode { kAddress, kAll };
+
   MasterShell(std::string name, core::NiPort* port, int connid);
   /// `connids`: the port channels of the per-slave connections, in slave
   /// order.
-  MasterShell(std::string name, core::NiPort* port, std::vector<int> connids);
+  MasterShell(std::string name, core::NiPort* port, std::vector<int> connids,
+              Decode decode = Decode::kAddress);
 
   /// Maps [base, base+size) to slave `slave_index` (an index into the
   /// connid list). Ranges must not overlap. A shell with one connection
-  /// sends every address to it, mapped or not.
+  /// sends every address to it, mapped or not. Under kAll there is no
+  /// address decode to map.
   Status MapRange(Word base, Word size, int slave_index);
 
   /// True if a transaction of `payload_words` data words can be issued now:
@@ -87,20 +101,28 @@ class MasterShell : public sim::Module, public MasterEndpoint {
     Word size;
     int slave_index;
   };
-  /// A transaction that expects a response. `slave_index` -1 stands for a
-  /// synthesized kUnmappedAddress response, built from the other fields.
+  /// Where a transaction goes and its response comes from, besides a
+  /// connection index: every connection (a multicast write), or none (the
+  /// shell synthesizes a `local_error` response).
+  static constexpr int kEveryConnection = -2;
+  static constexpr int kLocal = -1;
+  /// A transaction that expects a response.
   struct HistoryEntry {
-    int slave_index;
+    int source;
     int transaction_id;
     int sequence_number;
     bool is_write;
+    transaction::ResponseError local_error;
   };
 
   int NumSlaves() const { return static_cast<int>(connections_.size()); }
-  /// Address decode: slave index owning `address`, or error if unmapped.
-  Result<int> DecodeAddress(Word address) const;
+  /// The decode: the source `msg` goes to, setting `local_error` when it is
+  /// kLocal.
+  int Route(const transaction::RequestMessage& msg,
+            transaction::ResponseError* local_error) const;
   int Issue(transaction::RequestMessage msg, bool flush);
 
+  Decode decode_;
   std::vector<Connection> connections_;
   std::vector<Range> ranges_;
   std::deque<HistoryEntry> history_;

@@ -1,7 +1,8 @@
-// Direct ordering-semantics tests for the multicast shell (paper §2): an
-// acknowledged write completes only when EVERY slave has acknowledged, the
-// merged acknowledgments surface in issue order across outstanding writes,
-// the first non-OK slave error wins the merge, and reads are rejected.
+// Direct ordering-semantics tests for the multicast master shell (paper §2;
+// a MasterShell under Decode::kAll): an acknowledged write completes only
+// when EVERY slave has acknowledged, the merged acknowledgments surface in
+// issue order across outstanding writes, the first non-OK slave error wins
+// the merge, and reads get an in-order kBadCommand response.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -9,7 +10,7 @@
 #include <vector>
 
 #include "ip/memory_slave.h"
-#include "shells/multicast_shell.h"
+#include "shells/master_shell.h"
 #include "shells/slave_shell.h"
 #include "soc/soc.h"
 #include "topology/builders.h"
@@ -57,8 +58,9 @@ class MulticastOrdering : public ::testing::Test {
         soc_->OpenConnection(GlobalChannel{0, 0}, GlobalChannel{1, 0}).ok());
     ASSERT_TRUE(
         soc_->OpenConnection(GlobalChannel{0, 1}, GlobalChannel{2, 0}).ok());
-    shell_ = std::make_unique<MulticastShell>("multicast", soc_->port(0, 0),
-                                              std::vector<int>{0, 1});
+    shell_ = std::make_unique<MasterShell>("multicast", soc_->port(0, 0),
+                                           std::vector<int>{0, 1},
+                                           MasterShell::Decode::kAll);
     slave1_ = std::make_unique<SlaveShell>("slave1", soc_->port(1, 0), 0);
     slave2_ = std::make_unique<SlaveShell>("slave2", soc_->port(2, 0), 0);
     mem1_ = std::make_unique<ip::MemorySlave>("mem1", slave1_.get(), 0, 0x40,
@@ -74,7 +76,7 @@ class MulticastOrdering : public ::testing::Test {
   }
 
   std::unique_ptr<soc::Soc> soc_;
-  std::unique_ptr<MulticastShell> shell_;
+  std::unique_ptr<MasterShell> shell_;
   std::unique_ptr<SlaveShell> slave1_, slave2_;
   std::unique_ptr<ip::MemorySlave> mem1_, mem2_;
 };
@@ -147,10 +149,40 @@ TEST_F(MulticastOrdering, FirstSlaveErrorWinsTheMergeInOrder) {
 }
 
 TEST_F(MulticastOrdering, ReadsAreRejected) {
-  Wire(/*slow_latency=*/1);
-  const Status status = shell_->IssueRead(0x10, 1, /*tid=*/9);
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  Wire(/*slow_latency=*/25);
+  shell_->IssueWrite(0x10, {7}, /*needs_ack=*/true, /*tid=*/8);
+  shell_->IssueRead(0x10, 1, /*tid=*/9);
+  shell_->IssueReadLinked(0x10, 1, /*tid=*/10);
+  shell_->IssueWriteConditional(0x10, {1}, /*tid=*/11);
+  // The rejections are synthesized at issue, but surface only after the
+  // older write's merged acknowledgment.
   EXPECT_FALSE(shell_->HasResponse());
+  RunUntil(*soc_, [&] { return shell_->HasResponse(); });
+  const auto ack = shell_->PopResponse();
+  EXPECT_EQ(ack.transaction_id, 8);
+  EXPECT_EQ(ack.error, ResponseError::kOk);
+  for (int tid = 9; tid <= 11; ++tid) {
+    ASSERT_TRUE(shell_->HasResponse());
+    const auto rsp = shell_->PopResponse();
+    EXPECT_EQ(rsp.transaction_id, tid);
+    EXPECT_EQ(rsp.error, ResponseError::kBadCommand);
+    EXPECT_EQ(rsp.is_write_ack, tid == 11);
+    EXPECT_TRUE(rsp.data.empty());
+  }
+  EXPECT_FALSE(shell_->HasResponse());
+  // Only the write reached the slaves.
+  soc_->RunCycles(100);
+  EXPECT_EQ(mem1_->reads_served(), 0);
+  EXPECT_EQ(mem2_->reads_served(), 0);
+  EXPECT_EQ(mem1_->writes_served(), 1);
+  EXPECT_EQ(mem2_->writes_served(), 1);
+  EXPECT_EQ(mem2_->Load(0x10), 7u);
+}
+
+TEST_F(MulticastOrdering, HasNoAddressRangesToMap) {
+  Wire(/*slow_latency=*/1);
+  EXPECT_EQ(shell_->MapRange(0, 0x40, 0).code(),
+            StatusCode::kFailedPrecondition);
 }
 
 }  // namespace

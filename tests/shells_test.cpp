@@ -1,7 +1,8 @@
 // Integration tests of the NI shells (paper Figs. 3-6) on a full SoC:
 // master/slave transaction round trips, narrowcast address decode with
 // in-order responses (a master shell over two connections), multicast
-// fan-out with merged acknowledgments, and multi-connection arbitration
+// fan-out with merged acknowledgments (the same shell decoding every write
+// to all its connections), and multi-connection arbitration
 // with response routing (a slave shell over two connections).
 #include <gtest/gtest.h>
 
@@ -10,7 +11,6 @@
 
 #include "ip/memory_slave.h"
 #include "shells/master_shell.h"
-#include "shells/multicast_shell.h"
 #include "shells/slave_shell.h"
 #include "soc/soc.h"
 #include "topology/builders.h"
@@ -222,11 +222,12 @@ TEST_F(NarrowcastFixture, UnmappedAddressSynthesizesInOrderError) {
   EXPECT_EQ(err.error, ResponseError::kUnmappedAddress);
 }
 
-TEST(MulticastShell, WriteReachesAllSlavesWithMergedAck) {
+TEST(MulticastMasterShell, WriteReachesAllSlavesWithMergedAck) {
   auto soc = MakeStarSoc({2, 1, 1});
   ASSERT_TRUE(soc->OpenConnection(GlobalChannel{0, 0}, GlobalChannel{1, 0}).ok());
   ASSERT_TRUE(soc->OpenConnection(GlobalChannel{0, 1}, GlobalChannel{2, 0}).ok());
-  MulticastShell shell("multicast", soc->port(0, 0), {0, 1});
+  MasterShell shell("multicast", soc->port(0, 0), {0, 1},
+                    MasterShell::Decode::kAll);
   SlaveShell slave1("slave1", soc->port(1, 0), 0);
   SlaveShell slave2("slave2", soc->port(2, 0), 0);
   ip::MemorySlave mem1("mem1", &slave1, 0, 64);
@@ -245,14 +246,17 @@ TEST(MulticastShell, WriteReachesAllSlavesWithMergedAck) {
   EXPECT_EQ(ack.error, ResponseError::kOk);
   EXPECT_EQ(mem1.Load(0x20), 0xCAFEu);
   EXPECT_EQ(mem2.Load(0x20), 0xCAFEu);
-  EXPECT_FALSE(shell.IssueRead(0x20, 1, 6).ok());
+  shell.IssueRead(0x20, 1, 6);
+  ASSERT_TRUE(shell.HasResponse());
+  EXPECT_EQ(shell.PopResponse().error, ResponseError::kBadCommand);
 }
 
-TEST(MulticastShell, MergedAckReportsError) {
+TEST(MulticastMasterShell, MergedAckReportsError) {
   auto soc = MakeStarSoc({2, 1, 1});
   ASSERT_TRUE(soc->OpenConnection(GlobalChannel{0, 0}, GlobalChannel{1, 0}).ok());
   ASSERT_TRUE(soc->OpenConnection(GlobalChannel{0, 1}, GlobalChannel{2, 0}).ok());
-  MulticastShell shell("multicast", soc->port(0, 0), {0, 1});
+  MasterShell shell("multicast", soc->port(0, 0), {0, 1},
+                    MasterShell::Decode::kAll);
   SlaveShell slave1("slave1", soc->port(1, 0), 0);
   SlaveShell slave2("slave2", soc->port(2, 0), 0);
   ip::MemorySlave mem1("mem1", &slave1, 0, 64);
@@ -473,46 +477,6 @@ struct MultiConnectionRig {
   std::unique_ptr<ScriptedMaster> master0, master1;
 };
 
-/// A never-parking master IP that drives a multicast shell directly (the
-/// shell is not a MasterEndpoint): it issues `ops` (writes only) as
-/// ScriptedMaster does and hashes each merged acknowledgment it pops.
-class MulticastWriter : public sim::Module {
- public:
-  MulticastWriter(std::string name, MulticastShell* shell,
-                  std::vector<ScriptOp> ops)
-      : sim::Module(std::move(name)), shell_(shell), ops_(std::move(ops)) {}
-
-  std::uint64_t digest() const { return digest_; }
-  int responses() const { return responses_; }
-  bool issued_all() const { return next_ == ops_.size(); }
-
-  void Evaluate() override {
-    while (shell_->HasResponse()) {
-      const auto rsp = shell_->PopResponse();
-      digest_ = Mix(digest_, static_cast<std::uint64_t>(CycleCount()));
-      digest_ = Mix(digest_, static_cast<std::uint64_t>(rsp.transaction_id));
-      digest_ = Mix(digest_, static_cast<std::uint64_t>(rsp.error));
-      digest_ = Mix(digest_, rsp.is_write_ack ? 1 : 0);
-      for (Word w : rsp.data) digest_ = Mix(digest_, w);
-      ++responses_;
-    }
-    while (next_ < ops_.size() && ops_[next_].at <= CycleCount()) {
-      const ScriptOp& op = ops_[next_];
-      if (!shell_->CanIssue(2)) break;
-      const Word base = static_cast<Word>(op.tid) * 16;
-      shell_->IssueWrite(op.address, {base + 1, base + 2}, op.acked, op.tid);
-      ++next_;
-    }
-  }
-
- private:
-  MulticastShell* shell_;
-  std::vector<ScriptOp> ops_;
-  std::size_t next_ = 0;
-  std::uint64_t digest_ = 0xCBF29CE484222325ull;
-  int responses_ = 0;
-};
-
 /// NI0 multicasts to a fast memory on NI1 mapping [0, 0x100) and a slow
 /// one on NI2 mapping only [0, 0x40). Writes in [0x40, 0x100) miss the
 /// second memory, so their merged acknowledgment carries kUnmappedAddress;
@@ -524,8 +488,9 @@ struct MulticastRig {
         soc->OpenConnection(GlobalChannel{0, 0}, GlobalChannel{1, 0}).ok());
     AETHEREAL_CHECK(
         soc->OpenConnection(GlobalChannel{0, 1}, GlobalChannel{2, 0}).ok());
-    shell = std::make_unique<MulticastShell>("multicast", soc->port(0, 0),
-                                             std::vector<int>{0, 1});
+    shell = std::make_unique<MasterShell>("multicast", soc->port(0, 0),
+                                          std::vector<int>{0, 1},
+                                          MasterShell::Decode::kAll);
     slave1 = std::make_unique<SlaveShell>("slave1", soc->port(1, 0), 0);
     slave2 = std::make_unique<SlaveShell>("slave2", soc->port(2, 0), 0);
     mem1 = std::make_unique<ip::MemorySlave>("mem1", slave1.get(), 0, 0x100,
@@ -546,7 +511,7 @@ struct MulticastRig {
       ops.push_back({at + 7, false, false, 0x30 + offset, tid++}); // posted
       ops.push_back({at + 7, false, true, 0xC0 + offset, tid++});  // mem1 only
     }
-    master = std::make_unique<MulticastWriter>("cpu", shell.get(), ops);
+    master = std::make_unique<ScriptedMaster>("cpu", shell.get(), ops);
     soc->RegisterOnPort(shell.get(), 0, 0);
     soc->RegisterOnPort(master.get(), 0, 0);
     soc->RegisterOnPort(slave1.get(), 1, 0);
@@ -564,10 +529,10 @@ struct MulticastRig {
   }
 
   std::unique_ptr<soc::Soc> soc;
-  std::unique_ptr<MulticastShell> shell;
+  std::unique_ptr<MasterShell> shell;
   std::unique_ptr<SlaveShell> slave1, slave2;
   std::unique_ptr<ip::MemorySlave> mem1, mem2;
-  std::unique_ptr<MulticastWriter> master;
+  std::unique_ptr<ScriptedMaster> master;
 };
 
 class ShellSchedule : public ::testing::TestWithParam<sim::EngineKind> {};
@@ -629,6 +594,13 @@ TEST_P(ShellSchedule, NConnectionShellsParkOnceDrained) {
   EXPECT_EQ(multi.slave->parked(), parks);
   EXPECT_EQ(multi.shell0->parked(), parks);
   EXPECT_EQ(multi.shell1->parked(), parks);
+
+  MulticastRig multicast(GetParam());
+  multicast.soc->RunCycles(1500);
+  ASSERT_EQ(multicast.master->responses(), 6 * 5);
+  EXPECT_EQ(multicast.shell->parked(), parks);
+  EXPECT_EQ(multicast.slave1->parked(), parks);
+  EXPECT_EQ(multicast.slave2->parked(), parks);
 }
 
 INSTANTIATE_TEST_SUITE_P(Engines, ShellSchedule,
