@@ -79,7 +79,8 @@ inline int UnpackRqid(Word word) {
   return static_cast<int>(ExtractBits(word, 21, 5));
 }
 
-/// THRESHOLDS packing.
+/// THRESHOLDS packing: 8 bits per threshold.
+inline constexpr int kMaxThreshold = 255;
 inline Word PackThresholds(int data_threshold, int credit_threshold) {
   Word word = 0;
   word = DepositBits(word, 0, 8, static_cast<std::uint32_t>(data_threshold));

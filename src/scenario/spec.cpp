@@ -153,7 +153,7 @@ Status ParseTrafficClauses(const SpecLine& line, std::size_t at,
       }
     } else if (clause == "data_threshold" || clause == "credit_threshold") {
       if (Status s = need(1); !s.ok()) return s;
-      auto v = line.IntIn(t[at + 1], 1, 1 << 20);
+      auto v = line.IntIn(t[at + 1], 1, core::regs::kMaxThreshold);
       if (!v.ok()) return v.status();
       (clause[0] == 'd' ? traffic->data_threshold
                         : traffic->credit_threshold) = static_cast<int>(*v);

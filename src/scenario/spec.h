@@ -117,8 +117,8 @@
 //   qos gt S                      # guaranteed throughput, S reserved slots
 //   persist                       # phased only: keep the connection open
 //                                 # through every later phase
-//   data_threshold N              # NI send threshold (words)
-//   credit_threshold N            # NI credit-report threshold (words)
+//   data_threshold N              # NI send threshold (words, 1..255)
+//   credit_threshold N            # NI credit-report threshold (words, 1..255)
 //   read_fraction P               # memory only: reads vs writes (default .5)
 //   burst N                       # memory only: words per transaction
 //

@@ -155,6 +155,23 @@ TEST(SpecErrorsTest, OutOfRangeClauses) {
               "read_fraction must be in [0, 1]", 2);
 }
 
+// Regression: thresholds above 255 parsed, then aborted the run when the
+// NI packed them into the 8-bit fields of its THRESHOLDS register.
+TEST(SpecErrorsTest, ThresholdsFitTheirRegisterFields) {
+  ExpectError("noc star 4\ntraffic uniform inject bernoulli 1.0 qos be "
+              "data_threshold 256\n",
+              "out of range", 2);
+  ExpectError("noc star 4\ntraffic uniform credit_threshold 256\n",
+              "out of range", 2);
+  ExpectError("noc star 4\ntraffic memory 0 1 data_threshold 300\n",
+              "out of range", 2);
+  auto spec = ParseScenario(
+      "noc star 4\ntraffic uniform data_threshold 255 credit_threshold 255\n");
+  ASSERT_TRUE(spec.ok()) << spec.status();
+  EXPECT_EQ(spec->traffic.at(0).data_threshold, 255);
+  EXPECT_EQ(spec->traffic.at(0).credit_threshold, 255);
+}
+
 TEST(SpecErrorsTest, InjectionBoundsMatchTheSweepParams) {
   // Regression: an unbounded burst length parsed, then overflowed
   // `burst_words + gap_cycles` when the source was built (UBSan: signed
