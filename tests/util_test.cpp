@@ -378,6 +378,20 @@ TEST(Parse, CliFlagsRejectNonFiniteAndOutOfRangeValues) {
   EXPECT_EQ(options.seed, 42u);
 }
 
+// --converge-interval takes the `converge interval` directive's bounds: at
+// least one slot.
+TEST(Parse, CliConvergeIntervalIsAtLeastOneSlot) {
+  cli::CommonOptions options;
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(MatchOne("--converge-interval", "2", &options),
+            cli::Match::kError);
+  testing::internal::GetCapturedStderr();
+  EXPECT_FALSE(options.converge_interval.has_value());
+  EXPECT_EQ(MatchOne("--converge-interval", "3", &options),
+            cli::Match::kYes);
+  EXPECT_EQ(options.converge_interval, Cycle{3});
+}
+
 // --seed takes the whole uint64 range, so every fuzz case's seed replays
 // from the command line; negative and overflowing values still fail.
 TEST(Parse, CliSeedSpansTheWholeUint64Range) {

@@ -221,8 +221,10 @@ inline Match MatchCommonArg(ArgReader& args, CommonOptions* out,
     return Match::kYes;
   }
   if (arg == "--converge-interval") {
-    const auto parsed =
-        args.IntValue("a positive cycle count", 1, std::int64_t{1} << 40);
+    // The `converge interval` directive's bounds: a check interval shorter
+    // than one slot could never close a new sample window.
+    const auto parsed = args.IntValue("a cycle count of at least one slot",
+                                      kFlitWords, kMaxCycles);
     if (!parsed.has_value()) return Match::kError;
     out->converge_interval = *parsed;
     return Match::kYes;
