@@ -96,16 +96,29 @@ class TimedReceiver : public sim::Module {
   Stats latency_;
 };
 
-// Latency through a master shell and a slave shell. `narrowcast` maps the
-// written address range explicitly, as a narrowcast shell's address decode
-// does (paper Fig. 3); the shell is the same either way.
+// Latency through a master shell and a slave shell. With `narrowcast`, the
+// master shell holds a second connection, to a slave NI that maps its own
+// range, so every write passes the address decode of paper Fig. 3 (a
+// one-connection shell sends every address to its one slave undecoded).
 Stats MeasureThroughShells(int words, bool narrowcast) {
-  auto soc = bench::MakeStarSoc({1, 1}, /*queue_words=*/32);
-  auto handle = soc->OpenConnection(tdm::GlobalChannel{0, 0},
-                                    tdm::GlobalChannel{1, 0});
-  AETHEREAL_CHECK(handle.ok());
-  shells::MasterShell master("m", soc->port(0, 0), 0);
-  if (narrowcast) AETHEREAL_CHECK(master.MapRange(0, 0x1000, 0).ok());
+  auto soc = bench::MakeStarSoc(narrowcast ? std::vector<int>{2, 1, 1}
+                                           : std::vector<int>{1, 1},
+                                /*queue_words=*/32);
+  AETHEREAL_CHECK(soc->OpenConnection(tdm::GlobalChannel{0, 0},
+                                      tdm::GlobalChannel{1, 0})
+                      .ok());
+  std::vector<int> connids = {0};
+  if (narrowcast) {
+    AETHEREAL_CHECK(soc->OpenConnection(tdm::GlobalChannel{0, 1},
+                                        tdm::GlobalChannel{2, 0})
+                        .ok());
+    connids.push_back(1);
+  }
+  shells::MasterShell master("m", soc->port(0, 0), connids);
+  if (narrowcast) {
+    AETHEREAL_CHECK(master.MapRange(0x1000, 0x1000, 1).ok());
+    AETHEREAL_CHECK(master.MapRange(0, 0x1000, 0).ok());
+  }
   shells::SlaveShell slave("s", soc->port(1, 0), 0);
   TimedWriter writer("w", &master, words, 60, 50);
   TimedReceiver receiver("r", &slave);
