@@ -116,6 +116,7 @@ Stats MeasureThroughShells(int words, bool narrowcast) {
   }
   shells::MasterShell master("m", soc->port(0, 0), connids);
   if (narrowcast) {
+    // The other slave's range first, so the decode passes it on every write.
     AETHEREAL_CHECK(master.MapRange(0x1000, 0x1000, 1).ok());
     AETHEREAL_CHECK(master.MapRange(0, 0x1000, 0).ok());
   }
