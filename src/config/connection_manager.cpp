@@ -41,8 +41,7 @@ ConnectionManager::ConnectionManager(
 
 int ConnectionManager::RequestOpen(const ConnectionSpec& spec) {
   const int handle = static_cast<int>(records_.size());
-  records_.push_back(Record{spec, ConnectionState::kPending, OkStatus(),
-                            {}, {}, {}, {}, -1, 0, false});
+  records_.emplace_back().connection.spec = spec;
   if (spec.master.ni != cfg_ni_ && !config_live_[spec.master.ni]) {
     ops_.push_back(Op{Op::Kind::kEnsureConfig, spec.master.ni, -1});
   }
@@ -108,8 +107,8 @@ int ConnectionManager::ConfigWritesOf(int handle) const {
 int ConnectionManager::SlotsHeldOf(int handle) const {
   AETHEREAL_CHECK(handle >= 0 && handle < static_cast<int>(records_.size()));
   const Record& record = records_[static_cast<std::size_t>(handle)];
-  return static_cast<int>(record.request_slots.size() +
-                          record.response_slots.size());
+  return static_cast<int>(record.connection.request_slots.size() +
+                          record.connection.response_slots.size());
 }
 
 bool ConnectionManager::ConfigConnectionLive(NiId ni) const {
@@ -122,16 +121,11 @@ ConnectionManager::OpenPairs() const {
   std::vector<std::pair<tdm::GlobalChannel, tdm::GlobalChannel>> pairs;
   for (const Record& record : records_) {
     if (record.state == ConnectionState::kOpen) {
-      pairs.emplace_back(record.spec.master, record.spec.slave);
+      pairs.emplace_back(record.connection.spec.master,
+                         record.connection.spec.slave);
     }
   }
   return pairs;
-}
-
-Word ConnectionManager::SlotMask(const std::vector<SlotIndex>& slots) const {
-  Word mask = 0;
-  for (SlotIndex s : slots) mask |= (1u << s);
-  return mask;
 }
 
 void ConnectionManager::FailCurrentOp(Status status) {
@@ -186,7 +180,7 @@ bool ConnectionManager::BuildEnsureConfigActions(NiId target) {
   current_actions_.push_back(Action{
       cfg_ni_, regs::ChannelRegAddr(cfg_channel, regs::ChannelReg::kCtrl),
       regs::kCtrlEnable, true});
-  current_actions_.push_back(Action{kInvalidId, 0, 0, false});  // barrier
+  EndPhase();
 
   // Phase 2 (Fig. 9 step 2): response channel target -> Cfg, via the NoC.
   const link::SourcePath path_back =
@@ -200,90 +194,37 @@ bool ConnectionManager::BuildEnsureConfigActions(NiId target) {
   current_actions_.push_back(Action{
       target, regs::ChannelRegAddr(cnip.channel, regs::ChannelReg::kCtrl),
       regs::kCtrlEnable, true});
-  current_actions_.push_back(Action{kInvalidId, 0, 0, false});  // barrier
+  EndPhase();
   return true;
 }
 
-void ConnectionManager::PushChannelSetup(
-    const tdm::GlobalChannel& at, NiId /*peer_unused*/,
-    const topology::ChannelRoute& route, int remote_qid, int remote_space,
-    const ChannelQos& qos, const std::vector<SlotIndex>& slots,
-    bool full_set) {
-  const link::SourcePath path = link::SourcePath::FromHops(route.hops);
-  current_actions_.push_back(Action{
-      at.ni, regs::ChannelRegAddr(at.channel, regs::ChannelReg::kSpace),
-      static_cast<Word>(remote_space), false});
-  current_actions_.push_back(Action{
-      at.ni, regs::ChannelRegAddr(at.channel, regs::ChannelReg::kPathRqid),
-      regs::PackPathRqid(path, remote_qid), false});
-  if (full_set) {
-    current_actions_.push_back(Action{
-        at.ni, regs::ChannelRegAddr(at.channel, regs::ChannelReg::kThresholds),
-        regs::PackThresholds(qos.data_threshold, qos.credit_threshold),
-        false});
-    current_actions_.push_back(Action{
-        at.ni, regs::ChannelRegAddr(at.channel, regs::ChannelReg::kSlots),
-        SlotMask(slots), false});
-  } else if (qos.gt) {
-    current_actions_.push_back(Action{
-        at.ni, regs::ChannelRegAddr(at.channel, regs::ChannelReg::kSlots),
-        SlotMask(slots), false});
-  }
-  current_actions_.push_back(Action{
-      at.ni, regs::ChannelRegAddr(at.channel, regs::ChannelReg::kCtrl),
-      regs::kCtrlEnable | (qos.gt ? regs::kCtrlGt : 0), true});
+void ConnectionManager::EndPhase() {
+  current_actions_.back().acked = true;
   current_actions_.push_back(Action{kInvalidId, 0, 0, false});  // barrier
 }
 
 bool ConnectionManager::BuildOpenActions(Record& record) {
-  const ConnectionSpec& spec = record.spec;
-  auto request_route = topology_->Route(spec.master.ni, spec.slave.ni);
-  auto response_route = topology_->Route(spec.slave.ni, spec.master.ni);
-  if (!request_route.ok() || !response_route.ok()) {
-    FailCurrentOp(NotFoundError("no route between master and slave"));
+  // Centralized slot allocation (the Cfg module owns the tables).
+  auto connection =
+      ReserveConnection(record.connection.spec, *topology_, *allocator_);
+  if (!connection.ok()) {
+    FailCurrentOp(connection.status());
     return false;
   }
-  record.request_route = *request_route;
-  record.response_route = *response_route;
-
-  // Centralized slot allocation (the Cfg module owns the tables).
-  if (spec.request.gt) {
-    auto slots = allocator_->Allocate(record.request_route, spec.master,
-                                      spec.request.gt_slots,
-                                      spec.request.policy);
-    if (!slots.ok()) {
-      FailCurrentOp(slots.status());
-      return false;
-    }
-    record.request_slots = *slots;
-  }
-  if (spec.response.gt) {
-    auto slots = allocator_->Allocate(record.response_route, spec.slave,
-                                      spec.response.gt_slots,
-                                      spec.response.policy);
-    if (!slots.ok()) {
-      if (spec.request.gt) {
-        AETHEREAL_CHECK(allocator_
-                            ->Free(record.request_route, spec.master,
-                                   record.request_slots)
-                            .ok());
-        record.request_slots.clear();
-      }
-      FailCurrentOp(slots.status());
-      return false;
-    }
-    record.response_slots = *slots;
-  }
-
+  record.connection = std::move(*connection);
+  const Connection& c = record.connection;
+  const auto push = [this](NiId ni, Word address, Word value) {
+    current_actions_.push_back(Action{ni, address, value, false});
+  };
   // Fig. 9 step 3: the slave's response channel first (3 writes + slots if
   // GT), so the slave can accept and answer as soon as the master is live.
-  PushChannelSetup(spec.slave, spec.master.ni, record.response_route,
-                   spec.master.channel, lookup_(spec.master), spec.response,
-                   record.response_slots, /*full_set=*/false);
+  EmitOpenWrites(c, Direction::kResponse, lookup_(c.spec.master),
+                 /*full_set=*/false, push);
+  EndPhase();
   // Fig. 9 step 4: the master's request channel (the full 5 writes).
-  PushChannelSetup(spec.master, spec.slave.ni, record.request_route,
-                   spec.slave.channel, lookup_(spec.slave), spec.request,
-                   record.request_slots, /*full_set=*/true);
+  EmitOpenWrites(c, Direction::kRequest, lookup_(c.spec.slave),
+                 /*full_set=*/true, push);
+  EndPhase();
   return true;
 }
 
@@ -298,35 +239,15 @@ bool ConnectionManager::BuildCloseActions(Record& record) {
     return false;
   }
   // Disable the master first so no new requests enter the NoC, then the
-  // slave; both acknowledged. A GT endpoint additionally clears its SLOTS
-  // register (CNIP executes the writes in arrival order, so the disable
-  // lands first): the STU releases the slot ownership, without which a
-  // later open could never re-program those slots for another channel of
-  // the same NI.
-  current_actions_.push_back(Action{
-      record.spec.master.ni,
-      regs::ChannelRegAddr(record.spec.master.channel, regs::ChannelReg::kCtrl),
-      0, true});
-  if (!record.request_slots.empty()) {
-    current_actions_.push_back(Action{
-        record.spec.master.ni,
-        regs::ChannelRegAddr(record.spec.master.channel,
-                             regs::ChannelReg::kSlots),
-        0, true});
-  }
-  current_actions_.push_back(Action{kInvalidId, 0, 0, false});
-  current_actions_.push_back(Action{
-      record.spec.slave.ni,
-      regs::ChannelRegAddr(record.spec.slave.channel, regs::ChannelReg::kCtrl),
-      0, true});
-  if (!record.response_slots.empty()) {
-    current_actions_.push_back(Action{
-        record.spec.slave.ni,
-        regs::ChannelRegAddr(record.spec.slave.channel,
-                             regs::ChannelReg::kSlots),
-        0, true});
-  }
-  current_actions_.push_back(Action{kInvalidId, 0, 0, false});
+  // slave; every write acknowledged. CNIP executes the writes in arrival
+  // order, so a GT endpoint's SLOTS clear lands after its disable.
+  const auto push = [this](NiId ni, Word address, Word value) {
+    current_actions_.push_back(Action{ni, address, value, true});
+  };
+  EmitCloseWrites(record.connection, Direction::kRequest, push);
+  EndPhase();
+  EmitCloseWrites(record.connection, Direction::kResponse, push);
+  EndPhase();
   return true;
 }
 
@@ -510,20 +431,7 @@ void ConnectionManager::Evaluate() {
     }
     case Op::Kind::kCloseData: {
       Record& record = records_[static_cast<std::size_t>(current_op_.handle)];
-      if (!record.request_slots.empty()) {
-        AETHEREAL_CHECK(allocator_
-                            ->Free(record.request_route, record.spec.master,
-                                   record.request_slots)
-                            .ok());
-        record.request_slots.clear();
-      }
-      if (!record.response_slots.empty()) {
-        AETHEREAL_CHECK(allocator_
-                            ->Free(record.response_route, record.spec.slave,
-                                   record.response_slots)
-                            .ok());
-        record.response_slots.clear();
-      }
+      ReleaseConnection(record.connection, *allocator_);
       record.state = ConnectionState::kClosed;
       record.completed_at = CycleCount();
       if (on_connections_changed_) on_connections_changed_();

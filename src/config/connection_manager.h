@@ -31,6 +31,7 @@
 #include <utility>
 #include <vector>
 
+#include "config/connection_program.h"
 #include "core/ni_kernel.h"
 #include "fault/spec.h"
 #include "shells/config_shell.h"
@@ -39,23 +40,6 @@
 #include "util/status.h"
 
 namespace aethereal::config {
-
-/// Quality of service of one channel direction.
-struct ChannelQos {
-  bool gt = false;
-  int gt_slots = 0;  // reserved TDM slots (gt only)
-  tdm::AllocPolicy policy = tdm::AllocPolicy::kSpread;
-  int data_threshold = 1;
-  int credit_threshold = 1;
-};
-
-/// A connection between one master channel and one slave channel.
-struct ConnectionSpec {
-  tdm::GlobalChannel master;
-  tdm::GlobalChannel slave;
-  ChannelQos request;   // master -> slave direction
-  ChannelQos response;  // slave -> master direction
-};
 
 enum class ConnectionState { kPending, kOpen, kFailed, kClosed };
 
@@ -150,13 +134,9 @@ class ConnectionManager : public sim::Module {
     int handle = -1;           // kOpenData / kCloseData
   };
   struct Record {
-    ConnectionSpec spec;
+    Connection connection;  // routes and slots set once the open is built
     ConnectionState state = ConnectionState::kPending;
     Status error;
-    std::vector<SlotIndex> request_slots;
-    std::vector<SlotIndex> response_slots;
-    topology::ChannelRoute request_route;
-    topology::ChannelRoute response_route;
     Cycle completed_at = -1;
     int config_writes = 0;     // register writes attributed to this handle
     bool close_requested = false;  // a close is queued or done
@@ -180,12 +160,9 @@ class ConnectionManager : public sim::Module {
   bool BuildEnsureConfigActions(NiId target);
   bool BuildOpenActions(Record& record);
   bool BuildCloseActions(Record& record);
-  void PushChannelSetup(const tdm::GlobalChannel& at, NiId peer_unused,
-                        const topology::ChannelRoute& route, int remote_qid,
-                        int remote_space, const ChannelQos& qos,
-                        const std::vector<SlotIndex>& slots, bool full_set);
+  /// Acknowledges the last queued write and queues a barrier after it.
+  void EndPhase();
   void FailCurrentOp(Status status);
-  Word SlotMask(const std::vector<SlotIndex>& slots) const;
 
   const topology::Topology* topology_;
   tdm::CentralizedAllocator* allocator_;

@@ -247,8 +247,11 @@ void Soc::FinalizeObs() {
 std::vector<std::pair<tdm::GlobalChannel, tdm::GlobalChannel>>
 Soc::OpenChannelPairs() const {
   std::vector<std::pair<tdm::GlobalChannel, tdm::GlobalChannel>> pairs;
-  for (const DirectConnection& conn : direct_connections_) {
-    if (conn.open) pairs.emplace_back(conn.a, conn.b);
+  for (const std::optional<config::Connection>& connection :
+       direct_connections_) {
+    if (connection.has_value()) {
+      pairs.emplace_back(connection->spec.master, connection->spec.slave);
+    }
   }
   // Connections opened at runtime over the NoC (the Fig. 9 path) count
   // too: the monitor's credit pairing must follow reconfiguration.
@@ -308,80 +311,37 @@ int Soc::DestQueueWordsOf(const tdm::GlobalChannel& channel) const {
   return 0;
 }
 
-Status Soc::ConfigureChannelDirect(const tdm::GlobalChannel& at,
-                                   const topology::ChannelRoute& route,
-                                   int remote_qid, int remote_space,
-                                   const config::ChannelQos& qos,
-                                   const std::vector<SlotIndex>& slots) {
-  core::NiKernel* kernel = ni(at.ni);
-  const link::SourcePath path = link::SourcePath::FromHops(route.hops);
-  Word mask = 0;
-  for (SlotIndex s : slots) mask |= (1u << s);
+namespace {
 
-  Status status = kernel->WriteRegister(
-      regs::ChannelRegAddr(at.channel, regs::ChannelReg::kSpace),
-      static_cast<Word>(remote_space));
-  if (!status.ok()) return status;
-  status = kernel->WriteRegister(
-      regs::ChannelRegAddr(at.channel, regs::ChannelReg::kPathRqid),
-      regs::PackPathRqid(path, remote_qid));
-  if (!status.ok()) return status;
-  status = kernel->WriteRegister(
-      regs::ChannelRegAddr(at.channel, regs::ChannelReg::kThresholds),
-      regs::PackThresholds(qos.data_threshold, qos.credit_threshold));
-  if (!status.ok()) return status;
-  status = kernel->WriteRegister(
-      regs::ChannelRegAddr(at.channel, regs::ChannelReg::kSlots), mask);
-  if (!status.ok()) return status;
-  return kernel->WriteRegister(
-      regs::ChannelRegAddr(at.channel, regs::ChannelReg::kCtrl),
-      regs::kCtrlEnable | (qos.gt ? regs::kCtrlGt : 0));
-}
+// Applies a connection's register writes straight to the NI kernels,
+// skipping every write after the first that fails.
+struct DirectWriter {
+  Soc* soc;
+  Status status;
+  void operator()(NiId ni, Word address, Word value) {
+    if (status.ok()) status = soc->ni(ni)->WriteRegister(address, value);
+  }
+};
+
+}  // namespace
 
 Result<int> Soc::OpenConnection(const tdm::GlobalChannel& a,
                                 const tdm::GlobalChannel& b,
                                 const config::ChannelQos& qos_ab,
                                 const config::ChannelQos& qos_ba) {
-  auto route_ab = topology_.Route(a.ni, b.ni);
-  if (!route_ab.ok()) return route_ab.status();
-  auto route_ba = topology_.Route(b.ni, a.ni);
-  if (!route_ba.ok()) return route_ba.status();
-
-  DirectConnection conn;
-  conn.a = a;
-  conn.b = b;
-  conn.route_ab = *route_ab;
-  conn.route_ba = *route_ba;
-
-  if (qos_ab.gt) {
-    auto slots = allocator_->Allocate(conn.route_ab, a, qos_ab.gt_slots,
-                                      qos_ab.policy);
-    if (!slots.ok()) return slots.status();
-    conn.slots_ab = *slots;
-  }
-  if (qos_ba.gt) {
-    auto slots = allocator_->Allocate(conn.route_ba, b, qos_ba.gt_slots,
-                                      qos_ba.policy);
-    if (!slots.ok()) {
-      if (qos_ab.gt) {
-        AETHEREAL_CHECK(allocator_->Free(conn.route_ab, a, conn.slots_ab).ok());
-      }
-      return slots.status();
-    }
-    conn.slots_ba = *slots;
-  }
-
-  Status status = ConfigureChannelDirect(a, conn.route_ab, b.channel,
-                                         DestQueueWordsOf(b), qos_ab,
-                                         conn.slots_ab);
-  if (status.ok()) {
-    status = ConfigureChannelDirect(b, conn.route_ba, a.channel,
-                                    DestQueueWordsOf(a), qos_ba,
-                                    conn.slots_ba);
-  }
-  if (!status.ok()) return status;
-  conn.open = true;
-  direct_connections_.push_back(std::move(conn));
+  auto connection = config::ReserveConnection(
+      config::ConnectionSpec{a, b, qos_ab, qos_ba}, topology_, *allocator_);
+  if (!connection.ok()) return connection.status();
+  // Both channels get all five registers: unlike Fig. 9 step 3, the
+  // response channel's THRESHOLDS are written too.
+  DirectWriter write{this, OkStatus()};
+  config::EmitOpenWrites(*connection, config::Direction::kRequest,
+                         DestQueueWordsOf(b), /*full_set=*/true, write);
+  if (!write.status.ok()) return write.status;
+  config::EmitOpenWrites(*connection, config::Direction::kResponse,
+                         DestQueueWordsOf(a), /*full_set=*/true, write);
+  if (!write.status.ok()) return write.status;
+  direct_connections_.push_back(std::move(*connection));
   ++connections_version_;
   return static_cast<int>(direct_connections_.size() - 1);
 }
@@ -391,38 +351,17 @@ Status Soc::CloseConnection(int handle) {
       handle >= static_cast<int>(direct_connections_.size())) {
     return InvalidArgumentError("unknown connection handle");
   }
-  DirectConnection& conn =
+  std::optional<config::Connection>& connection =
       direct_connections_[static_cast<std::size_t>(handle)];
-  if (!conn.open) return FailedPreconditionError("connection not open");
-  Status status = ni(conn.a.ni)->WriteRegister(
-      regs::ChannelRegAddr(conn.a.channel, regs::ChannelReg::kCtrl), 0);
-  if (!status.ok()) return status;
-  status = ni(conn.b.ni)->WriteRegister(
-      regs::ChannelRegAddr(conn.b.channel, regs::ChannelReg::kCtrl), 0);
-  if (!status.ok()) return status;
-  // Release the STU slot ownership too, or a later open could never
-  // re-program the freed slots for a different channel of the same NI.
-  if (!conn.slots_ab.empty()) {
-    status = ni(conn.a.ni)->WriteRegister(
-        regs::ChannelRegAddr(conn.a.channel, regs::ChannelReg::kSlots), 0);
-    if (!status.ok()) return status;
+  if (!connection.has_value()) {
+    return FailedPreconditionError("connection not open");
   }
-  if (!conn.slots_ba.empty()) {
-    status = ni(conn.b.ni)->WriteRegister(
-        regs::ChannelRegAddr(conn.b.channel, regs::ChannelReg::kSlots), 0);
-    if (!status.ok()) return status;
-  }
-  if (!conn.slots_ab.empty()) {
-    AETHEREAL_CHECK(
-        allocator_->Free(conn.route_ab, conn.a, conn.slots_ab).ok());
-    conn.slots_ab.clear();
-  }
-  if (!conn.slots_ba.empty()) {
-    AETHEREAL_CHECK(
-        allocator_->Free(conn.route_ba, conn.b, conn.slots_ba).ok());
-    conn.slots_ba.clear();
-  }
-  conn.open = false;
+  DirectWriter write{this, OkStatus()};
+  config::EmitCloseWrites(*connection, config::Direction::kRequest, write);
+  config::EmitCloseWrites(*connection, config::Direction::kResponse, write);
+  if (!write.status.ok()) return write.status;
+  config::ReleaseConnection(*connection, *allocator_);
+  connection.reset();
   ++connections_version_;
   return OkStatus();
 }

@@ -11,12 +11,14 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "config/cnip.h"
 #include "config/connection_manager.h"
+#include "config/connection_program.h"
 #include "core/ni_kernel.h"
 #include "fault/spec.h"
 #include "link/wire.h"
@@ -153,12 +155,15 @@ class Soc {
   /// SPACE register must be initialized with.
   int DestQueueWordsOf(const tdm::GlobalChannel& channel) const;
 
-  // --- direct configuration (bypasses the Fig. 9 protocol; for tests and
-  // benches that do not study configuration itself) ------------------------
+  // --- direct configuration: the Fig. 9 register program applied without
+  // the NoC; every static scenario, bench and most tests open this way ----
 
-  /// Opens a bidirectional connection between channel `a` and channel `b`
-  /// (writing both NIs' registers directly). Takes effect after the next
-  /// cycle. Returns a handle for CloseConnection.
+  /// Opens a bidirectional connection between channel `a` (master) and
+  /// channel `b` (slave): reserves its slots and writes both channels'
+  /// registers straight into the NI kernels (config/connection_program.h;
+  /// the response channel gets all five registers, THRESHOLDS included).
+  /// Takes effect after the next cycle. Returns a handle for
+  /// CloseConnection.
   Result<int> OpenConnection(const tdm::GlobalChannel& a,
                              const tdm::GlobalChannel& b,
                              const config::ChannelQos& qos_ab = {},
@@ -182,18 +187,6 @@ class Soc {
   std::vector<const sim::Module*> ConfigModules() const;
 
  private:
-  struct DirectConnection {
-    tdm::GlobalChannel a, b;
-    topology::ChannelRoute route_ab, route_ba;
-    std::vector<SlotIndex> slots_ab, slots_ba;
-    bool open = false;
-  };
-
-  Status ConfigureChannelDirect(const tdm::GlobalChannel& at,
-                                const topology::ChannelRoute& route,
-                                int remote_qid, int remote_space,
-                                const config::ChannelQos& qos,
-                                const std::vector<SlotIndex>& slots);
   sim::Clock* ClockForMhz(double mhz);
 
   topology::Topology topology_;
@@ -213,7 +206,8 @@ class Soc {
   std::vector<const link::LinkWires*> injection_wires_;  // per NI
   std::vector<const link::LinkWires*> delivery_wires_;   // per NI
   std::unique_ptr<tdm::CentralizedAllocator> allocator_;
-  std::vector<DirectConnection> direct_connections_;
+  // Connections opened by OpenConnection, by handle; empty once closed.
+  std::vector<std::optional<config::Connection>> direct_connections_;
   std::int64_t connections_version_ = 0;
   std::unique_ptr<verify::Monitor> monitor_;
   std::unique_ptr<fault::FaultInjector> fault_injector_;
