@@ -23,20 +23,17 @@ int ScriptedConfigDriver::Push(ScriptedOp op) {
   return static_cast<int>(ops_.size() - 1);
 }
 
-int ScriptedConfigDriver::PushOpen(const ConnectionSpec& spec,
-                                   Cycle not_before) {
+int ScriptedConfigDriver::PushOpen(const ConnectionSpec& spec) {
   ScriptedOp op;
   op.kind = ScriptedOp::Kind::kOpen;
   op.spec = spec;
-  op.not_before = not_before;
   return Push(std::move(op));
 }
 
-int ScriptedConfigDriver::PushClose(int open_ref, Cycle not_before) {
+int ScriptedConfigDriver::PushClose(int open_ref) {
   ScriptedOp op;
   op.kind = ScriptedOp::Kind::kClose;
   op.open_ref = open_ref;
-  op.not_before = not_before;
   return Push(std::move(op));
 }
 
@@ -60,11 +57,9 @@ void ScriptedConfigDriver::FinishOp(ScriptedOp& op, ConnectionState state,
 void ScriptedConfigDriver::Evaluate() {
   const Cycle now = CycleCount();
 
-  // Issue in script order. An op whose not_before lies in the future blocks
-  // later ops too — the script is a sequence, not a bag.
+  // Issue in script order.
   while (next_to_issue_ < ops_.size()) {
     ScriptedOp& op = ops_[next_to_issue_];
-    if (now < op.not_before) break;
     if (op.kind == ScriptedOp::Kind::kOpen) {
       op.handle = manager_->RequestOpen(op.spec);
       op.issued = true;
@@ -125,15 +120,8 @@ void ScriptedConfigDriver::Evaluate() {
     ++next_to_finish_;
   }
 
-  // Nothing in flight and nothing scheduled: sleep until the next
-  // scheduled issue (or a Push wakes us).
-  if (Done()) {
-    Park();
-  } else if (next_to_issue_ < ops_.size() &&
-             now < ops_[next_to_issue_].not_before &&
-             next_to_finish_ == next_to_issue_) {
-    ParkUntil(ops_[next_to_issue_].not_before);
-  }
+  // Nothing in flight: sleep until a Push wakes us.
+  if (Done()) Park();
 }
 
 }  // namespace aethereal::config

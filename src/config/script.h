@@ -6,9 +6,8 @@
 // it allocated or reclaimed.
 //
 // The driver is a sim::Module on the same clock as the manager. Operations
-// are pushed (at build time or mid-run, between RunCycles calls) and issued
-// strictly in push order: an op is handed to the manager once its
-// `not_before` cycle is reached AND every earlier op has been issued. The
+// are pushed (at build time or mid-run, between RunCycles calls) and handed
+// to the manager on the driver's next cycle, strictly in push order. The
 // manager itself serializes execution (one Fig. 9 op at a time, each phase
 // closed by an acknowledged write), so issue order is completion order.
 //
@@ -33,7 +32,6 @@ struct ScriptedOp {
 
   // --- request --------------------------------------------------------------
   Kind kind = Kind::kOpen;
-  Cycle not_before = 0;     // earliest cycle the request may be issued
   ConnectionSpec spec;      // kOpen: the connection to establish
   int open_ref = -1;        // kClose: index of the scripted open to close
 
@@ -65,9 +63,9 @@ class ScriptedConfigDriver : public sim::Module {
   /// each transition's batch when the transition begins).
   int Push(ScriptedOp op);
 
-  /// Convenience: schedule an open / a close of a previously pushed open.
-  int PushOpen(const ConnectionSpec& spec, Cycle not_before = 0);
-  int PushClose(int open_ref, Cycle not_before = 0);
+  /// Convenience: push an open / a close of a previously pushed open.
+  int PushOpen(const ConnectionSpec& spec);
+  int PushClose(int open_ref);
 
   /// True once every pushed op has completed (successfully or not).
   bool Done() const { return next_to_finish_ == ops_.size(); }

@@ -420,14 +420,15 @@ TEST(ScriptedConfigDriver, SequencesScheduledOpsAndSurfacesLatency) {
   ScriptedConfigDriver driver("driver", rig.manager);
   rig.soc->RegisterOnPort(&driver, 0, 0);
 
-  // Open at cycle 0, close no earlier than cycle 500, reopen on another
-  // channel right after.
+  // Open at cycle 0; at cycle 500, close it and reopen on another channel
+  // right after.
   const int open1 = driver.PushOpen(DataConnection(/*gt=*/true, 2));
-  const int close1 = driver.PushClose(open1, /*not_before=*/500);
+  rig.soc->RunCycles(500);
+  const int close1 = driver.PushClose(open1);
   ConnectionSpec second = DataConnection(/*gt=*/true, 2);
   second.master = GlobalChannel{1, 2};
   second.slave = GlobalChannel{2, 2};
-  const int open2 = driver.PushOpen(second, /*not_before=*/500);
+  const int open2 = driver.PushOpen(second);
 
   for (Cycle spent = 0; !driver.Done() && spent < 40000; spent += 10) {
     rig.soc->RunCycles(10);
