@@ -14,7 +14,9 @@
 //   4. set up the master-to-slave (request) channel of the new connection.
 //
 // Each phase ends with an acknowledged write so that a later phase never
-// races an earlier one on a different channel.
+// races an earlier one on a different channel. Steps 3-4, a close, and
+// their slot reservations come from the connection program that
+// Soc::OpenConnection applies directly (config/connection_program.h).
 //
 // The manager parks while no operation is active or queued, and while it
 // waits for acks at a barrier (until the earliest retry deadline under a

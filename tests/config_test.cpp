@@ -411,6 +411,64 @@ TEST(ConnectionManager, FreedSlotsAreReusableByAnotherChannel) {
       << rig.manager->ErrorOf(h2);
 }
 
+// Both ways of opening a connection run one register program: opened over
+// the NoC by the manager on one SoC and by Soc::OpenConnection on an
+// identical second one, every register of both endpoint channels reads the
+// same, and each close clears CTRL and SLOTS and returns the allocator to
+// its occupancy before the open.
+TEST(ConnectionProgram, ManagerAndDirectOpenProgramTheSameRegisters) {
+  ConfigRig runtime;
+  ConfigRig direct;
+  ConnectionSpec spec = DataConnection(/*gt=*/true, 2);
+  spec.request.data_threshold = 5;
+  spec.response.gt = true;
+  spec.response.gt_slots = 3;
+  const std::int64_t reserved0 = runtime.soc->allocator().TotalReserved();
+  ASSERT_EQ(direct.soc->allocator().TotalReserved(), reserved0);
+  const auto read = [](ConfigRig& rig, const GlobalChannel& at,
+                       core::regs::ChannelReg reg) {
+    auto value = rig.soc->ni(at.ni)->ReadRegister(
+        core::regs::ChannelRegAddr(at.channel, reg));
+    EXPECT_TRUE(value.ok()) << value.status();
+    return value.ok() ? *value : ~Word{0};
+  };
+  const core::regs::ChannelReg all[] = {
+      core::regs::ChannelReg::kCtrl, core::regs::ChannelReg::kSpace,
+      core::regs::ChannelReg::kPathRqid, core::regs::ChannelReg::kThresholds,
+      core::regs::ChannelReg::kSlots};
+
+  const int handle = runtime.manager->RequestOpen(spec);
+  runtime.RunUntilIdle();
+  ASSERT_EQ(runtime.manager->StateOf(handle), ConnectionState::kOpen)
+      << runtime.manager->ErrorOf(handle);
+  auto direct_handle = direct.soc->OpenConnection(spec.master, spec.slave,
+                                                  spec.request, spec.response);
+  ASSERT_TRUE(direct_handle.ok()) << direct_handle.status();
+  direct.soc->RunCycles(10);  // the writes land after the next edge
+  for (const GlobalChannel& at : {spec.master, spec.slave}) {
+    for (core::regs::ChannelReg reg : all) {
+      EXPECT_EQ(read(runtime, at, reg), read(direct, at, reg))
+          << "NI " << at.ni << " register " << static_cast<Word>(reg);
+    }
+    EXPECT_NE(read(direct, at, core::regs::ChannelReg::kSlots), 0u);
+  }
+  EXPECT_EQ(core::regs::UnpackDataThreshold(read(
+                direct, spec.master, core::regs::ChannelReg::kThresholds)),
+            5);
+
+  ASSERT_TRUE(runtime.manager->RequestClose(handle).ok());
+  runtime.RunUntilIdle();
+  ASSERT_TRUE(direct.soc->CloseConnection(*direct_handle).ok());
+  direct.soc->RunCycles(10);
+  for (ConfigRig* rig : {&runtime, &direct}) {
+    for (const GlobalChannel& at : {spec.master, spec.slave}) {
+      EXPECT_EQ(read(*rig, at, core::regs::ChannelReg::kCtrl), 0u);
+      EXPECT_EQ(read(*rig, at, core::regs::ChannelReg::kSlots), 0u);
+    }
+    EXPECT_EQ(rig->soc->allocator().TotalReserved(), reserved0);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Scripted configuration driver
 // ---------------------------------------------------------------------------
