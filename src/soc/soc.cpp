@@ -337,6 +337,8 @@ Result<int> Soc::OpenConnection(const tdm::GlobalChannel& a,
   DirectWriter write{this, OkStatus()};
   config::EmitOpenWrites(*connection, config::Direction::kRequest,
                          DestQueueWordsOf(b), /*full_set=*/true, write);
+  // A failed write means `a` names no channel of its NI, and
+  // DestQueueWordsOf(a) would abort on it.
   if (!write.status.ok()) return write.status;
   config::EmitOpenWrites(*connection, config::Direction::kResponse,
                          DestQueueWordsOf(a), /*full_set=*/true, write);
