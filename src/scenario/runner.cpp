@@ -323,11 +323,14 @@ config::ConnectionSpec ScenarioRunner::ConnSpecOf(const TrafficSpec& traffic,
   conn.request.gt_slots = traffic.gt_slots;
   conn.request.data_threshold = traffic.data_threshold;
   conn.request.credit_threshold = traffic.credit_threshold;
-  // Stream flows send data one way; the reverse channel only returns
-  // credits and stays best-effort. Memory flows carry responses back, so
-  // a GT request direction gets a GT response direction too.
+  // Stream flows send data one way; the reverse channel, at the receiving
+  // NI, only returns credits and stays best-effort, so it takes the credit
+  // threshold. Memory flows carry responses back, so a GT request
+  // direction gets a GT response direction too.
   if (traffic.pattern == PatternKind::kMemory) {
     conn.response = conn.request;
+  } else {
+    conn.response.credit_threshold = traffic.credit_threshold;
   }
   return conn;
 }

@@ -118,7 +118,8 @@
 //   persist                       # phased only: keep the connection open
 //                                 # through every later phase
 //   data_threshold N              # NI send threshold (words, 1..255)
-//   credit_threshold N            # NI credit-report threshold (words, 1..255)
+//   credit_threshold N            # credit-report threshold at the receiving
+//                                 # NI (words, 1..255)
 //   read_fraction P               # memory only: reads vs writes (default .5)
 //   burst N                       # memory only: words per transaction
 //

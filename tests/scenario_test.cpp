@@ -327,6 +327,25 @@ TEST(ScenarioRunnerTest, IpPortsRunOnTheIpClock) {
   }
 }
 
+TEST(ScenarioRunnerTest, StreamCreditThresholdBatchesCreditReturns) {
+  // A stream's credits are owed by the channel at the receiving NI, so a
+  // higher credit_threshold there batches them into fewer credit-only
+  // packets back to the sender.
+  std::int64_t credit_only[2] = {0, 0};
+  const int thresholds[2] = {1, 8};
+  for (int i = 0; i < 2; ++i) {
+    ScenarioRunner runner(MustParse(
+        "noc star 2\ntraffic pairs 0 1 inject periodic 3 qos be "
+        "credit_threshold " +
+        std::to_string(thresholds[i]) + "\n"));
+    auto result = runner.Run();
+    ASSERT_TRUE(result.ok()) << result.status();
+    credit_only[i] = result->credit_only_packets;
+  }
+  EXPECT_GT(credit_only[0], 0);
+  EXPECT_LT(credit_only[1], credit_only[0]);
+}
+
 TEST(ScenarioRunnerTest, BuildFailsOnSlotExhaustion) {
   // 7 GT slots per flow: the second flow sharing the 8-slot injection
   // link table cannot fit.
