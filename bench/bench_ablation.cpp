@@ -161,7 +161,7 @@ void PolicyAcceptanceAblation() {
     struct Live {
       topology::ChannelRoute route;
       tdm::GlobalChannel ch;
-      std::vector<SlotIndex> slots;
+      tdm::SlotList slots;
     };
     std::vector<Live> live;
     int accepted = 0;

@@ -48,8 +48,8 @@ struct Connection {
   ConnectionSpec spec;
   topology::ChannelRoute request_route;   // master -> slave
   topology::ChannelRoute response_route;  // slave -> master
-  std::vector<SlotIndex> request_slots;
-  std::vector<SlotIndex> response_slots;
+  tdm::SlotList request_slots;
+  tdm::SlotList response_slots;
 };
 
 /// Resolves both routes and reserves the slots of each GT direction, the

@@ -17,8 +17,12 @@ using link::PacketHeader;
 // NiPort
 // ---------------------------------------------------------------------------
 
-NiPort::NiPort(std::string name, NiKernel* kernel)
-    : name_(std::move(name)), kernel_(kernel) {}
+NiPort::NiPort(std::string name, NiKernel* kernel, ChannelId first_channel,
+               int num_channels)
+    : name_(std::move(name)),
+      kernel_(kernel),
+      first_channel_(first_channel),
+      num_channels_(num_channels) {}
 
 bool NiPort::CanWrite(int connid, int words) const {
   AETHEREAL_CHECK(words >= 0);
@@ -77,7 +81,7 @@ void NiPort::WakeKernelForFlush() {
 
 ChannelId NiPort::GlobalChannelOf(int connid) const {
   AETHEREAL_CHECK(connid >= 0 && connid < NumChannels());
-  return channels_[static_cast<std::size_t>(connid)];
+  return first_channel_ + connid;
 }
 
 void NiPort::WakeOnDelivery(int connid, sim::Module* listener) {
@@ -94,8 +98,24 @@ Cycle NiPort::WakeOnSpace(int connid, sim::Module* listener) {
 // NiKernel construction
 // ---------------------------------------------------------------------------
 
-NiKernel::NiKernel(std::string name, NiId id, const NiKernelParams& params)
-    : sim::Module(std::move(name)), id_(id), params_(params) {
+namespace {
+
+// Configuration bursts are small; the staging vector is reserved for this
+// many writes so it stays allocation-free in steady state (it is empty
+// outside configuration).
+constexpr std::size_t kReservedRegisterWrites = regs::kRegsPerChannel * 4;
+
+// Padding StorageBytes allows per allocation for alignment.
+constexpr std::size_t kAllocationPad = alignof(std::max_align_t);
+
+}  // namespace
+
+NiKernel::NiKernel(std::string name, NiId id, const NiKernelParams& params,
+                   std::pmr::memory_resource* storage)
+    : sim::Module(std::move(name)),
+      id_(id),
+      params_(params),
+      pending_register_writes_(storage) {
   AETHEREAL_CHECK(params.stu_slots > 0);
   AETHEREAL_CHECK_MSG(params.stu_slots <= regs::kMaxStuSlots,
                       "SLOTS register is a 32-bit mask; stu_slots must be <= "
@@ -105,32 +125,44 @@ NiKernel::NiKernel(std::string name, NiId id, const NiKernelParams& params)
   AETHEREAL_CHECK_MSG(params.TotalChannels() <= link::kMaxQueueId + 1,
                       "more channels than the header qid field can address");
 
-  stu_.assign(static_cast<std::size_t>(params.stu_slots), kInvalidId);
-  // Configuration bursts are small; keep the staging vector allocation-free
-  // in steady state (it is empty outside configuration).
-  pending_register_writes_.reserve(regs::kRegsPerChannel * 4);
+  stu_.fill(kInvalidId);
+  pending_register_writes_.reserve(kReservedRegisterWrites);
 
-  channels_.Reset(static_cast<std::size_t>(params.TotalChannels()));
+  channels_.Reset(static_cast<std::size_t>(params.TotalChannels()), storage);
+  ports_.Reset(params.ports.size(), storage);
   for (std::size_t p = 0; p < params.ports.size(); ++p) {
     const auto& port_params = params.ports[p];
-    auto port = std::unique_ptr<NiPort>(new NiPort(
-        this->name() + "." +
-            (port_params.name.empty() ? "port" + std::to_string(p)
-                                      : port_params.name),
-        this));
+    const auto first = static_cast<ChannelId>(channels_.size());
     for (const auto& cp : port_params.channels) {
       AETHEREAL_CHECK(cp.source_queue_words > 0 && cp.dest_queue_words > 0);
-      const auto flat = static_cast<ChannelId>(channels_.size());
       Channel* ch = channels_.Emplace(cp.source_queue_words,
-                                      cp.dest_queue_words);
+                                      cp.dest_queue_words, storage);
       ch->port = static_cast<int>(p);
-      ch->connid = static_cast<int>(port->channels_.size());
+      ch->connid = static_cast<int>(channels_.size()) - 1 - first;
       ch->params = cp;
-      port->channels_.push_back(flat);
     }
-    ports_.push_back(std::move(port));
+    ports_.Emplace(this->name() + "." +
+                       (port_params.name.empty() ? "port" + std::to_string(p)
+                                                 : port_params.name),
+                   this, first, static_cast<int>(port_params.channels.size()));
   }
   SetEvaluateStride(kFlitWords);  // all work happens at slot boundaries
+}
+
+std::size_t NiKernel::StorageBytes(const NiKernelParams& params) {
+  const auto channels = static_cast<std::size_t>(params.TotalChannels());
+  std::size_t bytes = sim::Slab<Channel>::BytesFor(channels) +
+                      sim::Slab<NiPort>::BytesFor(params.ports.size()) +
+                      kReservedRegisterWrites * sizeof(PendingWrite) +
+                      (3 + 2 * channels) * kAllocationPad;
+  for (const PortParams& port : params.ports) {
+    for (const ChannelParams& cp : port.channels) {
+      bytes += static_cast<std::size_t>(cp.source_queue_words +
+                                        cp.dest_queue_words) *
+               sizeof(Word);
+    }
+  }
+  return bytes;
 }
 
 NiKernel::~NiKernel() = default;
@@ -152,7 +184,7 @@ void NiKernel::ConnectToRouter(link::LinkWires* to_router,
 
 NiPort* NiKernel::port(int index) {
   AETHEREAL_CHECK(index >= 0 && index < NumPorts());
-  return ports_[static_cast<std::size_t>(index)].get();
+  return &ports_[static_cast<std::size_t>(index)];
 }
 
 void NiKernel::BindPortClock(int index, sim::Clock* clock) {
@@ -160,8 +192,8 @@ void NiKernel::BindPortClock(int index, sim::Clock* clock) {
   AETHEREAL_CHECK_MSG(clock != nullptr && p->clock_ == nullptr,
                       p->name() << ": bind one clock, once");
   p->clock_ = clock;
-  for (const ChannelId flat : p->channels_) {
-    Channel& ch = ChannelAt(flat);
+  for (int connid = 0; connid < p->NumChannels(); ++connid) {
+    Channel& ch = ChannelAt(p->GlobalChannelOf(connid));
     // No module to wake on the port side: a writer blocked on a full
     // source queue arms WakeOnSpace, and readers listen (WakeOnDelivery).
     ch.source.Bind(/*writer=*/clock, /*reader=*/this);
@@ -560,7 +592,7 @@ void NiKernel::ReceiveFlit() {
         ch.dest.Push(flit.words[static_cast<std::size_t>(word_index)]);
     if (stamp != sim::kNoEdge && queue_watcher_ != nullptr) {
       queue_watcher_->NoteHandOff(
-          id_, *ports_[static_cast<std::size_t>(ch.port)]->clock(), stamp);
+          id_, *ports_[static_cast<std::size_t>(ch.port)].clock(), stamp);
     }
     ++ch.stats.words_received;
     ++stats_.payload_words_received;

@@ -19,10 +19,11 @@
 #ifndef AETHEREAL_CORE_NI_KERNEL_H
 #define AETHEREAL_CORE_NI_KERNEL_H
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <memory>
+#include <memory_resource>
 #include <string>
 #include <vector>
 
@@ -69,7 +70,7 @@ class NiPort {
   const std::string& name() const { return name_; }
   /// The clock the port runs on; null until NiKernel::BindPortClock.
   sim::Clock* clock() const { return clock_; }
-  int NumChannels() const { return static_cast<int>(channels_.size()); }
+  int NumChannels() const { return num_channels_; }
 
   /// True if `words` more words fit in the source queue of `connid`.
   bool CanWrite(int connid, int words = 1) const;
@@ -109,13 +110,17 @@ class NiPort {
 
  private:
   friend class NiKernel;
-  NiPort(std::string name, NiKernel* kernel);
+  friend class sim::Slab<NiPort>;
+  NiPort(std::string name, NiKernel* kernel, ChannelId first_channel,
+         int num_channels);
   /// Makes the kernel see a flush request raised now (FlushData/Credits).
   void WakeKernelForFlush();
   std::string name_;
   NiKernel* kernel_;
   sim::Clock* clock_ = nullptr;
-  std::vector<ChannelId> channels_;  // flat channel ids, by connid
+  // A port's channels have consecutive flat ids, connid 0 first.
+  ChannelId first_channel_;
+  int num_channels_;
 };
 
 /// Aggregate traffic statistics of one NI kernel.
@@ -155,9 +160,17 @@ class NiKernel : public sim::Module {
                 "a channel mask needs one bit per addressable queue id");
 
   /// Constructs the kernel and its ports. Register the kernel on the
-  /// network clock, then BindPortClock each port to its port clock.
-  NiKernel(std::string name, NiId id, const NiKernelParams& params);
+  /// network clock, then BindPortClock each port to its port clock. The
+  /// channels, ports and queue words take StorageBytes(params) from
+  /// `storage`.
+  NiKernel(std::string name, NiId id, const NiKernelParams& params,
+           std::pmr::memory_resource* storage =
+               std::pmr::get_default_resource());
   ~NiKernel() override;
+
+  /// Bytes a kernel with `params` takes from its storage resource, padding
+  /// included.
+  static std::size_t StorageBytes(const NiKernelParams& params);
 
   /// Wires the kernel to its router: `to_router` is the injection link
   /// (kernel drives data, takes BE credit returns); `from_router` is the
@@ -168,7 +181,7 @@ class NiKernel : public sim::Module {
                        int router_be_capacity);
 
   NiId id() const { return id_; }
-  const NiKernelParams& params() const { return params_; }
+  const NiKernelSettings& params() const { return params_; }
   int NumPorts() const { return static_cast<int>(ports_.size()); }
   NiPort* port(int index);
 
@@ -240,8 +253,10 @@ class NiKernel : public sim::Module {
   };
 
   struct Channel {
-    Channel(int source_queue_words, int dest_queue_words)
-        : source(source_queue_words), dest(dest_queue_words) {}
+    Channel(int source_queue_words, int dest_queue_words,
+            std::pmr::memory_resource* storage)
+        : source(source_queue_words, storage),
+          dest(dest_queue_words, storage) {}
 
     // Design-time.
     int port = 0;
@@ -324,7 +339,7 @@ class NiKernel : public sim::Module {
   void CountSlotsThrough(Cycle last_slot);
 
   NiId id_;
-  NiKernelParams params_;
+  NiKernelSettings params_;
   // Channels live in a contiguous fixed-capacity slab, indexed by channel
   // id, so the masked walks below reach a channel with one index and no
   // pointer chase (sim/soa_state.h).
@@ -338,8 +353,9 @@ class NiKernel : public sim::Module {
   // request is still on its way or a credit flush is pending.
   ChannelMask enabled_ = 0;
   ChannelMask harvest_ = 0;
-  std::vector<std::unique_ptr<NiPort>> ports_;
-  std::vector<ChannelId> stu_;  // slot -> owning channel (or kInvalidId)
+  sim::Slab<NiPort> ports_;
+  // Slot -> owning channel (or kInvalidId), for the first stu_slots slots.
+  std::array<ChannelId, regs::kMaxStuSlots> stu_;
 
   link::LinkWires* to_router_ = nullptr;
   link::LinkWires* from_router_ = nullptr;
@@ -369,7 +385,7 @@ class NiKernel : public sim::Module {
   std::int64_t scheduled_slots_ = 0;
   std::int64_t owner_slots_ = 0;
 
-  std::vector<PendingWrite> pending_register_writes_;
+  std::pmr::vector<PendingWrite> pending_register_writes_;
   NiKernelStats stats_;
   fault::FaultInjector* fault_ = nullptr;
   QueueWatcher* queue_watcher_ = nullptr;

@@ -41,14 +41,18 @@ struct PortParams {
   std::vector<ChannelParams> channels;
 };
 
-/// The NI kernel instance.
-struct NiKernelParams {
+/// The kernel's own parameters, apart from its ports.
+struct NiKernelSettings {
   int stu_slots = 8;          // slot-table-unit size (paper instance: 8)
   int max_packet_flits = 4;   // maximum packet length, in flits
   BeArbitration be_arbitration = BeArbitration::kRoundRobin;
   /// Piggyback credits in data-packet headers (paper §4.1). Disabling this
   /// (ablation) forces all credits into credit-only packets.
   bool piggyback_credits = true;
+};
+
+/// The NI kernel instance.
+struct NiKernelParams : NiKernelSettings {
   std::vector<PortParams> ports;
 
   /// The paper's reference instance (§5): STU of 8 slots, 4 ports with

@@ -5,7 +5,7 @@
 
 namespace aethereal::link {
 
-SourcePath SourcePath::FromHops(const std::vector<int>& hops) {
+SourcePath SourcePath::FromHops(std::span<const int> hops) {
   AETHEREAL_CHECK_MSG(static_cast<int>(hops.size()) <= kMaxPathHops,
                       "path of " << hops.size() << " hops exceeds "
                                  << kMaxPathHops);
@@ -22,7 +22,7 @@ SourcePath SourcePath::FromHops(const std::vector<int>& hops) {
 }
 
 SourcePath SourcePath::FromHops(std::initializer_list<int> hops) {
-  return FromHops(std::vector<int>(hops));
+  return FromHops(std::span<const int>(hops.begin(), hops.size()));
 }
 
 SourcePath SourcePath::FromPacked(std::uint32_t packed) {

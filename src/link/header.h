@@ -20,7 +20,7 @@
 
 #include <initializer_list>
 #include <ostream>
-#include <vector>
+#include <span>
 
 #include "util/bits.h"
 #include "util/types.h"
@@ -68,7 +68,7 @@ class SourcePath {
 
   /// Builds a path from a hop list (output port at each router). Checks the
   /// hop count and port ranges.
-  static SourcePath FromHops(const std::vector<int>& hops);
+  static SourcePath FromHops(std::span<const int> hops);
   static SourcePath FromHops(std::initializer_list<int> hops);
 
   /// Reconstructs a path from its 21-bit packed representation.

@@ -14,16 +14,30 @@ namespace aethereal::router {
 using link::Flit;
 using link::FlitKind;
 
-Router::Router(std::string name, RouterId id, const RouterConfig& config)
-    : sim::Module(std::move(name)), id_(id), config_(config) {
+Router::Router(std::string name, RouterId id, const RouterConfig& config,
+               std::pmr::memory_resource* storage)
+    : sim::Module(std::move(name)),
+      id_(id),
+      config_(config),
+      inputs_(storage),
+      outputs_(static_cast<std::size_t>(config.num_ports), storage) {
   AETHEREAL_CHECK(config.num_ports > 0 && config.num_ports <= 32);
   AETHEREAL_CHECK(config.be_buffer_flits > 0);
   SetEvaluateStride(kFlitWords);  // all work happens at slot boundaries
   inputs_.reserve(static_cast<std::size_t>(config.num_ports));
-  outputs_.resize(static_cast<std::size_t>(config.num_ports));
   for (int p = 0; p < config.num_ports; ++p) {
-    inputs_.emplace_back(config.be_buffer_flits);
+    inputs_.emplace_back(config.be_buffer_flits, storage);
   }
+}
+
+std::size_t Router::StorageBytes(const RouterConfig& config) {
+  // Padding per allocation, for alignment.
+  constexpr std::size_t kPad = alignof(std::max_align_t);
+  const auto ports = static_cast<std::size_t>(config.num_ports);
+  return ports * (sizeof(InputState) + sizeof(OutputState) + kPad) +
+         ports * static_cast<std::size_t>(config.be_buffer_flits) *
+             sizeof(BufferedBeFlit) +
+         2 * kPad;
 }
 
 void Router::ConnectInput(int port, link::LinkWires* wires) {

@@ -23,7 +23,9 @@
 #define AETHEREAL_ROUTER_ROUTER_H
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <memory_resource>
 #include <vector>
 
 #include "link/flit.h"
@@ -54,7 +56,15 @@ struct RouterStats {
 
 class Router : public sim::Module {
  public:
-  Router(std::string name, RouterId id, const RouterConfig& config);
+  /// The port state and BE input buffers take StorageBytes(config) from
+  /// `storage`.
+  Router(std::string name, RouterId id, const RouterConfig& config,
+         std::pmr::memory_resource* storage =
+             std::pmr::get_default_resource());
+
+  /// Bytes a router with `config` takes from its storage resource, padding
+  /// included.
+  static std::size_t StorageBytes(const RouterConfig& config);
 
   /// Wires the inbound link of `port`: the router samples `wires->data` and
   /// drives `wires->credit_return` (returning BE buffer space upstream).
@@ -132,7 +142,8 @@ class Router : public sim::Module {
     int credits_freed_this_slot = 0;
     bool gt_discard = false;  // dropping a GT packet begun during a stall
     bool be_discard = false;  // dropping a BE packet begun during a stall
-    explicit InputState(int capacity) : be_queue(capacity) {}
+    InputState(int capacity, std::pmr::memory_resource* storage)
+        : be_queue(capacity, storage) {}
   };
   struct OutputState {
     link::LinkWires* wires = nullptr;
@@ -143,8 +154,8 @@ class Router : public sim::Module {
     std::uint32_t be_requests = 0;    // bit i: input i's be_request is here
   };
 
-  std::vector<InputState> inputs_;
-  std::vector<OutputState> outputs_;
+  std::pmr::vector<InputState> inputs_;
+  std::pmr::vector<OutputState> outputs_;
   // Per-slot masks (bit = port), cleared as the slot's sweep uses them.
   // GT switching is unbuffered, so a GT flit is driven the moment it is
   // accepted; gt_claimed_outputs_ records the outputs it took, for the

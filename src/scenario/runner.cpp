@@ -285,6 +285,7 @@ Status ScenarioRunner::BuildTopologyAndSoc(
   }
 
   std::vector<core::NiKernelParams> ni_params;
+  ni_params.reserve(channels.size());
   for (int count : channels) {
     // NIs no flow touches still get one (idle) channel: the NI kernel is
     // instantiated per NI regardless.
@@ -295,8 +296,10 @@ Status ScenarioRunner::BuildTopologyAndSoc(
   soc::SocOptions options;
   options.net_mhz = spec_.net_mhz;
   // One clock for every IP port, so a flow's source and sink count the
-  // same edges and word latencies stay in one unit (IP cycles).
+  // same edges and word latencies stay in one unit (IP cycles). A port
+  // not listed runs on the network clock.
   for (std::size_t n = 0; n < ni_params.size(); ++n) {
+    if (spec_.IpMhz() == spec_.net_mhz) break;
     for (std::size_t p = 0; p < ni_params[n].ports.size(); ++p) {
       options.port_mhz[{static_cast<NiId>(n), static_cast<int>(p)}] =
           spec_.IpMhz();
@@ -310,7 +313,7 @@ Status ScenarioRunner::BuildTopologyAndSoc(
   // null and the Soc builds no hub and registers no tap (DESIGN.md §13).
   options.obs = spec_.obs.Enabled() ? &spec_.obs : nullptr;
   soc_ = std::make_unique<soc::Soc>(std::move(topo), std::move(ni_params),
-                                    options);
+                                    std::move(options));
   return OkStatus();
 }
 
@@ -374,6 +377,44 @@ Status ScenarioRunner::Build() {
     soc_->RegisterOnPort(driver_.get(), spec_.cfg_ni, 0);
   }
 
+  // Size every IP slab and hops_ from the expanded flows: a memory flow
+  // is a master shell, master, slave shell and memory; a video chain one
+  // source, one relay per inner NI and one consumer; every other flow a
+  // source and a consumer.
+  std::size_t num_hops = 0;
+  std::size_t num_flows = 0;
+  std::size_t num_streams = 0;
+  std::size_t num_relays = 0;
+  std::size_t num_memory = 0;
+  for (std::size_t g = 0; g < flows_by_group.size(); ++g) {
+    const std::size_t n = flows_by_group[g].size();
+    num_hops += n;
+    switch (spec_.traffic[g].pattern) {
+      case PatternKind::kMemory:
+        num_memory += n;
+        num_flows += n;
+        break;
+      case PatternKind::kVideo:
+        num_streams += n > 0 ? 1 : 0;
+        num_relays += n > 0 ? n - 1 : 0;
+        num_flows += n > 0 ? 1 : 0;
+        break;
+      default:
+        num_streams += n;
+        num_flows += n;
+        break;
+    }
+  }
+  hops_.reserve(num_hops);
+  flows_.reserve(num_flows);
+  sources_.Reset(num_streams);
+  relays_.Reset(num_relays);
+  consumers_.Reset(num_streams);
+  master_shells_.Reset(num_memory);
+  masters_.Reset(num_memory);
+  slave_shells_.Reset(num_memory);
+  memories_.Reset(num_memory);
+
   // Assign connids in directive order (mirrors the channel counting; in a
   // phased scenario the config channels occupy the lowest connids, so
   // flow connids start above them).
@@ -385,12 +426,11 @@ Status ScenarioRunner::Build() {
   open_refs_by_group_.resize(flows_by_group.size());
   for (std::size_t g = 0; g < flows_by_group.size(); ++g) {
     const TrafficSpec& traffic = spec_.traffic[g];
-    std::vector<Hop> wired;
+    const std::size_t first_hop = hops_.size();
     for (const Flow& flow : flows_by_group[g]) {
       Hop w{flow, next_connid[static_cast<std::size_t>(flow.src)]++,
             next_connid[static_cast<std::size_t>(flow.dst)]++,
             static_cast<int>(g)};
-      wired.push_back(w);
       hops_.push_back(w);
       const config::ConnectionSpec conn = ConnSpecOf(traffic, w);
       if (phased) {
@@ -416,51 +456,48 @@ Status ScenarioRunner::Build() {
     // flow across all its hops, with relays at the intermediate NIs.
     const std::string tag = "g" + std::to_string(g);
     const bool video = traffic.pattern == PatternKind::kVideo;
+    const std::span<const Hop> wired(hops_.data() + first_hop,
+                                     hops_.size() - first_hop);
     const std::size_t span = video ? wired.size() : 1;
     for (std::size_t first = 0; first < wired.size(); first += span) {
       const Hop& in = wired[first];
       const Hop& out = wired[first + span - 1];
       FlowIps f;
       f.group = g;
-      f.hops.assign(wired.begin() + static_cast<std::ptrdiff_t>(first),
-                    wired.begin() + static_cast<std::ptrdiff_t>(first + span));
+      f.hops = wired.subspan(first, span);
       if (traffic.pattern == PatternKind::kMemory) {
         f.burst_words = traffic.mem_burst_words;
-        f.master_shell = std::make_unique<shells::MasterShell>(
+        f.master_shell = master_shells_.Emplace(
             tag + "_master_shell", soc_->port(in.flow.src, 0), in.src_connid);
-        f.master = std::make_unique<ip::TrafficGenMaster>(
-            tag + "_master", f.master_shell.get(), MemoryPattern(traffic),
-            rng.Next());
-        f.slave_shell = std::make_unique<shells::SlaveShell>(
+        f.master = masters_.Emplace(tag + "_master", f.master_shell,
+                                    MemoryPattern(traffic), rng.Next());
+        f.slave_shell = slave_shells_.Emplace(
             tag + "_slave_shell", soc_->port(in.flow.dst, 0), in.dst_connid);
-        f.memory = std::make_unique<ip::MemorySlave>(
-            tag + "_memory", f.slave_shell.get(), /*base=*/0,
-            /*size_words=*/1024);
-        soc_->RegisterOnPort(f.master_shell.get(), in.flow.src, 0);
-        soc_->RegisterOnPort(f.master.get(), in.flow.src, 0);
-        soc_->RegisterOnPort(f.slave_shell.get(), in.flow.dst, 0);
-        soc_->RegisterOnPort(f.memory.get(), in.flow.dst, 0);
+        f.memory = memories_.Emplace(tag + "_memory", f.slave_shell,
+                                     /*base=*/0, /*size_words=*/1024);
+        soc_->RegisterOnPort(f.master_shell, in.flow.src, 0);
+        soc_->RegisterOnPort(f.master, in.flow.src, 0);
+        soc_->RegisterOnPort(f.slave_shell, in.flow.dst, 0);
+        soc_->RegisterOnPort(f.memory, in.flow.dst, 0);
       } else {
         const std::string label =
             tag + (video ? "_video" : "f" + std::to_string(first));
         Rng flow_rng(rng.Next());
         const ip::Injection injection = StreamInjection(traffic, flow_rng);
-        f.source = std::make_unique<ip::StreamSource>(
-            label + "_src", soc_->port(in.flow.src, 0), in.src_connid,
-            injection, flow_rng);
-        soc_->RegisterOnPort(f.source.get(), in.flow.src, 0);
+        f.source = sources_.Emplace(label + "_src", soc_->port(in.flow.src, 0),
+                                    in.src_connid, injection, flow_rng);
+        soc_->RegisterOnPort(f.source, in.flow.src, 0);
         for (std::size_t h = first; h + 1 < first + span; ++h) {
           const NiId at = wired[h].flow.dst;
-          auto relay = std::make_unique<ip::Relay>(
+          ip::Relay* relay = relays_.Emplace(
               tag + "_relay" + std::to_string(h), soc_->port(at, 0),
               wired[h].dst_connid, wired[h + 1].src_connid);
-          soc_->RegisterOnPort(relay.get(), at, 0);
-          f.relays.push_back(std::move(relay));
+          soc_->RegisterOnPort(relay, at, 0);
         }
-        f.consumer = std::make_unique<ip::StreamConsumer>(
+        f.consumer = consumers_.Emplace(
             label + "_sink", soc_->port(out.flow.dst, 0), out.dst_connid,
             /*drain_per_cycle=*/video ? 1 : kFlitWords);
-        soc_->RegisterOnPort(f.consumer.get(), out.flow.dst, 0);
+        soc_->RegisterOnPort(f.consumer, out.flow.dst, 0);
       }
       // A phased flow stays silent until its phase begins.
       if (phased) f.SetActive(false, 0);
@@ -476,6 +513,7 @@ Status ScenarioRunner::Build() {
                                             : 0;
   };
   std::vector<FlowIps> measurement_order;
+  measurement_order.reserve(flows_.size());
   for (int r = 0; r < 3; ++r) {
     for (FlowIps& f : flows_) {
       if (rank(f) == r) measurement_order.push_back(std::move(f));
@@ -540,8 +578,8 @@ std::vector<const sim::Module*> ScenarioRunner::TransactionModules() const {
   std::vector<const sim::Module*> modules;
   for (const FlowIps& f : flows_) {
     if (f.master == nullptr) continue;
-    modules.insert(modules.end(), {f.master_shell.get(), f.master.get(),
-                                   f.slave_shell.get(), f.memory.get()});
+    modules.insert(modules.end(),
+                   {f.master_shell, f.master, f.slave_shell, f.memory});
   }
   if (soc_ != nullptr) {
     const std::vector<const sim::Module*> config = soc_->ConfigModules();
@@ -1118,7 +1156,7 @@ void ScenarioRunner::CheckGtLatency(const FlowIps& f,
   const auto links = [&](NiId from, NiId to) {
     auto route = topo.Route(from, to);
     AETHEREAL_CHECK(route.ok());  // the connection was opened over it
-    return std::move(route->links);
+    return route->links;
   };
   if (credit_load_.empty()) {
     credit_load_.assign(static_cast<std::size_t>(topo.NumLinks()), 0);
@@ -1141,7 +1179,7 @@ void ScenarioRunner::CheckGtLatency(const FlowIps& f,
     }
   }
   const Flow& flow = f.hops.front().flow;
-  const std::vector<topology::LinkId> back = links(flow.dst, flow.src);
+  const auto back = links(flow.dst, flow.src);
   for (const topology::LinkId& link : back) {
     if (credit_load_[static_cast<std::size_t>(topo.LinkIndex(link))] >
         spec_.stu_slots - soc_->allocator().TableOf(link).Reserved()) {

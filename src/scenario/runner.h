@@ -13,6 +13,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -25,6 +26,7 @@
 #include "scenario/spec.h"
 #include "shells/master_shell.h"
 #include "shells/slave_shell.h"
+#include "sim/soa_state.h"
 #include "soc/soc.h"
 #include "stats_ctl/convergence.h"
 #include "util/status.h"
@@ -294,26 +296,26 @@ class ScenarioRunner {
  private:
   /// The workload IPs behind one result flow — a stream, a whole video
   /// chain, or a memory master/slave pair — and the one view the run loop
-  /// measures every kind through.
+  /// measures every kind through. The IPs live in the runner's per-class
+  /// slabs; a video chain's relays are there too, and need no view.
   struct FlowIps {
     std::size_t group = 0;
-    /// The NoC connections the flow's words cross: one for streams and
-    /// memory flows, one per chain hop for video.
-    std::vector<Hop> hops;
+    /// The NoC connections the flow's words cross, in hops_: one for
+    /// streams and memory flows, one per chain hop for video.
+    std::span<const Hop> hops;
 
     NiId src() const { return hops.front().flow.src; }
     NiId dst() const { return hops.back().flow.dst; }
 
     // Streams and video chains.
-    std::unique_ptr<ip::StreamSource> source;
-    std::vector<std::unique_ptr<ip::Relay>> relays;
-    std::unique_ptr<ip::StreamConsumer> consumer;
+    ip::StreamSource* source = nullptr;
+    ip::StreamConsumer* consumer = nullptr;
     // Memory flows.
     int burst_words = 0;
-    std::unique_ptr<shells::MasterShell> master_shell;
-    std::unique_ptr<ip::TrafficGenMaster> master;
-    std::unique_ptr<shells::SlaveShell> slave_shell;
-    std::unique_ptr<ip::MemorySlave> memory;
+    shells::MasterShell* master_shell = nullptr;
+    ip::TrafficGenMaster* master = nullptr;
+    shells::SlaveShell* slave_shell = nullptr;
+    ip::MemorySlave* memory = nullptr;
 
     /// Words delivered so far (memory: completed transactions x burst).
     std::int64_t Delivered() const;
@@ -365,7 +367,18 @@ class ScenarioRunner {
   bool built_ = false;
   bool ran_ = false;
   std::unique_ptr<soc::Soc> soc_;
+  /// Reserved for every hop before the first is wired: FlowIps::hops
+  /// views it.
   std::vector<Hop> hops_;
+  // The workload IPs, one slab per class, each sized from the expanded
+  // flows before the first IP is built (sim/soa_state.h).
+  sim::Slab<ip::StreamSource> sources_;
+  sim::Slab<ip::Relay> relays_;
+  sim::Slab<ip::StreamConsumer> consumers_;
+  sim::Slab<shells::MasterShell> master_shells_;
+  sim::Slab<ip::TrafficGenMaster> masters_;
+  sim::Slab<shells::SlaveShell> slave_shells_;
+  sim::Slab<ip::MemorySlave> memories_;
   /// Streams, then video chains, then memory flows, each in directive
   /// order: the order convergence samples are concatenated in.
   std::vector<FlowIps> flows_;

@@ -8,11 +8,15 @@
 // space reaches the writer two of *its* edges after the pop).
 //
 // Stamp-latched (DESIGN.md §7.2): there is no commit step. Push() stamps
-// the word with the first reader edge that may read it, and Pop() stamps
-// the freed space with the first writer edge that sees it. Each side
+// its hand-off with the first reader edge that may read it, and Pop()
+// stamps the freed space with the first writer edge that sees it. Each side
 // compares the stamps with its own clock when it reads, so visibility is
 // decided at read time and a queue with nothing in flight costs nothing
-// per edge.
+// per edge. The words sit in a plain ring; a stamp belongs to a hand-off,
+// not to a word: the hand-offs still in flight, and the space returns, are
+// {count, stamp} groups in small rings inside the queue. Stamps never
+// decrease along the queue, and a group is retired once its stamp has
+// passed, so only a handful are ever in flight (kMaxGroupsInFlight).
 //
 // A hand-off belongs to the instant of the handing-off side's current edge,
 // or of its next edge when made between steps. Its stamp is the opposite
@@ -38,6 +42,7 @@
 #include <array>
 #include <cstddef>
 #include <limits>
+#include <memory_resource>
 #include <utility>
 
 #include "sim/kernel.h"
@@ -57,6 +62,12 @@ inline constexpr std::size_t kMaxReadListeners = 2;
 /// of its edge, CdcFifo::WakeOnSpace() when no space is in flight.
 inline constexpr Cycle kNoEdge = std::numeric_limits<Cycle>::max();
 
+/// Hand-offs (or space returns) one queue holds in flight at most. A group
+/// in flight has a stamp past the receiving side's current edge, and at
+/// most five distinct stamps can be, whatever the two clocks' ratio
+/// (DESIGN.md §7.2); a sixth is a CHECK failure.
+inline constexpr int kMaxGroupsInFlight = 8;
+
 /// One side of a CdcFifo: a module on its clock, or a bare clock with no
 /// module to wake (an NI port's side: the IPs on the port arm their own).
 struct CdcSide {
@@ -75,7 +86,10 @@ struct CdcSide {
 template <typename T>
 class CdcFifo {
  public:
-  explicit CdcFifo(int capacity) : words_(capacity), returns_(capacity) {}
+  /// `storage` holds the word ring (sim/ring.h).
+  explicit CdcFifo(int capacity, std::pmr::memory_resource* storage =
+                                     std::pmr::get_default_resource())
+      : words_(capacity, storage) {}
 
   CdcFifo(const CdcFifo&) = delete;
   CdcFifo& operator=(const CdcFifo&) = delete;
@@ -133,10 +147,15 @@ class CdcFifo {
     AETHEREAL_CHECK_MSG(CanPush(), "CdcFifo overflow");
     if (rclock_ == nullptr) Resolve();
     const Cycle readable = HandOffEdge(rclock_, wclock_, reader_first_);
+    words_.push_back(std::move(value));
     // Words pushed within one edge share a stamp: one hand-off, one wake.
-    const bool handoff = words_.empty() || words_.back().readable != readable;
-    words_.push_back(Entry{std::move(value), readable});
-    if (!handoff) return kNoEdge;
+    // A word already readable has an earlier stamp than any new hand-off.
+    if (!handoffs_.empty() && handoffs_.back().stamp == readable) {
+      handoffs_.back().count += 1;
+      return kNoEdge;
+    }
+    if (!handoffs_.empty()) MatureHandOffs();
+    handoffs_.push_back(Group{1, readable});
     for (Module* m : listeners_) {
       if (m != nullptr) m->WakeAt(readable);
     }
@@ -151,7 +170,7 @@ class CdcFifo {
   /// time; it is dropped once woken.
   Cycle WakeOnSpace(Module* listener) {
     if (!returns_.empty()) MatureReturns();
-    if (!returns_.empty()) return returns_.front().seen;
+    if (!returns_.empty()) return returns_.front().stamp;
     AETHEREAL_CHECK_MSG(
         space_listener_ == nullptr || space_listener_ == listener,
         listener->name() << ": the queue's space wake is armed for "
@@ -174,12 +193,8 @@ class CdcFifo {
   /// (pushed words not yet readable), in stamp order.
   template <typename Fn>
   void ForEachHandOffInFlight(Fn fn) const {
-    Cycle last = kNoEdge;
-    for (int i = Readable(); i < words_.size(); ++i) {
-      const Cycle stamp = words_[i].readable;
-      if (stamp != last) fn(stamp);
-      last = stamp;
-    }
+    if (!handoffs_.empty()) MatureHandOffs();
+    for (int i = 0; i < handoffs_.size(); ++i) fn(handoffs_[i].stamp);
   }
 
   /// True while popped space has not been taken by TakeFreedForWriter():
@@ -212,27 +227,26 @@ class CdcFifo {
     --readable_;
     ++unreturned_;
     const Cycle seen = HandOffEdge(wclock_, rclock_, writer_first_);
-    if (!returns_.empty() && returns_.back().seen == seen) {
+    if (!returns_.empty() && returns_.back().stamp == seen) {
       returns_.back().count += 1;  // same hand-off as an earlier pop
     } else {
-      returns_.push_back(SpaceReturn{1, seen});
+      if (!returns_.empty()) MatureReturns();
+      returns_.push_back(Group{1, seen});
       if (writer_.module != nullptr) writer_.module->WakeAt(seen);
       if (space_listener_ != nullptr) {
         space_listener_->WakeAt(seen);
         space_listener_ = nullptr;
       }
     }
-    return words_.pop_front().value;
+    return words_.pop_front();
   }
 
  private:
-  struct Entry {
-    T value{};
-    Cycle readable = 0;  // first reader edge at which the word is readable
-  };
-  struct SpaceReturn {
+  /// One hand-off: `count` words (or freed places) that the receiving side
+  /// sees from its edge `stamp` on.
+  struct Group {
     int count = 0;
-    Cycle seen = 0;  // first writer edge at which the space is back
+    Cycle stamp = 0;
   };
 
   /// The first edge of `to` that sees a hand-off made now by the side on
@@ -271,30 +285,35 @@ class CdcFifo {
     }
   }
 
-  /// Words readable now. Stamps never decrease along the queue, so the
-  /// count only grows between pops; it is cached and extended lazily.
+  /// Words readable now: the count only grows between pops, as the
+  /// hand-offs in flight mature.
   int Readable() const {
-    if (readable_ < words_.size()) {
-      const Cycle now = rclock_->cycles();
-      while (readable_ < words_.size() && words_[readable_].readable <= now) {
-        ++readable_;
-      }
-    }
+    if (!handoffs_.empty()) MatureHandOffs();
     return readable_;
+  }
+
+  /// Hands the reader the hand-offs whose stamp has passed. Callers test
+  /// for an empty handoffs_ first, so the idle path stays inline.
+  void MatureHandOffs() const {
+    const Cycle now = rclock_->cycles();
+    while (!handoffs_.empty() && handoffs_.front().stamp <= now) {
+      readable_ += handoffs_.front().count;
+      handoffs_.pop_front();
+    }
   }
 
   /// Hands the writer the space returns whose stamp has passed. Callers
   /// test for an empty returns_ first, so the idle path stays inline.
   void MatureReturns() const {
     const Cycle now = wclock_->cycles();
-    while (!returns_.empty() && returns_.front().seen <= now) {
+    while (!returns_.empty() && returns_.front().stamp <= now) {
       unreturned_ -= returns_.front().count;
       freed_ += returns_.front().count;
       returns_.pop_front();
     }
   }
 
-  Ring<Entry> words_;  // pushed and not popped, readable or still in flight
+  Ring<T> words_;  // pushed and not popped, readable or still in flight
   CdcSide writer_;
   CdcSide reader_;
   std::array<Module*, kMaxReadListeners> listeners_{};
@@ -303,13 +322,15 @@ class CdcFifo {
   const Clock* rclock_ = nullptr;
   bool reader_first_ = false;  // reader side synchronizes first
   bool writer_first_ = false;  // writer side synchronizes first
-  // Reader side: the leading words known readable, and this edge's pops.
+  // Reader side: the hand-offs still in flight, the leading words known
+  // readable, and this edge's pops.
+  mutable InlineRing<Group, kMaxGroupsInFlight> handoffs_;
   mutable int readable_ = 0;
   Cycle pop_edge_ = std::numeric_limits<Cycle>::min();
   int pops_ = 0;
   // Writer side: popped words whose space is still in flight, and space
   // synchronized but not yet taken as credits.
-  mutable Ring<SpaceReturn> returns_;
+  mutable InlineRing<Group, kMaxGroupsInFlight> returns_;
   mutable int unreturned_ = 0;
   mutable int freed_ = 0;
 };

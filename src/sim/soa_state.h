@@ -16,6 +16,7 @@
 #define AETHEREAL_SIM_SOA_STATE_H
 
 #include <cstddef>
+#include <memory_resource>
 #include <new>
 #include <utility>
 
@@ -25,28 +26,34 @@ namespace aethereal::sim {
 
 /// Fixed-capacity arena of T with stable addresses. Elements are
 /// constructed in place with Emplace() (up to the capacity given to
-/// Reset()) and destroyed in reverse construction order. Non-copyable,
-/// non-movable.
+/// Reset()) and destroyed in reverse construction order. The raw storage
+/// comes from the memory resource given to Reset(): the SoC's build block
+/// (soc/soc.h), or the default heap resource. Non-copyable, non-movable.
 template <typename T>
 class Slab {
  public:
   Slab() = default;
-  explicit Slab(std::size_t capacity) { Reset(capacity); }
   ~Slab() { Release(); }
 
   Slab(const Slab&) = delete;
   Slab& operator=(const Slab&) = delete;
 
-  /// Destroys all elements and reallocates raw storage for `capacity`
-  /// elements. Must not be called while element addresses are registered
-  /// elsewhere.
-  void Reset(std::size_t capacity) {
+  /// Destroys all elements and takes raw storage for `capacity` elements
+  /// from `storage`. Must not be called while element addresses are
+  /// registered elsewhere.
+  void Reset(std::size_t capacity, std::pmr::memory_resource* storage =
+                                       std::pmr::get_default_resource()) {
     Release();
     capacity_ = capacity;
+    storage_ = storage;
     if (capacity > 0) {
-      data_ = static_cast<T*>(::operator new(
-          capacity * sizeof(T), std::align_val_t{alignof(T)}));
+      data_ = static_cast<T*>(storage->allocate(Bytes(), alignof(T)));
     }
+  }
+
+  /// Bytes a Slab of `capacity` elements takes from its resource.
+  static constexpr std::size_t BytesFor(std::size_t capacity) {
+    return capacity * sizeof(T);
   }
 
   /// Constructs the next element in place and returns its (stable) address.
@@ -81,12 +88,14 @@ class Slab {
     for (std::size_t i = size_; i > 0; --i) data_[i - 1].~T();
     size_ = 0;
     if (data_ != nullptr) {
-      ::operator delete(data_, std::align_val_t{alignof(T)});
+      storage_->deallocate(data_, Bytes(), alignof(T));
       data_ = nullptr;
     }
     capacity_ = 0;
   }
+  std::size_t Bytes() const { return BytesFor(capacity_); }
 
+  std::pmr::memory_resource* storage_ = nullptr;
   T* data_ = nullptr;
   std::size_t size_ = 0;
   std::size_t capacity_ = 0;

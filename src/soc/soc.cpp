@@ -37,11 +37,41 @@ Status SocOptions::Validate() const {
   return OkStatus();
 }
 
+namespace {
+
+/// Bytes the Soc's storage block needs for a network of `topology` with
+/// `ni_params`: an upper bound, since Topology::NumLinks() counts every
+/// router port and the Soc builds at most that many link wires.
+std::size_t StorageBytes(const topology::Topology& topology,
+                         const std::vector<core::NiKernelParams>& ni_params,
+                         const SocOptions& options) {
+  constexpr std::size_t kPad = alignof(std::max_align_t);
+  const auto links = static_cast<std::size_t>(topology.NumLinks());
+  std::size_t bytes =
+      sim::Slab<router::Router>::BytesFor(
+          static_cast<std::size_t>(topology.NumRouters())) +
+      sim::Slab<core::NiKernel>::BytesFor(ni_params.size()) +
+      sim::Slab<link::LinkWires>::BytesFor(links) + 3 * kPad +
+      tdm::CentralizedAllocator::StorageBytes(topology.NumLinks(),
+                                              options.stu_slots);
+  for (RouterId r = 0; r < topology.NumRouters(); ++r) {
+    bytes += router::Router::StorageBytes(
+        {topology.RouterPorts(r), options.router_be_buffer_flits});
+  }
+  for (const core::NiKernelParams& params : ni_params) {
+    bytes += core::NiKernel::StorageBytes(params);
+  }
+  return bytes;
+}
+
+}  // namespace
+
 Soc::Soc(topology::Topology topology,
          std::vector<core::NiKernelParams> ni_params, SocOptions options)
     : topology_(std::move(topology)),
       ni_params_(std::move(ni_params)),
-      options_(options) {
+      options_(std::move(options)),
+      storage_(StorageBytes(topology_, ni_params_, options_)) {
   AETHEREAL_CHECK_MSG(
       static_cast<int>(ni_params_.size()) == topology_.NumNis(),
       "one NiKernelParams per NI required");
@@ -91,16 +121,16 @@ Soc::Soc(topology::Topology topology,
       if (topology_.PortPeer(r, p).kind == EndpointKind::kRouter) ++num_links;
     }
   }
-  links_.Reset(static_cast<std::size_t>(num_links));
+  links_.Reset(static_cast<std::size_t>(num_links), &storage_);
 
   // Routers.
-  routers_.Reset(static_cast<std::size_t>(topology_.NumRouters()));
+  routers_.Reset(static_cast<std::size_t>(topology_.NumRouters()), &storage_);
   for (RouterId r = 0; r < topology_.NumRouters(); ++r) {
     router::RouterConfig config;
     config.num_ports = topology_.RouterPorts(r);
     config.be_buffer_flits = options_.router_be_buffer_flits;
     router::Router* router =
-        routers_.Emplace("router" + std::to_string(r), r, config);
+        routers_.Emplace("router" + std::to_string(r), r, config, &storage_);
     if (fault_injector_ != nullptr) {
       router->SetFaultInjector(fault_injector_.get());
     }
@@ -108,14 +138,14 @@ Soc::Soc(topology::Topology topology,
   }
 
   // NIs and their links to the routers.
-  nis_.Reset(ni_params_.size());
+  nis_.Reset(ni_params_.size(), &storage_);
   for (NiId n = 0; n < topology_.NumNis(); ++n) {
     AETHEREAL_CHECK_MSG(ni_params_[static_cast<std::size_t>(n)].stu_slots ==
                             options_.stu_slots,
                         "NI stu_slots must match SocOptions.stu_slots");
     core::NiKernel* kernel =
         nis_.Emplace("ni" + std::to_string(n), n,
-                     ni_params_[static_cast<std::size_t>(n)]);
+                     ni_params_[static_cast<std::size_t>(n)], &storage_);
     if (fault_injector_ != nullptr) {
       kernel->SetFaultInjector(fault_injector_.get());
     }
@@ -193,7 +223,7 @@ Soc::Soc(topology::Topology topology,
   }
 
   allocator_ = std::make_unique<tdm::CentralizedAllocator>(
-      &topology_, options_.stu_slots);
+      &topology_, options_.stu_slots, &storage_);
 
   // Attaching the tap sets every link's wires counting their drives.
   if (obs_tap_ != nullptr) {

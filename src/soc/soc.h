@@ -11,6 +11,7 @@
 
 #include <map>
 #include <memory>
+#include <memory_resource>
 #include <optional>
 #include <string>
 #include <utility>
@@ -193,13 +194,19 @@ class Soc {
   std::vector<core::NiKernelParams> ni_params_;
   SocOptions options_;
 
+  // One block, sized at construction, holds the routers, NI kernels and
+  // link wires, each one's ports, channels and queue rings, and the
+  // allocator's slot tables: a build makes a few heap allocations instead
+  // of several per router, NI and link. Nothing is freed before the Soc.
+  std::pmr::monotonic_buffer_resource storage_;
+
   sim::Kernel sim_;
   sim::Clock* net_clock_ = nullptr;
   std::map<std::int64_t, sim::Clock*> clock_by_period_;
 
-  // Hot hardware state lives in contiguous slabs (sim/soa_state.h): the
-  // kernel's evaluate sweep then walks consecutive memory instead of
-  // one heap allocation per router/NI/link.
+  // Hot hardware state lives in contiguous slabs (sim/soa_state.h) carved
+  // from storage_: the kernel's evaluate sweep then walks consecutive
+  // memory instead of one heap allocation per router/NI/link.
   sim::Slab<router::Router> routers_;
   sim::Slab<core::NiKernel> nis_;
   sim::Slab<link::LinkWires> links_;

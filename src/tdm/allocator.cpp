@@ -8,15 +8,25 @@
 namespace aethereal::tdm {
 
 CentralizedAllocator::CentralizedAllocator(const topology::Topology* topology,
-                                           int num_slots)
-    : topology_(topology), num_slots_(num_slots) {
+                                           int num_slots,
+                                           std::pmr::memory_resource* storage)
+    : topology_(topology), num_slots_(num_slots), tables_(storage) {
   AETHEREAL_CHECK(topology != nullptr);
-  AETHEREAL_CHECK(num_slots > 0);
+  AETHEREAL_CHECK(num_slots > 0 && num_slots <= kMaxSlots);
   const int links = topology->NumLinks();
   tables_.reserve(static_cast<std::size_t>(links));
   for (int i = 0; i < links; ++i) {
-    tables_.emplace_back(num_slots);
+    tables_.emplace_back(num_slots, storage);
   }
+}
+
+std::size_t CentralizedAllocator::StorageBytes(int num_links, int num_slots) {
+  // Padding per allocation, for alignment.
+  constexpr std::size_t kPad = alignof(std::max_align_t);
+  const auto links = static_cast<std::size_t>(num_links);
+  return links * (sizeof(SlotTable) + kPad +
+                  static_cast<std::size_t>(num_slots) * sizeof(GlobalChannel)) +
+         kPad;
 }
 
 bool CentralizedAllocator::SlotFeasible(const topology::ChannelRoute& route,
@@ -29,29 +39,38 @@ bool CentralizedAllocator::SlotFeasible(const topology::ChannelRoute& route,
   return true;
 }
 
-std::vector<SlotIndex> CentralizedAllocator::FeasibleSlots(
+SlotList CentralizedAllocator::FeasibleSlots(
     const topology::ChannelRoute& route) const {
-  std::vector<SlotIndex> feasible;
+  SlotList feasible;
   for (SlotIndex s = 0; s < num_slots_; ++s) {
     if (SlotFeasible(route, s)) feasible.push_back(s);
   }
   return feasible;
 }
 
-std::vector<SlotIndex> PickSlots(const std::vector<SlotIndex>& feasible,
-                                 int count, int num_slots,
-                                 AllocPolicy policy) {
+namespace {
+
+/// The first `count` slots of `slots`.
+SlotList FirstOf(const SlotList& slots, int count) {
+  SlotList first;
+  for (int k = 0; k < count; ++k) first.push_back(slots[static_cast<std::size_t>(k)]);
+  return first;
+}
+
+}  // namespace
+
+SlotList PickSlots(const SlotList& feasible, int count, int num_slots,
+                   AllocPolicy policy) {
   if (count <= 0 || static_cast<int>(feasible.size()) < count) return {};
   switch (policy) {
     case AllocPolicy::kFirstFit: {
-      return std::vector<SlotIndex>(feasible.begin(),
-                                    feasible.begin() + count);
+      return FirstOf(feasible, count);
     }
     case AllocPolicy::kSpread: {
       // Greedily pick the feasible slot nearest to each ideal equally
       // spaced position, skipping already chosen ones.
-      std::vector<SlotIndex> chosen;
-      std::vector<bool> used(feasible.size(), false);
+      SlotList chosen;
+      InlineVector<bool, kMaxSlots> used(feasible.size(), false);
       for (int k = 0; k < count; ++k) {
         const double target =
             static_cast<double>(k) * num_slots / static_cast<double>(count);
@@ -76,7 +95,8 @@ std::vector<SlotIndex> PickSlots(const std::vector<SlotIndex>& feasible,
     case AllocPolicy::kContiguous: {
       // Find a run of `count` consecutive slot indices within the feasible
       // set, allowing wrap-around; fall back to first-fit if none exists.
-      std::vector<bool> is_feasible(static_cast<std::size_t>(num_slots), false);
+      InlineVector<bool, kMaxSlots> is_feasible(
+          static_cast<std::size_t>(num_slots), false);
       for (SlotIndex s : feasible) is_feasible[static_cast<std::size_t>(s)] = true;
       for (SlotIndex start = 0; start < num_slots; ++start) {
         bool ok = true;
@@ -87,7 +107,7 @@ std::vector<SlotIndex> PickSlots(const std::vector<SlotIndex>& feasible,
           }
         }
         if (ok) {
-          std::vector<SlotIndex> chosen;
+          SlotList chosen;
           for (int k = 0; k < count; ++k) {
             chosen.push_back(static_cast<SlotIndex>((start + k) % num_slots));
           }
@@ -95,21 +115,19 @@ std::vector<SlotIndex> PickSlots(const std::vector<SlotIndex>& feasible,
           return chosen;
         }
       }
-      return std::vector<SlotIndex>(feasible.begin(),
-                                    feasible.begin() + count);
+      return FirstOf(feasible, count);
     }
   }
   return {};
 }
 
-Result<std::vector<SlotIndex>> CentralizedAllocator::Allocate(
+Result<SlotList> CentralizedAllocator::Allocate(
     const topology::ChannelRoute& route, const GlobalChannel& channel,
     int count, AllocPolicy policy) {
   if (count <= 0) return InvalidArgumentError("slot count must be positive");
   if (!channel.valid()) return InvalidArgumentError("invalid channel");
-  const std::vector<SlotIndex> feasible = FeasibleSlots(route);
-  const std::vector<SlotIndex> chosen =
-      PickSlots(feasible, count, num_slots_, policy);
+  const SlotList chosen =
+      PickSlots(FeasibleSlots(route), count, num_slots_, policy);
   if (chosen.empty()) {
     return ResourceExhaustedError("not enough feasible slots on route");
   }
@@ -127,7 +145,7 @@ Result<std::vector<SlotIndex>> CentralizedAllocator::Allocate(
 
 Status CentralizedAllocator::Free(const topology::ChannelRoute& route,
                                   const GlobalChannel& channel,
-                                  const std::vector<SlotIndex>& slots) {
+                                  const SlotList& slots) {
   NoteInjectionChange(route);
   for (SlotIndex s : slots) {
     for (std::size_t j = 0; j < route.links.size(); ++j) {

@@ -9,8 +9,10 @@
 #ifndef AETHEREAL_TDM_ALLOCATOR_H
 #define AETHEREAL_TDM_ALLOCATOR_H
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory_resource>
 #include <vector>
 
 #include "tdm/slot_table.h"
@@ -31,8 +33,15 @@ enum class AllocPolicy {
 class CentralizedAllocator {
  public:
   /// Creates tables for every directed link of `topology`, each with
-  /// `num_slots` slots. The topology must outlive the allocator.
-  CentralizedAllocator(const topology::Topology* topology, int num_slots);
+  /// `num_slots` slots (at most kMaxSlots), taking StorageBytes() from
+  /// `storage`. The topology must outlive the allocator.
+  CentralizedAllocator(const topology::Topology* topology, int num_slots,
+                       std::pmr::memory_resource* storage =
+                           std::pmr::get_default_resource());
+
+  /// Bytes the tables of `num_links` links of `num_slots` slots take from
+  /// the storage resource, padding included.
+  static std::size_t StorageBytes(int num_links, int num_slots);
 
   int num_slots() const { return num_slots_; }
 
@@ -41,19 +50,18 @@ class CentralizedAllocator {
   bool SlotFeasible(const topology::ChannelRoute& route, SlotIndex s) const;
 
   /// All feasible injection-link slots for `route`, ascending.
-  std::vector<SlotIndex> FeasibleSlots(const topology::ChannelRoute& route) const;
+  SlotList FeasibleSlots(const topology::ChannelRoute& route) const;
 
   /// Reserves `count` slots for `channel` along `route` using `policy`.
   /// Returns the injection-link slot indices, or kResourceExhausted if not
   /// enough feasible slots exist.
-  Result<std::vector<SlotIndex>> Allocate(const topology::ChannelRoute& route,
-                                          const GlobalChannel& channel,
-                                          int count, AllocPolicy policy);
+  Result<SlotList> Allocate(const topology::ChannelRoute& route,
+                            const GlobalChannel& channel, int count,
+                            AllocPolicy policy);
 
   /// Releases previously allocated slots of `channel` along `route`.
   Status Free(const topology::ChannelRoute& route,
-              const GlobalChannel& channel,
-              const std::vector<SlotIndex>& slots);
+              const GlobalChannel& channel, const SlotList& slots);
 
   /// Calls `hook(ni)` before each Allocate or Free that changes the table
   /// of NI `ni`'s injection link (verify/monitor.h re-checks the NI's slot
@@ -79,15 +87,15 @@ class CentralizedAllocator {
   void NoteInjectionChange(const topology::ChannelRoute& route) const;
   const topology::Topology* topology_;
   int num_slots_;
-  std::vector<SlotTable> tables_;  // indexed by Topology::LinkIndex
+  std::pmr::vector<SlotTable> tables_;  // indexed by Topology::LinkIndex
   std::function<void(NiId)> injection_table_hook_;
 };
 
 /// Picks `count` slots from `feasible` according to `policy`; exposed for
 /// unit testing and reuse by the distributed model. Returns empty if
 /// impossible.
-std::vector<SlotIndex> PickSlots(const std::vector<SlotIndex>& feasible,
-                                 int count, int num_slots, AllocPolicy policy);
+SlotList PickSlots(const SlotList& feasible, int count, int num_slots,
+                   AllocPolicy policy);
 
 }  // namespace aethereal::tdm
 

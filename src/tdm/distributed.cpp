@@ -79,7 +79,7 @@ void DistributedAllocator::Round() {
         // slots free on link 0 from the committed+tentative tables there,
         // avoiding slots that conflicted downstream on earlier attempts.
         auto collect = [this, &req](bool use_blacklist) {
-          std::vector<SlotIndex> feasible;
+          SlotList feasible;
           for (SlotIndex s = 0; s < num_slots_; ++s) {
             if (SlotTakenAt(req, 0, s)) continue;
             if (use_blacklist && req.bad_slots[static_cast<std::size_t>(s)])
@@ -88,7 +88,7 @@ void DistributedAllocator::Round() {
           }
           return feasible;
         };
-        std::vector<SlotIndex> feasible = collect(true);
+        SlotList feasible = collect(true);
         if (static_cast<int>(feasible.size()) < req.count) {
           // The blacklist may be stale (the conflicting hold might have
           // aborted); forget it and try the full feasible set again.

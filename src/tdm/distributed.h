@@ -41,7 +41,7 @@ class DistributedAllocator {
     int count = 0;
     AllocPolicy policy = AllocPolicy::kSpread;
     RequestPhase phase = RequestPhase::kPicking;
-    std::vector<SlotIndex> slots;    // injection-link slots being reserved
+    SlotList slots;    // injection-link slots being reserved
     int hop = 0;                     // links[0..hop) tentatively reserved
     int attempts = 0;
     std::int64_t finished_round = -1;

@@ -11,9 +11,9 @@ std::ostream& operator<<(std::ostream& os, const GlobalChannel& channel) {
   return os << "ni" << channel.ni << ".ch" << channel.channel;
 }
 
-SlotTable::SlotTable(int num_slots)
-    : slots_(static_cast<std::size_t>(num_slots)) {
-  AETHEREAL_CHECK(num_slots > 0);
+SlotTable::SlotTable(int num_slots, std::pmr::memory_resource* storage)
+    : slots_(static_cast<std::size_t>(num_slots), storage) {
+  AETHEREAL_CHECK(num_slots > 0 && num_slots <= kMaxSlots);
 }
 
 const GlobalChannel& SlotTable::At(SlotIndex s) const {

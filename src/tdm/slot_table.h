@@ -10,13 +10,22 @@
 #ifndef AETHEREAL_TDM_SLOT_TABLE_H
 #define AETHEREAL_TDM_SLOT_TABLE_H
 
+#include <memory_resource>
 #include <ostream>
 #include <vector>
 
+#include "util/inline_vector.h"
 #include "util/status.h"
 #include "util/types.h"
 
 namespace aethereal::tdm {
+
+/// Most slots a table holds: an NI programs its slots through the 32-bit
+/// SLOTS register mask.
+inline constexpr int kMaxSlots = 32;
+
+/// Slots held by one channel, as injection-link slot indices.
+using SlotList = InlineVector<SlotIndex, kMaxSlots>;
 
 /// Globally unique channel identity (an NI-local channel id qualified by the
 /// NI), used to tag slot ownership in allocator tables.
@@ -40,7 +49,9 @@ int MaxCircularGap(std::vector<SlotIndex> slots, int num_slots);
 /// Slot ownership table for one link (or for the NI's slot-table unit, STU).
 class SlotTable {
  public:
-  explicit SlotTable(int num_slots);
+  /// The entries come from `storage` (an allocator's table block).
+  explicit SlotTable(int num_slots, std::pmr::memory_resource* storage =
+                                        std::pmr::get_default_resource());
 
   int num_slots() const { return static_cast<int>(slots_.size()); }
 
@@ -76,7 +87,7 @@ class SlotTable {
  private:
   const GlobalChannel& At(SlotIndex s) const;
   GlobalChannel& At(SlotIndex s);
-  std::vector<GlobalChannel> slots_;
+  std::pmr::vector<GlobalChannel> slots_;
 };
 
 }  // namespace aethereal::tdm

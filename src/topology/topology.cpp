@@ -10,12 +10,11 @@ namespace aethereal::topology {
 
 RouterId Topology::AddRouter(int num_ports) {
   AETHEREAL_CHECK(num_ports > 0);
-  routers_.push_back(RouterNode{std::vector<Endpoint>(
-      static_cast<std::size_t>(num_ports))});
   router_link_base_.push_back(router_ports_);
   router_ports_ += num_ports;
+  ports_.resize(static_cast<std::size_t>(router_ports_));
   search_.emplace_back();
-  return static_cast<RouterId>(routers_.size() - 1);
+  return static_cast<RouterId>(NumRouters() - 1);
 }
 
 NiId Topology::AddNi() {
@@ -30,8 +29,8 @@ Status Topology::ConnectRouters(RouterId a, int pa, RouterId b, int pb) {
   if (pa < 0 || pa >= RouterPorts(a) || pb < 0 || pb >= RouterPorts(b)) {
     return InvalidArgumentError("router port out of range");
   }
-  auto& ea = routers_[static_cast<std::size_t>(a)].ports[static_cast<std::size_t>(pa)];
-  auto& eb = routers_[static_cast<std::size_t>(b)].ports[static_cast<std::size_t>(pb)];
+  auto& ea = ports_[PortIndex(a, pa)];
+  auto& eb = ports_[PortIndex(b, pb)];
   if (ea.kind != EndpointKind::kUnconnected ||
       eb.kind != EndpointKind::kUnconnected) {
     return AlreadyExistsError("router port already wired");
@@ -50,7 +49,7 @@ Status Topology::AttachNi(NiId ni, RouterId r, int p) {
   }
   auto& node = nis_[static_cast<std::size_t>(ni)];
   if (node.attached) return AlreadyExistsError("NI already attached");
-  auto& ep = routers_[static_cast<std::size_t>(r)].ports[static_cast<std::size_t>(p)];
+  auto& ep = ports_[PortIndex(r, p)];
   if (ep.kind != EndpointKind::kUnconnected) {
     return AlreadyExistsError("router port already wired");
   }
@@ -61,13 +60,16 @@ Status Topology::AttachNi(NiId ni, RouterId r, int p) {
 
 int Topology::RouterPorts(RouterId r) const {
   AETHEREAL_CHECK(r >= 0 && r < NumRouters());
-  return static_cast<int>(routers_[static_cast<std::size_t>(r)].ports.size());
+  const int end = r + 1 < NumRouters()
+                      ? router_link_base_[static_cast<std::size_t>(r) + 1]
+                      : router_ports_;
+  return end - router_link_base_[static_cast<std::size_t>(r)];
 }
 
 const Endpoint& Topology::PortPeer(RouterId r, int p) const {
   AETHEREAL_CHECK(r >= 0 && r < NumRouters());
   AETHEREAL_CHECK(p >= 0 && p < RouterPorts(r));
-  return routers_[static_cast<std::size_t>(r)].ports[static_cast<std::size_t>(p)];
+  return ports_[PortIndex(r, p)];
 }
 
 RouterId Topology::NiRouter(NiId ni) const {
@@ -83,7 +85,7 @@ int Topology::NiRouterPort(NiId ni) const {
   return nis_[static_cast<std::size_t>(ni)].router_port;
 }
 
-Result<std::vector<int>> Topology::RouteHops(NiId from, NiId to) const {
+Result<HopList> Topology::RouteHops(NiId from, NiId to) const {
   if (from < 0 || from >= NumNis() || to < 0 || to >= NumNis()) {
     return InvalidArgumentError("NI id out of range");
   }
@@ -111,9 +113,9 @@ Result<std::vector<int>> Topology::RouteHops(NiId from, NiId to) const {
   for (std::size_t head = 0;
        head < frontier_.size() && node_of(goal).mark != gen; ++head) {
     const RouterId r = frontier_[head];
-    const auto& ports = routers_[static_cast<std::size_t>(r)].ports;
-    for (int p = 0; p < static_cast<int>(ports.size()); ++p) {
-      const Endpoint& ep = ports[static_cast<std::size_t>(p)];
+    const int num_ports = RouterPorts(r);
+    for (int p = 0; p < num_ports; ++p) {
+      const Endpoint& ep = ports_[PortIndex(r, p)];
       if (ep.kind != EndpointKind::kRouter) continue;
       SearchNode& next = node_of(ep.id);
       if (next.mark == gen) continue;
@@ -129,14 +131,14 @@ Result<std::vector<int>> Topology::RouteHops(NiId from, NiId to) const {
   // it in from the end; the last hop is the NI exit port.
   std::size_t length = 1;
   for (RouterId r = goal; r != start; r = node_of(r).pred) ++length;
-  std::vector<int> hops(length);
+  if (static_cast<int>(length) > link::kMaxPathHops) {
+    return ResourceExhaustedError("route exceeds max source-path hops");
+  }
+  HopList hops(length, 0);
   hops.back() = NiRouterPort(to);
   std::size_t i = length - 1;
   for (RouterId r = goal; r != start; r = node_of(r).pred) {
     hops[--i] = node_of(r).pred_port;
-  }
-  if (static_cast<int>(hops.size()) > link::kMaxPathHops) {
-    return ResourceExhaustedError("route exceeds max source-path hops");
   }
   for (int h : hops) {
     if (h > link::kMaxPathPort) {
@@ -152,8 +154,7 @@ Result<ChannelRoute> Topology::Route(NiId from, NiId to) const {
   ChannelRoute route;
   route.source_ni = from;
   route.dest_ni = to;
-  route.hops = std::move(*hops);
-  route.links.reserve(route.hops.size() + 1);
+  route.hops = *hops;
   route.links.push_back(LinkId{true, from, 0});
   RouterId r = NiRouter(from);
   for (std::size_t i = 0; i < route.hops.size(); ++i) {

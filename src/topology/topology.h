@@ -19,6 +19,8 @@
 #include <string>
 #include <vector>
 
+#include "link/header.h"
+#include "util/inline_vector.h"
 #include "util/status.h"
 #include "util/types.h"
 
@@ -44,13 +46,17 @@ struct LinkId {
   friend bool operator==(const LinkId&, const LinkId&) = default;
 };
 
+/// The output port at each router of a route; a packet header carries at
+/// most link::kMaxPathHops.
+using HopList = InlineVector<int, link::kMaxPathHops>;
+
 /// The full path of one channel through the network, as needed by the slot
 /// allocator: the injection link plus each router output link, in order.
 struct ChannelRoute {
   NiId source_ni = kInvalidId;
   NiId dest_ni = kInvalidId;
-  std::vector<int> hops;         // output port at each traversed router
-  std::vector<LinkId> links;     // injection link + one link per hop
+  HopList hops;  // output port at each traversed router
+  InlineVector<LinkId, link::kMaxPathHops + 1> links;  // injection + hops
 };
 
 class Topology {
@@ -67,7 +73,9 @@ class Topology {
   /// Attaches NI `ni` to router `r` port `p` (both directions).
   Status AttachNi(NiId ni, RouterId r, int p);
 
-  int NumRouters() const { return static_cast<int>(routers_.size()); }
+  int NumRouters() const {
+    return static_cast<int>(router_link_base_.size());
+  }
   int NumNis() const { return static_cast<int>(nis_.size()); }
   int RouterPorts(RouterId r) const;
 
@@ -83,7 +91,7 @@ class Topology {
   /// the port where `to` is attached. Fails if disconnected or if the hop
   /// count exceeds what a packet header can carry. Not thread-safe: it
   /// writes the topology's search scratch.
-  Result<std::vector<int>> RouteHops(NiId from, NiId to) const;
+  Result<HopList> RouteHops(NiId from, NiId to) const;
 
   /// Full channel route including directed link ids (for slot allocation).
   Result<ChannelRoute> Route(NiId from, NiId to) const;
@@ -100,9 +108,6 @@ class Topology {
   std::string LinkName(const LinkId& link) const;
 
  private:
-  struct RouterNode {
-    std::vector<Endpoint> ports;
-  };
   struct NiNode {
     RouterId router = kInvalidId;
     int router_port = 0;
@@ -118,9 +123,17 @@ class Topology {
     int pred_port = -1;          // output port taken at `pred`
   };
 
-  std::vector<RouterNode> routers_;
-  // Ports of routers [0, r): the first link index of router r, less the
-  // NI injection links that precede every router link.
+  /// Port `p` of router `r` in ports_ (p may equal RouterPorts(r)).
+  std::size_t PortIndex(RouterId r, int p) const {
+    return static_cast<std::size_t>(
+        router_link_base_[static_cast<std::size_t>(r)] + p);
+  }
+
+  // Every router's ports, router by router.
+  std::vector<Endpoint> ports_;
+  // Ports of routers [0, r): where router r's ports start in ports_, and
+  // its first link index less the NI injection links that precede every
+  // router link.
   std::vector<int> router_link_base_;
   int router_ports_ = 0;  // ports of all routers
   std::vector<NiNode> nis_;

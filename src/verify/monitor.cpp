@@ -54,7 +54,7 @@ void Monitor::Attach(MonitorHookup hookup) {
   for (std::size_t n = 0; n < num_nis; ++n) {
     injection_tables_.push_back(&hookup_.allocator->TableOf(topology::LinkId{
         /*from_ni=*/true, static_cast<NiId>(n), /*port=*/0}));
-    channels_of_.push_back(hookup_.nis[n]->params().TotalChannels());
+    channels_of_.push_back(hookup_.nis[n]->NumChannels());
   }
   routes_.resize(num_nis);
   listed_.assign(num_nis, false);

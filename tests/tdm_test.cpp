@@ -51,25 +51,25 @@ TEST(SlotTable, MaxGapIsJitterBound) {
 
 TEST(PickSlots, FirstFit) {
   EXPECT_EQ(PickSlots({1, 3, 5, 7}, 2, 8, AllocPolicy::kFirstFit),
-            (std::vector<SlotIndex>{1, 3}));
+            (SlotList{1, 3}));
 }
 
 TEST(PickSlots, SpreadMinimizesGap) {
   const auto picked = PickSlots({0, 1, 2, 3, 4, 5, 6, 7}, 4, 8,
                                 AllocPolicy::kSpread);
-  EXPECT_EQ(picked, (std::vector<SlotIndex>{0, 2, 4, 6}));
+  EXPECT_EQ(picked, (SlotList{0, 2, 4, 6}));
 }
 
 TEST(PickSlots, ContiguousFindsRun) {
   const auto picked =
       PickSlots({0, 2, 3, 4, 7}, 3, 8, AllocPolicy::kContiguous);
-  EXPECT_EQ(picked, (std::vector<SlotIndex>{2, 3, 4}));
+  EXPECT_EQ(picked, (SlotList{2, 3, 4}));
 }
 
 TEST(PickSlots, ContiguousWrapsAround) {
   const auto picked =
       PickSlots({0, 1, 7}, 3, 8, AllocPolicy::kContiguous);
-  EXPECT_EQ(picked, (std::vector<SlotIndex>{0, 1, 7}));
+  EXPECT_EQ(picked, (SlotList{0, 1, 7}));
 }
 
 TEST(PickSlots, InsufficientReturnsEmpty) {

@@ -49,7 +49,7 @@ TEST(Topology, StarRoute) {
   Star star = BuildStar(4);
   auto hops = star.topology.RouteHops(star.nis[0], star.nis[3]);
   ASSERT_TRUE(hops.ok());
-  EXPECT_EQ(*hops, std::vector<int>({3}));
+  EXPECT_EQ(*hops, HopList({3}));
 }
 
 TEST(Topology, RouteToSelfRejected) {
@@ -86,7 +86,7 @@ TEST(Topology, MeshAdjacentRoute) {
   Mesh mesh = BuildMesh(2, 2, 1);
   auto hops = mesh.topology.RouteHops(mesh.NiAt(0, 0), mesh.NiAt(0, 1));
   ASSERT_TRUE(hops.ok());
-  EXPECT_EQ(*hops, std::vector<int>({kMeshEast, kMeshLocalBase}));
+  EXPECT_EQ(*hops, HopList({kMeshEast, kMeshLocalBase}));
 }
 
 TEST(Topology, TooLongRouteFails) {
