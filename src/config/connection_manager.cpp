@@ -43,11 +43,11 @@ int ConnectionManager::RequestOpen(const ConnectionSpec& spec) {
   const int handle = static_cast<int>(records_.size());
   records_.emplace_back().connection.spec = spec;
   if (spec.master.ni != cfg_ni_ && !config_live_[spec.master.ni]) {
-    ops_.push_back(Op{Op::Kind::kEnsureConfig, spec.master.ni, -1});
+    ops_.push_back(Op{Op::Kind::kEnsureConfig, spec.master.ni, handle});
   }
   if (spec.slave.ni != cfg_ni_ && spec.slave.ni != spec.master.ni &&
       !config_live_[spec.slave.ni]) {
-    ops_.push_back(Op{Op::Kind::kEnsureConfig, spec.slave.ni, -1});
+    ops_.push_back(Op{Op::Kind::kEnsureConfig, spec.slave.ni, handle});
   }
   ops_.push_back(Op{Op::Kind::kOpenData, kInvalidId, handle});
   Wake();
@@ -129,12 +129,10 @@ ConnectionManager::OpenPairs() const {
 }
 
 void ConnectionManager::FailCurrentOp(Status status) {
-  if (current_op_.handle >= 0) {
-    Record& record = records_[static_cast<std::size_t>(current_op_.handle)];
-    record.state = ConnectionState::kFailed;
-    record.error = std::move(status);
-    record.completed_at = CycleCount();
-  }
+  Record& record = records_[static_cast<std::size_t>(current_op_.handle)];
+  record.state = ConnectionState::kFailed;
+  record.error = std::move(status);
+  record.completed_at = CycleCount();
   current_actions_.clear();
   // Acks of the abandoned writes may still arrive; remember their tids so
   // the stale responses get drained instead of pooling in the shell.
@@ -155,7 +153,7 @@ bool ConnectionManager::BuildEnsureConfigActions(NiId target) {
   auto route_to = topology_->Route(cfg_ni_, target);
   auto route_back = topology_->Route(target, cfg_ni_);
   if (!route_to.ok() || !route_back.ok()) {
-    FailCurrentOp(NotFoundError("no route between Cfg and target NI"));
+    FailCurrentOp(route_to.ok() ? route_back.status() : route_to.status());
     return false;
   }
   const CnipInfo& cnip = cnip_it->second;
@@ -255,6 +253,11 @@ void ConnectionManager::StartNextOp() {
   while (!op_active_ && !ops_.empty()) {
     current_op_ = ops_.front();
     ops_.pop_front();
+    if (current_op_.kind != Op::Kind::kCloseData &&
+        records_[static_cast<std::size_t>(current_op_.handle)].state ==
+            ConnectionState::kFailed) {
+      continue;  // a configuration connection it needed failed to set up
+    }
     op_active_ = true;
     bool built = false;
     switch (current_op_.kind) {
@@ -406,7 +409,7 @@ void ConnectionManager::Evaluate() {
             OutstandingWrite{tid, action, CycleCount(), 0});
       }
     }
-    if (current_op_.handle >= 0) {
+    if (current_op_.kind != Op::Kind::kEnsureConfig) {
       ++records_[static_cast<std::size_t>(current_op_.handle)].config_writes;
     }
     current_actions_.pop_front();

@@ -85,7 +85,8 @@ class ConnectionManager : public sim::Module {
   Cycle CompletionCycleOf(int handle) const;
 
   /// Configuration register writes issued for the handle's connection so
-  /// far (open + close actions; EnsureConfig traffic is not attributed).
+  /// far (open + close actions; EnsureConfig traffic is not attributed,
+  /// though a failed EnsureConfig fails the open queued behind it).
   int ConfigWritesOf(int handle) const;
 
   /// TDM slots currently held by the handle (request + response channels).
@@ -133,7 +134,9 @@ class ConnectionManager : public sim::Module {
   struct Op {
     enum class Kind { kEnsureConfig, kOpenData, kCloseData } kind;
     NiId target = kInvalidId;  // kEnsureConfig
-    int handle = -1;           // kOpenData / kCloseData
+    // The connection the op opens or closes; for kEnsureConfig, the open
+    // queued behind it, which fails with it.
+    int handle = -1;
   };
   struct Record {
     Connection connection;  // routes and slots set once the open is built

@@ -297,6 +297,30 @@ TEST(PhasedRunTest, GtBoundsAreRejectedForPhasedScenarios) {
   EXPECT_EQ(bounds.status().code(), StatusCode::kFailedPrecondition);
 }
 
+// NI 24 sits 9 hops from the Cfg NI, more than a source path encodes, so
+// the configuration connection to it cannot be set up. The open queued
+// behind that set-up must fail with the route's own status; it once wrote
+// over the never-enabled configuration channel and the phase timed out.
+TEST(PhasedRunTest, FailedConfigSetUpFailsTheOpenBehindIt) {
+  auto spec = ParseScenario(R"(
+scenario far_config
+noc mesh 5 5 1
+cfgni 0
+phase a duration 1000
+traffic pairs 23 24 inject periodic 20 qos be
+)");
+  ASSERT_TRUE(spec.ok()) << spec.status();
+  ScenarioRunner runner(*spec);
+  auto result = runner.Run();
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted)
+      << result.status();
+  EXPECT_NE(result.status().message().find(
+                "route exceeds max source-path hops"),
+            std::string::npos)
+      << result.status();
+}
+
 // ---------------------------------------------------------------------------
 // Negative: a slot-table corruption injected MID-PHASE is still caught
 // ---------------------------------------------------------------------------
