@@ -425,7 +425,7 @@ void Monitor::ObserveDelivery(NiId ni, const Flit& flit) {
     Report("flit-loss", oss.str(), fault_context_.drops_possible);
   }
   const ExpectedFlit expect = *match;
-  ledger.expected.erase(ledger.expected.begin(), match + 1);
+  ledger.expected.PopThrough(match);
 
   // Uncorrupted delivery: the flit must be exactly what entered the
   // network (header word excluded: the path field mutates en route).

@@ -57,7 +57,6 @@
 #define AETHEREAL_VERIFY_MONITOR_H
 
 #include <array>
-#include <deque>
 #include <functional>
 #include <string>
 #include <utility>
@@ -194,10 +193,44 @@ class Monitor : public sim::Module {
     std::array<Word, kFlitWords> payload{};
   };
 
+  /// The in-flight expectations of one channel, oldest first: a vector and
+  /// the index of its oldest live entry. Unlike a std::deque, which
+  /// allocates even when empty, it allocates on its first push, and most
+  /// (NI, qid) ledgers never see a flit.
+  class ExpectedFifo {
+   public:
+    using iterator = std::vector<ExpectedFlit>::iterator;
+    iterator begin() {
+      return flits_.begin() + static_cast<std::ptrdiff_t>(head_);
+    }
+    iterator end() { return flits_.end(); }
+    void push_back(const ExpectedFlit& flit) { flits_.push_back(flit); }
+    /// Removes `it` and every entry before it.
+    void PopThrough(iterator it) {
+      head_ = static_cast<std::size_t>(it - flits_.begin()) + 1;
+      if (head_ == flits_.size()) {
+        flits_.clear();
+        head_ = 0;
+      } else if (head_ >= kCompactAt && 2 * head_ >= flits_.size()) {
+        flits_.erase(flits_.begin(), begin());
+        head_ = 0;
+      }
+    }
+    /// Removes one entry; returns the entry after it.
+    iterator erase(iterator it) { return flits_.erase(it); }
+
+   private:
+    // Dead entries kept before the live ones are dropped in one move once
+    // they are this many and at least half the vector.
+    static constexpr std::size_t kCompactAt = 64;
+    std::vector<ExpectedFlit> flits_;
+    std::size_t head_ = 0;
+  };
+
   /// Per destination channel (ni, qid): the in-flight expectation FIFO and
   /// the credit-conservation ledgers.
   struct ChannelLedger {
-    std::deque<ExpectedFlit> expected;
+    ExpectedFifo expected;
     std::int64_t sent_words = 0;       // entered the network toward here
     std::int64_t delivered_words = 0;  // observed on the delivery link
     std::int64_t credits_in = 0;       // credits in headers addressed here
