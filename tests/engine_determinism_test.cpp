@@ -8,10 +8,12 @@
 // cross-check at the scale the SoA engine exists for.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -24,9 +26,17 @@
 #include "topology/builders.h"
 #include "util/rng.h"
 
-// Binary-wide allocation counter for the zero-allocation steady-state test.
+// Binary-wide allocation counter for the zero-allocation steady-state and
+// build-allocation tests.
 namespace {
 std::int64_t g_heap_allocations = 0;
+
+void* CountedAlignedAlloc(std::size_t size, std::align_val_t align) {
+  ++g_heap_allocations;
+  const auto a = std::max(static_cast<std::size_t>(align), sizeof(void*));
+  if (void* p = std::aligned_alloc(a, (size + a - 1) / a * a)) return p;
+  throw std::bad_alloc();
+}
 }  // namespace
 
 // GCC pairs an inlined `new` with these free()-based replacements at -O2
@@ -44,10 +54,24 @@ void* operator new[](std::size_t size) {
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
+void* operator new(std::size_t size, std::align_val_t align) {
+  return CountedAlignedAlloc(size, align);
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return CountedAlignedAlloc(size, align);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
 #pragma GCC diagnostic pop
 
 namespace aethereal::soc {
@@ -448,6 +472,32 @@ TEST(EngineZeroAlloc, MultiClockSteadyStateMakesNoHeapAllocations) {
   SocOptions options;
   options.port_mhz[{1, 0}] = 200.0;
   EXPECT_EQ(SteadyStateAllocations(std::move(options)), 0);
+}
+
+// The SoC draws its routers, NI kernels, wires, rings and slot tables from
+// one block, routes and slot lists are inline, and the runner builds its
+// IPs into per-class slabs: a build allocates a few times per NI (its
+// parameters) instead of dozens. bench_build times this spec: every NI of
+// a 16x16 mesh streams to its row neighbour on a 1-slot GT connection.
+TEST(BuildAllocations, GtPairsMesh16x16StaysUnderAThousand) {
+  constexpr int kSide = 16;
+  std::string text =
+      "scenario build_gt_pairs_16\nnoc mesh 16 16 1\nstu 8\nqueues 32\n"
+      "seed 1\nwarmup 0\nduration 1000\ntraffic pairs";
+  for (int r = 0; r < kSide; ++r) {
+    for (int c = 0; c < kSide; ++c) {
+      const int peer = c + 1 < kSide ? c + 1 : c - 1;
+      text += " " + std::to_string(r * kSide + c) + " " +
+              std::to_string(r * kSide + peer);
+    }
+  }
+  text += " inject periodic 200 qos gt 1\n";
+  auto spec = scenario::ParseScenario(text);
+  ASSERT_TRUE(spec.ok()) << spec.status();
+  scenario::ScenarioRunner runner(std::move(*spec));
+  const std::int64_t before = g_heap_allocations;
+  ASSERT_TRUE(runner.Build().ok());
+  EXPECT_LT(g_heap_allocations - before, 1000);
 }
 
 }  // namespace
