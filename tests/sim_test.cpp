@@ -434,6 +434,172 @@ TEST(CdcContract, PushBetweenStepsBelongsToWritersNextEdge) {
   }
 }
 
+// Extreme clock ratios (DESIGN.md §7.2): 1 MHz against 1000 MHz, each way.
+// Per-edge ReaderSize() and WriterSpace() as each side's probe sees them at
+// the start of its edge.
+struct CdcTrace {
+  std::vector<int> reader_size;   // by reader edge
+  std::vector<int> writer_space;  // by writer edge
+};
+
+// A 1 MHz writer (clock id 0) pushes three words in its edge 1 (t = 1 us),
+// one hand-off; the 1000 MHz reader's edge at that instant is 1000, so the
+// words are readable from edge 1002. The reader pops them there
+// (t = 1.002 us): the writer's first edge from then on is 2, so the space
+// is back at writer edge 4.
+TEST(CdcContract, OneMhzWriterToAGigahertzReader) {
+  for (EngineKind engine : kEngines) {
+    Kernel kernel;
+    kernel.set_engine(engine);
+    Clock* wclk = kernel.AddClock("w", 1'000'000);
+    Clock* rclk = kernel.AddClock("r", 1000);
+    CdcFifo<int> fifo(8);
+    Probe writer("w"), reader("r");
+    fifo.Bind(&writer, &reader);
+    CdcTrace trace;
+    std::vector<Cycle> stamps;
+    std::vector<int> popped;
+    writer.body = [&](Cycle t) {
+      trace.writer_space.push_back(fifo.WriterSpace());
+      if (t == 1) {
+        for (int w = 0; w < 3; ++w) stamps.push_back(fifo.Push(w));
+      }
+    };
+    reader.body = [&](Cycle) {
+      trace.reader_size.push_back(fifo.ReaderSize());
+      while (fifo.CanPop()) popped.push_back(fifo.Pop());
+    };
+    wclk->Register(&writer);
+    rclk->Register(&reader);
+    kernel.RunUntil(5'000'000);
+    EXPECT_EQ(stamps, (std::vector<Cycle>{1002, kNoEdge, kNoEdge}));
+    EXPECT_EQ(popped, (std::vector<int>{0, 1, 2}));
+    EXPECT_EQ(trace.reader_size[1001], 0);
+    EXPECT_EQ(trace.reader_size[1002], 3);
+    EXPECT_EQ(trace.reader_size[1003], 0);
+    EXPECT_EQ(trace.writer_space[2], 5);
+    EXPECT_EQ(trace.writer_space[3], 5);
+    EXPECT_EQ(trace.writer_space[4], 8);
+  }
+}
+
+// A 1000 MHz writer pushes one word in each of its edges 1..5; the 1 MHz
+// reader (clock id 0) is next at edge 1, so all five share stamp 3, one
+// hand-off. The reader pops them at its edge 3 (t = 3 us), which is writer
+// edge 3000 too; the reader clock has the lower id, so the writer sees the
+// space two of its edges on, at 3002.
+TEST(CdcContract, GigahertzWriterToAOneMhzReader) {
+  for (EngineKind engine : kEngines) {
+    Kernel kernel;
+    kernel.set_engine(engine);
+    Clock* rclk = kernel.AddClock("r", 1'000'000);
+    Clock* wclk = kernel.AddClock("w", 1000);
+    CdcFifo<int> fifo(8);
+    Probe writer("w"), reader("r");
+    fifo.Bind(&writer, &reader);
+    CdcTrace trace;
+    std::vector<Cycle> stamps;
+    std::vector<int> popped;
+    writer.body = [&](Cycle t) {
+      trace.writer_space.push_back(fifo.WriterSpace());
+      if (t >= 1 && t <= 5) stamps.push_back(fifo.Push(static_cast<int>(t)));
+    };
+    reader.body = [&](Cycle) {
+      trace.reader_size.push_back(fifo.ReaderSize());
+      while (fifo.CanPop()) popped.push_back(fifo.Pop());
+    };
+    rclk->Register(&reader);
+    wclk->Register(&writer);
+    kernel.RunUntil(5'000'000);
+    EXPECT_EQ(stamps,
+              (std::vector<Cycle>{3, kNoEdge, kNoEdge, kNoEdge, kNoEdge}));
+    EXPECT_EQ(popped, (std::vector<int>{1, 2, 3, 4, 5}));
+    EXPECT_EQ(trace.reader_size[2], 0);
+    EXPECT_EQ(trace.reader_size[3], 5);
+    EXPECT_EQ(trace.reader_size[4], 0);
+    EXPECT_EQ(trace.writer_space[6], 3);
+    EXPECT_EQ(trace.writer_space[3001], 3);
+    EXPECT_EQ(trace.writer_space[3002], 8);
+  }
+}
+
+// Words pushed between steps belong to the writer's next edge, and join
+// the hand-off its own pushes make there. Slow writer: after the step at
+// t = 0 its next edge is t = 1 us, reader edge 1000 on the lower-id reader
+// clock, which fires then too: stamp 1000 + 2 + 1. Fast writer: its next
+// edge t = 1 ns maps to the slow reader's edge 1: stamp 3.
+TEST(CdcContract, BetweenStepBurstsAtExtremeRatios) {
+  for (EngineKind engine : kEngines) {
+    for (bool slow_writer : {true, false}) {
+      Kernel kernel;
+      kernel.set_engine(engine);
+      Clock* rclk = kernel.AddClock("r", slow_writer ? 1000 : 1'000'000);
+      Clock* wclk = kernel.AddClock("w", slow_writer ? 1'000'000 : 1000);
+      CdcFifo<int> fifo(8);
+      Probe writer("w"), reader("r");
+      fifo.Bind(&writer, &reader);
+      std::vector<int> sizes;
+      std::vector<int> popped;
+      writer.body = [&](Cycle t) {
+        if (t >= 1 && t <= 3) fifo.Push(10 + static_cast<int>(t));
+      };
+      reader.body = [&](Cycle) {
+        sizes.push_back(fifo.ReaderSize());
+        while (fifo.CanPop()) popped.push_back(fifo.Pop());
+      };
+      rclk->Register(&reader);
+      wclk->Register(&writer);
+      kernel.Step();  // t = 0: both clocks fire
+      const Cycle stamp = slow_writer ? 1003 : 3;
+      EXPECT_EQ(fifo.Push(0), stamp);
+      for (int w = 1; w < 4; ++w) EXPECT_EQ(fifo.Push(w), kNoEdge);
+      kernel.RunUntil(5'000'000);
+      // The slow writer's edge 1 is the between-step instant: its one push
+      // joins the burst. The fast writer's edges 1..3 all map to stamp 3.
+      const int joined = slow_writer ? 1 : 3;
+      EXPECT_EQ(sizes[static_cast<std::size_t>(stamp) - 1], 0) << slow_writer;
+      EXPECT_EQ(sizes[static_cast<std::size_t>(stamp)], 4 + joined)
+          << slow_writer;
+      EXPECT_EQ(popped, (std::vector<int>{0, 1, 2, 3, 11, 12, 13}))
+          << slow_writer;
+    }
+  }
+}
+
+// Full-rate traffic each way for 20 slow edges: the writer pushes while it
+// may, the reader pops all it can. Every word arrives once, in order, and
+// the hand-offs and space returns in flight stay within the queue's inline
+// rings (a sixth group in flight would CHECK-fail).
+TEST(CdcContract, FullRateTrafficAtExtremeRatios) {
+  for (EngineKind engine : kEngines) {
+    for (bool slow_writer : {true, false}) {
+      Kernel kernel;
+      kernel.set_engine(engine);
+      Clock* wclk = kernel.AddClock("w", slow_writer ? 1'000'000 : 1000);
+      Clock* rclk = kernel.AddClock("r", slow_writer ? 1000 : 1'000'000);
+      CdcFifo<int> fifo(16);
+      Probe writer("w"), reader("r");
+      fifo.Bind(&writer, &reader);
+      int next = 0;
+      std::vector<int> popped;
+      writer.body = [&](Cycle) {
+        while (fifo.CanPush()) fifo.Push(next++);
+      };
+      reader.body = [&](Cycle) {
+        EXPECT_LE(fifo.ReaderSize(), fifo.capacity());
+        while (fifo.CanPop()) popped.push_back(fifo.Pop());
+      };
+      wclk->Register(&writer);
+      rclk->Register(&reader);
+      kernel.RunUntil(20'000'000);
+      ASSERT_GT(popped.size(), 16u) << slow_writer;
+      for (std::size_t i = 0; i < popped.size(); ++i) {
+        ASSERT_EQ(popped[i], static_cast<int>(i)) << slow_writer;
+      }
+    }
+  }
+}
+
 // The unit cases below drive CdcFifo from modules on real clocks: a writer
 // on a 2000 ps clock and a reader on a 3000 ps clock, so no edges but the
 // first coincide.
