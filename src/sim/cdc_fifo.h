@@ -65,7 +65,7 @@ inline constexpr Cycle kNoEdge = std::numeric_limits<Cycle>::max();
 /// Hand-offs (or space returns) one queue holds in flight at most. A group
 /// in flight has a stamp past the receiving side's current edge, and at
 /// most five distinct stamps can be, whatever the two clocks' ratio
-/// (DESIGN.md §7.2); a sixth is a CHECK failure.
+/// (DESIGN.md §7.2); a ninth group would be a CHECK failure.
 inline constexpr int kMaxGroupsInFlight = 8;
 
 /// One side of a CdcFifo: a module on its clock, or a bare clock with no

@@ -95,7 +95,6 @@ class InlineRing {
   static_assert(N > 0 && (N & (N - 1)) == 0, "N must be a power of two");
 
  public:
-  static constexpr int capacity() { return N; }
   int size() const { return count_; }
   bool empty() const { return count_ == 0; }
 

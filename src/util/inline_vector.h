@@ -35,7 +35,6 @@ class InlineVector {
     size_ = count;
   }
 
-  static constexpr std::size_t capacity() { return N; }
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 

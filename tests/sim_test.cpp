@@ -569,7 +569,7 @@ TEST(CdcContract, BetweenStepBurstsAtExtremeRatios) {
 // Full-rate traffic each way for 20 slow edges: the writer pushes while it
 // may, the reader pops all it can. Every word arrives once, in order, and
 // the hand-offs and space returns in flight stay within the queue's inline
-// rings (a sixth group in flight would CHECK-fail).
+// rings (a ninth group in flight would CHECK-fail).
 TEST(CdcContract, FullRateTrafficAtExtremeRatios) {
   for (EngineKind engine : kEngines) {
     for (bool slow_writer : {true, false}) {
