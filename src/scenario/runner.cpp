@@ -298,11 +298,12 @@ Status ScenarioRunner::BuildTopologyAndSoc(
   // One clock for every IP port, so a flow's source and sink count the
   // same edges and word latencies stay in one unit (IP cycles). A port
   // not listed runs on the network clock.
-  for (std::size_t n = 0; n < ni_params.size(); ++n) {
-    if (spec_.IpMhz() == spec_.net_mhz) break;
-    for (std::size_t p = 0; p < ni_params[n].ports.size(); ++p) {
-      options.port_mhz[{static_cast<NiId>(n), static_cast<int>(p)}] =
-          spec_.IpMhz();
+  if (spec_.IpMhz() != spec_.net_mhz) {
+    for (std::size_t n = 0; n < ni_params.size(); ++n) {
+      for (std::size_t p = 0; p < ni_params[n].ports.size(); ++p) {
+        options.port_mhz[{static_cast<NiId>(n), static_cast<int>(p)}] =
+            spec_.IpMhz();
+      }
     }
   }
   options.stu_slots = spec_.stu_slots;
