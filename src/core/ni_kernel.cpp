@@ -105,9 +105,6 @@ namespace {
 // outside configuration).
 constexpr std::size_t kReservedRegisterWrites = regs::kRegsPerChannel * 4;
 
-// Padding StorageBytes allows per allocation for alignment.
-constexpr std::size_t kAllocationPad = alignof(std::max_align_t);
-
 }  // namespace
 
 NiKernel::NiKernel(std::string name, NiId id, const NiKernelParams& params,
@@ -154,7 +151,7 @@ std::size_t NiKernel::StorageBytes(const NiKernelParams& params) {
   std::size_t bytes = sim::Slab<Channel>::BytesFor(channels) +
                       sim::Slab<NiPort>::BytesFor(params.ports.size()) +
                       kReservedRegisterWrites * sizeof(PendingWrite) +
-                      (3 + 2 * channels) * kAllocationPad;
+                      (3 + 2 * channels) * sim::kAllocationPad;
   for (const PortParams& port : params.ports) {
     for (const ChannelParams& cp : port.channels) {
       bytes += static_cast<std::size_t>(cp.source_queue_words +

@@ -6,6 +6,7 @@
 
 #include "fault/injector.h"
 #include "link/header.h"
+#include "sim/soa_state.h"
 #include "util/bits.h"
 #include "util/check.h"
 
@@ -31,13 +32,12 @@ Router::Router(std::string name, RouterId id, const RouterConfig& config,
 }
 
 std::size_t Router::StorageBytes(const RouterConfig& config) {
-  // Padding per allocation, for alignment.
-  constexpr std::size_t kPad = alignof(std::max_align_t);
   const auto ports = static_cast<std::size_t>(config.num_ports);
-  return ports * (sizeof(InputState) + sizeof(OutputState) + kPad) +
+  return ports * (sizeof(InputState) + sizeof(OutputState) +
+                  sim::kAllocationPad) +
          ports * static_cast<std::size_t>(config.be_buffer_flits) *
              sizeof(BufferedBeFlit) +
-         2 * kPad;
+         2 * sim::kAllocationPad;
 }
 
 void Router::ConnectInput(int port, link::LinkWires* wires) {

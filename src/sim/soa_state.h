@@ -24,6 +24,10 @@
 
 namespace aethereal::sim {
 
+/// Bytes a storage estimate (the StorageBytes() functions that size the
+/// Soc's block) allows per allocation for alignment padding.
+inline constexpr std::size_t kAllocationPad = alignof(std::max_align_t);
+
 /// Fixed-capacity arena of T with stable addresses. Elements are
 /// constructed in place with Emplace() (up to the capacity given to
 /// Reset()) and destroyed in reverse construction order. The raw storage

@@ -45,13 +45,12 @@ namespace {
 std::size_t StorageBytes(const topology::Topology& topology,
                          const std::vector<core::NiKernelParams>& ni_params,
                          const SocOptions& options) {
-  constexpr std::size_t kPad = alignof(std::max_align_t);
   const auto links = static_cast<std::size_t>(topology.NumLinks());
   std::size_t bytes =
       sim::Slab<router::Router>::BytesFor(
           static_cast<std::size_t>(topology.NumRouters())) +
       sim::Slab<core::NiKernel>::BytesFor(ni_params.size()) +
-      sim::Slab<link::LinkWires>::BytesFor(links) + 3 * kPad +
+      sim::Slab<link::LinkWires>::BytesFor(links) + 3 * sim::kAllocationPad +
       tdm::CentralizedAllocator::StorageBytes(topology.NumLinks(),
                                               options.stu_slots);
   for (RouterId r = 0; r < topology.NumRouters(); ++r) {

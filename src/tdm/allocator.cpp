@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "sim/soa_state.h"
 #include "util/check.h"
 
 namespace aethereal::tdm {
@@ -21,12 +22,10 @@ CentralizedAllocator::CentralizedAllocator(const topology::Topology* topology,
 }
 
 std::size_t CentralizedAllocator::StorageBytes(int num_links, int num_slots) {
-  // Padding per allocation, for alignment.
-  constexpr std::size_t kPad = alignof(std::max_align_t);
   const auto links = static_cast<std::size_t>(num_links);
-  return links * (sizeof(SlotTable) + kPad +
+  return links * (sizeof(SlotTable) + sim::kAllocationPad +
                   static_cast<std::size_t>(num_slots) * sizeof(GlobalChannel)) +
-         kPad;
+         sim::kAllocationPad;
 }
 
 bool CentralizedAllocator::SlotFeasible(const topology::ChannelRoute& route,
